@@ -496,10 +496,16 @@ def sample_linear_sections(system: LieEquationSystem, count: int, seed: int,
                            degree: int = 2, npoints: int = 40,
                            route: str = "hand") -> list[PolySection]:
     """Seeded random polynomial sections of the prolonged linear system."""
+    basis_vecs = _solution_basis(system, seed, degree, npoints, route)
+    return _draw_sections(system, basis_vecs, count, seed, degree)
+
+
+def _draw_sections(system: LieEquationSystem, basis_vecs: np.ndarray,
+                   count: int, seed: int, degree: int) -> list[PolySection]:
+    """Seeded random combinations of a `_solution_basis` nullspace basis."""
     n, q = system.nvars, system.order
     ctx_sec = context(n, q + 1)
     ctx_b = context(n, degree)
-    basis_vecs = _solution_basis(system, seed, degree, npoints, route)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -519,9 +525,8 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
     slots of the inputs are replaced by fresh random polynomials; the
     formula cancels them identically, so the gap is pure roundoff.
     """
-    null_dim = _solution_basis(system, seed, degree, 40, route).shape[0]
-    sections = sample_linear_sections(system, 2 * npairs, seed, degree=degree,
-                                      route=route)
+    basis_vecs = _solution_basis(system, seed, degree, 40, route)
+    sections = _draw_sections(system, basis_vecs, 2 * npairs, seed, degree)
     eval_pts = halton_points(system.box, neval, seed + 1)
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
@@ -536,7 +541,8 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
             vals2 = algebroid_bracket(a.perturb_top(rng), b.perturb_top(rng),
                                       eval_pts)
             lift_gap = max(lift_gap, float(np.max(np.abs(vals2 - vals))))
-    return ClosureReport(system.label, npairs, null_dim, worst, lift_gap)
+    return ClosureReport(system.label, npairs, basis_vecs.shape[0], worst,
+                         lift_gap)
 
 
 def schwarzian(jet) -> float:

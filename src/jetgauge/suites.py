@@ -204,8 +204,8 @@ def _check_schwarzian_invariance(cfg: SuiteConfig, cache: dict):
     f = ExprMap.parse("exp(x)", ["x"])
     g = ExprMap.parse("(2*exp(x) + 1)/(exp(x) + 3)", ["x"])
     xs = halton_points(((-0.8, 0.8),), min(cfg.samples, 16), cfg.seed + 8)
-    worst = max(abs(schwarzian_of_map(g, float(x)) -
-                    schwarzian_of_map(f, float(x))) for x in xs)
+    worst = max(abs(schwarzian_of_map(g, float(x[0])) -
+                    schwarzian_of_map(f, float(x[0]))) for x in xs)
     return worst, len(xs)
 
 
