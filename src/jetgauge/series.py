@@ -176,13 +176,14 @@ def powc(ctx: MultiIndexContext, a: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def dvar(ctx: MultiIndexContext, a: np.ndarray, var: int) -> np.ndarray:
-    """Derivative in Taylor scaling.  The result is trustworthy only through
-    order ctx.order - 1; callers lift one order higher than they consume."""
-    out = np.zeros(ctx.count)
+    """Derivative in Taylor scaling, over any leading batch axes of a.
+    The result is trustworthy only through order ctx.order - 1; callers
+    lift one order higher than they consume."""
+    out = np.zeros(a.shape[:-1] + (ctx.count,))
     for row in range(ctx.count):
         src = ctx.shifted(row, var)
         if src >= 0:
-            out[row] = a[src] * (ctx.midx[row][var] + 1)
+            out[..., row] = a[..., src] * (ctx.midx[row][var] + 1)
     return out
 
 

@@ -180,12 +180,14 @@ def _closure_reports(cfg: SuiteConfig, cache: dict) -> list:
 
 def _check_bracket_closure(cfg: SuiteConfig, cache: dict):
     reps = _closure_reports(cfg, cache)
-    return max(r.max_residual for r in reps), sum(r.npairs for r in reps)
+    return (float(np.max([r.max_residual for r in reps])),
+            sum(r.npairs for r in reps))
 
 
 def _check_bracket_lift_independence(cfg: SuiteConfig, cache: dict):
     reps = _closure_reports(cfg, cache)
-    return max(r.lift_gap for r in reps), sum(r.npairs for r in reps)
+    return (float(np.max([r.lift_gap for r in reps])),
+            sum(r.npairs for r in reps))
 
 
 def _check_linearization_rows(cfg: SuiteConfig, cache: dict):

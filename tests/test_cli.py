@@ -42,6 +42,16 @@ def test_cli_swell_passes_and_is_deterministic(tmp_path):
     assert data["seed"] == 3
 
 
+def test_cli_pseudogroup_stdout_is_deterministic(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["--suite", "pseudogroup", "--seed", "42",
+                     "--no-timestamp"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["status"] == "pass"
+
+
 def test_cli_exit_one_when_a_check_fails(tmp_path):
     # zero tolerances turn roundoff-level residuals into failures
     code = main(["--suite", "swell", "--tol-scale", "0",

@@ -1,17 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
+from jetgauge import series
+from jetgauge._multiindex import context
 from jetgauge.expr import ExprMap
 from jetgauge.pseudogroups import (
-    BUILTIN_SYSTEMS, ExprSection, HolonomicSection, algebroid_bracket,
+    BUILTIN_SYSTEMS, ExprSection, HolonomicSection, LieEquationSystem,
+    _bracket_tables, _stack_mul, algebroid_bracket,
     bracket_jacobi_residual, builtin_system, closure_check, jet_variable_names,
     lie_system_from_dict, linearization_consistency, linearization_rows_gap,
     sample_linear_sections, schwarzian, schwarzian_of_map,
     schwarzian_variation_check, spencer,
 )
 from jetgauge.sampling import halton_points
+from jetgauge.suites import SuiteConfig, run_suite
 
 PTS2 = halton_points(((-0.5, 0.5), (-0.5, 0.5)), 6, 13)
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
 
 
 def test_jet_variable_names_convention():
@@ -133,7 +145,64 @@ def test_bracket_independent_of_lift():
     assert np.max(np.abs(bumped - base)) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["affine", "projective", "volume2", "r1", "r1prime"])
+@pytest.mark.parametrize("nvars, order", [(1, 1), (2, 1), (3, 1), (2, 2)])
+def test_stacked_product_matches_series_bitwise(nvars, order):
+    ctx = context(nvars, order)
+    rng = np.random.default_rng(nvars + 10 * order)
+    a = rng.standard_normal((3, 4, ctx.count))
+    b = rng.standard_normal((3, 4, ctx.count))
+    # signed zeros: 0.0 + (-0.0) must start every coefficient as in series
+    a[0, :2] = -0.0
+    b[1, 1, ::2] = 0.0
+    prod = _stack_mul(ctx, a, b)
+    for idx in np.ndindex(3, 4):
+        assert _same_bits(prod[idx], series.mul(ctx, a[idx], b[idx]))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_stacked_bracket_equals_each_slice(name):
+    sys_ = builtin_system(name)
+    n, ctx1 = sys_.nvars, context(sys_.nvars, 1)
+    secs = sample_linear_sections(sys_, 6, seed=5)
+    pts = halton_points(sys_.box, 4, 17)
+    tabs = np.array([[s.raw_series(x, 1) for x in pts] for s in secs])
+    stacked = _bracket_tables(n, sys_.order, ctx1, tabs[0::2], tabs[1::2])
+    for p in range(3):
+        alone = algebroid_bracket(secs[2 * p], secs[2 * p + 1], pts)
+        assert _same_bits(stacked[p, ..., 0], alone)
+        for s in range(len(pts)):
+            one = _bracket_tables(n, sys_.order, ctx1, tabs[2 * p, s],
+                                  tabs[2 * p + 1, s])
+            assert _same_bits(stacked[p, s], one)
+
+
+def test_closure_nan_fails_closed(monkeypatch):
+    # a NaN at the second evaluation point of a later system, after
+    # finite residuals, must reach the report and fail the check
+    real = LieEquationSystem.linear_rows
+    seen = []
+
+    def poisoned(self, x, route="hand"):
+        rows = real(self, x, route)
+        if self.label == "volume-2d":
+            seen.append(x)
+            if len(seen) == 2:
+                rows = rows * np.nan
+        return rows
+
+    monkeypatch.setattr(LieEquationSystem, "linear_rows", poisoned)
+    rep = closure_check(builtin_system("volume2"), npairs=4, seed=3, neval=8)
+    assert math.isnan(rep.max_residual)
+    assert not math.isnan(rep.lift_gap)
+    seen.clear()
+    record = run_suite("pseudogroup", SuiteConfig(seed=42)).records[0]
+    assert record.id == "bracket_closure"
+    assert math.isnan(record.max_residual)
+    assert not record.passed
+
+
+@pytest.mark.parametrize("name", ["affine", "projective", "volume2", "volume3",
+                                  "r1", "r1prime"])
 def test_closure_of_builtin_systems(name):
     rep = closure_check(builtin_system(name), npairs=8, seed=3, neval=6)
     assert rep.nullspace_dim > 0
