@@ -2,8 +2,12 @@
 and continuum models: truncated Taylor lifts with exact derivatives, plus
 check suites that hold named identities to stated tolerances."""
 
-from .series import kernel_name
-
 __version__ = "0.1.0"
+
+
+def kernel_name() -> str:
+    # Only kept because perfbench/probe.py records it on every run.
+    return "pure"
+
 
 __all__ = ["kernel_name", "__version__"]

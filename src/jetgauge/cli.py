@@ -12,27 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
+from ._fixtures import fixture_path
 from .dynamics import swell_rows
-from .suites import SUITE_NAMES, SuiteConfig, run_suite
+from .suites import SUITE_NAMES, SuiteConfig, _swell_params, run_suite
 
 CSV_HEADER = "t,a,b,x,y,xbar,ybar"
-
-
-def _resolve_fixture(name: str | None) -> str | None:
-    """Explicit path wins; otherwise try the override directory."""
-    if name is None or os.path.exists(name):
-        return name
-    override = os.environ.get("JETGAUGE_FIXTURES")
-    if override:
-        candidate = os.path.join(override, f"{name}.json")
-        if os.path.exists(candidate):
-            return candidate
-    return name
 
 
 def _swell_table(params: dict, nlabels_a: int = 6, nlabels_b: int = 3,
@@ -130,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    fixture = args.fixture and (fixture_path(args.fixture) or args.fixture)
     cfg = SuiteConfig(seed=args.seed, samples=args.samples,
-                      tol_scale=args.tol_scale,
-                      fixture=_resolve_fixture(args.fixture))
+                      tol_scale=args.tol_scale, fixture=fixture)
     try:
         report = run_suite(args.suite, cfg)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
@@ -140,10 +128,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.csv or args.svg:
-        params = {"R0": 1.0, "k": 0.1, "omega": 1.0, "c": 0.0}
-        if args.suite == "swell" and cfg.fixture:
-            with open(cfg.fixture, encoding="utf-8") as fh:
-                params.update(json.load(fh))
+        # Only a swell fixture holds swell parameters.
+        params = _swell_params(cfg if args.suite == "swell" else SuiteConfig())
         try:
             rows = _swell_table(params)
             if args.csv:

@@ -728,7 +728,7 @@ def curl_parametrization_check(theta: ExprMap, box: Box,
         comps = []
         for _ in range(3):
             coeffs = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
-            comps.append(_poly_text(coeffs, ("z1", "z2", "z3")))
+            comps.append(_coeff_text(coeffs, ("z1", "z2", "z3")))
         bump = " * ".join(
             f"(z{a + 1} - {lo!r})^2 * ({hi!r} - z{a + 1})^2"
             for a, (lo, hi) in enumerate(box))
@@ -750,7 +750,7 @@ def curl_parametrization_check(theta: ExprMap, box: Box,
     return CurlReport(worst_div, lhs, rhs)
 
 
-def _poly_text(coeffs: np.ndarray, names: Sequence[str]) -> str:
+def _coeff_text(coeffs: np.ndarray, names: Sequence[str]) -> str:
     terms = []
     for index in np.ndindex(*coeffs.shape):
         factors = [repr(float(coeffs[index]))]
@@ -842,7 +842,7 @@ def random_solenoidal_field(seed: int, degree: int = 2,
     for comp in comps:
         comp = comp.copy()
         comp[..., 1] *= time_scale
-        scaled.append(_poly_text(comp, ("z1", "z2", "z3", "t")))
+        scaled.append(_coeff_text(comp, ("z1", "z2", "z3", "t")))
     return ExprMap.parse(", ".join(scaled), ["z1", "z2", "z3", "t"])
 
 
@@ -863,8 +863,8 @@ class SwellReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.jacobian_drift, self.circle_gap,
-                   self.moving_frame_gap)
+        return float(np.max([self.jacobian_drift, self.circle_gap,
+                             self.moving_frame_gap]))
 
 
 def swell_family(R0: float, k: float, omega: float, c: float,
@@ -901,18 +901,20 @@ def swell_family(R0: float, k: float, omega: float, c: float,
         for t in times:
             st = fam.state_at_source(np.array([a, b]), np.array([t]))
             dets.append(st.delta)
-            circle = max(circle, abs(
+            circle = np.maximum(circle, abs(
                 math.hypot(st.value[0] - a, st.value[1] - b) - rb))
             shifted = fam.forward_value(np.array([a - speed * t, b]),
                                         np.array([0.0]))
             moving = np.array([st.value[0] - speed * t, st.value[1]])
-            frame = max(frame, float(np.max(np.abs(moving - shifted))))
+            frame = np.maximum(frame, np.max(np.abs(moving - shifted)))
         dets = np.array(dets)
-        drift = max(drift, float(np.max(np.abs(dets - dets[0]))))
+        drift = np.maximum(drift, np.max(np.abs(dets - dets[0])))
         if decay is None:
-            formula = max(formula, float(np.max(np.abs(
-                dets - (1.0 - k * k * rb * rb)))))
-    return fam, SwellReport(drift, formula, circle, frame)
+            formula = np.maximum(formula, np.max(np.abs(
+                dets - (1.0 - k * k * rb * rb))))
+    # np.maximum, unlike max(), carries a NaN through to the report.
+    return fam, SwellReport(float(drift), float(formula), float(circle),
+                            float(frame))
 
 
 def swell_rows(R0: float, k: float, omega: float, c: float,

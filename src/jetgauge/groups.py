@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 from importlib import resources
 import numpy as np
 
 from . import series
+from ._fixtures import fixture_path
 from ._multiindex import context
 from .expr import ExprMap
 from .sampling import halton_points
@@ -142,18 +142,13 @@ def _group_vars(p: int) -> tuple[list[str], list[str]]:
 def load_group_spec(name: str) -> LieGroupSpec:
     """Load a group chart from JSON: an explicit path, a file in the
     directory named by JETGAUGE_FIXTURES, or a bundled fixture name."""
-    if os.path.exists(name):
-        with open(name, encoding="utf-8") as fh:
+    path = fixture_path(name)
+    if path:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     else:
-        override = os.environ.get("JETGAUGE_FIXTURES")
-        candidate = os.path.join(override, f"{name}.json") if override else None
-        if candidate and os.path.exists(candidate):
-            with open(candidate, encoding="utf-8") as fh:
-                data = json.load(fh)
-        else:
-            text = resources.files("jetgauge.fixtures").joinpath(f"{name}.json").read_text()
-            data = json.loads(text)
+        text = resources.files("jetgauge.fixtures").joinpath(f"{name}.json").read_text()
+        data = json.loads(text)
     return group_spec_from_dict(data)
 
 

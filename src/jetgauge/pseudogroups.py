@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 import numpy as np
 
 from . import series
+from ._fixtures import fixture_path
 from ._multiindex import MultiIndexContext, binom_mu, context
 from .expr import ExprMap
 from .sampling import halton_points
@@ -724,13 +724,8 @@ def load_lie_system(name: str) -> LieEquationSystem:
     """Built-in name, explicit JSON path, or file under JETGAUGE_FIXTURES."""
     if name in BUILTIN_SYSTEMS:
         return builtin_system(name)
-    if os.path.exists(name):
-        with open(name, encoding="utf-8") as fh:
-            return lie_system_from_dict(json.load(fh))
-    override = os.environ.get("JETGAUGE_FIXTURES")
-    if override:
-        candidate = os.path.join(override, f"{name}.json")
-        if os.path.exists(candidate):
-            with open(candidate, encoding="utf-8") as fh:
-                return lie_system_from_dict(json.load(fh))
-    raise FileNotFoundError(f"no such system or fixture: {name}")
+    path = fixture_path(name)
+    if path is None:
+        raise FileNotFoundError(f"no such system or fixture: {name}")
+    with open(path, encoding="utf-8") as fh:
+        return lie_system_from_dict(json.load(fh))

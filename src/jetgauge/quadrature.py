@@ -7,7 +7,7 @@ satisfies 2*n - 1 >= degree; integral reductions use pairwise summation
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,12 +34,6 @@ def tensor_rule(box: Box, n_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 def integrate(values: np.ndarray, weights: np.ndarray) -> float:
     return float(np.dot(weights, values))
-
-
-def integrate_func(func: Callable[[np.ndarray], float], box: Box,
-                   n_per_axis: int) -> float:
-    nodes, weights = tensor_rule(box, n_per_axis)
-    return integrate(np.array([func(p) for p in nodes]), weights)
 
 
 def bump(variables: Sequence[str], box: Box) -> Expr:

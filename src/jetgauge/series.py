@@ -1,37 +1,23 @@
 """Truncated multivariate Taylor series arithmetic.
 
 A series is a plain float64 array of coefficients over a MultiIndexContext,
-in Taylor scaling: f(x) = sum_mu a[mu] (x - x0)^mu.  The multiply and
-substitute kernels come compiled when the extension built, with a pure
-NumPy twin selected as fallback; JETGAUGE_PURE=1 forces the fallback.
-Both kernels accumulate in the same order, so results are bitwise equal.
+in Taylor scaling: f(x) = sum_mu a[mu] (x - x0)^mu.  There is one kernel,
+in NumPy; nothing is compiled.  Products accumulate over the context's
+(i, j, k) product table in table order, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from ._multiindex import MultiIndexContext, context
 
-if os.environ.get("JETGAUGE_PURE"):
-    from . import _series_py as _kernel
-else:
-    try:
-        from . import _series_cy as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _series_py as _kernel
-
 
 class DomainError(ArithmeticError):
     """Evaluation left the real domain (division by zero, log of a
     nonpositive value, sqrt of a negative, zero to a negative power)."""
-
-
-def kernel_name() -> str:
-    return _kernel.KERNEL_NAME
 
 
 def zeros(ctx: MultiIndexContext) -> np.ndarray:
@@ -54,50 +40,9 @@ def coordinate(ctx: MultiIndexContext, var: int, base_value: float) -> np.ndarra
 
 
 def mul(ctx: MultiIndexContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.add.at applies repeated indices in element order: table order.
     out = np.zeros(ctx.count)
-    _kernel.mul_acc(ctx.mul_i, ctx.mul_j, ctx.mul_k, a, b, out)
-    return out
-
-
-def mul_acc(ctx: MultiIndexContext, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    _kernel.mul_acc(ctx.mul_i, ctx.mul_j, ctx.mul_k, a, b, out)
-
-
-# Parent decomposition per context: monomial mu = (mu - e_t) * x_t with t the
-# first variable of positive exponent.  Cached on first use.
-_parent_cache: dict = {}
-
-
-def _parents(ctx: MultiIndexContext):
-    key = (ctx.nvars, ctx.order)
-    hit = _parent_cache.get(key)
-    if hit is not None:
-        return hit
-    pvar = np.zeros(ctx.count, dtype=np.int64)
-    prow = np.zeros(ctx.count, dtype=np.int64)
-    for row in range(1, ctx.count):
-        mu = ctx.midx[row].copy()
-        t = int(np.nonzero(mu)[0][0])
-        mu[t] -= 1
-        pvar[row] = t
-        prow[row] = ctx.pos(mu)
-    _parent_cache[key] = (pvar, prow)
-    return pvar, prow
-
-
-def substitute(ctx_out: MultiIndexContext, ctx_in: MultiIndexContext,
-               coeffs: np.ndarray, devs: np.ndarray) -> np.ndarray:
-    """Truncated composition: outer coefficients over ctx_in, inner deviation
-    series (zero constant term, one per inner variable) over ctx_out."""
-    if devs.shape != (ctx_in.nvars, ctx_out.count):
-        raise ValueError("deviation block has the wrong shape")
-    if np.any(devs[:, 0] != 0.0):
-        raise ValueError("inner series must have zero constant term")
-    coeffs = np.atleast_2d(coeffs)
-    out = np.zeros((coeffs.shape[0], ctx_out.count))
-    pvar, prow = _parents(ctx_in)
-    _kernel.substitute_acc(ctx_out.mul_i, ctx_out.mul_j, ctx_out.mul_k,
-                           pvar, prow, coeffs, devs, out)
+    np.add.at(out, ctx.mul_k, a[ctx.mul_i] * b[ctx.mul_j])
     return out
 
 

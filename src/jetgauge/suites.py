@@ -52,7 +52,8 @@ class SuiteConfig:
 
 
 def _shortfall(observed: float, floor: float) -> float:
-    return max(0.0, floor - observed)
+    # np.maximum keeps a NaN observation, so the control fails on it.
+    return float(np.maximum(0.0, floor - observed))
 
 
 def _poly_text(rng: np.random.Generator, monomials: list[str],

@@ -82,6 +82,34 @@ def test_fixture_dir_override(tmp_path, monkeypatch, capsys):
     assert data["status"] == "pass"
 
 
+def test_fixture_dir_override_pseudogroup(tmp_path, monkeypatch):
+    system = {"label": "line-copy", "nvars": 1, "order": 2,
+              "box": [[-1.0, 1.0]], "equations": "y_1_11",
+              "linearization": "xi_1_11"}
+    (tmp_path / "linecopy.json").write_text(json.dumps(system))
+    args = ["--suite", "pseudogroup", "--fixture", "linecopy",
+            "--out", str(tmp_path / "r.json")]
+    monkeypatch.delenv("JETGAUGE_FIXTURES", raising=False)
+    assert main(args) == 2
+    monkeypatch.setenv("JETGAUGE_FIXTURES", str(tmp_path))
+    assert main(args) == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_swell_nan_residuals_fail(tmp_path):
+    # R0 = 1e200 overflows the jacobian to NaN; NaN must fail, not pass
+    fixture = tmp_path / "r0.json"
+    fixture.write_text('{"R0": 1e200}')
+    out = tmp_path / "r.json"
+    assert main(["--suite", "swell", "--fixture", str(fixture),
+                 "--out", str(out)]) == 1
+    status = {c["id"]: c["status"]
+              for c in json.loads(out.read_text())["checks"]}
+    assert status["swell_jacobian_drift"] == "fail"
+    assert status["swell_jacobian_formula"] == "fail"
+    assert status["swell_unbalanced_control"] == "fail"
+
+
 def test_swell_csv_radius_and_frame(tmp_path):
     path = tmp_path / "swell.csv"
     rows = export_swell_csv(PARAMS, str(path))
