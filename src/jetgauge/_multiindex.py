@@ -29,10 +29,12 @@ class MultiIndexContext:
     mul_i: np.ndarray = field(repr=False)
     mul_j: np.ndarray = field(repr=False)
     mul_k: np.ndarray = field(repr=False)
+    count: int = field(init=False)    # rows, midx.shape[0]
+    _flat_k: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)  # nbatch -> flat_mul_k(nbatch)
 
-    @property
-    def count(self) -> int:
-        return self.midx.shape[0]
+    def __post_init__(self):
+        object.__setattr__(self, "count", self.midx.shape[0])
 
     def pos(self, mu) -> int:
         return self.position[tuple(mu)]
@@ -40,6 +42,15 @@ class MultiIndexContext:
     def count_up_to(self, order: int) -> int:
         """Rows of degree <= order; a prefix thanks to the graded ordering."""
         return int(np.searchsorted(self.degree, order + 1))
+
+    def flat_mul_k(self, nbatch: int) -> np.ndarray:
+        """mul_k for nbatch series stored back to back in one flat array."""
+        flat = self._flat_k.get(nbatch)
+        if flat is None:
+            flat = (np.arange(nbatch)[:, None] * self.count
+                    + self.mul_k).ravel()
+            self._flat_k[nbatch] = flat
+        return flat
 
     def shifted(self, row: int, var: int) -> int:
         """Row of mu + e_var, or -1 when that leaves the truncation."""

@@ -77,16 +77,13 @@ def _rename(emap: ExprMap, old: str, new: str, count: int) -> ExprMap:
     return ExprMap.parse(text, variables)
 
 
-def _derivative_blocks(lift, split: int):
-    """Dense value/jacobian/raw-hessian arrays of an order-2 lift.
-
-    split is only used by callers to slice the variable axis; the lift itself
-    determines the total variable count.
-    """
+def _derivative_blocks(lift):
+    """Dense value/jacobian/raw-hessian arrays of an order-2 lift, with the
+    leading batch axes of a block lift."""
     nv = lift.nin
     val = lift.value()
-    jac = lift.coeffs[:, 1:1 + nv].copy()
-    d2 = np.zeros((lift.nout, nv, nv))
+    jac = lift.jacobian()
+    d2 = np.zeros(lift.coeffs.shape[:-1] + (nv, nv))
     ctx = lift.ctx
     for a in range(nv):
         for b in range(a, nv):
@@ -94,9 +91,9 @@ def _derivative_blocks(lift, split: int):
             mu[a] += 1
             mu[b] += 1
             pos = ctx.pos(tuple(mu))
-            raw = lift.coeffs[:, pos] * ctx.factorial[pos]
-            d2[:, a, b] = raw
-            d2[:, b, a] = raw
+            raw = lift.coeffs[..., pos] * ctx.factorial[pos]
+            d2[..., a, b] = raw
+            d2[..., b, a] = raw
     return val, jac, d2
 
 
@@ -114,15 +111,13 @@ class SpeedSample:
 class _SpeedState:
     """All first derivatives of v, u and rho at one (z, x) sample.
 
-    Assembled from the order-2 jet of f at (y, x) with y = g(z, x); the
-    inverse map enters only through the point y, so every entry is exact.
+    Assembled from the order-2 jet of f at (y, x) with y = g(z, x), given as
+    its _derivative_blocks; the inverse map enters only through the point y,
+    so every entry is exact.
     """
 
-    def __init__(self, fam: "MotionFamily", z: np.ndarray, x: np.ndarray,
-                 y: np.ndarray):
-        m = fam.m
-        lift = fam.forward.taylor_lift(np.concatenate([y, x]), 2)
-        val, jac, d2 = _derivative_blocks(lift, m)
+    def __init__(self, m: int, z: np.ndarray, x: np.ndarray, y: np.ndarray,
+                 val: np.ndarray, jac: np.ndarray, d2: np.ndarray):
         self.z, self.x, self.y = z, x, y
         self.value = val
         self.fy = jac[:, :m]
@@ -227,17 +222,33 @@ class MotionFamily:
         raise InverseSolveError(
             f"newton stalled above {NEWTON_TOL} after {NEWTON_MAX_ITER} steps")
 
+    def invert_each(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """invert() row by row, in order: each solve warm-starts from the
+        one before it."""
+        ys = [self.invert(zr, xr) for zr, xr in zip(z, x)]
+        return np.array(ys, dtype=float).reshape(np.shape(z))
+
     def state(self, z: np.ndarray, x: np.ndarray,
               y0: np.ndarray | None = None) -> _SpeedState:
         z = np.asarray(z, float)
         x = np.asarray(x, float)
         y = np.asarray(y0, float) if y0 is not None else self.invert(z, x)
-        return _SpeedState(self, z, x, y)
+        lift = self.forward.taylor_lift(np.concatenate([y, x]), 2)
+        return _SpeedState(self.m, z, x, y, *_derivative_blocks(lift))
+
+    def states(self, z: np.ndarray, x: np.ndarray,
+               y: np.ndarray) -> list[_SpeedState]:
+        """One state per row of (z, x) with known preimages y, from a
+        single block lift of f; each equals state(z, x, y0=y) bit for bit."""
+        z, x, y = (np.asarray(a, float) for a in (z, x, y))
+        lift = self.forward.taylor_lift(np.concatenate([y, x], axis=-1), 2)
+        return [_SpeedState(self.m, *row)
+                for row in zip(z, x, y, *_derivative_blocks(lift))]
 
     def state_at_source(self, y: np.ndarray, x: np.ndarray) -> _SpeedState:
         y = np.asarray(y, float)
         x = np.asarray(x, float)
-        return _SpeedState(self, self.forward_value(y, x), x, y)
+        return self.state(self.forward_value(y, x), x, y0=y)
 
     def sample_zx(self, count: int, seed: int) -> np.ndarray:
         return halton_points(self.zbox + self.xbox, count, seed)
@@ -288,14 +299,18 @@ def generalized_speed(fam: MotionFamily, z: np.ndarray,
 
 def speed_duality_gap(fam: MotionFamily, samples_yx: np.ndarray) -> float:
     """max over samples of |df/dx - (df/dy) u| and |df/dx - v(f(y,x),x)|."""
-    worst = 0.0
-    for yx in samples_yx:
-        y, x = yx[:fam.m], yx[fam.m:]
-        st = fam.state_at_source(y, x)
-        worst = max(worst, float(np.max(np.abs(st.fx - st.fy @ st.u))))
-        image = fam.state(st.value, x)
-        worst = max(worst, float(np.max(np.abs(st.fx - image.v))))
-    return worst
+    samples_yx = np.asarray(samples_yx, float)
+    y, x = samples_yx[:, :fam.m], samples_yx[:, fam.m:]
+    z = np.array([fam.forward_value(yr, xr) for yr, xr in zip(y, x)])
+    sources = fam.states(z.reshape(y.shape), x, y)
+    images_z = np.array([st.value for st in sources]).reshape(y.shape)
+    images = fam.states(images_z, x, fam.invert_each(images_z, x))
+    gaps = []
+    for st, image in zip(sources, images):
+        gaps.append(np.max(np.abs(st.fx - st.fy @ st.u)))
+        gaps.append(np.max(np.abs(st.fx - image.v)))
+    # np.max, unlike a running max(), carries a NaN through to the caller.
+    return float(np.max(gaps, initial=0.0))
 
 
 def speed_swap_gap(fam: MotionFamily, samples: np.ndarray) -> float:
@@ -319,7 +334,7 @@ class CompatibilityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.v_residual, self.u_residual)
+        return float(np.maximum(self.v_residual, self.u_residual))
 
 
 def compatibility_residual(fam: MotionFamily,
@@ -332,9 +347,10 @@ def compatibility_residual(fam: MotionFamily,
     """
     if fam.n < 2:
         return CompatibilityReport(0.0, 0.0, True)
-    worst_v = worst_u = 0.0
-    for zx in samples:
-        st = fam.state(zx[:fam.m], zx[fam.m:])
+    samples = np.asarray(samples, float)
+    z, x = samples[:, :fam.m], samples[:, fam.m:]
+    res_v, res_u = [], []
+    for st in fam.states(z, x, fam.invert_each(z, x)):
         for i in range(fam.n):
             for j in range(i + 1, fam.n):
                 rv = (st.dv_x[:, j, i] - st.dv_x[:, i, j]
@@ -343,9 +359,10 @@ def compatibility_residual(fam: MotionFamily,
                 ru = (st.du_x[:, j, i] - st.du_x[:, i, j]
                       - st.du_y[:, j, :] @ st.u[:, i]
                       + st.du_y[:, i, :] @ st.u[:, j])
-                worst_v = max(worst_v, float(np.max(np.abs(rv))))
-                worst_u = max(worst_u, float(np.max(np.abs(ru))))
-    return CompatibilityReport(worst_v, worst_u, False)
+                res_v.append(np.max(np.abs(rv)))
+                res_u.append(np.max(np.abs(ru)))
+    return CompatibilityReport(float(np.max(res_v, initial=0.0)),
+                               float(np.max(res_u, initial=0.0)), False)
 
 
 def _variation_blocks(fam: MotionFamily, y: np.ndarray, x: np.ndarray):
@@ -353,29 +370,32 @@ def _variation_blocks(fam: MotionFamily, y: np.ndarray, x: np.ndarray):
 
     Returns (df, df_y, df_x): the vertical field delta f = dF/deps and its
     first y- and x-derivatives, read off mixed slots of an order-2 lift.
+    Rows y, x of shape (..., m) and (..., n) give blocks with those axes.
     """
     if fam.variation is None:
         raise ValueError("family carries no variation map")
     m, n = fam.m, fam.n
     nv = m + n + 1
-    lift = fam.variation.taylor_lift(np.concatenate([y, x, [0.0]]), 2)
+    batch = np.shape(y)[:-1]
+    eps0 = np.zeros(batch + (1,))
+    lift = fam.variation.taylor_lift(np.concatenate([y, x, eps0], axis=-1), 2)
     ctx = lift.ctx
     mu = [0] * nv
     mu[-1] = 1
     pos = ctx.pos(tuple(mu))
-    df = lift.coeffs[:, pos] * ctx.factorial[pos]
-    df_y = np.empty((m, m))
-    df_x = np.empty((m, n))
+    df = lift.coeffs[..., pos] * ctx.factorial[pos]
+    df_y = np.empty(batch + (m, m))
+    df_x = np.empty(batch + (m, n))
     for a in range(m + n):
         mu = [0] * nv
         mu[-1] = 1
         mu[a] += 1
         pos = ctx.pos(tuple(mu))
-        raw = lift.coeffs[:, pos] * ctx.factorial[pos]
+        raw = lift.coeffs[..., pos] * ctx.factorial[pos]
         if a < m:
-            df_y[:, a] = raw
+            df_y[..., a] = raw
         else:
-            df_x[:, a - m] = raw
+            df_x[..., a - m] = raw
     return df, df_y, df_x
 
 
@@ -470,21 +490,24 @@ def mass_conservation_residual(fam: MotionFamily, samples: np.ndarray,
     reported so the caller can confirm first-order decay.
     """
     m = fam.m
-    worst = 0.0
-    var_gaps = [0.0, 0.0]
-    for zx in samples:
-        z, x = zx[:m], zx[m:]
-        st = fam.state(z, x)
+    samples = np.asarray(samples, float)
+    z, x = samples[:, :m], samples[:, m:]
+    y = fam.invert_each(z, x)
+    states = fam.states(z, x, y)
+    resid = []
+    var_gaps: list[list] = [[], []]
+    for st in states:
         div_rv = st.drho_z @ st.v + st.rho * np.einsum("kik->i", st.dv_z)
-        worst = max(worst, float(np.max(np.abs(st.drho_x + div_rv))))
-        if fam.variation is not None:
-            df, df_y, _ = _variation_blocks(fam, st.y, x)
+        resid.append(np.max(np.abs(st.drho_x + div_rv)))
+    if fam.variation is not None:
+        for st, df, df_y, _ in zip(states, *_variation_blocks(fam, y, x)):
             exact = -(st.drho_z @ df + st.rho * np.trace(df_y @ st.gz))
             for slot, e in enumerate((eps, eps / 2.0)):
-                _, delta_eps = _variation_state(fam, z, x, e, st.y)
+                _, delta_eps = _variation_state(fam, st.z, st.x, e, st.y)
                 quotient = (1.0 / delta_eps - st.rho) / e
-                var_gaps[slot] = max(var_gaps[slot], abs(quotient - exact))
-    return MassReport(worst, var_gaps[0], var_gaps[1])
+                var_gaps[slot].append(abs(quotient - exact))
+    return MassReport(*(float(np.max(v, initial=0.0))
+                        for v in (resid, *var_gaps)))
 
 
 def _momentum(w: ExprMap, v: np.ndarray, m: int, n: int):
@@ -635,17 +658,19 @@ def el_pairing_check(fam: MotionFamily, w: ExprMap, support: Box,
     return PairingReport(lhs, rhs)
 
 
-def _field_state(field: ExprMap, z: np.ndarray, t: float):
+def _field_blocks(field: ExprMap, zt: np.ndarray):
     """Order-2 lift of a time-dependent 3D field split into blocks.
 
-    Returns (val, dz, dt, dzz, dzt) with dz[k, l] = d v^k / d z^l,
-    dzz[k, l, r] the raw second z-derivatives and dzt[k, l] the mixed ones.
+    zt holds (z1, z2, z3, t) on its last axis; any leading axes are lifted
+    in one block and lead every returned array.  Returns (val, dz, dt, dzz,
+    dzt) with dz[k, l] = d v^k / d z^l, dzz[k, l, r] the raw second
+    z-derivatives and dzt[k, l] the mixed ones.
     """
     if len(field.variables) != 4 or len(field) != 3:
         raise ValueError("field must map z1, z2, z3, t to three components")
-    lift = field.taylor_lift(np.array([z[0], z[1], z[2], float(t)]), 2)
-    val, jac, d2 = _derivative_blocks(lift, 3)
-    return val, jac[:, :3], jac[:, 3], d2[:, :3, :3], d2[:, :3, 3]
+    val, jac, d2 = _derivative_blocks(field.taylor_lift(zt, 2))
+    return (val, jac[..., :3], jac[..., 3], d2[..., :3, :3],
+            d2[..., :3, 3])
 
 
 def _curl(mat: np.ndarray) -> np.ndarray:
@@ -656,7 +681,8 @@ def _curl(mat: np.ndarray) -> np.ndarray:
 
 
 def divergence_at(field: ExprMap, z: np.ndarray, t: float) -> float:
-    _, dz, _, _, _ = _field_state(field, z, t)
+    _, dz, _, _, _ = _field_blocks(field, np.array([z[0], z[1], z[2],
+                                                    float(t)]))
     return float(np.trace(dz))
 
 
@@ -669,10 +695,11 @@ def vortex_residual(field: ExprMap, samples: np.ndarray,
     The identity holds exactly iff div v = 0; the compressible defect is
     omega div v, so with enforcement off the residual reports that term.
     """
-    worst = 0.0
-    for zt in samples:
+    samples = np.asarray(samples, float)
+    residuals = []
+    for zt, val, dz, _, dzz, dzt in zip(samples,
+                                        *_field_blocks(field, samples)):
         z, t = zt[:3], float(zt[3])
-        val, dz, dt, dzz, dzt = _field_state(field, z, t)
         div = float(np.trace(dz))
         if enforce_divergence and abs(div) > div_tol:
             raise DivergenceNotZero(f"div v = {div:.3e} at z={z}, t={t}")
@@ -686,8 +713,9 @@ def vortex_residual(field: ExprMap, samples: np.ndarray,
                     + dz @ dz)
         lhs = 0.5 * _curl(dgamma_z)
         rhs = domega_t + domega_z @ val - dz @ omega
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        residuals.append(np.max(np.abs(lhs - rhs)))
+    # np.max, unlike a running max(), carries a NaN through to the caller.
+    return float(np.max(residuals, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -716,7 +744,7 @@ def curl_parametrization_check(theta: ExprMap, box: Box,
     worst_div = 0.0
     for z in samples:
         lift = theta.taylor_lift(np.asarray(z, float), 2)
-        _, _, d2 = _derivative_blocks(lift, 3)
+        _, _, d2 = _derivative_blocks(lift)
         eta_z = np.empty((3, 3))
         for r in range(3):
             eta_z[:, r] = _curl(d2[:, :, r])
@@ -782,17 +810,18 @@ def pressure_recovery(field: ExprMap, t: float, points: np.ndarray,
     agree up to quadrature error.
     """
     base = np.asarray(base, float)
+    points = np.asarray(points, float).reshape(-1, 3)
+    t = float(t)
 
-    def gamma_at(z: np.ndarray) -> np.ndarray:
-        val, dz, dt, _, _ = _field_state(field, z, t)
-        return dt + dz @ val
+    def with_time(z: np.ndarray) -> np.ndarray:
+        return np.concatenate([z, np.full(z.shape[:-1] + (1,), t)], axis=-1)
 
-    worst_curl = 0.0
-    for z in points:
-        val, dz, _, dzz, dzt = _field_state(field, z, t)
+    curls = []
+    for val, dz, _, dzz, dzt in zip(*_field_blocks(field, with_time(points))):
         dgamma_z = dzt + np.einsum("klr,l->kr", dzz, val) + dz @ dz
-        worst_curl = max(worst_curl, float(np.max(np.abs(_curl(dgamma_z)))))
-    if worst_curl > curl_tol:
+        curls.append(np.max(np.abs(_curl(dgamma_z))))
+    worst_curl = float(np.max(curls, initial=0.0))
+    if not worst_curl <= curl_tol:  # a NaN curl is not curl-free either
         raise CurlNotZero(f"max |curl gamma| = {worst_curl:.3e}")
 
     def staircase(z: np.ndarray, order: Sequence[int]) -> float:
@@ -801,10 +830,11 @@ def pressure_recovery(field: ExprMap, t: float, points: np.ndarray,
         for axis in order:
             lo, hi = float(current[axis]), float(z[axis])
             nodes, weights = gauss_rule(lo, hi, nquad)
-            for s, weight in zip(nodes, weights):
-                probe = current.copy()
-                probe[axis] = s
-                total += weight * gamma_at(probe)[axis]
+            probes = np.repeat(current[None], len(nodes), axis=0)
+            probes[:, axis] = nodes
+            val, dz, dt, _, _ = _field_blocks(field, with_time(probes))
+            for q, weight in enumerate(weights):
+                total += weight * (dt[q] + dz[q] @ val[q])[axis]
             current[axis] = z[axis]
         return -total
 

@@ -14,14 +14,19 @@ unary minus inside 'base', so a leading '-x^2' parses as (-x)^2.
 
 Lifting replaces every variable by its truncated Taylor series and replays
 the tree on series, which yields exact derivatives of any composite up to
-the truncation order.
+the truncation order.  An ExprMap compiles its trees once into a flat tape
+(Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13) and replays
+it on one base point or on a block of them; each point of a block gets the
+float operations, in the same order, that it gets alone.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -50,9 +55,6 @@ class Expr:
     """Base node; subclasses are frozen dataclasses."""
 
     def eval(self, env: Mapping[str, float]) -> float:
-        raise NotImplementedError
-
-    def lift(self, ctx: MultiIndexContext, env: Mapping[str, np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
     def variables(self) -> set[str]:
@@ -126,9 +128,6 @@ class Num(Expr):
     def eval(self, env):
         return self.value
 
-    def lift(self, ctx, env):
-        return series.const(ctx, self.value)
-
     def _collect(self, out):
         pass
 
@@ -141,9 +140,6 @@ class Var(Expr):
     name: str
 
     def eval(self, env):
-        return env[self.name]
-
-    def lift(self, ctx, env):
         return env[self.name]
 
     def _collect(self, out):
@@ -174,17 +170,6 @@ class Bin(Expr):
         if b == 0.0:
             raise DomainError("division by zero")
         return a / b
-
-    def lift(self, ctx, env):
-        a = self.lhs.lift(ctx, env)
-        b = self.rhs.lift(ctx, env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return series.mul(ctx, a, b)
-        return series.div(ctx, a, b)
 
     def _collect(self, out):
         self.lhs._collect(out)
@@ -218,9 +203,6 @@ class Pow(Expr):
             raise DomainError(f"{a} raised to non-integer power {e}")
         return a**e
 
-    def lift(self, ctx, env):
-        return series.powc(ctx, self.base.lift(ctx, env), self.exponent)
-
     def _collect(self, out):
         self.base._collect(out)
 
@@ -252,12 +234,6 @@ class Call(Expr):
             return math.sqrt(a)
         return getattr(math, self.func)(a)
 
-    def lift(self, ctx, env):
-        a = self.arg.lift(ctx, env)
-        if self.func == "neg":
-            return -a
-        return series.analytic(ctx, self.func, a)
-
     def _collect(self, out):
         self.arg._collect(out)
 
@@ -271,9 +247,6 @@ class Neg(Expr):
 
     def eval(self, env):
         return -self.arg.eval(env)
-
-    def lift(self, ctx, env):
-        return -self.arg.lift(ctx, env)
 
     def _collect(self, out):
         self.arg._collect(out)
@@ -408,7 +381,8 @@ class TaylorMap:
     """Taylor coefficients of a vector map around a base point.
 
     coeffs[k, r] multiplies (x - base)^mu(r); raw derivatives are the same
-    table scaled by mu!.
+    table scaled by mu!.  A block lift around bases of shape (..., nvars)
+    carries the same leading axes: coeffs[..., k, r].
     """
 
     variables: tuple[str, ...]
@@ -426,20 +400,81 @@ class TaylorMap:
 
     @property
     def nout(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-2]
 
-    def coeff(self, component: int, mu) -> float:
-        return float(self.coeffs[component, self.ctx.pos(mu)])
-
-    def raw(self, component: int, mu) -> float:
-        pos = self.ctx.pos(mu)
-        return float(self.coeffs[component, pos] * self.ctx.factorial[pos])
+    def raw(self, component: int, mu):
+        """A float, or an array over the batch axes of a block lift."""
+        ctx = self.ctx
+        pos = ctx.pos(mu)
+        out = self.coeffs[..., component, pos] * ctx.factorial[pos]
+        return float(out) if out.ndim == 0 else out
 
     def value(self) -> np.ndarray:
-        return self.coeffs[:, 0].copy()
+        return self.coeffs[..., 0].copy()
 
     def jacobian(self) -> np.ndarray:
-        return self.coeffs[:, 1 : 1 + self.nin].copy()
+        return self.coeffs[..., 1 : 1 + self.nin].copy()
+
+
+def _compile(variables: Sequence[str], exprs: Sequence[Expr]):
+    """Flatten expression trees into a tape in lift evaluation order.
+
+    Each entry is (kind, payload, child slots).  Beside the tape come the
+    slots of the outputs and, per entry, the slots last read there, which
+    a lift may drop so that a block holds only the live series.  A node met
+    again, by object identity or by kind, payload and child slots, reuses
+    its slot, so a repeated subtree is lifted once.  Keys never touch
+    Expr.__hash__, which recurses through the whole subtree on every call,
+    and Num payloads are keyed by their bit pattern, so 0.0 and -0.0 keep
+    separate slots.
+    """
+    index = {name: k for k, name in enumerate(variables)}
+    tape: list[tuple] = []
+    by_id: dict[int, int] = {}
+    by_key: dict[tuple, int] = {}
+
+    def emit(node: Expr, key: tuple, entry: tuple) -> int:
+        slot = by_key.get(key)
+        if slot is None:
+            slot = by_key[key] = len(tape)
+            tape.append(entry)
+        by_id[id(node)] = slot
+        return slot
+
+    def visit(node: Expr) -> int:
+        slot = by_id.get(id(node))
+        if slot is not None:
+            return slot
+        if isinstance(node, Bin):
+            kids = (visit(node.lhs), visit(node.rhs))
+            return emit(node, (node.op, kids), (node.op, None, kids))
+        if isinstance(node, Num):
+            bits = struct.pack("<d", node.value)
+            return emit(node, ("num", bits), ("num", node.value, ()))
+        if isinstance(node, Var):
+            k = index[node.name]
+            return emit(node, ("var", k), ("var", k, ()))
+        if isinstance(node, Pow):
+            kids = (visit(node.base),)
+            bits = struct.pack("<d", node.exponent)
+            return emit(node, ("^", bits, kids), ("^", node.exponent, kids))
+        if isinstance(node, Call) and node.func != "neg":
+            kids = (visit(node.arg),)
+            return emit(node, ("call", node.func, kids),
+                        ("call", node.func, kids))
+        if isinstance(node, (Call, Neg)):
+            kids = (visit(node.arg),)
+            return emit(node, ("neg", kids), ("neg", None, kids))
+        raise TypeError(f"cannot compile {type(node).__name__}")
+
+    outputs = tuple(visit(e) for e in exprs)
+    del visit  # the closure refers to itself; free the tables now, not at gc
+    last_read = {kid: e for e, (_, _, kids) in enumerate(tape) for kid in kids}
+    dead: list[list[int]] = [[] for _ in tape]
+    for slot, e in last_read.items():
+        if slot not in outputs:
+            dead[e].append(slot)
+    return tuple(tape), outputs, tuple(map(tuple, dead))
 
 
 class ExprMap:
@@ -484,12 +519,59 @@ class ExprMap:
         env = dict(zip(self.variables, point))
         return np.array([e.eval(env) for e in self.exprs])
 
+    @functools.cached_property
+    def _tape(self):
+        return _compile(self.variables, self.exprs)
+
     def taylor_lift(self, base, order: int) -> TaylorMap:
+        """Lift around one base point, or a block of shape (..., nvars).
+
+        A block runs the tape once on stacked series; every point gets the
+        bits it gets alone.  A point outside the domain raises the
+        DomainError that lifting point by point raises first.
+        """
         base = np.asarray(base, dtype=float)
-        if base.shape != (len(self.variables),):
+        if base.ndim == 0 or base.shape[-1] != len(self.variables):
             raise ValueError(f"expected {len(self.variables)} base values")
         ctx = context(len(self.variables), order)
-        env = {name: series.coordinate(ctx, k, base[k])
-               for k, name in enumerate(self.variables)}
-        coeffs = np.vstack([e.lift(ctx, env) for e in self.exprs])
+        try:
+            coeffs = self._run(ctx, base)
+        except DomainError:
+            # The block stops at the first failing slot, which need not be
+            # where the first point fails; replay point by point to raise
+            # the error that the first failing point meets.
+            for point in base.reshape(-1, base.shape[-1])[:-1]:
+                self._run(ctx, point)
+            raise
         return TaylorMap(self.variables, base, order, coeffs)
+
+    def _run(self, ctx: MultiIndexContext, base: np.ndarray) -> np.ndarray:
+        tape, outputs, dead = self._tape
+        vals: list[np.ndarray | None] = []
+        for (kind, payload, kids), done in zip(tape, dead):
+            if kind == "*":
+                out = series.mul(ctx, vals[kids[0]], vals[kids[1]])
+            elif kind == "+":
+                out = vals[kids[0]] + vals[kids[1]]
+            elif kind == "var":
+                out = series.coordinate(ctx, payload, base[..., payload])
+            elif kind == "num":
+                out = series.const(ctx, payload)
+            elif kind == "-":
+                out = vals[kids[0]] - vals[kids[1]]
+            elif kind == "^":
+                out = series.powc(ctx, vals[kids[0]], payload)
+            elif kind == "call":
+                out = series.analytic(ctx, payload, vals[kids[0]])
+            elif kind == "neg":
+                out = -vals[kids[0]]
+            else:
+                out = series.div(ctx, vals[kids[0]], vals[kids[1]])
+            vals.append(out)
+            for slot in done:
+                vals[slot] = None
+        # Assignment broadcasts constant outputs, which carry no batch axes.
+        coeffs = np.empty(base.shape[:-1] + (len(outputs), ctx.count))
+        for k, slot in enumerate(outputs):
+            coeffs[..., k, :] = vals[slot]
+        return coeffs

@@ -219,12 +219,15 @@ class GaugeField:
     analytic: ExprMap | None = None      # p*n components, (tau, i) tau-major
 
     def value_at(self, x) -> np.ndarray:
+        """A at a point (n,), or at each point of a block (..., n)."""
         n = self.grid.dim
         p = self.spec.dim
+        x = np.asarray(x, float)
         if self.gauging is not None:
-            return _pullback_at(self.spec, self.gauging, np.asarray(x, float), self.form)[0]
+            return _pullback(self.spec, self.gauging, x, self.form)[0]
         if self.analytic is not None:
-            return self.analytic.eval(x).reshape(p, n)
+            vals = [self.analytic.eval(pt) for pt in x.reshape(-1, n)]
+            return np.array(vals).reshape(x.shape[:-1] + (p, n))
         raise ValueError("grid-only gauge field cannot be evaluated off its nodes")
 
 
@@ -239,41 +242,56 @@ class CurvatureField:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
 
+def _with_identity(spec: LieGroupSpec, a: np.ndarray, first: bool) -> np.ndarray:
+    """Points (a, e) of the composition's chart, or (e, a) when not first."""
+    e = np.broadcast_to(spec.identity, np.shape(a))
+    return np.concatenate([a, e] if first else [e, a], axis=-1)
+
+
 def _left_form_matrix(spec: LieGroupSpec, a: np.ndarray) -> np.ndarray:
-    """omega(a)^(-1) actually: returns L(a) = dm/db at (a, e)."""
+    """omega(a)^(-1) actually: returns L(a) = dm/db at (a, e).
+
+    A block of points a (..., p) gives one matrix per point (..., p, p)."""
     p = spec.dim
-    lift = spec.compose.taylor_lift(np.concatenate([a, spec.identity]), 1)
-    return lift.jacobian()[:, p:]
+    lift = spec.compose.taylor_lift(_with_identity(spec, a, True), 1)
+    return lift.jacobian()[..., :, p:]
 
 
 def _right_translation_matrix(spec: LieGroupSpec, a: np.ndarray) -> np.ndarray:
-    """R(a) = dm/d(first slot) at (e, a)."""
+    """R(a) = dm/d(first slot) at (e, a), per point of a block as above."""
     p = spec.dim
-    lift = spec.compose.taylor_lift(np.concatenate([spec.identity, a]), 1)
-    return lift.jacobian()[:, :p]
+    lift = spec.compose.taylor_lift(_with_identity(spec, a, False), 1)
+    return lift.jacobian()[..., :, :p]
 
 
-def _pullback_at(spec: LieGroupSpec, gauging: ExprMap, x: np.ndarray,
-                 form: str) -> tuple[np.ndarray, np.ndarray]:
-    """Gauge field value at one point; returns (A (p, n), a-value)."""
+def _solve_each(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve one point at a time over the leading axes."""
+    rows = mat.reshape((-1,) + mat.shape[-2:])
+    cols = rhs.reshape((-1,) + rhs.shape[-2:])
+    out = [np.linalg.solve(m, r) for m, r in zip(rows, cols)]
+    return np.array(out).reshape(rhs.shape)
+
+
+def _pullback(spec: LieGroupSpec, gauging: ExprMap, x: np.ndarray,
+              form: str) -> tuple[np.ndarray, np.ndarray]:
+    """Gauge field values at points x (..., n), lifted in one block;
+    returns (A (..., p, n), a-value (..., p))."""
     lift = gauging.taylor_lift(x, 1)
     a = lift.value()
-    da = lift.jacobian()              # (p, n)
+    da = lift.jacobian()              # (..., p, n)
     mat = _left_form_matrix(spec, a) if form == "body" else _right_translation_matrix(spec, a)
-    return np.linalg.solve(mat, da), a
+    return _solve_each(mat, da), a
 
 
 def maurer_cartan_pullback(spec: LieGroupSpec, gauging: ExprMap, grid: Grid) -> GaugeField:
     """Body field A = omega(a(x)) da(x) on the grid nodes."""
-    nodes = grid.nodes()
-    values = np.stack([_pullback_at(spec, gauging, x, "body")[0] for x in nodes])
+    values = _pullback(spec, gauging, grid.nodes(), "body")[0]
     return GaugeField(spec, grid, values, "pulled-back", "body", gauging=gauging)
 
 
 def right_pullback(spec: LieGroupSpec, gauging: ExprMap, grid: Grid) -> GaugeField:
     """Space field B = da(x) a(x)^(-1) on the grid nodes."""
-    nodes = grid.nodes()
-    values = np.stack([_pullback_at(spec, gauging, x, "space")[0] for x in nodes])
+    values = _pullback(spec, gauging, grid.nodes(), "space")[0]
     return GaugeField(spec, grid, values, "pulled-back", "space", gauging=gauging)
 
 
@@ -288,60 +306,65 @@ def free_gauge_field(spec: LieGroupSpec, components: ExprMap, grid: Grid,
     return GaugeField(spec, grid, values, "free", form, analytic=components)
 
 
-def _gauge_derivatives_at(field: GaugeField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A (p,n), dA (p,n,n)) with dA[t,i,j] = d_i A^t_j, exact."""
+def _gauge_derivatives(field: GaugeField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A (M,p,n), dA (M,p,n,n)) with dA[., t,i,j] = d_i A^t_j, exact, at
+    the points x (M, n); the lifts run once per block, the solves per point."""
     spec = field.spec
     p, n = spec.dim, field.grid.dim
+    batch = x.shape[:-1]
     if field.analytic is not None:
         lift = field.analytic.taylor_lift(x, 1)
-        a_val = lift.value().reshape(p, n)
-        grad = lift.jacobian().reshape(p, n, n)     # [t, j, i] = d_i A^t_j
-        return a_val, np.swapaxes(grad, 1, 2)
+        a_val = lift.value().reshape(batch + (p, n))
+        grad = lift.jacobian().reshape(batch + (p, n, n))   # [t, j, i] = d_i A^t_j
+        return a_val, np.swapaxes(grad, -2, -1)
     if field.gauging is None:
         raise ValueError("no analytic source for exact derivatives")
 
     lift = field.gauging.taylor_lift(x, 2)
     a = lift.value()
-    da = lift.jacobian()                            # (p, n)
-    d2a = np.zeros((p, n, n))                       # [t, i, j] = d_ij a^t
+    da = lift.jacobian()                            # (M, p, n)
+    d2a = np.zeros(batch + (p, n, n))               # [t, i, j] = d_ij a^t
     for i in range(n):
         for j in range(n):
             mu = [0] * n
             mu[i] += 1
             mu[j] += 1
             for t in range(p):
-                d2a[t, i, j] = lift.raw(t, tuple(mu))
+                d2a[..., t, i, j] = lift.raw(t, tuple(mu))
 
     # The translation matrix is dm in one slot while a(x) occupies the
     # other, so its x-derivative flows through that other slot.
     if field.form == "body":
-        base = np.concatenate([a, spec.identity])
+        base = _with_identity(spec, a, True)
         mat_slots = range(p, 2 * p)
         dep_slots = range(0, p)
     else:
-        base = np.concatenate([spec.identity, a])
+        base = _with_identity(spec, a, False)
         mat_slots = range(0, p)
         dep_slots = range(p, 2 * p)
     mlift = spec.compose.taylor_lift(base, 2)
-    mat = np.zeros((p, p))
-    dmat = np.zeros((p, p, p))                      # [t, s, nu] = d(mat[t,s])/da^nu
+    mat = np.zeros(batch + (p, p))
+    dmat = np.zeros(batch + (p, p, p))              # [t, s, nu] = d(mat[t,s])/da^nu
     for t in range(p):
         for s_i, s in enumerate(mat_slots):
             mu = [0] * (2 * p)
             mu[s] += 1
-            mat[t, s_i] = mlift.raw(t, tuple(mu))
+            mat[..., t, s_i] = mlift.raw(t, tuple(mu))
             for nu_i, nu in enumerate(dep_slots):
                 mu2 = list(mu)
                 mu2[nu] += 1
-                dmat[t, s_i, nu_i] = mlift.raw(t, tuple(mu2))
+                dmat[..., t, s_i, nu_i] = mlift.raw(t, tuple(mu2))
 
-    inv = np.linalg.inv(mat)
-    aval = inv @ da                                 # (p, n), columns j
-    dA = np.zeros((p, n, n))                        # [t, i, j]
-    for i in range(n):
-        dmat_i = np.einsum("tsn,n->ts", dmat, da[:, i])
-        dA[:, i, :] = inv @ d2a[:, i, :] - inv @ dmat_i @ aval
-    return aval, dA
+    avals = np.zeros(batch + (p, n))
+    dAs = np.zeros(batch + (p, n, n))               # [., t, i, j]
+    for q in np.ndindex(*batch):
+        inv = np.linalg.inv(mat[q])
+        aval = inv @ da[q]                          # (p, n), columns j
+        for i in range(n):
+            dmat_i = np.einsum("tsn,n->ts", dmat[q], da[q][:, i])
+            dAs[q][:, i, :] = inv @ d2a[q][:, i, :] - inv @ dmat_i @ aval
+        avals[q] = aval
+    return avals, dAs
 
 
 def curvature(spec: LieGroupSpec, field: GaugeField) -> CurvatureField:
@@ -353,8 +376,7 @@ def curvature(spec: LieGroupSpec, field: GaugeField) -> CurvatureField:
     if field.analytic is not None or field.gauging is not None:
         nodes = field.grid.nodes()
         out = np.zeros((len(nodes), p, len(pairs)))
-        for s, x in enumerate(nodes):
-            aval, da = _gauge_derivatives_at(field, x)
+        for s, (aval, da) in enumerate(zip(*_gauge_derivatives(field, nodes))):
             for k, (i, j) in enumerate(pairs):
                 quad = np.einsum("trs,r,s->t", c, aval[:, i], aval[:, j])
                 out[s, :, k] = da[:, i, j] - da[:, j, i] - quad
@@ -386,20 +408,22 @@ def curvature(spec: LieGroupSpec, field: GaugeField) -> CurvatureField:
 
 
 def _translation_jet(spec: LieGroupSpec, a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L0[t,s] = dm^t/db^s and D2[t,s,nu] = d2 m^t/da^nu db^s at (a0, e)."""
+    """L0[t,s] = dm^t/db^s and D2[t,s,nu] = d2 m^t/da^nu db^s at (a0, e),
+    with the leading axes of a block of points a0 (..., p)."""
     p = spec.dim
-    mlift = spec.compose.taylor_lift(np.concatenate([a0, spec.identity]), 2)
-    L0 = np.zeros((p, p))
-    D2 = np.zeros((p, p, p))
+    mlift = spec.compose.taylor_lift(_with_identity(spec, a0, True), 2)
+    batch = np.shape(a0)[:-1]
+    L0 = np.zeros(batch + (p, p))
+    D2 = np.zeros(batch + (p, p, p))
     for t in range(p):
         for s in range(p):
             mu = [0] * (2 * p)
             mu[p + s] += 1
-            L0[t, s] = mlift.raw(t, tuple(mu))
+            L0[..., t, s] = mlift.raw(t, tuple(mu))
             for nu in range(p):
                 mu2 = list(mu)
                 mu2[nu] += 1
-                D2[t, s, nu] = mlift.raw(t, tuple(mu2))
+                D2[..., t, s, nu] = mlift.raw(t, tuple(mu2))
     return L0, D2
 
 
@@ -432,25 +456,29 @@ def _group_exp_series(spec: LieGroupSpec, ctx, lam_series: np.ndarray,
     The translation matrix is expanded to first order around each stage
     value; the stage deviations are O(eps), so the neglected terms enter
     the result at O(eps^3), below the O(eps^5) RK4 floor callers rely on
-    only through the finite-difference quotient.
+    only through the finite-difference quotient.  lam_series (..., p,
+    count) may carry a block of points; their RK4 stages run in lockstep.
     """
     p = spec.dim
-    state = np.zeros((p, ctx.count))
-    state[:, 0] = spec.identity
+    state = np.zeros(lam_series.shape[:-2] + (p, ctx.count))
+    state[..., 0] = spec.identity
     h = eps / steps
 
     def vel(st: np.ndarray) -> np.ndarray:
-        L0, D2 = _translation_jet(spec, st[:, 0])
+        L0, D2 = _translation_jet(spec, st[..., 0])
         delta = st.copy()
-        delta[:, 0] = 0.0
+        delta[..., 0] = 0.0
         out = np.zeros_like(st)
         for t in range(p):
             for s in range(p):
-                entry = series.const(ctx, L0[t, s])
+                entry = series.const(ctx, L0[..., t, s])
                 for nu in range(p):
-                    if D2[t, s, nu] != 0.0:
-                        entry = entry + D2[t, s, nu] * delta[nu]
-                out[t] += series.mul(ctx, entry, lam_series[s])
+                    coef = D2[..., t, s, nu, None]
+                    # a zero coefficient adds nothing, not even a signed
+                    # zero or 0 * inf, at that point
+                    entry = np.where(coef != 0.0,
+                                     entry + coef * delta[..., nu, :], entry)
+                out[..., t, :] += series.mul(ctx, entry, lam_series[..., s, :])
         return out
 
     for _ in range(steps):
@@ -466,12 +494,11 @@ def variation_body(spec: LieGroupSpec, field: GaugeField, lam: ExprMap,
                    samples: np.ndarray) -> np.ndarray:
     """Exact body variation (dlam - [A, lam])^t_i at each sample."""
     c = spec.structure_constants()
+    samples = np.asarray(samples, float)
+    lift = lam.taylor_lift(samples, 1)
     out = np.zeros((len(samples), spec.dim, field.grid.dim))
-    for s, x in enumerate(samples):
-        lift = lam.taylor_lift(x, 1)
-        lam0 = lift.value()
-        dlam = lift.jacobian()
-        aval = field.value_at(x)
+    for s, (lam0, dlam, aval) in enumerate(zip(lift.value(), lift.jacobian(),
+                                               field.value_at(samples))):
         out[s] = dlam - np.einsum("trs,ri,s->ti", c, aval, lam0)
     return out
 
@@ -480,22 +507,23 @@ def variation_space(spec: LieGroupSpec, field: GaugeField, mu: ExprMap,
                     samples: np.ndarray) -> np.ndarray:
     """Exact space variation (dmu + [B, mu])^t_i at each sample."""
     c = spec.structure_constants()
+    samples = np.asarray(samples, float)
+    lift = mu.taylor_lift(samples, 1)
     out = np.zeros((len(samples), spec.dim, field.grid.dim))
-    for s, x in enumerate(samples):
-        lift = mu.taylor_lift(x, 1)
-        mu0 = lift.value()
-        dmu = lift.jacobian()
-        bval = field.value_at(x)
+    for s, (mu0, dmu, bval) in enumerate(zip(lift.value(), lift.jacobian(),
+                                             field.value_at(samples))):
         out[s] = dmu + np.einsum("trs,ri,s->ti", c, bval, mu0)
     return out
 
 
-def _family_pullback_at(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
-                        x: np.ndarray, eps: float, side: str) -> np.ndarray:
-    """Gauge field of the perturbed gauging at one point.
+def _family_pullback(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
+                     x: np.ndarray, eps: float, side: str) -> np.ndarray:
+    """Gauge field of the perturbed gauging at points x (..., n).
 
     side "body": a_eps = m(a(x), exp(eps*lam(x))), left form.
     side "space": a_eps = m(exp(eps*lam(x)), a(x)), right form.
+    The lifts and RK4 stages run on the whole block; the products and
+    solves of dense matrices run per point.
     """
     p = spec.dim
     n = len(gauging.variables)
@@ -504,45 +532,43 @@ def _family_pullback_at(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
     lam_lift = lam.taylor_lift(x, 1)
     lam_series = lam_lift.coeffs
     exp_series = _group_exp_series(spec, ctx1, lam_series, eps)
-    e0 = exp_series[:, 0]
-    de = exp_series[:, 1:]                         # (p, n)
+    e0 = exp_series[..., 0]
+    de = exp_series[..., 1:]                       # (..., p, n)
     a0 = a_lift.value()
     da = a_lift.jacobian()
 
     if side == "body":
-        base = np.concatenate([a0, e0])
+        base = np.concatenate([a0, e0], axis=-1)
         first, second = da, de
     else:
-        base = np.concatenate([e0, a0])
+        base = np.concatenate([e0, a0], axis=-1)
         first, second = de, da
     mlift = spec.compose.taylor_lift(base, 1)
     jac = mlift.jacobian()
     val = mlift.value()
-    dval = jac[:, :p] @ first + jac[:, p:] @ second
+    dval = np.zeros(da.shape)
+    for q in np.ndindex(*da.shape[:-2]):
+        dval[q] = jac[q][:, :p] @ first[q] + jac[q][:, p:] @ second[q]
     mat = _left_form_matrix(spec, val) if side == "body" else _right_translation_matrix(spec, val)
-    return np.linalg.solve(mat, dval)
+    return _solve_each(mat, dval)
 
 
 def variation_body_fd(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
                       samples: np.ndarray, eps: float) -> np.ndarray:
     """(A_eps - A)/eps for the right-multiplied family at each sample."""
-    out = []
-    for x in samples:
-        a_eps = _family_pullback_at(spec, gauging, lam, x, eps, "body")
-        a_0 = _pullback_at(spec, gauging, x, "body")[0]
-        out.append((a_eps - a_0) / eps)
-    return np.stack(out)
+    samples = np.asarray(samples, float)
+    a_eps = _family_pullback(spec, gauging, lam, samples, eps, "body")
+    a_0 = _pullback(spec, gauging, samples, "body")[0]
+    return (a_eps - a_0) / eps
 
 
 def variation_space_fd(spec: LieGroupSpec, gauging: ExprMap, mu: ExprMap,
                        samples: np.ndarray, eps: float) -> np.ndarray:
     """(B_eps - B)/eps for the left-multiplied family at each sample."""
-    out = []
-    for x in samples:
-        b_eps = _family_pullback_at(spec, gauging, mu, x, eps, "space")
-        b_0 = _pullback_at(spec, gauging, x, "space")[0]
-        out.append((b_eps - b_0) / eps)
-    return np.stack(out)
+    samples = np.asarray(samples, float)
+    b_eps = _family_pullback(spec, gauging, mu, samples, eps, "space")
+    b_0 = _pullback(spec, gauging, samples, "space")[0]
+    return (b_eps - b_0) / eps
 
 
 def adjoint_matrix(spec: LieGroupSpec, a: np.ndarray) -> np.ndarray:

@@ -387,20 +387,6 @@ def spencer(section: JetSection, samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stack_mul(ctx: MultiIndexContext, a: np.ndarray,
-               b: np.ndarray) -> np.ndarray:
-    """series.mul over leading batch axes, bit for bit.
-
-    Each coefficient starts at 0.0 and gains its products one at a time
-    in product-table order, the order np.add.at gives series.mul.
-    """
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-    for i, j, k in zip(ctx.mul_i.tolist(), ctx.mul_j.tolist(),
-                       ctx.mul_k.tolist()):
-        out[..., k] += a[..., i] * b[..., j]
-    return out
-
-
 def _bracket_tables(nvars: int, q_out: int, ctx_x: MultiIndexContext,
                     tab_a: np.ndarray, tab_b: np.ndarray) -> np.ndarray:
     """Differential bracket on raw-slot series tables.
@@ -430,9 +416,9 @@ def _bracket_tables(nvars: int, q_out: int, ctx_x: MultiIndexContext,
                 rem_r = rem.copy()
                 rem_r[r] += 1
                 row_rem = ctx_jet.pos(tuple(rem_r))
-                term = _stack_mul(ctx_x, tab_a[..., r:r + 1, row_nu, :],
+                term = series.mul(ctx_x, tab_a[..., r:r + 1, row_nu, :],
                                   tab_b[..., :, row_rem, :])
-                term -= _stack_mul(ctx_x, tab_b[..., r:r + 1, row_nu, :],
+                term -= series.mul(ctx_x, tab_b[..., r:r + 1, row_nu, :],
                                    tab_a[..., :, row_rem, :])
                 acc += coef * term
         for i in range(n):
@@ -441,8 +427,8 @@ def _bracket_tables(nvars: int, q_out: int, ctx_x: MultiIndexContext,
                     - tab_a[..., :, up, :])
             sp_b = (series.dvar(ctx_x, tab_b[..., :, row, :], i)
                     - tab_b[..., :, up, :])
-            acc += _stack_mul(ctx_x, tab_a[..., i:i + 1, 0, :], sp_b)
-            acc -= _stack_mul(ctx_x, tab_b[..., i:i + 1, 0, :], sp_a)
+            acc += series.mul(ctx_x, tab_a[..., i:i + 1, 0, :], sp_b)
+            acc -= series.mul(ctx_x, tab_b[..., i:i + 1, 0, :], sp_a)
     return out
 
 

@@ -4,6 +4,8 @@ A series is a plain float64 array of coefficients over a MultiIndexContext,
 in Taylor scaling: f(x) = sum_mu a[mu] (x - x0)^mu.  There is one kernel,
 in NumPy; nothing is compiled.  Products accumulate over the context's
 (i, j, k) product table in table order, so results are deterministic.
+Every operation also takes leading batch axes, one series per point, and
+gives each point the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from ._multiindex import MultiIndexContext, context
+from ._multiindex import MultiIndexContext
 
 
 class DomainError(ArithmeticError):
@@ -24,37 +26,61 @@ def zeros(ctx: MultiIndexContext) -> np.ndarray:
     return np.zeros(ctx.count)
 
 
-def const(ctx: MultiIndexContext, value: float) -> np.ndarray:
-    out = np.zeros(ctx.count)
-    out[0] = value
+def const(ctx: MultiIndexContext, value) -> np.ndarray:
+    """Constant series; an array value gives one series per entry."""
+    out = np.zeros(getattr(value, "shape", ()) + (ctx.count,))
+    out[..., 0] = value
     return out
 
 
-def coordinate(ctx: MultiIndexContext, var: int, base_value: float) -> np.ndarray:
-    """Series of the coordinate function x_var around the base point."""
-    out = np.zeros(ctx.count)
-    out[0] = base_value
+def coordinate(ctx: MultiIndexContext, var: int, base_value) -> np.ndarray:
+    """Series of the coordinate function x_var around the base point(s)."""
+    out = const(ctx, base_value)
     if ctx.order >= 1:
-        out[1 + var] = 1.0
+        out[..., 1 + var] = 1.0
     return out
+
+
+def _gather(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """a[..., index]: take is quicker up to a few dozen series, fancy
+    indexing beyond; both copy the same values."""
+    return a.take(index, -1) if a.size <= 32 * a.shape[-1] else a[..., index]
 
 
 def mul(ctx: MultiIndexContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.add.at applies repeated indices in element order: table order.
-    out = np.zeros(ctx.count)
-    np.add.at(out, ctx.mul_k, a[ctx.mul_i] * b[ctx.mul_j])
-    return out
+    """Product over any leading batch axes of a and b, which broadcast.
+
+    np.bincount adds its weights one at a time, in index order, onto
+    zeros, so every coefficient starts at 0.0 and gains its products in
+    table order.  On a batch the flat index runs through the series in C
+    order and through the table within each one, so each series gets the
+    sums it gets alone.
+    """
+    if a.ndim == 1 and b.ndim == 1:
+        # One series, as in a one-point lift: skip the batch bookkeeping.
+        return np.bincount(ctx.mul_k, a[ctx.mul_i] * b[ctx.mul_j],
+                           minlength=ctx.count)
+    prods = _gather(a, ctx.mul_i) * _gather(b, ctx.mul_j)
+    nbatch = prods.size // ctx.mul_k.size
+    out = np.bincount(ctx.flat_mul_k(nbatch), prods.reshape(-1),
+                      minlength=nbatch * ctx.count)
+    return out.reshape(prods.shape[:-1] + (ctx.count,))
 
 
 def compose_univariate(ctx: MultiIndexContext, ladder: np.ndarray,
                        a: np.ndarray) -> np.ndarray:
-    """sum_r ladder[r] * (a - a[0])^r by Horner; ladder[r] = g^(r)(a0)/r!."""
+    """sum_r ladder[r] * (a - a[0])^r by Horner; ladder[r] = g^(r)(a0)/r!.
+
+    Both may carry leading batch axes, ladder as (..., order + 1).  The
+    transposes reach the constant terms of a batch with the same cheap
+    indexing as one series."""
     h = a.copy()
-    h[0] = 0.0
-    out = const(ctx, ladder[-1])
-    for r in range(len(ladder) - 2, -1, -1):
+    h.T[0] = 0.0
+    terms = ladder.T                  # one row per power, batch axes reversed
+    out = const(ctx, terms[-1].T)
+    for r in range(len(terms) - 2, -1, -1):
         out = mul(ctx, out, h)
-        out[0] += ladder[r]
+        out.T[0] += terms[r]
     return out
 
 
@@ -92,8 +118,29 @@ def _ladder(name: str, c0: float, order: int) -> np.ndarray:
     raise ValueError(f"unknown analytic function {name!r}")
 
 
+def _power_ladder(alpha: float, c0: float, order: int) -> np.ndarray:
+    if c0 <= 0.0:
+        raise DomainError(f"{c0} raised to non-integer power {alpha}")
+    return np.array([_real_binom(alpha, r) * c0 ** (alpha - r)
+                     for r in range(order + 1)])
+
+
+def _ladders(build, key, a: np.ndarray, order: int) -> np.ndarray:
+    """build(key, c, order) at the constant term c of each series in a, in
+    batch order.
+
+    Ladders come from scalar math calls point by point: NumPy's vector
+    loops for sin, exp and the like need not match libm bit for bit."""
+    if a.ndim == 1:
+        return build(key, float(a[0]), order)
+    c0 = a[..., 0]
+    rows = [build(key, c, order) for c in c0.ravel().tolist()]
+    return np.array(rows).reshape(c0.shape + (order + 1,))
+
+
 def analytic(ctx: MultiIndexContext, name: str, a: np.ndarray) -> np.ndarray:
-    return compose_univariate(ctx, _ladder(name, float(a[0]), ctx.order), a)
+    ladder = _ladders(_ladder, name, a, ctx.order)
+    return compose_univariate(ctx, ladder, a)
 
 
 def div(ctx: MultiIndexContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,14 +156,10 @@ def powc(ctx: MultiIndexContext, a: np.ndarray, alpha: float) -> np.ndarray:
             for _ in range(k):
                 out = mul(ctx, out, a)
             return out
-        if a[0] == 0.0:
+        if (a.T[0] == 0.0).any():
             raise DomainError("zero raised to a negative power")
         return powc(ctx, analytic(ctx, "recip", a), -k)
-    c0 = float(a[0])
-    if c0 <= 0.0:
-        raise DomainError(f"{c0} raised to non-integer power {alpha}")
-    ladder = np.array([_real_binom(alpha, r) * c0 ** (alpha - r)
-                       for r in range(ctx.order + 1)])
+    ladder = _ladders(_power_ladder, alpha, a, ctx.order)
     return compose_univariate(ctx, ladder, a)
 
 
@@ -130,17 +173,3 @@ def dvar(ctx: MultiIndexContext, a: np.ndarray, var: int) -> np.ndarray:
         if src >= 0:
             out[..., row] = a[..., src] * (ctx.midx[row][var] + 1)
     return out
-
-
-def truncate(ctx_hi: MultiIndexContext, a: np.ndarray, order: int) -> np.ndarray:
-    """Drop to a lower order; rows are a prefix in the graded ordering."""
-    ctx_lo = context(ctx_hi.nvars, order)
-    return a[..., : ctx_lo.count].copy()
-
-
-def raw_from_taylor(ctx: MultiIndexContext, a: np.ndarray) -> np.ndarray:
-    return a * ctx.factorial
-
-
-def taylor_from_raw(ctx: MultiIndexContext, a: np.ndarray) -> np.ndarray:
-    return a / ctx.factorial

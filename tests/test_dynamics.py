@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from jetgauge import suites
 from jetgauge.expr import ExprMap
 from jetgauge.dynamics import (
-    CurlNotZero, DivergenceNotZero, InverseSolveError, MotionFamily,
+    CompatibilityReport, CurlNotZero, DivergenceNotZero, InverseSolveError,
+    MotionFamily,
     abc_field, compatibility_residual, curl_parametrization_check,
     divergence_at, el_pairing_check, el_residual, generalized_speed,
     load_motion_family, mass_conservation_residual, motion_family_from_dict,
@@ -14,6 +16,7 @@ from jetgauge.dynamics import (
     speed_swap_gap, swell_family, swell_rows, theorem3_check, vortex_residual,
 )
 from jetgauge.sampling import halton_points
+from jetgauge.suites import SuiteConfig, run_suite
 
 OM = 0.8
 ROTATION = MotionFamily.parse(
@@ -199,6 +202,28 @@ def test_vortex_identity_random_solenoidal():
                         for p in FIELD_PTS)
         assert worst_div < 1e-12
         assert vortex_residual(fld, FIELD_PTS) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_vortex_nan_fails_closed(monkeypatch):
+    # divergence-free, but exp overflows at t = 2 and inf * 0 is NaN: a NaN
+    # after a finite sample must reach the residual and fail the check
+    fld = ExprMap.parse("exp(500 * t) * z2, 0, 0", FIELD_VARS)
+    pts = np.array([[0.1, 0.2, 0.3, 0.0], [0.1, 0.2, 0.3, 2.0]])
+    assert vortex_residual(fld, pts[:1]) < 1e-13
+    assert math.isnan(vortex_residual(fld, pts))
+    real = suites.random_solenoidal_field
+    monkeypatch.setattr(suites, "random_solenoidal_field",
+                        lambda seed: fld if seed == 42 + 303 else real(seed))
+    rep = run_suite("dynamics", SuiteConfig(seed=42))
+    record = {r.id: r for r in rep.records}["vortex_transport"]
+    assert math.isnan(record.max_residual)
+    assert record.to_dict()["status"] == "fail"
+
+
+def test_compatibility_report_keeps_nan():
+    assert math.isnan(CompatibilityReport(1e-12, math.nan, False).max_residual)
+    assert math.isnan(CompatibilityReport(math.nan, 1e-12, False).max_residual)
 
 
 def test_vortex_compressible_control():

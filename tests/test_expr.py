@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from jetgauge.expr import ExprMap, ParseError, parse_expr, variable
+from jetgauge import series
+from jetgauge._multiindex import context
+from jetgauge.expr import (
+    Bin, Call, ExprMap, Neg, Num, ParseError, Pow, Var, parse_expr, variable,
+)
 from jetgauge.series import DomainError
 
 
@@ -132,3 +136,110 @@ def test_taylor_lift_raw_second_derivatives():
     tm = m.taylor_lift(np.array([3.0, 5.0]), 2)
     assert abs(tm.raw(0, (1, 1)) - 2 * 3.0) < 1e-12      # d2/dx1 dx2 = 2 x1
     assert abs(tm.raw(0, (2, 0)) - 2 * 5.0) < 1e-12      # d2/dx1^2  = 2 x2
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def _reference_lift(node, ctx, env):
+    # the recursive one-point lift that the tape replaced
+    if isinstance(node, Num):
+        return series.const(ctx, node.value)
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Bin):
+        a = _reference_lift(node.lhs, ctx, env)
+        b = _reference_lift(node.rhs, ctx, env)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return series.mul(ctx, a, b)
+        return series.div(ctx, a, b)
+    if isinstance(node, Pow):
+        return series.powc(ctx, _reference_lift(node.base, ctx, env),
+                           node.exponent)
+    if isinstance(node, Call):
+        return series.analytic(ctx, node.func,
+                               _reference_lift(node.arg, ctx, env))
+    return -_reference_lift(node.arg, ctx, env)
+
+
+_XY = ["x", "y"]
+# every node kind, on a box where each one is defined: [0.2, 0.9]^2
+ALL_KINDS = ExprMap(_XY, [
+    parse_expr("sin(x) * cos(y) - exp(x * y) / (1 + x^2)", _XY),
+    parse_expr("log(x + y) + sqrt(y)^3 - (1 + x)^2.5 * neg(y) - -x", _XY),
+    (variable("x") + variable("y")) ** -2.0,
+    Num(-0.0) + variable("x") * Num(0.0),
+    Num(2.0),
+])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 9])
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+def test_block_lift_matches_point_lifts_bitwise(order, batch):
+    rng = np.random.default_rng(order)
+    base = rng.uniform(0.2, 0.9, size=batch + (2,))
+    block = ALL_KINDS.taylor_lift(base, order)
+    ctx = context(2, order)
+    assert block.coeffs.shape == batch + (len(ALL_KINDS), ctx.count)
+    for idx in np.ndindex(*batch):
+        point = base[idx]
+        alone = ALL_KINDS.taylor_lift(point, order).coeffs
+        env = {name: series.coordinate(ctx, k, point[k])
+               for k, name in enumerate(_XY)}
+        ref = np.vstack([_reference_lift(e, ctx, env) for e in ALL_KINDS])
+        assert _same_bits(block.coeffs[idx], alone)
+        assert _same_bits(alone, ref)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (1, 3, 2)])
+def test_block_lift_raises_the_first_failing_points_error(shape):
+    m = ExprMap.parse("log(x) + sqrt(y), 1 / (x - y)", _XY)
+    # the second point fails at sqrt, the third one earlier, at log
+    base = np.array([[1.0, 1.5], [2.0, -3.0], [-1.0, 0.5]]).reshape(shape)
+    with pytest.raises(DomainError) as alone:
+        for point in base.reshape(-1, 2):
+            m.taylor_lift(point, 2)
+    with pytest.raises(DomainError) as block:
+        m.taylor_lift(base, 2)
+    assert str(block.value) == str(alone.value) == "sqrt of negative value -3.0"
+    with pytest.raises(DomainError, match="division by a series"):
+        m.taylor_lift(np.array([[1.0, 1.0], [2.0, 2.0]]), 1)
+
+
+def test_tape_shares_repeated_subtrees_but_not_signed_zeros():
+    m = ExprMap.parse("sin(x*y) + sin(x*y), x*y - 2", _XY)
+    tape, outputs, dead = m._tape
+    kinds = [kind for kind, _, _ in tape]
+    assert kinds.count("*") == 1 and kinds.count("call") == 1
+    # every slot but the outputs is dropped once, after its last reader
+    dropped = [slot for done in dead for slot in done]
+    assert sorted(dropped) == sorted(set(range(len(tape))) - set(outputs))
+    readers = [[e for e, (_, _, kids) in enumerate(tape) if slot in kids]
+               for slot in range(len(tape))]
+    assert all(readers[slot][-1] == e
+               for e, done in enumerate(dead) for slot in done)
+    # Num(0.0) == Num(-0.0) as dataclasses, but the slots stay apart
+    zeros = ExprMap(["x"], [Num(0.0) + Var("x"), Num(-0.0) + Var("x")])
+    tape, outputs, _ = zeros._tape
+    assert [kind for kind, _, _ in tape].count("num") == 2
+    lift = zeros.taylor_lift(np.array([-0.0]), 0)
+    assert not np.signbit(lift.coeffs[0, 0]) and np.signbit(lift.coeffs[1, 0])
+
+
+def test_compiling_a_tape_never_hashes_nodes(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"hashed a {type(self).__name__}")
+
+    for cls in (Num, Var, Bin, Pow, Call, Neg):
+        monkeypatch.setattr(cls, "__hash__", refuse)
+    m = ExprMap.parse("sin(x*y) + sin(x*y) - (x*y)^2.5, exp(neg(x)) / y",
+                      _XY)
+    assert np.isfinite(m.taylor_lift(np.array([[0.3, 0.4]]), 2).coeffs).all()
+

@@ -8,7 +8,7 @@ from jetgauge._multiindex import context
 from jetgauge.expr import ExprMap
 from jetgauge.pseudogroups import (
     BUILTIN_SYSTEMS, ExprSection, HolonomicSection, LieEquationSystem,
-    _bracket_tables, _stack_mul, algebroid_bracket,
+    _bracket_tables, algebroid_bracket,
     bracket_jacobi_residual, builtin_system, closure_check, jet_variable_names,
     lie_system_from_dict, linearization_consistency, linearization_rows_gap,
     sample_linear_sections, schwarzian, schwarzian_of_map,
@@ -145,18 +145,32 @@ def test_bracket_independent_of_lift():
     assert np.max(np.abs(bumped - base)) < 1e-12
 
 
+def _loop_mul(ctx, a, b):
+    # reference product: each coefficient starts at 0.0 and gains its
+    # products one at a time in product-table order
+    out = np.zeros(ctx.count)
+    for i, j, k in zip(ctx.mul_i, ctx.mul_j, ctx.mul_k):
+        out[k] += a[i] * b[j]
+    return out
+
+
 @pytest.mark.parametrize("nvars, order", [(1, 1), (2, 1), (3, 1), (2, 2)])
 def test_stacked_product_matches_series_bitwise(nvars, order):
     ctx = context(nvars, order)
     rng = np.random.default_rng(nvars + 10 * order)
-    a = rng.standard_normal((3, 4, ctx.count))
-    b = rng.standard_normal((3, 4, ctx.count))
-    # signed zeros: 0.0 + (-0.0) must start every coefficient as in series
-    a[0, :2] = -0.0
-    b[1, 1, ::2] = 0.0
-    prod = _stack_mul(ctx, a, b)
-    for idx in np.ndindex(3, 4):
-        assert _same_bits(prod[idx], series.mul(ctx, a[idx], b[idx]))
+    for stack in [(3, 4), (16, 5)]:       # few and many series
+        a = rng.standard_normal(stack + (ctx.count,))
+        b = rng.standard_normal(stack + (ctx.count,))
+        # signed zeros: 0.0 + (-0.0) must start every coefficient as in series
+        a[0, :2] = -0.0
+        b[1, 1, ::2] = 0.0
+        prod = series.mul(ctx, a, b)
+        # a broadcast operand, as _bracket_tables passes one component
+        wide = series.mul(ctx, a[:, :1], b)
+        for idx in np.ndindex(*stack):
+            assert _same_bits(prod[idx], series.mul(ctx, a[idx], b[idx]))
+            assert _same_bits(prod[idx], _loop_mul(ctx, a[idx], b[idx]))
+            assert _same_bits(wide[idx], _loop_mul(ctx, a[idx[0], 0], b[idx]))
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))

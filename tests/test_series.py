@@ -31,14 +31,6 @@ def test_mul_truncates_high_degrees():
     assert np.count_nonzero(series.mul(ctx, xy, xy)) == 0
 
 
-def test_raw_taylor_roundtrip():
-    ctx = context(3, 4)
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal(ctx.count)
-    back = series.taylor_from_raw(ctx, series.raw_from_taylor(ctx, a))
-    assert np.max(np.abs(back - a)) < 1e-15
-
-
 @pytest.mark.parametrize("name,fun,deriv", [
     ("exp", math.exp, lambda k, c: math.exp(c)),
     ("sin", math.sin, lambda k, c: math.sin(c + k * math.pi / 2)),
@@ -121,13 +113,3 @@ def test_dvar_drops_one_order():
     expect = series.mul(ctx, series.analytic(ctx, "cos", x), y)
     upto = ctx.count_up_to(2)
     assert np.max(np.abs(dfdx[:upto] - expect[:upto])) < 1e-14
-
-
-def test_truncate_is_prefix():
-    ctx = context(2, 3)
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(ctx.count)
-    t = series.truncate(ctx, a, 1)
-    assert t.shape[0] == context(2, 1).count
-    assert np.array_equal(t, a[: t.shape[0]])
-
