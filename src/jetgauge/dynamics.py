@@ -97,6 +97,45 @@ def _derivative_blocks(lift):
     return val, jac, d2
 
 
+def _newton(emap: ExprMap, m: int, z: np.ndarray, tail: np.ndarray,
+            start: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Solve emap(y, tail) = z for y at every row of a block, in lockstep.
+
+    z (..., m), tail (..., k) and start (m,) or (..., m) broadcast to one
+    block.  Each step lifts the rows still live at order 1 and solves their
+    jacobians in one stacked call; a row stops once max |resid| < NEWTON_TOL,
+    which a NaN never meets.  A row takes the steps it takes alone, so it
+    gets the bits of a one-row solve.  Returns the roots (..., m) and the
+    order-1 jacobian of emap there, (..., m, m + k).
+    """
+    z, tail, start = (np.asarray(a, float) for a in (z, tail, start))
+    k = tail.shape[-1]
+    batch = np.broadcast_shapes(z.shape[:-1], tail.shape[:-1],
+                                start.shape[:-1])
+    z = np.broadcast_to(z, batch + (m,)).reshape(-1, m)
+    tail = np.broadcast_to(tail, batch + (k,)).reshape(-1, k)
+    y = np.broadcast_to(start, batch + (m,)).reshape(-1, m).copy()
+    jac = np.empty((len(y), m, m + k))
+    live = np.arange(len(y))
+    for _ in range(NEWTON_MAX_ITER):
+        lift = emap.taylor_lift(np.concatenate([y[live], tail[live]], axis=-1), 1)
+        resid = lift.value() - z[live]
+        full = lift.jacobian()
+        done = np.max(np.abs(resid), axis=-1) < NEWTON_TOL
+        jac[live[done]] = full[done]
+        live, resid, full = live[~done], resid[~done], full[~done]
+        if not len(live):
+            return y.reshape(batch + (m,)), jac.reshape(batch + (m, m + k))
+        try:
+            step = np.linalg.solve(full[..., :m], resid[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise InverseSolveError(
+                f"singular jacobian while inverting {label}") from exc
+        y[live] = y[live] - step
+    raise InverseSolveError(f"newton stalled above {NEWTON_TOL} after "
+                            f"{NEWTON_MAX_ITER} steps while inverting {label}")
+
+
 @dataclass(frozen=True)
 class SpeedSample:
     z: np.ndarray
@@ -179,7 +218,6 @@ class MotionFamily:
         self.xbox = tuple(tuple(map(float, r)) for r in (xbox or [(-1.0, 1.0)] * n))
         self.zbox = tuple(tuple(map(float, r)) for r in (zbox or self.ybox))
         self.label = label
-        self._last_solution: np.ndarray | None = None
 
     @classmethod
     def parse(cls, m: int, n: int, forward: str, inverse: str | None = None,
@@ -196,37 +234,23 @@ class MotionFamily:
 
     def invert(self, z: np.ndarray, x: np.ndarray,
                seed: np.ndarray | None = None) -> np.ndarray:
+        """Preimages y = g(z, x) of a point z (m,), or of a block (..., m)
+        with parameters x (..., n).
+
+        An explicit inverse is evaluated row by row.  Otherwise one block
+        Newton solve starts every point at the centre of ybox, or at seed
+        broadcast to the block, so no call depends on the calls before it.
+        """
         z = np.asarray(z, float)
         x = np.asarray(x, float)
         if self.inverse is not None:
-            return self.inverse.eval(np.concatenate([z, x]))
+            points = np.concatenate([z, x], axis=-1)
+            rows = [self.inverse.eval(p)
+                    for p in points.reshape(-1, points.shape[-1])]
+            return np.array(rows, dtype=float).reshape(z.shape)
         if seed is None:
-            if self._last_solution is not None:
-                seed = self._last_solution
-            else:
-                seed = np.array([0.5 * (lo + hi) for lo, hi in self.ybox])
-        y = np.asarray(seed, float).copy()
-        for _ in range(NEWTON_MAX_ITER):
-            lift = self.forward.taylor_lift(np.concatenate([y, x]), 1)
-            resid = lift.value() - z
-            if float(np.max(np.abs(resid))) < NEWTON_TOL:
-                self._last_solution = y.copy()
-                return y
-            jac = lift.jacobian()[:, :self.m]
-            try:
-                step = np.linalg.solve(jac, resid)
-            except np.linalg.LinAlgError as exc:
-                raise InverseSolveError(
-                    f"singular jacobian while inverting {self.label}") from exc
-            y = y - step
-        raise InverseSolveError(
-            f"newton stalled above {NEWTON_TOL} after {NEWTON_MAX_ITER} steps")
-
-    def invert_each(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """invert() row by row, in order: each solve warm-starts from the
-        one before it."""
-        ys = [self.invert(zr, xr) for zr, xr in zip(z, x)]
-        return np.array(ys, dtype=float).reshape(np.shape(z))
+            seed = np.array([0.5 * (lo + hi) for lo, hi in self.ybox])
+        return _newton(self.forward, self.m, z, x, seed, self.label)[0]
 
     def state(self, z: np.ndarray, x: np.ndarray,
               y0: np.ndarray | None = None) -> _SpeedState:
@@ -258,14 +282,13 @@ class MotionFamily:
 
     def validate(self, count: int = 8, seed: int = 417) -> float:
         """Round-trip gap max |f(g(z, x), x) - z| over low-discrepancy points."""
-        worst = 0.0
-        for zx in self.sample_zx(count, seed):
-            z, x = zx[:self.m], zx[self.m:]
-            y = self.invert(z, x)
-            worst = max(worst,
-                        float(np.max(np.abs(self.forward_value(y, x) - z))))
-            self.state(z, x, y0=y)
-        return worst
+        zx = self.sample_zx(count, seed)
+        z, x = zx[:, :self.m], zx[:, self.m:]
+        y = self.invert(z, x)
+        gaps = [np.max(np.abs(self.forward_value(yr, xr) - zr))
+                for zr, xr, yr in zip(z, x, y)]
+        self.states(z, x, y)
+        return float(np.max(gaps, initial=0.0))
 
     def swapped(self) -> "MotionFamily":
         """The inverse family: forward and inverse maps exchanged."""
@@ -304,7 +327,7 @@ def speed_duality_gap(fam: MotionFamily, samples_yx: np.ndarray) -> float:
     z = np.array([fam.forward_value(yr, xr) for yr, xr in zip(y, x)])
     sources = fam.states(z.reshape(y.shape), x, y)
     images_z = np.array([st.value for st in sources]).reshape(y.shape)
-    images = fam.states(images_z, x, fam.invert_each(images_z, x))
+    images = fam.states(images_z, x, fam.invert(images_z, x))
     gaps = []
     for st, image in zip(sources, images):
         gaps.append(np.max(np.abs(st.fx - st.fy @ st.u)))
@@ -316,14 +339,14 @@ def speed_duality_gap(fam: MotionFamily, samples_yx: np.ndarray) -> float:
 def speed_swap_gap(fam: MotionFamily, samples: np.ndarray) -> float:
     """Exchanging f and g negates and swaps the two speed forms."""
     swapped = fam.swapped()
-    worst = 0.0
+    gaps = []
     for zx in samples:
         z, x = zx[:fam.m], zx[fam.m:]
         st = fam.state(z, x)
         dual = swapped.state_at_source(z, x)
-        worst = max(worst, float(np.max(np.abs(dual.v + st.u))),
-                    float(np.max(np.abs(dual.u + st.v))))
-    return worst
+        gaps.append(np.max(np.abs(dual.v + st.u)))
+        gaps.append(np.max(np.abs(dual.u + st.v)))
+    return float(np.max(gaps, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -350,7 +373,7 @@ def compatibility_residual(fam: MotionFamily,
     samples = np.asarray(samples, float)
     z, x = samples[:, :fam.m], samples[:, fam.m:]
     res_v, res_u = [], []
-    for st in fam.states(z, x, fam.invert_each(z, x)):
+    for st in fam.states(z, x, fam.invert(z, x)):
         for i in range(fam.n):
             for j in range(i + 1, fam.n):
                 rv = (st.dv_x[:, j, i] - st.dv_x[:, i, j]
@@ -399,24 +422,15 @@ def _variation_blocks(fam: MotionFamily, y: np.ndarray, x: np.ndarray):
     return df, df_y, df_x
 
 
-def _variation_state(fam: MotionFamily, z: np.ndarray, x: np.ndarray,
-                     eps: float, seed: np.ndarray):
-    """Invert the eps-family at fixed (z, x) and return (v_eps, delta_eps)."""
+def _variation_speeds(fam: MotionFamily, z: np.ndarray, x: np.ndarray,
+                      eps: float, seed: np.ndarray):
+    """Invert the eps-family at rows (z, x), starting each row at its seed,
+    and return (v_eps, delta_eps) over the rows."""
     m, n = fam.m, fam.n
-    y = np.asarray(seed, float).copy()
-    point = np.concatenate([y, x, [eps]])
-    for _ in range(NEWTON_MAX_ITER):
-        lift = fam.variation.taylor_lift(point, 1)
-        resid = lift.value() - z
-        if float(np.max(np.abs(resid))) < NEWTON_TOL:
-            jac = lift.jacobian()
-            return jac[:, m:m + n], float(np.linalg.det(jac[:, :m]))
-        try:
-            y = y - np.linalg.solve(lift.jacobian()[:, :m], resid)
-        except np.linalg.LinAlgError as exc:
-            raise InverseSolveError("singular eps-family jacobian") from exc
-        point = np.concatenate([y, x, [eps]])
-    raise InverseSolveError("eps-family inversion stalled")
+    tail = np.concatenate([x, np.full(np.shape(x)[:-1] + (1,), eps)], axis=-1)
+    _, jac = _newton(fam.variation, m, z, tail, seed,
+                     f"the eps family of {fam.label}")
+    return jac[..., m:m + n], np.linalg.det(jac[..., :m])
 
 
 @dataclass(frozen=True)
@@ -444,14 +458,14 @@ def theorem3_check(fam: MotionFamily, samples: np.ndarray,
     if fam.variation is None:
         raise ValueError("theorem3_check needs a variation family")
     m = fam.m
-    base_gap = exact_gap = 0.0
-    fd_gap = {eps: 0.0, eps / 2.0: 0.0}
-    for zx in samples:
-        z, x = zx[:m], zx[m:]
-        st = fam.state(z, x)
-        base_gap = max(base_gap, float(np.max(np.abs(
-            fam.variation.eval(np.concatenate([st.y, x, [0.0]])) - st.value))))
-        df, df_y, df_x = _variation_blocks(fam, st.y, x)
+    samples = np.asarray(samples, float)
+    z, x = samples[:, :m], samples[:, m:]
+    y = fam.invert(z, x)
+    states = fam.states(z, x, y)
+    base, exact, delta_v = [], [], []
+    for st, df, df_y, df_x in zip(states, *_variation_blocks(fam, y, x)):
+        base.append(np.max(np.abs(fam.variation.eval(
+            np.concatenate([st.y, st.x, [0.0]])) - st.value)))
         eta = df
         deta_z = df_y @ st.gz
         deta_x = df_x + df_y @ st.gx
@@ -460,13 +474,16 @@ def theorem3_check(fam: MotionFamily, samples: np.ndarray,
         xi = st.fy_inv @ df
         dxi_x = st.fy_inv @ (df_x - np.einsum("kri,r->ki", st.fyx, xi))
         route2 = st.fy @ dxi_x
-        exact_gap = max(exact_gap, float(np.max(np.abs(route1 - route2))))
-        for e in fd_gap:
-            v_eps, _ = _variation_state(fam, z, x, e, st.y)
-            quotient = (v_eps - st.v) / e
-            fd_gap[e] = max(fd_gap[e],
-                            float(np.max(np.abs(quotient - route1))))
-    return Theorem3Report(exact_gap, fd_gap[eps], fd_gap[eps / 2.0], base_gap)
+        exact.append(np.max(np.abs(route1 - route2)))
+        delta_v.append(route1)
+    fd = []
+    for e in (eps, eps / 2.0):
+        v_eps, _ = _variation_speeds(fam, z, x, e, y)
+        fd.append([np.max(np.abs((v - st.v) / e - dv))
+                   for v, st, dv in zip(v_eps, states, delta_v)])
+    # np.max, unlike a running max(), carries a NaN through to the report.
+    return Theorem3Report(*(float(np.max(g, initial=0.0))
+                            for g in (exact, *fd, base)))
 
 
 @dataclass(frozen=True)
@@ -492,7 +509,7 @@ def mass_conservation_residual(fam: MotionFamily, samples: np.ndarray,
     m = fam.m
     samples = np.asarray(samples, float)
     z, x = samples[:, :m], samples[:, m:]
-    y = fam.invert_each(z, x)
+    y = fam.invert(z, x)
     states = fam.states(z, x, y)
     resid = []
     var_gaps: list[list] = [[], []]
@@ -500,12 +517,13 @@ def mass_conservation_residual(fam: MotionFamily, samples: np.ndarray,
         div_rv = st.drho_z @ st.v + st.rho * np.einsum("kik->i", st.dv_z)
         resid.append(np.max(np.abs(st.drho_x + div_rv)))
     if fam.variation is not None:
-        for st, df, df_y, _ in zip(states, *_variation_blocks(fam, y, x)):
-            exact = -(st.drho_z @ df + st.rho * np.trace(df_y @ st.gz))
-            for slot, e in enumerate((eps, eps / 2.0)):
-                _, delta_eps = _variation_state(fam, st.z, st.x, e, st.y)
-                quotient = (1.0 / delta_eps - st.rho) / e
-                var_gaps[slot].append(abs(quotient - exact))
+        exact = [-(st.drho_z @ df + st.rho * np.trace(df_y @ st.gz))
+                 for st, df, df_y, _ in zip(states,
+                                            *_variation_blocks(fam, y, x))]
+        for gaps, e in zip(var_gaps, (eps, eps / 2.0)):
+            _, delta_eps = _variation_speeds(fam, z, x, e, y)
+            for st, d, ex in zip(states, delta_eps, exact):
+                gaps.append(abs((1.0 / d - st.rho) / e - ex))
     return MassReport(*(float(np.max(v, initial=0.0))
                         for v in (resid, *var_gaps)))
 
@@ -569,7 +587,7 @@ def el_residual(fam: MotionFamily, w: ExprMap,
     m = fam.m
     z_vals = np.empty((len(samples), m))
     y_vals = np.empty((len(samples), m))
-    dual = 0.0
+    dual = []
     for s, zx in enumerate(samples):
         z, x = zx[:m], zx[m:]
         st = fam.state(z, x)
@@ -577,8 +595,8 @@ def el_residual(fam: MotionFamily, w: ExprMap,
         ey = _el_y(fam, w, st.y, x)
         z_vals[s] = ez
         y_vals[s] = ey
-        dual = max(dual, float(np.max(np.abs(ez - st.rho * ey))))
-    return ELReport(z_vals, y_vals, dual)
+        dual.append(np.max(np.abs(ez - st.rho * ey)))
+    return ELReport(z_vals, y_vals, float(np.max(dual, initial=0.0)))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ float operations, in the same order, that it gets alone.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import re
@@ -267,17 +266,21 @@ _TOKEN = re.compile(
 class _Token:
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+def _parse_error(text: str, message: str, offset: int) -> ParseError:
+    """A ParseError at a character offset of text, by line and column.
+
+    Tokens keep only their offset: the position is worked out here, for the
+    one token that fails, not for every token read.
+    """
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - line_start + 1)
 
 
 def _tokenize(text: str) -> list[_Token]:
-    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
-
-    def locate(offset: int) -> tuple[int, int]:
-        row = bisect.bisect_right(line_starts, offset) - 1
-        return row + 1, offset - line_starts[row] + 1
-
     tokens = []
     pos = 0
     while pos < len(text):
@@ -286,19 +289,17 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         match = _TOKEN.match(text, pos)
         if match is None:
-            line, column = locate(pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, column)
-        start = match.start(match.lastgroup)
-        line, column = locate(start)
-        tokens.append(_Token(match.lastgroup, match.group(match.lastgroup), line, column))
+            raise _parse_error(text, f"unexpected character {text[pos]!r}", pos)
+        kind = match.lastgroup
+        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
         pos = match.end()
-    line, column = locate(len(text))
-    tokens.append(_Token("end", "", line, column))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, declared: Sequence[str] | None):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.declared = None if declared is None else set(declared)
@@ -311,11 +312,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def error(self, message: str, tok: _Token) -> ParseError:
+        return _parse_error(self.text, message, tok.offset)
+
     def expect(self, text: str) -> _Token:
         tok = self.advance()
         if tok.text != text:
             shown = tok.text or "end of input"
-            raise ParseError(f"expected {text!r}, found {shown!r}", tok.line, tok.column)
+            raise self.error(f"expected {text!r}, found {shown!r}", tok)
         return tok
 
     def parse_expr(self) -> Expr:
@@ -338,7 +342,7 @@ class _Parser:
             self.advance()
             tok = self.advance()
             if tok.kind != "num":
-                raise ParseError("exponent must be a numeric literal", tok.line, tok.column)
+                raise self.error("exponent must be a numeric literal", tok)
             node = Pow(node, float(tok.text))
         return node
 
@@ -355,16 +359,16 @@ class _Parser:
         if tok.kind == "ident":
             if self.peek().text == "(":
                 if tok.text not in FUNCTIONS:
-                    raise ParseError(f"unknown function {tok.text!r}", tok.line, tok.column)
+                    raise self.error(f"unknown function {tok.text!r}", tok)
                 self.advance()
                 arg = self.parse_expr()
                 self.expect(")")
                 return Neg(arg) if tok.text == "neg" else Call(tok.text, arg)
             if self.declared is not None and tok.text not in self.declared:
-                raise ParseError(f"undeclared variable {tok.text!r}", tok.line, tok.column)
+                raise self.error(f"undeclared variable {tok.text!r}", tok)
             return Var(tok.text)
         shown = tok.text or "end of input"
-        raise ParseError(f"unexpected {shown!r}", tok.line, tok.column)
+        raise self.error(f"unexpected {shown!r}", tok)
 
 
 def parse_expr(text: str, variables: Sequence[str] | None = None) -> Expr:
@@ -372,7 +376,7 @@ def parse_expr(text: str, variables: Sequence[str] | None = None) -> Expr:
     node = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+        raise parser.error(f"trailing input {tok.text!r}", tok)
     return node
 
 
@@ -500,7 +504,7 @@ class ExprMap:
             exprs.append(parser.parse_expr())
         tok = parser.peek()
         if tok.kind != "end":
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+            raise parser.error(f"trailing input {tok.text!r}", tok)
         return cls(variables, exprs)
 
     def __len__(self) -> int:

@@ -7,8 +7,8 @@ import pytest
 from jetgauge import suites
 from jetgauge.expr import ExprMap
 from jetgauge.dynamics import (
-    CompatibilityReport, CurlNotZero, DivergenceNotZero, InverseSolveError,
-    MotionFamily,
+    NEWTON_MAX_ITER, NEWTON_TOL, CompatibilityReport, CurlNotZero,
+    DivergenceNotZero, InverseSolveError, MotionFamily, _variation_speeds,
     abc_field, compatibility_residual, curl_parametrization_check,
     divergence_at, el_pairing_check, el_residual, generalized_speed,
     load_motion_family, mass_conservation_residual, motion_family_from_dict,
@@ -43,11 +43,19 @@ EXP_SHIFT = MotionFamily.parse(
     ybox=((-1.0, 1.0),), xbox=((-0.5, 0.5), (-0.5, 0.5)),
     zbox=((-2.0, 2.0),), label="exp-shift")
 
+NEWTON_F = ("y1 + 0.3*sin(y2) + x1 + 0.2*x1*x2",
+            "y2 + 0.25*y1^2 + x2 - 0.1*x1")
 NEWTON_FAMILY = MotionFamily.parse(
-    m=2, n=2,
-    forward="y1 + 0.3*sin(y2) + x1 + 0.2*x1*x2, y2 + 0.25*y1^2 + x2 - 0.1*x1",
+    m=2, n=2, forward=", ".join(NEWTON_F),
     ybox=((-0.6, 0.6), (-0.6, 0.6)), xbox=((-0.4, 0.4), (-0.4, 0.4)),
     zbox=((-1.5, 1.5), (-1.5, 1.5)), label="newton")
+
+NEWTON_VARIATION = MotionFamily.parse(
+    m=2, n=2, forward=", ".join(NEWTON_F),
+    variation=(f"{NEWTON_F[0]} + eps*y1*y2, "
+               f"{NEWTON_F[1]} + eps*sin(y1 + x2)"),
+    ybox=((-0.6, 0.6), (-0.6, 0.6)), xbox=((-0.4, 0.4), (-0.4, 0.4)),
+    zbox=((-1.5, 1.5), (-1.5, 1.5)), label="newton-variation")
 
 KINETIC = ExprMap.parse("0.5 * (v1^2 + v2^2)", ["v1", "v2"])
 FIELD_VARS = ["z1", "z2", "z3", "t"]
@@ -314,3 +322,135 @@ def test_singular_source_jacobian_raises():
                               xbox=((-0.5, 0.5),))
     with pytest.raises(InverseSolveError):
         sing.state_at_source(np.array([0.0]), np.array([0.1]))
+
+
+def _point_newton(emap, m, z, tail, y0):
+    """One point at a time: the loop each row of the block solve must match."""
+    y = np.asarray(y0, float).copy()
+    for _ in range(NEWTON_MAX_ITER):
+        lift = emap.taylor_lift(np.concatenate([y, tail]), 1)
+        resid = lift.value() - z
+        if float(np.max(np.abs(resid))) < NEWTON_TOL:
+            return y
+        y = y - np.linalg.solve(lift.jacobian()[:, :m], resid)
+    raise AssertionError("reference solve stalled")
+
+
+def _old_variation_state(fam, z, x, eps, seed):
+    """The per-point eps-family inversion the block kernel replaced."""
+    m, n = fam.m, fam.n
+    y = np.asarray(seed, float).copy()
+    point = np.concatenate([y, x, [eps]])
+    for _ in range(NEWTON_MAX_ITER):
+        lift = fam.variation.taylor_lift(point, 1)
+        resid = lift.value() - z
+        if float(np.max(np.abs(resid))) < NEWTON_TOL:
+            jac = lift.jacobian()
+            return jac[:, m:m + n], float(np.linalg.det(jac[:, :m]))
+        y = y - np.linalg.solve(lift.jacobian()[:, :m], resid)
+        point = np.concatenate([y, x, [eps]])
+    raise AssertionError("reference solve stalled")
+
+
+def _bits(a):
+    return np.asarray(a, float).view(np.int64)
+
+
+@pytest.mark.parametrize("fam", [NEWTON_FAMILY,
+                                 suites._random_motion_family(1042)],
+                         ids=["newton", "roster"])
+def test_block_invert_matches_point_loop(fam):
+    zx = fam.sample_zx(12, 3)
+    z, x = zx[:, :fam.m], zx[:, fam.m:]
+    centre = np.array([0.5 * (lo + hi) for lo, hi in fam.ybox])
+    ref = np.array([_point_newton(fam.forward, fam.m, zr, xr, centre)
+                    for zr, xr in zip(z, x)])
+    assert np.array_equal(_bits(fam.invert(z, x)), _bits(ref))
+    stacked = fam.invert(z.reshape(3, 4, fam.m), x.reshape(3, 4, fam.n))
+    assert stacked.shape == (3, 4, fam.m)
+    assert np.array_equal(_bits(stacked.reshape(12, fam.m)), _bits(ref))
+    # one point alone, and again after other calls: no warm start
+    assert np.array_equal(_bits(fam.invert(z[5], x[5])), _bits(ref[5]))
+    assert np.array_equal(_bits(fam.invert(z[5], x[5])), _bits(ref[5]))
+
+
+def test_eps_family_inversion_keeps_point_bits():
+    for fam in (NEWTON_VARIATION, EXP_STRETCH):
+        zx = fam.sample_zx(10, 4)
+        z, x = zx[:, :fam.m], zx[:, fam.m:]
+        y = fam.invert(z, x)
+        for eps in (1e-3, 5e-4):
+            v_eps, delta = _variation_speeds(fam, z, x, eps, y)
+            for row, (zr, xr, yr) in enumerate(zip(z, x, y)):
+                v_ref, d_ref = _old_variation_state(fam, zr, xr, eps, yr)
+                assert np.array_equal(_bits(v_eps[row]), _bits(v_ref))
+                assert np.array_equal(_bits(delta[row]), _bits(d_ref))
+
+
+def test_block_invert_singular_row_raises():
+    # the solve starts at y = 0, where the jacobian is 1 + x1
+    fam = MotionFamily.parse(1, 1, "(1 + x1) * y1 + y1^3",
+                             ybox=((-1.0, 1.0),), xbox=((-1.0, 1.0),))
+    z = np.full((3, 1), 0.5)
+    x = np.array([[0.2], [-1.0], [0.3]])
+    assert fam.invert(z[[0, 2]], x[[0, 2]]).shape == (2, 1)
+    with pytest.raises(InverseSolveError, match="singular"):
+        fam.invert(z, x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_block_invert_stall_raises():
+    # y^2 + 1 = 0 has no real root: that row never converges
+    fam = MotionFamily.parse(1, 1, "y1^2 + 1 + 0 * x1", ybox=((0.2, 1.0),))
+    z = np.array([[2.0], [0.0]])
+    x = np.zeros((2, 1))
+    assert abs(fam.invert(z[0], x[0])[0] - 1.0) < 1e-12
+    with pytest.raises(InverseSolveError, match="stalled"):
+        fam.invert(z, x)
+    # 0 * exp(800) is NaN: a NaN residual never counts as converged
+    nan_fam = MotionFamily.parse(1, 1, "y1 + 0 * exp(800 * x1)")
+    with pytest.raises(InverseSolveError, match="stalled"):
+        nan_fam.invert(np.array([[0.5], [0.5]]), np.array([[0.0], [1.0]]))
+
+
+def _records_without_clock(report):
+    return {r.id: {k: v for k, v in r.to_dict().items() if k != "runtime_ms"}
+            for r in report.records}
+
+
+@pytest.fixture(scope="module")
+def dynamics_seed3():
+    # at seed 3 a warm start carried over from the checks before it moved
+    # mass_transport's record
+    return _records_without_clock(run_suite("dynamics", SuiteConfig(seed=3)))
+
+
+@pytest.mark.parametrize("check", ["speed_compatibility", "speed_duality",
+                                   "mass_transport"])
+def test_newton_checks_do_not_depend_on_order(check, dynamics_seed3,
+                                              monkeypatch):
+    spec = [c for c in suites.SUITES["dynamics"] if c.id == check]
+    monkeypatch.setitem(suites.SUITES, "dynamics", tuple(spec))
+    alone = run_suite("dynamics", SuiteConfig(seed=3))
+    assert _records_without_clock(alone) == {check: dynamics_seed3[check]}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_theorem3_nan_fails_closed(monkeypatch):
+    # A * B - 1 with A = exp(700 u), B = exp(-700 u) is zero, but near u = 1
+    # the second-order slots of A overflow, so the exact routes go NaN at
+    # the second sample while every order-1 lift stays finite
+    f = "exp(x1) * y1 + exp(700 * (y1 + x1)) * exp(0 - 700 * (y1 + x1)) - 1"
+    fam = MotionFamily.parse(1, 1, f, inverse="z1 * exp(0 - x1)",
+                             variation=f + " + eps * y1^2",
+                             ybox=((0.3, 1.0),), xbox=((-0.5, 0.5),),
+                             zbox=((0.2, 1.5),))
+    pts = np.array([[0.5, 0.0], [0.5 * math.exp(0.5), 0.5]])
+    assert theorem3_check(fam, pts[:1]).exact_gap < 1e-13
+    assert math.isnan(theorem3_check(fam, pts).exact_gap)
+    monkeypatch.setattr(fam, "sample_zx", lambda count, seed: pts)
+    monkeypatch.setattr(suites, "EXP_MOVED", fam)
+    rep = run_suite("dynamics", SuiteConfig(seed=42))
+    record = {r.id: r for r in rep.records}["variation_transport"]
+    assert math.isnan(record.max_residual)
+    assert record.to_dict()["status"] == "fail"

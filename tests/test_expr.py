@@ -66,7 +66,27 @@ def test_undeclared_variable():
 def test_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_expr("x1 +\n  * 3", ["x1"])
-    assert err.value.line == 2
+    assert (err.value.line, err.value.column) == (2, 3)   # unexpected token
+
+
+@pytest.mark.parametrize("text,line,column", [
+    ("x +\n  y $ 1", 2, 5),              # unexpected character
+    ("sin(x\n  + y", 2, 6),              # expected ')', found end of input
+    ("x +\n y ^ x", 2, 6),               # exponent must be a literal
+    ("x +\n  foo(y)", 2, 3),             # unknown function
+    ("x +\n\n   z", 3, 4),               # undeclared variable
+    ("x + y\n  y", 2, 3),                # trailing input
+])
+def test_parse_error_line_and_column(text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, ["x", "y"])
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_map_trailing_input_line_and_column():
+    with pytest.raises(ParseError) as err:
+        ExprMap.parse("x, y\n\t)", ["x", "y"])
+    assert (err.value.line, err.value.column) == (2, 2)
 
 
 @pytest.mark.parametrize("text,vals", [
