@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import ExprMap
+from .expr import Bin, Expr, ExprMap, Neg, Num, Var
 from .quadrature import gauss_rule, tensor_rule
 from .sampling import Box, halton_points
 
@@ -97,6 +97,16 @@ def _derivative_blocks(lift):
     return val, jac, d2
 
 
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec over leading batch axes, one matrix-vector kernel per row."""
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _vecmat(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """vec @ mat over leading batch axes, one vector-matrix kernel per row."""
+    return (vec[..., None, :] @ mat)[..., 0, :]
+
+
 def _newton(emap: ExprMap, m: int, z: np.ndarray, tail: np.ndarray,
             start: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     """Solve emap(y, tail) = z for y at every row of a block, in lockstep.
@@ -147,50 +157,66 @@ class SpeedSample:
     rho: float
 
 
-class _SpeedState:
-    """All first derivatives of v, u and rho at one (z, x) sample.
+def _squares(a) -> np.ndarray:
+    """a ** 2 elementwise through Python floats.
 
-    Assembled from the order-2 jet of f at (y, x) with y = g(z, x), given as
-    its _derivative_blocks; the inverse map enters only through the point y,
-    so every entry is exact.
+    Python's float ** 2 calls the C library's pow(), which differs in the
+    last bit from a * a (numpy's array ** 2) for about one input in 1,200;
+    the one-point states squared Python floats, and the blocks keep those
+    bits.
+    """
+    a = np.asarray(a, float)
+    return np.array([v ** 2 for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+class _SpeedState:
+    """All first derivatives of v, u and rho at source points (y, x).
+
+    Assembled from the order-2 jet of f at (y, x), given as its
+    _derivative_blocks; their leading batch axes lead every field, and one
+    point is the zero-batch case.  The inverse map enters only through the
+    points y, so every entry is exact.  Each point gets the bits it gets
+    alone: the stacked inv, det, matmul and einsum calls run the same
+    per-matrix kernels.
     """
 
-    def __init__(self, m: int, z: np.ndarray, x: np.ndarray, y: np.ndarray,
-                 val: np.ndarray, jac: np.ndarray, d2: np.ndarray):
-        self.z, self.x, self.y = z, x, y
+    def __init__(self, m: int, val: np.ndarray, jac: np.ndarray,
+                 d2: np.ndarray):
         self.value = val
-        self.fy = jac[:, :m]
-        self.fx = jac[:, m:]
-        self.fyy = d2[:, :m, :m]
-        self.fyx = d2[:, :m, m:]
-        self.fxx = d2[:, m:, m:]
+        self.fy = jac[..., :m]
+        self.fx = jac[..., m:]
+        self.fyy = d2[..., :m, :m]
+        self.fyx = d2[..., :m, m:]
+        self.fxx = d2[..., m:, m:]
         try:
             self.fy_inv = np.linalg.inv(self.fy)
         except np.linalg.LinAlgError as exc:
             raise InverseSolveError("singular source jacobian") from exc
-        self.delta = float(np.linalg.det(self.fy))
+        self.delta = np.linalg.det(self.fy)
         self.rho = 1.0 / self.delta
         self.v = self.fx.copy()
         self.u = self.fy_inv @ self.fx
         self.gz = self.fy_inv
         self.gx = -self.u
         # dv_z[k, i, l] = d v^k_i / d z^l,  dv_x[k, i, j] = d v^k_i / d x^j
-        self.dv_z = np.einsum("kri,rl->kil", self.fyx, self.gz)
-        self.dv_x = self.fxx + np.einsum("kri,rj->kij", self.fyx, self.gx)
+        self.dv_z = np.einsum("...kri,...rl->...kil", self.fyx, self.gz)
+        self.dv_x = self.fxx + np.einsum("...kri,...rj->...kij", self.fyx,
+                                         self.gx)
         # du_y[k, i, r] = d u^k_i / d y^r,  du_x[k, i, j] = d u^k_i / d x^j
-        rhs_y = self.fyx - np.einsum("ksr,si->kri", self.fyy, self.u)
-        self.du_y = np.einsum("ka,ari->kir", self.fy_inv, rhs_y)
-        rhs_x = self.fxx - np.einsum("ksj,si->kij", self.fyx, self.u)
-        self.du_x = np.einsum("ka,aij->kij", self.fy_inv, rhs_x)
+        rhs_y = self.fyx - np.einsum("...ksr,...si->...kri", self.fyy, self.u)
+        self.du_y = np.einsum("...ka,...ari->...kir", self.fy_inv, rhs_y)
+        rhs_x = self.fxx - np.einsum("...ksj,...si->...kij", self.fyx, self.u)
+        self.du_x = np.einsum("...ka,...aij->...kij", self.fy_inv, rhs_x)
         # jacobi's formula for the determinant derivatives
-        self.ddelta_y = self.delta * np.einsum("ka,akr->r", self.fy_inv, self.fyy)
-        self.ddelta_x = self.delta * np.einsum("ka,aki->i", self.fy_inv, self.fyx)
-        self.drho_z = -self.rho ** 2 * (self.ddelta_y @ self.gz)
-        self.drho_x = -self.rho ** 2 * (self.ddelta_y @ self.gx + self.ddelta_x)
-
-    def sample(self) -> SpeedSample:
-        return SpeedSample(self.z, self.x, self.y, self.v, self.u,
-                           self.delta, self.rho)
+        delta = self.delta[..., None]
+        self.ddelta_y = delta * np.einsum("...ka,...akr->...r", self.fy_inv,
+                                          self.fyy)
+        self.ddelta_x = delta * np.einsum("...ka,...aki->...i", self.fy_inv,
+                                          self.fyx)
+        scale = -_squares(self.rho)[..., None]
+        row = self.ddelta_y[..., None, :]
+        self.drho_z = scale * (row @ self.gz)[..., 0, :]
+        self.drho_x = scale * ((row @ self.gx)[..., 0, :] + self.ddelta_x)
 
 
 class MotionFamily:
@@ -254,25 +280,20 @@ class MotionFamily:
 
     def state(self, z: np.ndarray, x: np.ndarray,
               y0: np.ndarray | None = None) -> _SpeedState:
-        z = np.asarray(z, float)
-        x = np.asarray(x, float)
-        y = np.asarray(y0, float) if y0 is not None else self.invert(z, x)
-        lift = self.forward.taylor_lift(np.concatenate([y, x]), 2)
-        return _SpeedState(self.m, z, x, y, *_derivative_blocks(lift))
-
-    def states(self, z: np.ndarray, x: np.ndarray,
-               y: np.ndarray) -> list[_SpeedState]:
-        """One state per row of (z, x) with known preimages y, from a
-        single block lift of f; each equals state(z, x, y0=y) bit for bit."""
-        z, x, y = (np.asarray(a, float) for a in (z, x, y))
-        lift = self.forward.taylor_lift(np.concatenate([y, x], axis=-1), 2)
-        return [_SpeedState(self.m, *row)
-                for row in zip(z, x, y, *_derivative_blocks(lift))]
+        """The speed state at targets z (..., m) under parameters x (..., n),
+        one block over their leading axes; y0, the preimages when known,
+        skips the inversion."""
+        y = self.invert(z, x) if y0 is None else y0
+        return self.state_at_source(y, x)
 
     def state_at_source(self, y: np.ndarray, x: np.ndarray) -> _SpeedState:
+        """The speed state at source points y (..., m) under parameters
+        x (..., n), from one block lift of f; a point alone is the
+        zero-batch case."""
         y = np.asarray(y, float)
         x = np.asarray(x, float)
-        return self.state(self.forward_value(y, x), x, y0=y)
+        lift = self.forward.taylor_lift(np.concatenate([y, x], axis=-1), 2)
+        return _SpeedState(self.m, *_derivative_blocks(lift))
 
     def sample_zx(self, count: int, seed: int) -> np.ndarray:
         return halton_points(self.zbox + self.xbox, count, seed)
@@ -287,7 +308,7 @@ class MotionFamily:
         y = self.invert(z, x)
         gaps = [np.max(np.abs(self.forward_value(yr, xr) - zr))
                 for zr, xr, yr in zip(z, x, y)]
-        self.states(z, x, y)
+        self.state_at_source(y, x)
         return float(np.max(gaps, initial=0.0))
 
     def swapped(self) -> "MotionFamily":
@@ -317,36 +338,33 @@ def load_motion_family(path: str | Path) -> MotionFamily:
 
 def generalized_speed(fam: MotionFamily, z: np.ndarray,
                       x: np.ndarray) -> SpeedSample:
-    return fam.state(z, x).sample()
+    z = np.asarray(z, float)
+    x = np.asarray(x, float)
+    y = fam.invert(z, x)
+    st = fam.state_at_source(y, x)
+    return SpeedSample(z, x, y, st.v, st.u, float(st.delta), float(st.rho))
 
 
 def speed_duality_gap(fam: MotionFamily, samples_yx: np.ndarray) -> float:
     """max over samples of |df/dx - (df/dy) u| and |df/dx - v(f(y,x),x)|."""
     samples_yx = np.asarray(samples_yx, float)
     y, x = samples_yx[:, :fam.m], samples_yx[:, fam.m:]
-    z = np.array([fam.forward_value(yr, xr) for yr, xr in zip(y, x)])
-    sources = fam.states(z.reshape(y.shape), x, y)
-    images_z = np.array([st.value for st in sources]).reshape(y.shape)
-    images = fam.states(images_z, x, fam.invert(images_z, x))
-    gaps = []
-    for st, image in zip(sources, images):
-        gaps.append(np.max(np.abs(st.fx - st.fy @ st.u)))
-        gaps.append(np.max(np.abs(st.fx - image.v)))
+    st = fam.state_at_source(y, x)
+    image = fam.state(st.value, x)
+    gaps = [np.abs(st.fx - st.fy @ st.u), np.abs(st.fx - image.v)]
     # np.max, unlike a running max(), carries a NaN through to the caller.
-    return float(np.max(gaps, initial=0.0))
+    return float(np.max([np.max(g, initial=0.0) for g in gaps]))
 
 
 def speed_swap_gap(fam: MotionFamily, samples: np.ndarray) -> float:
     """Exchanging f and g negates and swaps the two speed forms."""
     swapped = fam.swapped()
-    gaps = []
-    for zx in samples:
-        z, x = zx[:fam.m], zx[fam.m:]
-        st = fam.state(z, x)
-        dual = swapped.state_at_source(z, x)
-        gaps.append(np.max(np.abs(dual.v + st.u)))
-        gaps.append(np.max(np.abs(dual.u + st.v)))
-    return float(np.max(gaps, initial=0.0))
+    samples = np.asarray(samples, float)
+    z, x = samples[:, :fam.m], samples[:, fam.m:]
+    st = fam.state(z, x)
+    dual = swapped.state_at_source(z, x)
+    gaps = [np.abs(dual.v + st.u), np.abs(dual.u + st.v)]
+    return float(np.max([np.max(g, initial=0.0) for g in gaps]))
 
 
 @dataclass(frozen=True)
@@ -372,20 +390,20 @@ def compatibility_residual(fam: MotionFamily,
         return CompatibilityReport(0.0, 0.0, True)
     samples = np.asarray(samples, float)
     z, x = samples[:, :fam.m], samples[:, fam.m:]
+    st = fam.state(z, x)
     res_v, res_u = [], []
-    for st in fam.states(z, x, fam.invert(z, x)):
-        for i in range(fam.n):
-            for j in range(i + 1, fam.n):
-                rv = (st.dv_x[:, j, i] - st.dv_x[:, i, j]
-                      + st.dv_z[:, j, :] @ st.v[:, i]
-                      - st.dv_z[:, i, :] @ st.v[:, j])
-                ru = (st.du_x[:, j, i] - st.du_x[:, i, j]
-                      - st.du_y[:, j, :] @ st.u[:, i]
-                      + st.du_y[:, i, :] @ st.u[:, j])
-                res_v.append(np.max(np.abs(rv)))
-                res_u.append(np.max(np.abs(ru)))
-    return CompatibilityReport(float(np.max(res_v, initial=0.0)),
-                               float(np.max(res_u, initial=0.0)), False)
+    for i in range(fam.n):
+        for j in range(i + 1, fam.n):
+            rv = (st.dv_x[..., j, i] - st.dv_x[..., i, j]
+                  + _matvec(st.dv_z[..., j, :], st.v[..., i])
+                  - _matvec(st.dv_z[..., i, :], st.v[..., j]))
+            ru = (st.du_x[..., j, i] - st.du_x[..., i, j]
+                  - _matvec(st.du_y[..., j, :], st.u[..., i])
+                  + _matvec(st.du_y[..., i, :], st.u[..., j]))
+            res_v.append(np.max(np.abs(rv), initial=0.0))
+            res_u.append(np.max(np.abs(ru), initial=0.0))
+    return CompatibilityReport(float(np.max(res_v)), float(np.max(res_u)),
+                               False)
 
 
 def _variation_blocks(fam: MotionFamily, y: np.ndarray, x: np.ndarray):
@@ -461,29 +479,25 @@ def theorem3_check(fam: MotionFamily, samples: np.ndarray,
     samples = np.asarray(samples, float)
     z, x = samples[:, :m], samples[:, m:]
     y = fam.invert(z, x)
-    states = fam.states(z, x, y)
-    base, exact, delta_v = [], [], []
-    for st, df, df_y, df_x in zip(states, *_variation_blocks(fam, y, x)):
-        base.append(np.max(np.abs(fam.variation.eval(
-            np.concatenate([st.y, st.x, [0.0]])) - st.value)))
-        eta = df
-        deta_z = df_y @ st.gz
-        deta_x = df_x + df_y @ st.gx
-        route1 = (deta_x + deta_z @ st.v
-                  - np.einsum("kil,l->ki", st.dv_z, eta))
-        xi = st.fy_inv @ df
-        dxi_x = st.fy_inv @ (df_x - np.einsum("kri,r->ki", st.fyx, xi))
-        route2 = st.fy @ dxi_x
-        exact.append(np.max(np.abs(route1 - route2)))
-        delta_v.append(route1)
-    fd = []
+    st = fam.state_at_source(y, x)
+    base = [np.max(np.abs(fam.variation.eval(np.concatenate([yr, xr, [0.0]]))
+                          - value))
+            for yr, xr, value in zip(y, x, st.value)]
+    eta, deta_y, df_x = _variation_blocks(fam, y, x)
+    deta_z = deta_y @ st.gz
+    deta_x = df_x + deta_y @ st.gx
+    route1 = (deta_x + deta_z @ st.v
+              - np.einsum("...kil,...l->...ki", st.dv_z, eta))
+    xi = _matvec(st.fy_inv, eta)
+    dxi_x = st.fy_inv @ (df_x - np.einsum("...kri,...r->...ki", st.fyx, xi))
+    route2 = st.fy @ dxi_x
+    gaps = [np.abs(route1 - route2)]
     for e in (eps, eps / 2.0):
         v_eps, _ = _variation_speeds(fam, z, x, e, y)
-        fd.append([np.max(np.abs((v - st.v) / e - dv))
-                   for v, st, dv in zip(v_eps, states, delta_v)])
+        gaps.append(np.abs((v_eps - st.v) / e - route1))
     # np.max, unlike a running max(), carries a NaN through to the report.
     return Theorem3Report(*(float(np.max(g, initial=0.0))
-                            for g in (exact, *fd, base)))
+                            for g in (*gaps, base)))
 
 
 @dataclass(frozen=True)
@@ -510,58 +524,56 @@ def mass_conservation_residual(fam: MotionFamily, samples: np.ndarray,
     samples = np.asarray(samples, float)
     z, x = samples[:, :m], samples[:, m:]
     y = fam.invert(z, x)
-    states = fam.states(z, x, y)
-    resid = []
-    var_gaps: list[list] = [[], []]
-    for st in states:
-        div_rv = st.drho_z @ st.v + st.rho * np.einsum("kik->i", st.dv_z)
-        resid.append(np.max(np.abs(st.drho_x + div_rv)))
+    st = fam.state_at_source(y, x)
+    rho = st.rho[..., None]
+    div_rv = _vecmat(st.drho_z, st.v) + rho * np.einsum("...kik->...i",
+                                                        st.dv_z)
+    gaps = [np.abs(st.drho_x + div_rv), [], []]
     if fam.variation is not None:
-        exact = [-(st.drho_z @ df + st.rho * np.trace(df_y @ st.gz))
-                 for st, df, df_y, _ in zip(states,
-                                            *_variation_blocks(fam, y, x))]
-        for gaps, e in zip(var_gaps, (eps, eps / 2.0)):
+        df, df_y, _ = _variation_blocks(fam, y, x)
+        flux = _vecmat(st.drho_z, df[..., None])[..., 0]
+        exact = -(flux + st.rho * np.trace(df_y @ st.gz, axis1=-2, axis2=-1))
+        for k, e in enumerate((eps, eps / 2.0), start=1):
             _, delta_eps = _variation_speeds(fam, z, x, e, y)
-            for st, d, ex in zip(states, delta_eps, exact):
-                gaps.append(abs((1.0 / d - st.rho) / e - ex))
-    return MassReport(*(float(np.max(v, initial=0.0))
-                        for v in (resid, *var_gaps)))
+            gaps[k] = np.abs((1.0 / delta_eps - st.rho) / e - exact)
+    return MassReport(*(float(np.max(g, initial=0.0)) for g in gaps))
 
 
-def _momentum(w: ExprMap, v: np.ndarray, m: int, n: int):
-    """Gradient and hessian of the lagrangian in the flattened v slots."""
+def _momentum_hessian(w: ExprMap, v: np.ndarray, m: int,
+                      n: int) -> np.ndarray:
+    """Hessian of the lagrangian in the flattened v slots, (..., m, n, m, n)
+    over the leading axes of v (..., m, n)."""
     if len(w.variables) != m * n or len(w) != 1:
         raise ValueError(f"lagrangian must be scalar over v1..v{m * n}")
-    lift = w.taylor_lift(np.asarray(v, float).reshape(m * n), 2)
-    grad = lift.jacobian()[0].reshape(m, n)
-    hess = np.empty((m * n, m * n))
-    ctx = lift.ctx
-    for a in range(m * n):
-        for b in range(a, m * n):
-            mu = [0] * (m * n)
-            mu[a] += 1
-            mu[b] += 1
-            pos = ctx.pos(tuple(mu))
-            hess[a, b] = hess[b, a] = lift.coeffs[0, pos] * ctx.factorial[pos]
-    return grad, hess
+    batch = np.shape(v)[:-2]
+    lift = w.taylor_lift(np.reshape(v, batch + (m * n,)), 2)
+    return _derivative_blocks(lift)[2][..., 0, :, :].reshape(batch + (m, n, m, n))
+
+
+def _einsum_rows(spec: str, m: int, *ops: np.ndarray) -> np.ndarray:
+    """np.einsum(spec) row by row over one leading axis, into (rows, m).
+
+    A stacked einsum that reduces over several indices may sum them in
+    another order than the one-row call does, and so give other bits.
+    """
+    rows = [np.einsum(spec, *row) for row in zip(*ops)]
+    return np.array(rows).reshape(len(ops[0]), m)
 
 
 def _el_z(st: _SpeedState, w: ExprMap, m: int, n: int) -> np.ndarray:
-    """rho (dV^i_k/dx^i + v^l_i dV^i_k/dz^l) with V = dw/dv at v(z, x)."""
-    _, hess = _momentum(w, st.v, m, n)
-    h = hess.reshape(m, n, m, n)
-    dv_dx = np.einsum("kilp,lpi->k", h, st.dv_x)
-    conv = np.einsum("kilp,lpr,ri->k", h, st.dv_z, st.v)
-    return st.rho * (dv_dx + conv)
+    """rho (dV^i_k/dx^i + v^l_i dV^i_k/dz^l) with V = dw/dv at v(z, x),
+    over a block state with one leading axis."""
+    h = _momentum_hessian(w, st.v, m, n)
+    dv_dx = _einsum_rows("kilp,lpi->k", m, h, st.dv_x)
+    conv = _einsum_rows("kilp,lpr,ri->k", m, h, st.dv_z, st.v)
+    return st.rho[..., None] * (dv_dx + conv)
 
 
-def _el_y(fam: MotionFamily, w: ExprMap, y: np.ndarray,
-          x: np.ndarray) -> np.ndarray:
-    """dU^i_k/dx^i with U^i_k(y, x) = V^i_k(df/dx(y, x)): the source form."""
-    st = fam.state_at_source(y, x)
-    _, hess = _momentum(w, st.fx, fam.m, fam.n)
-    h = hess.reshape(fam.m, fam.n, fam.m, fam.n)
-    return np.einsum("kilp,lpi->k", h, st.fxx)
+def _el_y(st: _SpeedState, w: ExprMap, m: int, n: int) -> np.ndarray:
+    """dU^i_k/dx^i with U^i_k(y, x) = V^i_k(df/dx(y, x)): the source form,
+    from a block state at the source points (y, x) with one leading axis."""
+    h = _momentum_hessian(w, st.fx, m, n)
+    return _einsum_rows("kilp,lpi->k", m, h, st.fxx)
 
 
 @dataclass(frozen=True)
@@ -585,18 +597,13 @@ def el_residual(fam: MotionFamily, w: ExprMap,
     the dual gap.
     """
     m = fam.m
-    z_vals = np.empty((len(samples), m))
-    y_vals = np.empty((len(samples), m))
-    dual = []
-    for s, zx in enumerate(samples):
-        z, x = zx[:m], zx[m:]
-        st = fam.state(z, x)
-        ez = _el_z(st, w, m, fam.n)
-        ey = _el_y(fam, w, st.y, x)
-        z_vals[s] = ez
-        y_vals[s] = ey
-        dual.append(np.max(np.abs(ez - st.rho * ey)))
-    return ELReport(z_vals, y_vals, float(np.max(dual, initial=0.0)))
+    samples = np.asarray(samples, float)
+    # the state at the preimages y is the state the source form needs
+    st = fam.state(samples[:, :m], samples[:, m:])
+    ez = _el_z(st, w, m, fam.n)
+    ey = _el_y(st, w, m, fam.n)
+    dual = np.abs(ez - st.rho[..., None] * ey)
+    return ELReport(ez, ey, float(np.max(dual, initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -653,11 +660,10 @@ def el_pairing_check(fam: MotionFamily, w: ExprMap, support: Box,
                             * _smooth_bump(x, fam.xbox))
 
     znodes, zweights = tensor_rule(support + fam.xbox, nquad)
+    ez = _el_z(fam.state(znodes[:, :m], znodes[:, m:]), w, m, fam.n)
     lhs = 0.0
-    for node, weight in zip(znodes, zweights):
-        z, x = node[:m], node[m:]
-        st = fam.state(z, x)
-        lhs += weight * float(_el_z(st, w, m, fam.n) @ eta(z, x))
+    for node, weight, e in zip(znodes, zweights, ez):
+        lhs += weight * float(e @ eta(node[:m], node[m:]))
 
     axes = [_panel_axis(lo, hi, panels, max(nquad // 2, 6))
             for lo, hi in fam.ybox]
@@ -667,12 +673,16 @@ def el_pairing_check(fam: MotionFamily, w: ExprMap, support: Box,
     yweights = np.ones(len(ynodes))
     for g in np.meshgrid(*(a[1] for a in axes), indexing="ij"):
         yweights *= g.ravel()
+    # only the nodes whose image meets the support are lifted
+    tests = [eta(fam.forward_value(node[:m], node[m:]), node[m:])
+             for node in ynodes]
+    live = [q for q, test in enumerate(tests) if np.any(test)]
     rhs = 0.0
-    for node, weight in zip(ynodes, yweights):
-        y, x = node[:m], node[m:]
-        test = eta(fam.forward_value(y, x), x)
-        if np.any(test):
-            rhs += weight * float(_el_y(fam, w, y, x) @ test)
+    if live:  # a block lift needs at least one point
+        ey = _el_y(fam.state_at_source(ynodes[live, :m], ynodes[live, m:]),
+                   w, m, fam.n)
+        for q, e in zip(live, ey):
+            rhs += yweights[q] * float(e @ tests[q])
     return PairingReport(lhs, rhs)
 
 
@@ -692,10 +702,16 @@ def _field_blocks(field: ExprMap, zt: np.ndarray):
 
 
 def _curl(mat: np.ndarray) -> np.ndarray:
-    """Curl from a derivative matrix mat[k, l] = d a^k / d z^l."""
-    return np.array([mat[2, 1] - mat[1, 2],
-                     mat[0, 2] - mat[2, 0],
-                     mat[1, 0] - mat[0, 1]])
+    """Curl from derivative matrices mat[..., k, l] = d a^k / d z^l."""
+    return np.stack([mat[..., 2, 1] - mat[..., 1, 2],
+                     mat[..., 0, 2] - mat[..., 2, 0],
+                     mat[..., 1, 0] - mat[..., 0, 1]], axis=-1)
+
+
+def _acceleration_gradient(val: np.ndarray, dz: np.ndarray, dzz: np.ndarray,
+                           dzt: np.ndarray) -> np.ndarray:
+    """z-derivative of gamma^k = dv^k/dt + v^l dv^k/dz^l, per point."""
+    return dzt + np.einsum("...klr,...l->...kr", dzz, val) + dz @ dz
 
 
 def divergence_at(field: ExprMap, z: np.ndarray, t: float) -> float:
@@ -714,26 +730,24 @@ def vortex_residual(field: ExprMap, samples: np.ndarray,
     omega div v, so with enforcement off the residual reports that term.
     """
     samples = np.asarray(samples, float)
-    residuals = []
-    for zt, val, dz, _, dzz, dzt in zip(samples,
-                                        *_field_blocks(field, samples)):
-        z, t = zt[:3], float(zt[3])
-        div = float(np.trace(dz))
-        if enforce_divergence and abs(div) > div_tol:
-            raise DivergenceNotZero(f"div v = {div:.3e} at z={z}, t={t}")
-        omega = 0.5 * _curl(dz)
-        domega_t = 0.5 * _curl(dzt)
-        domega_z = np.empty((3, 3))
-        for r in range(3):
-            domega_z[:, r] = 0.5 * _curl(dzz[:, :, r])
-        # gamma^k = dv^k/dt + v^l dv^k/dz^l and its z-derivative
-        dgamma_z = (dzt + np.einsum("klr,l->kr", dzz, val)
-                    + dz @ dz)
-        lhs = 0.5 * _curl(dgamma_z)
-        rhs = domega_t + domega_z @ val - dz @ omega
-        residuals.append(np.max(np.abs(lhs - rhs)))
+    val, dz, _, dzz, dzt = _field_blocks(field, samples)
+    div = np.trace(dz, axis1=-2, axis2=-1)
+    if enforce_divergence:
+        failing = np.flatnonzero(np.abs(div) > div_tol)
+        if failing.size:
+            s = failing[0]
+            raise DivergenceNotZero(f"div v = {div[s]:.3e} at "
+                                    f"z={samples[s, :3]}, t={samples[s, 3]}")
+    omega = 0.5 * _curl(dz)
+    domega_t = 0.5 * _curl(dzt)
+    # domega_z[..., :, r] is half the curl of dzz[..., :, :, r]; matmul
+    # takes another kernel on a transposed view, so copy it row-major
+    domega_z = np.ascontiguousarray(
+        np.swapaxes(0.5 * _curl(np.moveaxis(dzz, -1, -3)), -2, -1))
+    lhs = 0.5 * _curl(_acceleration_gradient(val, dz, dzz, dzt))
+    rhs = domega_t + _matvec(domega_z, val) - _matvec(dz, omega)
     # np.max, unlike a running max(), carries a NaN through to the caller.
-    return float(np.max(residuals, initial=0.0))
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -760,13 +774,14 @@ def curl_parametrization_check(theta: ExprMap, box: Box,
     if len(theta.variables) != 3 or len(theta) != 3:
         raise ValueError("theta must map z1, z2, z3 to three components")
     worst_div = 0.0
-    for z in samples:
-        lift = theta.taylor_lift(np.asarray(z, float), 2)
-        _, _, d2 = _derivative_blocks(lift)
-        eta_z = np.empty((3, 3))
-        for r in range(3):
-            eta_z[:, r] = _curl(d2[:, :, r])
-        worst_div = max(worst_div, abs(float(np.trace(eta_z))))
+    points = np.asarray(samples, float).reshape(-1, 3)
+    if len(points):  # a block lift needs at least one point
+        _, _, d2 = _derivative_blocks(theta.taylor_lift(points, 2))
+        # eta_z[..., :, r] is the curl of d2[..., :, :, r]; its trace is
+        # the divergence
+        div = np.trace(_curl(np.moveaxis(d2, -1, -3)), axis1=-2, axis2=-1)
+        # np.max, unlike a running max(), carries a NaN to the report.
+        worst_div = float(np.max(np.abs(div)))
 
     rng = np.random.default_rng(seed)
     fields = []
@@ -794,6 +809,22 @@ def curl_parametrization_check(theta: ExprMap, box: Box,
         lhs += weight * float(curl_of(a_field, node) @ b_val)
         rhs += weight * float(a_val @ curl_of(b_field, node))
     return CurlReport(worst_div, lhs, rhs)
+
+
+def _coeff_tree(coeffs: np.ndarray, names: Sequence[str]) -> Expr:
+    """The tree ExprMap.parse builds from _coeff_text(coeffs, names), built
+    directly: left-associated products and sums, and a coefficient with its
+    sign bit set, -0.0 too, as Neg(Num(-c)), as the parser reads "-c"."""
+    variables = [Var(name) for name in names]
+    total = None
+    for index in np.ndindex(*coeffs.shape):
+        c = float(coeffs[index])
+        term = Neg(Num(-c)) if math.copysign(1.0, c) < 0.0 else Num(c)
+        for power, var in zip(index, variables):
+            for _ in range(power):
+                term = Bin("*", term, var)
+        total = term if total is None else Bin("+", total, term)
+    return total
 
 
 def _coeff_text(coeffs: np.ndarray, names: Sequence[str]) -> str:
@@ -834,10 +865,8 @@ def pressure_recovery(field: ExprMap, t: float, points: np.ndarray,
     def with_time(z: np.ndarray) -> np.ndarray:
         return np.concatenate([z, np.full(z.shape[:-1] + (1,), t)], axis=-1)
 
-    curls = []
-    for val, dz, _, dzz, dzt in zip(*_field_blocks(field, with_time(points))):
-        dgamma_z = dzt + np.einsum("klr,l->kr", dzz, val) + dz @ dz
-        curls.append(np.max(np.abs(_curl(dgamma_z))))
+    val, dz, _, dzz, dzt = _field_blocks(field, with_time(points))
+    curls = np.abs(_curl(_acceleration_gradient(val, dz, dzz, dzt)))
     worst_curl = float(np.max(curls, initial=0.0))
     if not worst_curl <= curl_tol:  # a NaN curl is not curl-free either
         raise CurlNotZero(f"max |curl gamma| = {worst_curl:.3e}")
@@ -851,8 +880,9 @@ def pressure_recovery(field: ExprMap, t: float, points: np.ndarray,
             probes = np.repeat(current[None], len(nodes), axis=0)
             probes[:, axis] = nodes
             val, dz, dt, _, _ = _field_blocks(field, with_time(probes))
+            gamma = dt + _matvec(dz, val)
             for q, weight in enumerate(weights):
-                total += weight * (dt[q] + dz[q] @ val[q])[axis]
+                total += weight * gamma[q, axis]
             current[axis] = z[axis]
         return -total
 
@@ -886,12 +916,13 @@ def random_solenoidal_field(seed: int, degree: int = 2,
         diff(potential[0], 2) - diff(potential[2], 0),
         diff(potential[1], 0) - diff(potential[0], 1),
     ]
+    names = ["z1", "z2", "z3", "t"]
     scaled = []
     for comp in comps:
         comp = comp.copy()
         comp[..., 1] *= time_scale
-        scaled.append(_coeff_text(comp, ("z1", "z2", "z3", "t")))
-    return ExprMap.parse(", ".join(scaled), ["z1", "z2", "z3", "t"])
+        scaled.append(_coeff_tree(comp, names))
+    return ExprMap(names, scaled)
 
 
 def abc_field(a: float = 1.0, b: float = 1.0, c: float = 1.0) -> ExprMap:
@@ -941,21 +972,21 @@ def swell_family(R0: float, k: float, omega: float, c: float,
 
     labels = halton_points(fam.ybox, nlabels, seed)
     times = np.linspace(0.0, tmax, ntimes)
+    # one block state over (label, time)
+    st = fam.state_at_source(
+        np.repeat(labels[:, None, :], ntimes, axis=1),
+        np.broadcast_to(times[None, :, None], (nlabels, ntimes, 1)))
     drift = formula = circle = frame = 0.0
     speed = omega / k
-    for a, b in labels:
+    for (a, b), dets, values in zip(labels, st.delta, st.value):
         rb = R0 * math.exp(-rate * b)
-        dets = []
-        for t in times:
-            st = fam.state_at_source(np.array([a, b]), np.array([t]))
-            dets.append(st.delta)
+        for t, value in zip(times, values):
             circle = np.maximum(circle, abs(
-                math.hypot(st.value[0] - a, st.value[1] - b) - rb))
+                math.hypot(value[0] - a, value[1] - b) - rb))
             shifted = fam.forward_value(np.array([a - speed * t, b]),
                                         np.array([0.0]))
-            moving = np.array([st.value[0] - speed * t, st.value[1]])
+            moving = np.array([value[0] - speed * t, value[1]])
             frame = np.maximum(frame, np.max(np.abs(moving - shifted)))
-        dets = np.array(dets)
         drift = np.maximum(drift, np.max(np.abs(dets - dets[0])))
         if decay is None:
             formula = np.maximum(formula, np.max(np.abs(

@@ -264,14 +264,6 @@ def _right_translation_matrix(spec: LieGroupSpec, a: np.ndarray) -> np.ndarray:
     return lift.jacobian()[..., :, :p]
 
 
-def _solve_each(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """np.linalg.solve one point at a time over the leading axes."""
-    rows = mat.reshape((-1,) + mat.shape[-2:])
-    cols = rhs.reshape((-1,) + rhs.shape[-2:])
-    out = [np.linalg.solve(m, r) for m, r in zip(rows, cols)]
-    return np.array(out).reshape(rhs.shape)
-
-
 def _pullback(spec: LieGroupSpec, gauging: ExprMap, x: np.ndarray,
               form: str) -> tuple[np.ndarray, np.ndarray]:
     """Gauge field values at points x (..., n), lifted in one block;
@@ -280,7 +272,7 @@ def _pullback(spec: LieGroupSpec, gauging: ExprMap, x: np.ndarray,
     a = lift.value()
     da = lift.jacobian()              # (..., p, n)
     mat = _left_form_matrix(spec, a) if form == "body" else _right_translation_matrix(spec, a)
-    return _solve_each(mat, da), a
+    return np.linalg.solve(mat, da), a
 
 
 def maurer_cartan_pullback(spec: LieGroupSpec, gauging: ExprMap, grid: Grid) -> GaugeField:
@@ -308,7 +300,8 @@ def free_gauge_field(spec: LieGroupSpec, components: ExprMap, grid: Grid,
 
 def _gauge_derivatives(field: GaugeField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A (M,p,n), dA (M,p,n,n)) with dA[., t,i,j] = d_i A^t_j, exact, at
-    the points x (M, n); the lifts run once per block, the solves per point."""
+    the points x (M, n); the lifts, inverses and products each run once
+    on the whole block."""
     spec = field.spec
     p, n = spec.dim, field.grid.dim
     batch = x.shape[:-1]
@@ -355,16 +348,13 @@ def _gauge_derivatives(field: GaugeField, x: np.ndarray) -> tuple[np.ndarray, np
                 mu2[nu] += 1
                 dmat[..., t, s_i, nu_i] = mlift.raw(t, tuple(mu2))
 
-    avals = np.zeros(batch + (p, n))
-    dAs = np.zeros(batch + (p, n, n))               # [., t, i, j]
-    for q in np.ndindex(*batch):
-        inv = np.linalg.inv(mat[q])
-        aval = inv @ da[q]                          # (p, n), columns j
-        for i in range(n):
-            dmat_i = np.einsum("tsn,n->ts", dmat[q], da[q][:, i])
-            dAs[q][:, i, :] = inv @ d2a[q][:, i, :] - inv @ dmat_i @ aval
-        avals[q] = aval
-    return avals, dAs
+    inv = np.linalg.inv(mat)
+    aval = inv @ da                                 # (..., p, n), columns j
+    dA = np.zeros(batch + (p, n, n))                # [., t, i, j]
+    for i in range(n):
+        dmat_i = np.einsum("...tsn,...n->...ts", dmat, da[..., :, i])
+        dA[..., :, i, :] = inv @ d2a[..., :, i, :] - inv @ dmat_i @ aval
+    return aval, dA
 
 
 def curvature(spec: LieGroupSpec, field: GaugeField) -> CurvatureField:
@@ -375,11 +365,12 @@ def curvature(spec: LieGroupSpec, field: GaugeField) -> CurvatureField:
 
     if field.analytic is not None or field.gauging is not None:
         nodes = field.grid.nodes()
+        aval, da = _gauge_derivatives(field, nodes)
         out = np.zeros((len(nodes), p, len(pairs)))
-        for s, (aval, da) in enumerate(zip(*_gauge_derivatives(field, nodes))):
-            for k, (i, j) in enumerate(pairs):
-                quad = np.einsum("trs,r,s->t", c, aval[:, i], aval[:, j])
-                out[s, :, k] = da[:, i, j] - da[:, j, i] - quad
+        for k, (i, j) in enumerate(pairs):
+            quad = np.einsum("trs,...r,...s->...t", c, aval[..., :, i],
+                             aval[..., :, j])
+            out[..., :, k] = da[..., :, i, j] - da[..., :, j, i] - quad
         return CurvatureField(spec, nodes, pairs, out)
 
     if any(cnt < 5 for cnt in field.grid.counts):
@@ -496,11 +487,8 @@ def variation_body(spec: LieGroupSpec, field: GaugeField, lam: ExprMap,
     c = spec.structure_constants()
     samples = np.asarray(samples, float)
     lift = lam.taylor_lift(samples, 1)
-    out = np.zeros((len(samples), spec.dim, field.grid.dim))
-    for s, (lam0, dlam, aval) in enumerate(zip(lift.value(), lift.jacobian(),
-                                               field.value_at(samples))):
-        out[s] = dlam - np.einsum("trs,ri,s->ti", c, aval, lam0)
-    return out
+    return lift.jacobian() - np.einsum("trs,...ri,...s->...ti", c,
+                                       field.value_at(samples), lift.value())
 
 
 def variation_space(spec: LieGroupSpec, field: GaugeField, mu: ExprMap,
@@ -509,11 +497,8 @@ def variation_space(spec: LieGroupSpec, field: GaugeField, mu: ExprMap,
     c = spec.structure_constants()
     samples = np.asarray(samples, float)
     lift = mu.taylor_lift(samples, 1)
-    out = np.zeros((len(samples), spec.dim, field.grid.dim))
-    for s, (mu0, dmu, bval) in enumerate(zip(lift.value(), lift.jacobian(),
-                                             field.value_at(samples))):
-        out[s] = dmu + np.einsum("trs,ri,s->ti", c, bval, mu0)
-    return out
+    return lift.jacobian() + np.einsum("trs,...ri,...s->...ti", c,
+                                       field.value_at(samples), lift.value())
 
 
 def _family_pullback(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
@@ -522,8 +507,8 @@ def _family_pullback(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
 
     side "body": a_eps = m(a(x), exp(eps*lam(x))), left form.
     side "space": a_eps = m(exp(eps*lam(x)), a(x)), right form.
-    The lifts and RK4 stages run on the whole block; the products and
-    solves of dense matrices run per point.
+    The lifts, RK4 stages, products and solves each run once on the
+    whole block.
     """
     p = spec.dim
     n = len(gauging.variables)
@@ -546,11 +531,9 @@ def _family_pullback(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
     mlift = spec.compose.taylor_lift(base, 1)
     jac = mlift.jacobian()
     val = mlift.value()
-    dval = np.zeros(da.shape)
-    for q in np.ndindex(*da.shape[:-2]):
-        dval[q] = jac[q][:, :p] @ first[q] + jac[q][:, p:] @ second[q]
+    dval = jac[..., :, :p] @ first + jac[..., :, p:] @ second
     mat = _left_form_matrix(spec, val) if side == "body" else _right_translation_matrix(spec, val)
-    return _solve_each(mat, dval)
+    return np.linalg.solve(mat, dval)
 
 
 def variation_body_fd(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
@@ -695,6 +678,12 @@ def action_bracket_residual(spec: LieGroupSpec, samples: np.ndarray) -> float:
     return worst
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (rows, k) stacks, each by the one-pair
+    kernel that a @ b runs on two vectors."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class SpencerActionCheck:
     order: int
@@ -720,38 +709,36 @@ def spencer_from_action(spec: LieGroupSpec, lam: ExprMap, order: int,
     ctx1 = context(n, 1)
     unit_pos = [ctx1.pos(tuple(int(i == j) for j in range(n))) for i in range(n)]
     rows_q = ctx_hi.count_up_to(order)
-    min_rank = p
-    worst = 0.0
-    for x in samples:
-        gen = [g.taylor_lift(x, order + 1) for g in act.generators]
-        raw = np.zeros((p, n, ctx_hi.count))
-        for tau in range(p):
-            for k in range(n):
-                for row in range(ctx_hi.count):
-                    raw[tau, k, row] = gen[tau].raw(k, tuple(ctx_hi.midx[row]))
-        lam_series = lam.taylor_lift(x, 1).coeffs   # (p, n+1), raw = taylor here
-        lam0 = lam_series[:, 0]
-        dlam = lam_series[:, unit_pos]
-        for row in range(rows_q):
-            for k in range(n):
-                # route one: the section slot as a series in x, lam times
-                # generator derivatives multiplied through the kernel
-                total = series.zeros(ctx1)
-                for tau in range(p):
-                    h = np.zeros(ctx1.count)
-                    h[0] = raw[tau, k, row]
-                    for i in range(n):
-                        h[unit_pos[i]] = raw[tau, k, ctx_hi.shifted(row, i)]
-                    total = total + series.mul(ctx1, lam_series[tau], h)
+    samples = np.asarray(samples, float)
+    # every sample at once: raw[s, tau, k, row] = d^mu(row) g^k_tau at s
+    gen = [g.taylor_lift(samples, order + 1) for g in act.generators]
+    raw = np.stack([lift.coeffs * ctx_hi.factorial for lift in gen], axis=1)
+    lam_series = lam.taylor_lift(samples, 1).coeffs  # (S, p, n+1), raw = taylor
+    lam0 = lam_series[..., 0]
+    dlam = lam_series[..., unit_pos]
+    gaps = []
+    for row in range(rows_q):
+        for k in range(n):
+            # route one: the section slot as a series in x, lam times
+            # generator derivatives multiplied through the kernel
+            total = series.zeros(ctx1)
+            for tau in range(p):
+                h = np.zeros(raw.shape[:1] + (ctx1.count,))
+                h[:, 0] = raw[:, tau, k, row]
                 for i in range(n):
-                    up = ctx_hi.shifted(row, i)
-                    direct = total[unit_pos[i]] - float(lam0 @ raw[:, k, up])
-                    # route two: dlam contracted with the generator jets
-                    contracted = float(dlam[:, i] @ raw[:, k, row])
-                    worst = max(worst, abs(direct - contracted))
-        mat = raw[:, :, :rows_q].reshape(p, -1).T   # rows (k, mu), cols tau
-        rank = int(np.linalg.matrix_rank(mat, tol=rank_tol))
-        min_rank = min(min_rank, rank)
+                    h[:, unit_pos[i]] = raw[:, tau, k, ctx_hi.shifted(row, i)]
+                total = total + series.mul(ctx1, lam_series[:, tau], h)
+            for i in range(n):
+                up = ctx_hi.shifted(row, i)
+                direct = total[:, unit_pos[i]] - _dot(lam0, raw[:, :, k, up])
+                # route two: dlam contracted with the generator jets
+                contracted = _dot(dlam[:, :, i], raw[:, :, k, row])
+                gaps.append(np.abs(direct - contracted))
+    # rows (k, mu), cols tau, one matrix per sample
+    mats = np.swapaxes(raw[..., :rows_q].reshape(len(samples), p, -1), -2, -1)
+    min_rank = int(np.min(np.linalg.matrix_rank(mats, tol=rank_tol), initial=p))
+    # np.max, unlike a running max(), carries a NaN through to the report.
+    worst = float(np.max([np.max(g, initial=0.0) for g in gaps], initial=0.0))
     if min_rank < p:
         raise NotInjectiveYet(
             f"rank {min_rank} < {p} at jet order {order}; raise the order")

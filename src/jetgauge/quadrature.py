@@ -7,6 +7,7 @@ satisfies 2*n - 1 >= degree; integral reductions use pairwise summation
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -15,8 +16,18 @@ from .expr import Expr, variable
 from .sampling import Box
 
 
+@functools.cache
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(n) once per n, as read-only arrays every caller shares."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    """n-point Gauss-Legendre nodes and weights on [lo, hi]."""
+    x, w = _legendre(int(n))
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

@@ -8,15 +8,16 @@ from jetgauge import suites
 from jetgauge.expr import ExprMap
 from jetgauge.dynamics import (
     NEWTON_MAX_ITER, NEWTON_TOL, CompatibilityReport, CurlNotZero,
-    DivergenceNotZero, InverseSolveError, MotionFamily, _variation_speeds,
-    abc_field, compatibility_residual, curl_parametrization_check,
-    divergence_at, el_pairing_check, el_residual, generalized_speed,
-    load_motion_family, mass_conservation_residual, motion_family_from_dict,
-    pressure_recovery, random_solenoidal_field, speed_duality_gap,
-    speed_swap_gap, swell_family, swell_rows, theorem3_check, vortex_residual,
+    DivergenceNotZero, InverseSolveError, MotionFamily, _coeff_text,
+    _coeff_tree, _variation_speeds, abc_field,
+    compatibility_residual, curl_parametrization_check, divergence_at,
+    el_pairing_check, el_residual, generalized_speed, load_motion_family,
+    mass_conservation_residual, motion_family_from_dict, pressure_recovery,
+    random_solenoidal_field, speed_duality_gap, speed_swap_gap, swell_family,
+    swell_rows, theorem3_check, vortex_residual,
 )
 from jetgauge.sampling import halton_points
-from jetgauge.suites import SuiteConfig, run_suite
+from jetgauge.suites import SuiteConfig, run_suite, suite_check_ids
 
 OM = 0.8
 ROTATION = MotionFamily.parse(
@@ -419,20 +420,24 @@ def _records_without_clock(report):
 
 
 @pytest.fixture(scope="module")
-def dynamics_seed3():
+def records_seed3():
     # at seed 3 a warm start carried over from the checks before it moved
     # mass_transport's record
-    return _records_without_clock(run_suite("dynamics", SuiteConfig(seed=3)))
+    return {name: _records_without_clock(run_suite(name, SuiteConfig(seed=3)))
+            for name in ("group", "dynamics")}
 
 
-@pytest.mark.parametrize("check", ["speed_compatibility", "speed_duality",
-                                   "mass_transport"])
-def test_newton_checks_do_not_depend_on_order(check, dynamics_seed3,
+@pytest.mark.parametrize("check", suite_check_ids("group")
+                         + suite_check_ids("dynamics"))
+def test_newton_checks_do_not_depend_on_order(check, records_seed3,
                                               monkeypatch):
-    spec = [c for c in suites.SUITES["dynamics"] if c.id == check]
-    monkeypatch.setitem(suites.SUITES, "dynamics", tuple(spec))
-    alone = run_suite("dynamics", SuiteConfig(seed=3))
-    assert _records_without_clock(alone) == {check: dynamics_seed3[check]}
+    # every group and dynamics check, run alone on a fresh cache, gives the
+    # record it gives inside its suite
+    name = "group" if check in suite_check_ids("group") else "dynamics"
+    spec = [c for c in suites.SUITES[name] if c.id == check]
+    monkeypatch.setitem(suites.SUITES, name, tuple(spec))
+    alone = run_suite(name, SuiteConfig(seed=3))
+    assert _records_without_clock(alone) == {check: records_seed3[name][check]}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -454,3 +459,187 @@ def test_theorem3_nan_fails_closed(monkeypatch):
     record = {r.id: r for r in rep.records}["variation_transport"]
     assert math.isnan(record.max_residual)
     assert record.to_dict()["status"] == "fail"
+
+
+def _point_state(m, val, jac, d2):
+    """The one-point speed-state arithmetic the block state must match."""
+    fy, fx = jac[:, :m], jac[:, m:]
+    fyy, fyx, fxx = d2[:, :m, :m], d2[:, :m, m:], d2[:, m:, m:]
+    fy_inv = np.linalg.inv(fy)
+    delta = float(np.linalg.det(fy))
+    rho = 1.0 / delta
+    u = fy_inv @ fx
+    gz, gx = fy_inv, -u
+    rhs_y = fyx - np.einsum("ksr,si->kri", fyy, u)
+    rhs_x = fxx - np.einsum("ksj,si->kij", fyx, u)
+    ddelta_y = delta * np.einsum("ka,akr->r", fy_inv, fyy)
+    ddelta_x = delta * np.einsum("ka,aki->i", fy_inv, fyx)
+    return {
+        "fy_inv": fy_inv, "delta": delta, "rho": rho, "v": fx, "u": u,
+        "dv_z": np.einsum("kri,rl->kil", fyx, gz),
+        "dv_x": fxx + np.einsum("kri,rj->kij", fyx, gx),
+        "du_y": np.einsum("ka,ari->kir", fy_inv, rhs_y),
+        "du_x": np.einsum("ka,aij->kij", fy_inv, rhs_x),
+        "ddelta_y": ddelta_y, "ddelta_x": ddelta_x,
+        "drho_z": -rho ** 2 * (ddelta_y @ gz),
+        "drho_x": -rho ** 2 * (ddelta_y @ gx + ddelta_x),
+    }
+
+
+@pytest.mark.parametrize("fam", [NEWTON_FAMILY, ROTATION, EXP_SHIFT,
+                                 suites._random_motion_family(1042)],
+                         ids=["newton", "rotation", "shift", "roster"])
+def test_speed_state_block_matches_point_arithmetic(fam):
+    from jetgauge.dynamics import _derivative_blocks
+    zx = fam.sample_zx(40, 5)
+    z, x = zx[:, :fam.m], zx[:, fam.m:]
+    block = fam.state(z.reshape(4, 10, fam.m), x.reshape(4, 10, fam.n))
+    y = fam.invert(z, x)
+    for q in range(len(zx)):
+        lift = fam.forward.taylor_lift(np.concatenate([y[q], x[q]]), 2)
+        ref = _point_state(fam.m, *_derivative_blocks(lift))
+        alone = fam.state(z[q], x[q])                 # the zero-batch case
+        for name, want in ref.items():
+            got = getattr(block, name)[q // 10, q % 10]
+            assert np.array_equal(_bits(got), _bits(want)), name
+            assert np.array_equal(_bits(getattr(alone, name)), _bits(want))
+
+
+def test_speed_state_squares_rho_like_a_point():
+    # at delta = 0.7042793700011653, glibc's pow(rho, 2) and rho * rho
+    # differ in the last bit; the block keeps the one-point pow
+    from jetgauge.dynamics import _SpeedState
+    rng = np.random.default_rng(8)
+    jac = rng.uniform(-0.5, 0.5, (6, 1, 3))
+    jac[:, 0, 0] = [0.7042793700011653, 1.3, 0.9, 2.2, 1.1, 0.6]
+    d2 = rng.uniform(-0.5, 0.5, (6, 1, 3, 3))
+    d2 = d2 + np.swapaxes(d2, -1, -2)
+    val = rng.uniform(-1.0, 1.0, (6, 1))
+    block = _SpeedState(1, val, jac, d2)
+    for q in range(6):
+        for name, want in _point_state(1, val[q], jac[q], d2[q]).items():
+            assert np.array_equal(_bits(getattr(block, name)[q]), _bits(want))
+
+
+def test_solenoidal_tree_matches_parsed_text():
+    names = ["z1", "z2", "z3", "t"]
+    for seed in range(200):
+        coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 3, 3, 2))
+        coeffs[seed % 3, 0, 1, 0] = -0.0 if seed % 2 else 0.0
+        tree = _coeff_tree(coeffs, names)
+        parsed = ExprMap.parse(_coeff_text(coeffs, names), names).exprs[0]
+        # repr shows every float exactly, -0.0 included
+        assert repr(tree) == repr(parsed)
+
+
+def _pairing_node_by_node(fam, w, support, direction, nquad, panels):
+    """el_pairing_check's two sums, node by node with the one-point
+    einsums: the block lifts and contractions must give these bits."""
+    from jetgauge.dynamics import _momentum_hessian, _panel_axis, _smooth_bump
+    from jetgauge.quadrature import gauss_rule, tensor_rule
+    m, n = fam.m, fam.n
+    direction = np.asarray(direction, float)
+
+    def eta(z, x):
+        return direction * (_smooth_bump(z, support) * _smooth_bump(x, fam.xbox))
+
+    def el_z(st):
+        h = _momentum_hessian(w, st.v, m, n)[0]
+        return st.rho[0] * (np.einsum("kilp,lpi->k", h, st.dv_x[0])
+                            + np.einsum("kilp,lpr,ri->k", h, st.dv_z[0],
+                                        st.v[0]))
+
+    def el_y(st):
+        h = _momentum_hessian(w, st.fx, m, n)[0]
+        return np.einsum("kilp,lpi->k", h, st.fxx[0])
+
+    lhs = 0.0
+    for node, weight in zip(*tensor_rule(support + fam.xbox, nquad)):
+        st = fam.state(node[None, :m], node[None, m:])
+        lhs += weight * float(el_z(st) @ eta(node[:m], node[m:]))
+    axes = [_panel_axis(lo, hi, panels, max(nquad // 2, 6))
+            for lo, hi in fam.ybox]
+    axes += [gauss_rule(lo, hi, nquad) for lo, hi in fam.xbox]
+    ynodes = np.stack([g.ravel() for g in np.meshgrid(
+        *(a[0] for a in axes), indexing="ij")], axis=-1)
+    yweights = np.ones(len(ynodes))
+    for g in np.meshgrid(*(a[1] for a in axes), indexing="ij"):
+        yweights *= g.ravel()
+    rhs = 0.0
+    for node, weight in zip(ynodes, yweights):
+        y, x = node[:m], node[m:]
+        test = eta(fam.forward_value(y, x), x)
+        if np.any(test):
+            rhs += weight * float(el_y(fam.state_at_source(y[None], x[None]))
+                                  @ test)
+    return lhs, rhs
+
+
+def test_el_pairing_block_matches_node_loop():
+    anh = ExprMap.parse("0.5 * v1^2 + 0.35 * v2^2 + 0.1 * v1 * v2^2",
+                        ["v1", "v2"])
+    quartic = ExprMap.parse("0.5 * (v1^2 + v2^2 + v3^2) + 0.1 * v4^2 * v1",
+                            ["v1", "v2", "v3", "v4"])
+    cases = [(ROTATION, anh, ((0.05, 0.6), (-0.5, 0.1)), (0.4, 1.0)),
+             (suites._random_motion_family(1042), quartic,
+              ((-0.2, 0.2), (-0.2, 0.2)), (1.0, -0.5))]
+    for fam, w, support, direction in cases:
+        rep = el_pairing_check(fam, w, support, direction, nquad=4, panels=1)
+        lhs, rhs = _pairing_node_by_node(fam, w, support, direction, 4, 1)
+        assert rep.rhs != 0.0
+        assert _bits(rep.lhs) == _bits(lhs) and _bits(rep.rhs) == _bits(rhs)
+
+
+def _point_vortex(field, zt):
+    """The one-point vortex residual arithmetic the block must match."""
+    from jetgauge.dynamics import _derivative_blocks
+
+    def curl(mat):
+        return np.array([mat[2, 1] - mat[1, 2], mat[0, 2] - mat[2, 0],
+                         mat[1, 0] - mat[0, 1]])
+
+    val, jac, d2 = _derivative_blocks(field.taylor_lift(zt, 2))
+    dz, dzz, dzt = jac[:, :3], d2[:, :3, :3], d2[:, :3, 3]
+    omega = 0.5 * curl(dz)
+    domega_z = np.empty((3, 3))
+    for r in range(3):
+        domega_z[:, r] = 0.5 * curl(dzz[:, :, r])
+    dgamma_z = dzt + np.einsum("klr,l->kr", dzz, val) + dz @ dz
+    rhs = 0.5 * curl(dzt) + domega_z @ val - dz @ omega
+    return np.max(np.abs(0.5 * curl(dgamma_z) - rhs))
+
+
+def test_el_contractions_match_point_einsum():
+    # a stacked einsum over several reduced indices sums in another order
+    from jetgauge.dynamics import _el_y, _el_z, _momentum_hessian
+    fam = suites._random_motion_family(1042)
+    w = ExprMap.parse("0.5 * (v1^2 + v2^2 + v3^2) + 0.1 * v4^2 * v1 * v2",
+                      ["v1", "v2", "v3", "v4"])
+    zx = fam.sample_zx(64, 3)
+    st = fam.state(zx[:, :2], zx[:, 2:])
+    ez, ey = _el_z(st, w, 2, 2), _el_y(st, w, 2, 2)
+    hv = _momentum_hessian(w, st.v, 2, 2)
+    hf = _momentum_hessian(w, st.fx, 2, 2)
+    for q in range(len(zx)):
+        want_z = st.rho[q] * (
+            np.einsum("kilp,lpi->k", hv[q], st.dv_x[q])
+            + np.einsum("kilp,lpr,ri->k", hv[q], st.dv_z[q], st.v[q]))
+        want_y = np.einsum("kilp,lpi->k", hf[q], st.fxx[q])
+        assert np.array_equal(_bits(ez[q]), _bits(want_z))
+        assert np.array_equal(_bits(ey[q]), _bits(want_y))
+
+
+def test_vortex_block_matches_point_loop():
+    for seed in (3, 301, 345):
+        fld = random_solenoidal_field(seed)
+        alone = [_point_vortex(fld, p) for p in FIELD_PTS]
+        assert _bits(vortex_residual(fld, FIELD_PTS)) == _bits(max(alone))
+
+
+def test_vortex_divergence_names_first_failing_point():
+    # div v = t: only the samples with t above the tolerance fail
+    fld = ExprMap.parse("z1 * t, 0, 0", FIELD_VARS)
+    pts = np.array([[0.1, 0.2, 0.3, 0.0], [0.4, 0.5, 0.6, 0.25],
+                    [0.7, 0.8, 0.9, 1.5]])
+    with pytest.raises(DivergenceNotZero, match=r"2\.500e-01 .*t=0\.25$"):
+        vortex_residual(fld, pts)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from jetgauge import suites
 from jetgauge.expr import ExprMap
 from jetgauge.groups import (
-    GaugeField, Grid, GridTooCoarse, InconsistentGroupLaw, NotInjectiveYet,
+    _gauge_derivatives, _pullback, GaugeField, Grid, GridTooCoarse, InconsistentGroupLaw, NotInjectiveYet,
     action_bracket_residual, adjoint_matrix, curvature, el_body_residual,
     el_space_residual, free_gauge_field, group_exp, group_spec_from_dict,
     linear_gauge_d, linear_gauge_dd, load_group_spec, maurer_cartan_pullback,
@@ -11,6 +14,7 @@ from jetgauge.groups import (
     variation_space, variation_space_fd,
 )
 from jetgauge.sampling import halton_points
+from jetgauge.suites import SuiteConfig, run_suite
 
 AFFINE = load_group_spec("affine")
 E2 = load_group_spec("e2")
@@ -222,3 +226,62 @@ def test_spencer_from_action_e2_needs_first_order():
     assert chk.min_rank == 3
     with pytest.raises(NotInjectiveYet):
         spencer_from_action(E2, lam, 0, pts)
+
+
+def _bits(a):
+    return np.asarray(a, float).view(np.int64)
+
+
+def test_gauge_blocks_match_point_loop():
+    # the stacked solves, inverses and products give each node its own bits
+    e2_gauging = ExprMap.parse("0.2*x1 - 0.3*x2^2, sin(x1*x2), 0.5*x2",
+                               ["x1", "x2"])
+    nodes = GRID.nodes()
+    for spec, gauging in [(AFFINE, GAUGING), (E2, e2_gauging)]:
+        for form in ("body", "space"):
+            field = GaugeField(spec, GRID, None, "pulled-back", form,
+                               gauging=gauging)
+            block = _pullback(spec, gauging, nodes, form)[0]
+            aval, da = _gauge_derivatives(field, nodes)
+            curv = curvature(spec, field).values
+            c = spec.structure_constants()
+            for q in range(len(nodes)):
+                one = nodes[q:q + 1]
+                assert np.array_equal(_bits(block[q]), _bits(
+                    _pullback(spec, gauging, one, form)[0][0]))
+                a1, d1 = _gauge_derivatives(field, one)
+                assert np.array_equal(_bits(aval[q]), _bits(a1[0]))
+                assert np.array_equal(_bits(da[q]), _bits(d1[0]))
+                # the one pair (0, 1) of the plane, as one node alone
+                quad = np.einsum("trs,r,s->t", c, a1[0][:, 0], a1[0][:, 1])
+                want = d1[0][:, 0, 1] - d1[0][:, 1, 0] - quad
+                assert np.array_equal(_bits(curv[q, :, 0]), _bits(want))
+
+
+def test_spencer_block_matches_sample_loop():
+    lam = ExprMap.parse("0.1*x1 - 0.2*x2, 0.3, x1*x2", ["x1", "x2"])
+    pts = halton_points(E2.action.box, 6, 4)
+    chk = spencer_from_action(E2, lam, 1, pts)
+    alone = [spencer_from_action(E2, lam, 1, p[None]) for p in pts]
+    assert _bits(chk.max_mismatch) == _bits(max(a.max_mismatch for a in alone))
+    assert chk.min_rank == min(a.min_rank for a in alone)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_curvature_of_pullback_nan_fails_closed(monkeypatch):
+    # 0 * exp(800) is NaN at the grid corner (0.5, 0.5) alone; every other
+    # node, and every other gauging, stays finite
+    overflow = ExprMap.parse(
+        "1 + 0.2*x1 + 0 * exp(8000 * (x1 + x2 - 0.9)), 0.3*x2", ["x1", "x2"])
+    field = maurer_cartan_pullback(AFFINE, overflow, suites.GAUGE_GRID)
+    values = curvature(AFFINE, field).values
+    assert np.isnan(values).any() and np.isfinite(values[:-1]).all()
+    real = suites._random_gauging
+    monkeypatch.setattr(
+        suites, "_random_gauging",
+        lambda spec, seed: overflow if seed == 42 + 100 + 17 * 4
+        and spec.label == "affine-line" else real(spec, seed))
+    rep = run_suite("group", SuiteConfig(seed=42))
+    record = {r.id: r for r in rep.records}["curvature_of_pullback"]
+    assert math.isnan(record.max_residual)
+    assert record.to_dict()["status"] == "fail"
