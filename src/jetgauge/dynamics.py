@@ -678,11 +678,10 @@ def el_pairing_check(fam: MotionFamily, w: ExprMap, support: Box,
              for node in ynodes]
     live = [q for q, test in enumerate(tests) if np.any(test)]
     rhs = 0.0
-    if live:  # a block lift needs at least one point
-        ey = _el_y(fam.state_at_source(ynodes[live, :m], ynodes[live, m:]),
-                   w, m, fam.n)
-        for q, e in zip(live, ey):
-            rhs += yweights[q] * float(e @ tests[q])
+    ey = _el_y(fam.state_at_source(ynodes[live, :m], ynodes[live, m:]),
+               w, m, fam.n)
+    for q, e in zip(live, ey):
+        rhs += yweights[q] * float(e @ tests[q])
     return PairingReport(lhs, rhs)
 
 
@@ -773,15 +772,13 @@ def curl_parametrization_check(theta: ExprMap, box: Box,
     """
     if len(theta.variables) != 3 or len(theta) != 3:
         raise ValueError("theta must map z1, z2, z3 to three components")
-    worst_div = 0.0
     points = np.asarray(samples, float).reshape(-1, 3)
-    if len(points):  # a block lift needs at least one point
-        _, _, d2 = _derivative_blocks(theta.taylor_lift(points, 2))
-        # eta_z[..., :, r] is the curl of d2[..., :, :, r]; its trace is
-        # the divergence
-        div = np.trace(_curl(np.moveaxis(d2, -1, -3)), axis1=-2, axis2=-1)
-        # np.max, unlike a running max(), carries a NaN to the report.
-        worst_div = float(np.max(np.abs(div)))
+    _, _, d2 = _derivative_blocks(theta.taylor_lift(points, 2))
+    # eta_z[..., :, r] is the curl of d2[..., :, :, r]; its trace is the
+    # divergence
+    div = np.trace(_curl(np.moveaxis(d2, -1, -3)), axis1=-2, axis2=-1)
+    # np.max, unlike a running max(), carries a NaN to the report.
+    worst_div = float(np.max(np.abs(div), initial=0.0))
 
     rng = np.random.default_rng(seed)
     fields = []

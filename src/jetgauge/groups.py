@@ -104,7 +104,7 @@ class LieGroupSpec:
                     mu2 = _mixed_index(p, rho, sigma)
                     c[tau, rho, sigma] = lift.raw(tau, mu1) - lift.raw(tau, mu2)
         resid = jacobi_residual(c)
-        if resid > tol:
+        if not resid <= tol:  # a NaN residual is no Lie algebra either
             raise InconsistentGroupLaw(
                 f"{self.label}: Jacobi residual {resid:.3e} exceeds {tol}")
         return c
@@ -124,15 +124,16 @@ def bracket(c: np.ndarray, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def jacobi_residual(c: np.ndarray) -> float:
     p = c.shape[0]
     eye = np.eye(p)
-    worst = 0.0
+    res = []
     for a in range(p):
         for b in range(p):
             for d in range(p):
                 total = (bracket(c, bracket(c, eye[a], eye[b]), eye[d])
                          + bracket(c, bracket(c, eye[b], eye[d]), eye[a])
                          + bracket(c, bracket(c, eye[d], eye[a]), eye[b]))
-                worst = max(worst, float(np.max(np.abs(total))))
-    return worst
+                res.append(np.max(np.abs(total)))
+    # np.max, unlike a running max(), keeps a NaN
+    return float(np.max(res, initial=0.0))
 
 
 def _group_vars(p: int) -> tuple[list[str], list[str]]:

@@ -13,10 +13,11 @@ gives a second, independent route to any hand-written linearization.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -57,6 +58,85 @@ def _jet_column(ncomp: int, ctx: MultiIndexContext, k: int, row: int) -> int:
     return k * ctx.count + row
 
 
+class _ProlongTable(NamedTuple):
+    """Flat indices that fill prolonged rows from an order-2 lift.
+
+    *_src index the lift's coefficients flattened over (equation, slot),
+    *_fac are the slots' mu! that turn them into raw derivatives, and
+    *_dst index the output flattened over (row, column).  shift_src
+    points into the coefficient list.  Each scatter has unique targets.
+    """
+
+    nrows: int
+    ncols: int
+    coef_src: np.ndarray
+    coef_fac: np.ndarray
+    coef_dst: np.ndarray
+    shift_src: np.ndarray
+    shift_dst: np.ndarray
+    dx_src: np.ndarray
+    dx_fac: np.ndarray
+    dx_dst: np.ndarray
+    chain_src: np.ndarray
+    chain_fac: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _prolong_table(nvars: int, order: int, neq: int,
+                   route: str) -> _ProlongTable:
+    """Gather table of LieEquationSystem._prolong, built from the index
+    bookkeeping alone, so every system of the same shape shares it.
+
+    The lift runs over the n base variables and the n*count jet slots.
+    The coefficient of slot (k, row) in equation e is the first derivative
+    in that slot; its x_i-derivative adds the base direction i and, on the
+    derived route, the identity section's value slot of component i,
+    which moves with x_i.
+    """
+    n = nvars
+    ctx_lo, ctx_hi = context(n, order), context(n, order + 1)
+    nline = n + n * ctx_lo.count
+    ctx2 = context(nline, 2)
+    ncols = n * ctx_hi.count
+
+    t: dict[str, list] = {name: [] for name in _ProlongTable._fields[2:]}
+
+    def gather(kind: str, e: int, *axes: int) -> None:
+        mu = [0] * nline
+        for a in axes:
+            mu[a] += 1
+        pos = ctx2.pos(mu)
+        t[kind + "_src"].append(e * ctx2.count + pos)
+        t[kind + "_fac"].append(ctx2.factorial[pos])
+
+    for e in range(neq):
+        for k in range(n):
+            for row in range(ctx_lo.count):
+                var = n + _jet_column(n, ctx_lo, k, row)
+                col = _jet_column(n, ctx_hi, k, row)
+                gather("coef", e, var)
+                t["coef_dst"].append(e * ncols + col)
+                for i in range(n):
+                    drow = (neq * (1 + i) + e) * ncols
+                    up = ctx_hi.shifted(row, i)
+                    t["shift_src"].append(len(t["coef_src"]) - 1)
+                    t["shift_dst"].append(drow + _jet_column(n, ctx_hi, k, up))
+                    gather("dx", e, var, i)
+                    if route == "derived":
+                        gather("chain", e, var,
+                               n + _jet_column(n, ctx_lo, i, 0))
+                    t["dx_dst"].append(drow + col)
+
+    def frozen(name: str) -> np.ndarray:
+        arr = np.array(t[name], dtype=float if name.endswith("_fac")
+                       else np.int64)
+        arr.flags.writeable = False
+        return arr
+
+    return _ProlongTable(neq * (1 + n), ncols,
+                         *map(frozen, _ProlongTable._fields[2:]))
+
+
 @dataclass(frozen=True)
 class LieEquationSystem:
     label: str
@@ -75,16 +155,35 @@ class LieEquationSystem:
         return context(self.nvars, self.order if order is None else order)
 
     def identity_jet(self, x: np.ndarray) -> np.ndarray:
-        """Point of the equation variables at the q-jet of the identity."""
-        n = self.nvars
-        ctx = self.jet_ctx()
-        vals = np.zeros(n + n * ctx.count)
-        vals[:n] = x
+        """Point of the equation variables at the q-jet of the identity;
+        x of shape (..., n) gives one row per point."""
+        n, ctx = self.nvars, self.jet_ctx()
+        x = np.asarray(x, dtype=float)
+        vals = self._lift_base(x, "hand")
         for k in range(n):
             mu = tuple(int(i == k) for i in range(n))
-            vals[n + _jet_column(n, ctx, k, 0)] = x[k]
-            vals[n + _jet_column(n, ctx, k, ctx.pos(mu))] = 1.0
+            vals[..., n + _jet_column(n, ctx, k, 0)] = x[..., k]
+            vals[..., n + _jet_column(n, ctx, k, ctx.pos(mu))] = 1.0
         return vals
+
+    def _lift_base(self, x: np.ndarray, route: str) -> np.ndarray:
+        """Base points of a route's lift at x (..., n): the identity jet on
+        the derived route, x and zero jet slots on the hand route."""
+        if route == "derived":
+            return self.identity_jet(x)
+        x = np.asarray(x, dtype=float)
+        base = np.zeros(x.shape[:-1] + (self.nvars * (1 + self.jet_ctx().count),))
+        base[..., :self.nvars] = x
+        return base
+
+    def _route_map(self, route: str) -> ExprMap:
+        if route == "hand":
+            if self.linearization is None:
+                raise ValueError(f"{self.label}: no hand linearization stored")
+            return self.linearization
+        if route != "derived":
+            raise ValueError(f"unknown route '{route}'")
+        return self.equations
 
     def finite_residual(self, f: ExprMap, samples: np.ndarray) -> np.ndarray:
         """Equations evaluated on the holonomic q-jet of a candidate map."""
@@ -104,95 +203,59 @@ class LieEquationSystem:
         return out
 
     def linear_rows(self, x: np.ndarray, route: str = "hand") -> np.ndarray:
-        """Coefficient matrix of the linear system at x, (neq, n*count).
+        """Coefficient matrix of the linear system at x, (..., neq, n*count)
+        for x of shape (..., n); one point is the zero-batch case.
 
         route "hand" reads the stored linearization; route "derived"
         differentiates the defining equations at the identity jet.  Both
-        are exact (jet lifts, no finite differences).
+        are exact (jet lifts, no finite differences), and a block is
+        lifted once.
         """
-        n, ctx = self.nvars, self.jet_ctx()
-        ncols = n * ctx.count
-        if route == "hand":
-            if self.linearization is None:
-                raise ValueError(f"{self.label}: no hand linearization stored")
-            point = np.zeros(n + ncols)
-            point[:n] = x
-            lift = self.linearization.taylor_lift(point, 1)
-            return lift.jacobian()[:, n:]
-        if route != "derived":
-            raise ValueError(f"unknown route '{route}'")
-        point = self.identity_jet(np.asarray(x, float))
-        lift = self.equations.taylor_lift(point, 1)
-        return lift.jacobian()[:, n:]
+        lift = self._route_map(route).taylor_lift(self._lift_base(x, route), 1)
+        return lift.jacobian()[..., self.nvars:]
 
     def prolonged_rows(self, x: np.ndarray, route: str = "hand") -> np.ndarray:
         """Rows of the system and its first formal derivatives at x.
 
-        Output shape (neq*(1+n), n*count_{q+1}); the first neq rows are
-        the original system on the lower-order columns.  Row block i+1
-        is D_i applied to the system: the x-derivative of each
-        coefficient plus the coefficient moved to the shifted slot.
+        Output shape (..., neq*(1+n), n*count_{q+1}) for x of shape
+        (..., n); the first neq rows are the original system on the
+        lower-order columns.  Row block i+1 is D_i applied to the system:
+        the x-derivative of each coefficient plus the coefficient moved to
+        the shifted slot.
         """
-        n = self.nvars
-        ctx_lo = self.jet_ctx()
-        ctx_hi = self.jet_ctx(self.order + 1)
-        ncols_lo, ncols_hi = n * ctx_lo.count, n * ctx_hi.count
-
-        if route == "hand":
-            if self.linearization is None:
-                raise ValueError(f"{self.label}: no hand linearization stored")
-            neq = len(self.linearization)
-            point = np.zeros(n + ncols_lo)
-            point[:n] = x
-            lift = self.linearization.taylor_lift(point, 2)
-            chain_cols: list[int] = []
-        else:
-            neq = self.neq
-            point = self.identity_jet(np.asarray(x, float))
-            lift = self.equations.taylor_lift(point, 2)
-            # coefficients ride along the identity section, whose value
-            # components move with x; higher slots are constant
-            chain_cols = [n + _jet_column(n, ctx_lo, k, 0) for k in range(n)]
-
-        out = np.zeros((neq * (1 + n), ncols_hi))
-        nline = n + ncols_lo
-        for e in range(neq):
-            for k in range(n):
-                for row in range(ctx_lo.count):
-                    col_lo = _jet_column(n, ctx_lo, k, row)
-                    mu = [0] * nline
-                    mu[n + col_lo] += 1
-                    coef = lift.raw(e, tuple(mu))
-                    out[e, _jet_column(n, ctx_hi, k, row)] = coef
-                    for i in range(n):
-                        mu2 = list(mu)
-                        mu2[i] += 1
-                        dcoef = lift.raw(e, tuple(mu2))
-                        if chain_cols:
-                            mu3 = list(mu)
-                            mu3[chain_cols[i]] += 1
-                            dcoef += lift.raw(e, tuple(mu3))
-                        out[neq * (1 + i) + e,
-                            _jet_column(n, ctx_hi, k, row)] += dcoef
-                        up = ctx_hi.pos(tuple(ctx_lo.midx[row]
-                                              + np.eye(n, dtype=int)[i]))
-                        out[neq * (1 + i) + e,
-                            _jet_column(n, ctx_hi, k, up)] += coef
-        return out
+        return self._prolong(self._route_map(route), x, route)
 
     def constraint_rows(self, x: np.ndarray) -> np.ndarray:
-        """Sampling constraints and their formal derivatives at x, or empty."""
+        """Sampling constraints and their formal derivatives at x, or no
+        rows, (..., rows, n*count_{q+1}) for x of shape (..., n)."""
         if self.sampling_constraints is None:
-            return np.zeros((0, self.nvars * self.jet_ctx(self.order + 1).count))
-        helper = LieEquationSystem(
-            label=self.label + ":constraints",
-            nvars=self.nvars,
-            order=self.order,
-            box=self.box,
-            equations=self.equations,
-            linearization=self.sampling_constraints,
-        )
-        return helper.prolonged_rows(x, route="hand")
+            ncols = self.nvars * self.jet_ctx(self.order + 1).count
+            return np.zeros(np.shape(x)[:-1] + (0, ncols))
+        return self._prolong(self.sampling_constraints, x, "hand")
+
+    def _prolong(self, emap: ExprMap, x: np.ndarray, route: str) -> np.ndarray:
+        """Prolonged rows of emap's linear coefficients from one order-2
+        lift of the whole block.
+
+        Every cell gets the sums a point-by-point fill gives it: zeros,
+        then each system cell set to its coefficient, then each
+        derivative cell plus its shifted coefficient and then plus the
+        coefficient's x-derivative, which the derived route sums over the
+        direct and the identity-section terms first.
+        """
+        tab = _prolong_table(self.nvars, self.order, len(emap), route)
+        lift = emap.taylor_lift(self._lift_base(x, route), 2)
+        batch = lift.coeffs.shape[:-2]
+        flat = lift.coeffs.reshape(batch + (len(emap) * lift.ctx.count,))
+        coef = flat[..., tab.coef_src] * tab.coef_fac
+        out = np.zeros(batch + (tab.nrows * tab.ncols,))
+        out[..., tab.coef_dst] = coef
+        out[..., tab.shift_dst] += coef[..., tab.shift_src]
+        dcoef = flat[..., tab.dx_src] * tab.dx_fac
+        if route == "derived":
+            dcoef += flat[..., tab.chain_src] * tab.chain_fac
+        out[..., tab.dx_dst] += dcoef
+        return out.reshape(batch + (tab.nrows, tab.ncols))
 
     def linear_residual(self, xi: ExprMap, samples: np.ndarray,
                         route: str = "hand") -> np.ndarray:
@@ -208,11 +271,10 @@ class LieEquationSystem:
 def linearization_rows_gap(system: LieEquationSystem, samples: np.ndarray) -> float:
     """Largest entry gap between the hand-written linearization and the
     one derived from the defining equations."""
-    worst = 0.0
-    for x in samples:
-        gap = system.linear_rows(x, "hand") - system.linear_rows(x, "derived")
-        worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+    pts = np.asarray(samples, dtype=float)
+    gap = system.linear_rows(pts, "hand") - system.linear_rows(pts, "derived")
+    # np.max, unlike a running max(), keeps a NaN so the check fails
+    return float(np.max(np.abs(gap), initial=0.0))
 
 
 def linearization_consistency(system: LieEquationSystem, xi: ExprMap,
@@ -310,27 +372,35 @@ class ExprSection:
         return self.raw_series(x, 0)[:, :, 0]
 
 
+@functools.lru_cache(maxsize=None)
+def _shift_table(nvars: int, degree: int,
+                 xorder: int) -> tuple[np.ndarray, np.ndarray]:
+    """binom(beta, kappa) and beta - kappa for every entry of `_poly_shift`,
+    (count_degree, count_xorder) and (count_degree, count_xorder, nvars);
+    both are zero where kappa exceeds beta."""
+    ctx_b, ctx_x = context(nvars, degree), context(nvars, xorder)
+    binom = np.zeros((ctx_b.count, ctx_x.count))
+    power = np.zeros((ctx_b.count, ctx_x.count, nvars), dtype=np.int64)
+    for b, beta in enumerate(ctx_b.midx):
+        for kp, kappa in enumerate(ctx_x.midx):
+            if np.all(kappa <= beta):
+                binom[b, kp] = binom_mu(beta, kappa)
+                power[b, kp] = beta - kappa
+    binom.flags.writeable = power.flags.writeable = False
+    return binom, power
+
+
 def _poly_shift(nvars: int, degree: int, x: np.ndarray,
                 xorder: int) -> np.ndarray:
     """Map from monomial coefficients to x-series around x.
 
-    Shape (count_degree, count_xorder); entry [b, kp] is
-    binom(beta, kappa) * x^(beta - kappa).  It depends on the point and
-    the basis only, so every PolySection at x shares it.
+    Shape (..., count_degree, count_xorder) for x of shape (..., nvars);
+    entry [b, kp] is binom(beta, kappa) * x^(beta - kappa).  It depends on
+    the point and the basis only, so every PolySection at x shares it.
     """
-    ctx_b = context(nvars, degree)
-    ctx_x = context(nvars, xorder)
-    shift = np.zeros((ctx_b.count, ctx_x.count))
+    binom, power = _shift_table(nvars, degree, xorder)
     x = np.asarray(x, dtype=float)
-    for b in range(ctx_b.count):
-        beta = ctx_b.midx[b]
-        for kp in range(ctx_x.count):
-            kappa = ctx_x.midx[kp]
-            if np.any(kappa > beta):
-                continue
-            shift[b, kp] = binom_mu(beta, kappa) * np.prod(
-                x ** (beta - kappa))
-    return shift
+    return binom * np.prod(x[..., None, None, :] ** power, axis=-1)
 
 
 class PolySection:
@@ -348,11 +418,7 @@ class PolySection:
         self.degree = degree
 
     def raw_series(self, x: np.ndarray, xorder: int) -> np.ndarray:
-        return self.shifted_series(
-            _poly_shift(self.nvars, self.degree, x, xorder))
-
-    def shifted_series(self, shift: np.ndarray) -> np.ndarray:
-        """raw_series from a precomputed `_poly_shift` matrix of its point."""
+        shift = _poly_shift(self.nvars, self.degree, x, xorder)
         return np.einsum("krb,bw->krw", self.coeffs, shift)
 
     def raw_table(self, x: np.ndarray) -> np.ndarray:
@@ -489,15 +555,12 @@ def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
     """
     ctx_b = context(system.nvars, degree)
     pts = halton_points(system.box, npoints, seed)
-    blocks = []
-    for x in pts:
-        rows = np.vstack([system.prolonged_rows(x, route),
-                          system.constraint_rows(x)])
-        basis = np.array([np.prod(x ** ctx_b.midx[bb])
-                          for bb in range(ctx_b.count)])
-        blocks.append(np.einsum("rc,b->rcb", rows, basis).reshape(
-            rows.shape[0], -1))
-    mat = np.vstack(blocks)
+    rows = np.concatenate([system.prolonged_rows(pts, route),
+                           system.constraint_rows(pts)], axis=1)
+    basis = np.prod(pts[:, None, :] ** ctx_b.midx, axis=-1)
+    # (point, row) by (column, monomial): each point's rows times its basis
+    mat = np.einsum("prc,pb->prcb", rows, basis).reshape(
+        rows.shape[0] * rows.shape[1], rows.shape[2] * ctx_b.count)
     _, sig, vt = np.linalg.svd(mat)
     rank = int(np.sum(sig > 1e-10 * sig[0]))
     if rank == vt.shape[0]:
@@ -547,13 +610,16 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
     nlift = min(npairs, 5)
     # the bumped copies of pairs 0..nlift-1, drawn a then b, pair by pair
     sections += [s.perturb_top(rng) for s in sections[:2 * nlift]]
-    shifts = [_poly_shift(n, degree, x, 1) for x in eval_pts]
-    tabs = np.array([[s.shifted_series(sh) for sh in shifts]
-                     for s in sections])
+    shifts = _poly_shift(n, degree, eval_pts, 1)
+    tabs = np.einsum("skrb,pbw->spkrw", np.stack([s.coeffs for s in sections]),
+                     shifts)
     # (pairs + bumped pairs, points, n, rows): every bracket in one call
     vals = _bracket_tables(n, system.order, context(n, 1),
                            tabs[0::2], tabs[1::2])[..., 0]
-    rows = [system.linear_rows(x, route) for x in eval_pts]
+    rows = system.linear_rows(eval_pts, route)
+    # one matrix-vector product per pair and point, on a fresh copy of the
+    # bracket values: a stacked product, or one on a view, can give
+    # other bits
     resid = np.array([[rows[s] @ v[s].ravel() for s in range(len(rows))]
                       for v in vals[:npairs]])
     # np.max, unlike a running max(), keeps a NaN so the check fails
@@ -595,7 +661,7 @@ def schwarzian_variation_check(f: ExprMap, eta: ExprMap, samples: np.ndarray,
     gaps = []
     for e in (eps, eps / 2.0):
         phi = _shifted_map(ident, eta, e)
-        worst = 0.0
+        res = []
         for x in np.atleast_1d(samples):
             xa = np.atleast_1d(np.asarray(x, dtype=float))
             flift = f.taylor_lift(xa, 3)
@@ -611,8 +677,9 @@ def schwarzian_variation_check(f: ExprMap, eta: ExprMap, samples: np.ndarray,
             quots = (schwarzian([pr[0], c1, c2, c3])
                      - schwarzian_of_map(f, float(xa[0]))) / e
             exact = fr[1] ** 2 * eta.taylor_lift(z0, 3).raw(0, (3,))
-            worst = max(worst, abs(quots - exact))
-        gaps.append(worst)
+            res.append(abs(quots - exact))
+        # np.max, unlike a running max(), keeps a NaN
+        gaps.append(float(np.max(res, initial=0.0)))
     return gaps[0], gaps[1]
 
 

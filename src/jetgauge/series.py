@@ -62,6 +62,9 @@ def mul(ctx: MultiIndexContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                            minlength=ctx.count)
     prods = _gather(a, ctx.mul_i) * _gather(b, ctx.mul_j)
     nbatch = prods.size // ctx.mul_k.size
+    if nbatch == 0:
+        # bincount of no weights returns int64 zeros; an empty block stays float
+        return np.zeros(prods.shape[:-1] + (ctx.count,))
     out = np.bincount(ctx.flat_mul_k(nbatch), prods.reshape(-1),
                       minlength=nbatch * ctx.count)
     return out.reshape(prods.shape[:-1] + (ctx.count,))

@@ -274,6 +274,28 @@ def test_curl_parametrization():
     assert rep.gap < 1e-12
 
 
+def test_curl_parametrization_of_no_samples():
+    # the divergence block of no points is empty; the pairing does not
+    # depend on the samples
+    theta = ExprMap.parse("0.3*z2*z3, 0.2*z1*z3 - 0.4*z2^2*z1, 0.5*z1*z2",
+                          ["z1", "z2", "z3"])
+    box = ((-0.9, 0.9),) * 3
+    pts = halton_points(((-0.7, 0.7),) * 3, 3, 23)
+    rep = curl_parametrization_check(theta, box, np.zeros((0, 3)), nquad=4)
+    full = curl_parametrization_check(theta, box, pts, nquad=4)
+    assert rep.divergence == 0.0
+    assert (rep.lhs, rep.rhs) == (full.lhs, full.rhs)
+
+
+def test_el_pairing_with_no_live_source_node():
+    # no source node maps into a support this far out, so the source sum
+    # runs over an empty block and stays zero
+    rep = el_pairing_check(ROTATION, KINETIC, ((5.0, 5.5), (5.0, 5.5)),
+                           (1.0, 0.7), nquad=4, panels=1)
+    assert rep.rhs == 0.0
+    assert math.isfinite(rep.lhs)
+
+
 def test_swell_balanced_family():
     fam, rep = swell_family(1.0, 0.1, 1.0, 0.0)
     assert fam.m == 2 and fam.n == 1

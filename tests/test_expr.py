@@ -218,6 +218,24 @@ def test_block_lift_matches_point_lifts_bitwise(order, batch):
         assert _same_bits(alone, ref)
 
 
+@pytest.mark.parametrize("order", [0, 1, 3])
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0, 2)])
+def test_empty_block_lifts_to_empty_map(order, shape):
+    # every node kind, one map per kind, on a block of no points
+    ctx = context(2, order)
+    for expr in ALL_KINDS.exprs[:3] + (Num(2.0), variable("y"),
+                                       -variable("x"),
+                                       variable("x") ** 2.5,
+                                       variable("x") ** 3.0):
+        lift = ExprMap(_XY, [expr, expr]).taylor_lift(np.zeros(shape), order)
+        assert lift.coeffs.shape == shape[:-1] + (2, ctx.count)
+        assert lift.coeffs.dtype == np.float64
+        assert lift.value().shape == shape[:-1] + (2,)
+        assert lift.jacobian().shape == shape[:-1] + (2, min(order, 1) * 2)
+    sin_map = ExprMap.parse("sin(x), y", _XY)
+    assert sin_map.taylor_lift(np.zeros(shape), order).coeffs.size == 0
+
+
 @pytest.mark.parametrize("shape", [(3, 2), (1, 3, 2)])
 def test_block_lift_raises_the_first_failing_points_error(shape):
     m = ExprMap.parse("log(x) + sqrt(y), 1 / (x - y)", _XY)

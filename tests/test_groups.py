@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from jetgauge.groups import (
     _gauge_derivatives, _pullback, GaugeField, Grid, GridTooCoarse, InconsistentGroupLaw, NotInjectiveYet,
     action_bracket_residual, adjoint_matrix, curvature, el_body_residual,
     el_space_residual, free_gauge_field, group_exp, group_spec_from_dict,
+    jacobi_residual,
     linear_gauge_d, linear_gauge_dd, load_group_spec, maurer_cartan_pullback,
     right_pullback, spencer_from_action, variation_body, variation_body_fd,
     variation_space, variation_space_fd,
@@ -42,6 +44,42 @@ def test_affine_structure_constants():
     expect[1, 0, 1] = -1.0
     expect[1, 1, 0] = 1.0
     assert np.max(np.abs(c - expect)) < 1e-12
+
+
+def _running_max_jacobi(c):
+    # the running maximum jacobi_residual kept before: exact on finite input
+    from jetgauge.groups import bracket
+    eye, worst = np.eye(c.shape[0]), 0.0
+    for a in range(c.shape[0]):
+        for b in range(c.shape[0]):
+            for d in range(c.shape[0]):
+                total = (bracket(c, bracket(c, eye[a], eye[b]), eye[d])
+                         + bracket(c, bracket(c, eye[b], eye[d]), eye[a])
+                         + bracket(c, bracket(c, eye[d], eye[a]), eye[b]))
+                worst = max(worst, float(np.max(np.abs(total))))
+    return worst
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_jacobi_residual_nan_fails_closed():
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((3, 3, 3))
+    c -= c.transpose(0, 2, 1)
+    assert jacobi_residual(c) > 0.0
+    assert jacobi_residual(c).hex() == _running_max_jacobi(c).hex()
+    for spec in (AFFINE, E2):
+        c = spec.structure_constants()
+        assert jacobi_residual(c).hex() == _running_max_jacobi(c).hex()
+    c = AFFINE.structure_constants().copy()
+    c[0, 0, 1] = math.nan
+    assert math.isnan(jacobi_residual(c))
+    # 0 * exp(801) is NaN in every slot of the second component at the
+    # identity, so the constants are NaN and the group law is refused
+    nan_law = replace(AFFINE, compose=ExprMap.parse(
+        "a1*b1, a1*b2 + a2 + 0*exp(800 + a1)*a2*b1",
+        ["a1", "a2", "b1", "b2"]))
+    with pytest.raises(InconsistentGroupLaw, match="nan"):
+        nan_law.structure_constants()
 
 
 def test_e2_structure_constants():

@@ -15,7 +15,8 @@ from jetgauge.pseudogroups import (
     schwarzian_variation_check, spencer,
 )
 from jetgauge.sampling import halton_points
-from jetgauge.suites import SuiteConfig, run_suite
+from jetgauge import suites
+from jetgauge.suites import SuiteConfig, run_suite, suite_check_ids
 
 PTS2 = halton_points(((-0.5, 0.5), (-0.5, 0.5)), 6, 13)
 
@@ -191,24 +192,23 @@ def test_stacked_bracket_equals_each_slice(name):
 
 
 def test_closure_nan_fails_closed(monkeypatch):
-    # a NaN at the second evaluation point of a later system, after
-    # finite residuals, must reach the report and fail the check
+    # a NaN at the second evaluation point of a later system, after the
+    # finite residuals of its first point, must reach the report and fail
+    # the check; closure_check lifts its points as one block, so the
+    # poison goes into the second point of that block
     real = LieEquationSystem.linear_rows
-    seen = []
 
     def poisoned(self, x, route="hand"):
         rows = real(self, x, route)
-        if self.label == "volume-2d":
-            seen.append(x)
-            if len(seen) == 2:
-                rows = rows * np.nan
+        if self.label == "volume-2d" and np.ndim(x) == 2:
+            rows = rows.copy()
+            rows[1] = np.nan
         return rows
 
     monkeypatch.setattr(LieEquationSystem, "linear_rows", poisoned)
     rep = closure_check(builtin_system("volume2"), npairs=4, seed=3, neval=8)
     assert math.isnan(rep.max_residual)
     assert not math.isnan(rep.lift_gap)
-    seen.clear()
     record = run_suite("pseudogroup", SuiteConfig(seed=42)).records[0]
     assert record.id == "bracket_closure"
     assert math.isnan(record.max_residual)
@@ -272,3 +272,328 @@ def test_custom_system_from_dict():
     shift = ExprMap.parse("x1 + 0.7", ["x1"])
     assert np.max(np.abs(sys_.finite_residual(shift, pts))) < 1e-15
     assert linearization_rows_gap(sys_, pts) < 1e-15
+
+# ----------------------------------------------------------------------
+# Block Lie-system rows against the point-by-point arithmetic they replace
+
+SEEDS = (3, 45, 1003)
+
+
+def _loop_prolonged_rows(sys_, emap, x, route):
+    """One point's prolonged rows, filled cell by cell from one lift: the
+    triple loop the block gather must match bit for bit."""
+    from jetgauge.pseudogroups import _jet_column
+    n = sys_.nvars
+    ctx_lo, ctx_hi = sys_.jet_ctx(), sys_.jet_ctx(sys_.order + 1)
+    ncols_lo, ncols_hi = n * ctx_lo.count, n * ctx_hi.count
+    neq = len(emap)
+    if route == "hand":
+        point = np.zeros(n + ncols_lo)
+        point[:n] = x
+        chain_cols = []
+    else:
+        point = _loop_identity_jet(sys_, x)
+        chain_cols = [n + _jet_column(n, ctx_lo, k, 0) for k in range(n)]
+    lift = emap.taylor_lift(point, 2)
+    out = np.zeros((neq * (1 + n), ncols_hi))
+    nline = n + ncols_lo
+    for e in range(neq):
+        for k in range(n):
+            for row in range(ctx_lo.count):
+                col_lo = _jet_column(n, ctx_lo, k, row)
+                mu = [0] * nline
+                mu[n + col_lo] += 1
+                coef = lift.raw(e, tuple(mu))
+                out[e, _jet_column(n, ctx_hi, k, row)] = coef
+                for i in range(n):
+                    mu2 = list(mu)
+                    mu2[i] += 1
+                    dcoef = lift.raw(e, tuple(mu2))
+                    if chain_cols:
+                        mu3 = list(mu)
+                        mu3[chain_cols[i]] += 1
+                        dcoef += lift.raw(e, tuple(mu3))
+                    out[neq * (1 + i) + e,
+                        _jet_column(n, ctx_hi, k, row)] += dcoef
+                    up = ctx_hi.pos(tuple(ctx_lo.midx[row]
+                                          + np.eye(n, dtype=int)[i]))
+                    out[neq * (1 + i) + e,
+                        _jet_column(n, ctx_hi, k, up)] += coef
+    return out
+
+
+def _loop_identity_jet(sys_, x):
+    n, ctx = sys_.nvars, sys_.jet_ctx()
+    vals = np.zeros(n + n * ctx.count)
+    vals[:n] = x
+    for k in range(n):
+        mu = tuple(int(i == k) for i in range(n))
+        vals[n + k * ctx.count] = x[k]
+        vals[n + k * ctx.count + ctx.pos(mu)] = 1.0
+    return vals
+
+
+def _loop_linear_rows(sys_, x, route):
+    n = sys_.nvars
+    if route == "hand":
+        point = np.zeros(n + n * sys_.jet_ctx().count)
+        point[:n] = x
+        return sys_.linearization.taylor_lift(point, 1).jacobian()[:, n:]
+    return sys_.equations.taylor_lift(_loop_identity_jet(sys_, x),
+                                      1).jacobian()[:, n:]
+
+
+def _loop_poly_shift(nvars, degree, x, xorder):
+    from jetgauge._multiindex import binom_mu
+    ctx_b, ctx_x = context(nvars, degree), context(nvars, xorder)
+    shift = np.zeros((ctx_b.count, ctx_x.count))
+    for b in range(ctx_b.count):
+        beta = ctx_b.midx[b]
+        for kp in range(ctx_x.count):
+            kappa = ctx_x.midx[kp]
+            if np.any(kappa > beta):
+                continue
+            shift[b, kp] = binom_mu(beta, kappa) * np.prod(x ** (beta - kappa))
+    return shift
+
+
+def _loop_solution_basis(sys_, seed, degree, npoints, route):
+    ctx_b = context(sys_.nvars, degree)
+    blocks = []
+    for x in halton_points(sys_.box, npoints, seed):
+        rows = [_loop_prolonged_rows(sys_, sys_.linearization
+                                     if route == "hand" else sys_.equations,
+                                     x, route)]
+        if sys_.sampling_constraints is not None:
+            rows.append(_loop_prolonged_rows(sys_, sys_.sampling_constraints,
+                                             x, "hand"))
+        rows = np.vstack(rows)
+        basis = np.array([np.prod(x ** ctx_b.midx[bb])
+                          for bb in range(ctx_b.count)])
+        blocks.append(np.einsum("rc,b->rcb", rows, basis).reshape(
+            rows.shape[0], -1))
+    _, sig, vt = np.linalg.svd(np.vstack(blocks))
+    return vt[int(np.sum(sig > 1e-10 * sig[0])):]
+
+
+def _loop_closure_check(sys_, npairs, seed, neval, degree=2, route="hand"):
+    """closure_check one point, one section and one pair at a time."""
+    from jetgauge.pseudogroups import ClosureReport, _draw_sections
+    n = sys_.nvars
+    basis_vecs = _loop_solution_basis(sys_, seed, degree, 40, route)
+    sections = _draw_sections(sys_, basis_vecs, 2 * npairs, seed, degree)
+    eval_pts = halton_points(sys_.box, neval, seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    nlift = min(npairs, 5)
+    sections += [s.perturb_top(rng) for s in sections[:2 * nlift]]
+    shifts = [_loop_poly_shift(n, degree, x, 1) for x in eval_pts]
+    tabs = np.array([[np.einsum("krb,bw->krw", s.coeffs, sh) for sh in shifts]
+                     for s in sections])
+    vals = _bracket_tables(n, sys_.order, context(n, 1),
+                           tabs[0::2], tabs[1::2])[..., 0]
+    rows = [_loop_linear_rows(sys_, x, route) for x in eval_pts]
+    resid = np.array([[rows[s] @ v[s].ravel() for s in range(len(rows))]
+                      for v in vals[:npairs]])
+    return ClosureReport(sys_.label, npairs, basis_vecs.shape[0],
+                         float(np.max(np.abs(resid))),
+                         float(np.max(np.abs(vals[npairs:] - vals[:nlift]))))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_block_rows_match_point_loop(name, seed):
+    sys_ = builtin_system(name)
+    pts = halton_points(sys_.box, 7, seed)
+    for route, emap in (("hand", sys_.linearization),
+                        ("derived", sys_.equations)):
+        block = sys_.prolonged_rows(pts, route)
+        lin = sys_.linear_rows(pts, route)
+        for s, x in enumerate(pts):
+            ref = _loop_prolonged_rows(sys_, emap, x, route)
+            assert _same_bits(block[s], ref)
+            assert _same_bits(sys_.prolonged_rows(x, route), ref)
+            assert _same_bits(lin[s], _loop_linear_rows(sys_, x, route))
+        assert _same_bits(sys_.identity_jet(pts),
+                          np.array([_loop_identity_jet(sys_, x) for x in pts]))
+    cons = sys_.constraint_rows(pts)
+    if sys_.sampling_constraints is None:
+        assert cons.shape == (len(pts), 0, block.shape[-1])
+        return
+    for s, x in enumerate(pts):
+        ref = _loop_prolonged_rows(sys_, sys_.sampling_constraints, x, "hand")
+        assert np.any(ref)
+        assert _same_bits(cons[s], ref)
+        assert _same_bits(sys_.constraint_rows(x), ref)
+
+
+def test_block_rows_match_point_loop_off_linear_slots():
+    # value slots that enter nonlinearly give the derived route nonzero
+    # second derivatives along the identity section, the mu! = 2 slot too
+    sys_ = lie_system_from_dict({
+        "label": "curved", "nvars": 2, "order": 1,
+        "box": [[0.2, 0.9], [-0.7, 0.4]],
+        "equations": ("y_1_1*exp(0.7*y_1 + 0.3*x1) + x2*y_1^2*y_1_2 "
+                      "- x1*y_2^2*y_2_2 + x2^2, "
+                      "x1*y_2*y_1_2 + sin(y_1)*y_2_1 + x2*cos(y_2)*y_2_2"),
+        "linearization": "xi_1_1 + x1*xi_2, xi_1_2*x2 + sin(x1)*xi_2_1",
+        "sampling_constraints": "x1^2*xi_1_1 + xi_2_2",
+    })
+    for seed in SEEDS:
+        pts = halton_points(sys_.box, 6, seed)
+        for route, emap in (("hand", sys_.linearization),
+                            ("derived", sys_.equations)):
+            block = sys_.prolonged_rows(pts, route)
+            for s, x in enumerate(pts):
+                assert _same_bits(block[s],
+                                  _loop_prolonged_rows(sys_, emap, x, route))
+        cons = sys_.constraint_rows(pts)
+        for s, x in enumerate(pts):
+            assert _same_bits(cons[s], _loop_prolonged_rows(
+                sys_, sys_.sampling_constraints, x, "hand"))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_rows_of_no_points_are_empty(name):
+    sys_ = builtin_system(name)
+    none = np.zeros((0, sys_.nvars))
+    one = sys_.box[0][0] * np.ones(sys_.nvars)
+    for route in ("hand", "derived"):
+        assert sys_.prolonged_rows(none, route).shape == (
+            (0,) + sys_.prolonged_rows(one, route).shape)
+        assert sys_.linear_rows(none, route).shape == (
+            (0,) + sys_.linear_rows(one, route).shape)
+    assert sys_.constraint_rows(none).shape[0] == 0
+    assert linearization_rows_gap(sys_, none) == 0.0
+
+
+def test_rows_reject_unknown_route():
+    sys_ = builtin_system("affine")
+    for rows in (sys_.linear_rows, sys_.prolonged_rows):
+        with pytest.raises(ValueError, match="unknown route"):
+            rows(np.array([0.1]), "sideways")
+
+
+@pytest.mark.parametrize("nvars, degree, xorder",
+                         [(1, 2, 1), (2, 2, 1), (3, 2, 1), (2, 3, 2), (3, 2, 0),
+                          (3, 3, 1), (3, 4, 2)])
+def test_tabled_poly_shift_matches_point_formula(nvars, degree, xorder):
+    from jetgauge.pseudogroups import _poly_shift
+    rng = np.random.default_rng(nvars + 10 * degree)
+    pts = rng.uniform(-1.3, 1.3, size=(9, nvars))
+    pts[0, 0] = 0.0
+    pts[1, -1] = -0.0
+    block = _poly_shift(nvars, degree, pts, xorder)
+    for s, x in enumerate(pts):
+        ref = _loop_poly_shift(nvars, degree, x, xorder)
+        assert _same_bits(block[s], ref)
+        assert _same_bits(_poly_shift(nvars, degree, x, xorder), ref)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_closure_check_matches_point_reference(name, seed):
+    from jetgauge.pseudogroups import _solution_basis
+    sys_ = builtin_system(name)
+    for degree in (2, 3):
+        assert _same_bits(_solution_basis(sys_, seed, degree, 40, "hand"),
+                          _loop_solution_basis(sys_, seed, degree, 40, "hand"))
+    # the suite's parameters: 50 pairs at 8 evaluation points
+    assert (_report_bits(closure_check(sys_, npairs=50, seed=seed, neval=8))
+            == _report_bits(_loop_closure_check(sys_, 50, seed, 8)))
+    assert (_report_bits(closure_check(sys_, npairs=6, seed=seed, neval=5,
+                                       route="derived"))
+            == _report_bits(_loop_closure_check(sys_, 6, seed, 5,
+                                                route="derived")))
+
+
+def _report_bits(rep):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return (rep.label, rep.npairs, rep.nullspace_dim, rep.max_residual.hex(),
+            rep.lift_gap.hex())
+
+
+# ----------------------------------------------------------------------
+# NaN fails closed, and records do not depend on check order or history
+
+def _records_without_clock(report):
+    return {r.id: {k: v for k, v in r.to_dict().items() if k != "runtime_ms"}
+            for r in report.records}
+
+
+@pytest.fixture(scope="module")
+def pseudogroup_seed3():
+    return _records_without_clock(run_suite("pseudogroup", SuiteConfig(seed=3)))
+
+
+@pytest.mark.parametrize("check", suite_check_ids("pseudogroup"))
+def test_pseudogroup_checks_do_not_depend_on_order(check, pseudogroup_seed3,
+                                                   monkeypatch):
+    # each check, run alone on a fresh suite cache, gives the record it
+    # gives inside its suite
+    spec = [c for c in suites.SUITES["pseudogroup"] if c.id == check]
+    monkeypatch.setitem(suites.SUITES, "pseudogroup", tuple(spec))
+    alone = run_suite("pseudogroup", SuiteConfig(seed=3))
+    assert _records_without_clock(alone) == {check: pseudogroup_seed3[check]}
+
+
+def test_pseudogroup_suite_repeats_in_one_process():
+    # the gather and shift tables are cached per process: a second run
+    # reads them and must give the first run's records
+    first = run_suite("pseudogroup", SuiteConfig(seed=11))
+    second = run_suite("pseudogroup", SuiteConfig(seed=11))
+    assert _records_without_clock(first) == _records_without_clock(second)
+
+
+def _blowup_system():
+    # 0 * exp(800 * x1) overflows to 0 * inf = NaN for x1 > 0.89, so the hand
+    # rows are exact at x1 = 0 and NaN at x1 = 0.95
+    return lie_system_from_dict({
+        "label": "blowup", "nvars": 1, "order": 1, "box": [[-1.0, 1.0]],
+        "equations": "y_1_1 - 1",
+        "linearization": "xi_1_1 + 0*exp(800*x1)*xi_1_1",
+    })
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_linearization_rows_gap_nan_fails_closed():
+    sys_ = _blowup_system()
+    pts = np.array([[0.0], [0.95]])
+    assert linearization_rows_gap(sys_, pts[:1]) == 0.0
+    assert math.isnan(linearization_rows_gap(sys_, pts))
+
+
+def test_linearization_rows_check_nan_fails_closed(monkeypatch):
+    gaps = iter([1e-16, math.nan])
+    monkeypatch.setattr(suites, "linearization_rows_gap",
+                        lambda sys_, pts: next(gaps, 0.0))
+    rep = run_suite("pseudogroup", SuiteConfig(seed=42))
+    record = {r.id: r for r in rep.records}["linearization_rows"]
+    assert math.isnan(record.max_residual)
+    assert not record.passed
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_schwarzian_variation_nan_fails_closed():
+    # the quotient overflows at the second sample only
+    f = ExprMap.parse("exp(x) + 0*exp(800*x)", ["x"])
+    eta = ExprMap.parse("z^3", ["z"])
+    g1, g2 = schwarzian_variation_check(f, eta, np.array([0.0]), 1e-4)
+    assert math.isfinite(g1) and math.isfinite(g2)
+    g1, g2 = schwarzian_variation_check(f, eta, np.array([0.0, 0.95]), 1e-4)
+    assert math.isnan(g1) and math.isnan(g2)
+
+
+def test_schwarzian_invariance_check_nan_fails_closed(monkeypatch):
+    real = suites.schwarzian_of_map
+    calls = []
+
+    def poisoned(f, x):
+        calls.append(x)
+        # the first call of the second sample
+        return math.nan if len(calls) == 3 else real(f, x)
+
+    monkeypatch.setattr(suites, "schwarzian_of_map", poisoned)
+    rep = run_suite("pseudogroup", SuiteConfig(seed=42))
+    record = {r.id: r for r in rep.records}["schwarzian_invariance"]
+    assert math.isnan(record.max_residual)
+    assert not record.passed
