@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -36,14 +35,12 @@ from .sampling import Box, halton_points
 
 __all__ = [
     "InverseSolveError", "DivergenceNotZero", "CurlNotZero",
-    "MotionFamily", "SpeedSample", "generalized_speed", "speed_swap_gap",
-    "speed_duality_gap", "CompatibilityReport", "compatibility_residual",
-    "Theorem3Report", "theorem3_check", "MassReport",
-    "mass_conservation_residual", "ELReport", "el_residual",
-    "PairingReport", "el_pairing_check", "divergence_at", "vortex_residual",
-    "CurlReport", "curl_parametrization_check", "PressureReport",
-    "pressure_recovery", "SwellReport", "swell_family", "swell_rows",
-    "random_solenoidal_field", "abc_field", "motion_family_from_dict",
+    "MotionFamily", "speed_duality_gap", "CompatibilityReport",
+    "compatibility_residual", "Theorem3Report", "theorem3_check",
+    "MassReport", "mass_conservation_residual", "ELReport", "el_residual",
+    "vortex_residual", "CurlReport", "curl_parametrization_check",
+    "PressureReport", "pressure_recovery", "SwellReport", "swell_family",
+    "swell_rows", "random_solenoidal_field", "motion_family_from_dict",
     "load_motion_family",
 ]
 
@@ -65,16 +62,6 @@ class CurlNotZero(ValueError):
 
 def _names(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{k + 1}" for k in range(count)]
-
-
-def _rename(emap: ExprMap, old: str, new: str, count: int) -> ExprMap:
-    """Swap the point-variable prefix by printing and reparsing."""
-    text = emap.to_text()
-    for k in range(count, 0, -1):
-        text = re.sub(rf"\b{old}{k}\b", f"{new}{k}", text)
-    variables = [new + name[len(old):] if name.startswith(old) else name
-                 for name in emap.variables]
-    return ExprMap.parse(text, variables)
 
 
 def _derivative_blocks(lift):
@@ -144,17 +131,6 @@ def _newton(emap: ExprMap, m: int, z: np.ndarray, tail: np.ndarray,
         y[live] = y[live] - step
     raise InverseSolveError(f"newton stalled above {NEWTON_TOL} after "
                             f"{NEWTON_MAX_ITER} steps while inverting {label}")
-
-
-@dataclass(frozen=True)
-class SpeedSample:
-    z: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray          # (m, n)
-    u: np.ndarray          # (m, n)
-    delta: float
-    rho: float
 
 
 def _squares(a) -> np.ndarray:
@@ -311,16 +287,6 @@ class MotionFamily:
         self.state_at_source(y, x)
         return float(np.max(gaps, initial=0.0))
 
-    def swapped(self) -> "MotionFamily":
-        """The inverse family: forward and inverse maps exchanged."""
-        if self.inverse is None:
-            raise ValueError("swapping requires an explicit inverse map")
-        fwd = _rename(self.inverse, "z", "y", self.m)
-        inv = _rename(self.forward, "y", "z", self.m)
-        return MotionFamily(self.m, self.n, fwd, inverse=inv,
-                            ybox=self.zbox, xbox=self.xbox, zbox=self.ybox,
-                            label=self.label + ":swapped")
-
 
 def motion_family_from_dict(data: dict) -> MotionFamily:
     box = data.get("box", {})
@@ -336,15 +302,6 @@ def load_motion_family(path: str | Path) -> MotionFamily:
         return motion_family_from_dict(json.load(handle))
 
 
-def generalized_speed(fam: MotionFamily, z: np.ndarray,
-                      x: np.ndarray) -> SpeedSample:
-    z = np.asarray(z, float)
-    x = np.asarray(x, float)
-    y = fam.invert(z, x)
-    st = fam.state_at_source(y, x)
-    return SpeedSample(z, x, y, st.v, st.u, float(st.delta), float(st.rho))
-
-
 def speed_duality_gap(fam: MotionFamily, samples_yx: np.ndarray) -> float:
     """max over samples of |df/dx - (df/dy) u| and |df/dx - v(f(y,x),x)|."""
     samples_yx = np.asarray(samples_yx, float)
@@ -353,17 +310,6 @@ def speed_duality_gap(fam: MotionFamily, samples_yx: np.ndarray) -> float:
     image = fam.state(st.value, x)
     gaps = [np.abs(st.fx - st.fy @ st.u), np.abs(st.fx - image.v)]
     # np.max, unlike a running max(), carries a NaN through to the caller.
-    return float(np.max([np.max(g, initial=0.0) for g in gaps]))
-
-
-def speed_swap_gap(fam: MotionFamily, samples: np.ndarray) -> float:
-    """Exchanging f and g negates and swaps the two speed forms."""
-    swapped = fam.swapped()
-    samples = np.asarray(samples, float)
-    z, x = samples[:, :fam.m], samples[:, fam.m:]
-    st = fam.state(z, x)
-    dual = swapped.state_at_source(z, x)
-    gaps = [np.abs(dual.v + st.u), np.abs(dual.u + st.v)]
     return float(np.max([np.max(g, initial=0.0) for g in gaps]))
 
 
@@ -606,85 +552,6 @@ def el_residual(fam: MotionFamily, w: ExprMap,
     return ELReport(ez, ey, float(np.max(dual, initial=0.0)))
 
 
-@dataclass(frozen=True)
-class PairingReport:
-    lhs: float
-    rhs: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-def _smooth_bump(point: np.ndarray, box: Box) -> float:
-    out = 1.0
-    for value, (lo, hi) in zip(point, box):
-        t = (2.0 * float(value) - lo - hi) / (hi - lo)
-        if abs(t) >= 1.0:
-            return 0.0
-        out *= math.exp(1.0 - 1.0 / (1.0 - t * t))
-    return out
-
-
-def _panel_axis(lo: float, hi: float, panels: int,
-                order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss rule: `panels` equal subintervals of `order` each."""
-    nodes, weights = [], []
-    edges = np.linspace(lo, hi, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        part, wts = gauss_rule(float(a), float(b), order)
-        nodes.extend(part)
-        weights.extend(wts)
-    return np.asarray(nodes), np.asarray(weights)
-
-
-def el_pairing_check(fam: MotionFamily, w: ExprMap, support: Box,
-                     direction: Sequence[float], nquad: int = 16,
-                     panels: int = 4) -> PairingReport:
-    """Weak-form equality of the two Euler-Lagrange residuals.
-
-    lhs integrates E_Z against a smooth compactly supported test field eta
-    over target-variable quadrature nodes; rhs integrates E_Y against the
-    pulled-back variation delta f = eta(f(y, x), x) over source nodes.  The
-    support box must sit inside the image of the source box for every
-    parameter value, so the change of variables holds with no boundary terms.
-    The source grid is panelled: the test field lives on the preimage of the
-    support box, a small curved region a single Gauss rule undersamples.
-    """
-    m = fam.m
-    direction = np.asarray(direction, float)
-    support = tuple(tuple(map(float, r)) for r in support)
-
-    def eta(z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return direction * (_smooth_bump(z, support)
-                            * _smooth_bump(x, fam.xbox))
-
-    znodes, zweights = tensor_rule(support + fam.xbox, nquad)
-    ez = _el_z(fam.state(znodes[:, :m], znodes[:, m:]), w, m, fam.n)
-    lhs = 0.0
-    for node, weight, e in zip(znodes, zweights, ez):
-        lhs += weight * float(e @ eta(node[:m], node[m:]))
-
-    axes = [_panel_axis(lo, hi, panels, max(nquad // 2, 6))
-            for lo, hi in fam.ybox]
-    axes += [gauss_rule(lo, hi, nquad) for lo, hi in fam.xbox]
-    grids = np.meshgrid(*(a[0] for a in axes), indexing="ij")
-    ynodes = np.stack([g.ravel() for g in grids], axis=-1)
-    yweights = np.ones(len(ynodes))
-    for g in np.meshgrid(*(a[1] for a in axes), indexing="ij"):
-        yweights *= g.ravel()
-    # only the nodes whose image meets the support are lifted
-    tests = [eta(fam.forward_value(node[:m], node[m:]), node[m:])
-             for node in ynodes]
-    live = [q for q, test in enumerate(tests) if np.any(test)]
-    rhs = 0.0
-    ey = _el_y(fam.state_at_source(ynodes[live, :m], ynodes[live, m:]),
-               w, m, fam.n)
-    for q, e in zip(live, ey):
-        rhs += yweights[q] * float(e @ tests[q])
-    return PairingReport(lhs, rhs)
-
-
 def _field_blocks(field: ExprMap, zt: np.ndarray):
     """Order-2 lift of a time-dependent 3D field split into blocks.
 
@@ -711,12 +578,6 @@ def _acceleration_gradient(val: np.ndarray, dz: np.ndarray, dzz: np.ndarray,
                            dzt: np.ndarray) -> np.ndarray:
     """z-derivative of gamma^k = dv^k/dt + v^l dv^k/dz^l, per point."""
     return dzt + np.einsum("...klr,...l->...kr", dzz, val) + dz @ dz
-
-
-def divergence_at(field: ExprMap, z: np.ndarray, t: float) -> float:
-    _, dz, _, _, _ = _field_blocks(field, np.array([z[0], z[1], z[2],
-                                                    float(t)]))
-    return float(np.trace(dz))
 
 
 def vortex_residual(field: ExprMap, samples: np.ndarray,
@@ -920,14 +781,6 @@ def random_solenoidal_field(seed: int, degree: int = 2,
         comp[..., 1] *= time_scale
         scaled.append(_coeff_tree(comp, names))
     return ExprMap(names, scaled)
-
-
-def abc_field(a: float = 1.0, b: float = 1.0, c: float = 1.0) -> ExprMap:
-    """The classical Beltrami benchmark field, steady and divergence-free."""
-    text = (f"{a!r} * sin(z3) + {c!r} * cos(z2), "
-            f"{b!r} * sin(z1) + {a!r} * cos(z3), "
-            f"{c!r} * sin(z2) + {b!r} * cos(z1)")
-    return ExprMap.parse(text, ["z1", "z2", "z3", "t"])
 
 
 @dataclass(frozen=True)

@@ -170,11 +170,6 @@ def displacement_from_dict(data: dict) -> DisplacementSection:
         data["xi"], data.get("jet", "0"), data.get("metric"))
 
 
-def load_displacement(path: str | Path) -> DisplacementSection:
-    with open(path, "r", encoding="utf-8") as handle:
-        return displacement_from_dict(json.load(handle))
-
-
 @dataclass(frozen=True)
 class StressState:
     """Stress (no a-priori symmetry) and the independent couple components.
@@ -234,7 +229,7 @@ def riemann_residual(source, samples: np.ndarray) -> float:
     residual is assembled from exact third derivatives of xi.  It vanishes
     identically on strains that come from a displacement.
     """
-    worst = 0.0
+    resids = []
     if isinstance(source, DisplacementSection):
         omega = source.metric
         for x in samples:
@@ -255,17 +250,16 @@ def riemann_residual(source, samples: np.ndarray) -> float:
                 return 0.5 * float(
                     omega[:, j] @ third[:, a, b, i]
                     + omega[i, :] @ third[:, a, b, j])
-            resid = (deps(0, 0, 1, 1) + deps(1, 1, 0, 0)
-                     - 2.0 * deps(0, 1, 0, 1))
-            worst = max(worst, abs(resid))
-        return worst
+            resids.append(deps(0, 0, 1, 1) + deps(1, 1, 0, 0)
+                          - 2.0 * deps(0, 1, 0, 1))
+        # np.max, unlike a running max(), keeps a NaN
+        return float(np.max(np.abs(resids), initial=0.0))
     if len(source.variables) != 2 or len(source) != 3:
         raise ValueError("strain map must hold (eps11, eps12, eps22)")
     for x in samples:
         _, _, d2 = _blocks(source, np.asarray(x, float), 2)
-        resid = d2[2, 0, 0] + d2[0, 1, 1] - 2.0 * d2[1, 0, 1]
-        worst = max(worst, abs(resid))
-    return worst
+        resids.append(d2[2, 0, 0] + d2[0, 1, 1] - 2.0 * d2[1, 0, 1])
+    return float(np.max(np.abs(resids), initial=0.0))
 
 
 def spencer_elastic(section: DisplacementSection,
@@ -402,8 +396,9 @@ class TorsorReport:
 
     @property
     def max_gap(self) -> float:
-        return max(float(np.max(np.abs(self.force_gap))),
-                   abs(self.momentum_gap))
+        # np.max, unlike max(), keeps a NaN in either gap
+        return float(np.max([np.max(np.abs(self.force_gap)),
+                             abs(self.momentum_gap)]))
 
 
 def torsor_equilibrium_check(state: StressState, box: Box,
@@ -471,24 +466,6 @@ def affine_1d_adjoint(sigma: ExprMap, mu: ExprMap,
         f[s] = slift.jacobian()[0, 0]
         m[s] = mlift.jacobian()[0, 0] + slift.value()[0]
     return f, m
-
-
-def spencer_affine_1d(lam: ExprMap, samples: np.ndarray) -> np.ndarray:
-    """Jet components of the gauge pair (lambda^1, lambda^2) at samples.
-
-    The induced section is xi = x lambda^1 + lambda^2 with first jet
-    lambda^1 and vanishing second jet; the two surviving components are
-    (x d lambda^1 + d lambda^2, d lambda^1).
-    """
-    if len(lam.variables) != 1 or len(lam) != 2:
-        raise ValueError("lambda must hold two components over x1")
-    out = np.empty((len(samples), 2))
-    for s, x in enumerate(samples):
-        point = np.asarray(x, float).reshape(1)
-        jac = lam.taylor_lift(point, 1).jacobian()
-        out[s, 0] = point[0] * jac[0, 0] + jac[1, 0]
-        out[s, 1] = jac[0, 0]
-    return out
 
 
 def pairing_identity_1d(sigma: ExprMap, mu: ExprMap, xi: ExprMap,

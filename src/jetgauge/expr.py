@@ -37,7 +37,7 @@ from .series import DomainError
 
 __all__ = [
     "DomainError", "ParseError", "Expr", "Num", "Var", "Bin", "Pow", "Call",
-    "Neg", "ExprMap", "TaylorMap", "parse_expr", "constant", "variable",
+    "Neg", "ExprMap", "TaylorMap", "parse_expr", "constant",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "neg")
@@ -114,10 +114,6 @@ def constant(value: float) -> Expr:
     if value < 0:
         return Neg(Num(-value))
     return Num(float(value))
-
-
-def variable(name: str) -> Expr:
-    return Var(name)
 
 
 @dataclass(frozen=True)
@@ -401,10 +397,6 @@ class TaylorMap:
     @property
     def nin(self) -> int:
         return len(self.variables)
-
-    @property
-    def nout(self) -> int:
-        return self.coeffs.shape[-2]
 
     def raw(self, component: int, mu):
         """A float, or an array over the batch axes of a block lift."""

@@ -28,21 +28,17 @@ from .expr import ExprMap
 from .sampling import halton_points
 
 __all__ = [
-    "InconsistentGroupLaw", "GridTooCoarse", "NotInjectiveYet", "GroupAction",
-    "LieGroupSpec", "Grid", "GaugeField", "CurvatureField", "load_group_spec",
-    "maurer_cartan_pullback", "right_pullback", "free_gauge_field", "curvature",
-    "group_exp", "variation_body", "variation_space", "variation_body_fd",
-    "variation_space_fd", "adjoint_matrix", "el_body_residual",
-    "el_space_residual", "linear_gauge_d", "spencer_from_action",
+    "InconsistentGroupLaw", "NotInjectiveYet", "GroupAction", "LieGroupSpec",
+    "Grid", "GaugeField", "CurvatureField", "load_group_spec",
+    "maurer_cartan_pullback", "right_pullback", "curvature", "variation_body",
+    "variation_space", "variation_body_fd", "variation_space_fd",
+    "el_body_residual", "el_space_residual", "linear_gauge_d",
+    "spencer_from_action",
 ]
 
 
 class InconsistentGroupLaw(ValueError):
     """Group axioms or the Jacobi identity fail beyond tolerance."""
-
-
-class GridTooCoarse(ValueError):
-    """Finite-difference curvature needs at least five nodes per axis."""
 
 
 class NotInjectiveYet(ValueError):
@@ -88,8 +84,9 @@ class LieGroupSpec:
                 np.max(np.abs(self.mul(self.inv(a), a) - e)),
                 np.max(np.abs(self.mul(a, self.mul(b, c)) - self.mul(self.mul(a, b), c))),
             ]
-            worst = max(checks)
-            if worst > tol:
+            # np.max, unlike max(), keeps a NaN, and a NaN is no group law
+            worst = float(np.max(checks))
+            if not worst <= tol:
                 raise InconsistentGroupLaw(
                     f"{self.label}: group axioms violated by {worst:.3e} at sample {k}")
 
@@ -198,38 +195,25 @@ class Grid:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def spacing(self) -> np.ndarray:
-        return np.array([(hi - lo) / (c - 1) for (lo, hi), c in zip(self.box, self.counts)])
-
 
 @dataclass(frozen=True)
 class GaugeField:
-    """Lie-algebra valued one-form sampled on a grid.
+    """Lie-algebra valued one-form pulled back by a gauging a(x).
 
-    values[s, tau, i] is A^tau_i at node s.  provenance records how the
-    field arose; pulled-back and analytic fields keep their source so
-    curvature and variations can differentiate exactly.
+    The field keeps its gauging, so values, curvature and variations all
+    come from exact lifts of a(x); the grid holds the nodes curvature is
+    reported on.
     """
 
     spec: LieGroupSpec
     grid: Grid
-    values: np.ndarray
-    provenance: str                      # "pulled-back" | "free"
     form: str                            # "body" | "space"
-    gauging: ExprMap | None = None
-    analytic: ExprMap | None = None      # p*n components, (tau, i) tau-major
+    gauging: ExprMap
 
     def value_at(self, x) -> np.ndarray:
         """A at a point (n,), or at each point of a block (..., n)."""
-        n = self.grid.dim
-        p = self.spec.dim
-        x = np.asarray(x, float)
-        if self.gauging is not None:
-            return _pullback(self.spec, self.gauging, x, self.form)[0]
-        if self.analytic is not None:
-            vals = [self.analytic.eval(pt) for pt in x.reshape(-1, n)]
-            return np.array(vals).reshape(x.shape[:-1] + (p, n))
-        raise ValueError("grid-only gauge field cannot be evaluated off its nodes")
+        return _pullback(self.spec, self.gauging, np.asarray(x, float),
+                         self.form)[0]
 
 
 @dataclass(frozen=True)
@@ -277,26 +261,13 @@ def _pullback(spec: LieGroupSpec, gauging: ExprMap, x: np.ndarray,
 
 
 def maurer_cartan_pullback(spec: LieGroupSpec, gauging: ExprMap, grid: Grid) -> GaugeField:
-    """Body field A = omega(a(x)) da(x) on the grid nodes."""
-    values = _pullback(spec, gauging, grid.nodes(), "body")[0]
-    return GaugeField(spec, grid, values, "pulled-back", "body", gauging=gauging)
+    """Body field A = omega(a(x)) da(x) over the grid."""
+    return GaugeField(spec, grid, "body", gauging)
 
 
 def right_pullback(spec: LieGroupSpec, gauging: ExprMap, grid: Grid) -> GaugeField:
-    """Space field B = da(x) a(x)^(-1) on the grid nodes."""
-    values = _pullback(spec, gauging, grid.nodes(), "space")[0]
-    return GaugeField(spec, grid, values, "pulled-back", "space", gauging=gauging)
-
-
-def free_gauge_field(spec: LieGroupSpec, components: ExprMap, grid: Grid,
-                     form: str = "body") -> GaugeField:
-    """Field given directly by p*n expressions over x, (tau, i) tau-major."""
-    p, n = spec.dim, grid.dim
-    if len(components) != p * n:
-        raise ValueError(f"expected {p * n} components, got {len(components)}")
-    nodes = grid.nodes()
-    values = np.stack([components.eval(x).reshape(p, n) for x in nodes])
-    return GaugeField(spec, grid, values, "free", form, analytic=components)
+    """Space field B = da(x) a(x)^(-1) over the grid."""
+    return GaugeField(spec, grid, "space", gauging)
 
 
 def _gauge_derivatives(field: GaugeField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,14 +277,6 @@ def _gauge_derivatives(field: GaugeField, x: np.ndarray) -> tuple[np.ndarray, np
     spec = field.spec
     p, n = spec.dim, field.grid.dim
     batch = x.shape[:-1]
-    if field.analytic is not None:
-        lift = field.analytic.taylor_lift(x, 1)
-        a_val = lift.value().reshape(batch + (p, n))
-        grad = lift.jacobian().reshape(batch + (p, n, n))   # [t, j, i] = d_i A^t_j
-        return a_val, np.swapaxes(grad, -2, -1)
-    if field.gauging is None:
-        raise ValueError("no analytic source for exact derivatives")
-
     lift = field.gauging.taylor_lift(x, 2)
     a = lift.value()
     da = lift.jacobian()                            # (M, p, n)
@@ -364,38 +327,13 @@ def curvature(spec: LieGroupSpec, field: GaugeField) -> CurvatureField:
     c = spec.structure_constants()
     pairs = tuple(itertools.combinations(range(n), 2))
 
-    if field.analytic is not None or field.gauging is not None:
-        nodes = field.grid.nodes()
-        aval, da = _gauge_derivatives(field, nodes)
-        out = np.zeros((len(nodes), p, len(pairs)))
-        for k, (i, j) in enumerate(pairs):
-            quad = np.einsum("trs,...r,...s->...t", c, aval[..., :, i],
-                             aval[..., :, j])
-            out[..., :, k] = da[..., :, i, j] - da[..., :, j, i] - quad
-        return CurvatureField(spec, nodes, pairs, out)
-
-    if any(cnt < 5 for cnt in field.grid.counts):
-        raise GridTooCoarse("need at least 5 nodes per axis for 4th-order stencils")
-    shape = field.grid.counts
-    vals = field.values.reshape(*shape, p, n)
-    h = field.grid.spacing()
-    stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    interior = tuple(slice(2, cnt - 2) for cnt in shape)
-    nodes_grid = field.grid.nodes().reshape(*shape, n)
-    nodes = nodes_grid[interior].reshape(-1, n)
-    deriv = np.zeros((n,) + vals.shape)              # [i, grid..., t, j]
-    for i in range(n):
-        acc = np.zeros_like(vals)
-        for off, w in zip(range(-2, 3), stencil):
-            if w == 0.0:
-                continue
-            acc += w * np.roll(vals, -off, axis=i)
-        deriv[i] = acc / h[i]
-    out_full = np.zeros(shape + (p, len(pairs)))
+    nodes = field.grid.nodes()
+    aval, da = _gauge_derivatives(field, nodes)
+    out = np.zeros((len(nodes), p, len(pairs)))
     for k, (i, j) in enumerate(pairs):
-        quad = np.einsum("trs,...r,...s->...t", c, vals[..., :, i], vals[..., :, j])
-        out_full[..., :, k] = deriv[i][..., :, j] - deriv[j][..., :, i] - quad
-    out = out_full[interior].reshape(-1, p, len(pairs))
+        quad = np.einsum("trs,...r,...s->...t", c, aval[..., :, i],
+                         aval[..., :, j])
+        out[..., :, k] = da[..., :, i, j] - da[..., :, j, i] - quad
     return CurvatureField(spec, nodes, pairs, out)
 
 
@@ -417,28 +355,6 @@ def _translation_jet(spec: LieGroupSpec, a0: np.ndarray) -> tuple[np.ndarray, np
                 mu2[nu] += 1
                 D2[..., t, s, nu] = mlift.raw(t, tuple(mu2))
     return L0, D2
-
-
-def group_exp(spec: LieGroupSpec, lam: np.ndarray, eps: float, steps: int = 1) -> np.ndarray:
-    """Exponential curve exp(eps*lam) by classical RK4 on a' = L(a) lam.
-
-    One RK4 step keeps the truncation at O(eps^5), far below the
-    first-order finite-difference error the callers are measuring.
-    """
-    lam = np.asarray(lam, dtype=float)
-    a = spec.identity.copy()
-    h = eps / steps
-
-    def vel(state: np.ndarray) -> np.ndarray:
-        return _left_form_matrix(spec, state) @ lam
-
-    for _ in range(steps):
-        k1 = vel(a)
-        k2 = vel(a + 0.5 * h * k1)
-        k3 = vel(a + 0.5 * h * k2)
-        k4 = vel(a + h * k3)
-        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return a
 
 
 def _group_exp_series(spec: LieGroupSpec, ctx, lam_series: np.ndarray,
@@ -555,16 +471,6 @@ def variation_space_fd(spec: LieGroupSpec, gauging: ExprMap, mu: ExprMap,
     return (b_eps - b_0) / eps
 
 
-def adjoint_matrix(spec: LieGroupSpec, a: np.ndarray) -> np.ndarray:
-    """Derivative at the identity of b -> m(m(a, b), inv(a))."""
-    p = spec.dim
-    a = np.asarray(a, dtype=float)
-    ia = spec.inv(a)
-    outer = spec.compose.taylor_lift(np.concatenate([a, ia]), 1)
-    m_first = outer.jacobian()[:, :p]
-    return m_first @ _left_form_matrix(spec, a)
-
-
 def el_body_residual(spec: LieGroupSpec, field: GaugeField, momentum: ExprMap,
                      samples: np.ndarray) -> np.ndarray:
     """Body Euler-Lagrange residual d_i P^i_t + c^s_{rt} A^r_i P^i_s.
@@ -666,7 +572,7 @@ def action_bracket_residual(spec: LieGroupSpec, samples: np.ndarray) -> float:
     act = spec.action
     n, p = act.dim, spec.dim
     c = spec.structure_constants()
-    worst = 0.0
+    gaps = []
     for x in samples:
         lifts = [g.taylor_lift(x, 1) for g in act.generators]
         vals = np.stack([lf.value() for lf in lifts])        # (p, n)
@@ -675,8 +581,9 @@ def action_bracket_residual(spec: LieGroupSpec, samples: np.ndarray) -> float:
             for sigma in range(p):
                 lie = jacs[sigma] @ vals[rho] - jacs[rho] @ vals[sigma]
                 expect = np.einsum("t,tk->k", c[:, rho, sigma], vals)
-                worst = max(worst, float(np.max(np.abs(lie - expect))))
-    return worst
+                gaps.append(np.max(np.abs(lie - expect)))
+    # np.max, unlike a running max(), keeps a NaN
+    return float(np.max(gaps, initial=0.0))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

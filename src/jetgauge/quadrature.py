@@ -1,18 +1,15 @@
-"""Gauss-Legendre quadrature over boxes and the canonical bump factor.
+"""Gauss-Legendre quadrature over boxes.
 
 Polynomial integrands get integrated exactly when the per-axis node count
-satisfies 2*n - 1 >= degree; integral reductions use pairwise summation
-(np.dot / math.fsum-free) for reproducibility.
+satisfies 2*n - 1 >= degree.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, variable
 from .sampling import Box
 
 
@@ -41,19 +38,3 @@ def tensor_rule(box: Box, n_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
     for _, w in axes:
         weights = np.outer(weights, w).ravel()
     return nodes, weights
-
-
-def integrate(values: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.dot(weights, values))
-
-
-def bump(variables: Sequence[str], box: Box) -> Expr:
-    """prod_i (x_i - a_i)^2 (b_i - x_i)^2: vanishes to second order on the
-    boundary, so boundary terms drop out of integration by parts."""
-    out: Expr | None = None
-    for name, (lo, hi) in zip(variables, box):
-        x = variable(name)
-        factor = (x - lo) ** 2 * (hi - x) ** 2
-        out = factor if out is None else out * factor
-    assert out is not None
-    return out

@@ -9,12 +9,11 @@ from jetgauge.expr import ExprMap
 from jetgauge.dynamics import (
     NEWTON_MAX_ITER, NEWTON_TOL, CompatibilityReport, CurlNotZero,
     DivergenceNotZero, InverseSolveError, MotionFamily, _coeff_text,
-    _coeff_tree, _variation_speeds, abc_field,
-    compatibility_residual, curl_parametrization_check, divergence_at,
-    el_pairing_check, el_residual, generalized_speed, load_motion_family,
+    _coeff_tree, _variation_speeds, compatibility_residual,
+    curl_parametrization_check, el_residual, load_motion_family,
     mass_conservation_residual, motion_family_from_dict, pressure_recovery,
-    random_solenoidal_field, speed_duality_gap, speed_swap_gap, swell_family,
-    swell_rows, theorem3_check, vortex_residual,
+    random_solenoidal_field, speed_duality_gap, swell_family, swell_rows,
+    theorem3_check, vortex_residual,
 )
 from jetgauge.sampling import halton_points
 from jetgauge.suites import SuiteConfig, run_suite, suite_check_ids
@@ -63,6 +62,19 @@ FIELD_VARS = ["z1", "z2", "z3", "t"]
 FIELD_PTS = halton_points(((-0.8, 0.8),) * 3 + ((0.0, 2.0),), 10, 41)
 
 
+def abc_field(a: float = 1.0, b: float = 1.0, c: float = 1.0) -> ExprMap:
+    """The classical Beltrami benchmark field, steady and divergence-free."""
+    text = (f"{a!r} * sin(z3) + {c!r} * cos(z2), "
+            f"{b!r} * sin(z1) + {a!r} * cos(z3), "
+            f"{c!r} * sin(z2) + {b!r} * cos(z1)")
+    return ExprMap.parse(text, FIELD_VARS)
+
+
+def divergence_at(field: ExprMap, z: np.ndarray, t: float) -> float:
+    jac = field.taylor_lift(np.array([z[0], z[1], z[2], float(t)]), 1).jacobian()
+    return float(np.trace(jac[:, :3]))
+
+
 def test_round_trips():
     assert ROTATION.validate() < 1e-12
     assert EXP_STRETCH.validate() < 1e-12
@@ -71,32 +83,28 @@ def test_round_trips():
 
 def test_exp_stretch_speed_sample():
     # f = e^x y: v = z, u = y, delta = e^x, rho = e^-x, all exact
-    samp = generalized_speed(EXP_STRETCH, np.array([0.7]), np.array([0.2]))
-    assert abs(samp.v[0, 0] - 0.7) < 1e-14
-    assert abs(samp.u[0, 0] - samp.y[0]) < 1e-14
-    assert abs(samp.delta - math.exp(0.2)) < 1e-14
-    assert abs(samp.rho - math.exp(-0.2)) < 1e-14
+    z, x = np.array([0.7]), np.array([0.2])
+    y = EXP_STRETCH.invert(z, x)
+    st = EXP_STRETCH.state_at_source(y, x)
+    assert abs(st.v[0, 0] - 0.7) < 1e-14
+    assert abs(st.u[0, 0] - y[0]) < 1e-14
+    assert abs(st.delta - math.exp(0.2)) < 1e-14
+    assert abs(st.rho - math.exp(-0.2)) < 1e-14
 
 
 def test_rotation_speed_hand_values():
     # v = Om (-z2, z1) regardless of the angle parameter
     for zx in ROTATION.sample_zx(6, 11):
-        samp = generalized_speed(ROTATION, zx[:2], zx[2:])
+        z, x = zx[:2], zx[2:]
+        st = ROTATION.state_at_source(ROTATION.invert(z, x), x)
         expect = OM * np.array([[-zx[1]], [zx[0]]])
-        assert np.max(np.abs(samp.v - expect)) < 1e-13
-        assert abs(samp.delta - 1.0) < 1e-13     # rotations preserve volume
+        assert np.max(np.abs(st.v - expect)) < 1e-13
+        assert abs(st.delta - 1.0) < 1e-13       # rotations preserve volume
 
 
 def test_speed_duality():
     assert speed_duality_gap(NEWTON_FAMILY, NEWTON_FAMILY.sample_yx(8, 7)) < 1e-12
     assert speed_duality_gap(ROTATION, ROTATION.sample_yx(8, 7)) < 1e-12
-
-
-def test_swapped_family_negates_speeds():
-    assert speed_swap_gap(ROTATION, ROTATION.sample_zx(8, 8)) < 1e-12
-    assert speed_swap_gap(EXP_SHIFT, EXP_SHIFT.sample_zx(8, 8)) < 1e-12
-    with pytest.raises(ValueError):
-        NEWTON_FAMILY.swapped()
 
 
 def test_compatibility_residuals_vanish():
@@ -168,34 +176,6 @@ def test_el_residual_translation_flow_vanishes():
     w = ExprMap.parse("0.5 * v1^2", ["v1"])
     rep = el_residual(fam, w, fam.sample_zx(5, 3))
     assert rep.max_residual < 1e-14
-
-
-def test_el_pairing_two_grids_agree():
-    support = ((0.05, 0.6), (-0.5, 0.1))
-    rep = el_pairing_check(ROTATION, KINETIC, support, (1.0, 0.7),
-                           nquad=16, panels=4)
-    assert abs(rep.lhs + 8.586e-3) < 2e-5        # frozen aligned-grid value
-    assert rep.gap < 5e-5
-    anh = ExprMap.parse("0.5 * v1^2 + 0.35 * v2^2 + 0.1 * v1 * v2^2",
-                        ["v1", "v2"])
-    rep2 = el_pairing_check(ROTATION, anh, support, (0.4, 1.0),
-                            nquad=16, panels=4)
-    assert abs(rep2.lhs) > 1e-4
-    assert rep2.gap < 5e-5
-
-
-def test_el_pairing_one_dimensional_target():
-    fam = MotionFamily.parse(
-        m=1, n=2,
-        forward="exp(x1) * (y1 + x2)",
-        inverse="z1 * exp(0 - x1) - x2",
-        ybox=((-1.0, 1.0),), xbox=((-0.3, 0.3), (-0.3, 0.3)),
-        zbox=((-1.5, 1.5),))
-    w = ExprMap.parse("0.5 * (v1^2 + v2^2) + 0.2 * v1 * v2", ["v1", "v2"])
-    rep = el_pairing_check(fam, w, ((-0.3, 0.35),), (1.0,),
-                           nquad=14, panels=5)
-    assert abs(rep.lhs - 2.1867e-2) < 1e-5
-    assert rep.gap < 5e-6
 
 
 def test_vortex_identity_divergence_free():
@@ -287,15 +267,6 @@ def test_curl_parametrization_of_no_samples():
     assert (rep.lhs, rep.rhs) == (full.lhs, full.rhs)
 
 
-def test_el_pairing_with_no_live_source_node():
-    # no source node maps into a support this far out, so the source sum
-    # runs over an empty block and stays zero
-    rep = el_pairing_check(ROTATION, KINETIC, ((5.0, 5.5), (5.0, 5.5)),
-                           (1.0, 0.7), nquad=4, panels=1)
-    assert rep.rhs == 0.0
-    assert math.isfinite(rep.lhs)
-
-
 def test_swell_balanced_family():
     fam, rep = swell_family(1.0, 0.1, 1.0, 0.0)
     assert fam.m == 2 and fam.n == 1
@@ -336,8 +307,9 @@ def test_motion_family_json_round_trip(tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(data))
     fam2 = load_motion_family(path)
-    samp = generalized_speed(fam2, np.array([0.7]), np.array([0.2]))
-    assert abs(samp.v[0, 0] - 0.7) < 1e-14
+    z, x = np.array([0.7]), np.array([0.2])
+    st = fam2.state_at_source(fam2.invert(z, x), x)
+    assert abs(st.v[0, 0] - 0.7) < 1e-14
 
 
 def test_singular_source_jacobian_raises():
@@ -552,64 +524,6 @@ def test_solenoidal_tree_matches_parsed_text():
         parsed = ExprMap.parse(_coeff_text(coeffs, names), names).exprs[0]
         # repr shows every float exactly, -0.0 included
         assert repr(tree) == repr(parsed)
-
-
-def _pairing_node_by_node(fam, w, support, direction, nquad, panels):
-    """el_pairing_check's two sums, node by node with the one-point
-    einsums: the block lifts and contractions must give these bits."""
-    from jetgauge.dynamics import _momentum_hessian, _panel_axis, _smooth_bump
-    from jetgauge.quadrature import gauss_rule, tensor_rule
-    m, n = fam.m, fam.n
-    direction = np.asarray(direction, float)
-
-    def eta(z, x):
-        return direction * (_smooth_bump(z, support) * _smooth_bump(x, fam.xbox))
-
-    def el_z(st):
-        h = _momentum_hessian(w, st.v, m, n)[0]
-        return st.rho[0] * (np.einsum("kilp,lpi->k", h, st.dv_x[0])
-                            + np.einsum("kilp,lpr,ri->k", h, st.dv_z[0],
-                                        st.v[0]))
-
-    def el_y(st):
-        h = _momentum_hessian(w, st.fx, m, n)[0]
-        return np.einsum("kilp,lpi->k", h, st.fxx[0])
-
-    lhs = 0.0
-    for node, weight in zip(*tensor_rule(support + fam.xbox, nquad)):
-        st = fam.state(node[None, :m], node[None, m:])
-        lhs += weight * float(el_z(st) @ eta(node[:m], node[m:]))
-    axes = [_panel_axis(lo, hi, panels, max(nquad // 2, 6))
-            for lo, hi in fam.ybox]
-    axes += [gauss_rule(lo, hi, nquad) for lo, hi in fam.xbox]
-    ynodes = np.stack([g.ravel() for g in np.meshgrid(
-        *(a[0] for a in axes), indexing="ij")], axis=-1)
-    yweights = np.ones(len(ynodes))
-    for g in np.meshgrid(*(a[1] for a in axes), indexing="ij"):
-        yweights *= g.ravel()
-    rhs = 0.0
-    for node, weight in zip(ynodes, yweights):
-        y, x = node[:m], node[m:]
-        test = eta(fam.forward_value(y, x), x)
-        if np.any(test):
-            rhs += weight * float(el_y(fam.state_at_source(y[None], x[None]))
-                                  @ test)
-    return lhs, rhs
-
-
-def test_el_pairing_block_matches_node_loop():
-    anh = ExprMap.parse("0.5 * v1^2 + 0.35 * v2^2 + 0.1 * v1 * v2^2",
-                        ["v1", "v2"])
-    quartic = ExprMap.parse("0.5 * (v1^2 + v2^2 + v3^2) + 0.1 * v4^2 * v1",
-                            ["v1", "v2", "v3", "v4"])
-    cases = [(ROTATION, anh, ((0.05, 0.6), (-0.5, 0.1)), (0.4, 1.0)),
-             (suites._random_motion_family(1042), quartic,
-              ((-0.2, 0.2), (-0.2, 0.2)), (1.0, -0.5))]
-    for fam, w, support, direction in cases:
-        rep = el_pairing_check(fam, w, support, direction, nquad=4, panels=1)
-        lhs, rhs = _pairing_node_by_node(fam, w, support, direction, 4, 1)
-        assert rep.rhs != 0.0
-        assert _bits(rep.lhs) == _bits(lhs) and _bits(rep.rhs) == _bits(rhs)
 
 
 def _point_vortex(field, zt):

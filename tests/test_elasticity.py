@@ -5,7 +5,7 @@ from jetgauge.elasticity import (
     DisplacementSection, QuadratureTooCoarse, StressState, adjoint_spencer,
     affine_1d_adjoint, displacement_from_dict, killing, load_stress_state,
     map_degree, pairing_identity_1d, pairing_identity_check, riemann_residual,
-    rigid_kernel_dimension, spencer_affine_1d, spencer_elastic,
+    rigid_kernel_dimension, spencer_elastic,
     stress_state_from_dict, torsor_equilibrium_check,
 )
 from jetgauge.expr import ExprMap
@@ -171,16 +171,6 @@ def test_affine_1d_adjoint_hand_values():
     f, m = affine_1d_adjoint(sig0, mu2, PTS1)
     assert np.max(np.abs(f)) < 1e-14
     assert np.max(np.abs(m - 2.0 * PTS1[:, 0])) < 1e-14
-
-
-def test_spencer_affine_1d_components():
-    lam = ExprMap.parse("x1^2, 0 - 0.5*x1", ["x1"])
-    vals = spencer_affine_1d(lam, PTS1)
-    x = PTS1[:, 0]
-    assert np.max(np.abs(vals[:, 0] - (2.0 * x * x - 0.5))) < 1e-14
-    assert np.max(np.abs(vals[:, 1] - 2.0 * x)) < 1e-14
-    const = ExprMap.parse("0.4, 1.1", ["x1"])
-    assert np.max(np.abs(spencer_affine_1d(const, PTS1))) < 1e-14
 
 
 def test_pairing_identity_1d():

@@ -4,7 +4,7 @@ import pytest
 from jetgauge import series
 from jetgauge._multiindex import context
 from jetgauge.expr import (
-    Bin, Call, ExprMap, Neg, Num, ParseError, Pow, Var, parse_expr, variable,
+    Bin, Call, ExprMap, Neg, Num, ParseError, Pow, Var, parse_expr,
 )
 from jetgauge.series import DomainError
 
@@ -103,7 +103,7 @@ def test_negative_power_only_programmatic():
     # the grammar keeps '^' exponents as unsigned literals
     with pytest.raises(ParseError):
         parse_expr("x^-1", ["x"])
-    e = variable("x") ** -1.0
+    e = Var("x") ** -1.0
     assert e.eval({"x": 4.0}) == 0.25
     with pytest.raises(DomainError):
         e.eval({"x": 0.0})
@@ -194,8 +194,8 @@ _XY = ["x", "y"]
 ALL_KINDS = ExprMap(_XY, [
     parse_expr("sin(x) * cos(y) - exp(x * y) / (1 + x^2)", _XY),
     parse_expr("log(x + y) + sqrt(y)^3 - (1 + x)^2.5 * neg(y) - -x", _XY),
-    (variable("x") + variable("y")) ** -2.0,
-    Num(-0.0) + variable("x") * Num(0.0),
+    (Var("x") + Var("y")) ** -2.0,
+    Num(-0.0) + Var("x") * Num(0.0),
     Num(2.0),
 ])
 
@@ -223,10 +223,10 @@ def test_block_lift_matches_point_lifts_bitwise(order, batch):
 def test_empty_block_lifts_to_empty_map(order, shape):
     # every node kind, one map per kind, on a block of no points
     ctx = context(2, order)
-    for expr in ALL_KINDS.exprs[:3] + (Num(2.0), variable("y"),
-                                       -variable("x"),
-                                       variable("x") ** 2.5,
-                                       variable("x") ** 3.0):
+    for expr in ALL_KINDS.exprs[:3] + (Num(2.0), Var("y"),
+                                       -Var("x"),
+                                       Var("x") ** 2.5,
+                                       Var("x") ** 3.0):
         lift = ExprMap(_XY, [expr, expr]).taylor_lift(np.zeros(shape), order)
         assert lift.coeffs.shape == shape[:-1] + (2, ctx.count)
         assert lift.coeffs.dtype == np.float64

@@ -7,13 +7,12 @@ import pytest
 from jetgauge import suites
 from jetgauge.expr import ExprMap
 from jetgauge.groups import (
-    _gauge_derivatives, _pullback, GaugeField, Grid, GridTooCoarse, InconsistentGroupLaw, NotInjectiveYet,
-    action_bracket_residual, adjoint_matrix, curvature, el_body_residual,
-    el_space_residual, free_gauge_field, group_exp, group_spec_from_dict,
-    jacobi_residual,
-    linear_gauge_d, linear_gauge_dd, load_group_spec, maurer_cartan_pullback,
-    right_pullback, spencer_from_action, variation_body, variation_body_fd,
-    variation_space, variation_space_fd,
+    _gauge_derivatives, _pullback, GaugeField, Grid, InconsistentGroupLaw,
+    NotInjectiveYet, action_bracket_residual, curvature, el_body_residual,
+    el_space_residual, group_spec_from_dict, jacobi_residual, linear_gauge_d,
+    linear_gauge_dd, load_group_spec, maurer_cartan_pullback, right_pullback,
+    spencer_from_action, variation_body, variation_body_fd, variation_space,
+    variation_space_fd,
 )
 from jetgauge.sampling import halton_points
 from jetgauge.suites import SuiteConfig, run_suite
@@ -125,24 +124,11 @@ def test_pullback_curvature_vanishes_exact_route():
         assert curvature(spec, field).max_abs() < 1e-12
 
 
-def test_pullback_curvature_vanishes_fd_route():
-    grid = Grid(((-0.4, 0.6), (-0.5, 0.5)), (21, 21))
-    exact = maurer_cartan_pullback(AFFINE, GAUGING, grid)
-    gridonly = GaugeField(AFFINE, grid, exact.values, "pulled-back", "body")
-    f = curvature(AFFINE, gridonly)
-    assert 0.0 < f.max_abs() < 1e-6               # stencil floor, not exact
-
-
-def test_fd_route_needs_five_nodes():
-    coarse = Grid(((-0.4, 0.6), (-0.5, 0.5)), (4, 6))
-    field = GaugeField(AFFINE, coarse, np.zeros((24, 2, 2)), "free", "body")
-    with pytest.raises(GridTooCoarse):
-        curvature(AFFINE, field)
-
-
 def test_free_field_curvature_nonzero():
-    free = free_gauge_field(AFFINE, ExprMap.parse("x2, 0, 0, x1", ["x1", "x2"]), GRID)
-    assert curvature(AFFINE, free).max_abs() > 0.1
+    # negative control: a space field B obeys dB + [B, B] = 0, so the
+    # body-form curvature dB - [B, B] reads -2 [B, B], not zero
+    space = right_pullback(AFFINE, suites.GAUGING_AFFINE, suites.GAUGE_GRID)
+    assert abs(curvature(AFFINE, space).max_abs() - 0.62) < 0.01
 
 
 def test_variation_anchor_flat_background():
@@ -170,34 +156,6 @@ def test_variation_space_fd_halving():
     e1 = np.max(np.abs(variation_space_fd(AFFINE, GAUGING, LAM, SAMPLES, 1e-3) - exact))
     e2 = np.max(np.abs(variation_space_fd(AFFINE, GAUGING, LAM, SAMPLES, 5e-4) - exact))
     assert 1.8 < e1 / e2 < 2.2
-
-
-def test_group_exp_affine_closed_form():
-    lam = np.array([0.8, -0.5])
-    t = 0.3
-    got = group_exp(AFFINE, lam, t, steps=64)
-    a1 = np.exp(lam[0] * t)
-    a2 = lam[1] * (np.expm1(lam[0] * t)) / lam[0]
-    assert np.max(np.abs(got - [a1, a2])) < 1e-10
-
-
-def test_adjoint_closed_form_and_homomorphism():
-    a = np.array([1.7, 0.4])
-    assert np.max(np.abs(adjoint_matrix(AFFINE, a) - [[1.0, 0.0], [-0.4, 1.7]])) < 1e-12
-    g1 = np.array([0.3, -0.2, 0.5])
-    g2 = np.array([0.7, 0.1, -0.3])
-    lhs = adjoint_matrix(E2, E2.mul(g1, g2))
-    rhs = adjoint_matrix(E2, g1) @ adjoint_matrix(E2, g2)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_adjoint_against_conjugation_quotient():
-    a = np.array([0.7, 0.1, -0.3])
-    lam = np.array([0.4, -0.7, 0.2])
-    t = 1e-6
-    conj = E2.mul(E2.mul(a, group_exp(E2, lam, t)), E2.inv(a))
-    fd = (conj - E2.identity) / t
-    assert np.max(np.abs(fd - adjoint_matrix(E2, a) @ lam)) < 1e-5
 
 
 MOMENTUM = ExprMap.parse("x1*x2, x2^2, x1 - x2, 0.5*x1^2", ["x1", "x2"])
@@ -277,8 +235,7 @@ def test_gauge_blocks_match_point_loop():
     nodes = GRID.nodes()
     for spec, gauging in [(AFFINE, GAUGING), (E2, e2_gauging)]:
         for form in ("body", "space"):
-            field = GaugeField(spec, GRID, None, "pulled-back", form,
-                               gauging=gauging)
+            field = GaugeField(spec, GRID, form, gauging)
             block = _pullback(spec, gauging, nodes, form)[0]
             aval, da = _gauge_derivatives(field, nodes)
             curv = curvature(spec, field).values

@@ -1,0 +1,91 @@
+"""A NaN that follows a finite value must survive every residual maximum.
+
+Python's max() drops such a NaN, because NaN compares false against the
+finite value kept so far; np.max keeps it.  Each case below puts a NaN
+after a finite value into one reduction and asserts that the result, or
+the verdict built on it, is NaN.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from jetgauge import suites
+from jetgauge.elasticity import (
+    DisplacementSection, TorsorReport, riemann_residual,
+)
+from jetgauge.expr import ExprMap
+from jetgauge.groups import (
+    InconsistentGroupLaw, action_bracket_residual, load_group_spec,
+)
+from jetgauge.suites import SuiteConfig
+
+AFFINE = load_group_spec("affine")
+NAN_AFTER_FINITE = np.array([[0.1, 0.2], [math.nan, 0.3]])
+
+
+def _poisoned(real, poison, finite_calls):
+    """real, with its output passed through poison after finite_calls calls."""
+    calls = []
+
+    def fn(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        return out if len(calls) <= finite_calls else poison(out)
+    return fn
+
+
+def _suite_check(check, target, poison, finite_calls):
+    def run(monkeypatch):
+        real = getattr(suites, target)
+        monkeypatch.setattr(suites, target, _poisoned(real, poison, finite_calls))
+        return getattr(suites, check)(SuiteConfig(seed=42), {})[0]
+    return run
+
+
+def _nan_moment(out):
+    f, m = out
+    return f, m * math.nan
+
+
+CASES = {
+    "suites.strain_kills_rigid_motions": _suite_check(
+        "_check_strain_kills_rigid_motions", "killing",
+        lambda eps: eps * math.nan, 1),
+    "suites.strain_compatibility": _suite_check(
+        "_check_strain_compatibility", "riemann_residual",
+        lambda _: math.nan, 1),
+    # one adjoint call: the moment gap follows the two finite force gaps
+    "suites.equilibrium_equations": _suite_check(
+        "_check_equilibrium_equations", "adjoint_spencer", _nan_moment, 0),
+    "suites.torsor_balance": _suite_check(
+        "_check_torsor_balance", "torsor_equilibrium_check",
+        lambda rep: replace(rep, momentum_gap=math.nan), 1),
+    "suites.couple_stress_symmetry": _suite_check(
+        "_check_couple_stress_symmetry", "adjoint_spencer", _nan_moment, 1),
+    "elasticity.TorsorReport.max_gap": lambda _: TorsorReport(
+        np.array([1e-12, 0.0]), math.nan).max_gap,
+    "elasticity.riemann_residual.section": lambda _: riemann_residual(
+        DisplacementSection.parse("x1^3 + x2, x1*x2^2"), NAN_AFTER_FINITE),
+    "elasticity.riemann_residual.strain": lambda _: riemann_residual(
+        ExprMap.parse("x1^2*x2, x1*x2, x2^3", ["x1", "x2"]),
+        NAN_AFTER_FINITE),
+    "groups.action_bracket_residual": lambda _: action_bracket_residual(
+        AFFINE, np.array([[0.5], [math.nan]])),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("site", sorted(CASES))
+def test_nan_after_finite_value_survives(site, monkeypatch):
+    assert math.isnan(CASES[site](monkeypatch))
+
+
+def test_group_law_check_refuses_nan():
+    # the identity checks are finite; the inverse checks after them are NaN
+    nan_inverse = replace(AFFINE, inverse=ExprMap.parse(
+        "1/a1 + 0*(1e200*1e200)*a1, 0 - a2/a1", ["a1", "a2"]))
+    with pytest.raises(InconsistentGroupLaw, match="nan"):
+        nan_inverse.validate()
