@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from ._fixtures import fixture_path
-from .dynamics import swell_rows
+from .dynamics import InverseSolveError, swell_rows
+from .series import DomainError
 from .suites import SUITE_NAMES, SuiteConfig, _swell_params, run_suite
 
 CSV_HEADER = "t,a,b,x,y,xbar,ybar"
@@ -123,7 +124,8 @@ def main(argv: list[str] | None = None) -> int:
                       tol_scale=args.tol_scale, fixture=fixture)
     try:
         report = run_suite(args.suite, cfg)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError,
+            DomainError, InverseSolveError) as exc:
         print(f"jetgauge: {exc}", file=sys.stderr)
         return 2
 

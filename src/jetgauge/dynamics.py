@@ -231,25 +231,19 @@ class MotionFamily:
         vmap = ExprMap.parse(variation, fvars + ["eps"]) if variation else None
         return cls(m, n, fmap, inverse=gmap, variation=vmap, **kw)
 
-    def forward_value(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.forward.eval(np.concatenate([y, x]))
-
     def invert(self, z: np.ndarray, x: np.ndarray,
                seed: np.ndarray | None = None) -> np.ndarray:
         """Preimages y = g(z, x) of a point z (m,), or of a block (..., m)
         with parameters x (..., n).
 
-        An explicit inverse is evaluated row by row.  Otherwise one block
+        An explicit inverse is evaluated as one block.  Otherwise one block
         Newton solve starts every point at the centre of ybox, or at seed
         broadcast to the block, so no call depends on the calls before it.
         """
         z = np.asarray(z, float)
         x = np.asarray(x, float)
         if self.inverse is not None:
-            points = np.concatenate([z, x], axis=-1)
-            rows = [self.inverse.eval(p)
-                    for p in points.reshape(-1, points.shape[-1])]
-            return np.array(rows, dtype=float).reshape(z.shape)
+            return self.inverse.eval(np.concatenate([z, x], axis=-1))
         if seed is None:
             seed = np.array([0.5 * (lo + hi) for lo, hi in self.ybox])
         return _newton(self.forward, self.m, z, x, seed, self.label)[0]
@@ -282,9 +276,7 @@ class MotionFamily:
         zx = self.sample_zx(count, seed)
         z, x = zx[:, :self.m], zx[:, self.m:]
         y = self.invert(z, x)
-        gaps = [np.max(np.abs(self.forward_value(yr, xr) - zr))
-                for zr, xr, yr in zip(z, x, y)]
-        self.state_at_source(y, x)
+        gaps = np.abs(self.state_at_source(y, x).value - z)
         return float(np.max(gaps, initial=0.0))
 
 
@@ -426,9 +418,8 @@ def theorem3_check(fam: MotionFamily, samples: np.ndarray,
     z, x = samples[:, :m], samples[:, m:]
     y = fam.invert(z, x)
     st = fam.state_at_source(y, x)
-    base = [np.max(np.abs(fam.variation.eval(np.concatenate([yr, xr, [0.0]]))
-                          - value))
-            for yr, xr, value in zip(y, x, st.value)]
+    base = np.abs(fam.variation.eval(np.concatenate(
+        [y, x, np.zeros((len(y), 1))], axis=-1)) - st.value)
     eta, deta_y, df_x = _variation_blocks(fam, y, x)
     deta_z = deta_y @ st.gz
     deta_x = df_x + deta_y @ st.gx
@@ -660,10 +651,10 @@ def curl_parametrization_check(theta: ExprMap, box: Box,
         return _curl(lift.jacobian())
 
     nodes, weights = tensor_rule(box, nquad)
+    a_vals = a_field.eval(nodes)
+    b_vals = b_field.eval(nodes)
     lhs = rhs = 0.0
-    for node, weight in zip(nodes, weights):
-        a_val = a_field.eval(node)
-        b_val = b_field.eval(node)
+    for node, weight, a_val, b_val in zip(nodes, weights, a_vals, b_vals):
         lhs += weight * float(curl_of(a_field, node) @ b_val)
         rhs += weight * float(a_val @ curl_of(b_field, node))
     return CurlReport(worst_div, lhs, rhs)
@@ -826,15 +817,19 @@ def swell_family(R0: float, k: float, omega: float, c: float,
     st = fam.state_at_source(
         np.repeat(labels[:, None, :], ntimes, axis=1),
         np.broadcast_to(times[None, :, None], (nlabels, ntimes, 1)))
-    drift = formula = circle = frame = 0.0
     speed = omega / k
-    for (a, b), dets, values in zip(labels, st.delta, st.value):
+    # the wave-frame shifts: f at (a - speed t, b) and time 0, one block
+    shifts = np.zeros((nlabels, ntimes, 3))
+    shifts[..., 0] = labels[:, None, 0] - speed * times[None, :]
+    shifts[..., 1] = labels[:, None, 1]
+    shifted_values = fam.forward.eval(shifts)
+    drift = formula = circle = frame = 0.0
+    for (a, b), dets, values, shifted_row in zip(labels, st.delta, st.value,
+                                                 shifted_values):
         rb = R0 * math.exp(-rate * b)
-        for t, value in zip(times, values):
+        for t, value, shifted in zip(times, values, shifted_row):
             circle = np.maximum(circle, abs(
                 math.hypot(value[0] - a, value[1] - b) - rb))
-            shifted = fam.forward_value(np.array([a - speed * t, b]),
-                                        np.array([0.0]))
             moving = np.array([value[0] - speed * t, value[1]])
             frame = np.maximum(frame, np.max(np.abs(moving - shifted)))
         drift = np.maximum(drift, np.max(np.abs(dets - dets[0])))

@@ -155,10 +155,6 @@ class DisplacementSection:
         return cls(ExprMap.parse(xi, PLANE), ExprMap.parse(jet, PLANE),
                    np.eye(2) if metric is None else np.asarray(metric, float))
 
-    def jet_matrix(self, point: np.ndarray) -> np.ndarray:
-        j = float(self.jet.eval(point)[0])
-        return np.array([[0.0, j], [-j, 0.0]])
-
     def lowered_gradient(self, point: np.ndarray) -> np.ndarray:
         """G[i, k] = d_i xi_k with xi_k = omega_{kr} xi^r."""
         jac = self.xi.taylor_lift(point, 1).jacobian()
@@ -194,8 +190,10 @@ class StressState:
         return cls(ExprMap.parse(sigma, PLANE), ExprMap.parse(mu, PLANE),
                    label)
 
-    def sigma_matrix(self, point: np.ndarray) -> np.ndarray:
-        return self.sigma.eval(point).reshape(2, 2)
+    def sigma_matrix(self, points: np.ndarray) -> np.ndarray:
+        """sigma as (..., 2, 2) at a point (2,) or a block (..., 2)."""
+        points = np.asarray(points, float)
+        return self.sigma.eval(points).reshape(points.shape[:-1] + (2, 2))
 
 
 def stress_state_from_dict(data: dict) -> StressState:
@@ -274,8 +272,10 @@ def spencer_elastic(section: DisplacementSection,
     out = np.empty((len(samples), 6))
     for s, x in enumerate(samples):
         point = np.asarray(x, float)
-        d = section.lowered_gradient(point) - section.jet_matrix(point)
-        jjac = section.jet.taylor_lift(point, 1).jacobian()[0]
+        jlift = section.jet.taylor_lift(point, 1)
+        j = float(jlift.value()[0])
+        d = section.lowered_gradient(point) - np.array([[0.0, j], [-j, 0.0]])
+        jjac = jlift.jacobian()[0]
         out[s] = [d[0, 0], d[0, 1], d[1, 0], d[1, 1], jjac[0], jjac[1]]
     return out
 
@@ -375,17 +375,18 @@ def pairing_identity_check(state: StressState, section: DisplacementSection,
     nodes, weights = tensor_rule(tuple(tuple(r) for r in box), order)
     lhs = rhs = 0.0
     fvals, mvals = adjoint_spencer(state, nodes)
+    svals = state.sigma.eval(nodes)
     if drop_couple_term:
-        svals = np.array([state.sigma.eval(p) for p in nodes])
         mvals = mvals - (svals[:, 1] - svals[:, 2])
     comps = spencer_elastic(section, nodes)
-    for idx, (node, weight) in enumerate(zip(nodes, weights)):
-        sval = state.sigma.eval(node)
-        muval = state.mu.eval(node)
-        lhs += weight * float(sval @ comps[idx, :4] + muval @ comps[idx, 4:])
-        xival = section.metric @ section.xi.eval(node)
-        jval = float(section.jet.eval(node)[0])
-        rhs += weight * float(fvals[idx] @ xival + mvals[idx] * jval)
+    muvals = state.mu.eval(nodes)
+    xivals = section.xi.eval(nodes)
+    jvals = section.jet.eval(nodes)[:, 0]
+    for idx, weight in enumerate(weights):
+        lhs += weight * float(svals[idx] @ comps[idx, :4]
+                              + muvals[idx] @ comps[idx, 4:])
+        xival = section.metric @ xivals[idx]
+        rhs += weight * float(fvals[idx] @ xival + mvals[idx] * jvals[idx])
     return PairingReport(lhs, rhs)
 
 
@@ -415,7 +416,8 @@ def torsor_equilibrium_check(state: StressState, box: Box,
     (a1, b1), (a2, b2) = (tuple(map(float, r)) for r in box)
 
     def boundary(component):
-        """Integrate component(point) @ n over the four edges."""
+        """Integrate component(points) @ n over the four edges; component
+        takes the (nodes, 2) block of an edge."""
         total = 0.0
         for fixed_axis, value, sign in ((0, b1, 1.0), (0, a1, -1.0),
                                         (1, b2, 1.0), (1, a2, -1.0)):
@@ -423,11 +425,11 @@ def torsor_equilibrium_check(state: StressState, box: Box,
             nodes, weights = gauss_rule(lo, hi, order)
             normal = np.zeros(2)
             normal[fixed_axis] = sign
-            for s, weight in zip(nodes, weights):
-                point = np.empty(2)
-                point[fixed_axis] = value
-                point[1 - fixed_axis] = s
-                total += weight * float(component(point) @ normal)
+            points = np.empty((len(nodes), 2))
+            points[:, fixed_axis] = value
+            points[:, 1 - fixed_axis] = nodes
+            for weight, flux in zip(weights, component(points)):
+                total += weight * float(flux @ normal)
         return total
 
     inodes, iweights = tensor_rule(((a1, b1), (a2, b2)), order)
@@ -435,14 +437,15 @@ def torsor_equilibrium_check(state: StressState, box: Box,
 
     force = np.empty(2)
     for j in range(2):
-        surf = boundary(lambda p, j=j: state.sigma_matrix(p)[:, j])
+        surf = boundary(lambda p, j=j: state.sigma_matrix(p)[..., :, j])
         vol = float(iweights @ fvals[:, j])
         force[j] = surf - vol
 
-    def moment_flux(point):
-        sig = state.sigma_matrix(point)
-        mu = state.mu.eval(point)
-        return mu + point[0] * sig[:, 1] - point[1] * sig[:, 0]
+    def moment_flux(points):
+        sig = state.sigma_matrix(points)
+        mu = state.mu.eval(points)
+        return (mu + points[:, 0, None] * sig[..., :, 1]
+                - points[:, 1, None] * sig[..., :, 0])
 
     surf = boundary(moment_flux)
     vol = float(iweights @ (mvals + inodes[:, 0] * fvals[:, 1]
@@ -482,15 +485,12 @@ def pairing_identity_1d(sigma: ExprMap, mu: ExprMap, xi: ExprMap,
     nodes, weights = gauss_rule(lo, hi, order)
     pts = nodes.reshape(-1, 1)
     f, m = affine_1d_adjoint(sigma, mu, pts)
+    xvals, jvals = xi.eval(pts)[:, 0], jet.eval(pts)[:, 0]
+    svals, muvals = sigma.eval(pts)[:, 0], mu.eval(pts)[:, 0]
     lhs = rhs = 0.0
-    for idx, (x, weight) in enumerate(zip(nodes, weights)):
-        point = np.array([x])
-        xval = float(xi.eval(point)[0])
-        jval = float(jet.eval(point)[0])
+    for idx, (point, weight) in enumerate(zip(pts, weights)):
         dxi = xi.taylor_lift(point, 1).jacobian()[0, 0]
         djet = jet.taylor_lift(point, 1).jacobian()[0, 0]
-        sval = float(sigma.eval(point)[0])
-        muval = float(mu.eval(point)[0])
-        lhs += weight * (sval * (dxi - jval) + muval * djet)
-        rhs += weight * (f[idx] * xval + m[idx] * jval)
+        lhs += weight * (svals[idx] * (dxi - jvals[idx]) + muvals[idx] * djet)
+        rhs += weight * (f[idx] * xvals[idx] + m[idx] * jvals[idx])
     return PairingReport(lhs, rhs)

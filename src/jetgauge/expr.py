@@ -9,7 +9,7 @@ Grammar (verbatim contract):
 
 Identifiers are [a-zA-Z][a-zA-Z0-9_]*; the callable functions are sin, cos,
 exp, log, sqrt and neg; '^' takes a constant numeric exponent.  The tree
-evaluates exactly as parsed, with no rewriting.  Note the grammar places
+is lifted exactly as parsed, with no rewriting.  Note the grammar places
 unary minus inside 'base', so a leading '-x^2' parses as (-x)^2.
 
 Lifting replaces every variable by its truncated Taylor series and replays
@@ -17,7 +17,9 @@ the tree on series, which yields exact derivatives of any composite up to
 the truncation order.  An ExprMap compiles its trees once into a flat tape
 (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13) and replays
 it on one base point or on a block of them; each point of a block gets the
-float operations, in the same order, that it gets alone.
+float operations, in the same order, that it gets alone.  There is no
+other evaluator: a value is the order-0 coefficient of a lift, on a point
+or a block, so values and derivatives share one set of domain rules.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,9 +54,6 @@ class ParseError(ValueError):
 
 class Expr:
     """Base node; subclasses are frozen dataclasses."""
-
-    def eval(self, env: Mapping[str, float]) -> float:
-        raise NotImplementedError
 
     def variables(self) -> set[str]:
         out: set[str] = set()
@@ -120,9 +119,6 @@ def constant(value: float) -> Expr:
 class Num(Expr):
     value: float
 
-    def eval(self, env):
-        return self.value
-
     def _collect(self, out):
         pass
 
@@ -133,9 +129,6 @@ class Num(Expr):
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
-
-    def eval(self, env):
-        return env[self.name]
 
     def _collect(self, out):
         out.add(self.name)
@@ -152,19 +145,6 @@ class Bin(Expr):
     op: str
     lhs: Expr
     rhs: Expr
-
-    def eval(self, env):
-        a = self.lhs.eval(env)
-        b = self.rhs.eval(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if b == 0.0:
-            raise DomainError("division by zero")
-        return a / b
 
     def _collect(self, out):
         self.lhs._collect(out)
@@ -186,18 +166,6 @@ class Pow(Expr):
     base: Expr
     exponent: float
 
-    def eval(self, env):
-        a = self.base.eval(env)
-        e = self.exponent
-        if float(e).is_integer():
-            k = int(e)
-            if k < 0 and a == 0.0:
-                raise DomainError("zero raised to a negative power")
-            return a**k
-        if a < 0.0 or (a == 0.0 and e < 0):
-            raise DomainError(f"{a} raised to non-integer power {e}")
-        return a**e
-
     def _collect(self, out):
         self.base._collect(out)
 
@@ -215,20 +183,6 @@ class Call(Expr):
     func: str
     arg: Expr
 
-    def eval(self, env):
-        a = self.arg.eval(env)
-        if self.func == "neg":
-            return -a
-        if self.func == "log":
-            if a <= 0.0:
-                raise DomainError(f"log of nonpositive value {a}")
-            return math.log(a)
-        if self.func == "sqrt":
-            if a < 0.0:
-                raise DomainError(f"sqrt of negative value {a}")
-            return math.sqrt(a)
-        return getattr(math, self.func)(a)
-
     def _collect(self, out):
         self.arg._collect(out)
 
@@ -239,9 +193,6 @@ class Call(Expr):
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
-
-    def eval(self, env):
-        return -self.arg.eval(env)
 
     def _collect(self, out):
         self.arg._collect(out)
@@ -508,12 +459,11 @@ class ExprMap:
     def to_text(self) -> str:
         return ", ".join(e.to_text() for e in self.exprs)
 
-    def eval(self, point) -> np.ndarray:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (len(self.variables),):
-            raise ValueError(f"expected {len(self.variables)} input values")
-        env = dict(zip(self.variables, point))
-        return np.array([e.eval(env) for e in self.exprs])
+    def eval(self, points) -> np.ndarray:
+        """Values at one point (nvars,) or a block (..., nvars): the
+        order-0 coefficients of the lift, so a value obeys the lift's
+        domain rules and an overflow gives inf."""
+        return self.taylor_lift(points, 0).value()
 
     @functools.cached_property
     def _tape(self):

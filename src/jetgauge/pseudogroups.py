@@ -190,17 +190,11 @@ class LieEquationSystem:
         n, ctx = self.nvars, self.jet_ctx()
         if len(f) != n or len(f.variables) != n:
             raise ValueError(f"candidate map must take {n} variables to {n}")
-        out = np.zeros((len(samples), self.neq))
-        for s, x in enumerate(samples):
-            lift = f.taylor_lift(np.asarray(x, float), self.order)
-            vals = np.zeros(n + n * ctx.count)
-            vals[:n] = x
-            for k in range(n):
-                for row in range(ctx.count):
-                    vals[n + _jet_column(n, ctx, k, row)] = lift.raw(
-                        k, tuple(ctx.midx[row]))
-            out[s] = self.equations.eval(vals)
-        return out
+        x = np.asarray(samples, float).reshape(-1, n)
+        lift = f.taylor_lift(x, self.order)
+        # raw derivatives in _jet_column order: component k, slot r at k*count + r
+        jets = (lift.coeffs * ctx.factorial).reshape(len(x), n * ctx.count)
+        return self.equations.eval(np.concatenate([x, jets], axis=-1))
 
     def linear_rows(self, x: np.ndarray, route: str = "hand") -> np.ndarray:
         """Coefficient matrix of the linear system at x, (..., neq, n*count)

@@ -95,13 +95,17 @@ def _real_binom(alpha: float, r: int) -> float:
 
 
 def _ladder(name: str, c0: float, order: int) -> np.ndarray:
+    # exp, sin and cos loop over Python ints, several times quicker than
+    # numpy integers and the same bits.  The powers below keep numpy
+    # integers, so that an overflow gives inf, not Python's OverflowError.
+    ks = range(order + 1)
     r = np.arange(order + 1)
     if name == "exp":
-        return np.exp(c0) / np.array([math.factorial(k) for k in r])
+        return np.exp(c0) / np.array([math.factorial(k) for k in ks])
     if name == "sin":
-        return np.array([math.sin(c0 + k * math.pi / 2) / math.factorial(k) for k in r])
+        return np.array([math.sin(c0 + k * math.pi / 2) / math.factorial(k) for k in ks])
     if name == "cos":
-        return np.array([math.cos(c0 + k * math.pi / 2) / math.factorial(k) for k in r])
+        return np.array([math.cos(c0 + k * math.pi / 2) / math.factorial(k) for k in ks])
     if name == "log":
         if c0 <= 0.0:
             raise DomainError(f"log of nonpositive value {c0}")

@@ -12,6 +12,7 @@ fields are stripped.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -338,13 +339,27 @@ def _check_pressure_path_independence(cfg: SuiteConfig, cache: dict):
 # ---------------------------------------------------------------- swell
 
 SWELL_DEFAULTS = {"R0": 1.0, "k": 0.1, "omega": 1.0, "c": 0.0}
+SWELL_KEYS = (*SWELL_DEFAULTS, "decay")
 
 
 def _swell_params(cfg: SuiteConfig) -> dict:
+    """The defaults updated by the fixture, which may set only SWELL_KEYS,
+    each to a finite number; decay, when set, breaks the balance."""
     params = dict(SWELL_DEFAULTS)
     if cfg.fixture:
         with open(cfg.fixture, encoding="utf-8") as fh:
-            params.update(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a swell fixture must be a JSON object")
+        for key, value in data.items():
+            if key not in SWELL_KEYS:
+                raise ValueError(f"unknown swell parameter {key!r}; have "
+                                 f"{', '.join(SWELL_KEYS)}")
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ValueError(f"swell parameter {key!r} must be a finite "
+                                 f"number, not {value!r}")
+        params.update(data)
     return params
 
 

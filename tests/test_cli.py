@@ -150,3 +150,46 @@ def test_cli_csv_flag_writes_table(tmp_path):
     assert csv.read_text().startswith("t,a,b,x,y,xbar,ybar\n")
     assert main(["--suite", "swell", "--csv", str(tmp_path / "no/dir.csv"),
                  "--out", str(tmp_path / "r2.json")]) == 2
+
+
+def _run_fixture(tmp_path, capsys, suite, text):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(text)
+    code = main(["--suite", suite, "--fixture", str(fixture),
+                 "--out", str(tmp_path / "r.json")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_group_overflow_fixture_exits_two(tmp_path, capsys):
+    data = json.loads(resources.files("jetgauge.fixtures")
+                      .joinpath("affine.json").read_text())
+    data["label"] = "overflow"
+    data["compose"] = "a1*b1 + 0*exp(1000*a1), a1*b2 + a2"
+    code, err = _run_fixture(tmp_path, capsys, "group", json.dumps(data))
+    assert code == 2
+    assert err.startswith("jetgauge: overflow: group axioms violated")
+
+
+@pytest.mark.parametrize("family,message", [
+    ({"m": 1, "n": 1, "f": "x1 + 0*y1"}, "singular source jacobian"),
+    ({"m": 1, "n": 1, "f": "y1 + log(x1)"}, "log of nonpositive value"),
+])
+def test_dynamics_fixture_that_cannot_run_exits_two(tmp_path, capsys,
+                                                    family, message):
+    code, err = _run_fixture(tmp_path, capsys, "dynamics", json.dumps(family))
+    assert code == 2
+    assert err.startswith("jetgauge: ") and message in err
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"R0": 0.5, "bogus": 3}', "'bogus'"),
+    ('{"R0": NaN}', "'R0'"),
+    ('{"k": "0.1"}', "'k'"),
+    ('{"decay": true}', "'decay'"),
+])
+def test_swell_fixture_keys_and_values_are_checked(tmp_path, capsys,
+                                                   text, key):
+    code, err = _run_fixture(tmp_path, capsys, "swell", text)
+    assert code == 2
+    assert err.startswith("jetgauge: ") and key in err

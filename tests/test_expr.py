@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,10 @@ from jetgauge.series import DomainError
 
 
 def ev(text, **vals):
-    names = sorted(vals)
-    e = parse_expr(text, names)
-    return e.eval({n: vals[n] for n in names})
+    # ExprMap needs a variable: a constant text gets the dummy "_"
+    names = sorted(vals) or ["_"]
+    point = [vals.get(n, 0.0) for n in names]
+    return float(ExprMap.parse(text, names).eval(point)[0])
 
 
 def test_precedence_and_associativity():
@@ -96,17 +100,17 @@ def test_map_trailing_input_line_and_column():
 ])
 def test_eval_domain_errors(text, vals):
     with pytest.raises(DomainError):
-        parse_expr(text, list(vals)).eval(vals)
+        ExprMap.parse(text, list(vals)).eval(list(vals.values()))
 
 
 def test_negative_power_only_programmatic():
     # the grammar keeps '^' exponents as unsigned literals
     with pytest.raises(ParseError):
         parse_expr("x^-1", ["x"])
-    e = Var("x") ** -1.0
-    assert e.eval({"x": 4.0}) == 0.25
+    m = ExprMap(["x"], [Var("x") ** -1.0])
+    assert m.eval([4.0])[0] == 0.25
     with pytest.raises(DomainError):
-        e.eval({"x": 0.0})
+        m.eval([0.0])
 
 
 def test_print_parse_roundtrip():
@@ -118,11 +122,10 @@ def test_print_parse_roundtrip():
         "x*y*(x - y)/(3 + x^2)",
     ]
     for text in texts:
-        e = parse_expr(text, ["x", "y"])
-        back = parse_expr(e.to_text(), ["x", "y"])
-        for _ in range(20):
-            x, y = rng.uniform(0.1, 0.9, size=2)
-            assert abs(e.eval({"x": x, "y": y}) - back.eval({"x": x, "y": y})) < 1e-14
+        m = ExprMap.parse(text, ["x", "y"])
+        back = ExprMap.parse(m.to_text(), ["x", "y"])
+        points = rng.uniform(0.1, 0.9, size=(20, 2))
+        assert np.max(np.abs(m.eval(points) - back.eval(points))) < 1e-14
 
 
 def test_expr_map_eval_and_variables():
@@ -281,3 +284,56 @@ def test_compiling_a_tape_never_hashes_nodes(monkeypatch):
                       _XY)
     assert np.isfinite(m.taylor_lift(np.array([[0.3, 0.4]]), 2).coeffs).all()
 
+
+@pytest.mark.parametrize("shape", [(3, 4, 2), (0, 2)])
+def test_block_eval_matches_point_evals_bitwise(shape):
+    rng = np.random.default_rng(7)
+    points = rng.uniform(0.2, 0.9, size=shape)
+    block = ALL_KINDS.eval(points)
+    assert block.shape == shape[:-1] + (len(ALL_KINDS),)
+    alone = [ALL_KINDS.eval(points[idx]) for idx in np.ndindex(*shape[:-1])]
+    assert _same_bits(block.reshape(-1, len(ALL_KINDS)),
+                      np.array(alone).reshape(-1, len(ALL_KINDS)))
+
+
+def test_eval_is_the_value_slot_of_a_lift():
+    points = np.random.default_rng(3).uniform(0.2, 0.9, size=(6, 2))
+    assert _same_bits(ALL_KINDS.eval(points),
+                      ALL_KINDS.taylor_lift(points, 2).value())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_overflows_to_inf():
+    m = ExprMap.parse("exp(1000*x), 0*exp(1000*x)", ["x"])
+    value = m.eval([1.0])
+    assert value[0] == np.inf and np.isnan(value[1])
+
+
+@pytest.mark.parametrize("text", ["sqrt(x)", "x^0.5"])
+def test_sqrt_at_zero_leaves_the_domain(text):
+    m = ExprMap.parse(text, ["x"])
+    with pytest.raises(DomainError):
+        m.eval([0.0])
+    with pytest.raises(DomainError):
+        m.taylor_lift(np.array([0.0]), 2)
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+          ast.DictComp, ast.GeneratorExp)
+
+
+def test_no_eval_call_inside_a_loop():
+    # a value comes from one block call, never from a per-point loop
+    found = []
+    src = Path(__file__).resolve().parent.parent / "src" / "jetgauge"
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for loop in ast.walk(tree):
+            if not isinstance(loop, _LOOPS):
+                continue
+            for node in ast.walk(loop):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "eval"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert sorted(set(found)) == []

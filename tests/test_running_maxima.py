@@ -83,6 +83,7 @@ def test_nan_after_finite_value_survives(site, monkeypatch):
     assert math.isnan(CASES[site](monkeypatch))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_group_law_check_refuses_nan():
     # the identity checks are finite; the inverse checks after them are NaN
     nan_inverse = replace(AFFINE, inverse=ExprMap.parse(
