@@ -105,6 +105,27 @@ def context(nvars: int, order: int) -> MultiIndexContext:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def derivative_rows(nvars: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and mu! of every k-th derivative slot, each of shape (nvars,) * k.
+
+    Entry [a1, ..., ak] belongs to mu = e_a1 + ... + e_ak, so both tables
+    are symmetric.  The rows index context(nvars, k) and, the ordering
+    being graded, every higher-order context too.  Shared and read-only.
+    """
+    ctx = context(nvars, k)
+    rows = np.empty((nvars,) * k, dtype=np.int64)
+    for axes in itertools.product(range(nvars), repeat=k):
+        mu = [0] * nvars
+        for a in axes:
+            mu[a] += 1
+        rows[axes] = ctx.position[tuple(mu)]
+    fac = ctx.factorial[rows]
+    rows.flags.writeable = False
+    fac.flags.writeable = False
+    return rows, fac
+
+
 def binom_mu(mu, nu) -> float:
     """Product of componentwise binomials C(mu_a, nu_a)."""
     return float(math.prod(math.comb(int(m), int(n)) for m, n in zip(mu, nu)))

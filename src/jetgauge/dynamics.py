@@ -64,26 +64,6 @@ def _names(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{k + 1}" for k in range(count)]
 
 
-def _derivative_blocks(lift):
-    """Dense value/jacobian/raw-hessian arrays of an order-2 lift, with the
-    leading batch axes of a block lift."""
-    nv = lift.nin
-    val = lift.value()
-    jac = lift.jacobian()
-    d2 = np.zeros(lift.coeffs.shape[:-1] + (nv, nv))
-    ctx = lift.ctx
-    for a in range(nv):
-        for b in range(a, nv):
-            mu = [0] * nv
-            mu[a] += 1
-            mu[b] += 1
-            pos = ctx.pos(tuple(mu))
-            raw = lift.coeffs[..., pos] * ctx.factorial[pos]
-            d2[..., a, b] = raw
-            d2[..., b, a] = raw
-    return val, jac, d2
-
-
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """mat @ vec over leading batch axes, one matrix-vector kernel per row."""
     return (mat @ vec[..., None])[..., 0]
@@ -148,16 +128,17 @@ def _squares(a) -> np.ndarray:
 class _SpeedState:
     """All first derivatives of v, u and rho at source points (y, x).
 
-    Assembled from the order-2 jet of f at (y, x), given as its
-    _derivative_blocks; their leading batch axes lead every field, and one
-    point is the zero-batch case.  The inverse map enters only through the
-    points y, so every entry is exact.  Each point gets the bits it gets
-    alone: the stacked inv, det, matmul and einsum calls run the same
-    per-matrix kernels.
+    Assembled from the order-2 jet of f at (y, x), given as its value,
+    jacobian and raw second derivatives; their leading batch axes lead
+    every field, and one point is the zero-batch case.  label names the
+    family in a singular-jacobian error.  The inverse map enters only
+    through the points y, so every entry is exact.  Each point gets the
+    bits it gets alone: the stacked inv, det, matmul and einsum calls run
+    the same per-matrix kernels.
     """
 
     def __init__(self, m: int, val: np.ndarray, jac: np.ndarray,
-                 d2: np.ndarray):
+                 d2: np.ndarray, label: str):
         self.value = val
         self.fy = jac[..., :m]
         self.fx = jac[..., m:]
@@ -167,7 +148,8 @@ class _SpeedState:
         try:
             self.fy_inv = np.linalg.inv(self.fy)
         except np.linalg.LinAlgError as exc:
-            raise InverseSolveError("singular source jacobian") from exc
+            raise InverseSolveError(
+                f"singular source jacobian in {label}") from exc
         self.delta = np.linalg.det(self.fy)
         self.rho = 1.0 / self.delta
         self.v = self.fx.copy()
@@ -263,7 +245,8 @@ class MotionFamily:
         y = np.asarray(y, float)
         x = np.asarray(x, float)
         lift = self.forward.taylor_lift(np.concatenate([y, x], axis=-1), 2)
-        return _SpeedState(self.m, *_derivative_blocks(lift))
+        return _SpeedState(self.m, lift.value(), lift.jacobian(),
+                           lift.derivative(2), self.label)
 
     def sample_zx(self, count: int, seed: int) -> np.ndarray:
         return halton_points(self.zbox + self.xbox, count, seed)
@@ -353,29 +336,14 @@ def _variation_blocks(fam: MotionFamily, y: np.ndarray, x: np.ndarray):
     """
     if fam.variation is None:
         raise ValueError("family carries no variation map")
-    m, n = fam.m, fam.n
-    nv = m + n + 1
-    batch = np.shape(y)[:-1]
-    eps0 = np.zeros(batch + (1,))
+    m = fam.m
+    eps0 = np.zeros(np.shape(y)[:-1] + (1,))
     lift = fam.variation.taylor_lift(np.concatenate([y, x, eps0], axis=-1), 2)
-    ctx = lift.ctx
-    mu = [0] * nv
-    mu[-1] = 1
-    pos = ctx.pos(tuple(mu))
-    df = lift.coeffs[..., pos] * ctx.factorial[pos]
-    df_y = np.empty(batch + (m, m))
-    df_x = np.empty(batch + (m, n))
-    for a in range(m + n):
-        mu = [0] * nv
-        mu[-1] = 1
-        mu[a] += 1
-        pos = ctx.pos(tuple(mu))
-        raw = lift.coeffs[..., pos] * ctx.factorial[pos]
-        if a < m:
-            df_y[..., a] = raw
-        else:
-            df_x[..., a - m] = raw
-    return df, df_y, df_x
+    d2 = lift.derivative(2)[..., -1]
+    # matmul may take another kernel on a strided view: copy each row-major
+    return (np.ascontiguousarray(lift.derivative(1)[..., -1]),
+            np.ascontiguousarray(d2[..., :m]),
+            np.ascontiguousarray(d2[..., m:-1]))
 
 
 def _variation_speeds(fam: MotionFamily, z: np.ndarray, x: np.ndarray,
@@ -484,7 +452,7 @@ def _momentum_hessian(w: ExprMap, v: np.ndarray, m: int,
         raise ValueError(f"lagrangian must be scalar over v1..v{m * n}")
     batch = np.shape(v)[:-2]
     lift = w.taylor_lift(np.reshape(v, batch + (m * n,)), 2)
-    return _derivative_blocks(lift)[2][..., 0, :, :].reshape(batch + (m, n, m, n))
+    return lift.derivative(2)[..., 0, :, :].reshape(batch + (m, n, m, n))
 
 
 def _einsum_rows(spec: str, m: int, *ops: np.ndarray) -> np.ndarray:
@@ -553,8 +521,9 @@ def _field_blocks(field: ExprMap, zt: np.ndarray):
     """
     if len(field.variables) != 4 or len(field) != 3:
         raise ValueError("field must map z1, z2, z3, t to three components")
-    val, jac, d2 = _derivative_blocks(field.taylor_lift(zt, 2))
-    return (val, jac[..., :3], jac[..., 3], d2[..., :3, :3],
+    lift = field.taylor_lift(zt, 2)
+    jac, d2 = lift.jacobian(), lift.derivative(2)
+    return (lift.value(), jac[..., :3], jac[..., 3], d2[..., :3, :3],
             d2[..., :3, 3])
 
 
@@ -625,7 +594,7 @@ def curl_parametrization_check(theta: ExprMap, box: Box,
     if len(theta.variables) != 3 or len(theta) != 3:
         raise ValueError("theta must map z1, z2, z3 to three components")
     points = np.asarray(samples, float).reshape(-1, 3)
-    _, _, d2 = _derivative_blocks(theta.taylor_lift(points, 2))
+    d2 = theta.taylor_lift(points, 2).derivative(2)
     # eta_z[..., :, r] is the curl of d2[..., :, :, r]; its trace is the
     # divergence
     div = np.trace(_curl(np.moveaxis(d2, -1, -3)), axis1=-2, axis2=-1)

@@ -100,28 +100,6 @@ def _check_order(order: int, state_maps: Sequence[ExprMap],
             f"integrand degree is {need}")
 
 
-def _blocks(emap: ExprMap, point: np.ndarray, order: int):
-    """(value, jacobian, raw second derivatives) of a lift at one point."""
-    lift = emap.taylor_lift(point, order)
-    val = lift.value()
-    jac = lift.jacobian() if order >= 1 else None
-    if order < 2:
-        return val, jac, None
-    nv = len(emap.variables)
-    d2 = np.empty((len(emap), nv, nv))
-    ctx = lift.ctx
-    for a in range(nv):
-        for b in range(a, nv):
-            mu = [0] * nv
-            mu[a] += 1
-            mu[b] += 1
-            pos = ctx.pos(tuple(mu))
-            raw = lift.coeffs[:, pos] * ctx.factorial[pos]
-            d2[:, a, b] = raw
-            d2[:, b, a] = raw
-    return val, jac, d2
-
-
 @dataclass(frozen=True)
 class DisplacementSection:
     """Displacement field plus its independent lowered skew jet component.
@@ -155,10 +133,11 @@ class DisplacementSection:
         return cls(ExprMap.parse(xi, PLANE), ExprMap.parse(jet, PLANE),
                    np.eye(2) if metric is None else np.asarray(metric, float))
 
-    def lowered_gradient(self, point: np.ndarray) -> np.ndarray:
-        """G[i, k] = d_i xi_k with xi_k = omega_{kr} xi^r."""
-        jac = self.xi.taylor_lift(point, 1).jacobian()
-        return jac.T @ self.metric
+    def lowered_gradient(self, points: np.ndarray) -> np.ndarray:
+        """G[..., i, k] = d_i xi_k with xi_k = omega_{kr} xi^r, at a point
+        (2,) or a block (..., 2)."""
+        jac = self.xi.taylor_lift(np.asarray(points, float), 1).jacobian()
+        return np.swapaxes(jac, -1, -2) @ self.metric
 
 
 def displacement_from_dict(data: dict) -> DisplacementSection:
@@ -212,11 +191,8 @@ def killing(section: DisplacementSection, samples: np.ndarray) -> np.ndarray:
     With a constant metric the derivative-of-metric term of the full
     operator drops, and twice eps is the metric variation along xi.
     """
-    out = np.empty((len(samples), 2, 2))
-    for s, x in enumerate(samples):
-        g = section.lowered_gradient(np.asarray(x, float))
-        out[s] = 0.5 * (g + g.T)
-    return out
+    g = section.lowered_gradient(samples)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
 def riemann_residual(source, samples: np.ndarray) -> float:
@@ -227,36 +203,25 @@ def riemann_residual(source, samples: np.ndarray) -> float:
     residual is assembled from exact third derivatives of xi.  It vanishes
     identically on strains that come from a displacement.
     """
-    resids = []
+    samples = np.asarray(samples, float)
     if isinstance(source, DisplacementSection):
         omega = source.metric
-        for x in samples:
-            lift = source.xi.taylor_lift(np.asarray(x, float), 3)
-            ctx = lift.ctx
-            third = np.empty((2, 2, 2, 2))
-            for a in range(2):
-                for b in range(2):
-                    for c in range(2):
-                        mu = [0, 0]
-                        mu[a] += 1
-                        mu[b] += 1
-                        mu[c] += 1
-                        pos = ctx.pos(tuple(mu))
-                        third[:, a, b, c] = lift.coeffs[:, pos] * ctx.factorial[pos]
-            # d_ab eps_ij = (omega_rj third[r,a,b,i] + omega_ir third[r,a,b,j])/2
-            def deps(a, b, i, j):
-                return 0.5 * float(
-                    omega[:, j] @ third[:, a, b, i]
-                    + omega[i, :] @ third[:, a, b, j])
-            resids.append(deps(0, 0, 1, 1) + deps(1, 1, 0, 0)
-                          - 2.0 * deps(0, 1, 0, 1))
-        # np.max, unlike a running max(), keeps a NaN
-        return float(np.max(np.abs(resids), initial=0.0))
-    if len(source.variables) != 2 or len(source) != 3:
-        raise ValueError("strain map must hold (eps11, eps12, eps22)")
-    for x in samples:
-        _, _, d2 = _blocks(source, np.asarray(x, float), 2)
-        resids.append(d2[2, 0, 0] + d2[0, 1, 1] - 2.0 * d2[1, 0, 1])
+        third = source.xi.taylor_lift(samples, 3).derivative(3)
+
+        # d_ab eps_ij = (omega_rj third[r,a,b,i] + omega_ir third[r,a,b,j])/2,
+        # each sum over r by the vector-dot kernel that omega[:, j] @
+        # third[:, a, b, i] runs at one point
+        def deps(a, b, i, j):
+            return 0.5 * ((omega[:, j] @ third[..., :, a, b, i, None])[..., 0]
+                          + (omega[i, :] @ third[..., :, a, b, j, None])[..., 0])
+        resids = (deps(0, 0, 1, 1) + deps(1, 1, 0, 0)
+                  - 2.0 * deps(0, 1, 0, 1))
+    else:
+        if len(source.variables) != 2 or len(source) != 3:
+            raise ValueError("strain map must hold (eps11, eps12, eps22)")
+        d2 = source.taylor_lift(samples, 2).derivative(2)
+        resids = d2[..., 2, 0, 0] + d2[..., 0, 1, 1] - 2.0 * d2[..., 1, 0, 1]
+    # np.max, unlike a running max(), keeps a NaN
     return float(np.max(np.abs(resids), initial=0.0))
 
 
@@ -269,15 +234,14 @@ def spencer_elastic(section: DisplacementSection,
     diagonal slots are plain derivatives; rigid sections (constant jet,
     matching linear displacement) are sent to zero.
     """
-    out = np.empty((len(samples), 6))
-    for s, x in enumerate(samples):
-        point = np.asarray(x, float)
-        jlift = section.jet.taylor_lift(point, 1)
-        j = float(jlift.value()[0])
-        d = section.lowered_gradient(point) - np.array([[0.0, j], [-j, 0.0]])
-        jjac = jlift.jacobian()[0]
-        out[s] = [d[0, 0], d[0, 1], d[1, 0], d[1, 1], jjac[0], jjac[1]]
-    return out
+    samples = np.asarray(samples, float)
+    jlift = section.jet.taylor_lift(samples, 1)
+    j = jlift.value()[..., 0]
+    d = section.lowered_gradient(samples)
+    d[..., 0, 1] -= j
+    d[..., 1, 0] += j
+    return np.concatenate([d.reshape(d.shape[:-2] + (4,)),
+                           jlift.jacobian()[..., 0, :]], axis=-1)
 
 
 def rigid_kernel_dimension(degree: int = 2, box: Box = ((-1.0, 1.0),) * 2,
@@ -336,15 +300,14 @@ def adjoint_spencer(state: StressState,
     m12 = d_r mu^{r,12} + s12 - s21, signs as they come out of the
     integration by parts in pairing_identity_check.
     """
-    f = np.empty((len(samples), 2))
-    m = np.empty(len(samples))
-    for s, x in enumerate(samples):
-        point = np.asarray(x, float)
-        sval, sjac, _ = _blocks(state.sigma, point, 1)
-        _, mjac, _ = _blocks(state.mu, point, 1)
-        f[s, 0] = sjac[0, 0] + sjac[2, 1]      # d1 s11 + d2 s21
-        f[s, 1] = sjac[1, 0] + sjac[3, 1]      # d1 s12 + d2 s22
-        m[s] = mjac[0, 0] + mjac[1, 1] + sval[1] - sval[2]
+    samples = np.asarray(samples, float)
+    slift = state.sigma.taylor_lift(samples, 1)
+    sval, sjac = slift.value(), slift.jacobian()
+    mjac = state.mu.taylor_lift(samples, 1).jacobian()
+    f = np.stack([sjac[..., 0, 0] + sjac[..., 2, 1],     # d1 s11 + d2 s21
+                  sjac[..., 1, 0] + sjac[..., 3, 1]],    # d1 s12 + d2 s22
+                 axis=-1)
+    m = (mjac[..., 0, 0] + mjac[..., 1, 1] + sval[..., 1] - sval[..., 2])
     return f, m
 
 
@@ -460,14 +423,10 @@ def affine_1d_adjoint(sigma: ExprMap, mu: ExprMap,
         raise ValueError("sigma must be a single component over x1")
     if len(mu.variables) != 1 or len(mu) != 1:
         raise ValueError("mu must be a single component over x1")
-    f = np.empty(len(samples))
-    m = np.empty(len(samples))
-    for s, x in enumerate(samples):
-        point = np.asarray(x, float).reshape(1)
-        slift = sigma.taylor_lift(point, 1)
-        mlift = mu.taylor_lift(point, 1)
-        f[s] = slift.jacobian()[0, 0]
-        m[s] = mlift.jacobian()[0, 0] + slift.value()[0]
+    points = np.asarray(samples, float).reshape(-1, 1)
+    slift = sigma.taylor_lift(points, 1)
+    f = slift.jacobian()[:, 0, 0]
+    m = mu.taylor_lift(points, 1).jacobian()[:, 0, 0] + slift.value()[:, 0]
     return f, m
 
 
@@ -487,10 +446,11 @@ def pairing_identity_1d(sigma: ExprMap, mu: ExprMap, xi: ExprMap,
     f, m = affine_1d_adjoint(sigma, mu, pts)
     xvals, jvals = xi.eval(pts)[:, 0], jet.eval(pts)[:, 0]
     svals, muvals = sigma.eval(pts)[:, 0], mu.eval(pts)[:, 0]
+    dxi = xi.taylor_lift(pts, 1).jacobian()[:, 0, 0]
+    djet = jet.taylor_lift(pts, 1).jacobian()[:, 0, 0]
     lhs = rhs = 0.0
-    for idx, (point, weight) in enumerate(zip(pts, weights)):
-        dxi = xi.taylor_lift(point, 1).jacobian()[0, 0]
-        djet = jet.taylor_lift(point, 1).jacobian()[0, 0]
-        lhs += weight * (svals[idx] * (dxi - jvals[idx]) + muvals[idx] * djet)
+    for idx, weight in enumerate(weights):
+        lhs += weight * (svals[idx] * (dxi[idx] - jvals[idx])
+                         + muvals[idx] * djet[idx])
         rhs += weight * (f[idx] * xvals[idx] + m[idx] * jvals[idx])
     return PairingReport(lhs, rhs)

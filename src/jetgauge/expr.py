@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import series
-from ._multiindex import MultiIndexContext, context
+from ._multiindex import MultiIndexContext, context, derivative_rows
 from .series import DomainError
 
 __all__ = [
@@ -355,6 +355,17 @@ class TaylorMap:
         pos = ctx.pos(mu)
         out = self.coeffs[..., component, pos] * ctx.factorial[pos]
         return float(out) if out.ndim == 0 else out
+
+    def derivative(self, k: int) -> np.ndarray:
+        """Every raw k-th derivative, (..., nout) + (nin,) * k, symmetric in
+        its last k axes: entry [..., c, a1, ..., ak] is
+        d^k f_c / dx_a1 ... dx_ak.  A fresh C-contiguous array."""
+        if not 1 <= k <= self.order:
+            raise ValueError(f"derivative order {k} outside 1..{self.order}")
+        rows, fac = derivative_rows(self.nin, k)
+        # coeffs[..., rows] would come out strided, and the einsum and
+        # matmul kernels callers then run give other bits on such a layout
+        return np.take(self.coeffs, rows, axis=-1) * fac
 
     def value(self) -> np.ndarray:
         return self.coeffs[..., 0].copy()

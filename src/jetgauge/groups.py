@@ -15,6 +15,7 @@ the curvature of every pulled-back field vanish identically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -35,6 +36,9 @@ __all__ = [
     "el_body_residual", "el_space_residual", "linear_gauge_d",
     "spencer_from_action",
 ]
+
+
+JACOBI_TOL = 1e-8
 
 
 class InconsistentGroupLaw(ValueError):
@@ -96,28 +100,23 @@ class LieGroupSpec:
             raise InconsistentGroupLaw(
                 f"{self.label}: group axioms violated by {worst[k]:.3e} at sample {k}")
 
-    def structure_constants(self, tol: float = 1e-8) -> np.ndarray:
+    def structure_constants(self) -> np.ndarray:
+        """c[tau, rho, sigma], computed on first use and shared read-only;
+        a law that fails the Jacobi identity raises on every call."""
+        return self._structure_constants
+
+    @functools.cached_property
+    def _structure_constants(self) -> np.ndarray:
         p = self.dim
         lift = self.compose.taylor_lift(np.concatenate([self.identity, self.identity]), 2)
-        c = np.zeros((p, p, p))
-        for tau in range(p):
-            for rho in range(p):
-                for sigma in range(p):
-                    mu1 = _mixed_index(p, sigma, rho)
-                    mu2 = _mixed_index(p, rho, sigma)
-                    c[tau, rho, sigma] = lift.raw(tau, mu1) - lift.raw(tau, mu2)
+        mixed = lift.derivative(2)[:, :p, p:]   # [tau, sigma, rho] = d2 m / da db
+        c = np.swapaxes(mixed, 1, 2) - mixed
         resid = jacobi_residual(c)
-        if not resid <= tol:  # a NaN residual is no Lie algebra either
+        if not resid <= JACOBI_TOL:  # a NaN residual is no Lie algebra either
             raise InconsistentGroupLaw(
-                f"{self.label}: Jacobi residual {resid:.3e} exceeds {tol}")
+                f"{self.label}: Jacobi residual {resid:.3e} exceeds {JACOBI_TOL}")
+        c.flags.writeable = False
         return c
-
-
-def _mixed_index(p: int, a_slot: int, b_slot: int) -> tuple:
-    mu = [0] * (2 * p)
-    mu[a_slot] += 1
-    mu[p + b_slot] += 1
-    return tuple(mu)
 
 
 def bracket(c: np.ndarray, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -286,37 +285,18 @@ def _gauge_derivatives(field: GaugeField, x: np.ndarray) -> tuple[np.ndarray, np
     lift = field.gauging.taylor_lift(x, 2)
     a = lift.value()
     da = lift.jacobian()                            # (M, p, n)
-    d2a = np.zeros(batch + (p, n, n))               # [t, i, j] = d_ij a^t
-    for i in range(n):
-        for j in range(n):
-            mu = [0] * n
-            mu[i] += 1
-            mu[j] += 1
-            for t in range(p):
-                d2a[..., t, i, j] = lift.raw(t, tuple(mu))
+    d2a = lift.derivative(2)                        # [t, i, j] = d_ij a^t
 
     # The translation matrix is dm in one slot while a(x) occupies the
     # other, so its x-derivative flows through that other slot.
-    if field.form == "body":
-        base = _with_identity(spec, a, True)
-        mat_slots = range(p, 2 * p)
-        dep_slots = range(0, p)
-    else:
-        base = _with_identity(spec, a, False)
-        mat_slots = range(0, p)
-        dep_slots = range(p, 2 * p)
-    mlift = spec.compose.taylor_lift(base, 2)
-    mat = np.zeros(batch + (p, p))
-    dmat = np.zeros(batch + (p, p, p))              # [t, s, nu] = d(mat[t,s])/da^nu
-    for t in range(p):
-        for s_i, s in enumerate(mat_slots):
-            mu = [0] * (2 * p)
-            mu[s] += 1
-            mat[..., t, s_i] = mlift.raw(t, tuple(mu))
-            for nu_i, nu in enumerate(dep_slots):
-                mu2 = list(mu)
-                mu2[nu] += 1
-                dmat[..., t, s_i, nu_i] = mlift.raw(t, tuple(mu2))
+    body = field.form == "body"
+    mat_slots = slice(p, None) if body else slice(0, p)
+    dep_slots = slice(0, p) if body else slice(p, None)
+    mlift = spec.compose.taylor_lift(_with_identity(spec, a, body), 2)
+    # inv and einsum may take other kernels on strided views: copy row-major
+    mat = np.ascontiguousarray(mlift.jacobian()[..., mat_slots])
+    # [t, s, nu] = d(mat[t,s])/da^nu
+    dmat = np.ascontiguousarray(mlift.derivative(2)[..., mat_slots, dep_slots])
 
     inv = np.linalg.inv(mat)
     aval = inv @ da                                 # (..., p, n), columns j
@@ -348,19 +328,7 @@ def _translation_jet(spec: LieGroupSpec, a0: np.ndarray) -> tuple[np.ndarray, np
     with the leading axes of a block of points a0 (..., p)."""
     p = spec.dim
     mlift = spec.compose.taylor_lift(_with_identity(spec, a0, True), 2)
-    batch = np.shape(a0)[:-1]
-    L0 = np.zeros(batch + (p, p))
-    D2 = np.zeros(batch + (p, p, p))
-    for t in range(p):
-        for s in range(p):
-            mu = [0] * (2 * p)
-            mu[p + s] += 1
-            L0[..., t, s] = mlift.raw(t, tuple(mu))
-            for nu in range(p):
-                mu2 = list(mu)
-                mu2[nu] += 1
-                D2[..., t, s, nu] = mlift.raw(t, tuple(mu2))
-    return L0, D2
+    return mlift.jacobian()[..., p:], mlift.derivative(2)[..., p:, :p]
 
 
 def _group_exp_series(spec: LieGroupSpec, ctx, lam_series: np.ndarray,
@@ -551,22 +519,19 @@ def linear_gauge_dd(field: ExprMap, n: int, p: int, r: int,
     combos_r = list(itertools.combinations(range(n), r))
     combos_2 = tuple(itertools.combinations(range(n), r + 2))
     index_r = {K: k for k, K in enumerate(combos_r)}
+    samples = np.asarray(samples, float)
+    # [s, t, rest, i, j] = d_ij of the component of algebra index t on rest
+    d2 = field.taylor_lift(samples, 2).derivative(2)[:, :p * len(combos_r)]
+    d2 = d2.reshape((len(samples), p, len(combos_r), n, n))
     out = np.zeros((len(samples), p, max(len(combos_2), 1)))
-    for s, x in enumerate(samples):
-        lift = field.taylor_lift(x, 2)
-        for kk, L in enumerate(combos_2):
-            for u in range(r + 2):
-                K = L[:u] + L[u + 1:]
-                sign_u = -1.0 if u % 2 else 1.0
-                for v in range(r + 1):
-                    rest = K[:v] + K[v + 1:]
-                    sign_v = -1.0 if v % 2 else 1.0
-                    mu = [0] * n
-                    mu[L[u]] += 1
-                    mu[K[v]] += 1
-                    for t in range(p):
-                        comp = t * len(combos_r) + index_r[rest]
-                        out[s, t, kk] += sign_u * sign_v * lift.raw(comp, tuple(mu))
+    for kk, L in enumerate(combos_2):
+        for u in range(r + 2):
+            K = L[:u] + L[u + 1:]
+            sign_u = -1.0 if u % 2 else 1.0
+            for v in range(r + 1):
+                rest = K[:v] + K[v + 1:]
+                sign_v = -1.0 if v % 2 else 1.0
+                out[:, :, kk] += sign_u * sign_v * d2[:, :, index_r[rest], L[u], K[v]]
     return out
 
 

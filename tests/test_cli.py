@@ -174,6 +174,8 @@ def test_group_overflow_fixture_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("family,message", [
     ({"m": 1, "n": 1, "f": "x1 + 0*y1"}, "singular source jacobian"),
     ({"m": 1, "n": 1, "f": "y1 + log(x1)"}, "log of nonpositive value"),
+    ({"m": 1, "n": 1, "f": "x1 + 0*y1", "label": "flat"},
+     "singular source jacobian in flat"),
 ])
 def test_dynamics_fixture_that_cannot_run_exits_two(tmp_path, capsys,
                                                     family, message):

@@ -484,14 +484,14 @@ def _point_state(m, val, jac, d2):
                                  suites._random_motion_family(1042)],
                          ids=["newton", "rotation", "shift", "roster"])
 def test_speed_state_block_matches_point_arithmetic(fam):
-    from jetgauge.dynamics import _derivative_blocks
     zx = fam.sample_zx(40, 5)
     z, x = zx[:, :fam.m], zx[:, fam.m:]
     block = fam.state(z.reshape(4, 10, fam.m), x.reshape(4, 10, fam.n))
     y = fam.invert(z, x)
     for q in range(len(zx)):
         lift = fam.forward.taylor_lift(np.concatenate([y[q], x[q]]), 2)
-        ref = _point_state(fam.m, *_derivative_blocks(lift))
+        ref = _point_state(fam.m, lift.value(), lift.jacobian(),
+                           lift.derivative(2))
         alone = fam.state(z[q], x[q])                 # the zero-batch case
         for name, want in ref.items():
             got = getattr(block, name)[q // 10, q % 10]
@@ -509,7 +509,7 @@ def test_speed_state_squares_rho_like_a_point():
     d2 = rng.uniform(-0.5, 0.5, (6, 1, 3, 3))
     d2 = d2 + np.swapaxes(d2, -1, -2)
     val = rng.uniform(-1.0, 1.0, (6, 1))
-    block = _SpeedState(1, val, jac, d2)
+    block = _SpeedState(1, val, jac, d2, "squares")
     for q in range(6):
         for name, want in _point_state(1, val[q], jac[q], d2[q]).items():
             assert np.array_equal(_bits(getattr(block, name)[q]), _bits(want))
@@ -528,13 +528,12 @@ def test_solenoidal_tree_matches_parsed_text():
 
 def _point_vortex(field, zt):
     """The one-point vortex residual arithmetic the block must match."""
-    from jetgauge.dynamics import _derivative_blocks
-
     def curl(mat):
         return np.array([mat[2, 1] - mat[1, 2], mat[0, 2] - mat[2, 0],
                          mat[1, 0] - mat[0, 1]])
 
-    val, jac, d2 = _derivative_blocks(field.taylor_lift(zt, 2))
+    lift = field.taylor_lift(zt, 2)
+    val, jac, d2 = lift.value(), lift.jacobian(), lift.derivative(2)
     dz, dzz, dzt = jac[:, :3], d2[:, :3, :3], d2[:, :3, 3]
     omega = 0.5 * curl(dz)
     domega_z = np.empty((3, 3))

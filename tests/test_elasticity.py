@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from jetgauge.elasticity import (
     stress_state_from_dict, torsor_equilibrium_check,
 )
 from jetgauge.expr import ExprMap
+from jetgauge.quadrature import gauss_rule
 from jetgauge.sampling import halton_points
 
 PTS = halton_points(((-0.8, 0.8), (-0.8, 0.8)), 9, 31)
@@ -206,3 +209,124 @@ def test_section_validation():
         DisplacementSection.parse("x1, x2", metric=[[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError):
         StressState.parse("x1, x2")                  # needs four components
+
+
+# Per-point references for the block functions: the one-point arithmetic
+# each block must reproduce bit for bit.  Each mixed third derivative of a
+# section comes from one jet slot, so under a symmetric metric the two
+# halves of the compatibility residual cancel exactly and it reads 0.0
+# whatever kernel computed them.  The last metric is asymmetric by 2^-44,
+# inside the 1e-12 the section admits, which leaves the residual at
+# roundoff, where a changed kernel shows.
+METRICS = {"identity": None, "metric": [[2.0, 0.3], [0.3, 1.5]],
+           "uneven": [[2.0, 0.3], [0.3 + 2.0 ** -44, 1.5]]}
+SECTIONS = [
+    DisplacementSection.parse(
+        "sin(x1)*x2^2 + exp(0.3*x2), x1^3*x2 - cos(x1*x2)",
+        "0.4*x1 - x2^2 + sin(x2)", metric=metric)
+    for metric in METRICS.values()
+]
+STATE = StressState.parse("sin(x1)*x2, x1^2 - x2, exp(x2)*x1, x1*x2^3",
+                          "cos(x1)*x2, x1^2*x2 - 0.3")
+
+
+def _bits(a):
+    return np.asarray(a, float).view(np.int64)
+
+
+def _point_gradient(sec, x):
+    return sec.xi.taylor_lift(x, 1).jacobian().T @ sec.metric
+
+
+def _point_spencer(sec, x):
+    jlift = sec.jet.taylor_lift(x, 1)
+    j = float(jlift.value()[0])
+    d = _point_gradient(sec, x) - np.array([[0.0, j], [-j, 0.0]])
+    jjac = jlift.jacobian()[0]
+    return np.array([d[0, 0], d[0, 1], d[1, 0], d[1, 1], jjac[0], jjac[1]])
+
+
+def _point_riemann(sec, x):
+    lift = sec.xi.taylor_lift(x, 3)
+    third = np.empty((2, 2, 2, 2))
+    for a, b, c in itertools.product(range(2), repeat=3):
+        mu = [0, 0]
+        for v in (a, b, c):
+            mu[v] += 1
+        third[:, a, b, c] = [lift.raw(r, tuple(mu)) for r in range(2)]
+    omega = sec.metric
+
+    def deps(a, b, i, j):
+        return 0.5 * float(omega[:, j] @ third[:, a, b, i]
+                           + omega[i, :] @ third[:, a, b, j])
+    return deps(0, 0, 1, 1) + deps(1, 1, 0, 0) - 2.0 * deps(0, 1, 0, 1)
+
+
+@pytest.mark.parametrize("sec", SECTIONS, ids=list(METRICS))
+def test_section_blocks_match_point_arithmetic(sec):
+    grads = sec.lowered_gradient(PTS.reshape(3, 3, 2))
+    kill, comps = killing(sec, PTS), spencer_elastic(sec, PTS)
+    for q, x in enumerate(PTS):
+        g = _point_gradient(sec, x)
+        assert np.array_equal(_bits(grads[q // 3, q % 3]), _bits(g))
+        assert np.array_equal(_bits(sec.lowered_gradient(x)), _bits(g))
+        assert np.array_equal(_bits(kill[q]), _bits(0.5 * (g + g.T)))
+        assert np.array_equal(_bits(comps[q]), _bits(_point_spencer(sec, x)))
+    alone = [_point_riemann(sec, x) for x in PTS]
+    if sec.metric[0, 1] != sec.metric[1, 0]:
+        assert any(alone)                   # the residual is not vacuous
+    for q in range(len(PTS)):
+        got = riemann_residual(sec, PTS[q:q + 1])
+        assert _bits(got) == _bits(abs(alone[q]))
+    assert _bits(riemann_residual(sec, PTS)) == _bits(np.max(np.abs(alone)))
+
+
+def test_strain_riemann_block_matches_point_arithmetic():
+    strain = ExprMap.parse("sin(x1)*x2^2, exp(x1*x2), x1^3 - cos(x2)",
+                           ["x1", "x2"])
+    alone = []
+    for x in PTS:
+        lift = strain.taylor_lift(x, 2)
+        alone.append(lift.raw(2, (2, 0)) + lift.raw(0, (0, 2))
+                     - 2.0 * lift.raw(1, (1, 1)))
+    assert _bits(riemann_residual(strain, PTS)) == _bits(np.max(np.abs(alone)))
+
+
+def test_adjoint_blocks_match_point_arithmetic():
+    f, m = adjoint_spencer(STATE, PTS)
+    for q, x in enumerate(PTS):
+        slift = STATE.sigma.taylor_lift(x, 1)
+        sval, sjac = slift.value(), slift.jacobian()
+        mjac = STATE.mu.taylor_lift(x, 1).jacobian()
+        assert _bits(f[q, 0]) == _bits(sjac[0, 0] + sjac[2, 1])
+        assert _bits(f[q, 1]) == _bits(sjac[1, 0] + sjac[3, 1])
+        assert _bits(m[q]) == _bits(mjac[0, 0] + mjac[1, 1] + sval[1] - sval[2])
+    sig = ExprMap.parse("sin(x1)*x1 - 0.4", ["x1"])
+    mu = ExprMap.parse("exp(x1)*x1^2", ["x1"])
+    f1, m1 = affine_1d_adjoint(sig, mu, PTS1)
+    for q, x in enumerate(PTS1):
+        slift = sig.taylor_lift(x, 1)
+        assert _bits(f1[q]) == _bits(slift.jacobian()[0, 0])
+        assert _bits(m1[q]) == _bits(mu.taylor_lift(x, 1).jacobian()[0, 0]
+                                     + slift.value()[0])
+
+
+def test_pairing_1d_block_matches_node_loop():
+    sig = ExprMap.parse("x1^2 - 0.4*x1 + 0.1", ["x1"])
+    mu = ExprMap.parse("0.3*x1^3 - x1", ["x1"])
+    xi = ExprMap.parse("0.4 + x1^2 - 0.7*x1^3", ["x1"])
+    jet = ExprMap.parse("x1 - 0.3*x1^2", ["x1"])
+    rep = pairing_identity_1d(sig, mu, xi, jet, (-0.9, 1.3), order=6)
+    nodes, weights = gauss_rule(-0.9, 1.3, 6)
+    f, m = affine_1d_adjoint(sig, mu, nodes.reshape(-1, 1))
+    lhs = rhs = 0.0
+    for idx, (node, weight) in enumerate(zip(nodes, weights)):
+        point = np.array([node])
+        xval, jval = xi.eval(point)[0], jet.eval(point)[0]
+        dxi = xi.taylor_lift(point, 1).jacobian()[0, 0]
+        djet = jet.taylor_lift(point, 1).jacobian()[0, 0]
+        lhs += weight * (sig.eval(point)[0] * (dxi - jval)
+                         + mu.eval(point)[0] * djet)
+        rhs += weight * (f[idx] * xval + m[idx] * jval)
+    assert abs(rep.gap) > 0.1                # the ends do not vanish
+    assert (_bits(rep.lhs), _bits(rep.rhs)) == (_bits(lhs), _bits(rhs))

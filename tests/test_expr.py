@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,46 @@ def test_taylor_lift_raw_second_derivatives():
     tm = m.taylor_lift(np.array([3.0, 5.0]), 2)
     assert abs(tm.raw(0, (1, 1)) - 2 * 3.0) < 1e-12      # d2/dx1 dx2 = 2 x1
     assert abs(tm.raw(0, (2, 0)) - 2 * 5.0) < 1e-12      # d2/dx1^2  = 2 x2
+
+
+def _loop_derivative(lift, k):
+    """The multi-index loop that derivative(k) replaced: every slot looked
+    up by hand and scaled by mu!."""
+    ctx = lift.ctx
+    out = np.zeros(lift.coeffs.shape[:-1] + (lift.nin,) * k)
+    for axes in itertools.product(range(lift.nin), repeat=k):
+        mu = [0] * lift.nin
+        for a in axes:
+            mu[a] += 1
+        pos = ctx.pos(tuple(mu))
+        out[(...,) + axes] = lift.coeffs[..., pos] * ctx.factorial[pos]
+    return out
+
+
+DERIVATIVE_MAP = ExprMap.parse(
+    "exp(x1) * x2^3 - sin(x3) * x1^2, x1 * x2 * x3 + cos(x2 * x3) / (2 + x1)",
+    ["x1", "x2", "x3"])
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3), (0,)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_derivative_matches_the_multi_index_loop(k, batch):
+    points = np.random.default_rng(k).uniform(-0.7, 0.7, batch + (3,))
+    for order in range(k, k + 3):
+        lift = DERIVATIVE_MAP.taylor_lift(points, order)
+        got = lift.derivative(k)
+        assert got.shape == batch + (2,) + (3,) * k
+        assert got.flags["C_CONTIGUOUS"]
+        assert _same_bits(got, _loop_derivative(lift, k))
+        for perm in itertools.permutations(range(k)):
+            axes = tuple(range(got.ndim - k)) + tuple(got.ndim - k + q
+                                                      for q in perm)
+            assert _same_bits(np.transpose(got, axes), got)
+        if k == 1:
+            assert _same_bits(got, lift.jacobian())
+    for bad in (0, k + 3):
+        with pytest.raises(ValueError, match="derivative order"):
+            lift.derivative(bad)
 
 
 def _same_bits(a, b):
@@ -337,3 +378,31 @@ def test_no_eval_call_inside_a_loop():
                         and node.func.attr == "eval"):
                     found.append(f"{path.name}:{node.lineno}")
     assert sorted(set(found)) == []
+
+
+def _attribute_reads(tree, names, skip_function=None):
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == skip_function:
+            skipped.update(map(id, ast.walk(node)))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in names
+            and id(node) not in skipped]
+
+
+def test_derivatives_are_read_through_taylor_map():
+    # the graded slot layout and the mu! scaling stay behind
+    # TaylorMap.derivative; spencer_from_action alone reads its whole raw
+    # table in slot order
+    src = Path(__file__).resolve().parent.parent / "src" / "jetgauge"
+    found = []
+    for name in ("dynamics.py", "elasticity.py", "groups.py"):
+        tree = ast.parse((src / name).read_text())
+        found += [f"{name}:{line}" for line in _attribute_reads(
+            tree, ("pos", "factorial", "raw"), "spencer_from_action")]
+    assert found == []
+    # elasticity lifts each call site as one block
+    tree = ast.parse((src / "elasticity.py").read_text())
+    in_loops = {line for loop in ast.walk(tree) if isinstance(loop, _LOOPS)
+                for line in _attribute_reads(loop, ("taylor_lift",))}
+    assert sorted(in_loops) == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -77,8 +78,31 @@ def test_jacobi_residual_nan_fails_closed():
     nan_law = replace(AFFINE, compose=ExprMap.parse(
         "a1*b1, a1*b2 + a2 + 0*exp(800 + a1)*a2*b1",
         ["a1", "a2", "b1", "b2"]))
-    with pytest.raises(InconsistentGroupLaw, match="nan"):
-        nan_law.structure_constants()
+    for _ in range(2):                       # a refusal is not cached
+        with pytest.raises(InconsistentGroupLaw, match="nan"):
+            nan_law.structure_constants()
+
+
+@pytest.mark.parametrize("spec", [AFFINE, E2], ids=["affine", "e2"])
+def test_structure_constants_once_per_spec_and_read_only(spec):
+    # the triple loop over mixed slots that the block read replaced
+    p = spec.dim
+    lift = spec.compose.taylor_lift(np.concatenate([spec.identity] * 2), 2)
+    want = np.zeros((p, p, p))
+    for tau, rho, sigma in itertools.product(range(p), repeat=3):
+        mu1, mu2 = [0] * (2 * p), [0] * (2 * p)
+        mu1[sigma] += 1
+        mu1[p + rho] += 1
+        mu2[rho] += 1
+        mu2[p + sigma] += 1
+        want[tau, rho, sigma] = (lift.raw(tau, tuple(mu1))
+                                 - lift.raw(tau, tuple(mu2)))
+    fresh = replace(spec)
+    c = fresh.structure_constants()
+    assert np.array_equal(_bits(c), _bits(want))
+    assert fresh.structure_constants() is c
+    with pytest.raises(ValueError):
+        c[0, 0, 0] = 1.0
 
 
 def test_e2_structure_constants():
@@ -202,6 +226,39 @@ def test_linear_gauge_dd_vanishes():
     one_form = ExprMap.parse("sin(x1)*x2, x1*x2^2, exp(x1) - x2, x1^3",
                              ["x1", "x2"])
     assert np.max(np.abs(linear_gauge_dd(one_form, 2, 2, 0, SAMPLES))) < 1e-12
+
+
+@pytest.mark.parametrize("n,p,r", [(2, 2, 0), (3, 2, 1), (4, 1, 2), (2, 1, 1)])
+def test_linear_gauge_dd_block_matches_sample_loop(n, p, r):
+    names = [f"x{k + 1}" for k in range(n)]
+    ncomp = p * math.comb(n, r)
+    rng = np.random.default_rng(n + p + r)
+    texts = [" + ".join(f"{rng.uniform(-1, 1)!r}*sin({a})*{b}^2"
+                        for a, b in itertools.permutations(names, 2))
+             for _ in range(ncomp)]
+    field = ExprMap.parse(", ".join(texts), names)
+    pts = halton_points(((-0.6, 0.7),) * n, 12, 5)
+    got = linear_gauge_dd(field, n, p, r, pts)
+    # the per-sample loop over raw slots that the block read replaced
+    combos_r = list(itertools.combinations(range(n), r))
+    combos_2 = tuple(itertools.combinations(range(n), r + 2))
+    want = np.zeros((len(pts), p, max(len(combos_2), 1)))
+    for s, x in enumerate(pts):
+        lift = field.taylor_lift(x, 2)
+        for kk, L in enumerate(combos_2):
+            for u in range(r + 2):
+                K = L[:u] + L[u + 1:]
+                for v in range(r + 1):
+                    rest = K[:v] + K[v + 1:]
+                    mu = [0] * n
+                    mu[L[u]] += 1
+                    mu[K[v]] += 1
+                    for t in range(p):
+                        comp = t * len(combos_r) + combos_r.index(rest)
+                        want[s, t, kk] += ((-1.0) ** u * (-1.0) ** v
+                                           * lift.raw(comp, tuple(mu)))
+    assert np.array_equal(_bits(got), _bits(want))
+    assert linear_gauge_dd(field, n, p, r, pts[:0]).shape == (0,) + want.shape[1:]
 
 
 def test_spencer_from_action_affine():
