@@ -6,6 +6,10 @@ series kernels run on.  Ordering: indices are sorted by total degree first,
 ties broken lexicographically with the first variable largest, so the
 constant term sits at position 0 and truncation to a lower order is a pure
 prefix slice.
+
+The one polynomial-jet kernel lives here too: `poly_shift` takes monomial
+coefficients to Taylor coefficients at a point by binomial shift, with no
+product table, so a polynomial's jet is exact linear algebra.
 """
 
 from __future__ import annotations
@@ -54,20 +58,28 @@ class MultiIndexContext:
 
     def shifted(self, row: int, var: int) -> int:
         """Row of mu + e_var, or -1 when that leaves the truncation."""
-        mu = self.midx[row].copy()
-        mu[var] += 1
+        mu = self.midx[row] + (np.arange(self.nvars) == var)
         return self.position.get(tuple(mu), -1)
 
 
-def _exponent_rows(nvars: int, order: int) -> np.ndarray:
-    rows = []
-    for deg in range(order + 1):
-        for combo in itertools.combinations_with_replacement(range(nvars), deg):
-            mu = [0] * nvars
-            for v in combo:
-                mu[v] += 1
-            rows.append(mu)
-    return np.array(rows, dtype=np.int64)
+@functools.lru_cache(maxsize=None)
+def exponent_rows(nvars: int, order: int) -> np.ndarray:
+    """(count, nvars) exponent rows in graded order; shared and read-only."""
+    combos = (combo for deg in range(order + 1) for combo in
+              itertools.combinations_with_replacement(range(nvars), deg))
+    out = np.array([[combo.count(v) for v in range(nvars)]
+                    for combo in combos], dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _rows_of(midx: np.ndarray, order: int, mu: np.ndarray) -> np.ndarray:
+    """Row in midx = exponent_rows(nvars, order) of each exponent row of mu
+    (..., nvars), found by its digits in base order + 1."""
+    radix = (order + 1) ** np.arange(midx.shape[1])
+    code = midx @ radix
+    by_code = np.argsort(code)
+    return by_code[np.searchsorted(code[by_code], mu @ radix)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,33 +88,19 @@ def context(nvars: int, order: int) -> MultiIndexContext:
         raise ValueError(f"need at least one variable, got {nvars}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    midx = _exponent_rows(nvars, order)
+    midx = exponent_rows(nvars, order)
     degree = midx.sum(axis=1)
     position = {tuple(row): k for k, row in enumerate(midx)}
-    factorial = np.array(
-        [math.prod(math.factorial(int(e)) for e in row) for row in midx],
-        dtype=np.float64,
-    )
+    # products of exact integers, so exact
+    fac1 = np.array([math.factorial(e) for e in range(order + 1)], float)
+    factorial = np.prod(fac1[midx], axis=-1)
 
-    ti, tj, tk = [], [], []
-    for i in range(len(midx)):
-        for j in range(len(midx)):
-            if degree[i] + degree[j] > order:
-                continue
-            ti.append(i)
-            tj.append(j)
-            tk.append(position[tuple(midx[i] + midx[j])])
-    return MultiIndexContext(
-        nvars=nvars,
-        order=order,
-        midx=midx,
-        degree=degree,
-        factorial=factorial,
-        position=position,
-        mul_i=np.array(ti, dtype=np.int64),
-        mul_j=np.array(tj, dtype=np.int64),
-        mul_k=np.array(tk, dtype=np.int64),
-    )
+    # every (i, j) with degree[i] + degree[j] <= order, row-major
+    ti, tj = np.nonzero(degree[:, None] + degree[None, :] <= order)
+    tk = _rows_of(midx, order, midx[ti] + midx[tj])
+    return MultiIndexContext(nvars=nvars, order=order, midx=midx,
+                             degree=degree, factorial=factorial,
+                             position=position, mul_i=ti, mul_j=tj, mul_k=tk)
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,16 +114,43 @@ def derivative_rows(nvars: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     ctx = context(nvars, k)
     rows = np.empty((nvars,) * k, dtype=np.int64)
     for axes in itertools.product(range(nvars), repeat=k):
-        mu = [0] * nvars
-        for a in axes:
-            mu[a] += 1
-        rows[axes] = ctx.position[tuple(mu)]
+        rows[axes] = ctx.pos([axes.count(v) for v in range(nvars)])
     fac = ctx.factorial[rows]
-    rows.flags.writeable = False
-    fac.flags.writeable = False
+    rows.flags.writeable = fac.flags.writeable = False
     return rows, fac
 
 
-def binom_mu(mu, nu) -> float:
-    """Product of componentwise binomials C(mu_a, nu_a)."""
-    return float(math.prod(math.comb(int(m), int(n)) for m, n in zip(mu, nu)))
+@functools.lru_cache(maxsize=None)
+def shift_table(nvars: int, degree: int,
+                xorder: int) -> tuple[np.ndarray, np.ndarray]:
+    """binom(beta, kappa) and the exponent_rows(nvars, degree) row of
+    beta - kappa, each (count_degree, count_xorder), for `poly_shift`; both
+    are zero where kappa exceeds beta.  Shared and read-only."""
+    midx = exponent_rows(nvars, degree)
+    beta, kappa = midx[:, None, :], exponent_rows(nvars, xorder)[None, :, :]
+    # pascal[m, k] = C(m, k), zero for k > m; the products are exact
+    top = max(degree, xorder) + 1
+    pascal = np.array([[math.comb(m, k) for k in range(top)]
+                       for m in range(degree + 1)], dtype=np.float64)
+    binom = np.prod(pascal[beta, kappa], axis=-1)
+    rest = _rows_of(midx, degree,
+                    np.where(binom[..., None] > 0, beta - kappa, 0))
+    binom.flags.writeable = rest.flags.writeable = False
+    return binom, rest
+
+
+def poly_shift(nvars: int, degree: int, x: np.ndarray,
+               xorder: int) -> np.ndarray:
+    """Map from monomial coefficients to Taylor coefficients around x.
+
+    Shape (..., count_degree, count_xorder) for x of shape (..., nvars);
+    entry [b, kp] is binom(beta, kappa) * x^(beta - kappa), the coefficient
+    of (. - x)^kappa in the monomial x^beta.  It depends on the point and
+    the basis only, so every polynomial lifted at x shares it.  Each
+    monomial x^gamma is worked out once per point and gathered.
+    """
+    binom, rest = shift_table(nvars, degree, xorder)
+    x = np.asarray(x, dtype=float)
+    monomials = np.prod(x[..., None, :] ** exponent_rows(nvars, degree), -1)
+    shift = monomials[..., rest]
+    return np.multiply(shift, binom, out=shift)

@@ -29,8 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Bin, Expr, ExprMap, Neg, Num, Var
+from ._multiindex import exponent_rows
+from .expr import ExprMap, PolyMap, TaylorMap
 from .quadrature import gauss_rule, tensor_rule
+from .series import DomainError
 from .sampling import Box, halton_points
 
 __all__ = [
@@ -74,6 +76,16 @@ def _vecmat(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (vec[..., None, :] @ mat)[..., 0, :]
 
 
+def _lift(emap: ExprMap, parts: Sequence[np.ndarray], order: int,
+          label: str) -> TaylorMap:
+    """A family's lift of emap around np.concatenate(parts, axis=-1); a
+    DomainError names the family's label."""
+    try:
+        return emap.taylor_lift(np.concatenate(parts, axis=-1), order)
+    except DomainError as exc:
+        raise DomainError(f"{exc} in {label}") from exc
+
+
 def _newton(emap: ExprMap, m: int, z: np.ndarray, tail: np.ndarray,
             start: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     """Solve emap(y, tail) = z for y at every row of a block, in lockstep.
@@ -95,7 +107,7 @@ def _newton(emap: ExprMap, m: int, z: np.ndarray, tail: np.ndarray,
     jac = np.empty((len(y), m, m + k))
     live = np.arange(len(y))
     for _ in range(NEWTON_MAX_ITER):
-        lift = emap.taylor_lift(np.concatenate([y[live], tail[live]], axis=-1), 1)
+        lift = _lift(emap, (y[live], tail[live]), 1, label)
         resid = lift.value() - z[live]
         full = lift.jacobian()
         done = np.max(np.abs(resid), axis=-1) < NEWTON_TOL
@@ -225,7 +237,7 @@ class MotionFamily:
         z = np.asarray(z, float)
         x = np.asarray(x, float)
         if self.inverse is not None:
-            return self.inverse.eval(np.concatenate([z, x], axis=-1))
+            return _lift(self.inverse, (z, x), 0, self.label).value()
         if seed is None:
             seed = np.array([0.5 * (lo + hi) for lo, hi in self.ybox])
         return _newton(self.forward, self.m, z, x, seed, self.label)[0]
@@ -244,7 +256,7 @@ class MotionFamily:
         zero-batch case."""
         y = np.asarray(y, float)
         x = np.asarray(x, float)
-        lift = self.forward.taylor_lift(np.concatenate([y, x], axis=-1), 2)
+        lift = _lift(self.forward, (y, x), 2, self.label)
         return _SpeedState(self.m, lift.value(), lift.jacobian(),
                            lift.derivative(2), self.label)
 
@@ -338,7 +350,7 @@ def _variation_blocks(fam: MotionFamily, y: np.ndarray, x: np.ndarray):
         raise ValueError("family carries no variation map")
     m = fam.m
     eps0 = np.zeros(np.shape(y)[:-1] + (1,))
-    lift = fam.variation.taylor_lift(np.concatenate([y, x, eps0], axis=-1), 2)
+    lift = _lift(fam.variation, (y, x, eps0), 2, fam.label)
     d2 = lift.derivative(2)[..., -1]
     # matmul may take another kernel on a strided view: copy each row-major
     return (np.ascontiguousarray(lift.derivative(1)[..., -1]),
@@ -386,8 +398,8 @@ def theorem3_check(fam: MotionFamily, samples: np.ndarray,
     z, x = samples[:, :m], samples[:, m:]
     y = fam.invert(z, x)
     st = fam.state_at_source(y, x)
-    base = np.abs(fam.variation.eval(np.concatenate(
-        [y, x, np.zeros((len(y), 1))], axis=-1)) - st.value)
+    base = np.abs(_lift(fam.variation, (y, x, np.zeros((len(y), 1))), 0,
+                        fam.label).value() - st.value)
     eta, deta_y, df_x = _variation_blocks(fam, y, x)
     deta_z = deta_y @ st.gz
     deta_x = df_x + deta_y @ st.gx
@@ -511,7 +523,7 @@ def el_residual(fam: MotionFamily, w: ExprMap,
     return ELReport(ez, ey, float(np.max(dual, initial=0.0)))
 
 
-def _field_blocks(field: ExprMap, zt: np.ndarray):
+def _field_blocks(field: ExprMap | PolyMap, zt: np.ndarray):
     """Order-2 lift of a time-dependent 3D field split into blocks.
 
     zt holds (z1, z2, z3, t) on its last axis; any leading axes are lifted
@@ -540,7 +552,7 @@ def _acceleration_gradient(val: np.ndarray, dz: np.ndarray, dzz: np.ndarray,
     return dzt + np.einsum("...klr,...l->...kr", dzz, val) + dz @ dz
 
 
-def vortex_residual(field: ExprMap, samples: np.ndarray,
+def vortex_residual(field: ExprMap | PolyMap, samples: np.ndarray,
                     enforce_divergence: bool = True,
                     div_tol: float = 1e-8) -> float:
     """Residual of d omega/dt + [v, omega] - (1/2) curl gamma.
@@ -629,29 +641,12 @@ def curl_parametrization_check(theta: ExprMap, box: Box,
     return CurlReport(worst_div, lhs, rhs)
 
 
-def _coeff_tree(coeffs: np.ndarray, names: Sequence[str]) -> Expr:
-    """The tree ExprMap.parse builds from _coeff_text(coeffs, names), built
-    directly: left-associated products and sums, and a coefficient with its
-    sign bit set, -0.0 too, as Neg(Num(-c)), as the parser reads "-c"."""
-    variables = [Var(name) for name in names]
-    total = None
-    for index in np.ndindex(*coeffs.shape):
-        c = float(coeffs[index])
-        term = Neg(Num(-c)) if math.copysign(1.0, c) < 0.0 else Num(c)
-        for power, var in zip(index, variables):
-            for _ in range(power):
-                term = Bin("*", term, var)
-        total = term if total is None else Bin("+", total, term)
-    return total
-
-
 def _coeff_text(coeffs: np.ndarray, names: Sequence[str]) -> str:
     terms = []
     for index in np.ndindex(*coeffs.shape):
-        factors = [repr(float(coeffs[index]))]
-        for power, name in zip(index, names):
-            factors.extend([name] * power)
-        terms.append(" * ".join(factors))
+        powers = [name for power, name in zip(index, names)
+                  for _ in range(power)]
+        terms.append(" * ".join([repr(float(coeffs[index]))] + powers))
     return " + ".join(terms)
 
 
@@ -666,7 +661,7 @@ class PressureReport:
         return self.path_gap
 
 
-def pressure_recovery(field: ExprMap, t: float, points: np.ndarray,
+def pressure_recovery(field: ExprMap | PolyMap, t: float, points: np.ndarray,
                       base: Sequence[float], nquad: int = 32,
                       curl_tol: float = 1e-8) -> PressureReport:
     """Reconstruct lambda with grad lambda = -gamma by staircase integrals.
@@ -711,7 +706,7 @@ def pressure_recovery(field: ExprMap, t: float, points: np.ndarray,
 
 
 def random_solenoidal_field(seed: int, degree: int = 2,
-                            time_scale: float = 0.3) -> ExprMap:
+                            time_scale: float = 0.3) -> PolyMap:
     """curl of a random polynomial potential in (z, t): divergence-free by
     construction, time-dependent through a polynomial t factor."""
     rng = np.random.default_rng(seed)
@@ -719,28 +714,22 @@ def random_solenoidal_field(seed: int, degree: int = 2,
     potential = [rng.uniform(-1.0, 1.0, size=size) for _ in range(3)]
 
     def diff(coeffs: np.ndarray, axis: int) -> np.ndarray:
-        out = np.zeros_like(coeffs)
-        length = coeffs.shape[axis]
-        for power in range(1, length):
-            src = [slice(None)] * 4
-            dst = [slice(None)] * 4
-            src[axis] = power
-            dst[axis] = power - 1
-            out[tuple(dst)] += power * coeffs[tuple(src)]
-        return out
+        c = np.moveaxis(coeffs, axis, 0)
+        out = np.zeros_like(c)
+        out[:-1] = np.arange(1, len(c))[:, None, None, None] * c[1:]
+        return np.moveaxis(out, 0, axis)
 
-    comps = [
-        diff(potential[2], 1) - diff(potential[1], 2),
-        diff(potential[0], 2) - diff(potential[2], 0),
-        diff(potential[1], 0) - diff(potential[0], 1),
-    ]
-    names = ["z1", "z2", "z3", "t"]
-    scaled = []
-    for comp in comps:
-        comp = comp.copy()
-        comp[..., 1] *= time_scale
-        scaled.append(_coeff_tree(comp, names))
-    return ExprMap(names, scaled)
+    comps = np.stack([diff(potential[2], 1) - diff(potential[1], 2),
+                      diff(potential[0], 2) - diff(potential[2], 0),
+                      diff(potential[1], 0) - diff(potential[0], 1)])
+    comps[..., 1] *= time_scale
+    # comps[k, a, b, c, e] multiplies z1^a z2^b z3^c t^e: gather it into
+    # the graded slot of that exponent row; every other slot stays zero
+    rows = exponent_rows(4, 3 * degree + 1)
+    inside = np.all(rows < size, axis=1)
+    coeffs = np.zeros((3, len(rows)))
+    coeffs[:, inside] = comps[(slice(None),) + tuple(rows[inside].T)]
+    return PolyMap(("z1", "z2", "z3", "t"), 3 * degree + 1, coeffs)
 
 
 @dataclass(frozen=True)
@@ -791,7 +780,7 @@ def swell_family(R0: float, k: float, omega: float, c: float,
     shifts = np.zeros((nlabels, ntimes, 3))
     shifts[..., 0] = labels[:, None, 0] - speed * times[None, :]
     shifts[..., 1] = labels[:, None, 1]
-    shifted_values = fam.forward.eval(shifts)
+    shifted_values = _lift(fam.forward, (shifts,), 0, fam.label).value()
     drift = formula = circle = frame = 0.0
     for (a, b), dets, values, shifted_row in zip(labels, st.delta, st.value,
                                                  shifted_values):

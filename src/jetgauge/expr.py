@@ -20,6 +20,8 @@ it on one base point or on a block of them; each point of a block gets the
 float operations, in the same order, that it gets alone.  There is no
 other evaluator: a value is the order-0 coefficient of a lift, on a point
 or a block, so values and derivatives share one set of domain rules.
+Polynomial data held as coefficients is a PolyMap instead, never a tree:
+its jet is a binomial shift of the coefficients, with no tape.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import series
-from ._multiindex import MultiIndexContext, context, derivative_rows
+from ._multiindex import (MultiIndexContext, context, derivative_rows,
+                          poly_shift)
 from .series import DomainError
 
 __all__ = [
     "DomainError", "ParseError", "Expr", "Num", "Var", "Bin", "Pow", "Call",
-    "Neg", "ExprMap", "TaylorMap", "parse_expr", "constant",
+    "Neg", "ExprMap", "TaylorMap", "PolyMap", "parse_expr", "constant",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "neg")
@@ -56,12 +59,19 @@ class Expr:
     """Base node; subclasses are frozen dataclasses."""
 
     def variables(self) -> set[str]:
+        # an explicit stack: a long sum is a tree too deep to recurse on
         out: set[str] = set()
-        self._collect(out)
+        stack: list[Expr] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Var):
+                out.add(node.name)
+            else:
+                stack.extend(node.children())
         return out
 
-    def _collect(self, out: set[str]) -> None:
-        raise NotImplementedError
+    def children(self) -> tuple["Expr", ...]:
+        return ()
 
     def to_text(self) -> str:
         return self._print(0)
@@ -119,9 +129,6 @@ def constant(value: float) -> Expr:
 class Num(Expr):
     value: float
 
-    def _collect(self, out):
-        pass
-
     def _print(self, parent_prec):
         return repr(self.value) if self.value != int(self.value) else str(int(self.value))
 
@@ -129,9 +136,6 @@ class Num(Expr):
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
-
-    def _collect(self, out):
-        out.add(self.name)
 
     def _print(self, parent_prec):
         return self.name
@@ -146,9 +150,8 @@ class Bin(Expr):
     lhs: Expr
     rhs: Expr
 
-    def _collect(self, out):
-        self.lhs._collect(out)
-        self.rhs._collect(out)
+    def children(self):
+        return (self.lhs, self.rhs)
 
     def _print(self, parent_prec):
         prec = _PREC[self.op]
@@ -166,8 +169,8 @@ class Pow(Expr):
     base: Expr
     exponent: float
 
-    def _collect(self, out):
-        self.base._collect(out)
+    def children(self):
+        return (self.base,)
 
     def _print(self, parent_prec):
         base = self.base._print(0)
@@ -183,8 +186,8 @@ class Call(Expr):
     func: str
     arg: Expr
 
-    def _collect(self, out):
-        self.arg._collect(out)
+    def children(self):
+        return (self.arg,)
 
     def _print(self, parent_prec):
         return f"{self.func}({self.arg._print(0)})"
@@ -194,8 +197,8 @@ class Call(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def _collect(self, out):
-        self.arg._collect(out)
+    def children(self):
+        return (self.arg,)
 
     def _print(self, parent_prec):
         text = "-" + self.arg._print(3)
@@ -374,6 +377,30 @@ class TaylorMap:
         return self.coeffs[..., 1 : 1 + self.nin].copy()
 
 
+@dataclass(frozen=True)
+class PolyMap:
+    """Vector polynomial map: coeffs[k, b] multiplies x^beta for row b of
+    exponent_rows(nvars, degree).  Its jet is a binomial shift of the
+    coefficients, exact linear algebra with no tape."""
+
+    variables: tuple[str, ...]
+    degree: int
+    coeffs: np.ndarray
+
+    def __len__(self) -> int:
+        return self.coeffs.shape[0]
+
+    def taylor_lift(self, base, order: int) -> TaylorMap:
+        """Lift around one point or a block (..., nvars); each point of a
+        block gets the bits it gets alone."""
+        base = np.asarray(base, dtype=float)
+        if base.ndim == 0 or base.shape[-1] != len(self.variables):
+            raise ValueError(f"expected {len(self.variables)} base values")
+        shift = poly_shift(len(self.variables), self.degree, base, order)
+        return TaylorMap(self.variables, base, order,
+                         np.einsum("kb,...bw->...kw", self.coeffs, shift))
+
+
 def _compile(variables: Sequence[str], exprs: Sequence[Expr]):
     """Flatten expression trees into a tape in lift evaluation order.
 
@@ -391,42 +418,49 @@ def _compile(variables: Sequence[str], exprs: Sequence[Expr]):
     by_id: dict[int, int] = {}
     by_key: dict[tuple, int] = {}
 
-    def emit(node: Expr, key: tuple, entry: tuple) -> int:
+    def emit(node: Expr, kids: tuple[int, ...]) -> None:
+        if isinstance(node, Bin):
+            key, entry = (node.op, kids), (node.op, None, kids)
+        elif isinstance(node, Num):
+            key = ("num", struct.pack("<d", node.value))
+            entry = ("num", node.value, ())
+        elif isinstance(node, Var):
+            key = entry = ("var", index[node.name], ())
+        elif isinstance(node, Pow):
+            key = ("^", struct.pack("<d", node.exponent), kids)
+            entry = ("^", node.exponent, kids)
+        elif isinstance(node, Call) and node.func != "neg":
+            key = entry = ("call", node.func, kids)
+        elif isinstance(node, (Call, Neg)):
+            key, entry = ("neg", kids), ("neg", None, kids)
+        else:
+            raise TypeError(f"cannot compile {type(node).__name__}")
         slot = by_key.get(key)
         if slot is None:
             slot = by_key[key] = len(tape)
             tape.append(entry)
         by_id[id(node)] = slot
-        return slot
 
-    def visit(node: Expr) -> int:
-        slot = by_id.get(id(node))
-        if slot is not None:
-            return slot
-        if isinstance(node, Bin):
-            kids = (visit(node.lhs), visit(node.rhs))
-            return emit(node, (node.op, kids), (node.op, None, kids))
-        if isinstance(node, Num):
-            bits = struct.pack("<d", node.value)
-            return emit(node, ("num", bits), ("num", node.value, ()))
-        if isinstance(node, Var):
-            k = index[node.name]
-            return emit(node, ("var", k), ("var", k, ()))
-        if isinstance(node, Pow):
-            kids = (visit(node.base),)
-            bits = struct.pack("<d", node.exponent)
-            return emit(node, ("^", bits, kids), ("^", node.exponent, kids))
-        if isinstance(node, Call) and node.func != "neg":
-            kids = (visit(node.arg),)
-            return emit(node, ("call", node.func, kids),
-                        ("call", node.func, kids))
-        if isinstance(node, (Call, Neg)):
-            kids = (visit(node.arg),)
-            return emit(node, ("neg", kids), ("neg", None, kids))
-        raise TypeError(f"cannot compile {type(node).__name__}")
-
-    outputs = tuple(visit(e) for e in exprs)
-    del visit  # the closure refers to itself; free the tables now, not at gc
+    # a recursive walk's order, children left to right before their
+    # parent, from an explicit stack: a long sum is too deep to recurse on.
+    # The bottom entry stands for the list of outputs; a leaf is emitted
+    # as soon as it is met.
+    stack = [(None, exprs, iter(exprs))]
+    while stack:
+        node, kids, todo = stack[-1]
+        for kid in todo:
+            if id(kid) not in by_id:
+                grand = kid.children()
+                if not grand:
+                    emit(kid, ())
+                    continue
+                stack.append((kid, grand, iter(grand)))
+                break
+        else:
+            stack.pop()
+            if stack:
+                emit(node, tuple(map(by_id.__getitem__, map(id, kids))))
+    outputs = tuple(by_id[id(e)] for e in exprs)
     last_read = {kid: e for e, (_, _, kids) in enumerate(tape) for kid in kids}
     dead: list[list[int]] = [[] for _ in tape]
     for slot, e in last_read.items():

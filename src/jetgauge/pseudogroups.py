@@ -23,7 +23,8 @@ import numpy as np
 
 from . import series
 from ._fixtures import fixture_path
-from ._multiindex import MultiIndexContext, binom_mu, context
+from ._multiindex import (MultiIndexContext, context, derivative_rows,
+                          poly_shift, shift_table)
 from .expr import ExprMap
 from .sampling import halton_points
 
@@ -45,13 +46,9 @@ def _suffix(mu: Iterable[int]) -> str:
 
 def jet_variable_names(ncomp: int, nvars: int, order: int, prefix: str) -> list[str]:
     """Names in component-major, graded order: all slots of component 1 first."""
-    ctx = context(nvars, order)
-    names = []
-    for k in range(ncomp):
-        for row in range(ctx.count):
-            tail = _suffix(ctx.midx[row])
-            names.append(f"{prefix}_{k + 1}" + (f"_{tail}" if tail else ""))
-    return names
+    tails = [_suffix(mu) for mu in context(nvars, order).midx]
+    return [f"{prefix}_{k + 1}" + (f"_{tail}" if tail else "")
+            for k in range(ncomp) for tail in tails]
 
 
 def _jet_column(ncomp: int, ctx: MultiIndexContext, k: int, row: int) -> int:
@@ -102,12 +99,9 @@ def _prolong_table(nvars: int, order: int, neq: int,
     t: dict[str, list] = {name: [] for name in _ProlongTable._fields[2:]}
 
     def gather(kind: str, e: int, *axes: int) -> None:
-        mu = [0] * nline
-        for a in axes:
-            mu[a] += 1
-        pos = ctx2.pos(mu)
-        t[kind + "_src"].append(e * ctx2.count + pos)
-        t[kind + "_fac"].append(ctx2.factorial[pos])
+        rows, fac = derivative_rows(nline, len(axes))
+        t[kind + "_src"].append(e * ctx2.count + rows[axes])
+        t[kind + "_fac"].append(fac[axes])
 
     for e in range(neq):
         for k in range(n):
@@ -317,19 +311,12 @@ class HolonomicSection:
         self.order = order
 
     def raw_series(self, x: np.ndarray, xorder: int) -> np.ndarray:
-        n = self.nvars
-        ctx_jet = context(n, self.order)
-        ctx_x = context(n, xorder)
+        ctx_x = context(self.nvars, xorder)
         lift = self.f.taylor_lift(np.asarray(x, float), self.order + xorder)
-        out = np.zeros((self.ncomp, ctx_jet.count, ctx_x.count))
-        for k in range(self.ncomp):
-            for row in range(ctx_jet.count):
-                mu = ctx_jet.midx[row]
-                for kp in range(ctx_x.count):
-                    kappa = ctx_x.midx[kp]
-                    out[k, row, kp] = (lift.raw(k, tuple(mu + kappa))
-                                       / ctx_x.factorial[kp])
-        return out
+        # slot of mu + kappa for every jet row mu and x-series row kappa
+        rows = np.array([[lift.ctx.pos(mu + kappa) for kappa in ctx_x.midx]
+                         for mu in context(self.nvars, self.order).midx])
+        return lift.coeffs[:, rows] * lift.ctx.factorial[rows] / ctx_x.factorial
 
     def raw_table(self, x: np.ndarray) -> np.ndarray:
         return self.raw_series(x, 0)[:, :, 0]
@@ -366,37 +353,6 @@ class ExprSection:
         return self.raw_series(x, 0)[:, :, 0]
 
 
-@functools.lru_cache(maxsize=None)
-def _shift_table(nvars: int, degree: int,
-                 xorder: int) -> tuple[np.ndarray, np.ndarray]:
-    """binom(beta, kappa) and beta - kappa for every entry of `_poly_shift`,
-    (count_degree, count_xorder) and (count_degree, count_xorder, nvars);
-    both are zero where kappa exceeds beta."""
-    ctx_b, ctx_x = context(nvars, degree), context(nvars, xorder)
-    binom = np.zeros((ctx_b.count, ctx_x.count))
-    power = np.zeros((ctx_b.count, ctx_x.count, nvars), dtype=np.int64)
-    for b, beta in enumerate(ctx_b.midx):
-        for kp, kappa in enumerate(ctx_x.midx):
-            if np.all(kappa <= beta):
-                binom[b, kp] = binom_mu(beta, kappa)
-                power[b, kp] = beta - kappa
-    binom.flags.writeable = power.flags.writeable = False
-    return binom, power
-
-
-def _poly_shift(nvars: int, degree: int, x: np.ndarray,
-                xorder: int) -> np.ndarray:
-    """Map from monomial coefficients to x-series around x.
-
-    Shape (..., count_degree, count_xorder) for x of shape (..., nvars);
-    entry [b, kp] is binom(beta, kappa) * x^(beta - kappa).  It depends on
-    the point and the basis only, so every PolySection at x shares it.
-    """
-    binom, power = _shift_table(nvars, degree, xorder)
-    x = np.asarray(x, dtype=float)
-    return binom * np.prod(x[..., None, None, :] ** power, axis=-1)
-
-
 class PolySection:
     """Section whose slots are polynomials in a shared monomial basis."""
 
@@ -412,7 +368,7 @@ class PolySection:
         self.degree = degree
 
     def raw_series(self, x: np.ndarray, xorder: int) -> np.ndarray:
-        shift = _poly_shift(self.nvars, self.degree, x, xorder)
+        shift = poly_shift(self.nvars, self.degree, x, xorder)
         return np.einsum("krb,bw->krw", self.coeffs, shift)
 
     def raw_table(self, x: np.ndarray) -> np.ndarray:
@@ -460,22 +416,19 @@ def _bracket_tables(nvars: int, q_out: int, ctx_x: MultiIndexContext,
     """
     n = nvars
     ctx_jet = context(n, q_out + 1)
+    # C(mu, nu) and the row of mu - nu, for rows mu and nu of ctx_jet
+    binom, rest = shift_table(n, q_out + 1, q_out + 1)
     rows_out = context(n, q_out).count
     batch = np.broadcast_shapes(tab_a.shape[:-3], tab_b.shape[:-3])
     out = np.zeros(batch + (n, rows_out, ctx_x.count))
     for row in range(rows_out):
-        mu = ctx_jet.midx[row]
         acc = out[..., row, :]        # (..., n, count): every component k
         for row_nu in range(ctx_jet.count):
-            nu = ctx_jet.midx[row_nu]
-            if np.any(nu > mu):
+            coef = binom[row, row_nu]
+            if not coef:      # nu exceeds mu somewhere
                 continue
-            coef = binom_mu(mu, nu)
-            rem = mu - nu
             for r in range(n):
-                rem_r = rem.copy()
-                rem_r[r] += 1
-                row_rem = ctx_jet.pos(tuple(rem_r))
+                row_rem = ctx_jet.shifted(rest[row, row_nu], r)
                 term = series.mul(ctx_x, tab_a[..., r:r + 1, row_nu, :],
                                   tab_b[..., :, row_rem, :])
                 term -= series.mul(ctx_x, tab_b[..., r:r + 1, row_nu, :],
@@ -551,7 +504,7 @@ def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
     pts = halton_points(system.box, npoints, seed)
     rows = np.concatenate([system.prolonged_rows(pts, route),
                            system.constraint_rows(pts)], axis=1)
-    basis = np.prod(pts[:, None, :] ** ctx_b.midx, axis=-1)
+    basis = poly_shift(system.nvars, degree, pts, 0)[..., 0]    # x^beta
     # (point, row) by (column, monomial): each point's rows times its basis
     mat = np.einsum("prc,pb->prcb", rows, basis).reshape(
         rows.shape[0] * rows.shape[1], rows.shape[2] * ctx_b.count)
@@ -604,7 +557,7 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
     nlift = min(npairs, 5)
     # the bumped copies of pairs 0..nlift-1, drawn a then b, pair by pair
     sections += [s.perturb_top(rng) for s in sections[:2 * nlift]]
-    shifts = _poly_shift(n, degree, eval_pts, 1)
+    shifts = poly_shift(n, degree, eval_pts, 1)
     tabs = np.einsum("skrb,pbw->spkrw", np.stack([s.coeffs for s in sections]),
                      shifts)
     # (pairs + bumped pairs, points, n, rows): every bracket in one call

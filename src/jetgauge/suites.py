@@ -313,10 +313,8 @@ def _check_force_density_duality(cfg: SuiteConfig, cache: dict):
 
 def _check_vortex_transport(cfg: SuiteConfig, cache: dict):
     pts = halton_points(FIELD_BOX, min(cfg.samples, 12), cfg.seed + 41)
-    res = []
-    for k in range(10):
-        field = random_solenoidal_field(cfg.seed + 300 + k)
-        res.append(vortex_residual(field, pts))
+    res = [vortex_residual(random_solenoidal_field(cfg.seed + 300 + k), pts)
+           for k in range(10)]
     return float(np.max(res)), 10 * len(pts)
 
 

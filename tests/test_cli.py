@@ -176,12 +176,23 @@ def test_group_overflow_fixture_exits_two(tmp_path, capsys):
     ({"m": 1, "n": 1, "f": "y1 + log(x1)"}, "log of nonpositive value"),
     ({"m": 1, "n": 1, "f": "x1 + 0*y1", "label": "flat"},
      "singular source jacobian in flat"),
+    ({"m": 1, "n": 1, "f": "y1 + log(x1)", "label": "logfam"},
+     "log of nonpositive value"),
 ])
 def test_dynamics_fixture_that_cannot_run_exits_two(tmp_path, capsys,
                                                     family, message):
     code, err = _run_fixture(tmp_path, capsys, "dynamics", json.dumps(family))
     assert code == 2
     assert err.startswith("jetgauge: ") and message in err
+    assert err.rstrip().endswith(f" in {family.get('label', 'family')}")
+
+
+def test_dynamics_fixture_with_a_long_sum_runs(tmp_path, capsys):
+    # 1,200 terms make a left-deep tree deeper than Python's recursion limit
+    family = {"m": 1, "n": 1, "f": "y1 + x1" + " + 0*x1" * 1198}
+    code, err = _run_fixture(tmp_path, capsys, "dynamics", json.dumps(family))
+    assert code == 0
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("text,key", [

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from jetgauge import suites
-from jetgauge.expr import ExprMap
+from jetgauge._multiindex import exponent_rows
+from jetgauge.expr import ExprMap, PolyMap
 from jetgauge.dynamics import (
     NEWTON_MAX_ITER, NEWTON_TOL, CompatibilityReport, CurlNotZero,
     DivergenceNotZero, InverseSolveError, MotionFamily, _coeff_text,
-    _coeff_tree, _variation_speeds, compatibility_residual,
+    _variation_speeds, compatibility_residual,
     curl_parametrization_check, el_residual, load_motion_family,
     mass_conservation_residual, motion_family_from_dict, pressure_recovery,
     random_solenoidal_field, speed_duality_gap, swell_family, swell_rows,
@@ -515,15 +516,25 @@ def test_speed_state_squares_rho_like_a_point():
             assert np.array_equal(_bits(getattr(block, name)[q]), _bits(want))
 
 
-def test_solenoidal_tree_matches_parsed_text():
+def test_solenoidal_shift_matches_parsed_text():
+    # the binomial-shift jet against the tape lift of the same polynomial
+    # written out as text
     names = ["z1", "z2", "z3", "t"]
-    for seed in range(200):
-        coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 3, 3, 2))
-        coeffs[seed % 3, 0, 1, 0] = -0.0 if seed % 2 else 0.0
-        tree = _coeff_tree(coeffs, names)
-        parsed = ExprMap.parse(_coeff_text(coeffs, names), names).exprs[0]
-        # repr shows every float exactly, -0.0 included
-        assert repr(tree) == repr(parsed)
+    rows = exponent_rows(4, 7)
+    inside = np.all(rows < (3, 3, 3, 2), axis=1)
+    for seed in (3, 17, 29):
+        fld = random_solenoidal_field(seed)
+        assert isinstance(fld, PolyMap) and fld.degree == 7
+        assert not np.any(fld.coeffs[:, ~inside])
+        dense = np.zeros((3, 3, 3, 3, 2))
+        dense[(slice(None),) + tuple(rows[inside].T)] = fld.coeffs[:, inside]
+        text = ", ".join(_coeff_text(comp, names) for comp in dense)
+        lift = fld.taylor_lift(FIELD_PTS, 2)
+        ref = ExprMap.parse(text, names).taylor_lift(FIELD_PTS, 2)
+        assert np.max(np.abs(lift.coeffs - ref.coeffs)) < 1e-13
+        for q, point in enumerate(FIELD_PTS):
+            alone = fld.taylor_lift(point, 2).coeffs
+            assert np.array_equal(_bits(lift.coeffs[q]), _bits(alone))
 
 
 def _point_vortex(field, zt):

@@ -406,3 +406,23 @@ def test_derivatives_are_read_through_taylor_map():
     in_loops = {line for loop in ast.walk(tree) if isinstance(loop, _LOOPS)
                 for line in _attribute_reads(loop, ("taylor_lift",))}
     assert sorted(in_loops) == []
+
+
+_NODES = {"Bin", "Num", "Neg", "Var", "Pow", "Call"}
+
+
+def test_only_expr_builds_tree_nodes():
+    # polynomial data stays coefficients (PolyMap), never a tree
+    src = Path(__file__).resolve().parent.parent / "src" / "jetgauge"
+    paths = [p for p in sorted(src.glob("*.py")) if p.name != "expr.py"]
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else (
+                    func.id if isinstance(func, ast.Name) else None)
+                if name in _NODES:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
