@@ -1,8 +1,10 @@
-"""Where a fixture named on the command line or by a loader lives."""
+"""Where a fixture named on the command line or by a loader lives, and
+the key check every fixture loader runs first."""
 
 from __future__ import annotations
 
 import os
+from typing import Sequence
 
 
 def fixture_path(name: str) -> str | None:
@@ -17,3 +19,15 @@ def fixture_path(name: str) -> str | None:
         if os.path.exists(candidate):
             return candidate
     return None
+
+
+def check_keys(data, allowed: Sequence[str], what: str) -> dict:
+    """data itself, once it is a JSON object with no key outside allowed;
+    otherwise a ValueError that names the first stray key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be a JSON object")
+    for key in data:
+        if key not in allowed:
+            raise ValueError(f"unknown {what} key {key!r}; have "
+                             f"{', '.join(allowed)}")
+    return data

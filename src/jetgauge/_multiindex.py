@@ -139,17 +139,20 @@ def shift_table(nvars: int, degree: int,
     return binom, rest
 
 
-def poly_shift(nvars: int, degree: int, x: np.ndarray,
-               xorder: int) -> np.ndarray:
+def poly_shift(nvars: int, degree: int, x: np.ndarray, xorder: int,
+               rows: np.ndarray | None = None) -> np.ndarray:
     """Map from monomial coefficients to Taylor coefficients around x.
 
     Shape (..., count_degree, count_xorder) for x of shape (..., nvars);
     entry [b, kp] is binom(beta, kappa) * x^(beta - kappa), the coefficient
     of (. - x)^kappa in the monomial x^beta.  It depends on the point and
     the basis only, so every polynomial lifted at x shares it.  Each
-    monomial x^gamma is worked out once per point and gathered.
+    monomial x^gamma is worked out once per point and gathered.  Given
+    rows, only those monomial rows b are formed, in that order.
     """
     binom, rest = shift_table(nvars, degree, xorder)
+    if rows is not None:
+        binom, rest = binom[rows], rest[rows]
     x = np.asarray(x, dtype=float)
     monomials = np.prod(x[..., None, :] ** exponent_rows(nvars, degree), -1)
     shift = monomials[..., rest]

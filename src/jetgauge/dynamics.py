@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fixtures import check_keys
 from ._multiindex import exponent_rows
 from .expr import ExprMap, PolyMap, TaylorMap
 from .quadrature import gauss_rule, tensor_rule
@@ -76,7 +77,7 @@ def _vecmat(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (vec[..., None, :] @ mat)[..., 0, :]
 
 
-def _lift(emap: ExprMap, parts: Sequence[np.ndarray], order: int,
+def _lift(emap: ExprMap | PolyMap, parts: Sequence[np.ndarray], order: int,
           label: str) -> TaylorMap:
     """A family's lift of emap around np.concatenate(parts, axis=-1); a
     DomainError names the family's label."""
@@ -86,7 +87,7 @@ def _lift(emap: ExprMap, parts: Sequence[np.ndarray], order: int,
         raise DomainError(f"{exc} in {label}") from exc
 
 
-def _newton(emap: ExprMap, m: int, z: np.ndarray, tail: np.ndarray,
+def _newton(emap: ExprMap | PolyMap, m: int, z: np.ndarray, tail: np.ndarray,
             start: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     """Solve emap(y, tail) = z for y at every row of a block, in lockstep.
 
@@ -193,7 +194,7 @@ class MotionFamily:
     """A parametrized family of invertible maps, with optional explicit
     inverse and optional eps-variation family."""
 
-    def __init__(self, m: int, n: int, forward: ExprMap,
+    def __init__(self, m: int, n: int, forward: ExprMap | PolyMap,
                  inverse: ExprMap | None = None,
                  variation: ExprMap | None = None,
                  ybox: Box | None = None, xbox: Box | None = None,
@@ -275,8 +276,12 @@ class MotionFamily:
         return float(np.max(gaps, initial=0.0))
 
 
+FAMILY_KEYS = ("m", "n", "f", "g", "variation", "box", "label")
+
+
 def motion_family_from_dict(data: dict) -> MotionFamily:
-    box = data.get("box", {})
+    check_keys(data, FAMILY_KEYS, "dynamics fixture")
+    box = check_keys(data.get("box", {}), ("y", "x", "z"), "dynamics box")
     return MotionFamily.parse(
         int(data["m"]), int(data["n"]), data["f"],
         inverse=data.get("g"), variation=data.get("variation"),

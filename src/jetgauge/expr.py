@@ -74,9 +74,22 @@ class Expr:
         return ()
 
     def to_text(self) -> str:
-        return self._print(0)
+        # pieces in print order from an explicit stack: a long sum is a
+        # tree too deep to recurse on
+        out: list[str] = []
+        stack: list = [(self, 0)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            else:
+                node, parent_prec = item
+                stack.extend(reversed(node._pieces(parent_prec)))
+        return "".join(out)
 
-    def _print(self, parent_prec: int) -> str:
+    def _pieces(self, parent_prec: int) -> list:
+        """This node's text under a parent of precedence parent_prec:
+        strings, and (child, precedence) pairs that print in their place."""
         raise NotImplementedError
 
     # Programmatic construction sugar used by the higher modules.
@@ -129,16 +142,17 @@ def constant(value: float) -> Expr:
 class Num(Expr):
     value: float
 
-    def _print(self, parent_prec):
-        return repr(self.value) if self.value != int(self.value) else str(int(self.value))
+    def _pieces(self, parent_prec):
+        return [repr(self.value) if self.value != int(self.value)
+                else str(int(self.value))]
 
 
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
 
-    def _print(self, parent_prec):
-        return self.name
+    def _pieces(self, parent_prec):
+        return [self.name]
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -153,15 +167,14 @@ class Bin(Expr):
     def children(self):
         return (self.lhs, self.rhs)
 
-    def _print(self, parent_prec):
+    def _pieces(self, parent_prec):
         prec = _PREC[self.op]
-        left = self.lhs._print(prec)
         # Right operand needs parens at equal precedence for - and /.
-        right = self.rhs._print(prec + (0 if self.op in "+*" else 1))
+        right = [(self.rhs, prec + (0 if self.op in "+*" else 1))]
         if isinstance(self.rhs, Neg):
-            right = f"({right})"
-        text = f"{left} {self.op} {right}"
-        return f"({text})" if prec < parent_prec else text
+            right = ["(", *right, ")"]
+        pieces = [(self.lhs, prec), f" {self.op} ", *right]
+        return ["(", *pieces, ")"] if prec < parent_prec else pieces
 
 
 @dataclass(frozen=True)
@@ -172,13 +185,12 @@ class Pow(Expr):
     def children(self):
         return (self.base,)
 
-    def _print(self, parent_prec):
-        base = self.base._print(0)
-        if not isinstance(self.base, (Num, Var)):
-            base = f"({base})"
+    def _pieces(self, parent_prec):
         e = self.exponent
         etext = str(int(e)) if float(e).is_integer() else repr(e)
-        return f"{base}^{etext}"
+        if isinstance(self.base, (Num, Var)):
+            return [(self.base, 0), f"^{etext}"]
+        return ["(", (self.base, 0), f")^{etext}"]
 
 
 @dataclass(frozen=True)
@@ -189,8 +201,8 @@ class Call(Expr):
     def children(self):
         return (self.arg,)
 
-    def _print(self, parent_prec):
-        return f"{self.func}({self.arg._print(0)})"
+    def _pieces(self, parent_prec):
+        return [f"{self.func}(", (self.arg, 0), ")"]
 
 
 @dataclass(frozen=True)
@@ -200,9 +212,9 @@ class Neg(Expr):
     def children(self):
         return (self.arg,)
 
-    def _print(self, parent_prec):
-        text = "-" + self.arg._print(3)
-        return f"({text})" if parent_prec > 1 else text
+    def _pieces(self, parent_prec):
+        pieces = ["-", (self.arg, 3)]
+        return ["(", *pieces, ")"] if parent_prec > 1 else pieces
 
 
 _TOKEN = re.compile(
@@ -392,13 +404,15 @@ class PolyMap:
 
     def taylor_lift(self, base, order: int) -> TaylorMap:
         """Lift around one point or a block (..., nvars); each point of a
-        block gets the bits it gets alone."""
+        block gets the bits it gets alone.  Only the monomials with a
+        nonzero coefficient are shifted."""
         base = np.asarray(base, dtype=float)
         if base.ndim == 0 or base.shape[-1] != len(self.variables):
             raise ValueError(f"expected {len(self.variables)} base values")
-        shift = poly_shift(len(self.variables), self.degree, base, order)
-        return TaylorMap(self.variables, base, order,
-                         np.einsum("kb,...bw->...kw", self.coeffs, shift))
+        used = np.flatnonzero(self.coeffs.any(axis=0))
+        shift = poly_shift(len(self.variables), self.degree, base, order, used)
+        return TaylorMap(self.variables, base, order, np.einsum(
+            "kb,...bw->...kw", self.coeffs[:, used], shift))
 
 
 def _compile(variables: Sequence[str], exprs: Sequence[Expr]):

@@ -23,9 +23,9 @@ from importlib import resources
 import numpy as np
 
 from . import series
-from ._fixtures import fixture_path
+from ._fixtures import check_keys, fixture_path
 from ._multiindex import context
-from .expr import ExprMap
+from .expr import ExprMap, PolyMap
 from .sampling import halton_points
 
 __all__ = [
@@ -155,7 +155,13 @@ def load_group_spec(name: str) -> LieGroupSpec:
     return group_spec_from_dict(data)
 
 
+GROUP_KEYS = ("label", "dim", "identity", "box", "compose", "inverse",
+              "action")
+ACTION_KEYS = ("dim", "box", "generators")
+
+
 def group_spec_from_dict(data: dict) -> LieGroupSpec:
+    check_keys(data, GROUP_KEYS, "group fixture")
     p = int(data["dim"])
     avars, bvars = _group_vars(p)
     compose = ExprMap.parse(data["compose"], avars + bvars)
@@ -164,7 +170,7 @@ def group_spec_from_dict(data: dict) -> LieGroupSpec:
         raise ValueError("compose/inverse component count must equal dim")
     action = None
     if data.get("action"):
-        adata = data["action"]
+        adata = check_keys(data["action"], ACTION_KEYS, "group action")
         nact = int(adata["dim"])
         xvars = [f"x{k + 1}" for k in range(nact)]
         gens = tuple(ExprMap.parse(g, xvars) for g in adata["generators"])
@@ -213,7 +219,7 @@ class GaugeField:
     spec: LieGroupSpec
     grid: Grid
     form: str                            # "body" | "space"
-    gauging: ExprMap
+    gauging: ExprMap | PolyMap
 
     def value_at(self, x) -> np.ndarray:
         """A at a point (n,), or at each point of a block (..., n)."""
@@ -254,8 +260,8 @@ def _right_translation_matrix(spec: LieGroupSpec, a: np.ndarray) -> np.ndarray:
     return lift.jacobian()[..., :, :p]
 
 
-def _pullback(spec: LieGroupSpec, gauging: ExprMap, x: np.ndarray,
-              form: str) -> tuple[np.ndarray, np.ndarray]:
+def _pullback(spec: LieGroupSpec, gauging: ExprMap | PolyMap,
+              x: np.ndarray, form: str) -> tuple[np.ndarray, np.ndarray]:
     """Gauge field values at points x (..., n), lifted in one block;
     returns (A (..., p, n), a-value (..., p))."""
     lift = gauging.taylor_lift(x, 1)
@@ -265,12 +271,14 @@ def _pullback(spec: LieGroupSpec, gauging: ExprMap, x: np.ndarray,
     return np.linalg.solve(mat, da), a
 
 
-def maurer_cartan_pullback(spec: LieGroupSpec, gauging: ExprMap, grid: Grid) -> GaugeField:
+def maurer_cartan_pullback(spec: LieGroupSpec, gauging: ExprMap | PolyMap,
+                           grid: Grid) -> GaugeField:
     """Body field A = omega(a(x)) da(x) over the grid."""
     return GaugeField(spec, grid, "body", gauging)
 
 
-def right_pullback(spec: LieGroupSpec, gauging: ExprMap, grid: Grid) -> GaugeField:
+def right_pullback(spec: LieGroupSpec, gauging: ExprMap | PolyMap,
+                   grid: Grid) -> GaugeField:
     """Space field B = da(x) a(x)^(-1) over the grid."""
     return GaugeField(spec, grid, "space", gauging)
 
@@ -571,8 +579,9 @@ class SpencerActionCheck:
     param_dim: int
 
 
-def spencer_from_action(spec: LieGroupSpec, lam: ExprMap, order: int,
-                        samples: np.ndarray, rank_tol: float = 1e-8) -> SpencerActionCheck:
+def spencer_from_action(spec: LieGroupSpec, lam: ExprMap | PolyMap,
+                        order: int, samples: np.ndarray,
+                        rank_tol: float = 1e-8) -> SpencerActionCheck:
     """Section induced on jets by an action, and its Spencer image.
 
     The section carries lam(x) to xi^k_mu(x) = lam^tau(x) d_mu g^k_tau(x)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fixtures import check_keys
+from ._multiindex import context
 from .dynamics import (
     MotionFamily, compatibility_residual, el_residual, load_motion_family,
     mass_conservation_residual, pressure_recovery, random_solenoidal_field,
@@ -28,7 +30,7 @@ from .elasticity import (
     load_stress_state, pairing_identity_check, riemann_residual,
     rigid_kernel_dimension, spencer_elastic, torsor_equilibrium_check,
 )
-from .expr import ExprMap
+from .expr import ExprMap, PolyMap
 from .groups import (
     Grid, curvature, linear_gauge_dd, load_group_spec, maurer_cartan_pullback,
     right_pullback, spencer_from_action, variation_body, variation_body_fd,
@@ -64,9 +66,30 @@ def _poly_text(rng: np.random.Generator, monomials: list[str],
                       for c, m in zip(coeffs, monomials))
 
 
+def _random_poly(rng: np.random.Generator, names: tuple[str, ...],
+                 monomials: tuple[tuple[str, ...], ...], scale: float,
+                 affine: np.ndarray) -> PolyMap:
+    """affine plus random monomial terms, one component per row of affine.
+
+    A monomial lists its factors, so ("x1", "x1") is x1^2.  Each component
+    draws rng.uniform(-1, 1) * scale for its monomials in turn; affine
+    (nout, 1 + len(names)) holds the constant and linear coefficients,
+    which are the first slots of the graded basis.
+    """
+    degree = max(map(len, monomials))
+    ctx = context(len(names), degree)
+    slots = [ctx.pos([mono.count(v) for v in names]) for mono in monomials]
+    coeffs = np.zeros((len(affine), ctx.count))
+    coeffs[:, :len(names) + 1] = affine
+    for row in coeffs:
+        row[slots] += rng.uniform(-1.0, 1.0, size=len(monomials)) * scale
+    return PolyMap(names, degree, coeffs)
+
+
 # ---------------------------------------------------------------- group
 
-PLANE_MONOS = ["x1", "x2", "x1*x2", "x1^2", "x2^2"]
+PLANE = ("x1", "x2")
+PLANE_MONOS = (("x1",), ("x2",), ("x1", "x2"), ("x1", "x1"), ("x2", "x2"))
 GAUGING_AFFINE = ExprMap.parse("exp(0.3*x1) * (1 + 0.2*x2^2), x1 - 0.4*x2",
                                ["x1", "x2"])
 GAUGE_LAM = ExprMap.parse("0.3*x1 - 0.2*x2^2, 0.1 + 0.5*x1*x2", ["x1", "x2"])
@@ -82,12 +105,12 @@ def _group_roster(cfg: SuiteConfig, cache: dict) -> list:
     return cache["groups"]
 
 
-def _random_gauging(spec, seed: int) -> ExprMap:
+def _random_gauging(spec, seed: int) -> PolyMap:
     # identity plus a small polynomial: stays inside the chart
-    rng = np.random.default_rng(seed)
-    comps = [f"{float(e)!r} + {_poly_text(rng, PLANE_MONOS, 0.3)}"
-             for e in spec.identity]
-    return ExprMap.parse(", ".join(comps), ["x1", "x2"])
+    affine = np.zeros((spec.dim, len(PLANE) + 1))
+    affine[:, 0] = spec.identity
+    return _random_poly(np.random.default_rng(seed), PLANE, PLANE_MONOS,
+                        0.3, affine)
 
 
 def _check_curvature_of_pullback(cfg: SuiteConfig, cache: dict):
@@ -146,11 +169,10 @@ def _check_action_spencer_match(cfg: SuiteConfig, cache: dict):
             continue
         lam = lams.get(spec.label)
         if lam is None:
-            names = [f"x{k + 1}" for k in range(spec.action.dim)]
-            rng = np.random.default_rng(cfg.seed + 9)
-            lam = ExprMap.parse(
-                ", ".join(_poly_text(rng, names, 0.4)
-                          for _ in range(spec.dim)), names)
+            names = tuple(f"x{k + 1}" for k in range(spec.action.dim))
+            lam = _random_poly(np.random.default_rng(cfg.seed + 9), names,
+                               tuple((v,) for v in names), 0.4,
+                               np.zeros((spec.dim, len(names) + 1)))
         pts = halton_points(spec.action.box, min(cfg.samples, 16),
                             cfg.seed + 7)
         res.append(spencer_from_action(spec, lam, 1, pts).max_mismatch)
@@ -216,8 +238,10 @@ def _check_schwarzian_invariance(cfg: SuiteConfig, cache: dict):
 
 # ------------------------------------------------------------- dynamics
 
-FAMILY_MONOS = ["x1", "x2", "y1*x1", "y1*x2", "y2*x1", "y2*x2",
-                "x1*x2", "x1^2", "x2^2", "y1*y2"]
+FAMILY_VARS = ("y1", "y2", "x1", "x2")
+FAMILY_MONOS = (("x1",), ("x2",), ("y1", "x1"), ("y1", "x2"), ("y2", "x1"),
+                ("y2", "x2"), ("x1", "x2"), ("x1", "x1"), ("x2", "x2"),
+                ("y1", "y2"))
 SMALL_BOX = ((-0.6, 0.6), (-0.6, 0.6))
 KINETIC = ExprMap.parse("0.5 * (v1^2 + v2^2)", ["v1", "v2"])
 FIELD_BOX = ((-0.8, 0.8),) * 3 + ((0.0, 2.0),)
@@ -239,13 +263,13 @@ EXP_MOVED = MotionFamily.parse(
 
 
 def _random_motion_family(seed: int) -> MotionFamily:
-    # identity plus a small coupled polynomial; Newton-invertible on the box
-    rng = np.random.default_rng(seed)
-    comps = [f"y{k + 1} + {_poly_text(rng, FAMILY_MONOS, 0.12)}"
-             for k in range(2)]
-    return MotionFamily.parse(2, 2, ", ".join(comps), ybox=SMALL_BOX,
-                              xbox=SMALL_BOX, zbox=((-0.9, 0.9), (-0.9, 0.9)),
-                              label=f"random-{seed}")
+    # identity plus a small coupled polynomial; Newton-invertible on the box.
+    # Row k of np.eye(2, 5, 1) is the linear term y_k.
+    forward = _random_poly(np.random.default_rng(seed), FAMILY_VARS,
+                           FAMILY_MONOS, 0.12, np.eye(2, 5, 1))
+    return MotionFamily(2, 2, forward, ybox=SMALL_BOX, xbox=SMALL_BOX,
+                        zbox=((-0.9, 0.9), (-0.9, 0.9)),
+                        label=f"random-{seed}")
 
 
 def _family_roster(cfg: SuiteConfig, cache: dict) -> list[MotionFamily]:
@@ -346,13 +370,8 @@ def _swell_params(cfg: SuiteConfig) -> dict:
     params = dict(SWELL_DEFAULTS)
     if cfg.fixture:
         with open(cfg.fixture, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("a swell fixture must be a JSON object")
+            data = check_keys(json.load(fh), SWELL_KEYS, "swell fixture")
         for key, value in data.items():
-            if key not in SWELL_KEYS:
-                raise ValueError(f"unknown swell parameter {key!r}; have "
-                                 f"{', '.join(SWELL_KEYS)}")
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not math.isfinite(value)):
                 raise ValueError(f"swell parameter {key!r} must be a finite "

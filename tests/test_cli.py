@@ -195,6 +195,27 @@ def test_dynamics_fixture_with_a_long_sum_runs(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_AFFINE = json.loads(resources.files("jetgauge.fixtures")
+                     .joinpath("affine.json").read_text())
+
+
+@pytest.mark.parametrize("suite,data,key", [
+    ("group", {**_AFFINE, "bogus": 1}, "'bogus'"),
+    ("group", {**_AFFINE, "action": {**_AFFINE["action"], "gens": ["x1"]}},
+     "'gens'"),
+    ("dynamics", {"m": 1, "n": 1, "f": "y1 + x1", "inverse": "z1 - x1"},
+     "'inverse'"),
+    ("dynamics", {"m": 1, "n": 1, "f": "y1 + x1", "box": {"w": [[0, 1]]}},
+     "'w'"),
+])
+def test_group_and_dynamics_fixtures_refuse_unknown_keys(tmp_path, capsys,
+                                                         suite, data, key):
+    # the bundled affine and e2 charts pass the same check on every run
+    code, err = _run_fixture(tmp_path, capsys, suite, json.dumps(data))
+    assert code == 2
+    assert err.startswith("jetgauge: unknown ") and key in err
+
+
 @pytest.mark.parametrize("text,key", [
     ('{"R0": 0.5, "bogus": 3}', "'bogus'"),
     ('{"R0": NaN}', "'R0'"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jetgauge import suites
-from jetgauge._multiindex import exponent_rows
+from jetgauge._multiindex import exponent_rows, poly_shift
 from jetgauge.expr import ExprMap, PolyMap
 from jetgauge.dynamics import (
     NEWTON_MAX_ITER, NEWTON_TOL, CompatibilityReport, CurlNotZero,
@@ -535,6 +535,39 @@ def test_solenoidal_shift_matches_parsed_text():
         for q, point in enumerate(FIELD_PTS):
             alone = fld.taylor_lift(point, 2).coeffs
             assert np.array_equal(_bits(lift.coeffs[q]), _bits(alone))
+
+
+def test_poly_map_lifts_only_its_used_columns():
+    # gathering the nonzero coefficient columns gives the full-width bits
+    for seed in (3, 301, 345, 1042):
+        fld = random_solenoidal_field(seed)
+        full = np.einsum("kb,...bw->...kw", fld.coeffs,
+                         poly_shift(4, 7, FIELD_PTS, 2))
+        lift = fld.taylor_lift(FIELD_PTS, 2)
+        assert np.array_equal(_bits(lift.coeffs), _bits(full))
+    zero = PolyMap(("z1", "z2", "z3", "t"), 7, np.zeros((3, 330)))
+    lift = zero.taylor_lift(FIELD_PTS, 2)
+    want = np.zeros((len(FIELD_PTS), 3, 15))
+    assert np.array_equal(_bits(lift.coeffs), _bits(want))
+
+
+def test_random_families_match_their_parsed_text():
+    monos = ["*".join(m) for m in suites.FAMILY_MONOS]
+    for seed in range(1000, 1010):
+        fam = suites._random_motion_family(seed)
+        assert isinstance(fam.forward, PolyMap)
+        rng = np.random.default_rng(seed)
+        text = ", ".join(f"y{k + 1} + {suites._poly_text(rng, monos, 0.12)}"
+                         for k in range(2))
+        ref = MotionFamily.parse(2, 2, text, ybox=fam.ybox, xbox=fam.xbox,
+                                 zbox=fam.zbox, label=fam.label)
+        yx = fam.sample_yx(16, seed)
+        got, want = (f.taylor_lift(yx, 2).coeffs
+                     for f in (fam.forward, ref.forward))
+        assert np.max(np.abs(got - want)) < 1e-13
+        zx = fam.sample_zx(16, seed)
+        z, x = zx[:, :2], zx[:, 2:]
+        assert np.max(np.abs(fam.invert(z, x) - ref.invert(z, x))) < 1e-12
 
 
 def _point_vortex(field, zt):

@@ -1,12 +1,14 @@
 import itertools
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jetgauge import suites
-from jetgauge.expr import ExprMap
+from jetgauge.expr import ExprMap, PolyMap
 from jetgauge.groups import (
     _gauge_derivatives, _pullback, GaugeField, Grid, InconsistentGroupLaw,
     NotInjectiveYet, action_bracket_residual, curvature, el_body_residual,
@@ -337,3 +339,52 @@ def test_curvature_of_pullback_nan_fails_closed(monkeypatch):
     record = {r.id: r for r in rep.records}["curvature_of_pullback"]
     assert math.isnan(record.max_residual)
     assert record.to_dict()["status"] == "fail"
+
+
+def _text_of_draws(rng, offsets, monomials, scale):
+    # the same polynomial as text, drawn in the PolyMap builder's order
+    monos = ["*".join(m) for m in monomials]
+    return ", ".join(f"{off} + {suites._poly_text(rng, monos, scale)}"
+                     for off in offsets)
+
+
+def test_random_gaugings_match_their_parsed_text():
+    nodes = suites.GAUGE_GRID.nodes()
+    for spec in (AFFINE, E2):
+        for k in range(10):
+            seed = 100 + 17 * k
+            g = suites._random_gauging(spec, seed)
+            assert isinstance(g, PolyMap) and len(g) == spec.dim
+            text = _text_of_draws(np.random.default_rng(seed),
+                                  [repr(float(e)) for e in spec.identity],
+                                  suites.PLANE_MONOS, 0.3)
+            ref = ExprMap.parse(text, ["x1", "x2"]).taylor_lift(nodes, 2)
+            got = g.taylor_lift(nodes, 2)
+            assert np.max(np.abs(got.coeffs - ref.coeffs)) < 1e-13
+
+
+def test_fixture_action_draws_a_random_lam(tmp_path, monkeypatch):
+    # a chart whose label has no hand-written lam gets a random linear one
+    data = json.loads((Path(suites.__file__).parent / "fixtures"
+                       / "e2.json").read_text())
+    data["label"] = "e2-copy"
+    path = tmp_path / "e2copy.json"
+    path.write_text(json.dumps(data))
+    seen = {}
+    real = suites.spencer_from_action
+
+    def spy(spec, lam, order, samples):
+        seen[spec.label] = lam, samples
+        return real(spec, lam, order, samples)
+
+    monkeypatch.setattr(suites, "spencer_from_action", spy)
+    rep = run_suite("group", SuiteConfig(seed=42, fixture=str(path)))
+    record = {r.id: r for r in rep.records}["action_spencer_match"]
+    assert record.passed
+    lam, samples = seen["e2-copy"]
+    assert isinstance(lam, PolyMap) and lam.degree == 1
+    text = _text_of_draws(np.random.default_rng(42 + 9), ["0"] * 3,
+                          [("x1",), ("x2",)], 0.4)
+    ref = ExprMap.parse(text, ["x1", "x2"]).taylor_lift(samples, 1)
+    assert np.max(np.abs(lam.taylor_lift(samples, 1).coeffs
+                         - ref.coeffs)) < 1e-13
