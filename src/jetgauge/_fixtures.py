@@ -1,5 +1,5 @@
-"""Where a fixture named on the command line or by a loader lives, and
-the key check every fixture loader runs first."""
+"""Where a fixture named on the command line or by a loader lives, the
+key check every fixture loader runs first, and the check on its counts."""
 
 from __future__ import annotations
 
@@ -31,3 +31,12 @@ def check_keys(data, allowed: Sequence[str], what: str) -> dict:
             raise ValueError(f"unknown {what} key {key!r}; have "
                              f"{', '.join(allowed)}")
     return data
+
+
+def check_count(data: dict, key: str, what: str) -> int:
+    """data[key], once it is a JSON integer; true and false, which Python
+    counts as integers, and 2.0 are refused with a ValueError naming key."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {key!r} must be an integer, not {value!r}")
+    return value

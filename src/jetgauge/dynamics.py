@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fixtures import check_keys
+from ._fixtures import check_count, check_keys
 from ._multiindex import exponent_rows
 from .expr import ExprMap, PolyMap, TaylorMap
 from .quadrature import gauss_rule, tensor_rule
@@ -283,7 +283,8 @@ def motion_family_from_dict(data: dict) -> MotionFamily:
     check_keys(data, FAMILY_KEYS, "dynamics fixture")
     box = check_keys(data.get("box", {}), ("y", "x", "z"), "dynamics box")
     return MotionFamily.parse(
-        int(data["m"]), int(data["n"]), data["f"],
+        check_count(data, "m", "dynamics fixture"),
+        check_count(data, "n", "dynamics fixture"), data["f"],
         inverse=data.get("g"), variation=data.get("variation"),
         ybox=box.get("y"), xbox=box.get("x"), zbox=box.get("z"),
         label=data.get("label", "family"))

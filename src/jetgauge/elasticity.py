@@ -32,7 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Bin, Call, ExprMap, Neg, Num, Pow, Var
+from ._fixtures import check_keys
+from ._multiindex import poly_shift
+from .expr import ExprMap, PolyMap
 from .quadrature import gauss_rule, tensor_rule
 from .sampling import halton_points
 
@@ -46,51 +48,17 @@ class QuadratureTooCoarse(ValueError):
     """The Gauss order cannot integrate the polynomial integrand exactly."""
 
 
-def _poly_degree(node) -> int | None:
-    """Total polynomial degree of an expression tree, None if not polynomial."""
-    if isinstance(node, Num):
-        return 0
-    if isinstance(node, Var):
-        return 1
-    if isinstance(node, Neg):
-        return _poly_degree(node.arg)
-    if isinstance(node, Pow):
-        if not float(node.exponent).is_integer() or node.exponent < 0:
-            return None
-        base = _poly_degree(node.base)
-        return None if base is None else base * int(node.exponent)
-    if isinstance(node, Bin):
-        a = _poly_degree(node.lhs)
-        b = _poly_degree(node.rhs)
-        if a is None or b is None:
-            return None
-        if node.op in "+-":
-            return max(a, b)
-        if node.op == "*":
-            return a + b
-        return a if b == 0 else None          # division by a constant only
-    if isinstance(node, Call) and node.func == "neg":
-        return _poly_degree(node.arg)
-    return None
-
-
-def map_degree(emap: ExprMap) -> int | None:
-    degrees = [_poly_degree(e) for e in emap.exprs]
-    if any(d is None for d in degrees):
-        return None
-    return max(degrees) if degrees else 0
-
-
-def _check_order(order: int, state_maps: Sequence[ExprMap],
-                 section_maps: Sequence[ExprMap]) -> None:
+def _check_order(order: int, state_maps: Sequence[ExprMap | PolyMap],
+                 section_maps: Sequence[ExprMap | PolyMap]) -> None:
     """Degree guard: n-point Gauss is exact through degree 2n - 1.
 
     Every integrand below is a product of one state factor and one section
     factor, so the bound is the larger state degree plus the larger section
-    degree.  Unknown (non-polynomial) degrees disable the guard.
+    degree.  Unknown (non-polynomial) degrees disable the guard; a
+    PolyMap's degree is an upper bound, which keeps the guard safe.
     """
-    state = [map_degree(m) for m in state_maps]
-    section = [map_degree(m) for m in section_maps]
+    state = [m.degree for m in state_maps]
+    section = [m.degree for m in section_maps]
     if any(d is None for d in state + section):
         return
     need = max(state) + max(section)
@@ -111,8 +79,8 @@ class DisplacementSection:
     raised and lowered components coincide numerically.
     """
 
-    xi: ExprMap
-    jet: ExprMap
+    xi: ExprMap | PolyMap
+    jet: ExprMap | PolyMap
     metric: np.ndarray
 
     def __post_init__(self):
@@ -141,6 +109,7 @@ class DisplacementSection:
 
 
 def displacement_from_dict(data: dict) -> DisplacementSection:
+    check_keys(data, ("xi", "jet", "metric"), "displacement fixture")
     return DisplacementSection.parse(
         data["xi"], data.get("jet", "0"), data.get("metric"))
 
@@ -153,8 +122,8 @@ class StressState:
     the only independent couple slots once the trailing index pair is skew.
     """
 
-    sigma: ExprMap
-    mu: ExprMap
+    sigma: ExprMap | PolyMap
+    mu: ExprMap | PolyMap
     label: str = "state"
 
     def __post_init__(self):
@@ -176,6 +145,7 @@ class StressState:
 
 
 def stress_state_from_dict(data: dict) -> StressState:
+    check_keys(data, ("sigma", "mu", "label"), "stress fixture")
     return StressState.parse(data["sigma"], data.get("mu", "0, 0"),
                              data.get("label", "state"))
 
@@ -256,38 +226,19 @@ def rigid_kernel_dimension(degree: int = 2, box: Box = ((-1.0, 1.0),) * 2,
     least 1: the pointwise part is forced linear and the jet constant.
     """
     omega = np.eye(2) if metric is None else np.asarray(metric, float)
-    monos = [(a, b) for a in range(degree + 1) for b in range(degree + 1)
-             if a + b <= degree]
-    nm = len(monos)
     pts = halton_points(tuple(tuple(r) for r in box), npoints, seed)
-
-    def mono_val(a, b, x):
-        return x[0] ** a * x[1] ** b
-
-    def mono_d(a, b, x, axis):
-        if axis == 0:
-            return 0.0 if a == 0 else a * x[0] ** (a - 1) * x[1] ** b
-        return 0.0 if b == 0 else b * x[0] ** a * x[1] ** (b - 1)
-
-    rows = []
-    for x in pts:
-        for i in range(2):
-            for k in range(2):
-                row = np.zeros(3 * nm)
-                for col, (a, b) in enumerate(monos):
-                    # d_i xi_k = omega_{kr} d_i xi^r contributes per component
-                    row[col] += omega[0, k] * mono_d(a, b, x, i)
-                    row[nm + col] += omega[1, k] * mono_d(a, b, x, i)
-                    if i != k:
-                        sign = 1.0 if (i, k) == (0, 1) else -1.0
-                        row[2 * nm + col] -= sign * mono_val(a, b, x)
-                rows.append(row)
-        for axis in range(2):
-            row = np.zeros(3 * nm)
-            for col, (a, b) in enumerate(monos):
-                row[2 * nm + col] = mono_d(a, b, x, axis)
-            rows.append(row)
-    matrix = np.array(rows)
+    # [n, b, 0] is monomial b at point n, [n, b, 1 + i] its d_i
+    shift = poly_shift(2, degree, pts, 1)
+    val, grad = shift[..., 0], np.moveaxis(shift[..., 1:], -1, 1)
+    n, nm = val.shape
+    # per point six rows over the unknowns (xi^1, xi^2, jet) x monomials:
+    # row 2i + k is D_ik = omega_{kr} d_i xi^r - xi_{i,k}, row 4 + r is J_r
+    rows = np.zeros((n, 6, 3, nm))
+    rows[:, :4, :2] = np.einsum("nim,rk->nikrm", grad, omega).reshape(n, 4, 2, nm)
+    rows[:, 1, 2] = -val
+    rows[:, 2, 2] = val
+    rows[:, 4:, 2] = grad
+    matrix = rows.reshape(-1, 3 * nm)
     svals = np.linalg.svd(matrix, compute_uv=False)
     return int(np.sum(svals <= tol * svals[0]))
 

@@ -73,25 +73,6 @@ class Expr:
     def children(self) -> tuple["Expr", ...]:
         return ()
 
-    def to_text(self) -> str:
-        # pieces in print order from an explicit stack: a long sum is a
-        # tree too deep to recurse on
-        out: list[str] = []
-        stack: list = [(self, 0)]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-            else:
-                node, parent_prec = item
-                stack.extend(reversed(node._pieces(parent_prec)))
-        return "".join(out)
-
-    def _pieces(self, parent_prec: int) -> list:
-        """This node's text under a parent of precedence parent_prec:
-        strings, and (child, precedence) pairs that print in their place."""
-        raise NotImplementedError
-
     # Programmatic construction sugar used by the higher modules.
     def __add__(self, other):
         return Bin("+", self, as_expr(other))
@@ -142,20 +123,10 @@ def constant(value: float) -> Expr:
 class Num(Expr):
     value: float
 
-    def _pieces(self, parent_prec):
-        return [repr(self.value) if self.value != int(self.value)
-                else str(int(self.value))]
-
 
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
-
-    def _pieces(self, parent_prec):
-        return [self.name]
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 @dataclass(frozen=True)
@@ -167,15 +138,6 @@ class Bin(Expr):
     def children(self):
         return (self.lhs, self.rhs)
 
-    def _pieces(self, parent_prec):
-        prec = _PREC[self.op]
-        # Right operand needs parens at equal precedence for - and /.
-        right = [(self.rhs, prec + (0 if self.op in "+*" else 1))]
-        if isinstance(self.rhs, Neg):
-            right = ["(", *right, ")"]
-        pieces = [(self.lhs, prec), f" {self.op} ", *right]
-        return ["(", *pieces, ")"] if prec < parent_prec else pieces
-
 
 @dataclass(frozen=True)
 class Pow(Expr):
@@ -184,13 +146,6 @@ class Pow(Expr):
 
     def children(self):
         return (self.base,)
-
-    def _pieces(self, parent_prec):
-        e = self.exponent
-        etext = str(int(e)) if float(e).is_integer() else repr(e)
-        if isinstance(self.base, (Num, Var)):
-            return [(self.base, 0), f"^{etext}"]
-        return ["(", (self.base, 0), f")^{etext}"]
 
 
 @dataclass(frozen=True)
@@ -201,9 +156,6 @@ class Call(Expr):
     def children(self):
         return (self.arg,)
 
-    def _pieces(self, parent_prec):
-        return [f"{self.func}(", (self.arg, 0), ")"]
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
@@ -211,10 +163,6 @@ class Neg(Expr):
 
     def children(self):
         return (self.arg,)
-
-    def _pieces(self, parent_prec):
-        pieces = ["-", (self.arg, 3)]
-        return ["(", *pieces, ")"] if parent_prec > 1 else pieces
 
 
 _TOKEN = re.compile(
@@ -402,6 +350,11 @@ class PolyMap:
     def __len__(self) -> int:
         return self.coeffs.shape[0]
 
+    def eval(self, points) -> np.ndarray:
+        """Values at one point (nvars,) or a block (..., nvars): the
+        order-0 coefficients of the lift."""
+        return self.taylor_lift(points, 0).value()
+
     def taylor_lift(self, base, order: int) -> TaylorMap:
         """Lift around one point or a block (..., nvars); each point of a
         block gets the bits it gets alone.  Only the monomials with a
@@ -515,9 +468,6 @@ class ExprMap:
     def __iter__(self) -> Iterator[Expr]:
         return iter(self.exprs)
 
-    def to_text(self) -> str:
-        return ", ".join(e.to_text() for e in self.exprs)
-
     def eval(self, points) -> np.ndarray:
         """Values at one point (nvars,) or a block (..., nvars): the
         order-0 coefficients of the lift, so a value obeys the lift's
@@ -527,6 +477,35 @@ class ExprMap:
     @functools.cached_property
     def _tape(self):
         return _compile(self.variables, self.exprs)
+
+    @functools.cached_property
+    def degree(self) -> int | None:
+        """Total polynomial degree, or None when some component is not a
+        polynomial: it holds a call, a negative or non-integer power, or a
+        division by a non-constant.  One pass over the tape, so a long sum
+        needs no recursion."""
+        tape, outputs, _ = self._tape
+        degs: list[int | None] = []
+        for kind, payload, kids in tape:
+            sub = [degs[k] for k in kids]
+            if None in sub or kind == "call":
+                deg = None
+            elif kind == "num":
+                deg = 0
+            elif kind == "var":
+                deg = 1
+            elif kind == "*":
+                deg = sub[0] + sub[1]
+            elif kind == "/":
+                deg = sub[0] if sub[1] == 0 else None
+            elif kind == "^":
+                whole = float(payload).is_integer() and payload >= 0
+                deg = sub[0] * int(payload) if whole else None
+            else:                             # + - neg
+                deg = max(sub)
+            degs.append(deg)
+        out = [degs[slot] for slot in outputs]
+        return None if None in out else max(out, default=0)
 
     def taylor_lift(self, base, order: int) -> TaylorMap:
         """Lift around one base point, or a block of shape (..., nvars).

@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from . import series
-from ._fixtures import check_keys, fixture_path
+from ._fixtures import check_count, check_keys, fixture_path
 from ._multiindex import context
 from .expr import ExprMap, PolyMap
 from .sampling import halton_points
@@ -162,7 +162,7 @@ ACTION_KEYS = ("dim", "box", "generators")
 
 def group_spec_from_dict(data: dict) -> LieGroupSpec:
     check_keys(data, GROUP_KEYS, "group fixture")
-    p = int(data["dim"])
+    p = check_count(data, "dim", "group fixture")
     avars, bvars = _group_vars(p)
     compose = ExprMap.parse(data["compose"], avars + bvars)
     inverse = ExprMap.parse(data["inverse"], avars)
@@ -171,7 +171,7 @@ def group_spec_from_dict(data: dict) -> LieGroupSpec:
     action = None
     if data.get("action"):
         adata = check_keys(data["action"], ACTION_KEYS, "group action")
-        nact = int(adata["dim"])
+        nact = check_count(adata, "dim", "group action")
         xvars = [f"x{k + 1}" for k in range(nact)]
         gens = tuple(ExprMap.parse(g, xvars) for g in adata["generators"])
         if len(gens) != p or any(len(g) != nact for g in gens):

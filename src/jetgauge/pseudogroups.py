@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Protocol
 import numpy as np
 
 from . import series
-from ._fixtures import fixture_path
+from ._fixtures import check_count, check_keys, fixture_path
 from ._multiindex import (MultiIndexContext, context, derivative_rows,
                           poly_shift, shift_table)
 from .expr import ExprMap
@@ -269,8 +269,7 @@ def linearization_consistency(system: LieEquationSystem, xi: ExprMap,
                               samples: np.ndarray, eps: float = 1e-5) -> float:
     """Centered difference of the equations along id + eps*xi against the
     linear system; the gap shrinks like eps^2."""
-    ident_texts = ", ".join(v for v in xi.variables)
-    ident = ExprMap.parse(ident_texts, list(xi.variables))
+    ident = ExprMap.parse(", ".join(xi.variables), xi.variables)
     plus = _shifted_map(ident, xi, eps)
     minus = _shifted_map(ident, xi, -eps)
     fd = (system.finite_residual(plus, samples)
@@ -280,10 +279,8 @@ def linearization_consistency(system: LieEquationSystem, xi: ExprMap,
 
 
 def _shifted_map(base: ExprMap, direction: ExprMap, eps: float) -> ExprMap:
-    comps = []
-    for b, d in zip(base, direction):
-        comps.append((b + eps * d).to_text())
-    return ExprMap.parse(", ".join(comps), list(base.variables))
+    return ExprMap(base.variables,
+                   [b + eps * d for b, d in zip(base, direction)])
 
 
 class JetSection(Protocol):
@@ -708,11 +705,16 @@ def builtin_system(name: str) -> LieEquationSystem:
             f"unknown system '{name}'; have {sorted(BUILTIN_SYSTEMS)}") from None
 
 
+SYSTEM_KEYS = ("label", "nvars", "order", "box", "equations",
+               "linearization", "sampling_constraints")
+
+
 def lie_system_from_dict(data: dict) -> LieEquationSystem:
+    check_keys(data, SYSTEM_KEYS, "pseudogroup fixture")
     return _make_system(
         data.get("label", "unnamed"),
-        int(data["nvars"]),
-        int(data["order"]),
+        check_count(data, "nvars", "pseudogroup fixture"),
+        check_count(data, "order", "pseudogroup fixture"),
         data["box"],
         data["equations"],
         data.get("linearization"),

@@ -59,13 +59,6 @@ def _shortfall(observed: float, floor: float) -> float:
     return float(np.maximum(0.0, floor - observed))
 
 
-def _poly_text(rng: np.random.Generator, monomials: list[str],
-               scale: float) -> str:
-    coeffs = rng.uniform(-1.0, 1.0, size=len(monomials)) * scale
-    return " + ".join(f"({float(c)!r})*{m}"
-                      for c, m in zip(coeffs, monomials))
-
-
 def _random_poly(rng: np.random.Generator, names: tuple[str, ...],
                  monomials: tuple[tuple[str, ...], ...], scale: float,
                  affine: np.ndarray) -> PolyMap:
@@ -424,8 +417,12 @@ POLY_STATE = StressState.parse(
 BUMP_SECTION = DisplacementSection.parse(
     f"({BUMP2}) * (0.3 + x1 - 0.5*x2^2), ({BUMP2}) * (x2 + 0.2*x1^2)",
     f"({BUMP2}) * (0.7 - x1*x2)")
-DISP_MONOS = ["x1", "x2", "x1*x2", "x1^2", "x2^2", "x1^3", "x1*x2^2",
-              "x1^2*x2", "x2^3"]
+LINEAR_STATE = StressState.parse("x1, 0, 0, x2")
+DISP_MONOS = (("x1",), ("x2",), ("x1", "x2"), ("x1", "x1"), ("x2", "x2"),
+              ("x1", "x1", "x1"), ("x1", "x2", "x2"), ("x1", "x1", "x2"),
+              ("x2", "x2", "x2"))
+ZERO_JET = PolyMap(PLANE, 0, np.zeros((1, 1)))
+ZERO_MU = PolyMap(PLANE, 0, np.zeros((2, 1)))
 
 
 def _elastic_points(cfg: SuiteConfig) -> np.ndarray:
@@ -438,9 +435,11 @@ def _check_strain_kills_rigid_motions(cfg, cache):
     rng = np.random.default_rng(cfg.seed + 12)
     res = []
     for _ in range(10):
-        c1, c2, w = (float(v) for v in rng.uniform(-1.0, 1.0, size=3))
-        sec = DisplacementSection.parse(
-            f"{c1!r} + {w!r}*x2, {c2!r} - {w!r}*x1", f"{-w!r}")
+        # xi = (c1 + w x2, c2 - w x1) over the basis 1, x1, x2; jet -w
+        c1, c2, w = rng.uniform(-1.0, 1.0, size=3)
+        sec = DisplacementSection(
+            PolyMap(PLANE, 1, np.array([[c1, 0.0, w], [c2, -w, 0.0]])),
+            PolyMap(PLANE, 0, np.array([[-w]])), np.eye(2))
         res += [np.max(np.abs(killing(sec, pts))),
                 np.max(np.abs(spencer_elastic(sec, pts)))]
     # np.max, unlike a running max(), keeps a NaN so the check fails on it.
@@ -452,9 +451,8 @@ def _check_strain_compatibility(cfg, cache):
     rng = np.random.default_rng(cfg.seed + 14)
     res = []
     for _ in range(5):
-        sec = DisplacementSection.parse(
-            f"{_poly_text(rng, DISP_MONOS, 1.0)}, "
-            f"{_poly_text(rng, DISP_MONOS, 1.0)}")
+        xi = _random_poly(rng, PLANE, DISP_MONOS, 1.0, np.zeros((2, 3)))
+        sec = DisplacementSection(xi, ZERO_JET, np.eye(2))
         res.append(riemann_residual(sec, pts))
     return float(np.max(res)), 5 * len(pts)
 
@@ -484,7 +482,7 @@ def _check_equilibrium_equations(cfg, cache):
 
 
 def _check_torsor_balance(cfg, cache):
-    states = [StressState.parse("x1, 0, 0, x2"), POLY_STATE]
+    states = [LINEAR_STATE, POLY_STATE]
     if cfg.fixture:
         states.append(load_stress_state(cfg.fixture))
     worst = np.max([torsor_equilibrium_check(s, PLANE_BOX, order=8).max_gap
@@ -499,10 +497,10 @@ def _check_couple_stress_symmetry(cfg, cache):
     rng = np.random.default_rng(cfg.seed + 16)
     res = []
     for _ in range(5):
-        diag = [_poly_text(rng, DISP_MONOS, 1.0) for _ in range(2)]
-        shared = _poly_text(rng, DISP_MONOS, 1.0)
-        state = StressState.parse(f"{diag[0]}, {shared}, {shared}, {diag[1]}")
-        _, m = adjoint_spencer(state, pts)
+        # rows drawn s11, s22, then the one shared by s12 and s21
+        rows = _random_poly(rng, PLANE, DISP_MONOS, 1.0, np.zeros((3, 3)))
+        sigma = PolyMap(PLANE, rows.degree, rows.coeffs[[0, 2, 2, 1]])
+        _, m = adjoint_spencer(StressState(sigma, ZERO_MU), pts)
         res.append(np.max(np.abs(m)))
     return float(np.max(res)), 5 * len(pts)
 

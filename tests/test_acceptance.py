@@ -30,8 +30,9 @@ from jetgauge.groups import (
 from jetgauge.pseudogroups import builtin_system, closure_check
 from jetgauge.sampling import halton_points
 from jetgauge.suites import (
-    EXP_MOVED, _poly_text, _random_gauging, _random_motion_family,
+    EXP_MOVED, _random_gauging, _random_motion_family,
 )
+from polytext import poly_text
 
 GRID = Grid(((-0.5, 0.5), (-0.5, 0.5)), (5, 5))
 PLANE_PTS = halton_points(((-0.4, 0.6), (-0.5, 0.5)), 12, 5)
@@ -202,7 +203,7 @@ def test_criterion_08_elasticity():
     compat = 0.0
     for _ in range(5):
         sec = DisplacementSection.parse(
-            f"{_poly_text(rng, monos, 1.0)}, {_poly_text(rng, monos, 1.0)}")
+            f"{poly_text(rng, monos, 1.0)}, {poly_text(rng, monos, 1.0)}")
         compat = max(compat, riemann_residual(sec, pts))
 
     bump = "(x1 + 1)^2 * (1 - x1)^2 * (x2 + 1)^2 * (1 - x2)^2"
@@ -211,12 +212,12 @@ def test_criterion_08_elasticity():
     pair_gap = 0.0
     for _ in range(3):
         state = StressState.parse(
-            ", ".join(_poly_text(rng, monos4, 1.0) for _ in range(4)),
-            ", ".join(_poly_text(rng, monos4, 1.0) for _ in range(2)))
+            ", ".join(poly_text(rng, monos4, 1.0) for _ in range(4)),
+            ", ".join(poly_text(rng, monos4, 1.0) for _ in range(2)))
         sec = DisplacementSection.parse(
-            f"({bump}) * ({_poly_text(rng, monos4, 0.5)}), "
-            f"({bump}) * ({_poly_text(rng, monos4, 0.5)})",
-            f"({bump}) * ({_poly_text(rng, monos4, 0.5)})")
+            f"({bump}) * ({poly_text(rng, monos4, 0.5)}), "
+            f"({bump}) * ({poly_text(rng, monos4, 0.5)})",
+            f"({bump}) * ({poly_text(rng, monos4, 0.5)})")
         rep = pairing_identity_check(state, sec, ((-1.0, 1.0), (-1.0, 1.0)),
                                      order=9)
         pair_gap = max(pair_gap, rep.gap)
@@ -237,7 +238,7 @@ def test_criterion_08_elasticity():
         torsor_equilibrium_check(StressState.parse("x1, 0, 0, x2"),
                                  ((-1.0, 1.0), (-1.0, 1.0)), order=8).max_gap)
 
-    shared = _poly_text(rng, monos, 1.0)
+    shared = poly_text(rng, monos, 1.0)
     sym = StressState.parse(f"x1^2 - x2, {shared}, {shared}, x1*x2")
     _, msym = adjoint_spencer(sym, pts)
     _criterion(8, "strain compatibility, pairing, equilibrium, torsor", [

@@ -216,6 +216,42 @@ def test_group_and_dynamics_fixtures_refuse_unknown_keys(tmp_path, capsys,
     assert err.startswith("jetgauge: unknown ") and key in err
 
 
+_STILL_WATER = {"label": "still-water", "nvars": 1, "order": 1,
+                "box": [[-1.0, 1.0]], "equations": "y_1_1 - 1",
+                "linearization": "xi_1_1"}
+
+
+@pytest.mark.parametrize("suite,data", [
+    ("pseudogroup", _STILL_WATER),
+    ("elasticity", {"sigma": "x1, 0, 0, x2", "label": "linear"}),
+])
+def test_pseudogroup_and_stress_fixtures_refuse_unknown_keys(tmp_path, capsys,
+                                                             suite, data):
+    code, err = _run_fixture(tmp_path, capsys, suite, json.dumps(data))
+    assert code == 0
+    code, err = _run_fixture(tmp_path, capsys, suite,
+                             json.dumps({**data, "bogus": 1}))
+    assert code == 2
+    assert err.startswith("jetgauge: unknown ") and "'bogus'" in err
+
+
+@pytest.mark.parametrize("suite,data,key", [
+    ("group", {**_AFFINE, "dim": 2.7}, "'dim'"),
+    ("group", {**_AFFINE, "dim": True}, "'dim'"),
+    ("group", {**_AFFINE, "action": {**_AFFINE["action"], "dim": 1.0}},
+     "'dim'"),
+    ("dynamics", {"m": 1.5, "n": 1, "f": "y1 + x1"}, "'m'"),
+    ("dynamics", {"m": 1, "n": True, "f": "y1 + x1"}, "'n'"),
+    ("pseudogroup", {**_STILL_WATER, "nvars": "1"}, "'nvars'"),
+    ("pseudogroup", {**_STILL_WATER, "order": 1.0}, "'order'"),
+])
+def test_fixture_counts_must_be_integers(tmp_path, capsys, suite, data, key):
+    code, err = _run_fixture(tmp_path, capsys, suite, json.dumps(data))
+    assert code == 2
+    assert err.startswith("jetgauge: ") and key in err
+    assert "must be an integer" in err
+
+
 @pytest.mark.parametrize("text,key", [
     ('{"R0": 0.5, "bogus": 3}', "'bogus'"),
     ('{"R0": NaN}', "'R0'"),

@@ -18,6 +18,7 @@ from jetgauge.dynamics import (
 )
 from jetgauge.sampling import halton_points
 from jetgauge.suites import SuiteConfig, run_suite, suite_check_ids
+from polytext import poly_text
 
 OM = 0.8
 ROTATION = MotionFamily.parse(
@@ -557,7 +558,7 @@ def test_random_families_match_their_parsed_text():
         fam = suites._random_motion_family(seed)
         assert isinstance(fam.forward, PolyMap)
         rng = np.random.default_rng(seed)
-        text = ", ".join(f"y{k + 1} + {suites._poly_text(rng, monos, 0.12)}"
+        text = ", ".join(f"y{k + 1} + {poly_text(rng, monos, 0.12)}"
                          for k in range(2))
         ref = MotionFamily.parse(2, 2, text, ybox=fam.ybox, xbox=fam.xbox,
                                  zbox=fam.zbox, label=fam.label)

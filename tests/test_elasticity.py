@@ -6,13 +6,16 @@ import pytest
 from jetgauge.elasticity import (
     DisplacementSection, QuadratureTooCoarse, StressState, adjoint_spencer,
     affine_1d_adjoint, displacement_from_dict, killing, load_stress_state,
-    map_degree, pairing_identity_1d, pairing_identity_check, riemann_residual,
+    pairing_identity_1d, pairing_identity_check, riemann_residual,
     rigid_kernel_dimension, spencer_elastic,
     stress_state_from_dict, torsor_equilibrium_check,
 )
-from jetgauge.expr import ExprMap
+from jetgauge import suites
+from jetgauge._multiindex import exponent_rows
+from jetgauge.expr import ExprMap, PolyMap, Var
 from jetgauge.quadrature import gauss_rule
 from jetgauge.sampling import halton_points
+from polytext import poly_text
 
 PTS = halton_points(((-0.8, 0.8), (-0.8, 0.8)), 9, 31)
 PTS1 = halton_points(((-0.9, 0.9),), 7, 19)
@@ -80,9 +83,38 @@ def test_spencer_hand_rows():
     assert np.max(np.abs(jvals[:, [0, 3, 5]])) < 1e-14
 
 
-def test_rigid_kernel_dimension_is_three():
+def _rigid_rows_reference(x, monos, omega):
+    """The six rows of one sample, one monomial at a time."""
+    def mono_d(a, b, axis):
+        if axis == 0:
+            return 0.0 if a == 0 else a * x[0] ** (a - 1) * x[1] ** b
+        return 0.0 if b == 0 else b * x[0] ** a * x[1] ** (b - 1)
+
+    nm = len(monos)
+    rows = np.zeros((6, 3 * nm))
+    for col, (a, b) in enumerate(monos):
+        for i, k in itertools.product(range(2), repeat=2):
+            rows[2 * i + k, [col, nm + col]] = omega[:, k] * mono_d(a, b, i)
+        rows[1, 2 * nm + col] = -x[0] ** a * x[1] ** b
+        rows[2, 2 * nm + col] = x[0] ** a * x[1] ** b
+        rows[4:, 2 * nm + col] = mono_d(a, b, 0), mono_d(a, b, 1)
+    return rows
+
+
+def test_rigid_kernel_dimension_is_three(monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, compute_uv: (
+        seen.append(m), svd(m, compute_uv=compute_uv))[1])
+    pts = halton_points(((-1.0, 1.0),) * 2, 40, 29)
     for degree in (1, 2, 3):
-        assert rigid_kernel_dimension(degree=degree) == 3
+        for metric in (np.eye(2), np.array([[2.0, 0.3], [0.3, 0.5]])):
+            seen.clear()
+            assert rigid_kernel_dimension(degree=degree, metric=metric) == 3
+            want = np.concatenate([
+                _rigid_rows_reference(x, exponent_rows(2, degree), metric)
+                for x in pts])
+            assert np.max(np.abs(seen[0] - want)) < 1e-14
 
 
 def test_adjoint_equilibrium_and_hand_loads():
@@ -142,9 +174,30 @@ def test_pairing_identity_exact_on_polynomials():
 
 
 def test_degree_walker():
-    assert map_degree(ExprMap.parse("x1^2 * x2 + 1", ["x1", "x2"])) == 3
-    assert map_degree(ExprMap.parse("sin(x1)", ["x1", "x2"])) is None
-    assert map_degree(ExprMap.parse("x1 / 2", ["x1", "x2"])) == 1
+    def degree(text):
+        return ExprMap.parse(text, ["x1", "x2"]).degree
+
+    assert degree("x1^2 * x2 + 1") == 3
+    assert degree("x1 / 2") == 1
+    assert degree("x1 / (1 + 2)") == 1
+    assert degree("-x1 * neg(x2^3) - 4") == 4
+    assert degree("x2, (x1*x2)^2, 7") == 4
+    assert degree("x1^0") == 0
+    for text in ("sin(x1)", "x1 / x2", "x1^0.5", "x1, exp(x2)"):
+        assert degree(text) is None
+    assert ExprMap(["x1"], [Var("x1") ** -2]).degree is None
+    # a sum too deep to recurse on
+    assert degree("x1" + " + 0*x2" * 1500) == 1
+    assert PolyMap(("x1", "x2"), 3, np.zeros((2, 10))).degree == 3
+
+
+def test_pairing_guard_reads_the_degree_of_a_long_sum():
+    state = StressState.parse("x1 + 0*x2" + " + 0*x2" * 1500 + ", 0, 0, x2")
+    sec = DisplacementSection.parse(f"({BUMP}) * x1, ({BUMP}) * x2",
+                                    f"({BUMP})")
+    assert pairing_identity_check(state, sec, BOX, order=6).gap < 1e-12
+    with pytest.raises(QuadratureTooCoarse):
+        pairing_identity_check(state, sec, BOX, order=5)
 
 
 def test_torsor_balance():
@@ -200,6 +253,13 @@ def test_json_loaders(tmp_path):
     path.write_text('{"sigma": "x1, 0, 0, x2", "mu": "0, 0"}')
     loaded = load_stress_state(path)
     assert torsor_equilibrium_check(loaded, BOX).max_gap < 1e-12
+
+
+def test_stress_and_displacement_fixtures_refuse_unknown_keys():
+    with pytest.raises(ValueError, match="'bogus'"):
+        displacement_from_dict({"xi": "x2, 0 - x1", "bogus": 1})
+    with pytest.raises(ValueError, match="'bogus'"):
+        stress_state_from_dict({"sigma": "x1, 0, 0, x2", "bogus": 1})
 
 
 def test_section_validation():
@@ -330,3 +390,68 @@ def test_pairing_1d_block_matches_node_loop():
         rhs += weight * (f[idx] * xval + m[idx] * jval)
     assert abs(rep.gap) > 0.1                # the ends do not vanish
     assert (_bits(rep.lhs), _bits(rep.rhs)) == (_bits(lhs), _bits(rhs))
+
+
+# ----------------------------------------------------------------------
+# Polynomial sections and stress states held as PolyMaps
+
+SUITE_MONOS = ["*".join(m) for m in suites.DISP_MONOS]
+
+
+def test_elasticity_suite_parses_no_text(monkeypatch):
+    # every map of the default roster is built before the run or from its
+    # coefficient draws
+    def refuse(cls, text, variables):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(ExprMap, "parse", classmethod(refuse))
+    rep = suites.run_suite("elasticity", suites.SuiteConfig(seed=3))
+    assert rep.passed and len(rep.records) == 7
+
+
+def test_poly_sections_match_their_parsed_text():
+    rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
+    xi = suites._random_poly(rng, suites.PLANE, suites.DISP_MONOS, 1.0,
+                             np.zeros((2, 3)))
+    ref = ExprMap.parse(", ".join(poly_text(ref_rng, SUITE_MONOS, 1.0)
+                                  for _ in range(2)), ["x1", "x2"])
+    got, want = xi.taylor_lift(PTS, 3), ref.taylor_lift(PTS, 3)
+    assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13
+    sec = DisplacementSection(xi, suites.ZERO_JET, np.eye(2))
+    assert riemann_residual(sec, PTS) < 1e-12
+    assert np.array_equal(spencer_elastic(sec, PTS)[:, 4:], np.zeros((9, 2)))
+
+
+def test_poly_stress_state_matches_its_parsed_text():
+    # sigma12 and sigma21 share one coefficient row
+    rng, ref_rng = np.random.default_rng(16), np.random.default_rng(16)
+    rows = suites._random_poly(rng, suites.PLANE, suites.DISP_MONOS, 1.0,
+                               np.zeros((3, 3)))
+    state = StressState(
+        PolyMap(suites.PLANE, 3, rows.coeffs[[0, 2, 2, 1]]), suites.ZERO_MU)
+    diag = [poly_text(ref_rng, SUITE_MONOS, 1.0) for _ in range(2)]
+    shared = poly_text(ref_rng, SUITE_MONOS, 1.0)
+    ref = StressState.parse(f"{diag[0]}, {shared}, {shared}, {diag[1]}")
+    (f, m), (fr, mr) = adjoint_spencer(state, PTS), adjoint_spencer(ref, PTS)
+    assert np.max(np.abs(f - fr)) < 1e-13
+    assert np.array_equal(m, np.zeros(9)) and np.array_equal(mr, m)
+    assert np.max(np.abs(state.sigma_matrix(PTS)
+                         - ref.sigma_matrix(PTS))) < 1e-13
+    assert torsor_equilibrium_check(state, BOX).max_gap < 1e-12
+    sec = DisplacementSection.parse(f"({BUMP}) * x2, ({BUMP}) * x1",
+                                    f"({BUMP}) * x1")
+    got, want = (pairing_identity_check(s, sec, BOX, order=9)
+                 for s in (state, ref))
+    assert got.gap < 1e-12 and abs(got.lhs - want.lhs) < 1e-12
+
+
+def test_rigid_rows_are_affine_poly_maps():
+    c1, c2, w = 0.3, -0.7, 0.45
+    sec = DisplacementSection(
+        PolyMap(suites.PLANE, 1, np.array([[c1, 0.0, w], [c2, -w, 0.0]])),
+        PolyMap(suites.PLANE, 0, np.array([[-w]])), np.eye(2))
+    ref = DisplacementSection.parse(f"{c1} + {w}*x2, {c2} - {w}*x1", f"{-w}")
+    for s in (sec, ref):
+        assert np.array_equal(killing(s, PTS), np.zeros((9, 2, 2)))
+        assert np.array_equal(spencer_elastic(s, PTS), np.zeros((9, 6)))
+    assert np.array_equal(sec.xi.eval(PTS), ref.xi.eval(PTS))

@@ -19,6 +19,7 @@ from jetgauge.groups import (
 )
 from jetgauge.sampling import halton_points
 from jetgauge.suites import SuiteConfig, run_suite
+from polytext import poly_text
 
 AFFINE = load_group_spec("affine")
 E2 = load_group_spec("e2")
@@ -344,7 +345,7 @@ def test_curvature_of_pullback_nan_fails_closed(monkeypatch):
 def _text_of_draws(rng, offsets, monomials, scale):
     # the same polynomial as text, drawn in the PolyMap builder's order
     monos = ["*".join(m) for m in monomials]
-    return ", ".join(f"{off} + {suites._poly_text(rng, monos, scale)}"
+    return ", ".join(f"{off} + {poly_text(rng, monos, scale)}"
                      for off in offsets)
 
 
