@@ -1,8 +1,10 @@
 """Where a fixture named on the command line or by a loader lives, the
-key check every fixture loader runs first, and the check on its counts."""
+key check every fixture loader runs first, and the checks on its counts
+and boxes."""
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Sequence
 
@@ -40,3 +42,21 @@ def check_count(data: dict, key: str, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} {key!r} must be an integer, not {value!r}")
     return value
+
+
+def _interval(pair) -> bool:
+    return (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in pair)
+            and pair[0] < pair[1])
+
+
+def check_box(data: dict, key: str, count: int, what: str):
+    """data[key], once it is count [lo, hi] pairs of finite JSON numbers
+    with lo < hi; otherwise a ValueError naming key and what."""
+    box = data[key]
+    if (not isinstance(box, (list, tuple)) or len(box) != count
+            or not all(map(_interval, box))):
+        raise ValueError(f"{what} {key!r} must be {count} [lo, hi] pairs of "
+                         f"finite numbers with lo < hi, not {box!r}")
+    return box

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fixtures import check_count, check_keys
+from ._fixtures import check_box, check_count, check_keys
 from ._multiindex import exponent_rows
 from .expr import ExprMap, PolyMap, TaylorMap
 from .quadrature import gauss_rule, tensor_rule
@@ -38,12 +38,11 @@ from .sampling import Box, halton_points
 
 __all__ = [
     "InverseSolveError", "DivergenceNotZero", "CurlNotZero",
-    "MotionFamily", "speed_duality_gap", "CompatibilityReport",
-    "compatibility_residual", "Theorem3Report", "theorem3_check",
-    "MassReport", "mass_conservation_residual", "ELReport", "el_residual",
+    "MotionFamily", "speed_duality_gap", "compatibility_residual",
+    "theorem3_check", "mass_conservation_residual", "el_residual",
     "vortex_residual", "CurlReport", "curl_parametrization_check",
-    "PressureReport", "pressure_recovery", "SwellReport", "swell_family",
-    "swell_rows", "random_solenoidal_field", "motion_family_from_dict",
+    "pressure_recovery", "swell_family", "swell_rows",
+    "random_solenoidal_field", "motion_family_from_dict",
     "load_motion_family",
 ]
 
@@ -282,9 +281,13 @@ FAMILY_KEYS = ("m", "n", "f", "g", "variation", "box", "label")
 def motion_family_from_dict(data: dict) -> MotionFamily:
     check_keys(data, FAMILY_KEYS, "dynamics fixture")
     box = check_keys(data.get("box", {}), ("y", "x", "z"), "dynamics box")
+    m = check_count(data, "m", "dynamics fixture")
+    n = check_count(data, "n", "dynamics fixture")
+    for key, count in (("y", m), ("x", n), ("z", m)):
+        if key in box:
+            check_box(box, key, count, "dynamics box")
     return MotionFamily.parse(
-        check_count(data, "m", "dynamics fixture"),
-        check_count(data, "n", "dynamics fixture"), data["f"],
+        m, n, data["f"],
         inverse=data.get("g"), variation=data.get("variation"),
         ybox=box.get("y"), xbox=box.get("x"), zbox=box.get("z"),
         label=data.get("label", "family"))
@@ -295,38 +298,28 @@ def load_motion_family(path: str | Path) -> MotionFamily:
         return motion_family_from_dict(json.load(handle))
 
 
-def speed_duality_gap(fam: MotionFamily, samples_yx: np.ndarray) -> float:
-    """max over samples of |df/dx - (df/dy) u| and |df/dx - v(f(y,x),x)|."""
+def speed_duality_gap(fam: MotionFamily, samples_yx: np.ndarray) -> np.ndarray:
+    """df/dx - (df/dy) u and df/dx - v(f(y, x), x) at the samples, stacked
+    as (2, M, m, n)."""
     samples_yx = np.asarray(samples_yx, float)
     y, x = samples_yx[:, :fam.m], samples_yx[:, fam.m:]
     st = fam.state_at_source(y, x)
     image = fam.state(st.value, x)
-    gaps = [np.abs(st.fx - st.fy @ st.u), np.abs(st.fx - image.v)]
-    # np.max, unlike a running max(), carries a NaN through to the caller.
-    return float(np.max([np.max(g, initial=0.0) for g in gaps]))
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    v_residual: float
-    u_residual: float
-    vacuous: bool
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.maximum(self.v_residual, self.u_residual))
+    return np.stack([st.fx - st.fy @ st.u, st.fx - image.v])
 
 
 def compatibility_residual(fam: MotionFamily,
-                           samples: np.ndarray) -> CompatibilityReport:
+                           samples: np.ndarray) -> np.ndarray:
     """Parameter-direction curls of v and u corrected by vector brackets.
 
     The v-form residual is d_i v_j - d_j v_i + [v_i, v_j]; the u-form carries
     the bracket with the opposite sign.  Both vanish identically for any
     well-formed family, so a nonzero value flags a defect, not physics.
+    Returns (2, pairs, M, m): the v-form, then the u-form, for each
+    parameter pair i < j; a family with one parameter has no pair.
     """
     if fam.n < 2:
-        return CompatibilityReport(0.0, 0.0, True)
+        return np.zeros((2, 0))
     samples = np.asarray(samples, float)
     z, x = samples[:, :fam.m], samples[:, fam.m:]
     st = fam.state(z, x)
@@ -339,10 +332,9 @@ def compatibility_residual(fam: MotionFamily,
             ru = (st.du_x[..., j, i] - st.du_x[..., i, j]
                   - _matvec(st.du_y[..., j, :], st.u[..., i])
                   + _matvec(st.du_y[..., i, :], st.u[..., j]))
-            res_v.append(np.max(np.abs(rv), initial=0.0))
-            res_u.append(np.max(np.abs(ru), initial=0.0))
-    return CompatibilityReport(float(np.max(res_v)), float(np.max(res_u)),
-                               False)
+            res_v.append(rv)
+            res_u.append(ru)
+    return np.array([res_v, res_u])
 
 
 def _variation_blocks(fam: MotionFamily, y: np.ndarray, x: np.ndarray):
@@ -375,20 +367,8 @@ def _variation_speeds(fam: MotionFamily, z: np.ndarray, x: np.ndarray,
     return jac[..., m:m + n], np.linalg.det(jac[..., :m])
 
 
-@dataclass(frozen=True)
-class Theorem3Report:
-    exact_gap: float       # |(d eta/dx + [v, eta]) - (df/dy)(d xi/dx)|
-    fd_gap: float          # one-sided eps quotient against the exact value
-    fd_gap_half: float
-    base_gap: float        # |variation at eps = 0 - forward map|
-
-    @property
-    def ratio(self) -> float:
-        return self.fd_gap / self.fd_gap_half if self.fd_gap_half else math.nan
-
-
 def theorem3_check(fam: MotionFamily, samples: np.ndarray,
-                   eps: float = 1e-3) -> Theorem3Report:
+                   eps: float = 1e-3) -> tuple[np.ndarray, ...]:
     """Two exact routes to delta v, plus an eps-family quotient oracle.
 
     Route one (target variables): delta v = d eta/dx + [v, eta] with
@@ -396,6 +376,10 @@ def theorem3_check(fam: MotionFamily, samples: np.ndarray,
     delta v = (df/dy)(d xi/dx) with xi = (df/dy)^{-1} delta f.  The routes
     agree identically; the finite-difference speed of the eps family must
     approach them at first order in eps.
+
+    Returns the tuple (exact, fd, fd_half, base) of per-sample gaps: route
+    one minus route two, the eps and eps/2 quotients minus route one, and
+    the variation at eps = 0 minus the forward map.
     """
     if fam.variation is None:
         raise ValueError("theorem3_check needs a variation family")
@@ -404,8 +388,8 @@ def theorem3_check(fam: MotionFamily, samples: np.ndarray,
     z, x = samples[:, :m], samples[:, m:]
     y = fam.invert(z, x)
     st = fam.state_at_source(y, x)
-    base = np.abs(_lift(fam.variation, (y, x, np.zeros((len(y), 1))), 0,
-                        fam.label).value() - st.value)
+    base = _lift(fam.variation, (y, x, np.zeros((len(y), 1))), 0,
+                 fam.label).value() - st.value
     eta, deta_y, df_x = _variation_blocks(fam, y, x)
     deta_z = deta_y @ st.gz
     deta_x = df_x + deta_y @ st.gx
@@ -414,34 +398,20 @@ def theorem3_check(fam: MotionFamily, samples: np.ndarray,
     xi = _matvec(st.fy_inv, eta)
     dxi_x = st.fy_inv @ (df_x - np.einsum("...kri,...r->...ki", st.fyx, xi))
     route2 = st.fy @ dxi_x
-    gaps = [np.abs(route1 - route2)]
-    for e in (eps, eps / 2.0):
-        v_eps, _ = _variation_speeds(fam, z, x, e, y)
-        gaps.append(np.abs((v_eps - st.v) / e - route1))
-    # np.max, unlike a running max(), carries a NaN through to the report.
-    return Theorem3Report(*(float(np.max(g, initial=0.0))
-                            for g in (*gaps, base)))
-
-
-@dataclass(frozen=True)
-class MassReport:
-    residual: float
-    variation_gap: float
-    variation_gap_half: float
-
-    @property
-    def ratio(self) -> float:
-        return (self.variation_gap / self.variation_gap_half
-                if self.variation_gap_half else math.nan)
+    fd = [(_variation_speeds(fam, z, x, e, y)[0] - st.v) / e - route1
+          for e in (eps, eps / 2.0)]
+    return route1 - route2, *fd, base
 
 
 def mass_conservation_residual(fam: MotionFamily, samples: np.ndarray,
-                               eps: float = 1e-3) -> MassReport:
+                               eps: float = 1e-3) -> tuple[np.ndarray, ...]:
     """d rho/dx^i + d(rho v^k_i)/dz^k = 0, plus the eps-variation of rho.
 
     The variation oracle checks delta rho = -d(rho eta^k)/dz^k by one-sided
-    quotients whenever the family carries a variation map; both eps gaps are
-    reported so the caller can confirm first-order decay.
+    quotients whenever the family carries a variation map.  Returns the
+    tuple (continuity, fd, fd_half): the continuity residual (M, n) and
+    the quotient gaps (M,) at eps and eps/2, so the caller can confirm
+    first-order decay; both gaps are empty without a variation map.
     """
     m = fam.m
     samples = np.asarray(samples, float)
@@ -451,15 +421,15 @@ def mass_conservation_residual(fam: MotionFamily, samples: np.ndarray,
     rho = st.rho[..., None]
     div_rv = _vecmat(st.drho_z, st.v) + rho * np.einsum("...kik->...i",
                                                         st.dv_z)
-    gaps = [np.abs(st.drho_x + div_rv), [], []]
-    if fam.variation is not None:
-        df, df_y, _ = _variation_blocks(fam, y, x)
-        flux = _vecmat(st.drho_z, df[..., None])[..., 0]
-        exact = -(flux + st.rho * np.trace(df_y @ st.gz, axis1=-2, axis2=-1))
-        for k, e in enumerate((eps, eps / 2.0), start=1):
-            _, delta_eps = _variation_speeds(fam, z, x, e, y)
-            gaps[k] = np.abs((1.0 / delta_eps - st.rho) / e - exact)
-    return MassReport(*(float(np.max(g, initial=0.0)) for g in gaps))
+    continuity = st.drho_x + div_rv
+    if fam.variation is None:
+        return continuity, np.zeros(0), np.zeros(0)
+    df, df_y, _ = _variation_blocks(fam, y, x)
+    flux = _vecmat(st.drho_z, df[..., None])[..., 0]
+    exact = -(flux + st.rho * np.trace(df_y @ st.gz, axis1=-2, axis2=-1))
+    fd = [(1.0 / _variation_speeds(fam, z, x, e, y)[1] - st.rho) / e - exact
+          for e in (eps, eps / 2.0)]
+    return continuity, *fd
 
 
 def _momentum_hessian(w: ExprMap, v: np.ndarray, m: int,
@@ -499,25 +469,14 @@ def _el_y(st: _SpeedState, w: ExprMap, m: int, n: int) -> np.ndarray:
     return _einsum_rows("kilp,lpi->k", m, h, st.fxx)
 
 
-@dataclass(frozen=True)
-class ELReport:
-    z_values: np.ndarray     # (M, m) residual at target-variable samples
-    y_values: np.ndarray     # (M, m) source-route residual at the preimages
-    dual_gap: float          # max |E_Z(f(y,x),x) - rho E_Y(y,x)|
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(np.abs(self.z_values))) if self.z_values.size else 0.0
-
-
 def el_residual(fam: MotionFamily, w: ExprMap,
-                samples: np.ndarray) -> ELReport:
+                samples: np.ndarray) -> tuple[np.ndarray, ...]:
     """Euler-Lagrange residual of the action density rho w(v), both forms.
 
     The target form is evaluated through (z, x)-derivatives at the sample;
     the source form through (y, x)-derivatives at the preimage.  They satisfy
-    E_Z(f(y, x), x) = rho(y, x) E_Y(y, x) identically, which is reported as
-    the dual gap.
+    E_Z(f(y, x), x) = rho(y, x) E_Y(y, x) identically.  Returns the tuple
+    (E_Z, E_Y, dual gap E_Z - rho E_Y), each (M, m).
     """
     m = fam.m
     samples = np.asarray(samples, float)
@@ -525,8 +484,7 @@ def el_residual(fam: MotionFamily, w: ExprMap,
     st = fam.state(samples[:, :m], samples[:, m:])
     ez = _el_z(st, w, m, fam.n)
     ey = _el_y(st, w, m, fam.n)
-    dual = np.abs(ez - st.rho[..., None] * ey)
-    return ELReport(ez, ey, float(np.max(dual, initial=0.0)))
+    return ez, ey, ez - st.rho[..., None] * ey
 
 
 def _field_blocks(field: ExprMap | PolyMap, zt: np.ndarray):
@@ -560,8 +518,8 @@ def _acceleration_gradient(val: np.ndarray, dz: np.ndarray, dzz: np.ndarray,
 
 def vortex_residual(field: ExprMap | PolyMap, samples: np.ndarray,
                     enforce_divergence: bool = True,
-                    div_tol: float = 1e-8) -> float:
-    """Residual of d omega/dt + [v, omega] - (1/2) curl gamma.
+                    div_tol: float = 1e-8) -> np.ndarray:
+    """Residual (1/2) curl gamma - (d omega/dt + [v, omega]), (M, 3).
 
     gamma = dv/dt + (v . grad) v is the acceleration, omega = (1/2) curl v.
     The identity holds exactly iff div v = 0; the compressible defect is
@@ -584,8 +542,7 @@ def vortex_residual(field: ExprMap | PolyMap, samples: np.ndarray,
         np.swapaxes(0.5 * _curl(np.moveaxis(dzz, -1, -3)), -2, -1))
     lhs = 0.5 * _curl(_acceleration_gradient(val, dz, dzz, dzt))
     rhs = domega_t + _matvec(domega_z, val) - _matvec(dz, omega)
-    # np.max, unlike a running max(), carries a NaN through to the caller.
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    return lhs - rhs
 
 
 @dataclass(frozen=True)
@@ -656,26 +613,16 @@ def _coeff_text(coeffs: np.ndarray, names: Sequence[str]) -> str:
     return " + ".join(terms)
 
 
-@dataclass(frozen=True)
-class PressureReport:
-    values: np.ndarray       # lambda at the requested points, first path
-    path_gap: float          # disagreement between the two staircase paths
-    curl_max: float
-
-    @property
-    def max_residual(self) -> float:
-        return self.path_gap
-
-
 def pressure_recovery(field: ExprMap | PolyMap, t: float, points: np.ndarray,
                       base: Sequence[float], nquad: int = 32,
-                      curl_tol: float = 1e-8) -> PressureReport:
+                      curl_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct lambda with grad lambda = -gamma by staircase integrals.
 
     gamma = dv/dt + (v . grad) v must be curl-free at the requested time;
     lambda is integrated from the base point along axis-ordered segments,
     once in order (1, 2, 3) and once in (3, 2, 1), and the two results must
-    agree up to quadrature error.
+    agree up to quadrature error.  Returns lambda at the points along the
+    first path, and the first path's values minus the second's.
     """
     base = np.asarray(base, float)
     points = np.asarray(points, float).reshape(-1, 3)
@@ -707,8 +654,7 @@ def pressure_recovery(field: ExprMap | PolyMap, t: float, points: np.ndarray,
 
     first = np.array([staircase(z, (0, 1, 2)) for z in points])
     second = np.array([staircase(z, (2, 1, 0)) for z in points])
-    gap = float(np.max(np.abs(first - second))) if len(points) else 0.0
-    return PressureReport(first, gap, worst_curl)
+    return first, first - second
 
 
 def random_solenoidal_field(seed: int, degree: int = 2,
@@ -738,31 +684,23 @@ def random_solenoidal_field(seed: int, degree: int = 2,
     return PolyMap(("z1", "z2", "z3", "t"), 3 * degree + 1, coeffs)
 
 
-@dataclass(frozen=True)
-class SwellReport:
-    jacobian_drift: float        # time variation of det d(x,y)/d(a,b)
-    jacobian_formula_gap: float  # against 1 - k^2 R^2 (balanced case only)
-    circle_gap: float            # | |f - label| - R(b) |
-    moving_frame_gap: float      # stationarity after the x - (omega/k) t shift
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max([self.jacobian_drift, self.circle_gap,
-                             self.moving_frame_gap]))
-
-
 def swell_family(R0: float, k: float, omega: float, c: float,
                  decay: float | None = None,
                  ybox: Box | None = None, tmax: float = 6.0,
                  nlabels: int = 24, ntimes: int = 9,
-                 seed: int = 311) -> tuple[MotionFamily, SwellReport]:
+                 seed: int = 311) -> tuple[MotionFamily, tuple[np.ndarray, ...]]:
     """Rolling-wave family x = a + R(b) cos(omega t - phi(a)), phi = k a + c.
 
     The balanced choice R(b) = R0 exp(-k b) makes the label-space jacobian
     time-independent (equal to 1 - k^2 R^2), trajectories circles of radius
     R(b), and the map stationary in the frame moving at speed omega / k.
     Passing decay != k deliberately breaks the balance: the jacobian then
-    oscillates in time and the report shows it.
+    oscillates in time and the drift shows it.
+
+    Returns the family and the tuple (drift, formula, circle, frame) over
+    (label, time): det d(x,y)/d(a,b) minus its value at t = 0; the same
+    det minus 1 - k^2 R^2, empty unless balanced; |f - label| - R(b); and
+    (nlabels, ntimes, 2) the wave-frame point minus f at the shifted label.
     """
     if R0 < 0.0 or k <= 0.0:
         raise ValueError("need R0 >= 0 and k > 0")
@@ -787,22 +725,16 @@ def swell_family(R0: float, k: float, omega: float, c: float,
     shifts[..., 0] = labels[:, None, 0] - speed * times[None, :]
     shifts[..., 1] = labels[:, None, 1]
     shifted_values = _lift(fam.forward, (shifts,), 0, fam.label).value()
-    drift = formula = circle = frame = 0.0
-    for (a, b), dets, values, shifted_row in zip(labels, st.delta, st.value,
-                                                 shifted_values):
-        rb = R0 * math.exp(-rate * b)
-        for t, value, shifted in zip(times, values, shifted_row):
-            circle = np.maximum(circle, abs(
-                math.hypot(value[0] - a, value[1] - b) - rb))
-            moving = np.array([value[0] - speed * t, value[1]])
-            frame = np.maximum(frame, np.max(np.abs(moving - shifted)))
-        drift = np.maximum(drift, np.max(np.abs(dets - dets[0])))
-        if decay is None:
-            formula = np.maximum(formula, np.max(np.abs(
-                dets - (1.0 - k * k * rb * rb))))
-    # np.maximum, unlike max(), carries a NaN through to the report.
-    return fam, SwellReport(float(drift), float(formula), float(circle),
-                            float(frame))
+    rbs = np.array([R0 * math.exp(-rate * b) for b in labels[:, 1]])
+    circle = np.array([[math.hypot(value[0] - a, value[1] - b) - rb
+                        for value in values]
+                       for (a, b), rb, values in zip(labels, rbs, st.value)])
+    moving = st.value.copy()
+    moving[..., 0] -= speed * times
+    drift = st.delta - st.delta[:, :1]
+    formula = (st.delta - (1.0 - k * k * rbs * rbs)[:, None]
+               if decay is None else np.zeros(0))
+    return fam, (drift, formula, circle, moving - shifted_values)
 
 
 def swell_rows(R0: float, k: float, omega: float, c: float,

@@ -165,8 +165,8 @@ def killing(section: DisplacementSection, samples: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-def riemann_residual(source, samples: np.ndarray) -> float:
-    """max |d11 eps22 + d22 eps11 - 2 d12 eps12| over the samples.
+def riemann_residual(source, samples: np.ndarray) -> np.ndarray:
+    """d11 eps22 + d22 eps11 - 2 d12 eps12 at each sample.
 
     source is either an ExprMap with components (eps11, eps12, eps22) or a
     DisplacementSection, in which case eps = killing(section) and the
@@ -191,8 +191,7 @@ def riemann_residual(source, samples: np.ndarray) -> float:
             raise ValueError("strain map must hold (eps11, eps12, eps22)")
         d2 = source.taylor_lift(samples, 2).derivative(2)
         resids = d2[..., 2, 0, 0] + d2[..., 0, 1, 1] - 2.0 * d2[..., 1, 0, 1]
-    # np.max, unlike a running max(), keeps a NaN
-    return float(np.max(np.abs(resids), initial=0.0))
+    return resids
 
 
 def spencer_elastic(section: DisplacementSection,
@@ -262,28 +261,18 @@ def adjoint_spencer(state: StressState,
     return f, m
 
 
-@dataclass(frozen=True)
-class PairingReport:
-    lhs: float      # <(sigma, mu), D section>
-    rhs: float      # <(f, m), (xi, jet)>
-
-    @property
-    def gap(self) -> float:
-        # integration by parts with vanishing boundary terms gives
-        # lhs = -rhs, so the defect of the adjoint is the sum
-        return abs(self.lhs + self.rhs)
-
-
 def pairing_identity_check(state: StressState, section: DisplacementSection,
                            box: Box, order: int = 6,
-                           drop_couple_term: bool = False) -> PairingReport:
+                           drop_couple_term: bool = False) -> tuple[float, float]:
     """Exact-quadrature check that the load fields are the true adjoint.
 
-    The section must carry a boundary-vanishing bump factor in all its
-    components so the parts-free identity holds; with polynomial data and
-    sufficient order both integrals are exact and the gap is roundoff.
-    drop_couple_term removes the s12 - s21 term from m, a deliberate
-    corruption that must produce a visible gap.
+    Returns (lhs, rhs): the pairing <(sigma, mu), D section> and the load
+    pairing <(f, m), (xi, jet)>.  The section must carry a
+    boundary-vanishing bump factor in all its components, so integration
+    by parts gives lhs = -rhs; with polynomial data and sufficient order
+    both integrals are exact and lhs + rhs is roundoff.  drop_couple_term
+    removes the s12 - s21 term from m, a deliberate corruption that must
+    produce a visible gap.
     """
     _check_order(order, (state.sigma, state.mu), (section.xi, section.jet))
     nodes, weights = tensor_rule(tuple(tuple(r) for r in box), order)
@@ -301,23 +290,11 @@ def pairing_identity_check(state: StressState, section: DisplacementSection,
                               + muvals[idx] @ comps[idx, 4:])
         xival = section.metric @ xivals[idx]
         rhs += weight * float(fvals[idx] @ xival + mvals[idx] * jvals[idx])
-    return PairingReport(lhs, rhs)
-
-
-@dataclass(frozen=True)
-class TorsorReport:
-    force_gap: np.ndarray     # (2,) surface minus volume, per component
-    momentum_gap: float
-
-    @property
-    def max_gap(self) -> float:
-        # np.max, unlike max(), keeps a NaN in either gap
-        return float(np.max([np.max(np.abs(self.force_gap)),
-                             abs(self.momentum_gap)]))
+    return lhs, rhs
 
 
 def torsor_equilibrium_check(state: StressState, box: Box,
-                             order: int = 8) -> TorsorReport:
+                             order: int = 8) -> np.ndarray:
     """Surface-vs-volume balance of forces and of the planar moment.
 
     Forces: integral of sigma^{ij} n_i over the box boundary minus the
@@ -326,6 +303,7 @@ def torsor_equilibrium_check(state: StressState, box: Box,
     volume integral of m12 + x^1 f^2 - x^2 f^1.  Both vanish to quadrature
     precision because the loads are the divergences computed in
     adjoint_spencer; this is the integral form of the same equations.
+    Returns the surface minus volume integrals (force 1, force 2, moment).
     """
     (a1, b1), (a2, b2) = (tuple(map(float, r)) for r in box)
 
@@ -349,11 +327,11 @@ def torsor_equilibrium_check(state: StressState, box: Box,
     inodes, iweights = tensor_rule(((a1, b1), (a2, b2)), order)
     fvals, mvals = adjoint_spencer(state, inodes)
 
-    force = np.empty(2)
+    gaps = np.empty(3)
     for j in range(2):
         surf = boundary(lambda p, j=j: state.sigma_matrix(p)[..., :, j])
         vol = float(iweights @ fvals[:, j])
-        force[j] = surf - vol
+        gaps[j] = surf - vol
 
     def moment_flux(points):
         sig = state.sigma_matrix(points)
@@ -364,7 +342,8 @@ def torsor_equilibrium_check(state: StressState, box: Box,
     surf = boundary(moment_flux)
     vol = float(iweights @ (mvals + inodes[:, 0] * fvals[:, 1]
                             - inodes[:, 1] * fvals[:, 0]))
-    return TorsorReport(force, surf - vol)
+    gaps[2] = surf - vol
+    return gaps
 
 
 def affine_1d_adjoint(sigma: ExprMap, mu: ExprMap,
@@ -383,12 +362,12 @@ def affine_1d_adjoint(sigma: ExprMap, mu: ExprMap,
 
 def pairing_identity_1d(sigma: ExprMap, mu: ExprMap, xi: ExprMap,
                         jet: ExprMap, interval: Sequence[float],
-                        order: int = 8) -> PairingReport:
+                        order: int = 8) -> tuple[float, float]:
     """1D analogue of pairing_identity_check over an interval.
 
-    lhs pairs (sigma, mu) with (d xi - jet, d jet); rhs pairs the loads
-    (f, m) with (xi, jet).  Both xi and jet must vanish at the interval
-    ends (bump factors) so that lhs + rhs = 0 exactly.
+    Returns (lhs, rhs): lhs pairs (sigma, mu) with (d xi - jet, d jet); rhs
+    pairs the loads (f, m) with (xi, jet).  Both xi and jet must vanish at
+    the interval ends (bump factors) so that lhs + rhs = 0 exactly.
     """
     _check_order(order, (sigma, mu), (xi, jet))
     lo, hi = float(interval[0]), float(interval[1])
@@ -404,4 +383,4 @@ def pairing_identity_1d(sigma: ExprMap, mu: ExprMap, xi: ExprMap,
         lhs += weight * (svals[idx] * (dxi[idx] - jvals[idx])
                          + muvals[idx] * djet[idx])
         rhs += weight * (f[idx] * xvals[idx] + m[idx] * jvals[idx])
-    return PairingReport(lhs, rhs)
+    return lhs, rhs

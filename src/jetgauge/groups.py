@@ -23,14 +23,14 @@ from importlib import resources
 import numpy as np
 
 from . import series
-from ._fixtures import check_count, check_keys, fixture_path
+from ._fixtures import check_box, check_count, check_keys, fixture_path
 from ._multiindex import context
 from .expr import ExprMap, PolyMap
 from .sampling import halton_points
 
 __all__ = [
     "InconsistentGroupLaw", "NotInjectiveYet", "GroupAction", "LieGroupSpec",
-    "Grid", "GaugeField", "CurvatureField", "load_group_spec",
+    "Grid", "GaugeField", "load_group_spec",
     "maurer_cartan_pullback", "right_pullback", "curvature", "variation_body",
     "variation_space", "variation_body_fd", "variation_space_fd",
     "el_body_residual", "el_space_residual", "linear_gauge_d",
@@ -163,6 +163,11 @@ ACTION_KEYS = ("dim", "box", "generators")
 def group_spec_from_dict(data: dict) -> LieGroupSpec:
     check_keys(data, GROUP_KEYS, "group fixture")
     p = check_count(data, "dim", "group fixture")
+    check_box(data, "box", p, "group fixture")
+    identity = np.asarray(data["identity"], dtype=float)
+    if identity.shape != (p,):
+        raise ValueError(f"group fixture 'identity' must hold {p} values, "
+                         f"not {data['identity']!r}")
     avars, bvars = _group_vars(p)
     compose = ExprMap.parse(data["compose"], avars + bvars)
     inverse = ExprMap.parse(data["inverse"], avars)
@@ -172,6 +177,7 @@ def group_spec_from_dict(data: dict) -> LieGroupSpec:
     if data.get("action"):
         adata = check_keys(data["action"], ACTION_KEYS, "group action")
         nact = check_count(adata, "dim", "group action")
+        check_box(adata, "box", nact, "group action")
         xvars = [f"x{k + 1}" for k in range(nact)]
         gens = tuple(ExprMap.parse(g, xvars) for g in adata["generators"])
         if len(gens) != p or any(len(g) != nact for g in gens):
@@ -180,7 +186,7 @@ def group_spec_from_dict(data: dict) -> LieGroupSpec:
     spec = LieGroupSpec(
         label=data.get("label", "unnamed"),
         dim=p,
-        identity=np.asarray(data["identity"], dtype=float),
+        identity=identity,
         box=tuple(map(tuple, data["box"])),
         compose=compose,
         inverse=inverse,
@@ -225,17 +231,6 @@ class GaugeField:
         """A at a point (n,), or at each point of a block (..., n)."""
         return _pullback(self.spec, self.gauging, np.asarray(x, float),
                          self.form)[0]
-
-
-@dataclass(frozen=True)
-class CurvatureField:
-    spec: LieGroupSpec
-    nodes: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-    values: np.ndarray                   # (M, p, len(pairs)) upper-triangular
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
 
 def _with_identity(spec: LieGroupSpec, a: np.ndarray, first: bool) -> np.ndarray:
@@ -315,8 +310,9 @@ def _gauge_derivatives(field: GaugeField, x: np.ndarray) -> tuple[np.ndarray, np
     return aval, dA
 
 
-def curvature(spec: LieGroupSpec, field: GaugeField) -> CurvatureField:
-    """F^t_{ij} = d_i A^t_j - d_j A^t_i - c^t_{rs} A^r_i A^s_j."""
+def curvature(spec: LieGroupSpec, field: GaugeField) -> np.ndarray:
+    """F^t_{ij} = d_i A^t_j - d_j A^t_i - c^t_{rs} A^r_i A^s_j at the grid
+    nodes, (nodes, p, pairs) over the pairs i < j in lexicographic order."""
     p, n = spec.dim, field.grid.dim
     c = spec.structure_constants()
     pairs = tuple(itertools.combinations(range(n), 2))
@@ -328,7 +324,7 @@ def curvature(spec: LieGroupSpec, field: GaugeField) -> CurvatureField:
         quad = np.einsum("trs,...r,...s->...t", c, aval[..., :, i],
                          aval[..., :, j])
         out[..., :, k] = da[..., :, i, j] - da[..., :, j, i] - quad
-    return CurvatureField(spec, nodes, pairs, out)
+    return out
 
 
 def _translation_jet(spec: LieGroupSpec, a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -526,10 +522,12 @@ def linear_gauge_dd(field: ExprMap, n: int, p: int, r: int,
     """
     combos_r = list(itertools.combinations(range(n), r))
     combos_2 = tuple(itertools.combinations(range(n), r + 2))
+    if len(field) != p * len(combos_r):
+        raise ValueError(f"expected {p * len(combos_r)} components for an r={r} form")
     index_r = {K: k for k, K in enumerate(combos_r)}
     samples = np.asarray(samples, float)
     # [s, t, rest, i, j] = d_ij of the component of algebra index t on rest
-    d2 = field.taylor_lift(samples, 2).derivative(2)[:, :p * len(combos_r)]
+    d2 = field.taylor_lift(samples, 2).derivative(2)
     d2 = d2.reshape((len(samples), p, len(combos_r), n, n))
     out = np.zeros((len(samples), p, max(len(combos_2), 1)))
     for kk, L in enumerate(combos_2):
@@ -571,22 +569,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
-class SpencerActionCheck:
-    order: int
-    max_mismatch: float
-    min_rank: int
-    param_dim: int
-
-
 def spencer_from_action(spec: LieGroupSpec, lam: ExprMap | PolyMap,
                         order: int, samples: np.ndarray,
-                        rank_tol: float = 1e-8) -> SpencerActionCheck:
+                        rank_tol: float = 1e-8) -> np.ndarray:
     """Section induced on jets by an action, and its Spencer image.
 
     The section carries lam(x) to xi^k_mu(x) = lam^tau(x) d_mu g^k_tau(x)
     with g_tau the action generators.  Its Spencer operator contracts the
-    generators against dlam alone; both routes are computed and compared.
+    generators against dlam alone; both routes are computed, and their
+    difference is returned as (slots, samples), one row per jet row mu
+    below order, component k and direction i, in that nesting.
     Raises NotInjectiveYet when the jet evaluation matrix loses rank.
     """
     if spec.action is None:
@@ -621,13 +613,11 @@ def spencer_from_action(spec: LieGroupSpec, lam: ExprMap | PolyMap,
                 direct = total[:, unit_pos[i]] - _dot(lam0, raw[:, :, k, up])
                 # route two: dlam contracted with the generator jets
                 contracted = _dot(dlam[:, :, i], raw[:, :, k, row])
-                gaps.append(np.abs(direct - contracted))
+                gaps.append(direct - contracted)
     # rows (k, mu), cols tau, one matrix per sample
     mats = np.swapaxes(raw[..., :rows_q].reshape(len(samples), p, -1), -2, -1)
     min_rank = int(np.min(np.linalg.matrix_rank(mats, tol=rank_tol), initial=p))
-    # np.max, unlike a running max(), carries a NaN through to the report.
-    worst = float(np.max([np.max(g, initial=0.0) for g in gaps], initial=0.0))
     if min_rank < p:
         raise NotInjectiveYet(
             f"rank {min_rank} < {p} at jet order {order}; raise the order")
-    return SpencerActionCheck(order, worst, min_rank, p)
+    return np.array(gaps)

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Protocol
 import numpy as np
 
 from . import series
-from ._fixtures import check_count, check_keys, fixture_path
+from ._fixtures import check_box, check_count, check_keys, fixture_path
 from ._multiindex import (MultiIndexContext, context, derivative_rows,
                           poly_shift, shift_table)
 from .expr import ExprMap
@@ -34,7 +34,7 @@ __all__ = [
     "affine_line", "projective_line", "volume_preserving", "example_r1",
     "example_r1_prime", "builtin_system", "BUILTIN_SYSTEMS",
     "spencer", "algebroid_bracket", "bracket_jacobi_residual",
-    "sample_linear_sections", "closure_check", "ClosureReport",
+    "sample_linear_sections", "closure_check",
     "linearization_rows_gap", "linearization_consistency",
     "schwarzian", "schwarzian_variation_check",
 ]
@@ -256,20 +256,19 @@ class LieEquationSystem:
         return out
 
 
-def linearization_rows_gap(system: LieEquationSystem, samples: np.ndarray) -> float:
-    """Largest entry gap between the hand-written linearization and the
-    one derived from the defining equations."""
+def linearization_rows_gap(system: LieEquationSystem,
+                           samples: np.ndarray) -> np.ndarray:
+    """Entry gaps between the hand-written linearization rows and the ones
+    derived from the defining equations, (M, neq, n*count)."""
     pts = np.asarray(samples, dtype=float)
-    gap = system.linear_rows(pts, "hand") - system.linear_rows(pts, "derived")
-    # np.max, unlike a running max(), keeps a NaN so the check fails
-    return float(np.max(np.abs(gap), initial=0.0))
+    return system.linear_rows(pts, "hand") - system.linear_rows(pts, "derived")
 
 
 def linearization_consistency(system: LieEquationSystem, xi: ExprMap,
                               samples: np.ndarray, eps: float = 1e-5) -> float:
     """Centered difference of the equations along id + eps*xi against the
     linear system; the gap shrinks like eps^2."""
-    ident = ExprMap.parse(", ".join(xi.variables), xi.variables)
+    ident = ExprMap.identity(xi.variables)
     plus = _shifted_map(ident, xi, eps)
     minus = _shifted_map(ident, xi, -eps)
     fd = (system.finite_residual(plus, samples)
@@ -478,15 +477,6 @@ def bracket_jacobi_residual(a: JetSection, b: JetSection, c: JetSection,
     return float(np.max(np.abs(vals[0] + vals[1] + vals[2])))
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    label: str
-    npairs: int
-    nullspace_dim: int
-    max_residual: float
-    lift_gap: float
-
-
 def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
                     npoints: int, route: str) -> np.ndarray:
     """Nullspace basis of the pointwise-pinned prolonged linear system.
@@ -539,12 +529,15 @@ def _draw_sections(system: LieEquationSystem, basis_vecs: np.ndarray,
 
 def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
                   neval: int = 12, degree: int = 2,
-                  route: str = "hand") -> ClosureReport:
+                  route: str = "hand") -> tuple[np.ndarray, np.ndarray]:
     """Brackets of random solution sections land back in the system.
 
-    Also reports how much the bracket values move when the top-order
+    Also measures how much the bracket values move when the top-order
     slots of the inputs are replaced by fresh random polynomials; the
     formula cancels them identically, so the gap is pure roundoff.
+    Returns the tuple (residuals, lift gaps): the linear system applied to
+    each bracket, (npairs, neval, neq), and the bumped pairs' bracket
+    values minus the first pairs', (min(npairs, 5), neval, n, rows).
     """
     n = system.nvars
     basis_vecs = _solution_basis(system, seed, degree, 40, route)
@@ -566,10 +559,7 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
     # other bits
     resid = np.array([[rows[s] @ v[s].ravel() for s in range(len(rows))]
                       for v in vals[:npairs]])
-    # np.max, unlike a running max(), keeps a NaN so the check fails
-    return ClosureReport(system.label, npairs, basis_vecs.shape[0],
-                         float(np.max(np.abs(resid))),
-                         float(np.max(np.abs(vals[npairs:] - vals[:nlift]))))
+    return resid, vals[npairs:] - vals[:nlift]
 
 
 def schwarzian(jet) -> float:
@@ -600,8 +590,7 @@ def schwarzian_variation_check(f: ExprMap, eta: ExprMap, samples: np.ndarray,
     variation (f')^2 * eta'''(f(x)) at eps and at eps/2; first-order
     quotients halve the gap.
     """
-    zvar = list(eta.variables)
-    ident = ExprMap.parse(", ".join(zvar), zvar)
+    ident = ExprMap.identity(eta.variables)
     gaps = []
     for e in (eps, eps / 2.0):
         phi = _shifted_map(ident, eta, e)
@@ -711,11 +700,12 @@ SYSTEM_KEYS = ("label", "nvars", "order", "box", "equations",
 
 def lie_system_from_dict(data: dict) -> LieEquationSystem:
     check_keys(data, SYSTEM_KEYS, "pseudogroup fixture")
+    nvars = check_count(data, "nvars", "pseudogroup fixture")
     return _make_system(
         data.get("label", "unnamed"),
-        check_count(data, "nvars", "pseudogroup fixture"),
+        nvars,
         check_count(data, "order", "pseudogroup fixture"),
-        data["box"],
+        check_box(data, "box", nvars, "pseudogroup fixture"),
         data["equations"],
         data.get("linearization"),
         data.get("sampling_constraints"),

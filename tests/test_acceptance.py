@@ -30,7 +30,7 @@ from jetgauge.groups import (
 from jetgauge.pseudogroups import builtin_system, closure_check
 from jetgauge.sampling import halton_points
 from jetgauge.suites import (
-    EXP_MOVED, _random_gauging, _random_motion_family,
+    EXP_MOVED, _max_abs, _random_gauging, _random_motion_family,
 )
 from polytext import poly_text
 
@@ -82,7 +82,7 @@ def test_criterion_01_gauge_sequence_exactness():
         for k in range(10):
             g = _random_gauging(spec, 100 + 17 * k)
             field = maurer_cartan_pullback(spec, g, GRID)
-            worst = max(worst, curvature(spec, field).max_abs())
+            worst = max(worst, _max_abs(curvature(spec, field)))
     _criterion(1, "pulled-back curvature vanishes on random gaugings",
                [("max curvature", worst, 1e-9)])
 
@@ -110,13 +110,13 @@ def test_criterion_02_affine_line_fidelity():
     bump = "(x1 + 1)^2 * (1 - x1)^2"
     xi = ExprMap.parse(f"({bump}) * (0.4 + x1^2)", ["x1"])
     jet = ExprMap.parse(f"({bump}) * (x1 - 0.3)", ["x1"])
-    pair = pairing_identity_1d(sig, mu, xi, jet, (-1.0, 1.0), order=8)
+    lhs, rhs = pairing_identity_1d(sig, mu, xi, jet, (-1.0, 1.0), order=8)
 
     _criterion(2, "scaling group forms, constants, and 1d adjoint", [
         ("frame form", form_gap, 1e-12),
         ("c2_12 exact", c_gap, 0.0),
         ("adjoint equations", adj_gap, 1e-12),
-        ("pairing gap", pair.gap, 1e-10),
+        ("pairing gap", abs(lhs + rhs), 1e-10),
     ])
 
 
@@ -143,8 +143,8 @@ def test_criterion_04_algebroid_closure():
     resid = lift = 0.0
     for name in ("affine", "projective", "volume2", "volume3", "r1"):
         rep = closure_check(builtin_system(name), npairs=50, seed=3, neval=8)
-        resid = max(resid, rep.max_residual)
-        lift = max(lift, rep.lift_gap)
+        resid = max(resid, _max_abs(rep[0]))
+        lift = max(lift, _max_abs(rep[1]))
     _criterion(4, "brackets of 50 section pairs stay in each system", [
         ("constraint violation", resid, 1e-9),
         ("lift independence", lift, 1e-10),
@@ -155,15 +155,16 @@ def test_criterion_05_speed_compatibility_and_variation():
     worst_v = worst_u = 0.0
     for k in range(10):
         fam = _random_motion_family(1000 + k)
-        rep = compatibility_residual(fam, fam.sample_zx(16, 77 + k))
-        worst_v = max(worst_v, rep.v_residual)
-        worst_u = max(worst_u, rep.u_residual)
-    rep3 = theorem3_check(EXP_MOVED, EXP_MOVED.sample_zx(12, 9), eps=1e-3)
+        v_form, u_form = compatibility_residual(fam, fam.sample_zx(16, 77 + k))
+        worst_v = max(worst_v, _max_abs(v_form))
+        worst_u = max(worst_u, _max_abs(u_form))
+    exact, fd, fd_half, base = theorem3_check(
+        EXP_MOVED, EXP_MOVED.sample_zx(12, 9), eps=1e-3)
     _criterion(5, "speed fields close and variations converge at rate one", [
         ("dv + [v,v]", worst_v, 1e-8),
         ("du - [u,u]", worst_u, 1e-8),
-        ("route agreement", max(rep3.exact_gap, rep3.base_gap), 1e-8),
-        ("halving ratio", abs(rep3.ratio - 2.0), 0.2),
+        ("route agreement", _max_abs((exact, base)), 1e-8),
+        ("halving ratio", abs(_max_abs(fd) / _max_abs(fd_half) - 2.0), 0.2),
     ])
 
 
@@ -171,27 +172,28 @@ def test_criterion_06_vortex_transport():
     pts = halton_points(((-0.8, 0.8),) * 3 + ((0.0, 2.0),), 12, 41)
     worst = 0.0
     for k in range(10):
-        worst = max(worst, vortex_residual(random_solenoidal_field(300 + k), pts))
+        worst = max(worst, _max_abs(
+            vortex_residual(random_solenoidal_field(300 + k), pts)))
     stretch = ExprMap.parse("z1, z3, 0 - z2", ["z1", "z2", "z3", "t"])
-    defect = vortex_residual(stretch, pts, enforce_divergence=False)
+    defect = _max_abs(vortex_residual(stretch, pts, enforce_divergence=False))
     rot = ExprMap.parse("-1.3 * z2, 1.3 * z1, 0", ["z1", "z2", "z3", "t"])
-    press = pressure_recovery(rot, 0.5, halton_points(((-0.7, 0.7),) * 3, 8, 23),
-                              (0.0, 0.0, 0.0))
+    _, path_gap = pressure_recovery(
+        rot, 0.5, halton_points(((-0.7, 0.7),) * 3, 8, 23), (0.0, 0.0, 0.0))
     _criterion(6, "vorticity transport with compressible control", [
         ("transport residual", worst, 1e-8),
         ("compressible control", _shortfall(defect, 1e-3), 0.0),
-        ("pressure paths", press.path_gap, 1e-7),
+        ("pressure paths", _max_abs(path_gap), 1e-7),
     ])
 
 
 def test_criterion_07_swell():
-    _, rep = swell_family(1.0, 0.1, 1.0, 0.0)
-    _, broken = swell_family(1.0, 0.1, 1.0, 0.0, decay=0.25)
+    _, (drift, _, circle, frame) = swell_family(1.0, 0.1, 1.0, 0.0)
+    _, (broken, _, _, _) = swell_family(1.0, 0.1, 1.0, 0.0, decay=0.25)
     _criterion(7, "rolling swell invariants with unbalanced control", [
-        ("jacobian drift", rep.jacobian_drift, 1e-9),
-        ("circularity", rep.circle_gap, 1e-10),
-        ("moving frame", rep.moving_frame_gap, 1e-9),
-        ("unbalanced control", _shortfall(broken.jacobian_drift, 1e-3), 0.0),
+        ("jacobian drift", _max_abs(drift), 1e-9),
+        ("circularity", _max_abs(circle), 1e-10),
+        ("moving frame", _max_abs(frame), 1e-9),
+        ("unbalanced control", _shortfall(_max_abs(broken), 1e-3), 0.0),
     ])
 
 
@@ -204,7 +206,7 @@ def test_criterion_08_elasticity():
     for _ in range(5):
         sec = DisplacementSection.parse(
             f"{poly_text(rng, monos, 1.0)}, {poly_text(rng, monos, 1.0)}")
-        compat = max(compat, riemann_residual(sec, pts))
+        compat = max(compat, _max_abs(riemann_residual(sec, pts)))
 
     bump = "(x1 + 1)^2 * (1 - x1)^2 * (x2 + 1)^2 * (1 - x2)^2"
     monos4 = monos + ["1", "x1^2*x2^2", "x1^3*x2", "x1*x2^3", "x1^4", "x2^4"]
@@ -218,9 +220,9 @@ def test_criterion_08_elasticity():
             f"({bump}) * ({poly_text(rng, monos4, 0.5)}), "
             f"({bump}) * ({poly_text(rng, monos4, 0.5)})",
             f"({bump}) * ({poly_text(rng, monos4, 0.5)})")
-        rep = pairing_identity_check(state, sec, ((-1.0, 1.0), (-1.0, 1.0)),
-                                     order=9)
-        pair_gap = max(pair_gap, rep.gap)
+        lhs, rhs = pairing_identity_check(state, sec,
+                                          ((-1.0, 1.0), (-1.0, 1.0)), order=9)
+        pair_gap = max(pair_gap, abs(lhs + rhs))
 
     state = StressState.parse(
         "0.4*x1^2 - x2 + 0.7, 1.2*x1*x2 + 0.3, 0.5*x2^2 - 0.8*x1, x1 + x2 - 0.2",
@@ -233,10 +235,10 @@ def test_criterion_08_elasticity():
         float(np.max(np.abs(m - (2.1 * x1 + (1.2 * x1 * x2 + 0.3)
                                  - (0.5 * x2 ** 2 - 0.8 * x1))))))
 
-    torsor = max(
-        torsor_equilibrium_check(state, ((-1.0, 1.0), (-1.0, 1.0)), order=8).max_gap,
+    torsor = _max_abs((
+        torsor_equilibrium_check(state, ((-1.0, 1.0), (-1.0, 1.0)), order=8),
         torsor_equilibrium_check(StressState.parse("x1, 0, 0, x2"),
-                                 ((-1.0, 1.0), (-1.0, 1.0)), order=8).max_gap)
+                                 ((-1.0, 1.0), (-1.0, 1.0)), order=8)))
 
     shared = poly_text(rng, monos, 1.0)
     sym = StressState.parse(f"x1^2 - x2, {shared}, {shared}, x1*x2")
@@ -255,11 +257,10 @@ def test_criterion_09_action_jet_isomorphism():
     lam = ExprMap.parse("0.2*x1^2 - 0.1, 0.3*x1", ["x1"])
     pts = halton_points(spec.action.box, 8, 3)
     chk = spencer_from_action(spec, lam, 1, pts)
-    one_form = ExprMap.parse("sin(x1)*x2, x1*x2^2, exp(x1) - x2, x1^3",
-                             ["x1", "x2"])
-    dd = float(np.max(np.abs(linear_gauge_dd(one_form, 2, 2, 0, PLANE_PTS))))
+    zero_form = ExprMap.parse("sin(x1)*x2, x1*x2^2", ["x1", "x2"])
+    dd = float(np.max(np.abs(linear_gauge_dd(zero_form, 2, 2, 0, PLANE_PTS))))
     _criterion(9, "action-induced jets match the linear gauge complex", [
-        ("operator mismatch", chk.max_mismatch, 1e-10),
+        ("operator mismatch", _max_abs(chk), 1e-10),
         ("dd residual", dd, 1e-9),
     ])
 

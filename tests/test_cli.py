@@ -263,3 +263,24 @@ def test_swell_fixture_keys_and_values_are_checked(tmp_path, capsys,
     code, err = _run_fixture(tmp_path, capsys, "swell", text)
     assert code == 2
     assert err.startswith("jetgauge: ") and key in err
+
+
+@pytest.mark.parametrize("suite,data,key,what", [
+    ("group", {**_AFFINE, "box": [[0.5, 2.0]]}, "'box'", "group fixture"),
+    ("group", {**_AFFINE, "identity": [1.0]}, "'identity'", "group fixture"),
+    ("group", {**_AFFINE, "action": {**_AFFINE["action"],
+                                     "box": [[1.0, -1.0]]}},
+     "'box'", "group action"),
+    ("dynamics", {"m": 1, "n": 1, "f": "y1 + x1",
+                  "box": {"x": [[0.0, "1"]]}}, "'x'", "dynamics box"),
+    ("dynamics", {"m": 2, "n": 1, "f": "y1 + x1, y2",
+                  "box": {"z": [[-1.0, 1.0]]}}, "'z'", "dynamics box"),
+    ("pseudogroup", {**_STILL_WATER, "box": [[-1.0, 1e999]]}, "'box'",
+     "pseudogroup fixture"),
+])
+def test_fixture_boxes_are_checked_at_load(tmp_path, capsys, suite, data, key,
+                                           what):
+    # a box needs one finite [lo, hi] pair with lo < hi per axis
+    code, err = _run_fixture(tmp_path, capsys, suite, json.dumps(data))
+    assert code == 2
+    assert err.startswith(f"jetgauge: {what} {key} must ")
