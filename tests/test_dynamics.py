@@ -488,16 +488,17 @@ def test_run_suite_reduces_every_check(check, monkeypatch):
     def without_residuals(cfg, cache):
         return (), spec.fn(cfg, cache)[1]
 
-    for fn, want in ((with_nan, None), (without_residuals, 0.0)):
+    def record_of(fn):
         monkeypatch.setitem(suites.SUITES, name,
                             (suites.CheckSpec(spec.id, spec.identity,
                                               spec.tolerance, fn),))
-        record = run_suite(name, SuiteConfig(seed=3)).records[0]
-        if want is None:
-            assert math.isnan(record.max_residual)
-            assert record.to_dict()["status"] == "fail"
-        else:
-            assert record.max_residual == want and record.passed
+        return run_suite(name, SuiteConfig(seed=3)).records[0]
+
+    record = record_of(with_nan)
+    assert math.isnan(record.max_residual)
+    assert record.to_dict()["status"] == "fail"
+    record = record_of(without_residuals)
+    assert record.max_residual == 0.0 and record.passed
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
