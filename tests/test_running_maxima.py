@@ -12,8 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jetgauge import suites
-from jetgauge.elasticity import DisplacementSection, riemann_residual
+from jetgauge import elasticity, suites
+from jetgauge.elasticity import (
+    DisplacementSection, riemann_residual, torsor_equilibrium_check,
+)
 from jetgauge.expr import ExprMap
 from jetgauge.groups import (
     InconsistentGroupLaw, action_bracket_residual, load_group_spec,
@@ -53,6 +55,15 @@ def _nan_moment(out):
     return f, m * math.nan
 
 
+def _torsor_gaps_nan_moment(monkeypatch):
+    # finite force gaps first, then a NaN moment gap from the NaN moment load
+    monkeypatch.setattr(elasticity, "adjoint_spencer",
+                        _poisoned(elasticity.adjoint_spencer, _nan_moment, 0))
+    gaps = torsor_equilibrium_check(suites.LINEAR_STATE, suites.PLANE_BOX)
+    assert np.isfinite(gaps[:2]).all()
+    return _max_abs(gaps)
+
+
 def _nan_moment_gap(gaps):
     # the second state's moment gap follows its two finite force gaps
     return np.append(gaps[:2], math.nan)
@@ -72,6 +83,7 @@ CASES = {
         "torsor_balance", "torsor_equilibrium_check", _nan_moment_gap, 1),
     "suites.couple_stress_symmetry": _suite_check(
         "couple_stress_symmetry", "adjoint_spencer", _nan_moment, 1),
+    "elasticity.torsor_equilibrium_check": _torsor_gaps_nan_moment,
     "elasticity.riemann_residual.section": lambda _: _max_abs(riemann_residual(
         DisplacementSection.parse("x1^3 + x2, x1*x2^2"), NAN_AFTER_FINITE)),
     "elasticity.riemann_residual.strain": lambda _: _max_abs(riemann_residual(
