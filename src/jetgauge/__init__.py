@@ -6,8 +6,10 @@ __version__ = "0.1.0"
 
 
 def kernel_name() -> str:
-    # Only kept because perfbench/probe.py records it on every run.
     return "pure"
 
 
-__all__ = ["kernel_name", "__version__"]
+__all__ = [
+    "__version__",
+    "kernel_name",     # perfbench/probe.py records it on every run
+]

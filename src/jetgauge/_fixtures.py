@@ -1,26 +1,28 @@
-"""Where a fixture named on the command line or by a loader lives, the
-key check every fixture loader runs first, and the checks on its counts
-and boxes."""
+"""How every fixture loader finds and reads a fixture, the key check it
+runs first, and the checks on its counts and boxes."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from typing import Sequence
 
 
-def fixture_path(name: str) -> str | None:
-    """The name itself when it is a file, else `<name>.json` in the
-    directory named by JETGAUGE_FIXTURES, else None; each loader keeps its
-    own fallback for None."""
-    if os.path.exists(name):
-        return name
+def read_fixture(name: str | os.PathLike):
+    """The JSON of fixture `name`, looked up in one order for every loader:
+    the file `name` itself, then `<name>.json` in the directory named by
+    JETGAUGE_FIXTURES.  When neither exists, opening `name` raises
+    FileNotFoundError; a loader with built-in or bundled names catches it
+    and tries those last."""
+    path = name
     override = os.environ.get("JETGAUGE_FIXTURES")
-    if override:
+    if override and not os.path.exists(name):
         candidate = os.path.join(override, f"{name}.json")
         if os.path.exists(candidate):
-            return candidate
-    return None
+            path = candidate
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def check_keys(data, allowed: Sequence[str], what: str) -> dict:

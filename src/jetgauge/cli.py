@@ -16,10 +16,12 @@ import sys
 
 import numpy as np
 
-from ._fixtures import fixture_path
 from .dynamics import InverseSolveError, swell_rows
 from .series import DomainError
 from .suites import SUITE_NAMES, SuiteConfig, _swell_params, run_suite
+
+__all__ = ["main", "build_parser", "export_swell_csv", "export_swell_svg",
+           "CSV_HEADER"]
 
 CSV_HEADER = "t,a,b,x,y,xbar,ybar"
 
@@ -119,9 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    fixture = args.fixture and (fixture_path(args.fixture) or args.fixture)
     cfg = SuiteConfig(seed=args.seed, samples=args.samples,
-                      tol_scale=args.tol_scale, fixture=fixture)
+                      tol_scale=args.tol_scale, fixture=args.fixture)
     try:
         report = run_suite(args.suite, cfg)
     except (ValueError, KeyError, OSError, json.JSONDecodeError,

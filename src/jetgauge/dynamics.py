@@ -21,7 +21,6 @@ Expression variable conventions (fixed, also documented in the README):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fixtures import check_box, check_count, check_keys
+from ._fixtures import check_box, check_count, check_keys, read_fixture
 from ._multiindex import exponent_rows
 from .expr import ExprMap, PolyMap, TaylorMap
 from .quadrature import gauss_rule, tensor_rule
@@ -40,8 +39,7 @@ __all__ = [
     "InverseSolveError", "DivergenceNotZero", "CurlNotZero",
     "MotionFamily", "speed_duality_gap", "compatibility_residual",
     "theorem3_check", "mass_conservation_residual", "el_residual",
-    "vortex_residual", "CurlReport", "curl_parametrization_check",
-    "pressure_recovery", "swell_family", "swell_rows",
+    "vortex_residual", "pressure_recovery", "swell_family", "swell_rows",
     "random_solenoidal_field", "motion_family_from_dict",
     "load_motion_family",
 ]
@@ -294,8 +292,7 @@ def motion_family_from_dict(data: dict) -> MotionFamily:
 
 
 def load_motion_family(path: str | Path) -> MotionFamily:
-    with open(path, "r", encoding="utf-8") as handle:
-        return motion_family_from_dict(json.load(handle))
+    return motion_family_from_dict(read_fixture(path))
 
 
 def speed_duality_gap(fam: MotionFamily, samples_yx: np.ndarray) -> np.ndarray:

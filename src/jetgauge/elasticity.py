@@ -19,29 +19,35 @@ Conventions, fixed throughout:
 * load sign: the volume terms enter the balance statements with a minus,
   so surface minus volume integrals vanish in equilibrium.
 
-The one-dimensional analogue (scalar sigma and mu over x1, jet components
-(xi, xi_x)) is included; its adjoint is d sigma = f, d mu + sigma = m.
+The affine line needs no kernel of its own: with sigma = (s, s, 0, 0) and
+mu = (m, 0) over x1 alone, adjoint_spencer gives f = (s', s') and
+m12 = m' + s, the line's equations d sigma = f, d mu + sigma = m.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._fixtures import check_keys
+from ._fixtures import check_keys, read_fixture
 from ._multiindex import poly_shift
 from .expr import ExprMap, PolyMap
 from .quadrature import gauss_rule, tensor_rule
 from .sampling import halton_points
 
+__all__ = [
+    "QuadratureTooCoarse", "DisplacementSection", "StressState",
+    "stress_state_from_dict", "load_stress_state", "killing",
+    "riemann_residual", "spencer_elastic", "rigid_kernel_dimension",
+    "adjoint_spencer", "pairing_identity_check", "torsor_equilibrium_check",
+]
+
 Box = Sequence[Sequence[float]]
 
 PLANE = ["x1", "x2"]
-LINE = ["x1"]
 
 
 class QuadratureTooCoarse(ValueError):
@@ -108,12 +114,6 @@ class DisplacementSection:
         return np.swapaxes(jac, -1, -2) @ self.metric
 
 
-def displacement_from_dict(data: dict) -> DisplacementSection:
-    check_keys(data, ("xi", "jet", "metric"), "displacement fixture")
-    return DisplacementSection.parse(
-        data["xi"], data.get("jet", "0"), data.get("metric"))
-
-
 @dataclass(frozen=True)
 class StressState:
     """Stress (no a-priori symmetry) and the independent couple components.
@@ -151,8 +151,7 @@ def stress_state_from_dict(data: dict) -> StressState:
 
 
 def load_stress_state(path: str | Path) -> StressState:
-    with open(path, "r", encoding="utf-8") as handle:
-        return stress_state_from_dict(json.load(handle))
+    return stress_state_from_dict(read_fixture(path))
 
 
 def killing(section: DisplacementSection, samples: np.ndarray) -> np.ndarray:
@@ -344,43 +343,3 @@ def torsor_equilibrium_check(state: StressState, box: Box,
                             - inodes[:, 1] * fvals[:, 0]))
     gaps[2] = surf - vol
     return gaps
-
-
-def affine_1d_adjoint(sigma: ExprMap, mu: ExprMap,
-                      samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-dimensional load fields: f = d sigma, m = d mu + sigma."""
-    if len(sigma.variables) != 1 or len(sigma) != 1:
-        raise ValueError("sigma must be a single component over x1")
-    if len(mu.variables) != 1 or len(mu) != 1:
-        raise ValueError("mu must be a single component over x1")
-    points = np.asarray(samples, float).reshape(-1, 1)
-    slift = sigma.taylor_lift(points, 1)
-    f = slift.jacobian()[:, 0, 0]
-    m = mu.taylor_lift(points, 1).jacobian()[:, 0, 0] + slift.value()[:, 0]
-    return f, m
-
-
-def pairing_identity_1d(sigma: ExprMap, mu: ExprMap, xi: ExprMap,
-                        jet: ExprMap, interval: Sequence[float],
-                        order: int = 8) -> tuple[float, float]:
-    """1D analogue of pairing_identity_check over an interval.
-
-    Returns (lhs, rhs): lhs pairs (sigma, mu) with (d xi - jet, d jet); rhs
-    pairs the loads (f, m) with (xi, jet).  Both xi and jet must vanish at
-    the interval ends (bump factors) so that lhs + rhs = 0 exactly.
-    """
-    _check_order(order, (sigma, mu), (xi, jet))
-    lo, hi = float(interval[0]), float(interval[1])
-    nodes, weights = gauss_rule(lo, hi, order)
-    pts = nodes.reshape(-1, 1)
-    f, m = affine_1d_adjoint(sigma, mu, pts)
-    xvals, jvals = xi.eval(pts)[:, 0], jet.eval(pts)[:, 0]
-    svals, muvals = sigma.eval(pts)[:, 0], mu.eval(pts)[:, 0]
-    dxi = xi.taylor_lift(pts, 1).jacobian()[:, 0, 0]
-    djet = jet.taylor_lift(pts, 1).jacobian()[:, 0, 0]
-    lhs = rhs = 0.0
-    for idx, weight in enumerate(weights):
-        lhs += weight * (svals[idx] * (dxi[idx] - jvals[idx])
-                         + muvals[idx] * djet[idx])
-        rhs += weight * (f[idx] * xvals[idx] + m[idx] * jvals[idx])
-    return lhs, rhs

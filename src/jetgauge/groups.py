@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from . import series
-from ._fixtures import check_box, check_count, check_keys, fixture_path
+from ._fixtures import check_box, check_count, check_keys, read_fixture
 from ._multiindex import context
 from .expr import ExprMap, PolyMap
 from .sampling import halton_points
@@ -33,8 +33,7 @@ __all__ = [
     "Grid", "GaugeField", "load_group_spec",
     "maurer_cartan_pullback", "right_pullback", "curvature", "variation_body",
     "variation_space", "variation_body_fd", "variation_space_fd",
-    "el_body_residual", "el_space_residual", "linear_gauge_d",
-    "spencer_from_action",
+    "linear_gauge_dd", "spencer_from_action",
 ]
 
 
@@ -143,13 +142,11 @@ def _group_vars(p: int) -> tuple[list[str], list[str]]:
 
 
 def load_group_spec(name: str) -> LieGroupSpec:
-    """Load a group chart from JSON: an explicit path, a file in the
-    directory named by JETGAUGE_FIXTURES, or a bundled fixture name."""
-    path = fixture_path(name)
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
+    """Load a group chart from JSON: a fixture that read_fixture finds,
+    else a bundled fixture name."""
+    try:
+        data = read_fixture(name)
+    except FileNotFoundError:
         text = resources.files("jetgauge.fixtures").joinpath(f"{name}.json").read_text()
         data = json.loads(text)
     return group_spec_from_dict(data)

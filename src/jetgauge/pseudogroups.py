@@ -15,28 +15,29 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
 
 from . import series
-from ._fixtures import check_box, check_count, check_keys, fixture_path
+from ._fixtures import check_box, check_count, check_keys, read_fixture
 from ._multiindex import (MultiIndexContext, context, derivative_rows,
                           poly_shift, shift_table)
 from .expr import ExprMap
 from .sampling import halton_points
 
 __all__ = [
-    "LieEquationSystem", "HolonomicSection", "ExprSection", "PolySection",
+    "LieEquationSystem", "PolySection",
     "jet_variable_names", "load_lie_system", "lie_system_from_dict",
     "affine_line", "projective_line", "volume_preserving", "example_r1",
     "example_r1_prime", "builtin_system", "BUILTIN_SYSTEMS",
-    "spencer", "algebroid_bracket", "bracket_jacobi_residual",
-    "sample_linear_sections", "closure_check",
-    "linearization_rows_gap", "linearization_consistency",
-    "schwarzian", "schwarzian_variation_check",
+    "closure_check", "linearization_rows_gap",
+    "schwarzian", "schwarzian_of_map",
+    # perfbench/tracing.py wraps these two by name for its --trace spans
+    "algebroid_bracket", "sample_linear_sections",
+    "JetSection",            # the section type the two above accept
+    "HolonomicSection",      # LieEquationSystem.linear_residual lifts by it
 ]
 
 
@@ -318,37 +319,6 @@ class HolonomicSection:
         return self.raw_series(x, 0)[:, :, 0]
 
 
-class ExprSection:
-    """Possibly non-holonomic section with one expression per slot.
-
-    Component texts follow the component-major, graded slot order of
-    jet_variable_names; nothing ties a slot to the derivative of the
-    value slot, which is the whole point.
-    """
-
-    def __init__(self, components: ExprMap, nvars: int, order: int):
-        nrows = context(nvars, order).count
-        if len(components) % nrows:
-            raise ValueError("component count must fill whole jet rows")
-        self.components = components
-        self.nvars = nvars
-        self.ncomp = len(components) // nrows
-        self.order = order
-
-    @classmethod
-    def parse(cls, text: str, nvars: int, order: int) -> "ExprSection":
-        xvars = [f"x{k + 1}" for k in range(nvars)]
-        return cls(ExprMap.parse(text, xvars), nvars, order)
-
-    def raw_series(self, x: np.ndarray, xorder: int) -> np.ndarray:
-        ctx_x = context(self.nvars, xorder)
-        lift = self.components.taylor_lift(np.asarray(x, float), xorder)
-        return lift.coeffs.reshape(self.ncomp, -1, ctx_x.count)
-
-    def raw_table(self, x: np.ndarray) -> np.ndarray:
-        return self.raw_series(x, 0)[:, :, 0]
-
-
 class PolySection:
     """Section whose slots are polynomials in a shared monomial basis."""
 
@@ -377,26 +347,6 @@ class PolySection:
         top = ctx_jet.degree == self.order
         out[:, top, :] += scale * rng.standard_normal(out[:, top, :].shape)
         return PolySection(out, self.nvars, self.order, self.degree)
-
-
-def spencer(section: JetSection, samples: np.ndarray) -> np.ndarray:
-    """Spencer operator d_i xi^k_mu - xi^k_{mu+1_i} for |mu| < order.
-
-    Vanishes identically exactly when the section is holonomic.
-    """
-    n = section.nvars
-    ctx_jet = context(n, section.order)
-    ctx1 = context(n, 1)
-    upos = [ctx1.pos(tuple(int(i == j) for j in range(n))) for i in range(n)]
-    rows_out = context(n, section.order - 1).count
-    out = np.zeros((len(samples), section.ncomp, rows_out, n))
-    for s, x in enumerate(samples):
-        tab = section.raw_series(np.asarray(x, float), 1)
-        for row in range(rows_out):
-            for i in range(n):
-                up = ctx_jet.shifted(row, i)
-                out[s, :, row, i] = tab[:, row, upos[i]] - tab[:, up, 0]
-    return out
 
 
 def _bracket_tables(nvars: int, q_out: int, ctx_x: MultiIndexContext,
@@ -713,11 +663,11 @@ def lie_system_from_dict(data: dict) -> LieEquationSystem:
 
 
 def load_lie_system(name: str) -> LieEquationSystem:
-    """Built-in name, explicit JSON path, or file under JETGAUGE_FIXTURES."""
-    if name in BUILTIN_SYSTEMS:
-        return builtin_system(name)
-    path = fixture_path(name)
-    if path is None:
-        raise FileNotFoundError(f"no such system or fixture: {name}")
-    with open(path, encoding="utf-8") as fh:
-        return lie_system_from_dict(json.load(fh))
+    """A fixture that read_fixture finds, else a built-in name."""
+    try:
+        data = read_fixture(name)
+    except FileNotFoundError:
+        if name in BUILTIN_SYSTEMS:
+            return builtin_system(name)
+        raise FileNotFoundError(f"no such system or fixture: {name}") from None
+    return lie_system_from_dict(data)

@@ -12,6 +12,8 @@ import numpy as np
 
 from .sampling import Box
 
+__all__ = ["gauss_rule", "tensor_rule"]
+
 
 @functools.cache
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__
 
+__all__ = ["SCHEMA", "CheckRecord", "Report"]
+
 SCHEMA = 1
 
 

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+__all__ = ["Box", "halton_points"]
+
 Box = Sequence[tuple[float, float]]
 
 

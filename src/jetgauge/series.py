@@ -16,6 +16,11 @@ import numpy as np
 
 from ._multiindex import MultiIndexContext
 
+__all__ = [
+    "DomainError", "const", "coordinate", "mul", "compose_univariate",
+    "analytic", "div", "powc", "dvar",
+]
+
 
 class DomainError(ArithmeticError):
     """Evaluation left the real domain (division by zero, log of a

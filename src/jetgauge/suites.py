@@ -13,14 +13,13 @@ fields are stripped.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fixtures import check_keys
+from ._fixtures import check_keys, read_fixture
 from ._multiindex import context
 from .dynamics import (
     MotionFamily, compatibility_residual, el_residual, load_motion_family,
@@ -44,6 +43,9 @@ from .pseudogroups import (
 )
 from .report import CheckRecord, Report
 from .sampling import halton_points
+
+__all__ = ["SUITE_NAMES", "SuiteConfig", "CheckSpec", "SUITES",
+           "suite_check_ids", "run_suite"]
 
 SUITE_NAMES = ("group", "pseudogroup", "dynamics", "swell", "elasticity")
 
@@ -371,8 +373,8 @@ def _swell_params(cfg: SuiteConfig) -> dict:
     each to a finite number; decay, when set, breaks the balance."""
     params = dict(SWELL_DEFAULTS)
     if cfg.fixture:
-        with open(cfg.fixture, encoding="utf-8") as fh:
-            data = check_keys(json.load(fh), SWELL_KEYS, "swell fixture")
+        data = check_keys(read_fixture(cfg.fixture), SWELL_KEYS,
+                          "swell fixture")
         for key, value in data.items():
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not math.isfinite(value)):
@@ -409,7 +411,8 @@ def _check_swell_moving_frame(cfg, cache):
 
 
 def _check_swell_unbalanced_control(cfg, cache):
-    p = _swell_params(cfg)
+    _swell_report(cfg, cache)          # reads the fixture once per run
+    p = cache["swell_params"]
     drift = swell_family(p["R0"], p["k"], p["omega"], p["c"],
                          decay=2.5 * p["k"], nlabels=min(cfg.samples, 24),
                          seed=cfg.seed + 311)[1][0]

@@ -17,9 +17,8 @@ from jetgauge.dynamics import (
     swell_family, theorem3_check, vortex_residual,
 )
 from jetgauge.elasticity import (
-    DisplacementSection, StressState, adjoint_spencer, affine_1d_adjoint,
-    pairing_identity_1d, pairing_identity_check, riemann_residual,
-    torsor_equilibrium_check,
+    DisplacementSection, StressState, adjoint_spencer, pairing_identity_check,
+    riemann_residual, torsor_equilibrium_check,
 )
 from jetgauge.expr import ExprMap
 from jetgauge.groups import (
@@ -100,19 +99,22 @@ def test_criterion_02_affine_line_fidelity():
     c = spec.structure_constants()
     c_gap = max(abs(c[1, 0, 1] + 1.0), abs(c[1, 1, 0] - 1.0))
 
-    pts = halton_points(((-0.9, 0.9),), 9, 19)
-    sig = ExprMap.parse("x1^2 - 0.4*x1", ["x1"])
-    mu = ExprMap.parse("0.3*x1^3", ["x1"])
-    f, m = affine_1d_adjoint(sig, mu, pts)
-    x = pts[:, 0]
-    adj_gap = max(float(np.max(np.abs(f - (2.0 * x - 0.4)))),
+    # the line's adjoint is the plane one on x2-free data:
+    # sigma = (s, s, 0, 0) and mu = (m, 0) give f = (s', s') and
+    # m12 = m' + s, read at the points (x, 0)
+    x = halton_points(((-0.9, 0.9),), 9, 19)[:, 0]
+    line = StressState.parse("x1^2 - 0.4*x1, x1^2 - 0.4*x1, 0, 0",
+                             "0.3*x1^3, 0")
+    f, m = adjoint_spencer(line, np.column_stack([x, np.zeros_like(x)]))
+    adj_gap = max(float(np.max(np.abs(f - (2.0 * x - 0.4)[:, None]))),
                   float(np.max(np.abs(m - (0.9 * x ** 2 + x ** 2 - 0.4 * x)))))
-    bump = "(x1 + 1)^2 * (1 - x1)^2"
-    xi = ExprMap.parse(f"({bump}) * (0.4 + x1^2)", ["x1"])
-    jet = ExprMap.parse(f"({bump}) * (x1 - 0.3)", ["x1"])
-    lhs, rhs = pairing_identity_1d(sig, mu, xi, jet, (-1.0, 1.0), order=8)
+    bump = "(x1 + 1)^2 * (1 - x1)^2 * (x2 + 1)^2 * (1 - x2)^2"
+    sec = DisplacementSection.parse(f"({bump}) * (0.4 + x1^2), 0",
+                                    f"({bump}) * (x1 - 0.3)")
+    lhs, rhs = pairing_identity_check(line, sec, ((-1.0, 1.0), (-1.0, 1.0)),
+                                      order=9)
 
-    _criterion(2, "scaling group forms, constants, and 1d adjoint", [
+    _criterion(2, "scaling group forms, constants, and the line adjoint", [
         ("frame form", form_gap, 1e-12),
         ("c2_12 exact", c_gap, 0.0),
         ("adjoint equations", adj_gap, 1e-12),

@@ -5,9 +5,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from jetgauge import suites
 from jetgauge.cli import export_swell_csv, export_swell_svg, main
 from jetgauge.dynamics import swell_rows
 from jetgauge.report import CheckRecord, Report
+from jetgauge.suites import SuiteConfig, run_suite
 
 PARAMS = {"R0": 1.0, "k": 0.1, "omega": 1.0, "c": 0.0}
 
@@ -93,6 +95,51 @@ def test_fixture_dir_override_pseudogroup(tmp_path, monkeypatch):
     assert main(args) == 2
     monkeypatch.setenv("JETGAUGE_FIXTURES", str(tmp_path))
     assert main(args) == 0
+
+
+# Fixtures named through JETGAUGE_FIXTURES.  "r1" shadows a built-in
+# system; its hand rows are twice the derived ones, so linearization_rows
+# reads 1.0 only when the file is the system loaded.
+NAMED_FIXTURES = {
+    "group": ("e2", json.loads(resources.files("jetgauge.fixtures")
+                               .joinpath("affine.json").read_text())),
+    "pseudogroup": ("r1", {"label": "line-copy", "nvars": 1, "order": 2,
+                           "box": [[-1.0, 1.0]], "equations": "y_1_11",
+                           "linearization": "2*xi_1_11"}),
+    "dynamics": ("myfam", {"m": 1, "n": 1, "f": "exp(x1) * y1",
+                           "g": "z1 * exp(0 - x1)",
+                           "box": {"y": [[0.3, 1.0]], "x": [[-0.5, 0.5]],
+                                   "z": [[0.2, 1.5]]},
+                           "label": "myfam"}),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(NAMED_FIXTURES))
+def test_cli_and_run_suite_resolve_a_fixture_name_alike(suite, tmp_path,
+                                                        monkeypatch):
+    name, data = NAMED_FIXTURES[suite]
+    (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    monkeypatch.setenv("JETGAUGE_FIXTURES", str(tmp_path))
+    out = tmp_path / "r.json"
+    code = main(["--suite", suite, "--fixture", name, "--seed", "3",
+                 "--no-timestamp", "--out", str(out)])
+    report = run_suite(suite, SuiteConfig(seed=3, fixture=name))
+    assert code == (0 if report.passed else 1)
+    assert out.read_text() == report.strip_clock().to_json()
+
+
+def test_swell_fixture_is_read_once_per_run(tmp_path, monkeypatch):
+    fixture = tmp_path / "k.json"
+    fixture.write_text('{"k": 0.1}')
+    reads = []
+
+    def counted(name):
+        reads.append(name)
+        return read(name)
+    read = suites.read_fixture
+    monkeypatch.setattr(suites, "read_fixture", counted)
+    assert run_suite("swell", SuiteConfig(fixture=str(fixture))).passed
+    assert reads == [str(fixture)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

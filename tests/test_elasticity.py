@@ -5,8 +5,7 @@ import pytest
 
 from jetgauge.elasticity import (
     DisplacementSection, QuadratureTooCoarse, StressState, adjoint_spencer,
-    affine_1d_adjoint, displacement_from_dict, killing, load_stress_state,
-    pairing_identity_1d, pairing_identity_check, riemann_residual,
+    killing, load_stress_state, pairing_identity_check, riemann_residual,
     rigid_kernel_dimension, spencer_elastic,
     stress_state_from_dict, torsor_equilibrium_check,
 )
@@ -14,12 +13,10 @@ from jetgauge import suites
 from jetgauge.suites import _max_abs
 from jetgauge._multiindex import exponent_rows
 from jetgauge.expr import ExprMap, PolyMap, Var
-from jetgauge.quadrature import gauss_rule
 from jetgauge.sampling import halton_points
 from polytext import poly_text
 
 PTS = halton_points(((-0.8, 0.8), (-0.8, 0.8)), 9, 31)
-PTS1 = halton_points(((-0.9, 0.9),), 7, 19)
 BOX = ((-1.0, 1.0), (-1.0, 1.0))
 BUMP = "(x1 + 1)^2 * (1 - x1)^2 * (x2 + 1)^2 * (1 - x2)^2"
 
@@ -214,40 +211,7 @@ def test_torsor_balance():
     assert _max_abs(torsor_equilibrium_check(rand, BOX, order=8)) < 1e-12
 
 
-def test_affine_1d_adjoint_hand_values():
-    sig = ExprMap.parse("x1", ["x1"])
-    mu0 = ExprMap.parse("0", ["x1"])
-    f, m = affine_1d_adjoint(sig, mu0, PTS1)
-    assert np.max(np.abs(f - 1.0)) < 1e-14
-    assert np.max(np.abs(m - PTS1[:, 0])) < 1e-14
-    sigc = ExprMap.parse("1.7", ["x1"])
-    f, m = affine_1d_adjoint(sigc, mu0, PTS1)
-    assert np.max(np.abs(f)) < 1e-14
-    assert np.max(np.abs(m - 1.7)) < 1e-14
-    mu2 = ExprMap.parse("x1^2", ["x1"])
-    sig0 = ExprMap.parse("0", ["x1"])
-    f, m = affine_1d_adjoint(sig0, mu2, PTS1)
-    assert np.max(np.abs(f)) < 1e-14
-    assert np.max(np.abs(m - 2.0 * PTS1[:, 0])) < 1e-14
-
-
-def test_pairing_identity_1d():
-    sig = ExprMap.parse("x1^2 - 0.4*x1", ["x1"])
-    mu = ExprMap.parse("0.3*x1^3", ["x1"])
-    bump1 = "(x1 + 1)^2 * (1 - x1)^2"
-    xi = ExprMap.parse(f"({bump1}) * (0.4 + x1^2)", ["x1"])
-    jet = ExprMap.parse(f"({bump1}) * (x1 - 0.3)", ["x1"])
-    lhs, rhs = pairing_identity_1d(sig, mu, xi, jet, (-1.0, 1.0), order=8)
-    assert abs(lhs) > 0.1
-    assert abs(lhs + rhs) < 1e-13
-    with pytest.raises(QuadratureTooCoarse):
-        pairing_identity_1d(sig, mu, xi, jet, (-1.0, 1.0), order=3)
-
-
 def test_json_loaders(tmp_path):
-    sec = displacement_from_dict(
-        {"xi": "x2, 0 - x1", "jet": "0 - 1", "metric": [[1, 0], [0, 1]]})
-    assert np.max(np.abs(spencer_elastic(sec, PTS))) < 1e-14
     state = stress_state_from_dict({"sigma": "0, 1, 0 - 1, 0",
                                     "label": "skew"})
     assert state.label == "skew"
@@ -258,8 +222,6 @@ def test_json_loaders(tmp_path):
 
 
 def test_stress_and_displacement_fixtures_refuse_unknown_keys():
-    with pytest.raises(ValueError, match="'bogus'"):
-        displacement_from_dict({"xi": "x2, 0 - x1", "bogus": 1})
     with pytest.raises(ValueError, match="'bogus'"):
         stress_state_from_dict({"sigma": "x1, 0, 0, x2", "bogus": 1})
 
@@ -363,35 +325,6 @@ def test_adjoint_blocks_match_point_arithmetic():
         assert _bits(f[q, 0]) == _bits(sjac[0, 0] + sjac[2, 1])
         assert _bits(f[q, 1]) == _bits(sjac[1, 0] + sjac[3, 1])
         assert _bits(m[q]) == _bits(mjac[0, 0] + mjac[1, 1] + sval[1] - sval[2])
-    sig = ExprMap.parse("sin(x1)*x1 - 0.4", ["x1"])
-    mu = ExprMap.parse("exp(x1)*x1^2", ["x1"])
-    f1, m1 = affine_1d_adjoint(sig, mu, PTS1)
-    for q, x in enumerate(PTS1):
-        slift = sig.taylor_lift(x, 1)
-        assert _bits(f1[q]) == _bits(slift.jacobian()[0, 0])
-        assert _bits(m1[q]) == _bits(mu.taylor_lift(x, 1).jacobian()[0, 0]
-                                     + slift.value()[0])
-
-
-def test_pairing_1d_block_matches_node_loop():
-    sig = ExprMap.parse("x1^2 - 0.4*x1 + 0.1", ["x1"])
-    mu = ExprMap.parse("0.3*x1^3 - x1", ["x1"])
-    xi = ExprMap.parse("0.4 + x1^2 - 0.7*x1^3", ["x1"])
-    jet = ExprMap.parse("x1 - 0.3*x1^2", ["x1"])
-    got = pairing_identity_1d(sig, mu, xi, jet, (-0.9, 1.3), order=6)
-    nodes, weights = gauss_rule(-0.9, 1.3, 6)
-    f, m = affine_1d_adjoint(sig, mu, nodes.reshape(-1, 1))
-    lhs = rhs = 0.0
-    for idx, (node, weight) in enumerate(zip(nodes, weights)):
-        point = np.array([node])
-        xval, jval = xi.eval(point)[0], jet.eval(point)[0]
-        dxi = xi.taylor_lift(point, 1).jacobian()[0, 0]
-        djet = jet.taylor_lift(point, 1).jacobian()[0, 0]
-        lhs += weight * (sig.eval(point)[0] * (dxi - jval)
-                         + mu.eval(point)[0] * djet)
-        rhs += weight * (f[idx] * xval + m[idx] * jval)
-    assert abs(sum(got)) > 0.1               # the ends do not vanish
-    assert np.array_equal(_bits(got), _bits([lhs, rhs]))
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,12 @@ from jetgauge import series
 from jetgauge._multiindex import context
 from jetgauge.expr import ExprMap
 from jetgauge.pseudogroups import (
-    BUILTIN_SYSTEMS, ExprSection, HolonomicSection, LieEquationSystem,
+    BUILTIN_SYSTEMS, HolonomicSection, LieEquationSystem, PolySection,
     _bracket_tables, algebroid_bracket,
     bracket_jacobi_residual, builtin_system, closure_check, jet_variable_names,
     lie_system_from_dict, linearization_consistency, linearization_rows_gap,
     sample_linear_sections, schwarzian, schwarzian_of_map,
-    schwarzian_variation_check, spencer,
+    schwarzian_variation_check,
 )
 from jetgauge.sampling import halton_points
 from jetgauge import suites
@@ -107,10 +107,22 @@ def test_identity_maps_are_built_not_parsed(monkeypatch):
     assert g2 == pytest.approx(0.009781580882481933, rel=1e-9)
 
 
+def _slot_section(text: str, nvars: int, order: int, degree: int) -> PolySection:
+    """One polynomial per jet slot, in jet_variable_names order, held as a
+    PolySection; a polynomial's Taylor coefficients at 0 are its monomial
+    coefficients.  Nothing ties a slot to the derivative of the value slot,
+    so the section need not be holonomic."""
+    slots = ExprMap.parse(text, [f"x{k + 1}" for k in range(nvars)])
+    coeffs = slots.taylor_lift(np.zeros(nvars), degree).coeffs
+    rows = context(nvars, order).count
+    return PolySection(coeffs.reshape(-1, rows, coeffs.shape[-1]), nvars,
+                       order, degree)
+
+
 def test_bracket_line_anchor():
     # [x d/dx, d/dx] = -d/dx, read off the slots
-    a = ExprSection.parse("x1, 1, 0, 0", 1, 3)
-    b = ExprSection.parse("1, 0, 0, 0", 1, 3)
+    a = _slot_section("x1, 1, 0, 0", 1, 3, 1)
+    b = _slot_section("1, 0, 0, 0", 1, 3, 1)
     vals = algebroid_bracket(a, b, np.array([[0.3], [-0.7], [1.2]]))
     assert np.max(np.abs(vals - np.array([-1.0, 0.0, 0.0]))) < 1e-14
 
@@ -139,20 +151,13 @@ def test_bracket_of_holonomic_is_holonomic():
         assert np.max(np.abs(br[s] - hb.raw_table(x))) < 1e-13
 
 
-def test_spencer_detects_holonomy():
-    g1 = ExprMap.parse("x1^2*x2, x1 - x2^2", ["x1", "x2"])
-    assert np.max(np.abs(spencer(HolonomicSection(g1, 3), PTS2))) < 1e-14
-    nh = ExprSection.parse("x1, 0, 1, 0, 0, 0, x2, 0, 0, 1, 0, 0", 2, 2)
-    assert np.max(np.abs(spencer(nh, PTS2))) > 0.5
-
-
 def test_bracket_jacobi_nonholonomic():
-    a = ExprSection.parse(
-        "x1*x2, x2, 1 + x1, 0.3, 1, 0.1, x1 - x2, 1, 0, 0.2, 0, 1", 2, 2)
-    b = ExprSection.parse(
-        "x2, 0, 1, 1, 0.5, 0, x1, 1, 0.2, 0, 0, 0.7", 2, 2)
-    c = ExprSection.parse(
-        "x1, 1, 0, 0, 0.4, 0, x2^2, 0, 2*x2, 0, 1, 2", 2, 2)
+    a = _slot_section(
+        "x1*x2, x2, 1 + x1, 0.3, 1, 0.1, x1 - x2, 1, 0, 0.2, 0, 1", 2, 2, 2)
+    b = _slot_section(
+        "x2, 0, 1, 1, 0.5, 0, x1, 1, 0.2, 0, 0, 0.7", 2, 2, 2)
+    c = _slot_section(
+        "x1, 1, 0, 0, 0.4, 0, x2^2, 0, 2*x2, 0, 1, 2", 2, 2, 2)
     assert bracket_jacobi_residual(a, b, c, PTS2) < 1e-13
 
 

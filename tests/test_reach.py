@@ -5,18 +5,24 @@ name reaches every module-level definition that carries it, in any module.
 A module-level definition is a function, a class (with all its methods) or
 a table assigned at module level.  The roots are cli.main, everything in
 the suites module, the jetgauge names the benchmark in perfbench/ uses, the
-imports of the acceptance tests and the names the README puts in backticks.
+imports of the acceptance tests and the documented API: the union of every
+public module's __all__.  Prose keeps nothing alive; a name the README puts
+in backticks must be in its module's __all__ instead.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "jetgauge"
 
 # Library rows that state an identity no suite checks yet.  Each is either
-# promoted to a suite check, and leaves this tuple, or deleted.
+# promoted to a suite check, and leaves this tuple, or deleted; until then
+# it stays out of every __all__.
 PENDING_PROMOTION = (
     "bracket_jacobi_residual", "schwarzian_variation_check",
     "linearization_consistency", "action_bracket_residual",
@@ -25,6 +31,16 @@ PENDING_PROMOTION = (
 )
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# File stem -> module: the package and every module whose name has no
+# leading underscore.
+PUBLIC_MODULES = {"__init__": "jetgauge", **{
+    path.stem: f"jetgauge.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+    if not path.stem.startswith("_")}}
+
+
+def _exported(module: str) -> list[str]:
+    return list(importlib.import_module(module).__all__)
 
 
 def _names_in(node: ast.AST, strings: bool = False) -> set[str]:
@@ -65,8 +81,8 @@ def _roots(defs) -> set[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("jetgauge"):
             roots.update(alias.name for alias in node.names)
-    for span in re.findall(r"`+([^`]+)`+", (ROOT / "README.md").read_text()):
-        roots.update(IDENT.findall(span))
+    for module in PUBLIC_MODULES.values():
+        roots.update(_exported(module))
     return roots
 
 
@@ -86,9 +102,7 @@ def _reach(defs, roots: set[str]) -> set[str]:
 
 
 def _public(defs) -> set[str]:
-    return {name for (_, name), node in defs.items()
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not name.startswith("_")}
+    return {name for (_, name) in defs if not name.startswith("_")}
 
 
 def test_every_public_definition_is_reached():
@@ -101,3 +115,22 @@ def test_pending_rows_are_exactly_the_unreached_ones():
     defs = _definitions()
     unreached = _public(defs) - _reach(defs, _roots(defs))
     assert sorted(unreached) == sorted(PENDING_PROMOTION)
+
+
+def test_readme_names_are_exported():
+    defs = _definitions()
+    named = set()
+    for span in re.findall(r"`+([^`]+)`+", (ROOT / "README.md").read_text()):
+        named.update(IDENT.findall(span))
+    missing = [f"{PUBLIC_MODULES[stem]}.{name}" for stem, name in defs
+               if stem in PUBLIC_MODULES and name in named
+               and not name.startswith("_")
+               and name not in _exported(PUBLIC_MODULES[stem])]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module", list(PUBLIC_MODULES.values()))
+def test_every_exported_name_resolves(module):
+    exec(f"from {module} import *", {})
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
