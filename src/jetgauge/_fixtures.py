@@ -12,17 +12,16 @@ from typing import Sequence
 def read_fixture(name: str | os.PathLike):
     """The JSON of fixture `name`, looked up in one order for every loader:
     the file `name` itself, then `<name>.json` in the directory named by
-    JETGAUGE_FIXTURES.  When neither exists, opening `name` raises
-    FileNotFoundError; a loader with built-in or bundled names catches it
-    and tries those last."""
-    path = name
+    JETGAUGE_FIXTURES.  Else a FileNotFoundError names every place looked
+    in; a loader with built-in or bundled names tries those, then re-raises."""
     override = os.environ.get("JETGAUGE_FIXTURES")
-    if override and not os.path.exists(name):
-        candidate = os.path.join(override, f"{name}.json")
-        if os.path.exists(candidate):
-            path = candidate
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    places = [os.fspath(name)] + (
+        [os.path.join(override, f"{name}.json")] if override else [])
+    for path in filter(os.path.exists, places):
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    raise FileNotFoundError(f"no fixture {places[0]!r}: looked for "
+                            + " and ".join(map(repr, places)))
 
 
 def check_keys(data, allowed: Sequence[str], what: str) -> dict:

@@ -147,8 +147,10 @@ def load_group_spec(name: str) -> LieGroupSpec:
     try:
         data = read_fixture(name)
     except FileNotFoundError:
-        text = resources.files("jetgauge.fixtures").joinpath(f"{name}.json").read_text()
-        data = json.loads(text)
+        bundled = resources.files("jetgauge.fixtures").joinpath(f"{name}.json")
+        if not bundled.is_file():
+            raise
+        data = json.loads(bundled.read_text())
     return group_spec_from_dict(data)
 
 

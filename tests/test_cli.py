@@ -97,6 +97,24 @@ def test_fixture_dir_override_pseudogroup(tmp_path, monkeypatch):
     assert main(args) == 0
 
 
+@pytest.mark.parametrize("override", [False, True])
+def test_a_missing_fixture_gives_one_message(tmp_path, monkeypatch, capsys,
+                                             override):
+    # every suite names the fixture and each place it was looked for, and
+    # the bundled and built-in fallbacks raise that same message
+    monkeypatch.chdir(tmp_path)
+    places = "'nosuch'"
+    if override:
+        monkeypatch.setenv("JETGAUGE_FIXTURES", str(tmp_path))
+        places += f" and {str(tmp_path / 'nosuch.json')!r}"
+    else:
+        monkeypatch.delenv("JETGAUGE_FIXTURES", raising=False)
+    for suite in ("group", "pseudogroup", "elasticity", "dynamics", "swell"):
+        assert main(["--suite", suite, "--fixture", "nosuch"]) == 2
+        assert capsys.readouterr().err == (
+            f"jetgauge: no fixture 'nosuch': looked for {places}\n")
+
+
 # Fixtures named through JETGAUGE_FIXTURES.  "r1" shadows a built-in
 # system; its hand rows are twice the derived ones, so linearization_rows
 # reads 1.0 only when the file is the system loaded.

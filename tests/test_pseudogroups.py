@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jetgauge import series
-from jetgauge._multiindex import context
+from jetgauge._multiindex import context, shift_table
 from jetgauge.expr import ExprMap
 from jetgauge.pseudogroups import (
     BUILTIN_SYSTEMS, HolonomicSection, LieEquationSystem, PolySection,
@@ -217,6 +217,52 @@ def test_stacked_bracket_equals_each_slice(name):
             assert _same_bits(stacked[p, s], one)
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_bracket_tables_truncate_to_the_output_order(name):
+    # products formed at the output's x-order carry the bits of full-order
+    # products cut afterwards, so x-order-2 and x-order-1 tables give the
+    # same order-0 slot, and the nested Jacobi path, which feeds x-order-1
+    # output straight into the outer bracket, matches an explicit cut
+    sys_ = builtin_system(name)
+    n, q = sys_.nvars, sys_.order + 1
+    ctx1, ctx2 = context(n, 1), context(n, 2)
+    secs = sample_linear_sections(sys_, 3, seed=7)
+    pts = halton_points(sys_.box, 4, 23)
+    t2 = [np.array([s.raw_series(x, 2) for x in pts]) for s in secs]
+    from_2 = _bracket_tables(n, q - 1, ctx2, t2[0], t2[1])
+    from_1 = _bracket_tables(n, q - 1, ctx1, t2[0][..., :ctx1.count],
+                             t2[1][..., :ctx1.count])
+    assert from_2.shape[-1] == ctx1.count and from_1.shape[-1] == 1
+    assert _same_bits(from_2[..., :1], from_1)
+    full = _full_order_bracket(n, q - 1, ctx2, t2[0], t2[1])
+    assert _same_bits(from_2, full[..., :ctx1.count])
+    u, v, w = (np.stack(t2), np.stack(t2[1:] + t2[:1]),
+               np.stack(t2[2:] + t2[:2]))
+    inner = _full_order_bracket(n, q - 1, ctx2, u, v)[..., :ctx1.count]
+    rows_mid = context(n, q - 1).count
+    vals = _full_order_bracket(n, q - 2, ctx1, inner,
+                               w[..., :rows_mid, :ctx1.count])[..., 0]
+    want = float(np.max(np.abs(vals[0] + vals[1] + vals[2])))
+    got = bracket_jacobi_residual(*secs, pts)
+    assert _same_bits(np.float64(got), np.float64(want))
+
+
+def test_closure_forms_every_product_at_order_zero(monkeypatch):
+    # closure reads the order-0 slot of each bracket alone; a product at a
+    # higher order is work no record reads.  volume2's linearization is a
+    # sum, so every product here comes from the bracket
+    orders = []
+    real = series.mul
+
+    def spy(ctx, a, b):
+        orders.append(ctx.order)
+        return real(ctx, a, b)
+
+    monkeypatch.setattr(series, "mul", spy)
+    closure_check(builtin_system("volume2"), npairs=3, seed=1, neval=4)
+    assert orders and set(orders) == {0}
+
+
 def test_closure_nan_fails_closed(monkeypatch):
     # a NaN at the second evaluation point of a later system, after the
     # finite residuals of its first point, must reach the report and fail
@@ -402,25 +448,74 @@ def _loop_solution_basis(sys_, seed, degree, npoints, route):
                           for bb in range(ctx_b.count)])
         blocks.append(np.einsum("rc,b->rcb", rows, basis).reshape(
             rows.shape[0], -1))
+    # the full SVD, as the reference for the thin one on tall matrices
     _, sig, vt = np.linalg.svd(np.vstack(blocks))
     return vt[int(np.sum(sig > 1e-10 * sig[0])):]
 
 
+def _full_order_bracket(n, q_out, ctx_x, tab_a, tab_b):
+    """The bracket kernel with every product formed at ctx_x's full order;
+    only its x-orders below ctx_x.order are valid."""
+    ctx_jet = context(n, q_out + 1)
+    binom, rest = shift_table(n, q_out + 1, q_out + 1)
+    rows_out = context(n, q_out).count
+    batch = np.broadcast_shapes(tab_a.shape[:-3], tab_b.shape[:-3])
+    out = np.zeros(batch + (n, rows_out, ctx_x.count))
+    for row in range(rows_out):
+        acc = out[..., row, :]
+        for row_nu in range(ctx_jet.count):
+            coef = binom[row, row_nu]
+            if not coef:
+                continue
+            for r in range(n):
+                row_rem = ctx_jet.shifted(rest[row, row_nu], r)
+                term = series.mul(ctx_x, tab_a[..., r:r + 1, row_nu, :],
+                                  tab_b[..., :, row_rem, :])
+                term -= series.mul(ctx_x, tab_b[..., r:r + 1, row_nu, :],
+                                   tab_a[..., :, row_rem, :])
+                acc += coef * term
+        for i in range(n):
+            up = ctx_jet.shifted(row, i)
+            sp_a = (series.dvar(ctx_x, tab_a[..., :, row, :], i)
+                    - tab_a[..., :, up, :])
+            sp_b = (series.dvar(ctx_x, tab_b[..., :, row, :], i)
+                    - tab_b[..., :, up, :])
+            acc += series.mul(ctx_x, tab_a[..., i:i + 1, 0, :], sp_b)
+            acc -= series.mul(ctx_x, tab_b[..., i:i + 1, 0, :], sp_a)
+    return out
+
+
+def _loop_draw_sections(sys_, basis_vecs, count, seed, degree):
+    # one normal draw, one product and one normalisation per section
+    n, q = sys_.nvars, sys_.order
+    ctx_sec, ctx_b = context(n, q + 1), context(n, degree)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        combo = rng.standard_normal(basis_vecs.shape[0]) @ basis_vecs
+        coeffs = combo.reshape(n, ctx_sec.count, ctx_b.count)
+        coeffs /= max(np.max(np.abs(coeffs)), 1e-30)
+        out.append(PolySection(coeffs, n, q + 1, degree))
+    return out
+
+
 def _loop_closure_check(sys_, npairs, seed, neval, degree=2, route="hand"):
-    """closure_check one point, one section and one pair at a time."""
-    from jetgauge.pseudogroups import _draw_sections
+    """closure_check one point, one section and one pair at a time, with
+    the full SVD, full-order bracket products and no code it checks."""
     n = sys_.nvars
     basis_vecs = _loop_solution_basis(sys_, seed, degree, 40, route)
-    sections = _draw_sections(sys_, basis_vecs, 2 * npairs, seed, degree)
+    sections = _loop_draw_sections(sys_, basis_vecs, 2 * npairs, seed, degree)
     eval_pts = halton_points(sys_.box, neval, seed + 1)
     rng = np.random.default_rng(seed + 2)
     nlift = min(npairs, 5)
     sections += [s.perturb_top(rng) for s in sections[:2 * nlift]]
     shifts = [_loop_poly_shift(n, degree, x, 1) for x in eval_pts]
-    tabs = np.array([[np.einsum("krb,bw->krw", s.coeffs, sh) for sh in shifts]
-                     for s in sections])
-    vals = _bracket_tables(n, sys_.order, context(n, 1),
-                           tabs[0::2], tabs[1::2])[..., 0]
+    tabs = [[np.einsum("krb,bw->krw", s.coeffs, sh) for sh in shifts]
+            for s in sections]
+    vals = np.array([[_full_order_bracket(n, sys_.order, context(n, 1),
+                                          a[s], b[s])[..., 0]
+                      for s in range(neval)]
+                     for a, b in zip(tabs[0::2], tabs[1::2])])
     rows = [_loop_linear_rows(sys_, x, route) for x in eval_pts]
     resid = np.array([[rows[s] @ v[s].ravel() for s in range(len(rows))]
                       for v in vals[:npairs]])
