@@ -46,6 +46,7 @@ __all__ = [
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+DIV_TOL = 1e-8
 
 
 class InverseSolveError(RuntimeError):
@@ -62,16 +63,6 @@ class CurlNotZero(ValueError):
 
 def _names(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{k + 1}" for k in range(count)]
-
-
-def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat @ vec over leading batch axes, one matrix-vector kernel per row."""
-    return (mat @ vec[..., None])[..., 0]
-
-
-def _vecmat(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """vec @ mat over leading batch axes, one vector-matrix kernel per row."""
-    return (vec[..., None, :] @ mat)[..., 0, :]
 
 
 def _lift(emap: ExprMap | PolyMap, parts: Sequence[np.ndarray], order: int,
@@ -123,18 +114,6 @@ def _newton(emap: ExprMap | PolyMap, m: int, z: np.ndarray, tail: np.ndarray,
                             f"{NEWTON_MAX_ITER} steps while inverting {label}")
 
 
-def _squares(a) -> np.ndarray:
-    """a ** 2 elementwise through Python floats.
-
-    Python's float ** 2 calls the C library's pow(), which differs in the
-    last bit from a * a (numpy's array ** 2) for about one input in 1,200;
-    the one-point states squared Python floats, and the blocks keep those
-    bits.
-    """
-    a = np.asarray(a, float)
-    return np.array([v ** 2 for v in a.ravel().tolist()]).reshape(a.shape)
-
-
 class _SpeedState:
     """All first derivatives of v, u and rho at source points (y, x).
 
@@ -142,9 +121,9 @@ class _SpeedState:
     jacobian and raw second derivatives; their leading batch axes lead
     every field, and one point is the zero-batch case.  label names the
     family in a singular-jacobian error.  The inverse map enters only
-    through the points y, so every entry is exact.  Each point gets the
-    bits it gets alone: the stacked inv, det, matmul and einsum calls run
-    the same per-matrix kernels.
+    through the points y, so every entry is exact.  Every contraction is
+    an einsum, which never calls BLAS; only the stacked inv and det reach
+    LAPACK, one matrix at a time.
     """
 
     def __init__(self, m: int, val: np.ndarray, jac: np.ndarray,
@@ -163,7 +142,7 @@ class _SpeedState:
         self.delta = np.linalg.det(self.fy)
         self.rho = 1.0 / self.delta
         self.v = self.fx.copy()
-        self.u = self.fy_inv @ self.fx
+        self.u = np.einsum("...ka,...ai->...ki", self.fy_inv, self.fx)
         self.gz = self.fy_inv
         self.gx = -self.u
         # dv_z[k, i, l] = d v^k_i / d z^l,  dv_x[k, i, j] = d v^k_i / d x^j
@@ -181,10 +160,11 @@ class _SpeedState:
                                           self.fyy)
         self.ddelta_x = delta * np.einsum("...ka,...aki->...i", self.fy_inv,
                                           self.fyx)
-        scale = -_squares(self.rho)[..., None]
-        row = self.ddelta_y[..., None, :]
-        self.drho_z = scale * (row @ self.gz)[..., 0, :]
-        self.drho_x = scale * ((row @ self.gx)[..., 0, :] + self.ddelta_x)
+        scale = -(self.rho * self.rho)[..., None]
+        self.drho_z = scale * np.einsum("...r,...rl->...l", self.ddelta_y,
+                                        self.gz)
+        self.drho_x = scale * (np.einsum("...r,...ri->...i", self.ddelta_y,
+                                         self.gx) + self.ddelta_x)
 
 
 class MotionFamily:
@@ -302,7 +282,8 @@ def speed_duality_gap(fam: MotionFamily, samples_yx: np.ndarray) -> np.ndarray:
     y, x = samples_yx[:, :fam.m], samples_yx[:, fam.m:]
     st = fam.state_at_source(y, x)
     image = fam.state(st.value, x)
-    return np.stack([st.fx - st.fy @ st.u, st.fx - image.v])
+    return np.stack([st.fx - np.einsum("...ka,...ai->...ki", st.fy, st.u),
+                     st.fx - image.v])
 
 
 def compatibility_residual(fam: MotionFamily,
@@ -320,18 +301,13 @@ def compatibility_residual(fam: MotionFamily,
     samples = np.asarray(samples, float)
     z, x = samples[:, :fam.m], samples[:, fam.m:]
     st = fam.state(z, x)
-    res_v, res_u = [], []
-    for i in range(fam.n):
-        for j in range(i + 1, fam.n):
-            rv = (st.dv_x[..., j, i] - st.dv_x[..., i, j]
-                  + _matvec(st.dv_z[..., j, :], st.v[..., i])
-                  - _matvec(st.dv_z[..., i, :], st.v[..., j]))
-            ru = (st.du_x[..., j, i] - st.du_x[..., i, j]
-                  - _matvec(st.du_y[..., j, :], st.u[..., i])
-                  + _matvec(st.du_y[..., i, :], st.u[..., j]))
-            res_v.append(rv)
-            res_u.append(ru)
-    return np.array([res_v, res_u])
+    # [..., k, j, i] = d_i v^k_j + (d v^k_j/dz) v_i; the u-form's bracket
+    # enters with the opposite sign
+    dv = st.dv_x + np.einsum("...kjl,...li->...kji", st.dv_z, st.v)
+    du = st.du_x - np.einsum("...kjr,...ri->...kji", st.du_y, st.u)
+    i, j = np.triu_indices(fam.n, 1)
+    res = np.stack([d[..., j, i] - d[..., i, j] for d in (dv, du)])
+    return np.moveaxis(res, -1, 1)
 
 
 def _variation_blocks(fam: MotionFamily, y: np.ndarray, x: np.ndarray):
@@ -339,7 +315,8 @@ def _variation_blocks(fam: MotionFamily, y: np.ndarray, x: np.ndarray):
 
     Returns (df, df_y, df_x): the vertical field delta f = dF/deps and its
     first y- and x-derivatives, read off mixed slots of an order-2 lift.
-    Rows y, x of shape (..., m) and (..., n) give blocks with those axes.
+    Rows y, x of shape (..., m) and (..., n) give blocks with those axes,
+    as views of the lift.
     """
     if fam.variation is None:
         raise ValueError("family carries no variation map")
@@ -347,10 +324,7 @@ def _variation_blocks(fam: MotionFamily, y: np.ndarray, x: np.ndarray):
     eps0 = np.zeros(np.shape(y)[:-1] + (1,))
     lift = _lift(fam.variation, (y, x, eps0), 2, fam.label)
     d2 = lift.derivative(2)[..., -1]
-    # matmul may take another kernel on a strided view: copy each row-major
-    return (np.ascontiguousarray(lift.derivative(1)[..., -1]),
-            np.ascontiguousarray(d2[..., :m]),
-            np.ascontiguousarray(d2[..., m:-1]))
+    return lift.derivative(1)[..., -1], d2[..., :m], d2[..., m:-1]
 
 
 def _variation_speeds(fam: MotionFamily, z: np.ndarray, x: np.ndarray,
@@ -388,13 +362,14 @@ def theorem3_check(fam: MotionFamily, samples: np.ndarray,
     base = _lift(fam.variation, (y, x, np.zeros((len(y), 1))), 0,
                  fam.label).value() - st.value
     eta, deta_y, df_x = _variation_blocks(fam, y, x)
-    deta_z = deta_y @ st.gz
-    deta_x = df_x + deta_y @ st.gx
-    route1 = (deta_x + deta_z @ st.v
+    deta_z = np.einsum("...kr,...rl->...kl", deta_y, st.gz)
+    deta_x = df_x + np.einsum("...kr,...ri->...ki", deta_y, st.gx)
+    route1 = (deta_x + np.einsum("...kl,...li->...ki", deta_z, st.v)
               - np.einsum("...kil,...l->...ki", st.dv_z, eta))
-    xi = _matvec(st.fy_inv, eta)
-    dxi_x = st.fy_inv @ (df_x - np.einsum("...kri,...r->...ki", st.fyx, xi))
-    route2 = st.fy @ dxi_x
+    xi = np.einsum("...ka,...a->...k", st.fy_inv, eta)
+    dxi_x = np.einsum("...ka,...ai->...ki", st.fy_inv,
+                      df_x - np.einsum("...kri,...r->...ki", st.fyx, xi))
+    route2 = np.einsum("...ka,...ai->...ki", st.fy, dxi_x)
     fd = [(_variation_speeds(fam, z, x, e, y)[0] - st.v) / e - route1
           for e in (eps, eps / 2.0)]
     return route1 - route2, *fd, base
@@ -416,14 +391,14 @@ def mass_conservation_residual(fam: MotionFamily, samples: np.ndarray,
     y = fam.invert(z, x)
     st = fam.state_at_source(y, x)
     rho = st.rho[..., None]
-    div_rv = _vecmat(st.drho_z, st.v) + rho * np.einsum("...kik->...i",
-                                                        st.dv_z)
+    div_rv = (np.einsum("...l,...li->...i", st.drho_z, st.v)
+              + rho * np.einsum("...kik->...i", st.dv_z))
     continuity = st.drho_x + div_rv
     if fam.variation is None:
         return continuity, np.zeros(0), np.zeros(0)
     df, df_y, _ = _variation_blocks(fam, y, x)
-    flux = _vecmat(st.drho_z, df[..., None])[..., 0]
-    exact = -(flux + st.rho * np.trace(df_y @ st.gz, axis1=-2, axis2=-1))
+    flux = np.einsum("...l,...l->...", st.drho_z, df)
+    exact = -(flux + st.rho * np.einsum("...kr,...rk->...", df_y, st.gz))
     fd = [(1.0 / _variation_speeds(fam, z, x, e, y)[1] - st.rho) / e - exact
           for e in (eps, eps / 2.0)]
     return continuity, *fd
@@ -440,30 +415,20 @@ def _momentum_hessian(w: ExprMap, v: np.ndarray, m: int,
     return lift.derivative(2)[..., 0, :, :].reshape(batch + (m, n, m, n))
 
 
-def _einsum_rows(spec: str, m: int, *ops: np.ndarray) -> np.ndarray:
-    """np.einsum(spec) row by row over one leading axis, into (rows, m).
-
-    A stacked einsum that reduces over several indices may sum them in
-    another order than the one-row call does, and so give other bits.
-    """
-    rows = [np.einsum(spec, *row) for row in zip(*ops)]
-    return np.array(rows).reshape(len(ops[0]), m)
-
-
 def _el_z(st: _SpeedState, w: ExprMap, m: int, n: int) -> np.ndarray:
     """rho (dV^i_k/dx^i + v^l_i dV^i_k/dz^l) with V = dw/dv at v(z, x),
-    over a block state with one leading axis."""
+    over the leading axes of a block state."""
     h = _momentum_hessian(w, st.v, m, n)
-    dv_dx = _einsum_rows("kilp,lpi->k", m, h, st.dv_x)
-    conv = _einsum_rows("kilp,lpr,ri->k", m, h, st.dv_z, st.v)
+    dv_dx = np.einsum("...kilp,...lpi->...k", h, st.dv_x)
+    conv = np.einsum("...kilp,...lpr,...ri->...k", h, st.dv_z, st.v)
     return st.rho[..., None] * (dv_dx + conv)
 
 
 def _el_y(st: _SpeedState, w: ExprMap, m: int, n: int) -> np.ndarray:
     """dU^i_k/dx^i with U^i_k(y, x) = V^i_k(df/dx(y, x)): the source form,
-    from a block state at the source points (y, x) with one leading axis."""
+    from a block state at the source points (y, x)."""
     h = _momentum_hessian(w, st.fx, m, n)
-    return _einsum_rows("kilp,lpi->k", m, h, st.fxx)
+    return np.einsum("...kilp,...lpi->...k", h, st.fxx)
 
 
 def el_residual(fam: MotionFamily, w: ExprMap,
@@ -510,12 +475,12 @@ def _curl(mat: np.ndarray) -> np.ndarray:
 def _acceleration_gradient(val: np.ndarray, dz: np.ndarray, dzz: np.ndarray,
                            dzt: np.ndarray) -> np.ndarray:
     """z-derivative of gamma^k = dv^k/dt + v^l dv^k/dz^l, per point."""
-    return dzt + np.einsum("...klr,...l->...kr", dzz, val) + dz @ dz
+    return (dzt + np.einsum("...klr,...l->...kr", dzz, val)
+            + np.einsum("...kl,...lr->...kr", dz, dz))
 
 
 def vortex_residual(field: ExprMap | PolyMap, samples: np.ndarray,
-                    enforce_divergence: bool = True,
-                    div_tol: float = 1e-8) -> np.ndarray:
+                    enforce_divergence: bool = True) -> np.ndarray:
     """Residual (1/2) curl gamma - (d omega/dt + [v, omega]), (M, 3).
 
     gamma = dv/dt + (v . grad) v is the acceleration, omega = (1/2) curl v.
@@ -526,19 +491,17 @@ def vortex_residual(field: ExprMap | PolyMap, samples: np.ndarray,
     val, dz, _, dzz, dzt = _field_blocks(field, samples)
     div = np.trace(dz, axis1=-2, axis2=-1)
     if enforce_divergence:
-        failing = np.flatnonzero(np.abs(div) > div_tol)
+        failing = np.flatnonzero(np.abs(div) > DIV_TOL)
         if failing.size:
             s = failing[0]
             raise DivergenceNotZero(f"div v = {div[s]:.3e} at "
                                     f"z={samples[s, :3]}, t={samples[s, 3]}")
     omega = 0.5 * _curl(dz)
     domega_t = 0.5 * _curl(dzt)
-    # domega_z[..., :, r] is half the curl of dzz[..., :, :, r]; matmul
-    # takes another kernel on a transposed view, so copy it row-major
-    domega_z = np.ascontiguousarray(
-        np.swapaxes(0.5 * _curl(np.moveaxis(dzz, -1, -3)), -2, -1))
+    # (v . grad) omega is half the curl of dzz contracted with v
+    domega_v = 0.5 * _curl(np.einsum("...klr,...r->...kl", dzz, val))
     lhs = 0.5 * _curl(_acceleration_gradient(val, dz, dzz, dzt))
-    rhs = domega_t + _matvec(domega_z, val) - _matvec(dz, omega)
+    rhs = domega_t + domega_v - np.einsum("...kl,...l->...k", dz, omega)
     return lhs - rhs
 
 
@@ -585,20 +548,14 @@ def curl_parametrization_check(theta: ExprMap, box: Box,
             for a, (lo, hi) in enumerate(box))
         text = ", ".join(f"({bump}) * ({comp})" for comp in comps)
         fields.append(ExprMap.parse(text, ["z1", "z2", "z3"]))
-    a_field, b_field = fields
-
-    def curl_of(emap: ExprMap, z: np.ndarray) -> np.ndarray:
-        lift = emap.taylor_lift(z, 1)
-        return _curl(lift.jacobian())
 
     nodes, weights = tensor_rule(box, nquad)
-    a_vals = a_field.eval(nodes)
-    b_vals = b_field.eval(nodes)
-    lhs = rhs = 0.0
-    for node, weight, a_val, b_val in zip(nodes, weights, a_vals, b_vals):
-        lhs += weight * float(curl_of(a_field, node) @ b_val)
-        rhs += weight * float(a_val @ curl_of(b_field, node))
-    return CurlReport(worst_div, lhs, rhs)
+    a_lift, b_lift = (f.taylor_lift(nodes, 1) for f in fields)
+    lhs = np.einsum("q,qk,qk->", weights, _curl(a_lift.jacobian()),
+                    b_lift.value())
+    rhs = np.einsum("q,qk,qk->", weights, a_lift.value(),
+                    _curl(b_lift.jacobian()))
+    return CurlReport(worst_div, float(lhs), float(rhs))
 
 
 def _coeff_text(coeffs: np.ndarray, names: Sequence[str]) -> str:
@@ -643,7 +600,7 @@ def pressure_recovery(field: ExprMap | PolyMap, t: float, points: np.ndarray,
             probes = np.repeat(current[None], len(nodes), axis=0)
             probes[:, axis] = nodes
             val, dz, dt, _, _ = _field_blocks(field, with_time(probes))
-            gamma = dt + _matvec(dz, val)
+            gamma = dt + np.einsum("...kl,...l->...k", dz, val)
             for q, weight in enumerate(weights):
                 total += weight * gamma[q, axis]
             current[axis] = z[axis]

@@ -111,7 +111,7 @@ class DisplacementSection:
         """G[..., i, k] = d_i xi_k with xi_k = omega_{kr} xi^r, at a point
         (2,) or a block (..., 2)."""
         jac = self.xi.taylor_lift(np.asarray(points, float), 1).jacobian()
-        return np.swapaxes(jac, -1, -2) @ self.metric
+        return np.einsum("...ri,rk->...ik", jac, self.metric)
 
 
 @dataclass(frozen=True)
@@ -176,15 +176,12 @@ def riemann_residual(source, samples: np.ndarray) -> np.ndarray:
     if isinstance(source, DisplacementSection):
         omega = source.metric
         third = source.xi.taylor_lift(samples, 3).derivative(3)
-
-        # d_ab eps_ij = (omega_rj third[r,a,b,i] + omega_ir third[r,a,b,j])/2,
-        # each sum over r by the vector-dot kernel that omega[:, j] @
-        # third[:, a, b, i] runs at one point
-        def deps(a, b, i, j):
-            return 0.5 * ((omega[:, j] @ third[..., :, a, b, i, None])[..., 0]
-                          + (omega[i, :] @ third[..., :, a, b, j, None])[..., 0])
-        resids = (deps(0, 0, 1, 1) + deps(1, 1, 0, 0)
-                  - 2.0 * deps(0, 1, 0, 1))
+        # deps[..., a, b, i, j] = d_ab eps_ij
+        #   = (omega_rj third[r,a,b,i] + omega_ir third[r,a,b,j]) / 2
+        deps = 0.5 * (np.einsum("rj,...rabi->...abij", omega, third)
+                      + np.einsum("ir,...rabj->...abij", omega, third))
+        resids = (deps[..., 0, 0, 1, 1] + deps[..., 1, 1, 0, 0]
+                  - 2.0 * deps[..., 0, 1, 0, 1])
     else:
         if len(source.variables) != 2 or len(source) != 3:
             raise ValueError("strain map must hold (eps11, eps12, eps22)")
@@ -261,35 +258,29 @@ def adjoint_spencer(state: StressState,
 
 
 def pairing_identity_check(state: StressState, section: DisplacementSection,
-                           box: Box, order: int = 6,
-                           drop_couple_term: bool = False) -> tuple[float, float]:
+                           box: Box, order: int = 6) -> tuple[float, float]:
     """Exact-quadrature check that the load fields are the true adjoint.
 
     Returns (lhs, rhs): the pairing <(sigma, mu), D section> and the load
     pairing <(f, m), (xi, jet)>.  The section must carry a
     boundary-vanishing bump factor in all its components, so integration
     by parts gives lhs = -rhs; with polynomial data and sufficient order
-    both integrals are exact and lhs + rhs is roundoff.  drop_couple_term
-    removes the s12 - s21 term from m, a deliberate corruption that must
-    produce a visible gap.
+    both integrals are exact and lhs + rhs is roundoff.  Each integral is
+    one einsum over the quadrature weights.
     """
     _check_order(order, (state.sigma, state.mu), (section.xi, section.jet))
     nodes, weights = tensor_rule(tuple(tuple(r) for r in box), order)
-    lhs = rhs = 0.0
     fvals, mvals = adjoint_spencer(state, nodes)
-    svals = state.sigma.eval(nodes)
-    if drop_couple_term:
-        mvals = mvals - (svals[:, 1] - svals[:, 2])
-    comps = spencer_elastic(section, nodes)
-    muvals = state.mu.eval(nodes)
-    xivals = section.xi.eval(nodes)
-    jvals = section.jet.eval(nodes)[:, 0]
-    for idx, weight in enumerate(weights):
-        lhs += weight * float(svals[idx] @ comps[idx, :4]
-                              + muvals[idx] @ comps[idx, 4:])
-        xival = section.metric @ xivals[idx]
-        rhs += weight * float(fvals[idx] @ xival + mvals[idx] * jvals[idx])
-    return lhs, rhs
+    # (sigma, mu) against the six components; (f, m) against (xi_k, jet)
+    duals = np.concatenate([state.sigma.eval(nodes), state.mu.eval(nodes)],
+                           axis=-1)
+    loads = np.concatenate([fvals, mvals[:, None]], axis=-1)
+    lowered = np.einsum("kr,qr->qk", section.metric, section.xi.eval(nodes))
+    fields = np.concatenate([lowered, section.jet.eval(nodes)], axis=-1)
+    lhs = np.einsum("q,qc,qc->", weights, duals,
+                    spencer_elastic(section, nodes))
+    rhs = np.einsum("q,qc,qc->", weights, loads, fields)
+    return float(lhs), float(rhs)
 
 
 def torsor_equilibrium_check(state: StressState, box: Box,
@@ -307,8 +298,8 @@ def torsor_equilibrium_check(state: StressState, box: Box,
     (a1, b1), (a2, b2) = (tuple(map(float, r)) for r in box)
 
     def boundary(component):
-        """Integrate component(points) @ n over the four edges; component
-        takes the (nodes, 2) block of an edge."""
+        """Integrate component(points) . n over the four edges, one einsum
+        per edge; component takes the (nodes, 2) block of an edge."""
         total = 0.0
         for fixed_axis, value, sign in ((0, b1, 1.0), (0, a1, -1.0),
                                         (1, b2, 1.0), (1, a2, -1.0)):
@@ -319,8 +310,8 @@ def torsor_equilibrium_check(state: StressState, box: Box,
             points = np.empty((len(nodes), 2))
             points[:, fixed_axis] = value
             points[:, 1 - fixed_axis] = nodes
-            for weight, flux in zip(weights, component(points)):
-                total += weight * float(flux @ normal)
+            total += np.einsum("q,qr,r->", weights, component(points),
+                               normal)
         return total
 
     inodes, iweights = tensor_rule(((a1, b1), (a2, b2)), order)
@@ -329,8 +320,7 @@ def torsor_equilibrium_check(state: StressState, box: Box,
     gaps = np.empty(3)
     for j in range(2):
         surf = boundary(lambda p, j=j: state.sigma_matrix(p)[..., :, j])
-        vol = float(iweights @ fvals[:, j])
-        gaps[j] = surf - vol
+        gaps[j] = surf - np.einsum("q,q->", iweights, fvals[:, j])
 
     def moment_flux(points):
         sig = state.sigma_matrix(points)
@@ -339,7 +329,7 @@ def torsor_equilibrium_check(state: StressState, box: Box,
                 - points[:, 1, None] * sig[..., :, 0])
 
     surf = boundary(moment_flux)
-    vol = float(iweights @ (mvals + inodes[:, 0] * fvals[:, 1]
-                            - inodes[:, 1] * fvals[:, 0]))
-    gaps[2] = surf - vol
+    gaps[2] = surf - np.einsum("q,q->", iweights,
+                               mvals + inodes[:, 0] * fvals[:, 1]
+                               - inodes[:, 1] * fvals[:, 0])
     return gaps

@@ -38,6 +38,7 @@ __all__ = [
 
 
 JACOBI_TOL = 1e-8
+RANK_TOL = 1e-8
 
 
 class InconsistentGroupLaw(ValueError):
@@ -279,11 +280,10 @@ def right_pullback(spec: LieGroupSpec, gauging: ExprMap | PolyMap,
 
 def _gauge_derivatives(field: GaugeField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A (M,p,n), dA (M,p,n,n)) with dA[., t,i,j] = d_i A^t_j, exact, at
-    the points x (M, n); the lifts, inverses and products each run once
-    on the whole block."""
+    the points x (M, n); the lifts and the inverse each run once on the
+    whole block, and every product is one einsum over it."""
     spec = field.spec
-    p, n = spec.dim, field.grid.dim
-    batch = x.shape[:-1]
+    p = spec.dim
     lift = field.gauging.taylor_lift(x, 2)
     a = lift.value()
     da = lift.jacobian()                            # (M, p, n)
@@ -295,17 +295,14 @@ def _gauge_derivatives(field: GaugeField, x: np.ndarray) -> tuple[np.ndarray, np
     mat_slots = slice(p, None) if body else slice(0, p)
     dep_slots = slice(0, p) if body else slice(p, None)
     mlift = spec.compose.taylor_lift(_with_identity(spec, a, body), 2)
-    # inv and einsum may take other kernels on strided views: copy row-major
-    mat = np.ascontiguousarray(mlift.jacobian()[..., mat_slots])
+    inv = np.linalg.inv(mlift.jacobian()[..., mat_slots])
     # [t, s, nu] = d(mat[t,s])/da^nu
-    dmat = np.ascontiguousarray(mlift.derivative(2)[..., mat_slots, dep_slots])
-
-    inv = np.linalg.inv(mat)
-    aval = inv @ da                                 # (..., p, n), columns j
-    dA = np.zeros(batch + (p, n, n))                # [., t, i, j]
-    for i in range(n):
-        dmat_i = np.einsum("...tsn,...n->...ts", dmat, da[..., :, i])
-        dA[..., :, i, :] = inv @ d2a[..., :, i, :] - inv @ dmat_i @ aval
+    dmat = mlift.derivative(2)[..., mat_slots, dep_slots]
+    aval = np.einsum("...ts,...sj->...tj", inv, da)   # (..., p, n), columns j
+    # d_i mat[u, s] = dmat[u, s, nu] d_i a^nu
+    dmat_x = np.einsum("...usn,...ni->...usi", dmat, da)
+    dA = (np.einsum("...ts,...sij->...tij", inv, d2a)
+          - np.einsum("...tu,...usi,...sj->...tij", inv, dmat_x, aval))
     return aval, dA
 
 
@@ -404,7 +401,6 @@ def _family_pullback(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
     The lifts, RK4 stages, products and solves each run once on the
     whole block.
     """
-    p = spec.dim
     n = len(gauging.variables)
     ctx1 = context(n, 1)
     a_lift = gauging.taylor_lift(x, 1)
@@ -425,7 +421,8 @@ def _family_pullback(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
     mlift = spec.compose.taylor_lift(base, 1)
     jac = mlift.jacobian()
     val = mlift.value()
-    dval = jac[..., :, :p] @ first + jac[..., :, p:] @ second
+    dval = np.einsum("...ts,...si->...ti", jac,
+                     np.concatenate([first, second], axis=-2))
     mat = _left_form_matrix(spec, val) if side == "body" else _right_translation_matrix(spec, val)
     return np.linalg.solve(mat, dval)
 
@@ -562,15 +559,8 @@ def action_bracket_residual(spec: LieGroupSpec, samples: np.ndarray) -> float:
     return float(np.max(gaps, initial=0.0))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (rows, k) stacks, each by the one-pair
-    kernel that a @ b runs on two vectors."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def spencer_from_action(spec: LieGroupSpec, lam: ExprMap | PolyMap,
-                        order: int, samples: np.ndarray,
-                        rank_tol: float = 1e-8) -> np.ndarray:
+                        order: int, samples: np.ndarray) -> np.ndarray:
     """Section induced on jets by an action, and its Spencer image.
 
     The section carries lam(x) to xi^k_mu(x) = lam^tau(x) d_mu g^k_tau(x)
@@ -600,7 +590,7 @@ def spencer_from_action(spec: LieGroupSpec, lam: ExprMap | PolyMap,
         for k in range(n):
             # route one: the section slot as a series in x, lam times
             # generator derivatives multiplied through the kernel
-            total = series.zeros(ctx1)
+            total = 0.0
             for tau in range(p):
                 h = np.zeros(raw.shape[:1] + (ctx1.count,))
                 h[:, 0] = raw[:, tau, k, row]
@@ -609,13 +599,15 @@ def spencer_from_action(spec: LieGroupSpec, lam: ExprMap | PolyMap,
                 total = total + series.mul(ctx1, lam_series[:, tau], h)
             for i in range(n):
                 up = ctx_hi.shifted(row, i)
-                direct = total[:, unit_pos[i]] - _dot(lam0, raw[:, :, k, up])
+                direct = total[:, unit_pos[i]] - np.einsum(
+                    "st,st->s", lam0, raw[:, :, k, up])
                 # route two: dlam contracted with the generator jets
-                contracted = _dot(dlam[:, :, i], raw[:, :, k, row])
+                contracted = np.einsum("st,st->s", dlam[:, :, i],
+                                       raw[:, :, k, row])
                 gaps.append(direct - contracted)
     # rows (k, mu), cols tau, one matrix per sample
     mats = np.swapaxes(raw[..., :rows_q].reshape(len(samples), p, -1), -2, -1)
-    min_rank = int(np.min(np.linalg.matrix_rank(mats, tol=rank_tol), initial=p))
+    min_rank = int(np.min(np.linalg.matrix_rank(mats, tol=RANK_TOL), initial=p))
     if min_rank < p:
         raise NotInjectiveYet(
             f"rank {min_rank} < {p} at jet order {order}; raise the order")

@@ -27,10 +27,6 @@ class DomainError(ArithmeticError):
     nonpositive value, sqrt of a negative, zero to a negative power)."""
 
 
-def zeros(ctx: MultiIndexContext) -> np.ndarray:
-    return np.zeros(ctx.count)
-
-
 def const(ctx: MultiIndexContext, value) -> np.ndarray:
     """Constant series; an array value gives one series per entry."""
     out = np.zeros(getattr(value, "shape", ()) + (ctx.count,))

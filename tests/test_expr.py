@@ -393,6 +393,36 @@ def test_derivatives_are_read_through_taylor_map():
     assert sorted(in_loops) == []
 
 
+_BLAS_CALLS = ("dot", "matmul", "inner", "vdot", "ascontiguousarray")
+
+
+def test_residual_contractions_are_einsum():
+    # np.einsum, unlike @ and np.dot, never calls BLAS, so no residual
+    # follows the BLAS core; action_bracket_residual, a row still to
+    # promote, keeps its @ until it lifts one block
+    src = Path(__file__).resolve().parent.parent / "src" / "jetgauge"
+    found = []
+    for name in ("dynamics.py", "elasticity.py", "groups.py"):
+        tree = ast.parse((src / name).read_text())
+        skipped = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "action_bracket_residual"):
+                skipped.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            matmul = isinstance(getattr(node, "op", None), ast.MatMult)
+            call = (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")
+                    and node.func.attr in _BLAS_CALLS)
+            if matmul or call:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 _NODES = {"Bin", "Num", "Neg", "Var", "Pow", "Call"}
 
 

@@ -2,6 +2,8 @@
 
 The walk is by name over the AST, so it over-counts what is reached: a
 name reaches every module-level definition that carries it, in any module.
+An attribute read on numpy (np.zeros) names numpy's definition, never the
+package's, so it reaches nothing.
 A module-level definition is a function, a class (with all its methods) or
 a table assigned at module level.  The roots are cli.main, everything in
 the suites module, the jetgauge names the benchmark in perfbench/ uses, the
@@ -32,6 +34,8 @@ PENDING_PROMOTION = (
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+NUMPY = ("np", "numpy")
+
 # File stem -> module: the package and every module whose name has no
 # leading underscore.
 PUBLIC_MODULES = {"__init__": "jetgauge", **{
@@ -50,7 +54,8 @@ def _names_in(node: ast.AST, strings: bool = False) -> set[str]:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and not (
+                isinstance(sub.value, ast.Name) and sub.value.id in NUMPY):
             out.add(sub.attr)
         elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             out.update(IDENT.findall(sub.value))
