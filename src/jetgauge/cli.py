@@ -36,7 +36,7 @@ def _swell_table(params: dict, nlabels_a: int = 6, nlabels_b: int = 3,
               for b in np.linspace(0.0, 2.0, nlabels_b)
               for a in np.linspace(0.0, span, nlabels_a)]
     times = np.linspace(0.0, period, ntimes)
-    return swell_rows(R0, k, omega, c, labels, times)
+    return swell_rows(R0, k, omega, c, labels, times, params.get("decay"))
 
 
 def export_swell_csv(params: dict, path: str,

@@ -693,13 +693,16 @@ def swell_family(R0: float, k: float, omega: float, c: float,
 
 def swell_rows(R0: float, k: float, omega: float, c: float,
                labels: Sequence[tuple[float, float]],
-               times: Sequence[float]) -> list[tuple[float, ...]]:
-    """Trajectory table (t, a, b, x, y, xbar, ybar), one block per label."""
+               times: Sequence[float],
+               decay: float | None = None) -> list[tuple[float, ...]]:
+    """Trajectory table (t, a, b, x, y, xbar, ybar), one block per label,
+    of swell_family's motion: radius R0 exp(-decay b), decay k if None."""
     rows = []
     speed = omega / k
+    rate = k if decay is None else float(decay)
     for a, b in labels:
         a, b = float(a), float(b)
-        radius = R0 * math.exp(-k * b)
+        radius = R0 * math.exp(-rate * b)
         phase = k * a + c
         for t in times:
             t = float(t)

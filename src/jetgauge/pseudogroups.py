@@ -6,9 +6,10 @@ derivative slots, where the digits name the (sorted, 1-based) directions:
 y_1_12 is d2 y^1 / dx1 dx2.  The matching linear system uses xi_k_<digits>
 over the same base variables.
 
-The linearization of the equations along the identity is recovered exactly
-by differentiating the defining expressions in the jet coordinates, which
-gives a second, independent route to any hand-written linearization.
+The stored linearization is a system's one linear system: it is what is
+prolonged, sampled for sections and closed under the bracket.
+linearization_rows_gap checks it against the rows derived exactly by
+differentiating the defining equations at the identity jet.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def jet_variable_names(ncomp: int, nvars: int, order: int, prefix: str) -> list[
             for k in range(ncomp) for tail in tails]
 
 
-def _jet_column(ncomp: int, ctx: MultiIndexContext, k: int, row: int) -> int:
+def _jet_column(ctx: MultiIndexContext, k: int, row: int) -> int:
     return k * ctx.count + row
 
 
@@ -75,21 +76,16 @@ class _ProlongTable(NamedTuple):
     dx_src: np.ndarray
     dx_fac: np.ndarray
     dx_dst: np.ndarray
-    chain_src: np.ndarray
-    chain_fac: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
-def _prolong_table(nvars: int, order: int, neq: int,
-                   route: str) -> _ProlongTable:
+def _prolong_table(nvars: int, order: int, neq: int) -> _ProlongTable:
     """Gather table of LieEquationSystem._prolong, built from the index
     bookkeeping alone, so every system of the same shape shares it.
 
     The lift runs over the n base variables and the n*count jet slots.
     The coefficient of slot (k, row) in equation e is the first derivative
-    in that slot; its x_i-derivative adds the base direction i and, on the
-    derived route, the identity section's value slot of component i,
-    which moves with x_i.
+    in that slot; its x_i-derivative adds the base direction i.
     """
     n = nvars
     ctx_lo, ctx_hi = context(n, order), context(n, order + 1)
@@ -107,19 +103,16 @@ def _prolong_table(nvars: int, order: int, neq: int,
     for e in range(neq):
         for k in range(n):
             for row in range(ctx_lo.count):
-                var = n + _jet_column(n, ctx_lo, k, row)
-                col = _jet_column(n, ctx_hi, k, row)
+                var = n + _jet_column(ctx_lo, k, row)
+                col = _jet_column(ctx_hi, k, row)
                 gather("coef", e, var)
                 t["coef_dst"].append(e * ncols + col)
                 for i in range(n):
                     drow = (neq * (1 + i) + e) * ncols
                     up = ctx_hi.shifted(row, i)
                     t["shift_src"].append(len(t["coef_src"]) - 1)
-                    t["shift_dst"].append(drow + _jet_column(n, ctx_hi, k, up))
+                    t["shift_dst"].append(drow + _jet_column(ctx_hi, k, up))
                     gather("dx", e, var, i)
-                    if route == "derived":
-                        gather("chain", e, var,
-                               n + _jet_column(n, ctx_lo, i, 0))
                     t["dx_dst"].append(drow + col)
 
     def frozen(name: str) -> np.ndarray:
@@ -139,7 +132,7 @@ class LieEquationSystem:
     order: int
     box: tuple[tuple[float, float], ...]
     equations: ExprMap                       # over x-vars + y-jet names
-    linearization: ExprMap | None = None     # over x-vars + xi-jet names
+    linearization: ExprMap                   # over x-vars + xi-jet names
     sampling_constraints: ExprMap | None = None
 
     @property
@@ -154,31 +147,20 @@ class LieEquationSystem:
         x of shape (..., n) gives one row per point."""
         n, ctx = self.nvars, self.jet_ctx()
         x = np.asarray(x, dtype=float)
-        vals = self._lift_base(x, "hand")
+        vals = self._lift_base(x)
         for k in range(n):
             mu = tuple(int(i == k) for i in range(n))
-            vals[..., n + _jet_column(n, ctx, k, 0)] = x[..., k]
-            vals[..., n + _jet_column(n, ctx, k, ctx.pos(mu))] = 1.0
+            vals[..., n + _jet_column(ctx, k, 0)] = x[..., k]
+            vals[..., n + _jet_column(ctx, k, ctx.pos(mu))] = 1.0
         return vals
 
-    def _lift_base(self, x: np.ndarray, route: str) -> np.ndarray:
-        """Base points of a route's lift at x (..., n): the identity jet on
-        the derived route, x and zero jet slots on the hand route."""
-        if route == "derived":
-            return self.identity_jet(x)
+    def _lift_base(self, x: np.ndarray) -> np.ndarray:
+        """Base points of a linear lift at x (..., n): x, then zero jet
+        slots."""
         x = np.asarray(x, dtype=float)
         base = np.zeros(x.shape[:-1] + (self.nvars * (1 + self.jet_ctx().count),))
         base[..., :self.nvars] = x
         return base
-
-    def _route_map(self, route: str) -> ExprMap:
-        if route == "hand":
-            if self.linearization is None:
-                raise ValueError(f"{self.label}: no hand linearization stored")
-            return self.linearization
-        if route != "derived":
-            raise ValueError(f"unknown route '{route}'")
-        return self.equations
 
     def finite_residual(self, f: ExprMap, samples: np.ndarray) -> np.ndarray:
         """Equations evaluated on the holonomic q-jet of a candidate map."""
@@ -191,19 +173,15 @@ class LieEquationSystem:
         jets = (lift.coeffs * ctx.factorial).reshape(len(x), n * ctx.count)
         return self.equations.eval(np.concatenate([x, jets], axis=-1))
 
-    def linear_rows(self, x: np.ndarray, route: str = "hand") -> np.ndarray:
-        """Coefficient matrix of the linear system at x, (..., neq, n*count)
-        for x of shape (..., n); one point is the zero-batch case.
-
-        route "hand" reads the stored linearization; route "derived"
-        differentiates the defining equations at the identity jet.  Both
-        are exact (jet lifts, no finite differences), and a block is
-        lifted once.
+    def linear_rows(self, x: np.ndarray) -> np.ndarray:
+        """Coefficient matrix of the linearization at x, (..., neq, n*count)
+        for x of shape (..., n); one point is the zero-batch case.  Exact
+        (a jet lift, no finite differences), and a block is lifted once.
         """
-        lift = self._route_map(route).taylor_lift(self._lift_base(x, route), 1)
+        lift = self.linearization.taylor_lift(self._lift_base(x), 1)
         return lift.jacobian()[..., self.nvars:]
 
-    def prolonged_rows(self, x: np.ndarray, route: str = "hand") -> np.ndarray:
+    def prolonged_rows(self, x: np.ndarray) -> np.ndarray:
         """Rows of the system and its first formal derivatives at x.
 
         Output shape (..., neq*(1+n), n*count_{q+1}) for x of shape
@@ -212,7 +190,7 @@ class LieEquationSystem:
         the x-derivative of each coefficient plus the coefficient moved to
         the shifted slot.
         """
-        return self._prolong(self._route_map(route), x, route)
+        return self._prolong(self.linearization, x)
 
     def constraint_rows(self, x: np.ndarray) -> np.ndarray:
         """Sampling constraints and their formal derivatives at x, or no
@@ -220,49 +198,46 @@ class LieEquationSystem:
         if self.sampling_constraints is None:
             ncols = self.nvars * self.jet_ctx(self.order + 1).count
             return np.zeros(np.shape(x)[:-1] + (0, ncols))
-        return self._prolong(self.sampling_constraints, x, "hand")
+        return self._prolong(self.sampling_constraints, x)
 
-    def _prolong(self, emap: ExprMap, x: np.ndarray, route: str) -> np.ndarray:
+    def _prolong(self, emap: ExprMap, x: np.ndarray) -> np.ndarray:
         """Prolonged rows of emap's linear coefficients from one order-2
         lift of the whole block.
 
         Every cell gets the sums a point-by-point fill gives it: zeros,
         then each system cell set to its coefficient, then each
         derivative cell plus its shifted coefficient and then plus the
-        coefficient's x-derivative, which the derived route sums over the
-        direct and the identity-section terms first.
+        coefficient's x-derivative.
         """
-        tab = _prolong_table(self.nvars, self.order, len(emap), route)
-        lift = emap.taylor_lift(self._lift_base(x, route), 2)
+        tab = _prolong_table(self.nvars, self.order, len(emap))
+        lift = emap.taylor_lift(self._lift_base(x), 2)
         batch = lift.coeffs.shape[:-2]
         flat = lift.coeffs.reshape(batch + (len(emap) * lift.ctx.count,))
         coef = flat[..., tab.coef_src] * tab.coef_fac
         out = np.zeros(batch + (tab.nrows * tab.ncols,))
         out[..., tab.coef_dst] = coef
         out[..., tab.shift_dst] += coef[..., tab.shift_src]
-        dcoef = flat[..., tab.dx_src] * tab.dx_fac
-        if route == "derived":
-            dcoef += flat[..., tab.chain_src] * tab.chain_fac
-        out[..., tab.dx_dst] += dcoef
+        out[..., tab.dx_dst] += flat[..., tab.dx_src] * tab.dx_fac
         return out.reshape(batch + (tab.nrows, tab.ncols))
 
-    def linear_residual(self, xi: ExprMap, samples: np.ndarray,
-                        route: str = "hand") -> np.ndarray:
+    def linear_residual(self, xi: ExprMap, samples: np.ndarray) -> np.ndarray:
         """Linear system evaluated on the holonomic jet of a vector field."""
         sec = HolonomicSection(xi, self.order)
         out = np.zeros((len(samples), self.neq))
         for s, x in enumerate(samples):
-            rows = self.linear_rows(np.asarray(x, float), route)
+            rows = self.linear_rows(np.asarray(x, float))
             out[s] = rows @ sec.raw_table(np.asarray(x, float)).ravel()
         return out
 
 
 def linearization_rows_gap(system: LieEquationSystem,
                            samples: np.ndarray) -> np.ndarray:
-    """Entry gaps between the hand-written linearization rows and the ones
-    derived from the defining equations, (M, neq, n*count)."""
+    """Entry gaps between the stored linearization's rows and the ones
+    derived from the defining equations by one jet lift at the identity
+    jet, (M, neq, n*count)."""
     pts = np.asarray(samples, dtype=float)
-    return system.linear_rows(pts, "hand") - system.linear_rows(pts, "derived")
+    derived = system.equations.taylor_lift(system.identity_jet(pts), 1)
+    return system.linear_rows(pts) - derived.jacobian()[..., system.nvars:]
 
 
 def linearization_consistency(system: LieEquationSystem, xi: ExprMap,
@@ -429,7 +404,7 @@ def bracket_jacobi_residual(a: JetSection, b: JetSection, c: JetSection,
 
 
 def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
-                    npoints: int, route: str) -> np.ndarray:
+                    npoints: int) -> np.ndarray:
     """Nullspace basis of the pointwise-pinned prolonged linear system.
 
     Rows are the system, its formal derivatives, and any sampling
@@ -440,7 +415,7 @@ def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
     """
     ctx_b = context(system.nvars, degree)
     pts = halton_points(system.box, npoints, seed)
-    rows = np.concatenate([system.prolonged_rows(pts, route),
+    rows = np.concatenate([system.prolonged_rows(pts),
                            system.constraint_rows(pts)], axis=1)
     basis = poly_shift(system.nvars, degree, pts, 0)[..., 0]    # x^beta
     # (point, row) by (column, monomial): each point's rows times its basis
@@ -456,10 +431,10 @@ def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
 
 
 def sample_linear_sections(system: LieEquationSystem, count: int, seed: int,
-                           degree: int = 2, npoints: int = 40,
-                           route: str = "hand") -> list[PolySection]:
+                           degree: int = 2,
+                           npoints: int = 40) -> list[PolySection]:
     """Seeded random polynomial sections of the prolonged linear system."""
-    basis_vecs = _solution_basis(system, seed, degree, npoints, route)
+    basis_vecs = _solution_basis(system, seed, degree, npoints)
     return _draw_sections(system, basis_vecs, count, seed, degree)
 
 
@@ -478,8 +453,8 @@ def _draw_sections(system: LieEquationSystem, basis_vecs: np.ndarray,
 
 
 def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
-                  neval: int = 12, degree: int = 2,
-                  route: str = "hand") -> tuple[np.ndarray, np.ndarray]:
+                  neval: int = 12,
+                  degree: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Brackets of random solution sections land back in the system.
 
     Also measures how much the bracket values move when the top-order
@@ -490,7 +465,7 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
     values minus the first pairs', (min(npairs, 5), neval, n, rows).
     """
     n = system.nvars
-    basis_vecs = _solution_basis(system, seed, degree, 40, route)
+    basis_vecs = _solution_basis(system, seed, degree, 40)
     sections = _draw_sections(system, basis_vecs, 2 * npairs, seed, degree)
     eval_pts = halton_points(system.box, neval, seed + 1)
     rng = np.random.default_rng(seed + 2)
@@ -502,7 +477,7 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
     # (pairs + bumped pairs, points, n, rows): every bracket in one call
     vals = _bracket_tables(n, system.order, context(n, 1),
                            tabs[0::2], tabs[1::2])[..., 0]
-    rows = system.linear_rows(eval_pts, route)
+    rows = system.linear_rows(eval_pts)
     # one stacked product on the contiguous values (a strided view moved
     # bits); it matched one product per pair and point for every builtin at
     # seeds 0-29 on OpenBLAS default, Haswell and Prescott, 1 and 2 threads
@@ -513,11 +488,7 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
 
 def schwarzian(jet) -> float:
     """Schwarzian from the raw third-order data (f, f', f'', f''')."""
-    raw = getattr(jet, "raw_table", None)
-    if callable(raw):
-        vals = np.asarray(raw()).ravel()
-    else:
-        vals = np.asarray(jet, dtype=float).ravel()
+    vals = np.asarray(jet, dtype=float).ravel()
     if vals.shape[0] != 4:
         raise ValueError("need exactly the four raw entries of a 3-jet")
     f1, f2, f3 = vals[1], vals[2], vals[3]
@@ -566,7 +537,7 @@ def schwarzian_variation_check(f: ExprMap, eta: ExprMap, samples: np.ndarray,
 
 
 def _make_system(label: str, nvars: int, order: int, box, equations: str,
-                 linearization: str | None,
+                 linearization: str,
                  sampling_constraints: str | None = None) -> LieEquationSystem:
     xvars = [f"x{k + 1}" for k in range(nvars)]
     eq_vars = xvars + jet_variable_names(nvars, nvars, order, "y")
@@ -577,8 +548,7 @@ def _make_system(label: str, nvars: int, order: int, box, equations: str,
         order=order,
         box=tuple(map(tuple, box)),
         equations=ExprMap.parse(equations, eq_vars),
-        linearization=(ExprMap.parse(linearization, li_vars)
-                       if linearization else None),
+        linearization=ExprMap.parse(linearization, li_vars),
         sampling_constraints=(ExprMap.parse(sampling_constraints, li_vars)
                               if sampling_constraints else None),
     )
@@ -649,6 +619,9 @@ SYSTEM_KEYS = ("label", "nvars", "order", "box", "equations",
 
 def lie_system_from_dict(data: dict) -> LieEquationSystem:
     check_keys(data, SYSTEM_KEYS, "pseudogroup fixture")
+    if data.get("linearization") is None:
+        raise ValueError("pseudogroup fixture needs 'linearization', the "
+                         "linear system that is prolonged and closed")
     nvars = check_count(data, "nvars", "pseudogroup fixture")
     return _make_system(
         data.get("label", "unnamed"),
@@ -656,7 +629,7 @@ def lie_system_from_dict(data: dict) -> LieEquationSystem:
         check_count(data, "order", "pseudogroup fixture"),
         check_box(data, "box", nvars, "pseudogroup fixture"),
         data["equations"],
-        data.get("linearization"),
+        data["linearization"],
         data.get("sampling_constraints"),
     )
 

@@ -33,9 +33,9 @@ from .elasticity import (
 )
 from .expr import ExprMap, PolyMap
 from .groups import (
-    Grid, curvature, linear_gauge_dd, load_group_spec, maurer_cartan_pullback,
-    right_pullback, spencer_from_action, variation_body, variation_body_fd,
-    variation_space, variation_space_fd,
+    Grid, curvature, jacobi_residual, linear_gauge_dd, load_group_spec,
+    maurer_cartan_pullback, right_pullback, spencer_from_action,
+    variation_body, variation_body_fd, variation_space, variation_space_fd,
 )
 from .pseudogroups import (
     builtin_system, closure_check, linearization_rows_gap, load_lie_system,
@@ -130,7 +130,6 @@ def _check_curvature_of_pullback(cfg: SuiteConfig, cache: dict):
 
 
 def _check_structure_jacobi(cfg: SuiteConfig, cache: dict):
-    from .groups import jacobi_residual
     res = [jacobi_residual(spec.structure_constants())
            for spec in _group_roster(cfg, cache)]
     return np.array(res), len(res)
@@ -219,8 +218,6 @@ def _check_bracket_lift_independence(cfg: SuiteConfig, cache: dict):
 def _check_linearization_rows(cfg: SuiteConfig, cache: dict):
     res, count = [], 0
     for sys in _lie_roster(cfg, cache):
-        if sys.linearization is None:
-            continue
         pts = halton_points(sys.box, min(cfg.samples, 20), cfg.seed + 4)
         res.append(linearization_rows_gap(sys, pts))
         count += len(pts)

@@ -193,6 +193,24 @@ def test_swell_csv_radius_and_frame(tmp_path):
     assert path.read_bytes() == (tmp_path / "swell2.csv").read_bytes()
 
 
+def test_swell_csv_follows_the_fixture_decay(tmp_path):
+    # an unbalanced table's radii shrink at the decay rate, not at k
+    params = {**PARAMS, "decay": 0.25}
+    rows = export_swell_csv(params, str(tmp_path / "decay.csv"))
+    for t, a, b, x, y, _, _ in rows:
+        radius = params["R0"] * math.exp(-params["decay"] * b)
+        assert abs(math.hypot(x - a, y - b) - radius) < 1e-10
+    # and the CLI writes it for a swell fixture that sets decay
+    csvs = []
+    for name, text in (("balanced", "{}"), ("unbalanced", '{"decay": 0.25}')):
+        (tmp_path / f"{name}.json").write_text(text)
+        csvs.append(tmp_path / f"{name}.csv")
+        main(["--suite", "swell", "--fixture", str(tmp_path / f"{name}.json"),
+              "--csv", str(csvs[-1]), "--out", str(tmp_path / "r.json")])
+    assert csvs[1].read_text() == (tmp_path / "decay.csv").read_text()
+    assert csvs[0].read_bytes() != csvs[1].read_bytes()
+
+
 def test_swell_rows_zero_radius_sits_still():
     rows = swell_rows(0.0, 0.1, 1.0, 0.0, [(2.0, 0.5)], np.linspace(0, 3, 5))
     for t, a, b, x, y, _, _ in rows:
@@ -284,6 +302,17 @@ def test_group_and_dynamics_fixtures_refuse_unknown_keys(tmp_path, capsys,
 _STILL_WATER = {"label": "still-water", "nvars": 1, "order": 1,
                 "box": [[-1.0, 1.0]], "equations": "y_1_1 - 1",
                 "linearization": "xi_1_1"}
+
+
+def test_pseudogroup_fixture_without_linearization_exits_two(tmp_path,
+                                                            capsys):
+    data = {k: v for k, v in _STILL_WATER.items() if k != "linearization"}
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(data))
+    assert main(["--suite", "pseudogroup", "--fixture", str(fixture)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("jetgauge: ") and "'linearization'" in err
 
 
 @pytest.mark.parametrize("suite,data", [

@@ -270,8 +270,8 @@ def test_closure_nan_fails_closed(monkeypatch):
     # poison goes into the second point of that block
     real = LieEquationSystem.linear_rows
 
-    def poisoned(self, x, route="hand"):
-        rows = real(self, x, route)
+    def poisoned(self, x):
+        rows = real(self, x)
         if self.label == "volume-2d" and np.ndim(x) == 2:
             rows = rows.copy()
             rows[1] = np.nan
@@ -348,13 +348,22 @@ def test_custom_system_from_dict():
     assert np.max(np.abs(sys_.finite_residual(shift, pts))) < 1e-15
     assert _max_abs(linearization_rows_gap(sys_, pts)) < 1e-15
 
+
+def test_system_without_linearization_is_refused():
+    # the stored linearization is the system that is prolonged and closed
+    data = {"label": "no-lin", "nvars": 1, "order": 1, "box": [[-1.0, 1.0]],
+            "equations": "y_1_1 - 1"}
+    for bad in (data, {**data, "linearization": None}):
+        with pytest.raises(ValueError, match="'linearization'"):
+            lie_system_from_dict(bad)
+
 # ----------------------------------------------------------------------
 # Block Lie-system rows against the point-by-point arithmetic they replace
 
 SEEDS = (3, 45, 1003)
 
 
-def _loop_prolonged_rows(sys_, emap, x, route):
+def _loop_prolonged_rows(sys_, emap, x):
     """One point's prolonged rows, filled cell by cell from one lift: the
     triple loop the block gather must match bit for bit."""
     from jetgauge.pseudogroups import _jet_column
@@ -362,38 +371,28 @@ def _loop_prolonged_rows(sys_, emap, x, route):
     ctx_lo, ctx_hi = sys_.jet_ctx(), sys_.jet_ctx(sys_.order + 1)
     ncols_lo, ncols_hi = n * ctx_lo.count, n * ctx_hi.count
     neq = len(emap)
-    if route == "hand":
-        point = np.zeros(n + ncols_lo)
-        point[:n] = x
-        chain_cols = []
-    else:
-        point = _loop_identity_jet(sys_, x)
-        chain_cols = [n + _jet_column(n, ctx_lo, k, 0) for k in range(n)]
+    point = np.zeros(n + ncols_lo)
+    point[:n] = x
     lift = emap.taylor_lift(point, 2)
     out = np.zeros((neq * (1 + n), ncols_hi))
     nline = n + ncols_lo
     for e in range(neq):
         for k in range(n):
             for row in range(ctx_lo.count):
-                col_lo = _jet_column(n, ctx_lo, k, row)
+                col_lo = _jet_column(ctx_lo, k, row)
                 mu = [0] * nline
                 mu[n + col_lo] += 1
                 coef = lift.raw(e, tuple(mu))
-                out[e, _jet_column(n, ctx_hi, k, row)] = coef
+                out[e, _jet_column(ctx_hi, k, row)] = coef
                 for i in range(n):
                     mu2 = list(mu)
                     mu2[i] += 1
-                    dcoef = lift.raw(e, tuple(mu2))
-                    if chain_cols:
-                        mu3 = list(mu)
-                        mu3[chain_cols[i]] += 1
-                        dcoef += lift.raw(e, tuple(mu3))
                     out[neq * (1 + i) + e,
-                        _jet_column(n, ctx_hi, k, row)] += dcoef
+                        _jet_column(ctx_hi, k, row)] += lift.raw(e, tuple(mu2))
                     up = ctx_hi.pos(tuple(ctx_lo.midx[row]
                                           + np.eye(n, dtype=int)[i]))
                     out[neq * (1 + i) + e,
-                        _jet_column(n, ctx_hi, k, up)] += coef
+                        _jet_column(ctx_hi, k, up)] += coef
     return out
 
 
@@ -408,14 +407,17 @@ def _loop_identity_jet(sys_, x):
     return vals
 
 
-def _loop_linear_rows(sys_, x, route):
+def _loop_linear_rows(sys_, x):
     n = sys_.nvars
-    if route == "hand":
-        point = np.zeros(n + n * sys_.jet_ctx().count)
-        point[:n] = x
-        return sys_.linearization.taylor_lift(point, 1).jacobian()[:, n:]
+    point = np.zeros(n + n * sys_.jet_ctx().count)
+    point[:n] = x
+    return sys_.linearization.taylor_lift(point, 1).jacobian()[:, n:]
+
+
+def _loop_derived_rows(sys_, x):
+    """The equations' rows at the identity jet, which only the gap reads."""
     return sys_.equations.taylor_lift(_loop_identity_jet(sys_, x),
-                                      1).jacobian()[:, n:]
+                                      1).jacobian()[:, sys_.nvars:]
 
 
 def _loop_poly_shift(nvars, degree, x, xorder):
@@ -433,16 +435,14 @@ def _loop_poly_shift(nvars, degree, x, xorder):
     return shift
 
 
-def _loop_solution_basis(sys_, seed, degree, npoints, route):
+def _loop_solution_basis(sys_, seed, degree, npoints):
     ctx_b = context(sys_.nvars, degree)
     blocks = []
     for x in halton_points(sys_.box, npoints, seed):
-        rows = [_loop_prolonged_rows(sys_, sys_.linearization
-                                     if route == "hand" else sys_.equations,
-                                     x, route)]
+        rows = [_loop_prolonged_rows(sys_, sys_.linearization, x)]
         if sys_.sampling_constraints is not None:
             rows.append(_loop_prolonged_rows(sys_, sys_.sampling_constraints,
-                                             x, "hand"))
+                                             x))
         rows = np.vstack(rows)
         basis = np.array([np.prod(x ** ctx_b.midx[bb])
                           for bb in range(ctx_b.count)])
@@ -499,11 +499,11 @@ def _loop_draw_sections(sys_, basis_vecs, count, seed, degree):
     return out
 
 
-def _loop_closure_check(sys_, npairs, seed, neval, degree=2, route="hand"):
+def _loop_closure_check(sys_, npairs, seed, neval, degree=2):
     """closure_check one point, one section and one pair at a time, with
     the full SVD, full-order bracket products and no code it checks."""
     n = sys_.nvars
-    basis_vecs = _loop_solution_basis(sys_, seed, degree, 40, route)
+    basis_vecs = _loop_solution_basis(sys_, seed, degree, 40)
     sections = _loop_draw_sections(sys_, basis_vecs, 2 * npairs, seed, degree)
     eval_pts = halton_points(sys_.box, neval, seed + 1)
     rng = np.random.default_rng(seed + 2)
@@ -516,7 +516,7 @@ def _loop_closure_check(sys_, npairs, seed, neval, degree=2, route="hand"):
                                           a[s], b[s])[..., 0]
                       for s in range(neval)]
                      for a, b in zip(tabs[0::2], tabs[1::2])])
-    rows = [_loop_linear_rows(sys_, x, route) for x in eval_pts]
+    rows = [_loop_linear_rows(sys_, x) for x in eval_pts]
     resid = np.array([[rows[s] @ v[s].ravel() for s in range(len(rows))]
                       for v in vals[:npairs]])
     return resid, vals[npairs:] - vals[:nlift]
@@ -527,31 +527,34 @@ def _loop_closure_check(sys_, npairs, seed, neval, degree=2, route="hand"):
 def test_block_rows_match_point_loop(name, seed):
     sys_ = builtin_system(name)
     pts = halton_points(sys_.box, 7, seed)
-    for route, emap in (("hand", sys_.linearization),
-                        ("derived", sys_.equations)):
-        block = sys_.prolonged_rows(pts, route)
-        lin = sys_.linear_rows(pts, route)
-        for s, x in enumerate(pts):
-            ref = _loop_prolonged_rows(sys_, emap, x, route)
-            assert _same_bits(block[s], ref)
-            assert _same_bits(sys_.prolonged_rows(x, route), ref)
-            assert _same_bits(lin[s], _loop_linear_rows(sys_, x, route))
-        assert _same_bits(sys_.identity_jet(pts),
-                          np.array([_loop_identity_jet(sys_, x) for x in pts]))
+    block = sys_.prolonged_rows(pts)
+    lin = sys_.linear_rows(pts)
+    gap = linearization_rows_gap(sys_, pts)
+    for s, x in enumerate(pts):
+        ref = _loop_prolonged_rows(sys_, sys_.linearization, x)
+        assert _same_bits(block[s], ref)
+        assert _same_bits(sys_.prolonged_rows(x), ref)
+        hand = _loop_linear_rows(sys_, x)
+        assert _same_bits(lin[s], hand)
+        # the derived rows live on in the gap alone
+        assert _same_bits(gap[s], hand - _loop_derived_rows(sys_, x))
+    assert _same_bits(sys_.identity_jet(pts),
+                      np.array([_loop_identity_jet(sys_, x) for x in pts]))
     cons = sys_.constraint_rows(pts)
     if sys_.sampling_constraints is None:
         assert cons.shape == (len(pts), 0, block.shape[-1])
         return
     for s, x in enumerate(pts):
-        ref = _loop_prolonged_rows(sys_, sys_.sampling_constraints, x, "hand")
+        ref = _loop_prolonged_rows(sys_, sys_.sampling_constraints, x)
         assert np.any(ref)
         assert _same_bits(cons[s], ref)
         assert _same_bits(sys_.constraint_rows(x), ref)
 
 
 def test_block_rows_match_point_loop_off_linear_slots():
-    # value slots that enter nonlinearly give the derived route nonzero
-    # second derivatives along the identity section, the mu! = 2 slot too
+    # curved hand rows and constraints give their coefficients nonzero
+    # x-derivatives; value slots that enter the equations nonlinearly give
+    # the derived rows, which only the gap reads, nonzero entries
     sys_ = lie_system_from_dict({
         "label": "curved", "nvars": 2, "order": 1,
         "box": [[0.2, 0.9], [-0.7, 0.4]],
@@ -563,16 +566,16 @@ def test_block_rows_match_point_loop_off_linear_slots():
     })
     for seed in SEEDS:
         pts = halton_points(sys_.box, 6, seed)
-        for route, emap in (("hand", sys_.linearization),
-                            ("derived", sys_.equations)):
-            block = sys_.prolonged_rows(pts, route)
-            for s, x in enumerate(pts):
-                assert _same_bits(block[s],
-                                  _loop_prolonged_rows(sys_, emap, x, route))
+        block = sys_.prolonged_rows(pts)
         cons = sys_.constraint_rows(pts)
+        gap = linearization_rows_gap(sys_, pts)
         for s, x in enumerate(pts):
+            assert _same_bits(block[s], _loop_prolonged_rows(
+                sys_, sys_.linearization, x))
             assert _same_bits(cons[s], _loop_prolonged_rows(
-                sys_, sys_.sampling_constraints, x, "hand"))
+                sys_, sys_.sampling_constraints, x))
+            assert _same_bits(gap[s], _loop_linear_rows(sys_, x)
+                              - _loop_derived_rows(sys_, x))
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
@@ -580,20 +583,10 @@ def test_rows_of_no_points_are_empty(name):
     sys_ = builtin_system(name)
     none = np.zeros((0, sys_.nvars))
     one = sys_.box[0][0] * np.ones(sys_.nvars)
-    for route in ("hand", "derived"):
-        assert sys_.prolonged_rows(none, route).shape == (
-            (0,) + sys_.prolonged_rows(one, route).shape)
-        assert sys_.linear_rows(none, route).shape == (
-            (0,) + sys_.linear_rows(one, route).shape)
+    for rows in (sys_.prolonged_rows, sys_.linear_rows):
+        assert rows(none).shape == (0,) + rows(one).shape
     assert sys_.constraint_rows(none).shape[0] == 0
     assert _max_abs(linearization_rows_gap(sys_, none)) == 0.0
-
-
-def test_rows_reject_unknown_route():
-    sys_ = builtin_system("affine")
-    for rows in (sys_.linear_rows, sys_.prolonged_rows):
-        with pytest.raises(ValueError, match="unknown route"):
-            rows(np.array([0.1]), "sideways")
 
 
 @pytest.mark.parametrize("nvars, degree, xorder",
@@ -618,16 +611,11 @@ def test_closure_check_matches_point_reference(name, seed):
     from jetgauge.pseudogroups import _solution_basis
     sys_ = builtin_system(name)
     for degree in (2, 3):
-        assert _same_bits(_solution_basis(sys_, seed, degree, 40, "hand"),
-                          _loop_solution_basis(sys_, seed, degree, 40, "hand"))
+        assert _same_bits(_solution_basis(sys_, seed, degree, 40),
+                          _loop_solution_basis(sys_, seed, degree, 40))
     # the suite's parameters: 50 pairs at 8 evaluation points
     for got, want in zip(closure_check(sys_, npairs=50, seed=seed, neval=8),
                          _loop_closure_check(sys_, 50, seed, 8)):
-        assert _same_bits(got, want)
-    for got, want in zip(closure_check(sys_, npairs=6, seed=seed, neval=5,
-                                       route="derived"),
-                         _loop_closure_check(sys_, 6, seed, 5,
-                                             route="derived")):
         assert _same_bits(got, want)
 
 
