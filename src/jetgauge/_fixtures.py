@@ -45,6 +45,16 @@ def check_count(data: dict, key: str, what: str) -> int:
     return value
 
 
+def check_text(data, key, what: str) -> str:
+    """data[key], once it is a JSON string, the form of every expression;
+    null, 0 and any other value are refused with a ValueError naming key."""
+    value = data[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{what} {key!r} must be an expression string, "
+                         f"not {value!r}")
+    return value
+
+
 def _interval(pair) -> bool:
     return (isinstance(pair, (list, tuple)) and len(pair) == 2
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)

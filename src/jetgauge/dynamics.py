@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fixtures import check_box, check_count, check_keys, read_fixture
+from ._fixtures import check_box, check_count, check_keys, check_text, read_fixture
 from ._multiindex import exponent_rows
 from .expr import ExprMap, PolyMap, TaylorMap
 from .quadrature import gauss_rule, tensor_rule
@@ -257,16 +257,18 @@ FAMILY_KEYS = ("m", "n", "f", "g", "variation", "box", "label")
 
 
 def motion_family_from_dict(data: dict) -> MotionFamily:
-    check_keys(data, FAMILY_KEYS, "dynamics fixture")
+    what = "dynamics fixture"
+    check_keys(data, FAMILY_KEYS, what)
     box = check_keys(data.get("box", {}), ("y", "x", "z"), "dynamics box")
-    m = check_count(data, "m", "dynamics fixture")
-    n = check_count(data, "n", "dynamics fixture")
+    m = check_count(data, "m", what)
+    n = check_count(data, "n", what)
     for key, count in (("y", m), ("x", n), ("z", m)):
         if key in box:
             check_box(box, key, count, "dynamics box")
     return MotionFamily.parse(
-        m, n, data["f"],
-        inverse=data.get("g"), variation=data.get("variation"),
+        m, n, check_text(data, "f", what),
+        inverse=check_text(data, "g", what) if "g" in data else None,
+        variation=check_text(data, "variation", what) if "variation" in data else None,
         ybox=box.get("y"), xbox=box.get("x"), zbox=box.get("z"),
         label=data.get("label", "family"))
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fixtures import check_keys, read_fixture
+from ._fixtures import check_keys, check_text, read_fixture
 from ._multiindex import poly_shift
 from .expr import ExprMap, PolyMap
 from .quadrature import gauss_rule, tensor_rule
@@ -145,9 +145,12 @@ class StressState:
 
 
 def stress_state_from_dict(data: dict) -> StressState:
-    check_keys(data, ("sigma", "mu", "label"), "stress fixture")
-    return StressState.parse(data["sigma"], data.get("mu", "0, 0"),
-                             data.get("label", "state"))
+    what = "stress fixture"
+    check_keys(data, ("sigma", "mu", "label"), what)
+    return StressState.parse(
+        check_text(data, "sigma", what),
+        check_text(data, "mu", what) if "mu" in data else "0, 0",
+        data.get("label", "state"))
 
 
 def load_stress_state(path: str | Path) -> StressState:

@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from . import series
-from ._fixtures import check_box, check_count, check_keys, read_fixture
+from ._fixtures import check_box, check_count, check_keys, check_text, read_fixture
 from ._multiindex import context
 from .expr import ExprMap, PolyMap
 from .sampling import halton_points
@@ -169,8 +169,8 @@ def group_spec_from_dict(data: dict) -> LieGroupSpec:
         raise ValueError(f"group fixture 'identity' must hold {p} values, "
                          f"not {data['identity']!r}")
     avars, bvars = _group_vars(p)
-    compose = ExprMap.parse(data["compose"], avars + bvars)
-    inverse = ExprMap.parse(data["inverse"], avars)
+    compose = ExprMap.parse(check_text(data, "compose", "group fixture"), avars + bvars)
+    inverse = ExprMap.parse(check_text(data, "inverse", "group fixture"), avars)
     if len(compose) != p or len(inverse) != p:
         raise ValueError("compose/inverse component count must equal dim")
     action = None
@@ -179,7 +179,10 @@ def group_spec_from_dict(data: dict) -> LieGroupSpec:
         nact = check_count(adata, "dim", "group action")
         check_box(adata, "box", nact, "group action")
         xvars = [f"x{k + 1}" for k in range(nact)]
-        gens = tuple(ExprMap.parse(g, xvars) for g in adata["generators"])
+        texts = adata["generators"]
+        gens = tuple(ExprMap.parse(check_text(
+            texts, i, "group action 'generators' entry"), xvars)
+            for i in range(len(texts)))
         if len(gens) != p or any(len(g) != nact for g in gens):
             raise ValueError("need one n-component generator per group parameter")
         action = GroupAction(nact, tuple(map(tuple, adata["box"])), gens)

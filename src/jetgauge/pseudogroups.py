@@ -17,12 +17,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Protocol
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import series
-from ._fixtures import check_box, check_count, check_keys, read_fixture
+from ._fixtures import check_box, check_count, check_keys, check_text, read_fixture
 from ._multiindex import (MultiIndexContext, context, derivative_rows,
                           poly_shift, shift_table)
 from .expr import ExprMap
@@ -35,9 +35,7 @@ __all__ = [
     "example_r1_prime", "builtin_system", "BUILTIN_SYSTEMS",
     "closure_check", "linearization_rows_gap",
     "schwarzian", "schwarzian_of_map",
-    # perfbench/tracing.py wraps these two by name for its --trace spans
-    "algebroid_bracket", "sample_linear_sections",
-    "JetSection",            # the section type the two above accept
+    "algebroid_bracket", "sample_linear_sections",   # closure_check's stages
     "HolonomicSection",      # LieEquationSystem.linear_residual lifts by it
 ]
 
@@ -135,10 +133,6 @@ class LieEquationSystem:
     linearization: ExprMap                   # over x-vars + xi-jet names
     sampling_constraints: ExprMap | None = None
 
-    @property
-    def neq(self) -> int:
-        return len(self.equations)
-
     def jet_ctx(self, order: int | None = None) -> MultiIndexContext:
         return context(self.nvars, self.order if order is None else order)
 
@@ -221,13 +215,12 @@ class LieEquationSystem:
         return out.reshape(batch + (tab.nrows, tab.ncols))
 
     def linear_residual(self, xi: ExprMap, samples: np.ndarray) -> np.ndarray:
-        """Linear system evaluated on the holonomic jet of a vector field."""
-        sec = HolonomicSection(xi, self.order)
-        out = np.zeros((len(samples), self.neq))
-        for s, x in enumerate(samples):
-            rows = self.linear_rows(np.asarray(x, float))
-            out[s] = rows @ sec.raw_table(np.asarray(x, float)).ravel()
-        return out
+        """Linear system evaluated on the holonomic jet of a vector field,
+        (M, neq) for samples (M, n)."""
+        x = np.asarray(samples, float)
+        jets = HolonomicSection(xi, self.order).raw_series(x, 0)[..., 0]
+        return np.einsum("mec,mc->me", self.linear_rows(x),
+                         jets.reshape(len(x), -1))
 
 
 def linearization_rows_gap(system: LieEquationSystem,
@@ -258,21 +251,6 @@ def _shifted_map(base: ExprMap, direction: ExprMap, eps: float) -> ExprMap:
                    [b + eps * d for b, d in zip(base, direction)])
 
 
-class JetSection(Protocol):
-    """Section of a jet bundle presented by its raw slot functions.
-
-    raw_series(x, w) returns, for every component k and multi-index row,
-    the x-Taylor coefficients (through order w) of the slot function
-    xi^k_mu around x, shaped (ncomp, nrows, count_w).
-    """
-
-    nvars: int
-    ncomp: int
-    order: int
-
-    def raw_series(self, x: np.ndarray, xorder: int) -> np.ndarray: ...
-
-
 class HolonomicSection:
     """Jet of an actual map: every slot is a derivative of the same f."""
 
@@ -283,44 +261,49 @@ class HolonomicSection:
         self.order = order
 
     def raw_series(self, x: np.ndarray, xorder: int) -> np.ndarray:
+        """x-Taylor coefficients through xorder of every raw slot xi^k_mu
+        around each point of x (P, n), (P, ncomp, rows, count_xorder)."""
         ctx_x = context(self.nvars, xorder)
         lift = self.f.taylor_lift(np.asarray(x, float), self.order + xorder)
         # slot of mu + kappa for every jet row mu and x-series row kappa
         rows = np.array([[lift.ctx.pos(mu + kappa) for kappa in ctx_x.midx]
                          for mu in context(self.nvars, self.order).midx])
-        return lift.coeffs[:, rows] * lift.ctx.factorial[rows] / ctx_x.factorial
-
-    def raw_table(self, x: np.ndarray) -> np.ndarray:
-        return self.raw_series(x, 0)[:, :, 0]
+        return lift.coeffs[..., rows] * lift.ctx.factorial[rows] / ctx_x.factorial
 
 
 class PolySection:
-    """Section whose slots are polynomials in a shared monomial basis."""
+    """A stack of sections whose slots are polynomials in a shared monomial
+    basis: coeffs[..., k, r, b] multiplies x^beta_b in slot r of component
+    k, and the leading axes index the stack (none for one section)."""
 
     def __init__(self, coeffs: np.ndarray, nvars: int, order: int, degree: int):
         ctx_jet = context(nvars, order)
         ctx_b = context(nvars, degree)
-        if coeffs.shape[1:] != (ctx_jet.count, ctx_b.count):
+        if coeffs.ndim < 3 or coeffs.shape[-2:] != (ctx_jet.count, ctx_b.count):
             raise ValueError("coefficient block does not match jet and basis")
         self.coeffs = coeffs
         self.nvars = nvars
-        self.ncomp = coeffs.shape[0]
+        self.ncomp = coeffs.shape[-3]
         self.order = order
         self.degree = degree
 
-    def raw_series(self, x: np.ndarray, xorder: int) -> np.ndarray:
-        shift = poly_shift(self.nvars, self.degree, x, xorder)
-        return np.einsum("krb,bw->krw", self.coeffs, shift)
+    def __getitem__(self, index) -> "PolySection":
+        """The sections at index on the stack axes."""
+        return PolySection(self.coeffs[index], self.nvars, self.order,
+                           self.degree)
 
-    def raw_table(self, x: np.ndarray) -> np.ndarray:
-        return self.raw_series(x, 0)[:, :, 0]
+    def raw_series(self, x: np.ndarray, xorder: int) -> np.ndarray:
+        """x-Taylor coefficients through xorder of every slot around each
+        point of x (P, n), (..., P, ncomp, rows, count_xorder)."""
+        shift = poly_shift(self.nvars, self.degree, x, xorder)
+        return np.einsum("...krb,pbw->...pkrw", self.coeffs, shift)
 
     def perturb_top(self, rng: np.random.Generator, scale: float = 1.0) -> "PolySection":
-        """Fresh random polynomials on the highest-order slots only."""
-        ctx_jet = context(self.nvars, self.order)
+        """Fresh random polynomials on the top-order slots, from one draw
+        over the stack: the stream of one draw per section, in order."""
+        top = context(self.nvars, self.order).degree == self.order
         out = self.coeffs.copy()
-        top = ctx_jet.degree == self.order
-        out[:, top, :] += scale * rng.standard_normal(out[:, top, :].shape)
+        out[..., top, :] += scale * rng.standard_normal(out[..., top, :].shape)
         return PolySection(out, self.nvars, self.order, self.degree)
 
 
@@ -370,20 +353,24 @@ def _bracket_tables(nvars: int, q_out: int, ctx_x: MultiIndexContext,
     return out
 
 
-def algebroid_bracket(a: JetSection, b: JetSection,
+_Section = PolySection | HolonomicSection
+
+
+def algebroid_bracket(a: _Section, b: _Section,
                       samples: np.ndarray) -> np.ndarray:
-    """Bracket slot values, (M, n, count_{q-1}) for inputs of order q."""
+    """Bracket slot values at samples (M, n), (..., M, n, count_{q-1}) for
+    inputs of order q.  Stacks are bracketed pair by pair, and every
+    bracket comes from one kernel call on the two blocks."""
     if a.order != b.order or a.nvars != b.nvars:
         raise ValueError("sections must share base and order")
     if a.ncomp != a.nvars:
         raise ValueError("bracket needs vector-field sections")
     pts = np.asarray(samples, dtype=float)
-    tab_a, tab_b = (np.array([s.raw_series(x, 1) for x in pts]) for s in (a, b))
     return _bracket_tables(a.nvars, a.order - 1, context(a.nvars, 1),
-                           tab_a, tab_b)[..., 0]
+                           a.raw_series(pts, 1), b.raw_series(pts, 1))[..., 0]
 
 
-def bracket_jacobi_residual(a: JetSection, b: JetSection, c: JetSection,
+def bracket_jacobi_residual(a: _Section, b: _Section, c: _Section,
                             samples: np.ndarray) -> float:
     """Cyclic sum [[a,b],c] + [[b,c],a] + [[c,a],b], nested via x-series."""
     n, q = a.nvars, a.order
@@ -392,8 +379,7 @@ def bracket_jacobi_residual(a: JetSection, b: JetSection, c: JetSection,
     ctx1 = context(n, 1)
     rows_mid = context(n, q - 1).count
     pts = np.asarray(samples, dtype=float)
-    ta, tb, tc = (np.array([s.raw_series(x, 2) for x in pts])
-                  for s in (a, b, c))
+    ta, tb, tc = a.raw_series(pts, 2), b.raw_series(pts, 2), c.raw_series(pts, 2)
     # the three cyclic terms on a leading axis, then over the points
     u, v, w = (np.stack([ta, tb, tc]), np.stack([tb, tc, ta]),
                np.stack([tc, ta, tb]))
@@ -431,25 +417,20 @@ def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
 
 
 def sample_linear_sections(system: LieEquationSystem, count: int, seed: int,
-                           degree: int = 2,
-                           npoints: int = 40) -> list[PolySection]:
-    """Seeded random polynomial sections of the prolonged linear system."""
-    basis_vecs = _solution_basis(system, seed, degree, npoints)
-    return _draw_sections(system, basis_vecs, count, seed, degree)
-
-
-def _draw_sections(system: LieEquationSystem, basis_vecs: np.ndarray,
-                   count: int, seed: int, degree: int) -> list[PolySection]:
-    """Seeded random combinations of a `_solution_basis` nullspace basis."""
+                           degree: int = 2) -> PolySection:
+    """A stack of count seeded random polynomial sections of the prolonged
+    linear system, each scaled to a largest coefficient of 1."""
+    basis_vecs = _solution_basis(system, seed, degree, 40)
     n, q = system.nvars, system.order
-    shape = (n, context(n, q + 1).count, context(n, degree).count)
-    # one block of draws is the stream of one draw per section; each row
-    # keeps its own vector-matrix product, as one GEMM can give other bits
+    # one block of draws is the stream of one draw per section; a stack of
+    # vector-matrix products runs one per row, where one GEMM can give
+    # other bits
     draws = np.random.default_rng(seed).standard_normal((count, len(basis_vecs)))
-    combos = np.array([g @ basis_vecs for g in draws]).reshape(
-        count, basis_vecs.shape[1])
+    combos = np.matmul(draws[:, None, :], basis_vecs)[:, 0]
     combos /= np.maximum(np.abs(combos).max(axis=1), 1e-30)[:, None]
-    return [PolySection(c.reshape(shape), n, q + 1, degree) for c in combos]
+    return PolySection(combos.reshape(count, n, context(n, q + 1).count,
+                                      context(n, degree).count),
+                       n, q + 1, degree)
 
 
 def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
@@ -464,19 +445,15 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
     each bracket, (npairs, neval, neq), and the bumped pairs' bracket
     values minus the first pairs', (min(npairs, 5), neval, n, rows).
     """
-    n = system.nvars
-    basis_vecs = _solution_basis(system, seed, degree, 40)
-    sections = _draw_sections(system, basis_vecs, 2 * npairs, seed, degree)
-    eval_pts = halton_points(system.box, neval, seed + 1)
-    rng = np.random.default_rng(seed + 2)
+    secs = sample_linear_sections(system, 2 * npairs, seed, degree)
     nlift = min(npairs, 5)
     # the bumped copies of pairs 0..nlift-1, drawn a then b, pair by pair
-    sections += [s.perturb_top(rng) for s in sections[:2 * nlift]]
-    tabs = np.einsum("skrb,pbw->spkrw", np.stack([s.coeffs for s in sections]),
-                     poly_shift(n, degree, eval_pts, 1))
+    bumped = secs[:2 * nlift].perturb_top(np.random.default_rng(seed + 2))
+    both = PolySection(np.concatenate([secs.coeffs, bumped.coeffs]),
+                       secs.nvars, secs.order, degree)
+    eval_pts = halton_points(system.box, neval, seed + 1)
     # (pairs + bumped pairs, points, n, rows): every bracket in one call
-    vals = _bracket_tables(n, system.order, context(n, 1),
-                           tabs[0::2], tabs[1::2])[..., 0]
+    vals = algebroid_bracket(both[0::2], both[1::2], eval_pts)
     rows = system.linear_rows(eval_pts)
     # one stacked product on the contiguous values (a strided view moved
     # bits); it matched one product per pair and point for every builtin at
@@ -486,20 +463,27 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
     return resid, vals[npairs:] - vals[:nlift]
 
 
-def schwarzian(jet) -> float:
-    """Schwarzian from the raw third-order data (f, f', f'', f''')."""
-    vals = np.asarray(jet, dtype=float).ravel()
-    if vals.shape[0] != 4:
-        raise ValueError("need exactly the four raw entries of a 3-jet")
-    f1, f2, f3 = vals[1], vals[2], vals[3]
-    if f1 == 0.0:
+def schwarzian(jet) -> np.ndarray:
+    """Schwarzian from raw third-order data (f, f', f'', f''') on the last
+    axis: (...) for jet (..., 4)."""
+    vals = np.asarray(jet, dtype=float)
+    if vals.shape[-1:] != (4,):
+        raise ValueError("need the four raw entries of a 3-jet on the last axis")
+    f1, f2, f3 = vals[..., 1], vals[..., 2], vals[..., 3]
+    if np.any(f1 == 0.0):
         raise series.DomainError("vanishing first derivative")
-    return float(f3 / f1 - 1.5 * (f2 / f1) ** 2)
+    return f3 / f1 - 1.5 * (f2 / f1) ** 2
 
 
-def schwarzian_of_map(f: ExprMap, x: float) -> float:
-    lift = f.taylor_lift(np.array([x], dtype=float), 3)
-    return schwarzian([lift.raw(0, (k,)) for k in range(4)])
+def _raw3(lift) -> np.ndarray:
+    """(f, f', f'', f''') of a one-variable lift, (..., 4)."""
+    return np.stack([lift.raw(0, (k,)) for k in range(4)], axis=-1)
+
+
+def schwarzian_of_map(f: ExprMap, xs: np.ndarray) -> np.ndarray:
+    """Schwarzian of a map of one variable at each point of xs (M, 1),
+    (M,) from one lift of the block."""
+    return schwarzian(_raw3(f.taylor_lift(np.asarray(xs, dtype=float), 3)))
 
 
 def schwarzian_variation_check(f: ExprMap, eta: ExprMap, samples: np.ndarray,
@@ -511,28 +495,23 @@ def schwarzian_variation_check(f: ExprMap, eta: ExprMap, samples: np.ndarray,
     quotients halve the gap.
     """
     ident = ExprMap.identity(eta.variables)
+    flift = f.taylor_lift(np.reshape(np.asarray(samples, float), (-1, 1)), 3)
+    z0 = flift.value()
+    fr = _raw3(flift)
+    _, f1, f2, f3 = fr.T
+    exact = f1 ** 2 * eta.taylor_lift(z0, 3).raw(0, (3,))
     gaps = []
+    # one lift per step: phi is a new map at each eps
     for e in (eps, eps / 2.0):
-        phi = _shifted_map(ident, eta, e)
-        res = []
-        for x in np.atleast_1d(samples):
-            xa = np.atleast_1d(np.asarray(x, dtype=float))
-            flift = f.taylor_lift(xa, 3)
-            z0 = flift.value()
-            plift = phi.taylor_lift(z0, 3)
-            fr = [flift.raw(0, (k,)) for k in range(4)]
-            pr = [plift.raw(0, (k,)) for k in range(4)]
-            # chain rule through third order for the 1d composition
-            c1 = pr[1] * fr[1]
-            c2 = pr[2] * fr[1] ** 2 + pr[1] * fr[2]
-            c3 = (pr[3] * fr[1] ** 3 + 3.0 * pr[2] * fr[1] * fr[2]
-                  + pr[1] * fr[3])
-            quots = (schwarzian([pr[0], c1, c2, c3])
-                     - schwarzian_of_map(f, float(xa[0]))) / e
-            exact = fr[1] ** 2 * eta.taylor_lift(z0, 3).raw(0, (3,))
-            res.append(abs(quots - exact))
+        p0, p1, p2, p3 = _raw3(_shifted_map(ident, eta, e).taylor_lift(z0, 3)).T
+        # chain rule through third order for the 1d composition
+        c1 = p1 * f1
+        c2 = p2 * f1 ** 2 + p1 * f2
+        c3 = p3 * f1 ** 3 + 3.0 * p2 * f1 * f2 + p1 * f3
+        quots = (schwarzian(np.stack([p0, c1, c2, c3], axis=-1))
+                 - schwarzian(fr)) / e
         # np.max, unlike a running max(), keeps a NaN
-        gaps.append(float(np.max(res, initial=0.0)))
+        gaps.append(float(np.max(np.abs(quots - exact), initial=0.0)))
     return gaps[0], gaps[1]
 
 
@@ -619,7 +598,7 @@ SYSTEM_KEYS = ("label", "nvars", "order", "box", "equations",
 
 def lie_system_from_dict(data: dict) -> LieEquationSystem:
     check_keys(data, SYSTEM_KEYS, "pseudogroup fixture")
-    if data.get("linearization") is None:
+    if "linearization" not in data:
         raise ValueError("pseudogroup fixture needs 'linearization', the "
                          "linear system that is prolonged and closed")
     nvars = check_count(data, "nvars", "pseudogroup fixture")
@@ -628,9 +607,10 @@ def lie_system_from_dict(data: dict) -> LieEquationSystem:
         nvars,
         check_count(data, "order", "pseudogroup fixture"),
         check_box(data, "box", nvars, "pseudogroup fixture"),
-        data["equations"],
-        data["linearization"],
-        data.get("sampling_constraints"),
+        check_text(data, "equations", "pseudogroup fixture"),
+        check_text(data, "linearization", "pseudogroup fixture"),
+        (check_text(data, "sampling_constraints", "pseudogroup fixture")
+         if "sampling_constraints" in data else None),
     )
 
 

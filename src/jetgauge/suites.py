@@ -229,9 +229,7 @@ def _check_schwarzian_invariance(cfg: SuiteConfig, cache: dict):
     f = ExprMap.parse("exp(x)", ["x"])
     g = ExprMap.parse("(2*exp(x) + 1)/(exp(x) + 3)", ["x"])
     xs = halton_points(((-0.8, 0.8),), min(cfg.samples, 16), cfg.seed + 8)
-    res = [schwarzian_of_map(g, float(x[0])) - schwarzian_of_map(f, float(x[0]))
-           for x in xs]
-    return np.array(res), len(xs)
+    return schwarzian_of_map(g, xs) - schwarzian_of_map(f, xs), len(xs)
 
 
 # ------------------------------------------------------------- dynamics

@@ -346,6 +346,28 @@ def test_fixture_counts_must_be_integers(tmp_path, capsys, suite, data, key):
     assert "must be an integer" in err
 
 
+@pytest.mark.parametrize("suite,data,key", [
+    ("pseudogroup", {**_STILL_WATER, "linearization": 3}, "'linearization'"),
+    ("pseudogroup", {**_STILL_WATER, "sampling_constraints": 0},
+     "'sampling_constraints'"),
+    ("dynamics", {"m": 1, "n": 1, "f": 5}, "'f'"),
+    ("dynamics", {"m": 1, "n": 1, "f": "y1 + x1", "g": None}, "'g'"),
+    ("elasticity", {"sigma": 5}, "'sigma'"),
+    ("group", {**_AFFINE, "compose": 5}, "'compose'"),
+    ("group", {**_AFFINE, "action": {**_AFFINE["action"],
+                                     "generators": ["x1", 1]}},
+     "'generators' entry 1"),
+])
+def test_fixture_expressions_must_be_strings(tmp_path, capsys, suite, data,
+                                             key):
+    # a number or null is refused with the key's name, never a traceback
+    # or, for an optional key, a silent drop
+    code, err = _run_fixture(tmp_path, capsys, suite, json.dumps(data))
+    assert code == 2
+    assert err.startswith("jetgauge: ") and key in err
+    assert "must be an expression string" in err
+
+
 @pytest.mark.parametrize("text,key", [
     ('{"R0": 0.5, "bogus": 3}', "'bogus'"),
     ('{"R0": NaN}', "'R0'"),

@@ -386,11 +386,16 @@ def test_derivatives_are_read_through_taylor_map():
         found += [f"{name}:{line}" for line in _attribute_reads(
             tree, ("pos", "factorial", "raw"), "spencer_from_action")]
     assert found == []
-    # elasticity lifts each call site as one block
-    tree = ast.parse((src / "elasticity.py").read_text())
-    in_loops = {line for loop in ast.walk(tree) if isinstance(loop, _LOOPS)
-                for line in _attribute_reads(loop, ("taylor_lift",))}
-    assert sorted(in_loops) == []
+    # elasticity and pseudogroups lift each call site as one block;
+    # schwarzian_variation_check lifts one new map per step size
+    lifts = ("taylor_lift", "raw_series")
+    for name, skip in (("elasticity.py", None),
+                       ("pseudogroups.py", "schwarzian_variation_check")):
+        tree = ast.parse((src / name).read_text())
+        outside = set(_attribute_reads(tree, lifts, skip))
+        in_loops = {line for loop in ast.walk(tree) if isinstance(loop, _LOOPS)
+                    for line in _attribute_reads(loop, lifts)}
+        assert sorted(in_loops & outside) == [], name
 
 
 _BLAS_CALLS = ("dot", "matmul", "inner", "vdot", "ascontiguousarray")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jetgauge import series
+from jetgauge import pseudogroups, series
 from jetgauge._multiindex import context, shift_table
 from jetgauge.expr import ExprMap
 from jetgauge.pseudogroups import (
@@ -146,9 +146,8 @@ def test_bracket_of_holonomic_is_holonomic():
         "x1^2*x2^2 + (x1 - x2^2)*x1 - x2 + 2*x1*x2^2",
         ["x1", "x2"])
     br = algebroid_bracket(HolonomicSection(g1, 3), HolonomicSection(g2, 3), PTS2)
-    hb = HolonomicSection(lie, 2)
-    for s, x in enumerate(PTS2):
-        assert np.max(np.abs(br[s] - hb.raw_table(x))) < 1e-13
+    want = HolonomicSection(lie, 2).raw_series(PTS2, 0)[..., 0]
+    assert np.max(np.abs(br - want)) < 1e-13
 
 
 def test_bracket_jacobi_nonholonomic():
@@ -170,6 +169,49 @@ def test_bracket_independent_of_lift():
     bumped = algebroid_bracket(secs[0].perturb_top(rng, 2.0),
                                secs[1].perturb_top(rng, 2.0), pts)
     assert np.max(np.abs(bumped - base)) < 1e-12
+
+
+def test_perturb_top_on_a_stack_is_the_per_section_stream():
+    # closure's lift gaps rest on this: one draw over a stack is the
+    # stream of one draw per section, section after section
+    secs = sample_linear_sections(builtin_system("r1"), 4, seed=6)
+    got = secs.perturb_top(np.random.default_rng(12), 2.0).coeffs
+    rng = np.random.default_rng(12)
+    top = context(secs.nvars, secs.order).degree == secs.order
+    for s in range(4):
+        want = secs.coeffs[s].copy()
+        want[:, top, :] += 2.0 * rng.standard_normal(want[:, top, :].shape)
+        assert _same_bits(got[s], want)
+
+
+def test_pseudogroup_suite_runs_the_section_api_on_blocks(monkeypatch):
+    # bracket closure samples its sections and brackets them through the
+    # public API, once per roster system, and no lift takes a single point
+    calls, bases = [], []
+
+    def spy(name):
+        real = getattr(pseudogroups, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pseudogroups, name, counted)
+
+    spy("sample_linear_sections")
+    spy("algebroid_bracket")
+    real_lift = ExprMap.taylor_lift
+
+    def lift(self, base, order):
+        bases.append(np.shape(base))
+        return real_lift(self, base, order)
+
+    monkeypatch.setattr(ExprMap, "taylor_lift", lift)
+    run_suite("pseudogroup", SuiteConfig(seed=42))
+    roster = len(suites.LIE_SYSTEMS)
+    assert calls.count("sample_linear_sections") == roster
+    assert calls.count("algebroid_bracket") == roster
+    assert bases and all(len(shape) == 2 and shape[0] > 1 for shape in bases)
 
 
 def _loop_mul(ctx, a, b):
@@ -206,8 +248,10 @@ def test_stacked_bracket_equals_each_slice(name):
     n, ctx1 = sys_.nvars, context(sys_.nvars, 1)
     secs = sample_linear_sections(sys_, 6, seed=5)
     pts = halton_points(sys_.box, 4, 17)
-    tabs = np.array([[s.raw_series(x, 1) for x in pts] for s in secs])
+    tabs = secs.raw_series(pts, 1)
     stacked = _bracket_tables(n, sys_.order, ctx1, tabs[0::2], tabs[1::2])
+    assert _same_bits(stacked[..., 0],
+                      algebroid_bracket(secs[0::2], secs[1::2], pts))
     for p in range(3):
         alone = algebroid_bracket(secs[2 * p], secs[2 * p + 1], pts)
         assert _same_bits(stacked[p, ..., 0], alone)
@@ -228,7 +272,7 @@ def test_bracket_tables_truncate_to_the_output_order(name):
     ctx1, ctx2 = context(n, 1), context(n, 2)
     secs = sample_linear_sections(sys_, 3, seed=7)
     pts = halton_points(sys_.box, 4, 23)
-    t2 = [np.array([s.raw_series(x, 2) for x in pts]) for s in secs]
+    t2 = [secs[i].raw_series(pts, 2) for i in range(3)]
     from_2 = _bracket_tables(n, q - 1, ctx2, t2[0], t2[1])
     from_1 = _bracket_tables(n, q - 1, ctx1, t2[0][..., :ctx1.count],
                              t2[1][..., :ctx1.count])
@@ -243,7 +287,7 @@ def test_bracket_tables_truncate_to_the_output_order(name):
     vals = _full_order_bracket(n, q - 2, ctx1, inner,
                                w[..., :rows_mid, :ctx1.count])[..., 0]
     want = float(np.max(np.abs(vals[0] + vals[1] + vals[2])))
-    got = bracket_jacobi_residual(*secs, pts)
+    got = bracket_jacobi_residual(secs[0], secs[1], secs[2], pts)
     assert _same_bits(np.float64(got), np.float64(want))
 
 
@@ -303,21 +347,23 @@ def test_sampled_sections_satisfy_system():
     r1 = builtin_system("r1")
     secs = sample_linear_sections(r1, 3, seed=4)
     pts = halton_points(r1.box, 6, 31)
-    for sec in secs:
-        for x in pts:
-            resid = r1.linear_rows(x) @ sec.raw_table(x)[:, :r1.jet_ctx().count].ravel()
-            assert np.max(np.abs(resid)) < 1e-12
+    jets = secs.raw_series(pts, 0)[..., :r1.jet_ctx().count, 0]
+    resid = np.einsum("pec,spc->spe", r1.linear_rows(pts),
+                      jets.reshape(3, len(pts), -1))
+    assert resid.shape == (3, len(pts), len(r1.linearization))
+    assert np.max(np.abs(resid)) < 1e-12
 
 
 def test_schwarzian_anchor_and_moebius():
     assert abs(schwarzian([1.0, 1.0, 1.0, 1.0]) + 0.5) < 1e-15
     # exp has schwarzian -1/2 everywhere
     f = ExprMap.parse("exp(x)", ["x"])
-    assert abs(schwarzian_of_map(f, 0.6) + 0.5) < 1e-12
+    xs = np.array([[0.6], [0.0], [0.4], [-0.3]])
+    assert np.max(np.abs(schwarzian_of_map(f, xs) + 0.5)) < 1e-12
     # moebius reparametrization leaves it unchanged
     g = ExprMap.parse("(2*exp(x) + 1)/(exp(x) + 3)", ["x"])
-    for x in (0.0, 0.4, -0.3):
-        assert abs(schwarzian_of_map(g, x) + 0.5) < 1e-10
+    assert schwarzian_of_map(g, xs).shape == (4,)
+    assert np.max(np.abs(schwarzian_of_map(g, xs) + 0.5)) < 1e-10
 
 
 def test_schwarzian_variation_quotient_halves():
@@ -676,12 +722,12 @@ def test_schwarzian_variation_nan_fails_closed():
 
 def test_schwarzian_invariance_check_nan_fails_closed(monkeypatch):
     real = suites.schwarzian_of_map
-    calls = []
 
-    def poisoned(f, x):
-        calls.append(x)
-        # the first call of the second sample
-        return math.nan if len(calls) == 3 else real(f, x)
+    def poisoned(f, xs):
+        # the second point of the block, after a finite first point
+        out = real(f, xs)
+        out[1] = math.nan
+        return out
 
     monkeypatch.setattr(suites, "schwarzian_of_map", poisoned)
     rep = run_suite("pseudogroup", SuiteConfig(seed=42))
