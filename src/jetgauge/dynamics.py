@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fixtures import check_box, check_count, check_keys, check_text, read_fixture
+from ._fixtures import MOTION_FAMILY, parse_map, read_fixture, validate
 from ._multiindex import exponent_rows
 from .expr import ExprMap, PolyMap, TaylorMap
 from .quadrature import gauss_rule, tensor_rule
@@ -195,13 +195,15 @@ class MotionFamily:
 
     @classmethod
     def parse(cls, m: int, n: int, forward: str, inverse: str | None = None,
-              variation: str | None = None, **kw) -> "MotionFamily":
+              variation: str | None = None, what: str = "family",
+              **kw) -> "MotionFamily":
+        """A parse error names what and the fixture key: f, g or variation."""
         fvars = _names("y", m) + _names("x", n)
         gvars = _names("z", m) + _names("x", n)
-        fmap = ExprMap.parse(forward, fvars)
-        gmap = ExprMap.parse(inverse, gvars) if inverse else None
-        vmap = ExprMap.parse(variation, fvars + ["eps"]) if variation else None
-        return cls(m, n, fmap, inverse=gmap, variation=vmap, **kw)
+        return cls(m, n, parse_map(forward, fvars, what, "f", m),
+                   inverse=parse_map(inverse, gvars, what, "g", m),
+                   variation=parse_map(variation, fvars + ["eps"], what,
+                                       "variation", m), **kw)
 
     def invert(self, z: np.ndarray, x: np.ndarray,
                seed: np.ndarray | None = None) -> np.ndarray:
@@ -253,24 +255,14 @@ class MotionFamily:
         return float(np.max(gaps, initial=0.0))
 
 
-FAMILY_KEYS = ("m", "n", "f", "g", "variation", "box", "label")
-
-
 def motion_family_from_dict(data: dict) -> MotionFamily:
     what = "dynamics fixture"
-    check_keys(data, FAMILY_KEYS, what)
-    box = check_keys(data.get("box", {}), ("y", "x", "z"), "dynamics box")
-    m = check_count(data, "m", what)
-    n = check_count(data, "n", what)
-    for key, count in (("y", m), ("x", n), ("z", m)):
-        if key in box:
-            check_box(box, key, count, "dynamics box")
+    v = validate(data, MOTION_FAMILY, what)
+    box = v["box"]
     return MotionFamily.parse(
-        m, n, check_text(data, "f", what),
-        inverse=check_text(data, "g", what) if "g" in data else None,
-        variation=check_text(data, "variation", what) if "variation" in data else None,
+        v["m"], v["n"], v["f"], v["g"], v["variation"], what,
         ybox=box.get("y"), xbox=box.get("x"), zbox=box.get("z"),
-        label=data.get("label", "family"))
+        label=v["label"])
 
 
 def load_motion_family(path: str | Path) -> MotionFamily:

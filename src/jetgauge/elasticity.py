@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fixtures import check_keys, check_text, read_fixture
+from ._fixtures import STRESS_STATE, parse_map, read_fixture, validate
 from ._multiindex import poly_shift
 from .expr import ExprMap, PolyMap
 from .quadrature import gauss_rule, tensor_rule
@@ -133,10 +133,11 @@ class StressState:
             raise ValueError("mu must map x1, x2 to two components")
 
     @classmethod
-    def parse(cls, sigma: str, mu: str = "0, 0",
-              label: str = "state") -> "StressState":
-        return cls(ExprMap.parse(sigma, PLANE), ExprMap.parse(mu, PLANE),
-                   label)
+    def parse(cls, sigma: str, mu: str = "0, 0", label: str = "state",
+              what: str = "stress state") -> "StressState":
+        """A parse error names what and the fixture key: sigma or mu."""
+        return cls(parse_map(sigma, PLANE, what, "sigma", 4),
+                   parse_map(mu, PLANE, what, "mu", 2), label)
 
     def sigma_matrix(self, points: np.ndarray) -> np.ndarray:
         """sigma as (..., 2, 2) at a point (2,) or a block (..., 2)."""
@@ -146,11 +147,7 @@ class StressState:
 
 def stress_state_from_dict(data: dict) -> StressState:
     what = "stress fixture"
-    check_keys(data, ("sigma", "mu", "label"), what)
-    return StressState.parse(
-        check_text(data, "sigma", what),
-        check_text(data, "mu", what) if "mu" in data else "0, 0",
-        data.get("label", "state"))
+    return StressState.parse(**validate(data, STRESS_STATE, what), what=what)
 
 
 def load_stress_state(path: str | Path) -> StressState:

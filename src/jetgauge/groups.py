@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass, field
-from importlib import resources
 import numpy as np
 
 from . import series
-from ._fixtures import check_box, check_count, check_keys, check_text, read_fixture
+from ._fixtures import GROUP, parse_map, read_fixture, validate
 from ._multiindex import context
 from .expr import ExprMap, PolyMap
 from .sampling import halton_points
@@ -138,61 +136,31 @@ def jacobi_residual(c: np.ndarray) -> float:
     return float(np.max(res, initial=0.0))
 
 
-def _group_vars(p: int) -> tuple[list[str], list[str]]:
-    return [f"a{k + 1}" for k in range(p)], [f"b{k + 1}" for k in range(p)]
-
-
 def load_group_spec(name: str) -> LieGroupSpec:
-    """Load a group chart from JSON: a fixture that read_fixture finds,
-    else a bundled fixture name."""
-    try:
-        data = read_fixture(name)
-    except FileNotFoundError:
-        bundled = resources.files("jetgauge.fixtures").joinpath(f"{name}.json")
-        if not bundled.is_file():
-            raise
-        data = json.loads(bundled.read_text())
-    return group_spec_from_dict(data)
-
-
-GROUP_KEYS = ("label", "dim", "identity", "box", "compose", "inverse",
-              "action")
-ACTION_KEYS = ("dim", "box", "generators")
+    """A fixture that read_fixture finds, else a bundled chart's name."""
+    return group_spec_from_dict(read_fixture(name, bundled=True))
 
 
 def group_spec_from_dict(data: dict) -> LieGroupSpec:
-    check_keys(data, GROUP_KEYS, "group fixture")
-    p = check_count(data, "dim", "group fixture")
-    check_box(data, "box", p, "group fixture")
-    identity = np.asarray(data["identity"], dtype=float)
-    if identity.shape != (p,):
-        raise ValueError(f"group fixture 'identity' must hold {p} values, "
-                         f"not {data['identity']!r}")
-    avars, bvars = _group_vars(p)
-    compose = ExprMap.parse(check_text(data, "compose", "group fixture"), avars + bvars)
-    inverse = ExprMap.parse(check_text(data, "inverse", "group fixture"), avars)
-    if len(compose) != p or len(inverse) != p:
-        raise ValueError("compose/inverse component count must equal dim")
-    action = None
-    if data.get("action"):
-        adata = check_keys(data["action"], ACTION_KEYS, "group action")
-        nact = check_count(adata, "dim", "group action")
-        check_box(adata, "box", nact, "group action")
+    what = "group fixture"
+    v = validate(data, GROUP, what)
+    p = v["dim"]
+    avars = [f"a{k + 1}" for k in range(p)]
+    bvars = [f"b{k + 1}" for k in range(p)]
+    action = v["action"]
+    if action is not None:
+        nact = action["dim"]
         xvars = [f"x{k + 1}" for k in range(nact)]
-        texts = adata["generators"]
-        gens = tuple(ExprMap.parse(check_text(
-            texts, i, "group action 'generators' entry"), xvars)
-            for i in range(len(texts)))
-        if len(gens) != p or any(len(g) != nact for g in gens):
-            raise ValueError("need one n-component generator per group parameter")
-        action = GroupAction(nact, tuple(map(tuple, adata["box"])), gens)
+        action = GroupAction(nact, tuple(map(tuple, action["box"])), tuple(
+            parse_map(text, xvars, what, f"action.generators[{i}]", nact)
+            for i, text in enumerate(action["generators"])))
     spec = LieGroupSpec(
-        label=data.get("label", "unnamed"),
+        label=v["label"],
         dim=p,
-        identity=identity,
-        box=tuple(map(tuple, data["box"])),
-        compose=compose,
-        inverse=inverse,
+        identity=np.asarray(v["identity"], dtype=float),
+        box=tuple(map(tuple, v["box"])),
+        compose=parse_map(v["compose"], avars + bvars, what, "compose", p),
+        inverse=parse_map(v["inverse"], avars, what, "inverse", p),
         action=action,
     )
     spec.validate()

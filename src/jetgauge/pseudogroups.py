@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import series
-from ._fixtures import check_box, check_count, check_keys, check_text, read_fixture
+from ._fixtures import LIE_SYSTEM, parse_map, read_fixture, validate
 from ._multiindex import (MultiIndexContext, context, derivative_rows,
                           poly_shift, shift_table)
 from .expr import ExprMap
@@ -516,8 +516,8 @@ def schwarzian_variation_check(f: ExprMap, eta: ExprMap, samples: np.ndarray,
 
 
 def _make_system(label: str, nvars: int, order: int, box, equations: str,
-                 linearization: str,
-                 sampling_constraints: str | None = None) -> LieEquationSystem:
+                 linearization: str, sampling_constraints: str | None = None,
+                 what: str = "built-in system") -> LieEquationSystem:
     xvars = [f"x{k + 1}" for k in range(nvars)]
     eq_vars = xvars + jet_variable_names(nvars, nvars, order, "y")
     li_vars = xvars + jet_variable_names(nvars, nvars, order, "xi")
@@ -526,10 +526,10 @@ def _make_system(label: str, nvars: int, order: int, box, equations: str,
         nvars=nvars,
         order=order,
         box=tuple(map(tuple, box)),
-        equations=ExprMap.parse(equations, eq_vars),
-        linearization=ExprMap.parse(linearization, li_vars),
-        sampling_constraints=(ExprMap.parse(sampling_constraints, li_vars)
-                              if sampling_constraints else None),
+        equations=parse_map(equations, eq_vars, what, "equations"),
+        linearization=parse_map(linearization, li_vars, what, "linearization"),
+        sampling_constraints=parse_map(sampling_constraints, li_vars, what,
+                                       "sampling_constraints"),
     )
 
 
@@ -592,26 +592,9 @@ def builtin_system(name: str) -> LieEquationSystem:
             f"unknown system '{name}'; have {sorted(BUILTIN_SYSTEMS)}") from None
 
 
-SYSTEM_KEYS = ("label", "nvars", "order", "box", "equations",
-               "linearization", "sampling_constraints")
-
-
 def lie_system_from_dict(data: dict) -> LieEquationSystem:
-    check_keys(data, SYSTEM_KEYS, "pseudogroup fixture")
-    if "linearization" not in data:
-        raise ValueError("pseudogroup fixture needs 'linearization', the "
-                         "linear system that is prolonged and closed")
-    nvars = check_count(data, "nvars", "pseudogroup fixture")
-    return _make_system(
-        data.get("label", "unnamed"),
-        nvars,
-        check_count(data, "order", "pseudogroup fixture"),
-        check_box(data, "box", nvars, "pseudogroup fixture"),
-        check_text(data, "equations", "pseudogroup fixture"),
-        check_text(data, "linearization", "pseudogroup fixture"),
-        (check_text(data, "sampling_constraints", "pseudogroup fixture")
-         if "sampling_constraints" in data else None),
-    )
+    what = "pseudogroup fixture"
+    return _make_system(**validate(data, LIE_SYSTEM, what), what=what)
 
 
 def load_lie_system(name: str) -> LieEquationSystem:

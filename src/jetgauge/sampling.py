@@ -35,7 +35,7 @@ def halton_points(box: Box, count: int, seed: int) -> np.ndarray:
     box = list(box)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
-    if not np.all(lo < hi):  # fixture boxes arrive unchecked
+    if not np.all(lo < hi):  # a caller's box may come unchecked
         raise ValueError(f"box bounds must satisfy lo < hi: {box}")
     rng = np.random.default_rng(seed)
     idx = np.arange(count)

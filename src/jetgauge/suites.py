@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fixtures import check_keys, read_fixture
+from ._fixtures import SWELL, read_fixture, validate
 from ._multiindex import context
 from .dynamics import (
     MotionFamily, compatibility_residual, el_residual, load_motion_family,
@@ -359,33 +359,17 @@ def _check_pressure_path_independence(cfg: SuiteConfig, cache: dict):
 
 # ---------------------------------------------------------------- swell
 
-SWELL_DEFAULTS = {"R0": 1.0, "k": 0.1, "omega": 1.0, "c": 0.0}
-SWELL_KEYS = (*SWELL_DEFAULTS, "decay")
-
-
 def _swell_params(cfg: SuiteConfig) -> dict:
-    """The defaults updated by the fixture, which may set only SWELL_KEYS,
-    each to a finite number; decay, when set, breaks the balance."""
-    params = dict(SWELL_DEFAULTS)
-    if cfg.fixture:
-        data = check_keys(read_fixture(cfg.fixture), SWELL_KEYS,
-                          "swell fixture")
-        for key, value in data.items():
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ValueError(f"swell parameter {key!r} must be a finite "
-                                 f"number, not {value!r}")
-        params.update(data)
-    return params
+    """The swell schema's defaults, updated by the fixture."""
+    return validate(read_fixture(cfg.fixture) if cfg.fixture else {}, SWELL,
+                    "swell fixture")
 
 
 def _swell_report(cfg: SuiteConfig, cache: dict):
     if "swell" not in cache:
-        p = _swell_params(cfg)
-        cache["swell_params"] = p
-        cache["swell"] = swell_family(
-            p["R0"], p["k"], p["omega"], p["c"], decay=p.get("decay"),
-            nlabels=min(cfg.samples, 24), seed=cfg.seed + 311)[1]
+        p = cache["swell_params"] = _swell_params(cfg)
+        cache["swell"] = swell_family(**p, nlabels=min(cfg.samples, 24),
+                                      seed=cfg.seed + 311)[1]
     return cache["swell"]
 
 
@@ -408,9 +392,8 @@ def _check_swell_moving_frame(cfg, cache):
 def _check_swell_unbalanced_control(cfg, cache):
     _swell_report(cfg, cache)          # reads the fixture once per run
     p = cache["swell_params"]
-    drift = swell_family(p["R0"], p["k"], p["omega"], p["c"],
-                         decay=2.5 * p["k"], nlabels=min(cfg.samples, 24),
-                         seed=cfg.seed + 311)[1][0]
+    drift = swell_family(**dict(p, decay=2.5 * p["k"]), seed=cfg.seed + 311,
+                         nlabels=min(cfg.samples, 24))[1][0]
     # reduces its own inputs: the residual is a shortfall of the maximum
     return (_shortfall(np.max(np.abs(drift), initial=0.0), 1e-3),
             min(cfg.samples, 24))

@@ -284,12 +284,16 @@ _AFFINE = json.loads(resources.files("jetgauge.fixtures")
 
 @pytest.mark.parametrize("suite,data,key", [
     ("group", {**_AFFINE, "bogus": 1}, "'bogus'"),
-    ("group", {**_AFFINE, "action": {**_AFFINE["action"], "gens": ["x1"]}},
-     "'gens'"),
+    # a nested key is named by its dotted path; explicit ids keep the names
+    # these cases have always run under
+    pytest.param("group", {**_AFFINE, "action": {**_AFFINE["action"],
+                                                 "gens": ["x1"]}},
+                 "'action.gens'", id="group-data1-'gens'"),
     ("dynamics", {"m": 1, "n": 1, "f": "y1 + x1", "inverse": "z1 - x1"},
      "'inverse'"),
-    ("dynamics", {"m": 1, "n": 1, "f": "y1 + x1", "box": {"w": [[0, 1]]}},
-     "'w'"),
+    pytest.param("dynamics", {"m": 1, "n": 1, "f": "y1 + x1",
+                              "box": {"w": [[0, 1]]}},
+                 "'box.w'", id="dynamics-data3-'w'"),
 ])
 def test_group_and_dynamics_fixtures_refuse_unknown_keys(tmp_path, capsys,
                                                          suite, data, key):
@@ -332,8 +336,9 @@ def test_pseudogroup_and_stress_fixtures_refuse_unknown_keys(tmp_path, capsys,
 @pytest.mark.parametrize("suite,data,key", [
     ("group", {**_AFFINE, "dim": 2.7}, "'dim'"),
     ("group", {**_AFFINE, "dim": True}, "'dim'"),
-    ("group", {**_AFFINE, "action": {**_AFFINE["action"], "dim": 1.0}},
-     "'dim'"),
+    pytest.param("group", {**_AFFINE, "action": {**_AFFINE["action"],
+                                                 "dim": 1.0}},
+                 "'action.dim'", id="group-data2-'dim'"),
     ("dynamics", {"m": 1.5, "n": 1, "f": "y1 + x1"}, "'m'"),
     ("dynamics", {"m": 1, "n": True, "f": "y1 + x1"}, "'n'"),
     ("pseudogroup", {**_STILL_WATER, "nvars": "1"}, "'nvars'"),
@@ -354,9 +359,10 @@ def test_fixture_counts_must_be_integers(tmp_path, capsys, suite, data, key):
     ("dynamics", {"m": 1, "n": 1, "f": "y1 + x1", "g": None}, "'g'"),
     ("elasticity", {"sigma": 5}, "'sigma'"),
     ("group", {**_AFFINE, "compose": 5}, "'compose'"),
-    ("group", {**_AFFINE, "action": {**_AFFINE["action"],
-                                     "generators": ["x1", 1]}},
-     "'generators' entry 1"),
+    pytest.param("group", {**_AFFINE, "action": {**_AFFINE["action"],
+                                                 "generators": ["x1", 1]}},
+                 "'action.generators[1]'",
+                 id="group-data6-'generators' entry 1"),
 ])
 def test_fixture_expressions_must_be_strings(tmp_path, capsys, suite, data,
                                              key):
@@ -384,13 +390,18 @@ def test_swell_fixture_keys_and_values_are_checked(tmp_path, capsys,
 @pytest.mark.parametrize("suite,data,key,what", [
     ("group", {**_AFFINE, "box": [[0.5, 2.0]]}, "'box'", "group fixture"),
     ("group", {**_AFFINE, "identity": [1.0]}, "'identity'", "group fixture"),
-    ("group", {**_AFFINE, "action": {**_AFFINE["action"],
-                                     "box": [[1.0, -1.0]]}},
-     "'box'", "group action"),
-    ("dynamics", {"m": 1, "n": 1, "f": "y1 + x1",
-                  "box": {"x": [[0.0, "1"]]}}, "'x'", "dynamics box"),
-    ("dynamics", {"m": 2, "n": 1, "f": "y1 + x1, y2",
-                  "box": {"z": [[-1.0, 1.0]]}}, "'z'", "dynamics box"),
+    pytest.param("group", {**_AFFINE, "action": {**_AFFINE["action"],
+                                                 "box": [[1.0, -1.0]]}},
+                 "'action.box'", "group fixture",
+                 id="group-data2-'box'-group action"),
+    pytest.param("dynamics", {"m": 1, "n": 1, "f": "y1 + x1",
+                              "box": {"x": [[0.0, "1"]]}},
+                 "'box.x'", "dynamics fixture",
+                 id="dynamics-data3-'x'-dynamics box"),
+    pytest.param("dynamics", {"m": 2, "n": 1, "f": "y1 + x1, y2",
+                              "box": {"z": [[-1.0, 1.0]]}},
+                 "'box.z'", "dynamics fixture",
+                 id="dynamics-data4-'z'-dynamics box"),
     ("pseudogroup", {**_STILL_WATER, "box": [[-1.0, 1e999]]}, "'box'",
      "pseudogroup fixture"),
 ])
