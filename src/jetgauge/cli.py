@@ -15,9 +15,8 @@ import sys
 
 import numpy as np
 
-from .dynamics import InverseSolveError, swell_rows
-from .series import DomainError
-from .suites import SUITE_NAMES, SuiteConfig, _swell_params, run_suite
+from ._runner import SUITE_NAMES, SuiteConfig, run_suite
+from .series import DomainError, InverseSolveError
 
 __all__ = ["main", "build_parser", "export_swell_csv", "export_swell_svg",
            "CSV_HEADER"]
@@ -27,6 +26,7 @@ CSV_HEADER = "t,a,b,x,y,xbar,ybar"
 
 def _swell_table(params: dict, nlabels_a: int = 6, nlabels_b: int = 3,
                  ntimes: int = 33) -> list[tuple[float, ...]]:
+    from .dynamics import swell_rows   # the kernel only a table needs
     k, omega = params["k"], params["omega"]
     period = 2.0 * math.pi / abs(omega) if omega else 1.0
     span = 0.6 * math.pi / k
@@ -121,15 +121,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = SuiteConfig(seed=args.seed, samples=args.samples,
                       tol_scale=args.tol_scale, fixture=args.fixture)
+    caches: dict = {}
     try:
-        report = run_suite(args.suite, cfg)
+        report = run_suite(args.suite, cfg, caches)
     except (ValueError, OSError, DomainError, InverseSolveError) as exc:
         print(f"jetgauge: {exc}", file=sys.stderr)
         return 2
 
     if args.csv or args.svg:
-        # Only a swell fixture holds swell parameters.
-        params = _swell_params(cfg if args.suite == "swell" else SuiteConfig())
+        from ._suite_swell import _swell_params
+        # What the swell run read; only a swell fixture holds parameters.
+        params = (caches["swell"]["swell_params"] if "swell" in caches
+                  else _swell_params(SuiteConfig()))
         try:
             rows = _swell_table(params)
             if args.csv:

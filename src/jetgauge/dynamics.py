@@ -32,7 +32,7 @@ from ._fixtures import MOTION_FAMILY, parse_map, read_fixture, validate
 from ._multiindex import exponent_rows
 from .expr import ExprMap, PolyMap, TaylorMap
 from .quadrature import gauss_rule, tensor_rule
-from .series import DomainError
+from .series import DomainError, InverseSolveError
 from .sampling import Box, halton_points
 
 __all__ = [
@@ -47,10 +47,6 @@ __all__ = [
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 DIV_TOL = 1e-8
-
-
-class InverseSolveError(RuntimeError):
-    """The point inversion of f(., x) failed to converge."""
 
 
 class DivergenceNotZero(ValueError):
@@ -650,9 +646,13 @@ def swell_family(R0: float, k: float, omega: float, c: float,
     det minus 1 - k^2 R^2, empty unless balanced; |f - label| - R(b); and
     (nlabels, ntimes, 2) the wave-frame point minus f at the shifted label.
     """
+    rate = k if decay is None else float(decay)
+    for key, value in (("R0", R0), ("k", k), ("omega", omega), ("c", c),
+                       ("decay", rate)):    # each is written into the text
+        if not math.isfinite(value):
+            raise ValueError(f"swell {key!r} must be finite, not {value!r}")
     if R0 < 0.0 or k <= 0.0:
         raise ValueError("need R0 >= 0 and k > 0")
-    rate = k if decay is None else float(decay)
     radius = f"{R0!r} * exp(-{rate!r} * y2)"
     theta = f"{omega!r} * x1 - ({k!r} * y1 + {c!r})"
     fam = MotionFamily.parse(

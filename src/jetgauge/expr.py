@@ -368,6 +368,26 @@ class PolyMap:
             "kb,...bw->...kw", self.coeffs[:, used], shift))
 
 
+def _random_poly(rng: np.random.Generator, names: tuple[str, ...],
+                 monomials: tuple[tuple[str, ...], ...], scale: float,
+                 affine: np.ndarray) -> PolyMap:
+    """affine plus random monomial terms, one component per row of affine.
+
+    A monomial lists its factors, so ("x1", "x1") is x1^2.  Each component
+    draws rng.uniform(-1, 1) * scale for its monomials in turn; affine
+    (nout, 1 + len(names)) holds the constant and linear coefficients,
+    which are the first slots of the graded basis.
+    """
+    degree = max(map(len, monomials))
+    ctx = context(len(names), degree)
+    slots = [ctx.pos([mono.count(v) for v in names]) for mono in monomials]
+    coeffs = np.zeros((len(affine), ctx.count))
+    coeffs[:, :len(names) + 1] = affine
+    for row in coeffs:
+        row[slots] += rng.uniform(-1.0, 1.0, size=len(monomials)) * scale
+    return PolyMap(names, degree, coeffs)
+
+
 def _compile(variables: Sequence[str], exprs: Sequence[Expr]):
     """Flatten expression trees into a tape in lift evaluation order.
 

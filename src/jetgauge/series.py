@@ -17,14 +17,18 @@ import numpy as np
 from ._multiindex import MultiIndexContext
 
 __all__ = [
-    "DomainError", "const", "coordinate", "mul", "compose_univariate",
-    "analytic", "div", "powc", "dvar",
+    "DomainError", "InverseSolveError", "const", "coordinate", "mul",
+    "compose_univariate", "analytic", "div", "powc", "dvar",
 ]
 
 
 class DomainError(ArithmeticError):
     """Evaluation left the real domain (division by zero, log of a
     nonpositive value, sqrt of a negative, zero to a negative power)."""
+
+
+class InverseSolveError(RuntimeError):
+    """The point inversion of f(., x) failed to converge."""
 
 
 def const(ctx: MultiIndexContext, value) -> np.ndarray:

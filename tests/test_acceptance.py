@@ -28,9 +28,9 @@ from jetgauge.groups import (
 )
 from jetgauge.pseudogroups import builtin_system, closure_check
 from jetgauge.sampling import halton_points
-from jetgauge.suites import (
-    EXP_MOVED, _max_abs, _random_gauging, _random_motion_family,
-)
+from jetgauge._runner import _max_abs
+from jetgauge._suite_dynamics import EXP_MOVED, _random_motion_family
+from jetgauge._suite_group import _random_gauging
 from polytext import poly_text
 
 GRID = Grid(((-0.5, 0.5), (-0.5, 0.5)), (5, 5))

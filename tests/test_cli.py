@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from jetgauge import suites
+from jetgauge import _suite_swell
 from jetgauge.cli import export_swell_csv, export_swell_svg, main
 from jetgauge.dynamics import swell_rows
 from jetgauge.report import CheckRecord, Report
@@ -154,10 +154,32 @@ def test_swell_fixture_is_read_once_per_run(tmp_path, monkeypatch):
     def counted(name):
         reads.append(name)
         return read(name)
-    read = suites.read_fixture
-    monkeypatch.setattr(suites, "read_fixture", counted)
+    read = _suite_swell.read_fixture
+    monkeypatch.setattr(_suite_swell, "read_fixture", counted)
     assert run_suite("swell", SuiteConfig(fixture=str(fixture))).passed
     assert reads == [str(fixture)]
+
+
+def test_cli_swell_table_uses_the_parameters_the_run_read(tmp_path,
+                                                          monkeypatch):
+    fixture = tmp_path / "k.json"
+    fixture.write_text('{"k": 0.2}')
+    reads = []
+
+    def counted(name):
+        reads.append(name)
+        return read(name)
+    read = _suite_swell.read_fixture
+    monkeypatch.setattr(_suite_swell, "read_fixture", counted)
+    csv, svg = tmp_path / "s.csv", tmp_path / "s.svg"
+    for calls in (1, 2):
+        assert main(["--suite", "swell", "--fixture", str(fixture),
+                     "--csv", str(csv), "--svg", str(svg),
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert reads == [str(fixture)] * calls
+    want = tmp_path / "want.csv"
+    export_swell_csv(dict(PARAMS, k=0.2, decay=None), str(want))
+    assert csv.read_text() == want.read_text()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from jetgauge import suites
+from jetgauge import _suite_dynamics, suites
+from jetgauge._runner import _max_abs
 from jetgauge._multiindex import exponent_rows, poly_shift
 from jetgauge.expr import ExprMap, PolyMap
 from jetgauge.dynamics import (
@@ -18,7 +19,7 @@ from jetgauge.dynamics import (
 )
 from jetgauge.sampling import halton_points
 from jetgauge.suites import (
-    SUITE_NAMES, SuiteConfig, _max_abs, run_suite, suite_check_ids,
+    SUITE_NAMES, SuiteConfig, run_suite, suite_check_ids,
 )
 from polytext import poly_text
 
@@ -213,8 +214,8 @@ def test_vortex_nan_fails_closed(monkeypatch):
     pts = np.array([[0.1, 0.2, 0.3, 0.0], [0.1, 0.2, 0.3, 2.0]])
     assert _max_abs(vortex_residual(fld, pts[:1])) < 1e-13
     assert math.isnan(_max_abs(vortex_residual(fld, pts)))
-    real = suites.random_solenoidal_field
-    monkeypatch.setattr(suites, "random_solenoidal_field",
+    real = _suite_dynamics.random_solenoidal_field
+    monkeypatch.setattr(_suite_dynamics, "random_solenoidal_field",
                         lambda seed: fld if seed == 42 + 303 else real(seed))
     rep = run_suite("dynamics", SuiteConfig(seed=42))
     record = {r.id: r for r in rep.records}["vortex_transport"]
@@ -225,7 +226,7 @@ def test_vortex_nan_fails_closed(monkeypatch):
 def test_compatibility_report_keeps_nan(monkeypatch):
     # a NaN in either form of the second family, after the finite
     # residuals before it, reaches the speed_compatibility record
-    real = suites.compatibility_residual
+    real = _suite_dynamics.compatibility_residual
     spec = [c for c in suites.SUITES["dynamics"] if c.id == "speed_compatibility"]
     monkeypatch.setitem(suites.SUITES, "dynamics", tuple(spec))
     for form in (0, 1):
@@ -238,7 +239,8 @@ def test_compatibility_report_keeps_nan(monkeypatch):
                 out[form, -1, -1] = math.nan
             return out
 
-        monkeypatch.setattr(suites, "compatibility_residual", poisoned)
+        monkeypatch.setattr(_suite_dynamics, "compatibility_residual",
+                            poisoned)
         record = run_suite("dynamics", SuiteConfig(seed=42)).records[0]
         assert math.isnan(record.max_residual)
         assert record.to_dict()["status"] == "fail"
@@ -314,6 +316,14 @@ def test_swell_unbalanced_decay_drifts():
     assert formula.size == 0                     # no closed form off balance
 
 
+@pytest.mark.parametrize("key", ["R0", "k", "omega", "c", "decay"])
+def test_swell_family_refuses_a_non_finite_value(key):
+    # each value is written into the family's expression text
+    params = {"R0": 1.0, "k": 0.1, "omega": 1.0, "c": 0.0, key: math.inf}
+    with pytest.raises(ValueError, match=f"swell '{key}' must be finite"):
+        swell_family(**params)
+
+
 def test_swell_rows_are_circles():
     rows = swell_rows(1.0, 0.1, 1.0, 0.0,
                       labels=[(0.0, 0.5), (1.0, 1.2)],
@@ -385,7 +395,7 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("fam", [NEWTON_FAMILY,
-                                 suites._random_motion_family(1042)],
+                                 _suite_dynamics._random_motion_family(1042)],
                          ids=["newton", "roster"])
 def test_block_invert_matches_point_loop(fam):
     zx = fam.sample_zx(12, 3)
@@ -515,7 +525,7 @@ def test_theorem3_nan_fails_closed(monkeypatch):
     assert _max_abs(theorem3_check(fam, pts[:1])[0]) < 1e-13
     assert math.isnan(_max_abs(theorem3_check(fam, pts)[0]))
     monkeypatch.setattr(fam, "sample_zx", lambda count, seed: pts)
-    monkeypatch.setattr(suites, "EXP_MOVED", fam)
+    monkeypatch.setattr(_suite_dynamics, "EXP_MOVED", fam)
     rep = run_suite("dynamics", SuiteConfig(seed=42))
     record = {r.id: r for r in rep.records}["variation_transport"]
     assert math.isnan(record.max_residual)
@@ -549,7 +559,7 @@ def _point_state(m, val, jac, d2):
 
 
 @pytest.mark.parametrize("fam", [NEWTON_FAMILY, ROTATION, EXP_SHIFT,
-                                 suites._random_motion_family(1042)],
+                                 _suite_dynamics._random_motion_family(1042)],
                          ids=["newton", "rotation", "shift", "roster"])
 def test_speed_state_block_matches_point_arithmetic(fam):
     zx = fam.sample_zx(40, 5)
@@ -605,9 +615,9 @@ def test_poly_map_lifts_only_its_used_columns():
 
 
 def test_random_families_match_their_parsed_text():
-    monos = ["*".join(m) for m in suites.FAMILY_MONOS]
+    monos = ["*".join(m) for m in _suite_dynamics.FAMILY_MONOS]
     for seed in range(1000, 1010):
-        fam = suites._random_motion_family(seed)
+        fam = _suite_dynamics._random_motion_family(seed)
         assert isinstance(fam.forward, PolyMap)
         rng = np.random.default_rng(seed)
         text = ", ".join(f"y{k + 1} + {poly_text(rng, monos, 0.12)}"
@@ -645,7 +655,7 @@ def _point_vortex(field, zt):
 def test_el_contractions_match_point_einsum():
     # one stacked einsum against one einsum per point
     from jetgauge.dynamics import _el_y, _el_z, _momentum_hessian
-    fam = suites._random_motion_family(1042)
+    fam = _suite_dynamics._random_motion_family(1042)
     w = ExprMap.parse("0.5 * (v1^2 + v2^2 + v3^2) + 0.1 * v4^2 * v1 * v2",
                       ["v1", "v2", "v3", "v4"])
     zx = fam.sample_zx(64, 3)

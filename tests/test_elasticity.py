@@ -9,10 +9,10 @@ from jetgauge.elasticity import (
     rigid_kernel_dimension, spencer_elastic,
     stress_state_from_dict, torsor_equilibrium_check,
 )
-from jetgauge import elasticity, suites
-from jetgauge.suites import _max_abs
+from jetgauge import _suite_elasticity as suite, elasticity, suites
+from jetgauge._runner import _max_abs
 from jetgauge._multiindex import exponent_rows
-from jetgauge.expr import ExprMap, PolyMap, Var
+from jetgauge.expr import ExprMap, PolyMap, Var, _random_poly
 from jetgauge.sampling import halton_points
 from polytext import poly_text
 
@@ -340,7 +340,7 @@ def test_adjoint_blocks_match_point_arithmetic():
 # ----------------------------------------------------------------------
 # Polynomial sections and stress states held as PolyMaps
 
-SUITE_MONOS = ["*".join(m) for m in suites.DISP_MONOS]
+SUITE_MONOS = ["*".join(m) for m in suite.DISP_MONOS]
 
 
 def test_elasticity_suite_parses_no_text(monkeypatch):
@@ -356,13 +356,13 @@ def test_elasticity_suite_parses_no_text(monkeypatch):
 
 def test_poly_sections_match_their_parsed_text():
     rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
-    xi = suites._random_poly(rng, suites.PLANE, suites.DISP_MONOS, 1.0,
-                             np.zeros((2, 3)))
+    xi = _random_poly(rng, suite.PLANE, suite.DISP_MONOS, 1.0,
+                      np.zeros((2, 3)))
     ref = ExprMap.parse(", ".join(poly_text(ref_rng, SUITE_MONOS, 1.0)
                                   for _ in range(2)), ["x1", "x2"])
     got, want = xi.taylor_lift(PTS, 3), ref.taylor_lift(PTS, 3)
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13
-    sec = DisplacementSection(xi, suites.ZERO_JET, np.eye(2))
+    sec = DisplacementSection(xi, suite.ZERO_JET, np.eye(2))
     assert _max_abs(riemann_residual(sec, PTS)) < 1e-12
     assert np.array_equal(spencer_elastic(sec, PTS)[:, 4:], np.zeros((9, 2)))
 
@@ -370,10 +370,10 @@ def test_poly_sections_match_their_parsed_text():
 def test_poly_stress_state_matches_its_parsed_text():
     # sigma12 and sigma21 share one coefficient row
     rng, ref_rng = np.random.default_rng(16), np.random.default_rng(16)
-    rows = suites._random_poly(rng, suites.PLANE, suites.DISP_MONOS, 1.0,
-                               np.zeros((3, 3)))
+    rows = _random_poly(rng, suite.PLANE, suite.DISP_MONOS, 1.0,
+                        np.zeros((3, 3)))
     state = StressState(
-        PolyMap(suites.PLANE, 3, rows.coeffs[[0, 2, 2, 1]]), suites.ZERO_MU)
+        PolyMap(suite.PLANE, 3, rows.coeffs[[0, 2, 2, 1]]), suite.ZERO_MU)
     diag = [poly_text(ref_rng, SUITE_MONOS, 1.0) for _ in range(2)]
     shared = poly_text(ref_rng, SUITE_MONOS, 1.0)
     ref = StressState.parse(f"{diag[0]}, {shared}, {shared}, {diag[1]}")
@@ -393,8 +393,8 @@ def test_poly_stress_state_matches_its_parsed_text():
 def test_rigid_rows_are_affine_poly_maps():
     c1, c2, w = 0.3, -0.7, 0.45
     sec = DisplacementSection(
-        PolyMap(suites.PLANE, 1, np.array([[c1, 0.0, w], [c2, -w, 0.0]])),
-        PolyMap(suites.PLANE, 0, np.array([[-w]])), np.eye(2))
+        PolyMap(suite.PLANE, 1, np.array([[c1, 0.0, w], [c2, -w, 0.0]])),
+        PolyMap(suite.PLANE, 0, np.array([[-w]])), np.eye(2))
     ref = DisplacementSection.parse(f"{c1} + {w}*x2, {c2} - {w}*x1", f"{-w}")
     for s in (sec, ref):
         assert np.array_equal(killing(s, PTS), np.zeros((9, 2, 2)))

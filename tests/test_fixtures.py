@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jetgauge import _fixtures, suites
+from jetgauge import _fixtures, _suite_swell
 from jetgauge._fixtures import (GROUP, LIE_SYSTEM, MOTION_FAMILY, STRESS_STATE,
                                 SWELL)
 from jetgauge.cli import main
@@ -106,8 +106,8 @@ def _loader(suite, monkeypatch):
         return load
 
     def swell(data):   # _swell_params reads its fixture by name
-        monkeypatch.setattr(suites, "read_fixture", lambda name: data)
-        return suites._swell_params(SuiteConfig(fixture="swell"))
+        monkeypatch.setattr(_suite_swell, "read_fixture", lambda name: data)
+        return _suite_swell._swell_params(SuiteConfig(fixture="swell"))
     return swell
 
 
@@ -201,6 +201,8 @@ def _cases():
         *(("dynamics", FAMILY, (key,), _DELETE) for key in ("m", "n", "f")),
         ("elasticity", STATE, ("sigma",), _DELETE),
         ("swell", SWELL_PARAMS, ("omega",), None),
+        *(("swell", SWELL_PARAMS, (key,), value)
+          for key, value in (("k", 0), ("R0", -1), ("k", 1e308))),
     ]
     return [pytest.param(suite, _mutated(data, path, value), ".".join(path),
                          id=f"{suite}-{'.'.join(path)}-" + (

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jetgauge import suites
+from jetgauge import _suite_group
+from jetgauge._runner import _max_abs
 from jetgauge.expr import ExprMap, PolyMap
 from jetgauge.groups import (
     _gauge_derivatives, _pullback, GaugeField, Grid, InconsistentGroupLaw,
@@ -18,7 +19,7 @@ from jetgauge.groups import (
     variation_space_fd,
 )
 from jetgauge.sampling import halton_points
-from jetgauge.suites import SuiteConfig, _max_abs, run_suite
+from jetgauge.suites import SuiteConfig, run_suite
 from polytext import poly_text
 
 AFFINE = load_group_spec("affine")
@@ -154,7 +155,8 @@ def test_pullback_curvature_vanishes_exact_route():
 def test_free_field_curvature_nonzero():
     # negative control: a space field B obeys dB + [B, B] = 0, so the
     # body-form curvature dB - [B, B] reads -2 [B, B], not zero
-    space = right_pullback(AFFINE, suites.GAUGING_AFFINE, suites.GAUGE_GRID)
+    space = right_pullback(AFFINE, _suite_group.GAUGING_AFFINE,
+                           _suite_group.GAUGE_GRID)
     assert abs(_max_abs(curvature(AFFINE, space)) - 0.62) < 0.01
 
 
@@ -333,12 +335,12 @@ def test_curvature_of_pullback_nan_fails_closed(monkeypatch):
     # node, and every other gauging, stays finite
     overflow = ExprMap.parse(
         "1 + 0.2*x1 + 0 * exp(8000 * (x1 + x2 - 0.9)), 0.3*x2", ["x1", "x2"])
-    field = maurer_cartan_pullback(AFFINE, overflow, suites.GAUGE_GRID)
+    field = maurer_cartan_pullback(AFFINE, overflow, _suite_group.GAUGE_GRID)
     values = curvature(AFFINE, field)
     assert np.isnan(values).any() and np.isfinite(values[:-1]).all()
-    real = suites._random_gauging
+    real = _suite_group._random_gauging
     monkeypatch.setattr(
-        suites, "_random_gauging",
+        _suite_group, "_random_gauging",
         lambda spec, seed: overflow if seed == 42 + 100 + 17 * 4
         and spec.label == "affine-line" else real(spec, seed))
     rep = run_suite("group", SuiteConfig(seed=42))
@@ -355,15 +357,15 @@ def _text_of_draws(rng, offsets, monomials, scale):
 
 
 def test_random_gaugings_match_their_parsed_text():
-    nodes = suites.GAUGE_GRID.nodes()
+    nodes = _suite_group.GAUGE_GRID.nodes()
     for spec in (AFFINE, E2):
         for k in range(10):
             seed = 100 + 17 * k
-            g = suites._random_gauging(spec, seed)
+            g = _suite_group._random_gauging(spec, seed)
             assert isinstance(g, PolyMap) and len(g) == spec.dim
             text = _text_of_draws(np.random.default_rng(seed),
                                   [repr(float(e)) for e in spec.identity],
-                                  suites.PLANE_MONOS, 0.3)
+                                  _suite_group.PLANE_MONOS, 0.3)
             ref = ExprMap.parse(text, ["x1", "x2"]).taylor_lift(nodes, 2)
             got = g.taylor_lift(nodes, 2)
             assert np.max(np.abs(got.coeffs - ref.coeffs)) < 1e-13
@@ -371,19 +373,19 @@ def test_random_gaugings_match_their_parsed_text():
 
 def test_fixture_action_draws_a_random_lam(tmp_path, monkeypatch):
     # a chart whose label has no hand-written lam gets a random linear one
-    data = json.loads((Path(suites.__file__).parent / "fixtures"
+    data = json.loads((Path(_suite_group.__file__).parent / "fixtures"
                        / "e2.json").read_text())
     data["label"] = "e2-copy"
     path = tmp_path / "e2copy.json"
     path.write_text(json.dumps(data))
     seen = {}
-    real = suites.spencer_from_action
+    real = _suite_group.spencer_from_action
 
     def spy(spec, lam, order, samples):
         seen[spec.label] = lam, samples
         return real(spec, lam, order, samples)
 
-    monkeypatch.setattr(suites, "spencer_from_action", spy)
+    monkeypatch.setattr(_suite_group, "spencer_from_action", spy)
     rep = run_suite("group", SuiteConfig(seed=42, fixture=str(path)))
     record = {r.id: r for r in rep.records}["action_spencer_match"]
     assert record.passed

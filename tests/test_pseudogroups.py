@@ -15,8 +15,9 @@ from jetgauge.pseudogroups import (
     schwarzian_variation_check,
 )
 from jetgauge.sampling import halton_points
-from jetgauge import suites
-from jetgauge.suites import SuiteConfig, _max_abs, run_suite
+from jetgauge import _suite_pseudogroup
+from jetgauge._runner import _max_abs
+from jetgauge.suites import SuiteConfig, run_suite
 
 PTS2 = halton_points(((-0.5, 0.5), (-0.5, 0.5)), 6, 13)
 
@@ -208,7 +209,7 @@ def test_pseudogroup_suite_runs_the_section_api_on_blocks(monkeypatch):
 
     monkeypatch.setattr(ExprMap, "taylor_lift", lift)
     run_suite("pseudogroup", SuiteConfig(seed=42))
-    roster = len(suites.LIE_SYSTEMS)
+    roster = len(_suite_pseudogroup.LIE_SYSTEMS)
     assert calls.count("sample_linear_sections") == roster
     assert calls.count("algebroid_bracket") == roster
     assert bases and all(len(shape) == 2 and shape[0] > 1 for shape in bases)
@@ -701,7 +702,7 @@ def test_linearization_rows_gap_nan_fails_closed():
 
 def test_linearization_rows_check_nan_fails_closed(monkeypatch):
     gaps = iter([1e-16, math.nan])
-    monkeypatch.setattr(suites, "linearization_rows_gap",
+    monkeypatch.setattr(_suite_pseudogroup, "linearization_rows_gap",
                         lambda sys_, pts: next(gaps, 0.0))
     rep = run_suite("pseudogroup", SuiteConfig(seed=42))
     record = {r.id: r for r in rep.records}["linearization_rows"]
@@ -721,7 +722,7 @@ def test_schwarzian_variation_nan_fails_closed():
 
 
 def test_schwarzian_invariance_check_nan_fails_closed(monkeypatch):
-    real = suites.schwarzian_of_map
+    real = _suite_pseudogroup.schwarzian_of_map
 
     def poisoned(f, xs):
         # the second point of the block, after a finite first point
@@ -729,7 +730,7 @@ def test_schwarzian_invariance_check_nan_fails_closed(monkeypatch):
         out[1] = math.nan
         return out
 
-    monkeypatch.setattr(suites, "schwarzian_of_map", poisoned)
+    monkeypatch.setattr(_suite_pseudogroup, "schwarzian_of_map", poisoned)
     rep = run_suite("pseudogroup", SuiteConfig(seed=42))
     record = {r.id: r for r in rep.records}["schwarzian_invariance"]
     assert math.isnan(record.max_residual)

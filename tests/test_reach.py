@@ -6,7 +6,7 @@ An attribute read on numpy (np.zeros) names numpy's definition, never the
 package's, so it reaches nothing.
 A module-level definition is a function, a class (with all its methods) or
 a table assigned at module level.  The roots are cli.main, everything in
-the suites module, the jetgauge names the benchmark in perfbench/ uses, the
+the five suite modules (_suite_<name>), the jetgauge names the benchmark in perfbench/ uses, the
 imports of the acceptance tests and the documented API: the union of every
 public module's __all__.  Prose keeps nothing alive; a name the README puts
 in backticks must be in its module's __all__ instead.
@@ -18,6 +18,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from jetgauge.suites import SUITE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "jetgauge"
@@ -41,6 +43,8 @@ NUMPY = ("np", "numpy")
 PUBLIC_MODULES = {"__init__": "jetgauge", **{
     path.stem: f"jetgauge.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
     if not path.stem.startswith("_")}}
+# File stems of the modules that hold the suites' checks.
+SUITE_MODULES = {f"_suite_{name}" for name in SUITE_NAMES}
 
 
 def _exported(module: str) -> list[str]:
@@ -79,7 +83,8 @@ def _definitions() -> dict[tuple[str, str], ast.AST]:
 
 def _roots(defs) -> set[str]:
     roots = set(_names_in(defs[("cli", "main")]))
-    roots.update(name for module, name in defs if module == "suites")
+    assert SUITE_MODULES <= {module for module, _ in defs}
+    roots.update(name for module, name in defs if module in SUITE_MODULES)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         roots.update(_names_in(ast.parse(path.read_text()), strings=True))
     tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())

@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jetgauge import elasticity, suites
+from jetgauge import _suite_elasticity, elasticity, suites
+from jetgauge._runner import _max_abs
 from jetgauge.elasticity import (
     DisplacementSection, riemann_residual, torsor_equilibrium_check,
 )
@@ -20,7 +21,7 @@ from jetgauge.expr import ExprMap
 from jetgauge.groups import (
     InconsistentGroupLaw, action_bracket_residual, load_group_spec,
 )
-from jetgauge.suites import SuiteConfig, _max_abs, run_suite
+from jetgauge.suites import SuiteConfig, run_suite
 
 AFFINE = load_group_spec("affine")
 NAN_AFTER_FINITE = np.array([[0.1, 0.2], [math.nan, 0.3]])
@@ -40,8 +41,9 @@ def _poisoned(real, poison, finite_calls):
 def _suite_check(check, target, poison, finite_calls):
     """The elasticity record of check alone, with target poisoned."""
     def run(monkeypatch):
-        real = getattr(suites, target)
-        monkeypatch.setattr(suites, target, _poisoned(real, poison, finite_calls))
+        real = getattr(_suite_elasticity, target)
+        monkeypatch.setattr(_suite_elasticity, target,
+                            _poisoned(real, poison, finite_calls))
         spec = [c for c in suites.SUITES["elasticity"] if c.id == check]
         monkeypatch.setitem(suites.SUITES, "elasticity", tuple(spec))
         record = run_suite("elasticity", SuiteConfig(seed=42)).records[0]
@@ -59,7 +61,8 @@ def _torsor_gaps_nan_moment(monkeypatch):
     # finite force gaps first, then a NaN moment gap from the NaN moment load
     monkeypatch.setattr(elasticity, "adjoint_spencer",
                         _poisoned(elasticity.adjoint_spencer, _nan_moment, 0))
-    gaps = torsor_equilibrium_check(suites.LINEAR_STATE, suites.PLANE_BOX)
+    gaps = torsor_equilibrium_check(_suite_elasticity.LINEAR_STATE,
+                                    _suite_elasticity.PLANE_BOX)
     assert np.isfinite(gaps[:2]).all()
     return _max_abs(gaps)
 
