@@ -139,21 +139,41 @@ def shift_table(nvars: int, degree: int,
     return binom, rest
 
 
+@functools.lru_cache(maxsize=256)
+def _shift_plan(nvars: int, degree: int, xorder: int,
+                rows: tuple[int, ...] | None) -> tuple[np.ndarray, ...]:
+    """For the kept rows: their binomials, the power-table entries
+    (need, nvars) of the monomials they read, and where each entry reads
+    its monomial.  Shared and read-only."""
+    binom, rest = shift_table(nvars, degree, xorder)
+    if rows is not None:
+        binom, rest = binom[list(rows)], rest[list(rows)]
+    need, where = np.unique(rest, return_inverse=True)
+    gather = exponent_rows(nvars, degree)[need] * nvars + np.arange(nvars)
+    tables = binom, gather, where.reshape(rest.shape)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def poly_shift(nvars: int, degree: int, x: np.ndarray, xorder: int,
-               rows: np.ndarray | None = None) -> np.ndarray:
+               rows: tuple[int, ...] | None = None) -> np.ndarray:
     """Map from monomial coefficients to Taylor coefficients around x.
 
     Shape (..., count_degree, count_xorder) for x of shape (..., nvars);
     entry [b, kp] is binom(beta, kappa) * x^(beta - kappa), the coefficient
     of (. - x)^kappa in the monomial x^beta.  It depends on the point and
-    the basis only, so every polynomial lifted at x shares it.  Each
-    monomial x^gamma is worked out once per point and gathered.  Given
-    rows, only those monomial rows b are formed, in that order.
+    the basis only, so every polynomial lifted at x shares it.  Given
+    rows, only those monomial rows b are formed, in that order.  The
+    powers x_v^e are tabled once per point, and a monomial's product of
+    its factors over v has the bits of np.prod(x ** gamma).
     """
-    binom, rest = shift_table(nvars, degree, xorder)
-    if rows is not None:
-        binom, rest = binom[rows], rest[rows]
+    binom, gather, where = _shift_plan(nvars, degree, xorder, rows)
     x = np.asarray(x, dtype=float)
-    monomials = np.prod(x[..., None, :] ** exponent_rows(nvars, degree), -1)
-    shift = monomials[..., rest]
+    power = x[..., None, :] ** np.arange(degree + 1)[:, None]
+    flat = power.reshape(x.shape[:-1] + (-1,))     # x_v^e at e * nvars + v
+    monomials = np.prod(np.take(flat, gather, axis=-1), -1)
+    # fancy indexing, not take: the callers' einsums run several times
+    # quicker on the layout it gives
+    shift = monomials[..., where]
     return np.multiply(shift, binom, out=shift)

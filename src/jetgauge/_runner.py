@@ -82,6 +82,8 @@ def run_suite(name: str, cfg: SuiteConfig | None = None,
     caches = {} if caches is None else caches
     if name == "all" and cfg.fixture:
         raise ValueError("--fixture needs a single suite, not 'all'")
+    if cfg.samples < 1:
+        raise ValueError(f"samples must be at least 1, not {cfg.samples}")
     records = []
     for sub in _load(name):
         cache = caches[sub] = {}

@@ -58,11 +58,12 @@ def _family_roster(cfg: SuiteConfig, cache: dict) -> list[MotionFamily]:
 
 def _per_family(fams, residual, npts: int, seed: int, source: bool = False):
     # residual(fam, points) of the k-th family on npts points drawn at
-    # seed + k: source (y, x) points with source, else target (z, x) points
+    # seed + k: source (y, x) points with source, else target (z, x) points;
+    # a family whose residual is empty checked none of them
     res = tuple(residual(fam, fam.sample_yx(npts, seed + k) if source
                          else fam.sample_zx(npts, seed + k))
                 for k, fam in enumerate(fams))
-    return res, npts * len(fams)
+    return res, npts * sum(r.size > 0 for r in res)
 
 
 def _check_speed_compatibility(cfg: SuiteConfig, cache: dict):

@@ -34,8 +34,9 @@ def _swell_report(cfg: SuiteConfig, cache: dict):
 
 
 def _check_swell_row(row: int, cfg: SuiteConfig, cache: dict):
-    # row of swell_family's (drift, formula, circle, frame)
-    return _swell_report(cfg, cache)[row], min(cfg.samples, 24)
+    # row of swell_family's (drift, formula, circle, frame), one per label
+    res = _swell_report(cfg, cache)[row]
+    return res, len(res)
 
 
 def _check_swell_unbalanced_control(cfg, cache):

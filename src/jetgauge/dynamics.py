@@ -21,6 +21,7 @@ Expression variable conventions (fixed, also documented in the README):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,9 +118,10 @@ class _SpeedState:
     jacobian and raw second derivatives; their leading batch axes lead
     every field, and one point is the zero-batch case.  label names the
     family in a singular-jacobian error.  The inverse map enters only
-    through the points y, so every entry is exact.  Every contraction is
-    an einsum, which never calls BLAS; only the stacked inv and det reach
-    LAPACK, one matrix at a time.
+    through the points y, so every entry is exact; delta, rho and the
+    derivative fields are worked out when first read.  Every contraction
+    is an einsum, which never calls BLAS; only the stacked inv and det
+    reach LAPACK, one matrix at a time.
     """
 
     def __init__(self, m: int, val: np.ndarray, jac: np.ndarray,
@@ -135,32 +137,60 @@ class _SpeedState:
         except np.linalg.LinAlgError as exc:
             raise InverseSolveError(
                 f"singular source jacobian in {label}") from exc
-        self.delta = np.linalg.det(self.fy)
-        self.rho = 1.0 / self.delta
         self.v = self.fx.copy()
         self.u = np.einsum("...ka,...ai->...ki", self.fy_inv, self.fx)
         self.gz = self.fy_inv
         self.gx = -self.u
-        # dv_z[k, i, l] = d v^k_i / d z^l,  dv_x[k, i, j] = d v^k_i / d x^j
-        self.dv_z = np.einsum("...kri,...rl->...kil", self.fyx, self.gz)
-        self.dv_x = self.fxx + np.einsum("...kri,...rj->...kij", self.fyx,
-                                         self.gx)
-        # du_y[k, i, r] = d u^k_i / d y^r,  du_x[k, i, j] = d u^k_i / d x^j
+
+    @functools.cached_property
+    def delta(self) -> np.ndarray:
+        return np.linalg.det(self.fy)
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        return 1.0 / self.delta
+
+    # dv_z[k, i, l] = d v^k_i / d z^l,  dv_x[k, i, j] = d v^k_i / d x^j
+    @functools.cached_property
+    def dv_z(self) -> np.ndarray:
+        return np.einsum("...kri,...rl->...kil", self.fyx, self.gz)
+
+    @functools.cached_property
+    def dv_x(self) -> np.ndarray:
+        return self.fxx + np.einsum("...kri,...rj->...kij", self.fyx, self.gx)
+
+    # du_y[k, i, r] = d u^k_i / d y^r,  du_x[k, i, j] = d u^k_i / d x^j
+    @functools.cached_property
+    def du_y(self) -> np.ndarray:
         rhs_y = self.fyx - np.einsum("...ksr,...si->...kri", self.fyy, self.u)
-        self.du_y = np.einsum("...ka,...ari->...kir", self.fy_inv, rhs_y)
+        return np.einsum("...ka,...ari->...kir", self.fy_inv, rhs_y)
+
+    @functools.cached_property
+    def du_x(self) -> np.ndarray:
         rhs_x = self.fxx - np.einsum("...ksj,...si->...kij", self.fyx, self.u)
-        self.du_x = np.einsum("...ka,...aij->...kij", self.fy_inv, rhs_x)
-        # jacobi's formula for the determinant derivatives
-        delta = self.delta[..., None]
-        self.ddelta_y = delta * np.einsum("...ka,...akr->...r", self.fy_inv,
-                                          self.fyy)
-        self.ddelta_x = delta * np.einsum("...ka,...aki->...i", self.fy_inv,
-                                          self.fyx)
+        return np.einsum("...ka,...aij->...kij", self.fy_inv, rhs_x)
+
+    # jacobi's formula for the determinant derivatives
+    @functools.cached_property
+    def ddelta_y(self) -> np.ndarray:
+        return self.delta[..., None] * np.einsum("...ka,...akr->...r",
+                                                 self.fy_inv, self.fyy)
+
+    @functools.cached_property
+    def ddelta_x(self) -> np.ndarray:
+        return self.delta[..., None] * np.einsum("...ka,...aki->...i",
+                                                 self.fy_inv, self.fyx)
+
+    @functools.cached_property
+    def drho_z(self) -> np.ndarray:
         scale = -(self.rho * self.rho)[..., None]
-        self.drho_z = scale * np.einsum("...r,...rl->...l", self.ddelta_y,
-                                        self.gz)
-        self.drho_x = scale * (np.einsum("...r,...ri->...i", self.ddelta_y,
-                                         self.gx) + self.ddelta_x)
+        return scale * np.einsum("...r,...rl->...l", self.ddelta_y, self.gz)
+
+    @functools.cached_property
+    def drho_x(self) -> np.ndarray:
+        scale = -(self.rho * self.rho)[..., None]
+        return scale * (np.einsum("...r,...ri->...i", self.ddelta_y, self.gx)
+                        + self.ddelta_x)
 
 
 class MotionFamily:

@@ -362,10 +362,15 @@ class PolyMap:
         base = np.asarray(base, dtype=float)
         if base.ndim == 0 or base.shape[-1] != len(self.variables):
             raise ValueError(f"expected {len(self.variables)} base values")
-        used = np.flatnonzero(self.coeffs.any(axis=0))
-        shift = poly_shift(len(self.variables), self.degree, base, order, used)
+        shift = poly_shift(len(self.variables), self.degree, base, order,
+                           self._support)
         return TaylorMap(self.variables, base, order, np.einsum(
-            "kb,...bw->...kw", self.coeffs[:, used], shift))
+            "kb,...bw->...kw", self.coeffs[:, self._support], shift))
+
+    @functools.cached_property
+    def _support(self) -> tuple[int, ...]:
+        """The monomial rows with a nonzero coefficient."""
+        return tuple(np.flatnonzero(self.coeffs.any(axis=0)).tolist())
 
 
 def _random_poly(rng: np.random.Generator, names: tuple[str, ...],

@@ -23,14 +23,15 @@ import numpy as np
 from . import series
 from ._fixtures import GROUP, parse_map, read_fixture, validate
 from ._multiindex import context
-from .expr import ExprMap, PolyMap
+from .expr import ExprMap, PolyMap, TaylorMap
 from .sampling import halton_points
 
 __all__ = [
     "InconsistentGroupLaw", "NotInjectiveYet", "GroupAction", "LieGroupSpec",
     "Grid", "GaugeField", "load_group_spec",
-    "maurer_cartan_pullback", "right_pullback", "curvature", "variation_body",
-    "variation_space", "variation_body_fd", "variation_space_fd",
+    "maurer_cartan_pullback", "right_pullback", "curvature", "lift_curvature",
+    "variation_body", "variation_space", "variation_body_fd",
+    "variation_space_fd",
     "linear_gauge_dd", "spencer_from_action",
 ]
 
@@ -249,26 +250,31 @@ def right_pullback(spec: LieGroupSpec, gauging: ExprMap | PolyMap,
     return GaugeField(spec, grid, "space", gauging)
 
 
-def _gauge_derivatives(field: GaugeField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A (M,p,n), dA (M,p,n,n)) with dA[., t,i,j] = d_i A^t_j, exact, at
-    the points x (M, n); the lifts and the inverse each run once on the
-    whole block, and every product is one einsum over it."""
-    spec = field.spec
+def _translation_jet(spec: LieGroupSpec, a0: np.ndarray,
+                     body: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """L0[t,s] = dm^t/db^s and D2[t,s,nu] = d2 m^t/da^nu db^s at (a0, e),
+    with the leading axes of a block of points a0 (..., p); when not body,
+    the same with the slots swapped, at (e, a0)."""
     p = spec.dim
-    lift = field.gauging.taylor_lift(x, 2)
-    a = lift.value()
-    da = lift.jacobian()                            # (M, p, n)
-    d2a = lift.derivative(2)                        # [t, i, j] = d_ij a^t
+    hi, lo = slice(p, None), slice(0, p)
+    mat, dep = (hi, lo) if body else (lo, hi)
+    mlift = spec.compose.taylor_lift(_with_identity(spec, a0, body), 2)
+    return mlift.jacobian()[..., mat], mlift.derivative(2)[..., mat, dep]
 
+
+def _gauge_derivatives(spec: LieGroupSpec, form: str,
+                       lift: TaylorMap) -> tuple[np.ndarray, np.ndarray]:
+    """(A (..., p, n), dA (..., p, n, n)) with dA[..., t,i,j] = d_i A^t_j,
+    exact, from an order-2 lift of a gauging with any leading axes, such
+    as a stack of gaugings at the same points: the compose lift and the
+    inverse run once on it all, and every product is one einsum."""
+    da = lift.jacobian()                            # (..., p, n)
+    d2a = lift.derivative(2)                        # [t, i, j] = d_ij a^t
     # The translation matrix is dm in one slot while a(x) occupies the
-    # other, so its x-derivative flows through that other slot.
-    body = field.form == "body"
-    mat_slots = slice(p, None) if body else slice(0, p)
-    dep_slots = slice(0, p) if body else slice(p, None)
-    mlift = spec.compose.taylor_lift(_with_identity(spec, a, body), 2)
-    inv = np.linalg.inv(mlift.jacobian()[..., mat_slots])
-    # [t, s, nu] = d(mat[t,s])/da^nu
-    dmat = mlift.derivative(2)[..., mat_slots, dep_slots]
+    # other, so its x-derivative flows through that other slot:
+    # dmat[t, s, nu] = d(mat[t,s])/da^nu
+    mat, dmat = _translation_jet(spec, lift.value(), form == "body")
+    inv = np.linalg.inv(mat)
     aval = np.einsum("...ts,...sj->...tj", inv, da)   # (..., p, n), columns j
     # d_i mat[u, s] = dmat[u, s, nu] d_i a^nu
     dmat_x = np.einsum("...usn,...ni->...usi", dmat, da)
@@ -280,26 +286,24 @@ def _gauge_derivatives(field: GaugeField, x: np.ndarray) -> tuple[np.ndarray, np
 def curvature(spec: LieGroupSpec, field: GaugeField) -> np.ndarray:
     """F^t_{ij} = d_i A^t_j - d_j A^t_i - c^t_{rs} A^r_i A^s_j at the grid
     nodes, (nodes, p, pairs) over the pairs i < j in lexicographic order."""
-    p, n = spec.dim, field.grid.dim
-    c = spec.structure_constants()
-    pairs = tuple(itertools.combinations(range(n), 2))
+    lift = field.gauging.taylor_lift(field.grid.nodes(), 2)
+    return lift_curvature(spec, field.form, lift)
 
-    nodes = field.grid.nodes()
-    aval, da = _gauge_derivatives(field, nodes)
-    out = np.zeros((len(nodes), p, len(pairs)))
+
+def lift_curvature(spec: LieGroupSpec, form: str,
+                   lift: TaylorMap) -> np.ndarray:
+    """`curvature` of the gauge field of that form from an order-2 lift of
+    its gauging, (..., p, pairs) over the lift's leading axes: a stack of
+    gaugings lifted at the same nodes gives each one's curvature."""
+    c = spec.structure_constants()
+    aval, da = _gauge_derivatives(spec, form, lift)
+    pairs = tuple(itertools.combinations(range(aval.shape[-1]), 2))
+    out = np.zeros(aval.shape[:-1] + (len(pairs),))
     for k, (i, j) in enumerate(pairs):
         quad = np.einsum("trs,...r,...s->...t", c, aval[..., :, i],
                          aval[..., :, j])
         out[..., :, k] = da[..., :, i, j] - da[..., :, j, i] - quad
     return out
-
-
-def _translation_jet(spec: LieGroupSpec, a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L0[t,s] = dm^t/db^s and D2[t,s,nu] = d2 m^t/da^nu db^s at (a0, e),
-    with the leading axes of a block of points a0 (..., p)."""
-    p = spec.dim
-    mlift = spec.compose.taylor_lift(_with_identity(spec, a0, True), 2)
-    return mlift.jacobian()[..., p:], mlift.derivative(2)[..., p:, :p]
 
 
 def _group_exp_series(spec: LieGroupSpec, ctx, lam_series: np.ndarray,

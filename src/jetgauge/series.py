@@ -99,53 +99,56 @@ def _real_binom(alpha: float, r: int) -> float:
     return num / math.factorial(r)
 
 
-def _ladder(name: str, c0: float, order: int) -> np.ndarray:
-    # exp, sin and cos loop over Python ints, several times quicker than
-    # numpy integers and the same bits.  The powers below keep numpy
-    # integers, so that an overflow gives inf, not Python's OverflowError.
+def _ladder(name: str, c0: float, order: int) -> list[float]:
+    # sin and cos loop over Python ints, several times quicker than numpy
+    # integers and the same bits.  The powers below keep numpy integers, so
+    # that an overflow gives inf, not Python's OverflowError.
     ks = range(order + 1)
     r = np.arange(order + 1)
-    if name == "exp":
-        return np.exp(c0) / np.array([math.factorial(k) for k in ks])
     if name == "sin":
-        return np.array([math.sin(c0 + k * math.pi / 2) / math.factorial(k) for k in ks])
+        return [math.sin(c0 + k * math.pi / 2) / math.factorial(k) for k in ks]
     if name == "cos":
-        return np.array([math.cos(c0 + k * math.pi / 2) / math.factorial(k) for k in ks])
+        return [math.cos(c0 + k * math.pi / 2) / math.factorial(k) for k in ks]
     if name == "log":
         if c0 <= 0.0:
             raise DomainError(f"log of nonpositive value {c0}")
         out = [math.log(c0)]
         out += [(-1.0) ** (k + 1) / (k * c0**k) for k in r[1:]]
-        return np.array(out)
+        return out
     if name == "sqrt":
         if c0 < 0.0:
             raise DomainError(f"sqrt of negative value {c0}")
         if c0 == 0.0:
             raise DomainError("sqrt is not smooth at 0; cannot expand")
-        return np.array([_real_binom(0.5, k) * c0 ** (0.5 - k) for k in r])
+        return [_real_binom(0.5, k) * c0 ** (0.5 - k) for k in r]
     if name == "recip":
         if c0 == 0.0:
             raise DomainError("division by a series with zero constant term")
-        return np.array([(-1.0) ** k / c0 ** (k + 1) for k in r])
+        return [(-1.0) ** k / c0 ** (k + 1) for k in r]
     raise ValueError(f"unknown analytic function {name!r}")
 
 
-def _power_ladder(alpha: float, c0: float, order: int) -> np.ndarray:
+def _power_ladder(alpha: float, c0: float, order: int) -> list[float]:
     if c0 <= 0.0:
         raise DomainError(f"{c0} raised to non-integer power {alpha}")
-    return np.array([_real_binom(alpha, r) * c0 ** (alpha - r)
-                     for r in range(order + 1)])
+    return [_real_binom(alpha, r) * c0 ** (alpha - r) for r in range(order + 1)]
 
 
 def _ladders(build, key, a: np.ndarray, order: int) -> np.ndarray:
-    """build(key, c, order) at the constant term c of each series in a, in
-    batch order.
+    """The ladders at the constant term c of each series in a, as one
+    block (..., order + 1).
 
-    Ladders come from scalar math calls point by point: NumPy's vector
-    loops for sin, exp and the like need not match libm bit for bit."""
-    if a.ndim == 1:
-        return build(key, float(a[0]), order)
+    exp is one np.exp over the block, divided by the factorials: numpy's
+    dispatched loop, SIMD where the CPU has it and not libm's math.exp,
+    whose lanes work each value alone, so each gets the bits of a block of
+    one.  Every other key is build(key, c, order), a list, for each value
+    in batch order, so a DomainError names the first failing point: libm's
+    math.sin and math.cos, or Python arithmetic on c.
+    """
     c0 = a[..., 0]
+    if key == "exp":
+        return np.exp(c0)[..., None] / np.array(
+            [math.factorial(k) for k in range(order + 1)])
     rows = [build(key, c, order) for c in c0.ravel().tolist()]
     return np.array(rows).reshape(c0.shape + (order + 1,))
 

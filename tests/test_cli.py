@@ -433,3 +433,53 @@ def test_fixture_boxes_are_checked_at_load(tmp_path, capsys, suite, data, key,
     code, err = _run_fixture(tmp_path, capsys, suite, json.dumps(data))
     assert code == 2
     assert err.startswith(f"jetgauge: {what} {key} must ")
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("suite", ["group", "pseudogroup", "dynamics",
+                                   "swell", "elasticity", "all"])
+def test_cli_refuses_fewer_than_one_sample(tmp_path, capsys, suite, samples):
+    out = tmp_path / "r.json"
+    assert main(["--suite", suite, "--samples", str(samples),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("jetgauge: samples must be at least 1")
+    assert not out.exists()
+
+
+def test_run_suite_refuses_no_samples_before_any_check(monkeypatch):
+    from jetgauge import _runner
+    calls = []
+    spy = _runner.CheckSpec("spy", "records its call", 0.0,
+                            lambda cfg, cache: calls.append(cfg) or (0.0, 0))
+    _runner.suite_check_ids("all")               # imports every suite
+    for name in _runner.SUITE_NAMES:
+        monkeypatch.setitem(_runner.SUITES, name, (spy,))
+    with pytest.raises(ValueError, match="samples"):
+        run_suite("all", SuiteConfig(samples=0))
+    assert calls == []
+    assert run_suite("all", SuiteConfig(samples=1)).passed
+    assert len(calls) == len(_runner.SUITE_NAMES)
+
+
+def _sample_counts(report):
+    return {r.id: r.samples for r in report.records}
+
+
+def test_sample_counts_leave_out_rows_that_checked_nothing(tmp_path):
+    # a swell fixture with its own decay has no closed-form jacobian row
+    (tmp_path / "decay.json").write_text('{"decay": 0.25}')
+    counts = _sample_counts(run_suite(
+        "swell", SuiteConfig(fixture=str(tmp_path / "decay.json"))))
+    assert counts["swell_jacobian_formula"] == 0
+    assert counts["swell_jacobian_drift"] == 24
+    # a one-parameter family has no parameter pair to curl over
+    (tmp_path / "one.json").write_text(
+        '{"m": 1, "n": 1, "f": "exp(x1) * y1", "label": "one"}')
+    counts = _sample_counts(run_suite(
+        "dynamics", SuiteConfig(fixture=str(tmp_path / "one.json"))))
+    assert counts["speed_compatibility"] == 10 * 16
+    assert counts["speed_duality"] == 11 * 16
+    # the default rosters keep their counts
+    assert _sample_counts(run_suite("swell"))["swell_jacobian_formula"] == 24
+    assert _sample_counts(run_suite("dynamics"))["speed_compatibility"] == 160

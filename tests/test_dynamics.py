@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from jetgauge import _suite_dynamics, suites
+from jetgauge import _suite_dynamics, dynamics, suites
 from jetgauge._runner import _max_abs
 from jetgauge._multiindex import exponent_rows, poly_shift
 from jetgauge.expr import ExprMap, PolyMap
@@ -687,3 +687,23 @@ def test_vortex_divergence_names_first_failing_point():
                     [0.7, 0.8, 0.9, 1.5]])
     with pytest.raises(DivergenceNotZero, match=r"2\.500e-01 .*t=0\.25$"):
         vortex_residual(fld, pts)
+
+
+def test_speed_duality_gap_leaves_derivative_fields_uncomputed(monkeypatch):
+    states = []
+    init = dynamics._SpeedState.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        states.append(self)
+    monkeypatch.setattr(dynamics._SpeedState, "__init__", spy)
+    lazy = {"delta", "rho", "dv_z", "dv_x", "du_y", "du_x", "ddelta_y",
+            "ddelta_x", "drho_z", "drho_x"}
+    fam = _suite_dynamics._random_motion_family(1003)
+    speed_duality_gap(fam, fam.sample_yx(6, 3))
+    assert len(states) == 2
+    for st in states:
+        assert not lazy & set(vars(st))
+    states[0].drho_x                       # a read fills in what it needs
+    assert set(vars(states[0])) & lazy == {"delta", "rho", "ddelta_y",
+                                           "ddelta_x", "drho_x"}

@@ -9,14 +9,14 @@ import pytest
 
 from jetgauge import _suite_group
 from jetgauge._runner import _max_abs
-from jetgauge.expr import ExprMap, PolyMap
+from jetgauge.expr import ExprMap, PolyMap, TaylorMap
 from jetgauge.groups import (
     _gauge_derivatives, _pullback, GaugeField, Grid, InconsistentGroupLaw,
     NotInjectiveYet, action_bracket_residual, curvature, el_body_residual,
-    el_space_residual, group_spec_from_dict, jacobi_residual, linear_gauge_d,
-    linear_gauge_dd, load_group_spec, maurer_cartan_pullback, right_pullback,
-    spencer_from_action, variation_body, variation_body_fd, variation_space,
-    variation_space_fd,
+    el_space_residual, group_spec_from_dict, jacobi_residual, lift_curvature,
+    linear_gauge_d, linear_gauge_dd, load_group_spec, maurer_cartan_pullback,
+    right_pullback, spencer_from_action, variation_body, variation_body_fd,
+    variation_space, variation_space_fd,
 )
 from jetgauge.sampling import halton_points
 from jetgauge.suites import SuiteConfig, run_suite
@@ -305,20 +305,32 @@ def test_gauge_blocks_match_point_loop():
         for form in ("body", "space"):
             field = GaugeField(spec, GRID, form, gauging)
             block = _pullback(spec, gauging, nodes, form)[0]
-            aval, da = _gauge_derivatives(field, nodes)
+            aval, da = _gauge_derivatives(spec, form,
+                                          gauging.taylor_lift(nodes, 2))
             curv = curvature(spec, field)
             c = spec.structure_constants()
             for q in range(len(nodes)):
                 one = nodes[q:q + 1]
                 assert np.array_equal(_bits(block[q]), _bits(
                     _pullback(spec, gauging, one, form)[0][0]))
-                a1, d1 = _gauge_derivatives(field, one)
+                a1, d1 = _gauge_derivatives(spec, form,
+                                            gauging.taylor_lift(one, 2))
                 assert np.array_equal(_bits(aval[q]), _bits(a1[0]))
                 assert np.array_equal(_bits(da[q]), _bits(d1[0]))
                 # the one pair (0, 1) of the plane, as one node alone
                 quad = np.einsum("trs,r,s->t", c, a1[0][:, 0], a1[0][:, 1])
                 want = d1[0][:, 0, 1] - d1[0][:, 1, 0] - quad
                 assert np.array_equal(_bits(curv[q, :, 0]), _bits(want))
+            # a stack of gaugings lifted at the nodes: each one's curvature
+            roster = [gauging] + [_suite_group._random_gauging(spec, s)
+                                  for s in (5, 6)]
+            lifts = [g.taylor_lift(nodes, 2) for g in roster]
+            stack = TaylorMap(("x1", "x2"), np.stack([t.base for t in lifts]),
+                              2, np.stack([t.coeffs for t in lifts]))
+            stacked = lift_curvature(spec, form, stack)
+            for g, curv_g in zip(roster, stacked):
+                alone = curvature(spec, GaugeField(spec, GRID, form, g))
+                assert np.array_equal(_bits(curv_g), _bits(alone))
 
 
 def test_spencer_block_matches_sample_loop():

@@ -640,7 +640,7 @@ def test_rows_of_no_points_are_empty(name):
                          [(1, 2, 1), (2, 2, 1), (3, 2, 1), (2, 3, 2), (3, 2, 0),
                           (3, 3, 1), (3, 4, 2), (4, 7, 2)])
 def test_tabled_poly_shift_matches_point_formula(nvars, degree, xorder):
-    from jetgauge._multiindex import poly_shift
+    from jetgauge._multiindex import _shift_plan, poly_shift
     rng = np.random.default_rng(nvars + 10 * degree)
     pts = rng.uniform(-1.3, 1.3, size=(9, nvars))
     pts[0, 0] = 0.0
@@ -650,6 +650,13 @@ def test_tabled_poly_shift_matches_point_formula(nvars, degree, xorder):
         ref = _loop_poly_shift(nvars, degree, x, xorder)
         assert _same_bits(block[s], ref)
         assert _same_bits(poly_shift(nvars, degree, x, xorder), ref)
+    # kept rows, in the order given, from tables shared read-only
+    rows = tuple(range(context(nvars, degree).count - 1, -1, -3))
+    assert _same_bits(poly_shift(nvars, degree, pts, xorder, rows),
+                      block[:, list(rows)])
+    for table in _shift_plan(nvars, degree, xorder, rows):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -39,3 +39,15 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_halton_digit_tables_are_shared_read_only():
+    from jetgauge.sampling import _digit_table
+    first = halton_points(((0.0, 1.0),) * 3, 12, 3)
+    for base in (2, 3, 5):
+        for table in _digit_table(base, 12):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+    # the seed's permutations alone change between calls
+    assert halton_points(((0.0, 1.0),) * 3, 12, 3).tobytes() == first.tobytes()
+    assert halton_points(((0.0, 1.0),) * 3, 12, 4).tobytes() != first.tobytes()

@@ -113,3 +113,53 @@ def test_dvar_drops_one_order():
     expect = series.mul(ctx, series.analytic(ctx, "cos", x), y)
     upto = ctx.count_up_to(2)
     assert np.max(np.abs(dfdx[:upto] - expect[:upto])) < 1e-14
+
+
+def _bits(a):
+    return np.asarray(a, float).view(np.int64)
+
+
+def _point_ladder(key, c, order):
+    # the one-value formulas: exp, sin and cos as a single point took them
+    ks = range(order + 1)
+    if key == "exp":
+        return np.exp(c) / np.array([math.factorial(k) for k in ks])
+    if key in ("sin", "cos"):
+        fn = getattr(math, key)
+        return np.array([fn(c + k * math.pi / 2) / math.factorial(k)
+                         for k in ks])
+    if isinstance(key, str):
+        return series._ladder(key, c, order)
+    return series._power_ladder(key, c, order)
+
+
+@pytest.mark.parametrize("key", ["exp", "sin", "cos", "log", "sqrt", "recip",
+                                 0.5, -1.5])
+def test_block_ladders_match_point_ladders(key):
+    rng = np.random.default_rng(23)
+    lo = -40.0 if key in ("exp", "sin", "cos") else 0.01
+    ctx = context(2, 5)
+    block = rng.uniform(-1.0, 1.0, size=(7, 300, ctx.count))
+    block[..., 0] = rng.uniform(lo, 40.0, size=(7, 300))
+    build = series._ladder if isinstance(key, str) else series._power_ladder
+    got = series._ladders(build, key, block, ctx.order)
+    assert got.shape == (7, 300, ctx.order + 1)
+    for idx in np.ndindex(7, 300):
+        want = _point_ladder(key, float(block[idx + (0,)]), ctx.order)
+        assert np.array_equal(_bits(got[idx]), _bits(want)), (key, idx)
+        if idx[1] < 3:                               # one series alone
+            one = series._ladders(build, key, block[idx], ctx.order)
+            assert np.array_equal(_bits(one), _bits(want))
+
+
+@pytest.mark.parametrize("build,key,message", [
+    (series._ladder, "log", "log of nonpositive value -3.0"),
+    (series._ladder, "sqrt", "sqrt of negative value -3.0"),
+    (series._power_ladder, 0.5, "-3.0 raised to non-integer power"),
+], ids=["log", "sqrt", "power"])
+def test_block_ladder_names_the_first_failing_point(build, key, message):
+    ctx = context(1, 3)
+    block = np.ones((2, 3, ctx.count))
+    block[0, 2, 0], block[1, 2, 0] = -3.0, -6.0     # batch positions 2 and 5
+    with pytest.raises(series.DomainError, match=message):
+        series._ladders(build, key, block, ctx.order)
