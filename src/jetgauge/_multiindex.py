@@ -56,11 +56,6 @@ class MultiIndexContext:
             self._flat_k[nbatch] = flat
         return flat
 
-    def shifted(self, row: int, var: int) -> int:
-        """Row of mu + e_var, or -1 when that leaves the truncation."""
-        mu = self.midx[row] + (np.arange(self.nvars) == var)
-        return self.position.get(tuple(mu), -1)
-
 
 @functools.lru_cache(maxsize=None)
 def exponent_rows(nvars: int, order: int) -> np.ndarray:
@@ -111,13 +106,24 @@ def derivative_rows(nvars: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     are symmetric.  The rows index context(nvars, k) and, the ordering
     being graded, every higher-order context too.  Shared and read-only.
     """
-    ctx = context(nvars, k)
-    rows = np.empty((nvars,) * k, dtype=np.int64)
-    for axes in itertools.product(range(nvars), repeat=k):
-        rows[axes] = ctx.pos([axes.count(v) for v in range(nvars)])
-    fac = ctx.factorial[rows]
+    rows = np.int64(0)
+    for order in range(1, k + 1):
+        rows = raised_rows(nvars, order)[:, rows]
+    fac = context(nvars, k).factorial[rows]
     rows.flags.writeable = fac.flags.writeable = False
     return rows, fac
+
+
+@functools.lru_cache(maxsize=None)
+def raised_rows(nvars: int, order: int) -> np.ndarray:
+    """[i, r]: the row of mu_r + e_i in exponent_rows(nvars, order) for the
+    rows r of degree below order, a prefix; the slot d/dx_i reads and the
+    Spencer operator shifts to.  (nvars, count_{order-1}), read-only."""
+    midx = exponent_rows(nvars, order)
+    low = midx[midx.sum(axis=1) < order]
+    up = _rows_of(midx, order, low + np.eye(nvars, dtype=np.int64)[:, None])
+    up.flags.writeable = False
+    return up
 
 
 @functools.lru_cache(maxsize=None)

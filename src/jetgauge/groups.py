@@ -22,7 +22,7 @@ import numpy as np
 
 from . import series
 from ._fixtures import GROUP, parse_map, read_fixture, validate
-from ._multiindex import context
+from ._multiindex import context, raised_rows
 from .expr import ExprMap, PolyMap, TaylorMap
 from .sampling import halton_points
 
@@ -78,19 +78,17 @@ class LieGroupSpec:
 
     def validate(self, tol: float = 1e-9) -> None:
         """The group axioms on 8 samples, checked as one block; the error
-        names the first failing sample."""
-        e = self.identity
+        names the first failing sample.  The products take two compose
+        evaluations, and each point keeps its one-point bits."""
         a = self.sample_points(8, seed=20210)
-        b = np.roll(a, -3, axis=0)
-        c = np.roll(a, -5, axis=0)
-        inv_a = self.inv(a)
-        checks = np.stack([
-            self.mul(a, e) - a,
-            self.mul(e, a) - a,
-            self.mul(a, inv_a) - e,
-            self.mul(inv_a, a) - e,
-            self.mul(a, self.mul(b, c)) - self.mul(self.mul(a, b), c),
-        ])
+        b, c = np.roll(a, -3, axis=0), np.roll(a, -5, axis=0)
+        e = np.broadcast_to(self.identity, a.shape)
+        ainv = self.inv(a)
+        ae, ea, a_ainv, ainv_a, bc, ab = self.mul(
+            np.stack([a, e, a, ainv, b, a]), np.stack([e, a, ainv, a, c, b]))
+        a_bc, ab_c = self.mul(np.stack([a, ab]), np.stack([bc, c]))
+        checks = np.stack([ae - a, ea - a, a_ainv - e, ainv_a - e,
+                           a_bc - ab_c])
         # np.max, unlike max(), keeps a NaN, and a NaN is no group law
         worst = np.max(np.abs(checks), axis=(0, 2))
         bad = np.flatnonzero(~(worst <= tol))
@@ -211,20 +209,14 @@ def _with_identity(spec: LieGroupSpec, a: np.ndarray, first: bool) -> np.ndarray
     return np.concatenate([a, e] if first else [e, a], axis=-1)
 
 
-def _left_form_matrix(spec: LieGroupSpec, a: np.ndarray) -> np.ndarray:
-    """omega(a)^(-1) actually: returns L(a) = dm/db at (a, e).
-
-    A block of points a (..., p) gives one matrix per point (..., p, p)."""
+def _translation_matrix(spec: LieGroupSpec, a: np.ndarray,
+                        body: bool) -> np.ndarray:
+    """L(a) = dm/db at (a, e), whose inverse is omega(a); when not body,
+    R(a) = dm/d(first slot) at (e, a).  A block of points a (..., p) gives
+    one matrix per point (..., p, p)."""
     p = spec.dim
-    lift = spec.compose.taylor_lift(_with_identity(spec, a, True), 1)
-    return lift.jacobian()[..., :, p:]
-
-
-def _right_translation_matrix(spec: LieGroupSpec, a: np.ndarray) -> np.ndarray:
-    """R(a) = dm/d(first slot) at (e, a), per point of a block as above."""
-    p = spec.dim
-    lift = spec.compose.taylor_lift(_with_identity(spec, a, False), 1)
-    return lift.jacobian()[..., :, :p]
+    jac = spec.compose.taylor_lift(_with_identity(spec, a, body), 1).jacobian()
+    return jac[..., p:] if body else jac[..., :p]
 
 
 def _pullback(spec: LieGroupSpec, gauging: ExprMap | PolyMap,
@@ -234,7 +226,7 @@ def _pullback(spec: LieGroupSpec, gauging: ExprMap | PolyMap,
     lift = gauging.taylor_lift(x, 1)
     a = lift.value()
     da = lift.jacobian()              # (..., p, n)
-    mat = _left_form_matrix(spec, a) if form == "body" else _right_translation_matrix(spec, a)
+    mat = _translation_matrix(spec, a, form == "body")
     return np.linalg.solve(mat, da), a
 
 
@@ -398,7 +390,7 @@ def _family_pullback(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
     val = mlift.value()
     dval = np.einsum("...ts,...si->...ti", jac,
                      np.concatenate([first, second], axis=-2))
-    mat = _left_form_matrix(spec, val) if side == "body" else _right_translation_matrix(spec, val)
+    mat = _translation_matrix(spec, val, side == "body")
     return np.linalg.solve(mat, dval)
 
 
@@ -549,41 +541,30 @@ def spencer_from_action(spec: LieGroupSpec, lam: ExprMap | PolyMap,
         raise ValueError(f"group '{spec.label}' carries no action")
     act = spec.action
     n, p = act.dim, spec.dim
-    ctx_hi = context(n, order + 1)
-    ctx1 = context(n, 1)
-    unit_pos = [ctx1.pos(tuple(int(i == j) for j in range(n))) for i in range(n)]
-    rows_q = ctx_hi.count_up_to(order)
+    ctx_hi, ctx1 = context(n, order + 1), context(n, 1)
+    up = raised_rows(n, order + 1)
+    rows_q = up.shape[1]
     samples = np.asarray(samples, float)
     # every sample at once: raw[s, tau, k, row] = d^mu(row) g^k_tau at s
     gen = [g.taylor_lift(samples, order + 1) for g in act.generators]
     raw = np.stack([lift.coeffs * ctx_hi.factorial for lift in gen], axis=1)
-    lam_series = lam.taylor_lift(samples, 1).coeffs  # (S, p, n+1), raw = taylor
-    lam0 = lam_series[..., 0]
-    dlam = lam_series[..., unit_pos]
-    gaps = []
-    for row in range(rows_q):
-        for k in range(n):
-            # route one: the section slot as a series in x, lam times
-            # generator derivatives multiplied through the kernel
-            total = 0.0
-            for tau in range(p):
-                h = np.zeros(raw.shape[:1] + (ctx1.count,))
-                h[:, 0] = raw[:, tau, k, row]
-                for i in range(n):
-                    h[:, unit_pos[i]] = raw[:, tau, k, ctx_hi.shifted(row, i)]
-                total = total + series.mul(ctx1, lam_series[:, tau], h)
-            for i in range(n):
-                up = ctx_hi.shifted(row, i)
-                direct = total[:, unit_pos[i]] - np.einsum(
-                    "st,st->s", lam0, raw[:, :, k, up])
-                # route two: dlam contracted with the generator jets
-                contracted = np.einsum("st,st->s", dlam[:, :, i],
-                                       raw[:, :, k, row])
-                gaps.append(direct - contracted)
+    lam_lift = lam.taylor_lift(samples, 1)          # raw = taylor at order 1
+    # route one: D of the section lam^tau g_tau; each generator slot is an
+    # order-1 x-series, d_i of slot mu read from mu + e_i (0 on top rows)
+    slots = np.zeros(raw.shape + (ctx1.count,))
+    slots[..., 0] = raw
+    slots[..., :rows_q, 1:] = raw[..., up.T]
+    total = sum(series.mul(ctx1, lam_lift.coeffs[:, tau, None, None, :],
+                           slots[:, tau]) for tau in range(p))
+    direct = series.spencer(ctx1, total, order)[..., 0]      # [s, i, k, row]
+    # route two: dlam contracted with the generator jets
+    contracted = np.einsum("sti,stkr->sikr", lam_lift.jacobian(),
+                           raw[..., :rows_q])
+    gaps = np.transpose(direct - contracted, (3, 2, 1, 0))
     # rows (k, mu), cols tau, one matrix per sample
     mats = np.swapaxes(raw[..., :rows_q].reshape(len(samples), p, -1), -2, -1)
     min_rank = int(np.min(np.linalg.matrix_rank(mats, tol=RANK_TOL), initial=p))
     if min_rank < p:
         raise NotInjectiveYet(
             f"rank {min_rank} < {p} at jet order {order}; raise the order")
-    return np.array(gaps)
+    return gaps.reshape(-1, len(samples))

@@ -24,7 +24,7 @@ import numpy as np
 from . import series
 from ._fixtures import LIE_SYSTEM, parse_map, read_fixture, validate
 from ._multiindex import (MultiIndexContext, context, derivative_rows,
-                          poly_shift, shift_table)
+                          poly_shift, raised_rows, shift_table)
 from .expr import ExprMap
 from .sampling import halton_points
 
@@ -90,6 +90,7 @@ def _prolong_table(nvars: int, order: int, neq: int) -> _ProlongTable:
     nline = n + n * ctx_lo.count
     ctx2 = context(nline, 2)
     ncols = n * ctx_hi.count
+    raised = raised_rows(n, order + 1)
 
     t: dict[str, list] = {name: [] for name in _ProlongTable._fields[2:]}
 
@@ -107,9 +108,9 @@ def _prolong_table(nvars: int, order: int, neq: int) -> _ProlongTable:
                 t["coef_dst"].append(e * ncols + col)
                 for i in range(n):
                     drow = (neq * (1 + i) + e) * ncols
-                    up = ctx_hi.shifted(row, i)
                     t["shift_src"].append(len(t["coef_src"]) - 1)
-                    t["shift_dst"].append(drow + _jet_column(ctx_hi, k, up))
+                    t["shift_dst"].append(
+                        drow + _jet_column(ctx_hi, k, raised[i, row]))
                     gather("dx", e, var, i)
                     t["dx_dst"].append(drow + col)
 
@@ -322,34 +323,32 @@ def _bracket_tables(nvars: int, q_out: int, ctx_x: MultiIndexContext,
     stacked call equals one call per slice bit for bit.
     """
     n = nvars
-    ctx_jet, ctx_o = context(n, q_out + 1), context(n, ctx_x.order - 1)
-    # C(mu, nu) and the row of mu - nu, for rows mu and nu of ctx_jet
+    ctx_o = context(n, ctx_x.order - 1)
+    # C(mu, nu) and the row of mu - nu, for jet rows mu and nu
     binom, rest = shift_table(n, q_out + 1, q_out + 1)
+    raised = raised_rows(n, q_out + 1)
     rows_out = context(n, q_out).count
     batch = np.broadcast_shapes(tab_a.shape[:-3], tab_b.shape[:-3])
     out = np.zeros(batch + (n, rows_out, ctx_o.count))
     lo_a, lo_b = tab_a[..., :ctx_o.count], tab_b[..., :ctx_o.count]
+    sp_a, sp_b = (series.spencer(ctx_x, tab_a, q_out),
+                  series.spencer(ctx_x, tab_b, q_out))
     for row in range(rows_out):
         acc = out[..., row, :]        # (..., n, count): every component k
-        for row_nu in range(ctx_jet.count):
+        for row_nu in np.flatnonzero(binom[row]):     # every nu <= mu
             coef = binom[row, row_nu]
-            if not coef:      # nu exceeds mu somewhere
-                continue
             for r in range(n):
-                row_rem = ctx_jet.shifted(rest[row, row_nu], r)
+                row_rem = raised[r, rest[row, row_nu]]
                 term = series.mul(ctx_o, lo_a[..., r:r + 1, row_nu, :],
                                   lo_b[..., :, row_rem, :])
                 term -= series.mul(ctx_o, lo_b[..., r:r + 1, row_nu, :],
                                    lo_a[..., :, row_rem, :])
                 acc += coef * term
         for i in range(n):
-            up = ctx_jet.shifted(row, i)
-            sp_a = (series.dvar(ctx_x, tab_a[..., :, row, :], i)
-                    [..., :ctx_o.count] - lo_a[..., :, up, :])
-            sp_b = (series.dvar(ctx_x, tab_b[..., :, row, :], i)
-                    [..., :ctx_o.count] - lo_b[..., :, up, :])
-            acc += series.mul(ctx_o, lo_a[..., i:i + 1, 0, :], sp_b)
-            acc -= series.mul(ctx_o, lo_b[..., i:i + 1, 0, :], sp_a)
+            acc += series.mul(ctx_o, lo_a[..., i:i + 1, 0, :],
+                              sp_b[..., i, :, row, :])
+            acc -= series.mul(ctx_o, lo_b[..., i:i + 1, 0, :],
+                              sp_a[..., i, :, row, :])
     return out
 
 

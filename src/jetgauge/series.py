@@ -14,11 +14,11 @@ import math
 
 import numpy as np
 
-from ._multiindex import MultiIndexContext
+from ._multiindex import MultiIndexContext, raised_rows
 
 __all__ = [
     "DomainError", "InverseSolveError", "const", "coordinate", "mul",
-    "compose_univariate", "analytic", "div", "powc", "dvar",
+    "compose_univariate", "analytic", "div", "powc", "dvar", "spencer",
 ]
 
 
@@ -179,12 +179,25 @@ def powc(ctx: MultiIndexContext, a: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def dvar(ctx: MultiIndexContext, a: np.ndarray, var: int) -> np.ndarray:
-    """Derivative in Taylor scaling, over any leading batch axes of a.
-    The result is trustworthy only through order ctx.order - 1; callers
-    lift one order higher than they consume."""
+    """Derivative in Taylor scaling, over any leading batch axes of a, by
+    one gather of the raised rows; the top rows stay 0.0, so it is
+    trustworthy only through order ctx.order - 1, and callers lift one
+    order higher than they consume."""
+    up = raised_rows(ctx.nvars, ctx.order)[var]
     out = np.zeros(a.shape[:-1] + (ctx.count,))
-    for row in range(ctx.count):
-        src = ctx.shifted(row, var)
-        if src >= 0:
-            out[..., row] = a[..., src] * (ctx.midx[row][var] + 1)
+    out[..., :len(up)] = _gather(a, up) * (ctx.midx[:len(up), var] + 1.0)
     return out
+
+
+def spencer(ctx_x: MultiIndexContext, tab: np.ndarray, q: int) -> np.ndarray:
+    """Spencer operator (D xi)^k_{mu,i} = d_i xi^k_mu - xi^k_{mu+e_i}.
+
+    tab (..., ncomp, rows_{q+1}, ctx_x.count) holds the raw slots of a
+    section of order q + 1 as x-series; the result (..., n, ncomp, rows_q,
+    count_{x-1}) holds D in each direction i through x-order
+    ctx_x.order - 1, the most the derivative leaves valid."""
+    up = raised_rows(ctx_x.nvars, q + 1)
+    keep = ctx_x.count_up_to(ctx_x.order - 1)
+    low = tab[..., :up.shape[1], :]
+    return np.stack([dvar(ctx_x, low, i)[..., :keep] - tab[..., up[i], :keep]
+                     for i in range(ctx_x.nvars)], axis=-4)

@@ -377,15 +377,28 @@ def _attribute_reads(tree, names, skip_function=None):
 
 def test_derivatives_are_read_through_taylor_map():
     # the graded slot layout and the mu! scaling stay behind
-    # TaylorMap.derivative; spencer_from_action alone reads its whole raw
-    # table in slot order
+    # TaylorMap.derivative; spencer_from_action alone scales its generator
+    # lifts by mu! to read their whole raw tables in slot order, and takes
+    # the raised slots from the shared table
     src = Path(__file__).resolve().parent.parent / "src" / "jetgauge"
     found = []
     for name in ("dynamics.py", "elasticity.py", "groups.py"):
         tree = ast.parse((src / name).read_text())
         found += [f"{name}:{line}" for line in _attribute_reads(
-            tree, ("pos", "factorial", "raw"), "spencer_from_action")]
+            tree, ("pos", "shifted", "raw"))]
+        found += [f"{name}:{line}" for line in _attribute_reads(
+            tree, ("factorial",), "spencer_from_action")]
     assert found == []
+    # the derivative is one gather over a whole table; only series, where
+    # the Spencer operator takes it in each direction, calls it in a loop
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_loops = {node.lineno for loop in ast.walk(tree)
+                    if isinstance(loop, _LOOPS) for node in ast.walk(loop)
+                    if isinstance(node, ast.Call) and "dvar" in (
+                        getattr(node.func, "attr", None),
+                        getattr(node.func, "id", None))}
+        assert path.name == "series.py" or not in_loops, path.name
     # elasticity and pseudogroups lift each call site as one block;
     # schwarzian_variation_check lifts one new map per step size
     lifts = ("taylor_lift", "raw_series")

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jetgauge import _suite_group
+from jetgauge import _suite_group, series
+from jetgauge._multiindex import context
 from jetgauge._runner import _max_abs
 from jetgauge.expr import ExprMap, PolyMap, TaylorMap
 from jetgauge.groups import (
@@ -21,6 +22,7 @@ from jetgauge.groups import (
 from jetgauge.sampling import halton_points
 from jetgauge.suites import SuiteConfig, run_suite
 from polytext import poly_text
+from slotrows import shifted
 
 AFFINE = load_group_spec("affine")
 E2 = load_group_spec("e2")
@@ -408,3 +410,79 @@ def test_fixture_action_draws_a_random_lam(tmp_path, monkeypatch):
     ref = ExprMap.parse(text, ["x1", "x2"]).taylor_lift(samples, 1)
     assert np.max(np.abs(lam.taylor_lift(samples, 1).coeffs
                          - ref.coeffs)) < 1e-13
+
+
+def _loop_spencer_from_action(spec, lam, order, samples):
+    """spencer_from_action as a loop over (jet row, component, parameter),
+    one series product each, with the slot layout read row by row."""
+    act = spec.action
+    n, p = act.dim, spec.dim
+    ctx_hi, ctx1 = context(n, order + 1), context(n, 1)
+    unit_pos = [ctx1.pos(tuple(int(i == j) for j in range(n)))
+                for i in range(n)]
+    rows_q = ctx_hi.count_up_to(order)
+    gen = [g.taylor_lift(samples, order + 1) for g in act.generators]
+    raw = np.stack([lift.coeffs * ctx_hi.factorial for lift in gen], axis=1)
+    lam_series = lam.taylor_lift(samples, 1).coeffs
+    lam0, dlam = lam_series[..., 0], lam_series[..., unit_pos]
+    gaps = []
+    for row in range(rows_q):
+        for k in range(n):
+            total = 0.0
+            for tau in range(p):
+                h = np.zeros(raw.shape[:1] + (ctx1.count,))
+                h[:, 0] = raw[:, tau, k, row]
+                for i in range(n):
+                    h[:, unit_pos[i]] = raw[:, tau, k,
+                                            shifted(ctx_hi, row, i)]
+                total = total + series.mul(ctx1, lam_series[:, tau], h)
+            for i in range(n):
+                up = shifted(ctx_hi, row, i)
+                direct = total[:, unit_pos[i]] - np.einsum(
+                    "st,st->s", lam0, raw[:, :, k, up])
+                contracted = np.einsum("st,st->s", dlam[:, :, i],
+                                       raw[:, :, k, row])
+                gaps.append(direct - contracted)
+    return np.array(gaps)
+
+
+@pytest.mark.parametrize("spec", [AFFINE, E2], ids=["affine", "e2"])
+def test_spencer_from_action_matches_loop(spec):
+    n = spec.action.dim
+    names = tuple(f"x{k + 1}" for k in range(n))
+    for order in (1, 2, 3):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            lam = PolyMap(names, 2, rng.standard_normal(
+                (spec.dim, context(n, 2).count)))
+            pts = halton_points(spec.action.box, 7, seed)
+            got = spencer_from_action(spec, lam, order, pts)
+            want = _loop_spencer_from_action(spec, lam, order, pts)
+            assert np.array_equal(_bits(got), _bits(want)), (order, seed)
+
+
+def test_validate_lifts_compose_twice(monkeypatch):
+    counts = {}
+    real = ExprMap.taylor_lift
+
+    def spy(self, base, order):
+        counts[id(self)] = counts.get(id(self), 0) + 1
+        return real(self, base, order)
+
+    monkeypatch.setattr(ExprMap, "taylor_lift", spy)
+    for spec in (AFFINE, E2):
+        counts.clear()
+        spec.validate()
+        assert counts == {id(spec.compose): 2, id(spec.inverse): 1}
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_validate_names_the_one_failing_sample(k):
+    # an inverse off by a polynomial that vanishes at every sample's a1
+    # but sample k's breaks the law there alone
+    a1 = AFFINE.sample_points(8, seed=20210)[:, 0]
+    bump = "*".join(f"(a1 - {float(v)!r})" for j, v in enumerate(a1) if j != k)
+    broken = replace(AFFINE, inverse=ExprMap.parse(
+        f"1/a1 + {bump}, -a2/a1", ["a1", "a2"]))
+    with pytest.raises(InconsistentGroupLaw, match=f"at sample {k}$"):
+        broken.validate()

@@ -18,6 +18,7 @@ from jetgauge.sampling import halton_points
 from jetgauge import _suite_pseudogroup
 from jetgauge._runner import _max_abs
 from jetgauge.suites import SuiteConfig, run_suite
+from slotrows import shifted
 
 PTS2 = halton_points(((-0.5, 0.5), (-0.5, 0.5)), 6, 13)
 
@@ -515,14 +516,14 @@ def _full_order_bracket(n, q_out, ctx_x, tab_a, tab_b):
             if not coef:
                 continue
             for r in range(n):
-                row_rem = ctx_jet.shifted(rest[row, row_nu], r)
+                row_rem = shifted(ctx_jet, rest[row, row_nu], r)
                 term = series.mul(ctx_x, tab_a[..., r:r + 1, row_nu, :],
                                   tab_b[..., :, row_rem, :])
                 term -= series.mul(ctx_x, tab_b[..., r:r + 1, row_nu, :],
                                    tab_a[..., :, row_rem, :])
                 acc += coef * term
         for i in range(n):
-            up = ctx_jet.shifted(row, i)
+            up = shifted(ctx_jet, row, i)
             sp_a = (series.dvar(ctx_x, tab_a[..., :, row, :], i)
                     - tab_a[..., :, up, :])
             sp_b = (series.dvar(ctx_x, tab_b[..., :, row, :], i)

@@ -6,6 +6,7 @@ import pytest
 import jetgauge
 from jetgauge import series
 from jetgauge._multiindex import context
+from slotrows import shifted
 
 
 def test_kernel_is_selected():
@@ -117,6 +118,54 @@ def test_dvar_drops_one_order():
 
 def _bits(a):
     return np.asarray(a, float).view(np.int64)
+
+
+def _loop_dvar(ctx, a, var):
+    # the derivative one row at a time, as the kernel once took it
+    out = np.zeros(a.shape[:-1] + (ctx.count,))
+    for row in range(ctx.count):
+        src = shifted(ctx, row, var)
+        if src >= 0:
+            out[..., row] = a[..., src] * (ctx.midx[row][var] + 1)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("nvars,order", [(1, 0), (1, 3), (2, 1), (2, 3),
+                                         (3, 2)])
+def test_gathered_dvar_matches_row_loop(nvars, order):
+    ctx = context(nvars, order)
+    a = np.random.default_rng(order).standard_normal((4, 3, ctx.count))
+    a[0, 0] = -np.abs(a[0, 0])              # negative entries everywhere
+    a[1, 2, -1] = np.inf                     # a top row, read by the one below
+    a[2, 1, -1], a[3, 0, 0] = np.nan, np.inf
+    top = ctx.degree == order
+    for var in range(nvars):
+        got = series.dvar(ctx, a, var)
+        assert np.array_equal(_bits(got), _bits(_loop_dvar(ctx, a, var)))
+        # rows whose mu + e_var leaves the truncation are +0.0 exactly
+        assert np.array_equal(_bits(got[..., top]),
+                              np.zeros(got[..., top].shape, np.int64))
+        assert np.array_equal(_bits(series.dvar(ctx, a[1, 2], var)),
+                              _bits(got[1, 2]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("xorder", [1, 2])
+def test_spencer_matches_row_formula(n, q, xorder):
+    ctx_x, ctx_jet = context(n, xorder), context(n, q + 1)
+    keep = context(n, xorder - 1).count
+    rng = np.random.default_rng(100 * n + 10 * q + xorder)
+    tab = rng.standard_normal((2, 3, n + 1, ctx_jet.count, ctx_x.count))
+    got = series.spencer(ctx_x, tab, q)
+    assert got.shape == (2, 3, n, n + 1, context(n, q).count, keep)
+    for row in range(context(n, q).count):
+        for i in range(n):
+            up = shifted(ctx_jet, row, i)
+            want = (_loop_dvar(ctx_x, tab[..., row, :], i)[..., :keep]
+                    - tab[..., up, :keep])
+            assert np.array_equal(_bits(got[..., i, :, row, :]), _bits(want))
 
 
 def _point_ladder(key, c, order):
