@@ -1,6 +1,7 @@
 """The dynamics suite: speed, mass and vorticity transport of motions."""
 
 import math
+from itertools import groupby
 
 import numpy as np
 
@@ -10,8 +11,9 @@ from .dynamics import (
     mass_conservation_residual, pressure_recovery, random_solenoidal_field,
     speed_duality_gap, theorem3_check, vortex_residual,
 )
-from .expr import ExprMap, _random_poly
+from .expr import ExprMap, PolyMap, _random_poly
 from .sampling import halton_points
+from .series import DomainError, InverseSolveError
 
 FAMILY_VARS = ("y1", "y2", "x1", "x2")
 FAMILY_MONOS = (("x1",), ("x2",), ("y1", "x1"), ("y1", "x2"), ("y2", "x1"),
@@ -20,6 +22,8 @@ FAMILY_MONOS = (("x1",), ("x2",), ("y1", "x1"), ("y1", "x2"), ("y2", "x1"),
 SMALL_BOX = ((-0.6, 0.6), (-0.6, 0.6))
 KINETIC = ExprMap.parse("0.5 * (v1^2 + v2^2)", ["v1", "v2"])
 FIELD_BOX = ((-0.8, 0.8),) * 3 + ((0.0, 2.0),)
+STRETCHING = ExprMap.parse("z1, z3, 0 - z2", ["z1", "z2", "z3", "t"])
+SPIN = ExprMap.parse("-1.3 * z2, 1.3 * z1, 0", ["z1", "z2", "z3", "t"])
 
 ROTATION = MotionFamily.parse(
     m=2, n=1,
@@ -56,14 +60,39 @@ def _family_roster(cfg: SuiteConfig, cache: dict) -> list[MotionFamily]:
     return cache["families"]
 
 
+def _stacked(fams: list[MotionFamily]) -> MotionFamily:
+    # forward coeffs (K, 1, m, count), against points (K, M, m + n)
+    head = fams[0]
+    return MotionFamily(head.m, head.n,
+                        PolyMap.stack([f.forward for f in fams]),
+                        ybox=head.ybox, xbox=head.xbox, zbox=head.zbox,
+                        label=f"{head.label} to {fams[-1].label}")
+
+
 def _per_family(fams, residual, npts: int, seed: int, source: bool = False):
     # residual(fam, points) of the k-th family on npts points drawn at
     # seed + k: source (y, x) points with source, else target (z, x) points;
-    # a family whose residual is empty checked none of them
-    res = tuple(residual(fam, fam.sample_yx(npts, seed + k) if source
-                         else fam.sample_zx(npts, seed + k))
-                for k, fam in enumerate(fams))
-    return res, npts * sum(r.size > 0 for r in res)
+    # a family whose residual is empty checked none of them.  A run of
+    # random families, which share their boxes and monomials, is one
+    # stacked family on stacked points; on an error each runs alone, so the
+    # first failing one raises what a loop over the families would
+    res, count, k = [], 0, seed
+    for poly, run in groupby(fams, lambda f: isinstance(f.forward, PolyMap)):
+        for block in [list(run)] if poly else ([f] for f in run):
+            pts = np.stack([fam.sample_yx(npts, k + j) if source
+                            else fam.sample_zx(npts, k + j)
+                            for j, fam in enumerate(block)])
+            k += len(block)
+            try:
+                r = (residual(_stacked(block), pts) if len(block) > 1
+                     else residual(block[0], pts[0]))
+            except (InverseSolveError, DomainError):
+                for fam, p in zip(block, pts):
+                    residual(fam, p)
+                raise
+            res.append(r)
+            count += npts * len(block) * (r.size > 0)
+    return tuple(res), count
 
 
 def _check_speed_compatibility(cfg: SuiteConfig, cache: dict):
@@ -108,27 +137,27 @@ def _check_force_density_duality(cfg: SuiteConfig, cache: dict):
 
 
 def _check_vortex_transport(cfg: SuiteConfig, cache: dict):
+    # the 10 fields as one stack, lifted once at the shared points
     pts = halton_points(FIELD_BOX, min(cfg.samples, 12), cfg.seed + 41)
-    res = [vortex_residual(random_solenoidal_field(cfg.seed + 300 + k), pts)
-           for k in range(10)]
-    return tuple(res), 10 * len(pts)
+    fields = PolyMap.stack([random_solenoidal_field(cfg.seed + 300 + k)
+                            for k in range(10)])
+    return vortex_residual(fields, pts), 10 * len(pts)
 
 
 def _check_vortex_compressible_control(cfg: SuiteConfig, cache: dict):
     # the stretching field has defect |omega . div v| = 1 exactly
-    field = ExprMap.parse("z1, z3, 0 - z2", ["z1", "z2", "z3", "t"])
     pts = halton_points(FIELD_BOX, min(cfg.samples, 12), cfg.seed + 42)
     # reduces its own inputs: the residual is a shortfall of the maximum
-    defect = np.max(np.abs(vortex_residual(field, pts, enforce_divergence=False)),
+    defect = np.max(np.abs(vortex_residual(STRETCHING, pts,
+                                           enforce_divergence=False)),
                     initial=0.0)
     return _shortfall(defect, 1e-3), len(pts)
 
 
 def _check_pressure_path_independence(cfg: SuiteConfig, cache: dict):
-    rot = ExprMap.parse("-1.3 * z2, 1.3 * z1, 0", ["z1", "z2", "z3", "t"])
     pts = halton_points(((-0.7, 0.7),) * 3, min(cfg.samples, 10),
                         cfg.seed + 23)
-    return pressure_recovery(rot, 0.5, pts, (0.0, 0.0, 0.0))[1], len(pts)
+    return pressure_recovery(SPIN, 0.5, pts, (0.0, 0.0, 0.0))[1], len(pts)
 
 
 SUITES["dynamics"] = (

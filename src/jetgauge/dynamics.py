@@ -77,32 +77,28 @@ def _newton(emap: ExprMap | PolyMap, m: int, z: np.ndarray, tail: np.ndarray,
     """Solve emap(y, tail) = z for y at every row of a block, in lockstep.
 
     z (..., m), tail (..., k) and start (m,) or (..., m) broadcast to one
-    block.  Each step lifts the rows still live at order 1 and solves their
-    jacobians in one stacked call; a row stops once max |resid| < NEWTON_TOL,
-    which a NaN never meets.  A row takes the steps it takes alone, so it
+    block, which carries the stack axes of a stacked PolyMap.  Each step
+    lifts the whole block at order 1 and solves the jacobians of the rows
+    still live in one stacked call; a row stops once max |resid| <
+    NEWTON_TOL, which a NaN never meets, and is lifted again at its frozen
+    root with the same bits.  A row takes the steps it takes alone, so it
     gets the bits of a one-row solve.  Returns the roots (..., m) and the
     order-1 jacobian of emap there, (..., m, m + k).
     """
     z, tail, start = (np.asarray(a, float) for a in (z, tail, start))
-    k = tail.shape[-1]
     batch = np.broadcast_shapes(z.shape[:-1], tail.shape[:-1],
                                 start.shape[:-1])
-    z = np.broadcast_to(z, batch + (m,)).reshape(-1, m)
-    tail = np.broadcast_to(tail, batch + (k,)).reshape(-1, k)
-    y = np.broadcast_to(start, batch + (m,)).reshape(-1, m).copy()
-    jac = np.empty((len(y), m, m + k))
-    live = np.arange(len(y))
+    tail = np.broadcast_to(tail, batch + tail.shape[-1:])
+    y = np.broadcast_to(start, batch + (m,)).copy()
     for _ in range(NEWTON_MAX_ITER):
-        lift = _lift(emap, (y[live], tail[live]), 1, label)
-        resid = lift.value() - z[live]
-        full = lift.jacobian()
-        done = np.max(np.abs(resid), axis=-1) < NEWTON_TOL
-        jac[live[done]] = full[done]
-        live, resid, full = live[~done], resid[~done], full[~done]
-        if not len(live):
-            return y.reshape(batch + (m,)), jac.reshape(batch + (m, m + k))
+        lift = _lift(emap, (y, tail), 1, label)
+        resid = lift.value() - z
+        live = ~(np.max(np.abs(resid), axis=-1) < NEWTON_TOL)
+        if not live.any():
+            return y, lift.jacobian()
         try:
-            step = np.linalg.solve(full[..., :m], resid[..., None])[..., 0]
+            step = np.linalg.solve(lift.jacobian()[live][..., :m],
+                                   resid[live][..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise InverseSolveError(
                 f"singular jacobian while inverting {label}") from exc
@@ -296,10 +292,10 @@ def load_motion_family(path: str | Path) -> MotionFamily:
 
 
 def speed_duality_gap(fam: MotionFamily, samples_yx: np.ndarray) -> np.ndarray:
-    """df/dx - (df/dy) u and df/dx - v(f(y, x), x) at the samples, stacked
-    as (2, M, m, n)."""
+    """df/dx - (df/dy) u and df/dx - v(f(y, x), x) at the samples (..., m + n),
+    stacked as (2, ..., m, n); a stacked family takes (K, M, m + n)."""
     samples_yx = np.asarray(samples_yx, float)
-    y, x = samples_yx[:, :fam.m], samples_yx[:, fam.m:]
+    y, x = samples_yx[..., :fam.m], samples_yx[..., fam.m:]
     st = fam.state_at_source(y, x)
     image = fam.state(st.value, x)
     return np.stack([st.fx - np.einsum("...ka,...ai->...ki", st.fy, st.u),
@@ -313,13 +309,14 @@ def compatibility_residual(fam: MotionFamily,
     The v-form residual is d_i v_j - d_j v_i + [v_i, v_j]; the u-form carries
     the bracket with the opposite sign.  Both vanish identically for any
     well-formed family, so a nonzero value flags a defect, not physics.
-    Returns (2, pairs, M, m): the v-form, then the u-form, for each
-    parameter pair i < j; a family with one parameter has no pair.
+    Returns (2, pairs, ..., m) over the samples' leading axes: the v-form,
+    then the u-form, for each parameter pair i < j; a family with one
+    parameter has no pair.
     """
     if fam.n < 2:
         return np.zeros((2, 0))
     samples = np.asarray(samples, float)
-    z, x = samples[:, :fam.m], samples[:, fam.m:]
+    z, x = samples[..., :fam.m], samples[..., fam.m:]
     st = fam.state(z, x)
     # [..., k, j, i] = d_i v^k_j + (d v^k_j/dz) v_i; the u-form's bracket
     # enters with the opposite sign
@@ -401,13 +398,13 @@ def mass_conservation_residual(fam: MotionFamily, samples: np.ndarray,
 
     The variation oracle checks delta rho = -d(rho eta^k)/dz^k by one-sided
     quotients whenever the family carries a variation map.  Returns the
-    tuple (continuity, fd, fd_half): the continuity residual (M, n) and
+    tuple (continuity, fd, fd_half): the continuity residual (..., n) and
     the quotient gaps (M,) at eps and eps/2, so the caller can confirm
     first-order decay; both gaps are empty without a variation map.
     """
     m = fam.m
     samples = np.asarray(samples, float)
-    z, x = samples[:, :m], samples[:, m:]
+    z, x = samples[..., :m], samples[..., m:]
     y = fam.invert(z, x)
     st = fam.state_at_source(y, x)
     rho = st.rho[..., None]
@@ -501,21 +498,25 @@ def _acceleration_gradient(val: np.ndarray, dz: np.ndarray, dzz: np.ndarray,
 
 def vortex_residual(field: ExprMap | PolyMap, samples: np.ndarray,
                     enforce_divergence: bool = True) -> np.ndarray:
-    """Residual (1/2) curl gamma - (d omega/dt + [v, omega]), (M, 3).
+    """Residual (1/2) curl gamma - (d omega/dt + [v, omega]), (..., M, 3)
+    for samples (M, 4), the leading axes a stacked PolyMap's.
 
     gamma = dv/dt + (v . grad) v is the acceleration, omega = (1/2) curl v.
     The identity holds exactly iff div v = 0; the compressible defect is
-    omega div v, so with enforcement off the residual reports that term.
+    omega div v, so with enforcement off the residual reports that term,
+    and with it on the first compressible field, at its first such sample,
+    raises.
     """
     samples = np.asarray(samples, float)
     val, dz, _, dzz, dzt = _field_blocks(field, samples)
     div = np.trace(dz, axis1=-2, axis2=-1)
     if enforce_divergence:
-        failing = np.flatnonzero(np.abs(div) > DIV_TOL)
-        if failing.size:
-            s = failing[0]
+        failing = np.argwhere(np.abs(div) > DIV_TOL)
+        if len(failing):
+            s = tuple(failing[0])
+            zt = samples[s[-1]]
             raise DivergenceNotZero(f"div v = {div[s]:.3e} at "
-                                    f"z={samples[s, :3]}, t={samples[s, 3]}")
+                                    f"z={zt[:3]}, t={zt[3]}")
     omega = 0.5 * _curl(dz)
     domega_t = 0.5 * _curl(dzt)
     # (v . grad) omega is half the curl of dzz contracted with v
@@ -611,23 +612,26 @@ def pressure_recovery(field: ExprMap | PolyMap, t: float, points: np.ndarray,
     if not worst_curl <= curl_tol:  # a NaN curl is not curl-free either
         raise CurlNotZero(f"max |curl gamma| = {worst_curl:.3e}")
 
-    def staircase(z: np.ndarray, order: Sequence[int]) -> float:
-        total = 0.0
-        current = base.copy()
-        for axis in order:
-            lo, hi = float(current[axis]), float(z[axis])
-            nodes, weights = gauss_rule(lo, hi, nquad)
-            probes = np.repeat(current[None], len(nodes), axis=0)
-            probes[:, axis] = nodes
-            val, dz, dt, _, _ = _field_blocks(field, with_time(probes))
-            gamma = dt + np.einsum("...kl,...l->...k", dz, val)
-            for q, weight in enumerate(weights):
-                total += weight * gamma[q, axis]
-            current[axis] = z[axis]
-        return -total
-
-    first = np.array([staircase(z, (0, 1, 2)) for z in points])
-    second = np.array([staircase(z, (2, 1, 0)) for z in points])
+    # every staircase as one block over (point, axis order, segment, node):
+    # segment s of an order runs along axis order[s] from base, the axes
+    # before it already at z, and gauss_rule is elementwise in lo and hi
+    orders = np.array([(0, 1, 2), (2, 1, 0)])
+    moving = orders[..., None] == np.arange(3)              # (order, s, axis)
+    reached = (np.cumsum(moving, axis=1) - moving).astype(bool)
+    nodes, weights = gauss_rule(base[orders][..., None],
+                                points[:, orders, None], nquad)
+    probes = np.where(moving[:, :, None], nodes[..., None],
+                      np.where(reached[:, :, None], points[:, None, None, None],
+                               base))
+    val, dz, dt, _, _ = _field_blocks(field, with_time(probes))
+    gamma = dt + np.einsum("...kl,...l->...k", dz, val)
+    along = np.take_along_axis(gamma, orders[None, ..., None, None], -1)
+    # each staircase sums left to right from 0.0, segment by segment, as
+    # a running total would; a pairwise np.sum would move its bits
+    terms = (weights * along[..., 0]).reshape(len(points), 2, -1)
+    total = np.add.accumulate(np.concatenate(
+        [np.zeros((len(points), 2, 1)), terms], axis=-1), axis=-1)[..., -1]
+    first, second = -total[:, 0], -total[:, 1]
     return first, first - second
 
 

@@ -296,7 +296,8 @@ class TaylorMap:
 
     coeffs[k, r] multiplies (x - base)^mu(r); raw derivatives are the same
     table scaled by mu!.  A block lift around bases of shape (..., nvars)
-    carries the same leading axes: coeffs[..., k, r].
+    carries the same leading axes, with a stacked PolyMap's broadcast
+    against them: coeffs[..., k, r].
     """
 
     variables: tuple[str, ...]
@@ -339,16 +340,26 @@ class TaylorMap:
 
 @dataclass(frozen=True)
 class PolyMap:
-    """Vector polynomial map: coeffs[k, b] multiplies x^beta for row b of
-    exponent_rows(nvars, degree).  Its jet is a binomial shift of the
-    coefficients, exact linear algebra with no tape."""
+    """Vector polynomial map: coeffs[..., k, b] multiplies x^beta for row b
+    of exponent_rows(nvars, degree).  Leading axes of coeffs stack maps,
+    and they broadcast against the leading axes of the points lifted.  Its
+    jet is a binomial shift of the coefficients, exact linear algebra with
+    no tape."""
 
     variables: tuple[str, ...]
     degree: int
     coeffs: np.ndarray
 
+    @classmethod
+    def stack(cls, maps: Sequence["PolyMap"]) -> "PolyMap":
+        """Maps over one variable tuple and degree as one map of coeffs
+        (K, 1, nout, count): it lifts points (M, nvars), or points
+        (K, M, nvars) one block per map, to (K, M, nout, count)."""
+        return cls(maps[0].variables, maps[0].degree,
+                   np.stack([f.coeffs for f in maps])[:, None])
+
     def __len__(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-2]
 
     def eval(self, points) -> np.ndarray:
         """Values at one point (nvars,) or a block (..., nvars): the
@@ -356,21 +367,23 @@ class PolyMap:
         return self.taylor_lift(points, 0).value()
 
     def taylor_lift(self, base, order: int) -> TaylorMap:
-        """Lift around one point or a block (..., nvars); each point of a
+        """Lift around one point or a block (..., nvars), one power table
+        and one contraction for every map of a stack; each point of a
         block gets the bits it gets alone.  Only the monomials with a
-        nonzero coefficient are shifted."""
+        nonzero coefficient in some map are shifted."""
         base = np.asarray(base, dtype=float)
         if base.ndim == 0 or base.shape[-1] != len(self.variables):
             raise ValueError(f"expected {len(self.variables)} base values")
         shift = poly_shift(len(self.variables), self.degree, base, order,
                            self._support)
         return TaylorMap(self.variables, base, order, np.einsum(
-            "kb,...bw->...kw", self.coeffs[:, self._support], shift))
+            "...kb,...bw->...kw", self.coeffs[..., self._support], shift))
 
     @functools.cached_property
     def _support(self) -> tuple[int, ...]:
         """The monomial rows with a nonzero coefficient."""
-        return tuple(np.flatnonzero(self.coeffs.any(axis=0)).tolist())
+        rows = self.coeffs.reshape(-1, self.coeffs.shape[-1]).any(axis=0)
+        return tuple(np.flatnonzero(rows).tolist())
 
 
 def _random_poly(rng: np.random.Generator, names: tuple[str, ...],

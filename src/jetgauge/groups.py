@@ -306,7 +306,9 @@ def _group_exp_series(spec: LieGroupSpec, ctx, lam_series: np.ndarray,
     value; the stage deviations are O(eps), so the neglected terms enter
     the result at O(eps^3), below the O(eps^5) RK4 floor callers rely on
     only through the finite-difference quotient.  lam_series (..., p,
-    count) may carry a block of points; their RK4 stages run in lockstep.
+    count) may carry a block of points, and eps an array that broadcasts
+    against it, such as (E, 1, 1, 1) for a (M, p, count) block; the RK4
+    stages run in lockstep.
     """
     p = spec.dim
     state = np.zeros(lam_series.shape[:-2] + (p, ctx.count))
@@ -317,17 +319,16 @@ def _group_exp_series(spec: LieGroupSpec, ctx, lam_series: np.ndarray,
         L0, D2 = _translation_jet(spec, st[..., 0])
         delta = st.copy()
         delta[..., 0] = 0.0
+        # entry[t, s] = L0[t, s] + D2[t, s, nu] delta^nu as series, where a
+        # zero coefficient adds nothing, not even a signed zero or 0 * inf
+        entry = series.const(ctx, L0)
+        for nu in range(p):
+            coef = D2[..., nu, None]
+            entry = np.where(coef != 0.0, entry
+                             + coef * delta[..., None, None, nu, :], entry)
         out = np.zeros_like(st)
-        for t in range(p):
-            for s in range(p):
-                entry = series.const(ctx, L0[..., t, s])
-                for nu in range(p):
-                    coef = D2[..., t, s, nu, None]
-                    # a zero coefficient adds nothing, not even a signed
-                    # zero or 0 * inf, at that point
-                    entry = np.where(coef != 0.0,
-                                     entry + coef * delta[..., nu, :], entry)
-                out[..., t, :] += series.mul(ctx, entry, lam_series[..., s, :])
+        for s in range(p):
+            out += series.mul(ctx, entry[..., s, :], lam_series[..., None, s, :])
         return out
 
     for _ in range(steps):
@@ -342,42 +343,44 @@ def _group_exp_series(spec: LieGroupSpec, ctx, lam_series: np.ndarray,
 def variation_body(spec: LieGroupSpec, field: GaugeField, lam: ExprMap,
                    samples: np.ndarray) -> np.ndarray:
     """Exact body variation (dlam - [A, lam])^t_i at each sample."""
-    c = spec.structure_constants()
-    samples = np.asarray(samples, float)
-    lift = lam.taylor_lift(samples, 1)
-    return lift.jacobian() - np.einsum("trs,...ri,...s->...ti", c,
-                                       field.value_at(samples), lift.value())
+    return _variation(spec, field, lam, samples, -1.0)
 
 
 def variation_space(spec: LieGroupSpec, field: GaugeField, mu: ExprMap,
                     samples: np.ndarray) -> np.ndarray:
     """Exact space variation (dmu + [B, mu])^t_i at each sample."""
+    return _variation(spec, field, mu, samples, 1.0)
+
+
+def _variation(spec: LieGroupSpec, field: GaugeField, lam: ExprMap,
+               samples: np.ndarray, sign: float) -> np.ndarray:
     c = spec.structure_constants()
     samples = np.asarray(samples, float)
-    lift = mu.taylor_lift(samples, 1)
-    return lift.jacobian() + np.einsum("trs,...ri,...s->...ti", c,
-                                       field.value_at(samples), lift.value())
+    lift = lam.taylor_lift(samples, 1)
+    return lift.jacobian() + sign * np.einsum(
+        "trs,...ri,...s->...ti", c, field.value_at(samples), lift.value())
 
 
 def _family_pullback(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
-                     x: np.ndarray, eps: float, side: str) -> np.ndarray:
-    """Gauge field of the perturbed gauging at points x (..., n).
+                     x: np.ndarray, eps, side: str) -> np.ndarray:
+    """Gauge field of the perturbed gauging at points x (..., n), with one
+    leading axis per axis of eps: (eps..., ..., p, n).
 
     side "body": a_eps = m(a(x), exp(eps*lam(x))), left form.
     side "space": a_eps = m(exp(eps*lam(x)), a(x)), right form.
-    The lifts, RK4 stages, products and solves each run once on the
-    whole block.
+    The gauging and lam are lifted once, and the RK4 stages, products and
+    solves each run once on the whole block; eps enters elementwise.
     """
     n = len(gauging.variables)
     ctx1 = context(n, 1)
     a_lift = gauging.taylor_lift(x, 1)
-    lam_lift = lam.taylor_lift(x, 1)
-    lam_series = lam_lift.coeffs
-    exp_series = _group_exp_series(spec, ctx1, lam_series, eps)
+    lam_series = lam.taylor_lift(x, 1).coeffs
+    exp_series = _group_exp_series(spec, ctx1, lam_series, np.reshape(
+        eps, np.shape(eps) + (1,) * lam_series.ndim))
     e0 = exp_series[..., 0]
     de = exp_series[..., 1:]                       # (..., p, n)
-    a0 = a_lift.value()
-    da = a_lift.jacobian()
+    a0, e0 = np.broadcast_arrays(a_lift.value(), e0)
+    da, de = np.broadcast_arrays(a_lift.jacobian(), de)
 
     if side == "body":
         base = np.concatenate([a0, e0], axis=-1)
@@ -395,21 +398,25 @@ def _family_pullback(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
 
 
 def variation_body_fd(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
-                      samples: np.ndarray, eps: float) -> np.ndarray:
-    """(A_eps - A)/eps for the right-multiplied family at each sample."""
-    samples = np.asarray(samples, float)
-    a_eps = _family_pullback(spec, gauging, lam, samples, eps, "body")
-    a_0 = _pullback(spec, gauging, samples, "body")[0]
-    return (a_eps - a_0) / eps
+                      samples: np.ndarray, eps) -> np.ndarray:
+    """(A_eps - A)/eps for the right-multiplied family at each sample; an
+    array of eps gives one leading axis per axis of eps, in one block."""
+    return _variation_fd(spec, gauging, lam, samples, eps, "body")
 
 
 def variation_space_fd(spec: LieGroupSpec, gauging: ExprMap, mu: ExprMap,
-                       samples: np.ndarray, eps: float) -> np.ndarray:
-    """(B_eps - B)/eps for the left-multiplied family at each sample."""
+                       samples: np.ndarray, eps) -> np.ndarray:
+    """(B_eps - B)/eps for the left-multiplied family at each sample, as
+    variation_body_fd."""
+    return _variation_fd(spec, gauging, mu, samples, eps, "space")
+
+
+def _variation_fd(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
+                  samples: np.ndarray, eps, side: str) -> np.ndarray:
     samples = np.asarray(samples, float)
-    b_eps = _family_pullback(spec, gauging, mu, samples, eps, "space")
-    b_0 = _pullback(spec, gauging, samples, "space")[0]
-    return (b_eps - b_0) / eps
+    a_eps = _family_pullback(spec, gauging, lam, samples, eps, side)
+    a_0 = _pullback(spec, gauging, samples, side)[0]
+    return (a_eps - a_0) / np.reshape(eps, np.shape(eps) + (1,) * a_0.ndim)
 
 
 def el_body_residual(spec: LieGroupSpec, field: GaugeField, momentum: ExprMap,
@@ -423,15 +430,12 @@ def el_body_residual(spec: LieGroupSpec, field: GaugeField, momentum: ExprMap,
     if len(momentum) != p * n:
         raise ValueError(f"momentum needs {p * n} components")
     c = spec.structure_constants()
-    out = np.zeros((len(samples), p))
-    for s, x in enumerate(samples):
-        lift = momentum.taylor_lift(x, 1)
-        pj = lift.jacobian().reshape(p, n, n)       # [t, i, k] = d_k P^i_t
-        pv = lift.value().reshape(p, n)
-        aval = field.value_at(x)
-        div = np.einsum("tii->t", pj)
-        out[s] = div + np.einsum("srt,ri,si->t", c, aval, pv)
-    return out
+    samples = np.asarray(samples, float)
+    lift = momentum.taylor_lift(samples, 1)     # one block of samples
+    pj = lift.jacobian().reshape(-1, p, n, n)   # [x, t, i, k] = d_k P^i_t
+    pv = lift.value().reshape(-1, p, n)
+    return (np.einsum("xtii->xt", pj) + np.einsum(
+        "srt,xri,xsi->xt", c, field.value_at(samples), pv))
 
 
 def el_space_residual(spec: LieGroupSpec, momentum: ExprMap,
@@ -442,12 +446,8 @@ def el_space_residual(spec: LieGroupSpec, momentum: ExprMap,
     p = p_times_n // n
     if p * n != p_times_n or p != spec.dim:
         raise ValueError("momentum shape does not match the group and base")
-    out = np.zeros((len(samples), p))
-    for s, x in enumerate(samples):
-        lift = momentum.taylor_lift(x, 1)
-        pj = lift.jacobian().reshape(p, n, n)
-        out[s] = np.einsum("tii->t", pj)
-    return out
+    jac = momentum.taylor_lift(np.asarray(samples, float), 1).jacobian()
+    return np.einsum("xtii->xt", jac.reshape(-1, p, n, n))
 
 
 def linear_gauge_d(field: ExprMap, n: int, p: int, r: int,
@@ -464,15 +464,14 @@ def linear_gauge_d(field: ExprMap, n: int, p: int, r: int,
         raise ValueError(f"expected {p * len(combos_r)} components for an r={r} form")
     index_r = {K: k for k, K in enumerate(combos_r)}
     out = np.zeros((len(samples), p, len(combos_up)))
-    for s, x in enumerate(samples):
-        lift = field.taylor_lift(x, 1)
-        jac = lift.jacobian()                       # (p*len(combos_r), n)
-        for kk, K in enumerate(combos_up):
-            for pos in range(r + 1):
-                rest = K[:pos] + K[pos + 1:]
-                sign = -1.0 if pos % 2 else 1.0
-                for t in range(p):
-                    out[s, t, kk] += sign * jac[t * len(combos_r) + index_r[rest], K[pos]]
+    # (M, p, len(combos_r), n), one block lift of the samples
+    jac = field.taylor_lift(np.asarray(samples, float), 1).jacobian()
+    jac = jac.reshape(len(samples), p, len(combos_r), n)
+    for kk, K in enumerate(combos_up):
+        for pos in range(r + 1):
+            rest = K[:pos] + K[pos + 1:]
+            sign = -1.0 if pos % 2 else 1.0
+            out[:, :, kk] += sign * jac[:, :, index_r[rest], K[pos]]
     return out, combos_up
 
 
@@ -509,21 +508,16 @@ def action_bracket_residual(spec: LieGroupSpec, samples: np.ndarray) -> float:
     structure constants: [g_rho, g_sigma]^k - c^t_{rho sigma} g^k_t."""
     if spec.action is None:
         raise ValueError(f"group '{spec.label}' carries no action")
-    act = spec.action
-    n, p = act.dim, spec.dim
     c = spec.structure_constants()
-    gaps = []
-    for x in samples:
-        lifts = [g.taylor_lift(x, 1) for g in act.generators]
-        vals = np.stack([lf.value() for lf in lifts])        # (p, n)
-        jacs = np.stack([lf.jacobian() for lf in lifts])     # (p, n, n)
-        for rho in range(p):
-            for sigma in range(p):
-                lie = jacs[sigma] @ vals[rho] - jacs[rho] @ vals[sigma]
-                expect = np.einsum("t,tk->k", c[:, rho, sigma], vals)
-                gaps.append(np.max(np.abs(lie - expect)))
+    lifts = [g.taylor_lift(np.asarray(samples, float), 1)
+             for g in spec.action.generators]
+    vals = np.stack([lf.value() for lf in lifts], axis=-2)      # (M, p, n)
+    jacs = np.stack([lf.jacobian() for lf in lifts], axis=-3)   # (M, p, n, n)
+    # [x, rho, sigma, k] = (dg_sigma g_rho)^k, so lie - lie^T is the bracket
+    lie = np.einsum("xskl,xrl->xrsk", jacs, vals)
+    gaps = lie - np.swapaxes(lie, 1, 2) - np.einsum("trs,xtk->xrsk", c, vals)
     # np.max, unlike a running max(), keeps a NaN
-    return float(np.max(gaps, initial=0.0))
+    return float(np.max(np.abs(gaps), initial=0.0))
 
 
 def spencer_from_action(spec: LieGroupSpec, lam: ExprMap | PolyMap,

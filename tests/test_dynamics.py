@@ -17,6 +17,7 @@ from jetgauge.dynamics import (
     random_solenoidal_field, speed_duality_gap, swell_family, swell_rows,
     theorem3_check, vortex_residual,
 )
+from jetgauge.quadrature import gauss_rule
 from jetgauge.sampling import halton_points
 from jetgauge.suites import (
     SUITE_NAMES, SuiteConfig, run_suite, suite_check_ids,
@@ -214,9 +215,21 @@ def test_vortex_nan_fails_closed(monkeypatch):
     pts = np.array([[0.1, 0.2, 0.3, 0.0], [0.1, 0.2, 0.3, 2.0]])
     assert _max_abs(vortex_residual(fld, pts[:1])) < 1e-13
     assert math.isnan(_max_abs(vortex_residual(fld, pts)))
+    # the suite stacks its fields, so the NaN goes into the fourth field
+    # of the stack, after three finite ones
     real = _suite_dynamics.random_solenoidal_field
-    monkeypatch.setattr(_suite_dynamics, "random_solenoidal_field",
-                        lambda seed: fld if seed == 42 + 303 else real(seed))
+
+    def poisoned(seed):
+        field = real(seed)
+        if seed == 42 + 303:
+            coeffs = field.coeffs.copy()
+            coeffs[0, field._support[-1]] = math.nan
+            return PolyMap(field.variables, field.degree, coeffs)
+        return field
+
+    monkeypatch.setattr(_suite_dynamics, "random_solenoidal_field", poisoned)
+    res, _ = _suite_dynamics._check_vortex_transport(SuiteConfig(seed=42), {})
+    assert np.isfinite(res[:3]).all() and np.isnan(res[3]).any()
     rep = run_suite("dynamics", SuiteConfig(seed=42))
     record = {r.id: r for r in rep.records}["vortex_transport"]
     assert math.isnan(record.max_residual)
@@ -225,7 +238,8 @@ def test_vortex_nan_fails_closed(monkeypatch):
 
 def test_compatibility_report_keeps_nan(monkeypatch):
     # a NaN in either form of the second family, after the finite
-    # residuals before it, reaches the speed_compatibility record
+    # residuals before it, reaches the speed_compatibility record; the
+    # random families run as one stack, (2, pairs, family, point, m)
     real = _suite_dynamics.compatibility_residual
     spec = [c for c in suites.SUITES["dynamics"] if c.id == "speed_compatibility"]
     monkeypatch.setitem(suites.SUITES, "dynamics", tuple(spec))
@@ -235,13 +249,14 @@ def test_compatibility_report_keeps_nan(monkeypatch):
         def poisoned(fam, zx):
             out = real(fam, zx)
             calls.append(fam)
-            if len(calls) == 2:
-                out[form, -1, -1] = math.nan
+            assert np.isfinite(out[:, :, 0]).all()
+            out[form, -1, 1, -1] = math.nan
             return out
 
         monkeypatch.setattr(_suite_dynamics, "compatibility_residual",
                             poisoned)
         record = run_suite("dynamics", SuiteConfig(seed=42)).records[0]
+        assert len(calls) == 1
         assert math.isnan(record.max_residual)
         assert record.to_dict()["status"] == "fail"
 
@@ -707,3 +722,193 @@ def test_speed_duality_gap_leaves_derivative_fields_uncomputed(monkeypatch):
     states[0].drho_x                       # a read fills in what it needs
     assert set(vars(states[0])) & lazy == {"delta", "rho", "ddelta_y",
                                            "ddelta_x", "drho_x"}
+
+
+# The roster checks run their PolyMap families, fields and staircases as
+# blocks.  The loops below are the one-item-at-a-time code each block
+# replaced; every residual must keep its bits.
+
+def _loop_per_family(fams, residual, npts, seed, source=False):
+    """The roster loop: each family alone, on its points drawn at seed + k."""
+    res = tuple(residual(fam, fam.sample_yx(npts, seed + k) if source
+                         else fam.sample_zx(npts, seed + k))
+                for k, fam in enumerate(fams))
+    return res, npts * sum(r.size > 0 for r in res)
+
+
+def _assert_stacks_match_loop(res, loop, axis):
+    # a residual of a stack of K families carries one more axis, of size
+    # K, than the residual of a family alone
+    k = 0
+    for r in res:
+        size = r.shape[axis] if r.ndim > loop[k].ndim else 1
+        want = np.stack(loop[k:k + size], axis) if size > 1 else loop[k]
+        assert np.array_equal(_bits(r), _bits(want))
+        k += size
+    assert k == len(loop)
+
+
+def _mass_continuity(fam, zx):
+    return mass_conservation_residual(fam, zx)[0]
+
+
+# check -> its residual, family roster, point count, seed offset, whether
+# it draws source points, and the axis a stack takes in its residual
+ROSTER_CHECKS = {
+    "speed_compatibility": (compatibility_residual, lambda r: r, 16, 77,
+                            False, 2),
+    "speed_duality": (speed_duality_gap, lambda r: r, 16, 78, True, 1),
+    "mass_transport": (_mass_continuity,
+                       lambda r: [_suite_dynamics.ROTATION] + r[:3], 12, 55,
+                       False, 0),
+}
+
+
+@pytest.mark.parametrize("check", sorted(ROSTER_CHECKS))
+def test_family_stacks_match_the_family_loop(check):
+    residual, roster_of, npts, offset, source, axis = ROSTER_CHECKS[check]
+    fn = next(c.fn for c in suites.SUITES["dynamics"] if c.id == check)
+    for seed in range(30):
+        cfg = SuiteConfig(seed=seed)
+        cache = {}
+        res, count = fn(cfg, cache)
+        loop, loop_count = _loop_per_family(
+            roster_of(_suite_dynamics._family_roster(cfg, cache)), residual,
+            npts, seed + offset, source)
+        assert count == loop_count
+        _assert_stacks_match_loop(res, loop, axis)
+
+
+def test_families_that_do_not_stack_run_alone_in_their_slot():
+    # an ExprMap family between and after PolyMap runs splits the stack
+    fams = [_suite_dynamics._random_motion_family(1042 + k) for k in range(5)]
+    roster = fams[:2] + [NEWTON_FAMILY] + fams[2:] + [NEWTON_FAMILY]
+    res, count = _suite_dynamics._per_family(roster, compatibility_residual,
+                                             9, 5)
+    loop, loop_count = _loop_per_family(roster, compatibility_residual, 9, 5)
+    assert [r.ndim for r in res] == [5, 4, 5, 4] and count == loop_count
+    _assert_stacks_match_loop(res, loop, 2)
+
+
+def _singular_at_start(fam):
+    # every term of f that holds a y goes, so df/dy is zero everywhere
+    coeffs = fam.forward.coeffs.copy()
+    coeffs[:, exponent_rows(4, 2)[:, :2].sum(axis=1) > 0] = 0.0
+    forward = PolyMap(fam.forward.variables, fam.forward.degree, coeffs)
+    return MotionFamily(2, 2, forward, ybox=fam.ybox, xbox=fam.xbox,
+                        zbox=fam.zbox, label=fam.label)
+
+
+@pytest.mark.parametrize("residual, source", [
+    (compatibility_residual, False), (speed_duality_gap, True)],
+    ids=["newton", "source-jacobian"])
+def test_an_error_in_a_stack_names_its_first_failing_family(residual,
+                                                            source):
+    fams = [_suite_dynamics._random_motion_family(1042 + k) for k in range(10)]
+    for k in (3, 6):
+        fams[k] = _singular_at_start(fams[k])
+    with pytest.raises(InverseSolveError) as loop:
+        _loop_per_family(fams, residual, 16, 77, source)
+    with pytest.raises(InverseSolveError) as stack:
+        _suite_dynamics._per_family(fams, residual, 16, 77, source)
+    assert "random-1045" in str(loop.value)
+    assert str(stack.value) == str(loop.value)
+
+
+def test_one_newton_per_check_and_family_stack(monkeypatch):
+    calls = []
+    real = dynamics._newton
+
+    def counted(emap, *args):
+        calls.append(emap)
+        return real(emap, *args)
+
+    monkeypatch.setattr(dynamics, "_newton", counted)
+    cfg = SuiteConfig(seed=42)
+    cache = {"families": _suite_dynamics._family_roster(cfg, {})
+             + [NEWTON_FAMILY]}
+    # the fixture family inverts alone; ROTATION has an explicit inverse
+    for name, stack, alone in (("speed_compatibility", 10, 1),
+                               ("speed_duality", 10, 1),
+                               ("mass_transport", 3, 0)):
+        calls.clear()
+        next(c.fn for c in suites.SUITES["dynamics"] if c.id == name)(cfg,
+                                                                      cache)
+        assert len(calls) == 1 + alone
+        assert calls[0].coeffs.shape[:2] == (stack, 1)
+        assert all(c is NEWTON_FAMILY.forward for c in calls[1:])
+
+
+def test_vortex_stack_matches_the_field_loop(monkeypatch):
+    lifts = []
+    real = PolyMap.taylor_lift
+
+    def counted(self, base, order):
+        lifts.append(self.coeffs.shape)
+        return real(self, base, order)
+
+    for seed in range(30):
+        res, count = _suite_dynamics._check_vortex_transport(
+            SuiteConfig(seed=seed), {})
+        pts = halton_points(_suite_dynamics.FIELD_BOX, 12, seed + 41)
+        loop = [vortex_residual(random_solenoidal_field(seed + 300 + k), pts)
+                for k in range(10)]
+        assert count == 120
+        assert np.array_equal(_bits(res), _bits(np.stack(loop)))
+    monkeypatch.setattr(PolyMap, "taylor_lift", counted)
+    _suite_dynamics._check_vortex_transport(SuiteConfig(seed=42), {})
+    assert len(lifts) == 1 and lifts[0][:2] == (10, 1)
+
+
+def _point_staircase(field, t, points, base, nquad=32):
+    """pressure_recovery's paths one point and one segment at a time, each
+    summed as a running total from 0.0."""
+    def staircase(z, order):
+        total, current = 0.0, np.array(base, float)
+        for axis in order:
+            nodes, weights = gauss_rule(float(current[axis]), float(z[axis]),
+                                        nquad)
+            probes = np.repeat(current[None], nquad, axis=0)
+            probes[:, axis] = nodes
+            val, dz, dt, _, _ = dynamics._field_blocks(
+                field, np.concatenate([probes, np.full((nquad, 1), t)], 1))
+            gamma = dt + np.einsum("...kl,...l->...k", dz, val)
+            for q, weight in enumerate(weights):
+                total += weight * gamma[q, axis]
+            current[axis] = z[axis]
+        return -total
+
+    first = np.array([staircase(z, (0, 1, 2)) for z in points])
+    second = np.array([staircase(z, (2, 1, 0)) for z in points])
+    return first, first - second
+
+
+def test_staircase_block_matches_the_point_staircase():
+    rot = ExprMap.parse("-1.3 * z2, 1.3 * z1, 0", FIELD_VARS)
+    zeros = 0
+    for seed in range(30):
+        base = (0.0, 0.0, 0.0) if seed % 2 else (0.1, -0.2, 0.3)
+        pts = halton_points(((-0.7, 0.7),) * 3, 10, seed + 23)
+        # zero-length segments: a point at the base, and one sharing an axis
+        pts[0] = base
+        pts[1, 2] = base[2]
+        block = pressure_recovery(rot, 0.5, pts, base)
+        point = _point_staircase(rot, 0.5, pts, base)
+        for got, want in zip(block, point):
+            assert np.array_equal(_bits(got), _bits(want))
+            zeros += int(np.sum(got == 0.0))
+    assert zeros       # the sign of some zeros was held too
+
+
+def test_one_field_block_for_the_whole_staircase(monkeypatch):
+    shapes = []
+    real = dynamics._field_blocks
+
+    def counted(field, zt):
+        shapes.append(np.shape(zt))
+        return real(field, zt)
+
+    monkeypatch.setattr(dynamics, "_field_blocks", counted)
+    _suite_dynamics._check_pressure_path_independence(SuiteConfig(seed=42), {})
+    # the curl gate at the points, then every staircase node at once
+    assert shapes == [(10, 4), (10, 2, 3, 32, 4)]

@@ -352,15 +352,59 @@ def test_curvature_of_pullback_nan_fails_closed(monkeypatch):
     field = maurer_cartan_pullback(AFFINE, overflow, _suite_group.GAUGE_GRID)
     values = curvature(AFFINE, field)
     assert np.isnan(values).any() and np.isfinite(values[:-1]).all()
+    # the suite stacks its gaugings, so the NaN goes into the fifth affine
+    # gauging of the stack, after four finite ones
     real = _suite_group._random_gauging
-    monkeypatch.setattr(
-        _suite_group, "_random_gauging",
-        lambda spec, seed: overflow if seed == 42 + 100 + 17 * 4
-        and spec.label == "affine-line" else real(spec, seed))
+
+    def poisoned(spec, seed):
+        g = real(spec, seed)
+        if seed == 42 + 100 + 17 * 4 and spec.label == "affine-line":
+            coeffs = g.coeffs.copy()
+            coeffs[0, -1] = math.nan
+            return PolyMap(g.variables, g.degree, coeffs)
+        return g
+
+    monkeypatch.setattr(_suite_group, "_random_gauging", poisoned)
+    res, _ = _suite_group._check_curvature_of_pullback(SuiteConfig(seed=42),
+                                                       {})
+    assert np.isfinite(res[0][:4]).all() and np.isnan(res[0][4]).any()
     rep = run_suite("group", SuiteConfig(seed=42))
     record = {r.id: r for r in rep.records}["curvature_of_pullback"]
     assert math.isnan(record.max_residual)
     assert record.to_dict()["status"] == "fail"
+
+
+def test_one_gauging_lift_per_group(monkeypatch):
+    lifts = []
+    real = PolyMap.taylor_lift
+
+    def counted(self, base, order):
+        lifts.append(self.coeffs.shape)
+        return real(self, base, order)
+
+    monkeypatch.setattr(PolyMap, "taylor_lift", counted)
+    _suite_group._check_curvature_of_pullback(SuiteConfig(seed=42), {})
+    assert [shape[:3] for shape in lifts] == [(10, 1, 2), (10, 1, 3)]
+
+
+def test_variation_fd_runs_both_eps_as_one_block(monkeypatch):
+    from jetgauge import groups
+    for fd in (variation_body_fd, variation_space_fd):
+        block = fd(AFFINE, GAUGING, LAM, SAMPLES, np.array([1e-3, 5e-4]))
+        for quotient, eps in zip(block, (1e-3, 5e-4)):
+            alone = fd(AFFINE, GAUGING, LAM, SAMPLES, eps)
+            assert np.array_equal(_bits(quotient), _bits(alone))
+    calls = {"_family_pullback": [], "_pullback": []}
+    for name, seen in calls.items():
+        def counted(*args, _real=getattr(groups, name), _seen=seen):
+            _seen.append(args)
+            return _real(*args)
+        monkeypatch.setattr(groups, name, counted)
+    _suite_group._check_variation_matches_fd(SuiteConfig(seed=42), {})
+    # one perturbed pullback per side, on an eps axis; the unperturbed one
+    # once per side for the quotients, and once for each exact variation
+    assert [np.shape(a[4]) for a in calls["_family_pullback"]] == [(2,)] * 2
+    assert len(calls["_pullback"]) == 4
 
 
 def _text_of_draws(rng, offsets, monomials, scale):
