@@ -5,9 +5,9 @@ import numpy as np
 from ._runner import SUITES, CheckSpec, SuiteConfig
 from .expr import ExprMap, PolyMap, _random_poly
 from .groups import (
-    GaugeField, Grid, jacobi_residual, lift_curvature, linear_gauge_dd,
-    load_group_spec, spencer_from_action, variation_body, variation_body_fd,
-    variation_space, variation_space_fd,
+    GaugeField, Grid, builtin_group, jacobi_residual, lift_curvature,
+    linear_gauge_dd, load_group_spec, spencer_from_action, variation_body,
+    variation_body_fd, variation_space, variation_space_fd,
 )
 from .sampling import halton_points
 
@@ -28,7 +28,7 @@ ACTION_LAMS = {
 
 def _group_roster(cfg: SuiteConfig, cache: dict) -> list:
     if "groups" not in cache:
-        specs = [load_group_spec("affine"), load_group_spec("e2")]
+        specs = [builtin_group("affine"), builtin_group("e2")]
         if cfg.fixture:
             specs.append(load_group_spec(cfg.fixture))
         cache["groups"] = specs

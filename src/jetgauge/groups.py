@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass, field
+from importlib import resources
 import numpy as np
 
 from . import series
@@ -28,7 +30,7 @@ from .sampling import halton_points
 
 __all__ = [
     "InconsistentGroupLaw", "NotInjectiveYet", "GroupAction", "LieGroupSpec",
-    "Grid", "GaugeField", "load_group_spec",
+    "Grid", "GaugeField", "load_group_spec", "builtin_group",
     "maurer_cartan_pullback", "right_pullback", "curvature", "lift_curvature",
     "variation_body", "variation_space", "variation_body_fd",
     "variation_space_fd",
@@ -140,6 +142,14 @@ def load_group_spec(name: str) -> LieGroupSpec:
     return group_spec_from_dict(read_fixture(name, bundled=True))
 
 
+@functools.cache
+def builtin_group(name: str) -> LieGroupSpec:
+    """A bundled chart, read, validated and given its structure constants
+    once per process, then shared read-only; no fixture file shadows it."""
+    text = (resources.files("jetgauge.fixtures") / f"{name}.json").read_text()
+    return group_spec_from_dict(json.loads(text))
+
+
 def group_spec_from_dict(data: dict) -> LieGroupSpec:
     what = "group fixture"
     v = validate(data, GROUP, what)
@@ -156,12 +166,13 @@ def group_spec_from_dict(data: dict) -> LieGroupSpec:
     spec = LieGroupSpec(
         label=v["label"],
         dim=p,
-        identity=np.asarray(v["identity"], dtype=float),
+        identity=np.array(v["identity"], dtype=float),
         box=tuple(map(tuple, v["box"])),
         compose=parse_map(v["compose"], avars + bvars, what, "compose", p),
         inverse=parse_map(v["inverse"], avars, what, "inverse", p),
         action=action,
     )
+    spec.identity.flags.writeable = False
     spec.validate()
     return spec
 

@@ -583,7 +583,9 @@ BUILTIN_SYSTEMS = {
 }
 
 
+@functools.cache
 def builtin_system(name: str) -> LieEquationSystem:
+    """A built-in system, built once per process and shared."""
     try:
         return BUILTIN_SYSTEMS[name]()
     except KeyError:

@@ -530,3 +530,27 @@ def test_validate_names_the_one_failing_sample(k):
         f"1/a1 + {bump}, -a2/a1", ["a1", "a2"]))
     with pytest.raises(InconsistentGroupLaw, match=f"at sample {k}$"):
         broken.validate()
+
+
+def test_builtin_groups_are_built_once_per_process(monkeypatch):
+    from jetgauge import groups
+    run_suite("group", SuiteConfig(seed=1))
+    calls = []
+
+    def spy(name, module):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (groups, _suite_group):
+        spy("load_group_spec", module)
+    spy("group_spec_from_dict", groups)
+    rep = run_suite("group", SuiteConfig(seed=2))
+    assert calls == [] and rep.passed
+    spec = groups.builtin_group("e2")
+    assert spec is _suite_group._group_roster(SuiteConfig(), {})[1]
+    assert not spec.identity.flags.writeable
+    assert not spec.structure_constants().flags.writeable

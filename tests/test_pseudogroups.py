@@ -743,3 +743,17 @@ def test_schwarzian_invariance_check_nan_fails_closed(monkeypatch):
     record = {r.id: r for r in rep.records}["schwarzian_invariance"]
     assert math.isnan(record.max_residual)
     assert not record.passed
+
+
+def test_builtin_systems_are_built_once_per_process(monkeypatch):
+    from jetgauge import pseudogroups
+    from jetgauge.suites import SuiteConfig, run_suite
+    run_suite("pseudogroup", SuiteConfig(seed=1))
+    built = []
+    for name, make in pseudogroups.BUILTIN_SYSTEMS.items():
+        monkeypatch.setitem(pseudogroups.BUILTIN_SYSTEMS, name,
+                            lambda make=make, name=name: built.append(name)
+                            or make())
+    assert run_suite("pseudogroup", SuiteConfig(seed=2)).passed
+    assert built == []
+    assert builtin_system("r1") is builtin_system("r1")
