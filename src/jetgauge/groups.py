@@ -118,23 +118,14 @@ class LieGroupSpec:
         return c
 
 
-def bracket(c: np.ndarray, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    return np.einsum("trs,r,s->t", c, lam, mu)
-
-
 def jacobi_residual(c: np.ndarray) -> float:
-    p = c.shape[0]
-    eye = np.eye(p)
-    res = []
-    for a in range(p):
-        for b in range(p):
-            for d in range(p):
-                total = (bracket(c, bracket(c, eye[a], eye[b]), eye[d])
-                         + bracket(c, bracket(c, eye[b], eye[d]), eye[a])
-                         + bracket(c, bracket(c, eye[d], eye[a]), eye[b]))
-                res.append(np.max(np.abs(total)))
-    # np.max, unlike a running max(), keeps a NaN
-    return float(np.max(res, initial=0.0))
+    """max |[[e_a, e_b], e_d] + [[e_b, e_d], e_a] + [[e_d, e_a], e_b]|
+    over every a, b, d at once; np.max keeps a NaN."""
+    # nested[t, a, b, d] = [[e_a, e_b], e_d]^t = c^t_{ud} c^u_{ab}
+    nested = np.einsum("tud,uab->tabd", c, c)
+    total = (nested + nested.transpose(0, 3, 1, 2)
+             + nested.transpose(0, 2, 3, 1))
+    return float(np.max(np.abs(total), initial=0.0))
 
 
 def load_group_spec(name: str) -> LieGroupSpec:
@@ -373,25 +364,26 @@ def _variation(spec: LieGroupSpec, field: GaugeField, lam: ExprMap,
 
 
 def _family_pullback(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
-                     x: np.ndarray, eps, side: str) -> np.ndarray:
-    """Gauge field of the perturbed gauging at points x (..., n), with one
-    leading axis per axis of eps: (eps..., ..., p, n).
+                     x: np.ndarray, eps,
+                     side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Gauge fields at points x (..., n) of the perturbed gauging, with one
+    leading axis per axis of eps, (eps..., ..., p, n), and of the gauging
+    itself, (..., p, n), with the bits of _pullback.
 
     side "body": a_eps = m(a(x), exp(eps*lam(x))), left form.
     side "space": a_eps = m(exp(eps*lam(x)), a(x)), right form.
     The gauging and lam are lifted once, and the RK4 stages, products and
     solves each run once on the whole block; eps enters elementwise.
     """
-    n = len(gauging.variables)
-    ctx1 = context(n, 1)
     a_lift = gauging.taylor_lift(x, 1)
+    a0, da = a_lift.value(), a_lift.jacobian()
+    still = np.linalg.solve(_translation_matrix(spec, a0, side == "body"), da)
     lam_series = lam.taylor_lift(x, 1).coeffs
-    exp_series = _group_exp_series(spec, ctx1, lam_series, np.reshape(
-        eps, np.shape(eps) + (1,) * lam_series.ndim))
-    e0 = exp_series[..., 0]
-    de = exp_series[..., 1:]                       # (..., p, n)
-    a0, e0 = np.broadcast_arrays(a_lift.value(), e0)
-    da, de = np.broadcast_arrays(a_lift.jacobian(), de)
+    exp_series = _group_exp_series(
+        spec, context(len(gauging.variables), 1), lam_series,
+        np.reshape(eps, np.shape(eps) + (1,) * lam_series.ndim))
+    a0, e0 = np.broadcast_arrays(a0, exp_series[..., 0])
+    da, de = np.broadcast_arrays(da, exp_series[..., 1:])    # (..., p, n)
 
     if side == "body":
         base = np.concatenate([a0, e0], axis=-1)
@@ -405,7 +397,7 @@ def _family_pullback(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
     dval = np.einsum("...ts,...si->...ti", jac,
                      np.concatenate([first, second], axis=-2))
     mat = _translation_matrix(spec, val, side == "body")
-    return np.linalg.solve(mat, dval)
+    return np.linalg.solve(mat, dval), still
 
 
 def variation_body_fd(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
@@ -424,9 +416,8 @@ def variation_space_fd(spec: LieGroupSpec, gauging: ExprMap, mu: ExprMap,
 
 def _variation_fd(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
                   samples: np.ndarray, eps, side: str) -> np.ndarray:
-    samples = np.asarray(samples, float)
-    a_eps = _family_pullback(spec, gauging, lam, samples, eps, side)
-    a_0 = _pullback(spec, gauging, samples, side)[0]
+    a_eps, a_0 = _family_pullback(spec, gauging, lam,
+                                  np.asarray(samples, float), eps, side)
     return (a_eps - a_0) / np.reshape(eps, np.shape(eps) + (1,) * a_0.ndim)
 
 

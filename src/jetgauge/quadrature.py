@@ -25,7 +25,8 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [lo, hi]."""
+    """n-point Gauss-Legendre nodes and weights on [lo, hi], (..., n) for
+    arrays lo and hi, elementwise."""
     x, w = _legendre(int(n))
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w

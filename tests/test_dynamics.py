@@ -883,8 +883,11 @@ def _point_staircase(field, t, points, base, nquad=32):
     return first, first - second
 
 
-def test_staircase_block_matches_the_point_staircase():
-    rot = ExprMap.parse("-1.3 * z2, 1.3 * z1, 0", FIELD_VARS)
+@pytest.mark.parametrize("field", [
+    ExprMap.parse("-1.3 * z2, 1.3 * z1, 0", FIELD_VARS), abc_field(1.0, 0.9, 1.1)],
+    ids=["spin", "beltrami"])
+def test_staircase_block_matches_the_point_staircase(field):
+    # the Beltrami field's acceleration is a gradient too: v x curl v = 0
     zeros = 0
     for seed in range(30):
         base = (0.0, 0.0, 0.0) if seed % 2 else (0.1, -0.2, 0.3)
@@ -892,23 +895,23 @@ def test_staircase_block_matches_the_point_staircase():
         # zero-length segments: a point at the base, and one sharing an axis
         pts[0] = base
         pts[1, 2] = base[2]
-        block = pressure_recovery(rot, 0.5, pts, base)
-        point = _point_staircase(rot, 0.5, pts, base)
+        block = pressure_recovery(field, 0.5, pts, base)
+        point = _point_staircase(field, 0.5, pts, base)
         for got, want in zip(block, point):
             assert np.array_equal(_bits(got), _bits(want))
             zeros += int(np.sum(got == 0.0))
     assert zeros       # the sign of some zeros was held too
 
 
-def test_one_field_block_for_the_whole_staircase(monkeypatch):
-    shapes = []
-    real = dynamics._field_blocks
+def test_one_lift_for_the_whole_staircase(monkeypatch):
+    lifts = []
+    real = ExprMap.taylor_lift
 
-    def counted(field, zt):
-        shapes.append(np.shape(zt))
-        return real(field, zt)
+    def counted(self, base, order):
+        lifts.append((np.shape(base), order))
+        return real(self, base, order)
 
-    monkeypatch.setattr(dynamics, "_field_blocks", counted)
+    monkeypatch.setattr(ExprMap, "taylor_lift", counted)
     _suite_dynamics._check_pressure_path_independence(SuiteConfig(seed=42), {})
     # the curl gate at the points, then every staircase node at once
-    assert shapes == [(10, 4), (10, 2, 3, 32, 4)]
+    assert lifts == [((10, 4), 2), ((10, 2, 3, 32, 4), 1)]
