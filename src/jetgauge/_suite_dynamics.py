@@ -73,14 +73,15 @@ def _per_family(fams, residual, npts: int, seed: int, source: bool = False):
     # residual(fam, points) of the k-th family on npts points drawn at
     # seed + k: source (y, x) points with source, else target (z, x) points;
     # a family whose residual is empty checked none of them.  A run of
-    # random families, which share their boxes and monomials, is one
-    # stacked family on stacked points; on an error each runs alone, so the
-    # first failing one raises what a loop over the families would
-    res, count, k = [], 0, seed
+    # PolyMap families, the random ones, which share boxes, variables and
+    # degree, is one stacked family on stacked points; on an error each
+    # runs alone, so the first failing one raises what a loop over the
+    # families would
+    res, count, k = [], 0, 0
     for poly, run in groupby(fams, lambda f: isinstance(f.forward, PolyMap)):
         for block in [list(run)] if poly else ([f] for f in run):
-            pts = np.stack([fam.sample_yx(npts, k + j) if source
-                            else fam.sample_zx(npts, k + j)
+            pts = np.stack([fam.sample_yx(npts, seed + k + j) if source
+                            else fam.sample_zx(npts, seed + k + j)
                             for j, fam in enumerate(block)])
             k += len(block)
             try:
