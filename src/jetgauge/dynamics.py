@@ -244,13 +244,10 @@ class MotionFamily:
             seed = np.array([0.5 * (lo + hi) for lo, hi in self.ybox])
         return _newton(self.forward, self.m, z, x, seed, self.label)[0]
 
-    def state(self, z: np.ndarray, x: np.ndarray,
-              y0: np.ndarray | None = None) -> _SpeedState:
+    def state(self, z: np.ndarray, x: np.ndarray) -> _SpeedState:
         """The speed state at targets z (..., m) under parameters x (..., n),
-        one block over their leading axes; y0, the preimages when known,
-        skips the inversion."""
-        y = self.invert(z, x) if y0 is None else y0
-        return self.state_at_source(y, x)
+        one block over their leading axes."""
+        return self.state_at_source(self.invert(z, x), x)
 
     def state_at_source(self, y: np.ndarray, x: np.ndarray) -> _SpeedState:
         """The speed state at source points y (..., m) under parameters

@@ -301,8 +301,8 @@ def lift_curvature(spec: LieGroupSpec, form: str,
 
 
 def _group_exp_series(spec: LieGroupSpec, ctx, lam_series: np.ndarray,
-                      eps: float, steps: int = 1) -> np.ndarray:
-    """Series-valued exponential: x-jet of exp(eps*lam(x)).
+                      eps) -> np.ndarray:
+    """Series-valued exponential: x-jet of exp(eps*lam(x)), one RK4 step.
 
     The translation matrix is expanded to first order around each stage
     value; the stage deviations are O(eps), so the neglected terms enter
@@ -315,7 +315,6 @@ def _group_exp_series(spec: LieGroupSpec, ctx, lam_series: np.ndarray,
     p = spec.dim
     state = np.zeros(lam_series.shape[:-2] + (p, ctx.count))
     state[..., 0] = spec.identity
-    h = eps / steps
 
     def vel(st: np.ndarray) -> np.ndarray:
         L0, D2 = _translation_jet(spec, st[..., 0])
@@ -333,13 +332,11 @@ def _group_exp_series(spec: LieGroupSpec, ctx, lam_series: np.ndarray,
             out += series.mul(ctx, entry[..., s, :], lam_series[..., None, s, :])
         return out
 
-    for _ in range(steps):
-        k1 = vel(state)
-        k2 = vel(state + 0.5 * h * k1)
-        k3 = vel(state + 0.5 * h * k2)
-        k4 = vel(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return state
+    k1 = vel(state)
+    k2 = vel(state + 0.5 * eps * k1)
+    k3 = vel(state + 0.5 * eps * k2)
+    k4 = vel(state + eps * k3)
+    return state + (eps / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def variation_body(spec: LieGroupSpec, field: GaugeField, lam: ExprMap,
