@@ -7,7 +7,6 @@ import json
 import math
 import os
 from collections import namedtuple
-from importlib import resources
 
 from .expr import ExprMap
 
@@ -83,20 +82,17 @@ SWELL = {key: Key("number", default=value) for key, value in
          {"R0": 1.0, "k": 0.1, "omega": 1.0, "c": 0.0, "decay": None}.items()}
 
 
-def read_fixture(name: str | os.PathLike, bundled: bool = False):
+def read_fixture(name: str | os.PathLike):
     """The JSON of fixture `name`, looked up in one order for every loader:
-    the file `name`, `<name>.json` in the directory named by JETGAUGE_FIXTURES
-    and, if bundled, the package's `<name>.json`.  Else a FileNotFoundError
-    names the first two places; a loader with built-in names tries those."""
+    the file `name`, then `<name>.json` in the directory named by
+    JETGAUGE_FIXTURES.  Else a FileNotFoundError names both places; a
+    loader with built-in names tries those."""
     override = os.environ.get("JETGAUGE_FIXTURES")
     places = [os.fspath(name)] + (
         [os.path.join(override, f"{name}.json")] if override else [])
     for path in filter(os.path.exists, places):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    packaged = resources.files("jetgauge.fixtures") / f"{name}.json"
-    if bundled and packaged.is_file():
-        return json.loads(packaged.read_text())
     raise FileNotFoundError(f"no fixture {places[0]!r}: looked for "
                             + " and ".join(map(repr, places)))
 

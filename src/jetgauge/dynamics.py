@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +31,7 @@ import numpy as np
 from ._fixtures import MOTION_FAMILY, parse_map, read_fixture, validate
 from ._multiindex import exponent_rows
 from .expr import ExprMap, PolyMap, TaylorMap
-from .quadrature import gauss_rule, tensor_rule
+from .quadrature import gauss_rule
 from .series import DomainError, InverseSolveError
 from .sampling import Box, halton_points
 
@@ -521,68 +520,6 @@ def vortex_residual(field: ExprMap | PolyMap, samples: np.ndarray,
     lhs = 0.5 * _curl(_acceleration_gradient(val, dz, dzz, dzt))
     rhs = domega_t + domega_v - np.einsum("...kl,...l->...k", dz, omega)
     return lhs - rhs
-
-
-@dataclass(frozen=True)
-class CurlReport:
-    divergence: float
-    lhs: float
-    rhs: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-def curl_parametrization_check(theta: ExprMap, box: Box,
-                               samples: np.ndarray, nquad: int = 8,
-                               seed: int = 90) -> CurlReport:
-    """div(curl theta) = 0 at samples, and self-adjointness of curl.
-
-    The pairing integral uses two random polynomial fields damped by the
-    canonical boundary bump, so the integrands are polynomial and the
-    Gauss rule is exact; the identity <curl a, b> = <a, curl b> then holds
-    to roundoff.
-    """
-    if len(theta.variables) != 3 or len(theta) != 3:
-        raise ValueError("theta must map z1, z2, z3 to three components")
-    points = np.asarray(samples, float).reshape(-1, 3)
-    d2 = theta.taylor_lift(points, 2).derivative(2)
-    # eta_z[..., :, r] is the curl of d2[..., :, :, r]; its trace is the
-    # divergence
-    div = np.trace(_curl(np.moveaxis(d2, -1, -3)), axis1=-2, axis2=-1)
-    # np.max, unlike a running max(), carries a NaN to the report.
-    worst_div = float(np.max(np.abs(div), initial=0.0))
-
-    rng = np.random.default_rng(seed)
-    fields = []
-    for _ in range(2):
-        comps = []
-        for _ in range(3):
-            coeffs = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
-            comps.append(_coeff_text(coeffs, ("z1", "z2", "z3")))
-        bump = " * ".join(
-            f"(z{a + 1} - {lo!r})^2 * ({hi!r} - z{a + 1})^2"
-            for a, (lo, hi) in enumerate(box))
-        text = ", ".join(f"({bump}) * ({comp})" for comp in comps)
-        fields.append(ExprMap.parse(text, ["z1", "z2", "z3"]))
-
-    nodes, weights = tensor_rule(box, nquad)
-    a_lift, b_lift = (f.taylor_lift(nodes, 1) for f in fields)
-    lhs = np.einsum("q,qk,qk->", weights, _curl(a_lift.jacobian()),
-                    b_lift.value())
-    rhs = np.einsum("q,qk,qk->", weights, a_lift.value(),
-                    _curl(b_lift.jacobian()))
-    return CurlReport(worst_div, float(lhs), float(rhs))
-
-
-def _coeff_text(coeffs: np.ndarray, names: Sequence[str]) -> str:
-    terms = []
-    for index in np.ndindex(*coeffs.shape):
-        powers = [name for power, name in zip(index, names)
-                  for _ in range(power)]
-        terms.append(" * ".join([repr(float(coeffs[index]))] + powers))
-    return " + ".join(terms)
 
 
 def pressure_recovery(field: ExprMap | PolyMap, t: float, points: np.ndarray,

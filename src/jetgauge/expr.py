@@ -500,11 +500,6 @@ class ExprMap:
             raise parser.error(f"trailing input {tok.text!r}", tok)
         return cls(variables, exprs)
 
-    @classmethod
-    def identity(cls, variables: Sequence[str]) -> "ExprMap":
-        """The map sending each variable to itself."""
-        return cls(variables, [Var(v) for v in variables])
-
     def __len__(self) -> int:
         return len(self.exprs)
 

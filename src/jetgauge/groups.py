@@ -130,7 +130,13 @@ def jacobi_residual(c: np.ndarray) -> float:
 
 def load_group_spec(name: str) -> LieGroupSpec:
     """A fixture that read_fixture finds, else a bundled chart's name."""
-    return group_spec_from_dict(read_fixture(name, bundled=True))
+    try:
+        data = read_fixture(name)
+    except FileNotFoundError:
+        if (resources.files("jetgauge.fixtures") / f"{name}.json").is_file():
+            return builtin_group(name)
+        raise
+    return group_spec_from_dict(data)
 
 
 @functools.cache
@@ -500,23 +506,6 @@ def linear_gauge_dd(field: ExprMap, n: int, p: int, r: int,
                 sign_v = -1.0 if v % 2 else 1.0
                 out[:, :, kk] += sign_u * sign_v * d2[:, :, index_r[rest], L[u], K[v]]
     return out
-
-
-def action_bracket_residual(spec: LieGroupSpec, samples: np.ndarray) -> float:
-    """Largest gap between generator vector-field brackets and the
-    structure constants: [g_rho, g_sigma]^k - c^t_{rho sigma} g^k_t."""
-    if spec.action is None:
-        raise ValueError(f"group '{spec.label}' carries no action")
-    c = spec.structure_constants()
-    lifts = [g.taylor_lift(np.asarray(samples, float), 1)
-             for g in spec.action.generators]
-    vals = np.stack([lf.value() for lf in lifts], axis=-2)      # (M, p, n)
-    jacs = np.stack([lf.jacobian() for lf in lifts], axis=-3)   # (M, p, n, n)
-    # [x, rho, sigma, k] = (dg_sigma g_rho)^k, so lie - lie^T is the bracket
-    lie = np.einsum("xskl,xrl->xrsk", jacs, vals)
-    gaps = lie - np.swapaxes(lie, 1, 2) - np.einsum("trs,xtk->xrsk", c, vals)
-    # np.max, unlike a running max(), keeps a NaN
-    return float(np.max(np.abs(gaps), initial=0.0))
 
 
 def spencer_from_action(spec: LieGroupSpec, lam: ExprMap | PolyMap,

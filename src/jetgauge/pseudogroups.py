@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -36,7 +36,7 @@ __all__ = [
     "closure_check", "linearization_rows_gap",
     "schwarzian", "schwarzian_of_map",
     "algebroid_bracket", "sample_linear_sections",   # closure_check's stages
-    "HolonomicSection",      # LieEquationSystem.linear_residual lifts by it
+    "HolonomicSection",      # a map's jets: the closed-form bracket's reference
 ]
 
 
@@ -53,75 +53,6 @@ def jet_variable_names(ncomp: int, nvars: int, order: int, prefix: str) -> list[
 
 def _jet_column(ctx: MultiIndexContext, k: int, row: int) -> int:
     return k * ctx.count + row
-
-
-class _ProlongTable(NamedTuple):
-    """Flat indices that fill prolonged rows from an order-2 lift.
-
-    *_src index the lift's coefficients flattened over (equation, slot),
-    *_fac are the slots' mu! that turn them into raw derivatives, and
-    *_dst index the output flattened over (row, column).  shift_src
-    points into the coefficient list.  Each scatter has unique targets.
-    """
-
-    nrows: int
-    ncols: int
-    coef_src: np.ndarray
-    coef_fac: np.ndarray
-    coef_dst: np.ndarray
-    shift_src: np.ndarray
-    shift_dst: np.ndarray
-    dx_src: np.ndarray
-    dx_fac: np.ndarray
-    dx_dst: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _prolong_table(nvars: int, order: int, neq: int) -> _ProlongTable:
-    """Gather table of LieEquationSystem._prolong, built from the index
-    bookkeeping alone, so every system of the same shape shares it.
-
-    The lift runs over the n base variables and the n*count jet slots.
-    The coefficient of slot (k, row) in equation e is the first derivative
-    in that slot; its x_i-derivative adds the base direction i.
-    """
-    n = nvars
-    ctx_lo, ctx_hi = context(n, order), context(n, order + 1)
-    nline = n + n * ctx_lo.count
-    ctx2 = context(nline, 2)
-    ncols = n * ctx_hi.count
-    raised = raised_rows(n, order + 1)
-
-    t: dict[str, list] = {name: [] for name in _ProlongTable._fields[2:]}
-
-    def gather(kind: str, e: int, *axes: int) -> None:
-        rows, fac = derivative_rows(nline, len(axes))
-        t[kind + "_src"].append(e * ctx2.count + rows[axes])
-        t[kind + "_fac"].append(fac[axes])
-
-    for e in range(neq):
-        for k in range(n):
-            for row in range(ctx_lo.count):
-                var = n + _jet_column(ctx_lo, k, row)
-                col = _jet_column(ctx_hi, k, row)
-                gather("coef", e, var)
-                t["coef_dst"].append(e * ncols + col)
-                for i in range(n):
-                    drow = (neq * (1 + i) + e) * ncols
-                    t["shift_src"].append(len(t["coef_src"]) - 1)
-                    t["shift_dst"].append(
-                        drow + _jet_column(ctx_hi, k, raised[i, row]))
-                    gather("dx", e, var, i)
-                    t["dx_dst"].append(drow + col)
-
-    def frozen(name: str) -> np.ndarray:
-        arr = np.array(t[name], dtype=float if name.endswith("_fac")
-                       else np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    return _ProlongTable(neq * (1 + n), ncols,
-                         *map(frozen, _ProlongTable._fields[2:]))
 
 
 @dataclass(frozen=True)
@@ -199,29 +130,29 @@ class LieEquationSystem:
         """Prolonged rows of emap's linear coefficients from one order-2
         lift of the whole block.
 
-        Every cell gets the sums a point-by-point fill gives it: zeros,
-        then each system cell set to its coefficient, then each
-        derivative cell plus its shifted coefficient and then plus the
-        coefficient's x-derivative.
+        The coefficients are the lift's first slots in the jet variables,
+        and their x_i-derivatives its mixed second slots, whose mu! is 1.
+        Block 0 is set to the coefficients, so a -0.0 keeps its sign; each
+        D_i block is zeros plus the coefficients shifted by e_i, then plus
+        their x_i-derivatives.
         """
-        tab = _prolong_table(self.nvars, self.order, len(emap))
+        n, neq = self.nvars, len(emap)
+        cnt, cnt_hi = self.jet_ctx().count, self.jet_ctx(self.order + 1).count
         lift = emap.taylor_lift(self._lift_base(x), 2)
         batch = lift.coeffs.shape[:-2]
-        flat = lift.coeffs.reshape(batch + (len(emap) * lift.ctx.count,))
-        coef = flat[..., tab.coef_src] * tab.coef_fac
-        out = np.zeros(batch + (tab.nrows * tab.ncols,))
-        out[..., tab.coef_dst] = coef
-        out[..., tab.shift_dst] += coef[..., tab.shift_src]
-        out[..., tab.dx_dst] += flat[..., tab.dx_src] * tab.dx_fac
-        return out.reshape(batch + (tab.nrows, tab.ncols))
-
-    def linear_residual(self, xi: ExprMap, samples: np.ndarray) -> np.ndarray:
-        """Linear system evaluated on the holonomic jet of a vector field,
-        (M, neq) for samples (M, n)."""
-        x = np.asarray(samples, float)
-        jets = HolonomicSection(xi, self.order).raw_series(x, 0)[..., 0]
-        return np.einsum("mec,mc->me", self.linear_rows(x),
-                         jets.reshape(len(x), -1))
+        coef = lift.jacobian()[..., n:].reshape(batch + (neq, n, cnt))
+        # [..., e, i, var]: d/dx_i of the coefficient of jet variable var
+        dx = np.take(lift.coeffs, derivative_rows(n + n * cnt, 2)[0][:n, n:],
+                     -1).reshape(batch + (neq, n, n, cnt))
+        out = np.zeros(batch + (1 + n, neq, n, cnt_hi))
+        out[..., 0, :, :, :cnt] = coef
+        for i, up in enumerate(raised_rows(n, self.order + 1)):
+            # a view first: beside an index array, the int would move the
+            # indexed axes to the front
+            block = out[..., 1 + i, :, :, :]
+            block[..., up] += coef
+        out[..., 1:, :, :, :cnt] += np.swapaxes(dx, -4, -3)
+        return out.reshape(batch + ((1 + n) * neq, n * cnt_hi))
 
 
 def linearization_rows_gap(system: LieEquationSystem,
@@ -232,24 +163,6 @@ def linearization_rows_gap(system: LieEquationSystem,
     pts = np.asarray(samples, dtype=float)
     derived = system.equations.taylor_lift(system.identity_jet(pts), 1)
     return system.linear_rows(pts) - derived.jacobian()[..., system.nvars:]
-
-
-def linearization_consistency(system: LieEquationSystem, xi: ExprMap,
-                              samples: np.ndarray, eps: float = 1e-5) -> float:
-    """Centered difference of the equations along id + eps*xi against the
-    linear system; the gap shrinks like eps^2."""
-    ident = ExprMap.identity(xi.variables)
-    plus = _shifted_map(ident, xi, eps)
-    minus = _shifted_map(ident, xi, -eps)
-    fd = (system.finite_residual(plus, samples)
-          - system.finite_residual(minus, samples)) / (2.0 * eps)
-    lin = system.linear_residual(xi, samples)
-    return float(np.max(np.abs(fd - lin)))
-
-
-def _shifted_map(base: ExprMap, direction: ExprMap, eps: float) -> ExprMap:
-    return ExprMap(base.variables,
-                   [b + eps * d for b, d in zip(base, direction)])
 
 
 class HolonomicSection:
@@ -483,35 +396,6 @@ def schwarzian_of_map(f: ExprMap, xs: np.ndarray) -> np.ndarray:
     """Schwarzian of a map of one variable at each point of xs (M, 1),
     (M,) from one lift of the block."""
     return schwarzian(_raw3(f.taylor_lift(np.asarray(xs, dtype=float), 3)))
-
-
-def schwarzian_variation_check(f: ExprMap, eta: ExprMap, samples: np.ndarray,
-                               eps: float) -> tuple[float, float]:
-    """Left-composition family z -> z + eps*eta(z) applied after f.
-
-    Returns the worst gap between the finite quotient and the exact
-    variation (f')^2 * eta'''(f(x)) at eps and at eps/2; first-order
-    quotients halve the gap.
-    """
-    ident = ExprMap.identity(eta.variables)
-    flift = f.taylor_lift(np.reshape(np.asarray(samples, float), (-1, 1)), 3)
-    z0 = flift.value()
-    fr = _raw3(flift)
-    _, f1, f2, f3 = fr.T
-    exact = f1 ** 2 * eta.taylor_lift(z0, 3).raw(0, (3,))
-    gaps = []
-    # one lift per step: phi is a new map at each eps
-    for e in (eps, eps / 2.0):
-        p0, p1, p2, p3 = _raw3(_shifted_map(ident, eta, e).taylor_lift(z0, 3)).T
-        # chain rule through third order for the 1d composition
-        c1 = p1 * f1
-        c2 = p2 * f1 ** 2 + p1 * f2
-        c3 = p3 * f1 ** 3 + 3.0 * p2 * f1 * f2 + p1 * f3
-        quots = (schwarzian(np.stack([p0, c1, c2, c3], axis=-1))
-                 - schwarzian(fr)) / e
-        # np.max, unlike a running max(), keeps a NaN
-        gaps.append(float(np.max(np.abs(quots - exact), initial=0.0)))
-    return gaps[0], gaps[1]
 
 
 def _make_system(label: str, nvars: int, order: int, box, equations: str,

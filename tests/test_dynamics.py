@@ -10,9 +10,9 @@ from jetgauge._multiindex import exponent_rows, poly_shift
 from jetgauge.expr import ExprMap, PolyMap
 from jetgauge.dynamics import (
     NEWTON_MAX_ITER, NEWTON_TOL, CurlNotZero,
-    DivergenceNotZero, InverseSolveError, MotionFamily, _coeff_text,
+    DivergenceNotZero, InverseSolveError, MotionFamily,
     _variation_speeds, compatibility_residual,
-    curl_parametrization_check, el_residual, load_motion_family,
+    el_residual, load_motion_family,
     mass_conservation_residual, motion_family_from_dict, pressure_recovery,
     random_solenoidal_field, speed_duality_gap, swell_family, swell_rows,
     theorem3_check, vortex_residual,
@@ -22,7 +22,7 @@ from jetgauge.sampling import halton_points
 from jetgauge.suites import (
     SUITE_NAMES, SuiteConfig, run_suite, suite_check_ids,
 )
-from polytext import poly_text
+from polytext import coeff_text, poly_text
 
 OM = 0.8
 ROTATION = MotionFamily.parse(
@@ -288,30 +288,6 @@ def test_pressure_recovery_rejects_rotational_acceleration():
     pts = halton_points(((-0.7, 0.7),) * 3, 5, 23)
     with pytest.raises(CurlNotZero):
         pressure_recovery(bad, 0.0, pts, (0.0, 0.0, 0.0))
-
-
-def test_curl_parametrization():
-    theta = ExprMap.parse(
-        "0.3*z2*z3 + 0.1*z1^2, 0.2*z1*z3 - 0.4*z2^2*z1, 0.5*z1*z2 + 0.05*z3^3",
-        ["z1", "z2", "z3"])
-    pts = halton_points(((-0.7, 0.7),) * 3, 7, 23)
-    rep = curl_parametrization_check(theta, ((-0.9, 0.9),) * 3, pts, nquad=8)
-    assert rep.divergence < 1e-13
-    assert abs(rep.lhs) > 1e-3                   # pairing is not vacuous
-    assert rep.gap < 1e-12
-
-
-def test_curl_parametrization_of_no_samples():
-    # the divergence block of no points is empty; the pairing does not
-    # depend on the samples
-    theta = ExprMap.parse("0.3*z2*z3, 0.2*z1*z3 - 0.4*z2^2*z1, 0.5*z1*z2",
-                          ["z1", "z2", "z3"])
-    box = ((-0.9, 0.9),) * 3
-    pts = halton_points(((-0.7, 0.7),) * 3, 3, 23)
-    rep = curl_parametrization_check(theta, box, np.zeros((0, 3)), nquad=4)
-    full = curl_parametrization_check(theta, box, pts, nquad=4)
-    assert rep.divergence == 0.0
-    assert (rep.lhs, rep.rhs) == (full.lhs, full.rhs)
 
 
 def test_swell_balanced_family():
@@ -606,7 +582,7 @@ def test_solenoidal_shift_matches_parsed_text():
         assert not np.any(fld.coeffs[:, ~inside])
         dense = np.zeros((3, 3, 3, 3, 2))
         dense[(slice(None),) + tuple(rows[inside].T)] = fld.coeffs[:, inside]
-        text = ", ".join(_coeff_text(comp, names) for comp in dense)
+        text = ", ".join(coeff_text(comp, names) for comp in dense)
         lift = fld.taylor_lift(FIELD_PTS, 2)
         ref = ExprMap.parse(text, names).taylor_lift(FIELD_PTS, 2)
         assert np.max(np.abs(lift.coeffs - ref.coeffs)) < 1e-13

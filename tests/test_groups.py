@@ -13,12 +13,13 @@ from jetgauge._runner import _max_abs
 from jetgauge.expr import ExprMap, PolyMap, TaylorMap
 from jetgauge.groups import (
     _gauge_derivatives, _pullback, GaugeField, Grid, InconsistentGroupLaw,
-    NotInjectiveYet, action_bracket_residual, curvature, el_body_residual,
+    NotInjectiveYet, curvature, el_body_residual,
     el_space_residual, group_spec_from_dict, jacobi_residual, lift_curvature,
     linear_gauge_d, linear_gauge_dd, load_group_spec, maurer_cartan_pullback,
     right_pullback, spencer_from_action, variation_body, variation_body_fd,
     variation_space, variation_space_fd,
 )
+from jetgauge.pseudogroups import HolonomicSection, algebroid_bracket
 from jetgauge.sampling import halton_points
 from jetgauge.suites import SuiteConfig, run_suite
 from polytext import poly_text
@@ -121,10 +122,18 @@ def test_e2_structure_constants():
 
 
 def test_action_brackets_match_structure_constants():
-    pts1 = halton_points(AFFINE.action.box, 6, 2)
-    assert action_bracket_residual(AFFINE, pts1) < 1e-12
-    pts2 = halton_points(E2.action.box, 6, 2)
-    assert action_bracket_residual(E2, pts2) < 1e-12
+    # [g_rho, g_sigma] = c^tau_{rho sigma} g_tau, through the one bracket on
+    # the holonomic sections of the generators
+    for spec in (AFFINE, E2):
+        gens = spec.action.generators
+        pts = halton_points(spec.action.box, 6, 2)
+        vals = np.stack([g.eval(pts) for g in gens], axis=1)     # (M, p, n)
+        want = np.einsum("trs,mtk->mrsk", spec.structure_constants(), vals)
+        assert np.any(want)
+        for r, s in itertools.product(range(spec.dim), repeat=2):
+            got = algebroid_bracket(HolonomicSection(gens[r], 1),
+                                    HolonomicSection(gens[s], 1), pts)
+            assert np.max(np.abs(got[..., 0] - want[:, r, s])) < 1e-12
 
 
 def test_affine_pullback_closed_form():

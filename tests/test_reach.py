@@ -26,12 +26,14 @@ PACKAGE = ROOT / "src" / "jetgauge"
 
 # Library rows that state an identity no suite checks yet.  Each is either
 # promoted to a suite check, and leaves this tuple, or deleted; until then
-# it stays out of every __all__.
+# it stays out of every __all__.  Each waits on a ROADMAP item:
+# bracket_jacobi_residual on item 8 (closure certified on the sampled
+# space, a candidate row for claim C4), the body and space residuals on
+# item 25 (one held transport identity), linear_gauge_d on item 12 (a
+# second route for gauge_complex_dd).
 PENDING_PROMOTION = (
-    "bracket_jacobi_residual", "schwarzian_variation_check",
-    "linearization_consistency", "action_bracket_residual",
-    "el_body_residual", "el_space_residual", "linear_gauge_d",
-    "curl_parametrization_check", "CurlReport",
+    "bracket_jacobi_residual", "el_body_residual", "el_space_residual",
+    "linear_gauge_d",
 )
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -18,9 +18,7 @@ from jetgauge.elasticity import (
     DisplacementSection, riemann_residual, torsor_equilibrium_check,
 )
 from jetgauge.expr import ExprMap
-from jetgauge.groups import (
-    InconsistentGroupLaw, action_bracket_residual, load_group_spec,
-)
+from jetgauge.groups import InconsistentGroupLaw, load_group_spec
 from jetgauge.suites import SuiteConfig, run_suite
 
 AFFINE = load_group_spec("affine")
@@ -92,8 +90,6 @@ CASES = {
     "elasticity.riemann_residual.strain": lambda _: _max_abs(riemann_residual(
         ExprMap.parse("x1^2*x2, x1*x2, x2^3", ["x1", "x2"]),
         NAN_AFTER_FINITE)),
-    "groups.action_bracket_residual": lambda _: action_bracket_residual(
-        AFFINE, np.array([[0.5], [math.nan]])),
 }
 
 
