@@ -30,7 +30,10 @@ def _group_roster(cfg: SuiteConfig, cache: dict) -> list:
     if "groups" not in cache:
         specs = [builtin_group("affine"), builtin_group("e2")]
         if cfg.fixture:
-            specs.append(load_group_spec(cfg.fixture))
+            extra = load_group_spec(cfg.fixture)
+            # a bundled name gives the shared chart, perhaps already here
+            if all(extra is not s for s in specs):
+                specs.append(extra)
         cache["groups"] = specs
     return cache["groups"]
 

@@ -17,7 +17,10 @@ def _lie_roster(cfg: SuiteConfig, cache: dict) -> list:
     if "systems" not in cache:
         systems = [builtin_system(n) for n in LIE_SYSTEMS]
         if cfg.fixture:
-            systems.append(load_lie_system(cfg.fixture))
+            extra = load_lie_system(cfg.fixture)
+            # a built-in name gives the shared system, perhaps already here
+            if all(extra is not s for s in systems):
+                systems.append(extra)
         cache["systems"] = systems
     return cache["systems"]
 

@@ -221,6 +221,31 @@ class PolySection:
         return PolySection(out, self.nvars, self.order, self.degree)
 
 
+@functools.lru_cache(maxsize=None)
+def _bracket_plan(n: int, q_out: int) -> tuple[np.ndarray, ...]:
+    """The bracket's binomial terms C(mu, nu) (a^r_nu b_{mu-nu+e_r} -
+    b^r_nu a_{mu-nu+e_r}) as padded columns over the output rows mu.
+
+    Returns r, the row of nu, the row of mu - nu + e_r and the
+    coefficient, each (width, rows_out): column j holds every row's j-th
+    term in loop order (nu ascending, then r), and a row with fewer terms
+    is padded with row 0 and coefficient 0, which no term has.  Shared
+    and read-only.
+    """
+    binom, rest = shift_table(n, q_out + 1, q_out + 1)
+    raised = raised_rows(n, q_out + 1)
+    terms = [[(r, nu, raised[r, rest[row, nu]], binom[row, nu])
+              for nu in np.flatnonzero(binom[row]) for r in range(n)]
+             for row in range(context(n, q_out).count)]
+    width = max(map(len, terms))
+    table = np.array([t + [(0, 0, 0, 0.0)] * (width - len(t))
+                      for t in terms]).T          # (4, width, rows_out)
+    plan = (*table[:3].astype(np.intp), table[3])
+    for part in plan:
+        part.flags.writeable = False
+    return plan
+
+
 def _bracket_tables(nvars: int, q_out: int, ctx_x: MultiIndexContext,
                     tab_a: np.ndarray, tab_b: np.ndarray) -> np.ndarray:
     """Differential bracket on raw-slot series tables.
@@ -231,37 +256,34 @@ def _bracket_tables(nvars: int, q_out: int, ctx_x: MultiIndexContext,
     through x-order ctx_x.order - 1, the most its derivatives leave valid.
     Products are formed at that order alone: truncation is a prefix that
     keeps each coefficient's terms in table order, so they carry the bits
-    of full products cut afterwards.  Every output element sees the same
-    float operations in the same order whatever the batch shape, so one
-    stacked call equals one call per slice bit for bit.
+    of full products cut afterwards.  Each column of _bracket_plan is one
+    stacked product pair over every output row, then the Spencer terms
+    follow one direction at a time: every element gains its terms in the
+    order of a loop over rows, and a pad adds 0.0 to a sum that starts at
+    +0.0 and so is never -0.0.  Every output element sees the same float
+    operations in the same order whatever the batch shape, so one stacked
+    call equals one call per slice bit for bit.
     """
     n = nvars
     ctx_o = context(n, ctx_x.order - 1)
-    # C(mu, nu) and the row of mu - nu, for jet rows mu and nu
-    binom, rest = shift_table(n, q_out + 1, q_out + 1)
-    raised = raised_rows(n, q_out + 1)
-    rows_out = context(n, q_out).count
     batch = np.broadcast_shapes(tab_a.shape[:-3], tab_b.shape[:-3])
-    out = np.zeros(batch + (n, rows_out, ctx_o.count))
+    out = np.zeros(batch + (n, context(n, q_out).count, ctx_o.count))
     lo_a, lo_b = tab_a[..., :ctx_o.count], tab_b[..., :ctx_o.count]
+    for r, nu, rem, coef in zip(*_bracket_plan(n, q_out)):
+        # (..., 1, rows_out, count) against (..., n, rows_out, count)
+        term = series.mul(ctx_o, lo_a[..., r, nu, :][..., None, :, :],
+                          lo_b[..., :, rem, :])
+        term -= series.mul(ctx_o, lo_b[..., r, nu, :][..., None, :, :],
+                           lo_a[..., :, rem, :])
+        term[..., coef == 0.0, :] = 0.0     # pads: 0 * inf would be NaN
+        out += coef[:, None] * term
     sp_a, sp_b = (series.spencer(ctx_x, tab_a, q_out),
                   series.spencer(ctx_x, tab_b, q_out))
-    for row in range(rows_out):
-        acc = out[..., row, :]        # (..., n, count): every component k
-        for row_nu in np.flatnonzero(binom[row]):     # every nu <= mu
-            coef = binom[row, row_nu]
-            for r in range(n):
-                row_rem = raised[r, rest[row, row_nu]]
-                term = series.mul(ctx_o, lo_a[..., r:r + 1, row_nu, :],
-                                  lo_b[..., :, row_rem, :])
-                term -= series.mul(ctx_o, lo_b[..., r:r + 1, row_nu, :],
-                                   lo_a[..., :, row_rem, :])
-                acc += coef * term
-        for i in range(n):
-            acc += series.mul(ctx_o, lo_a[..., i:i + 1, 0, :],
-                              sp_b[..., i, :, row, :])
-            acc -= series.mul(ctx_o, lo_b[..., i:i + 1, 0, :],
-                              sp_a[..., i, :, row, :])
+    for i in range(n):
+        out += series.mul(ctx_o, lo_a[..., i:i + 1, :1, :],
+                          sp_b[..., i, :, :, :])
+        out -= series.mul(ctx_o, lo_b[..., i:i + 1, :1, :],
+                          sp_a[..., i, :, :, :])
     return out
 
 
@@ -303,13 +325,19 @@ def bracket_jacobi_residual(a: _Section, b: _Section, c: _Section,
 
 def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
                     npoints: int) -> np.ndarray:
-    """Nullspace basis of the pointwise-pinned prolonged linear system.
+    """Orthonormal nullspace basis of the pointwise-pinned prolonged
+    linear system, (dim, n * count_{q+1} * count_degree).
 
     Rows are the system, its formal derivatives, and any sampling
     constraints evaluated at npoints chart points, expanded over a
-    shared polynomial ansatz for every slot; SVD recovers the joint
-    nullspace, which pins the polynomial identity once the point count
-    exceeds the ansatz dimension.
+    shared polynomial ansatz for every slot; the joint nullspace pins the
+    polynomial identity once the point count exceeds the ansatz
+    dimension.  A column that no row touches at any point is a null
+    vector alone: the basis is the unit vectors of these dead columns,
+    then the null rows of an SVD of the live columns alone, placed on
+    them.  Zero columns add no singular value, so the relative rank
+    threshold is the full matrix's; with no live column the basis is
+    the identity.
     """
     ctx_b = context(system.nvars, degree)
     pts = halton_points(system.box, npoints, seed)
@@ -319,13 +347,23 @@ def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
     # (point, row) by (column, monomial): each point's rows times its basis
     mat = np.einsum("prc,pb->prcb", rows, basis).reshape(
         rows.shape[0] * rows.shape[1], rows.shape[2] * ctx_b.count)
-    # U is never read: a tall matrix asks for its thin U and still a full vt
-    _, sig, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank = int(np.sum(sig > 1e-10 * sig[0]))
-    if rank == vt.shape[0]:
+    live = mat.any(axis=0)
+    dead = np.flatnonzero(~live)
+    null = np.zeros((0, 0))
+    if live.any():
+        sub = mat[:, live]
+        # U is never read: a tall matrix asks for its thin U and still a
+        # full vt
+        _, sig, vt = np.linalg.svd(sub,
+                                   full_matrices=sub.shape[0] < sub.shape[1])
+        null = vt[int(np.sum(sig > 1e-10 * sig[0])):]
+    if len(dead) + len(null) == 0:
         raise ValueError(
             f"{system.label}: no polynomial sections at degree {degree}")
-    return vt[rank:]
+    out = np.zeros((len(dead) + len(null), mat.shape[1]))
+    out[np.arange(len(dead)), dead] = 1.0
+    out[len(dead):, live] = null
+    return out
 
 
 def sample_linear_sections(system: LieEquationSystem, count: int, seed: int,

@@ -146,6 +146,39 @@ def test_cli_and_run_suite_resolve_a_fixture_name_alike(suite, tmp_path,
     assert out.read_text() == report.strip_clock().to_json()
 
 
+def _samples(tmp_path, suite, *extra):
+    out = tmp_path / "r.json"
+    assert main(["--suite", suite, "--seed", "42", "--no-timestamp",
+                 "--out", str(out), *extra]) == 0
+    return [c["samples"] for c in json.loads(out.read_text())["checks"]]
+
+
+@pytest.mark.parametrize("suite, name", [("pseudogroup", "affine"),
+                                         ("group", "affine"), ("group", "e2")])
+def test_a_builtin_fixture_name_joins_the_roster_once(suite, name, tmp_path,
+                                                     monkeypatch):
+    # the name gives the shared built-in, which is on the roster already
+    monkeypatch.delenv("JETGAUGE_FIXTURES", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert (_samples(tmp_path, suite, "--fixture", name)
+            == _samples(tmp_path, suite))
+
+
+def test_a_new_fixture_still_joins_the_roster(tmp_path, monkeypatch):
+    # r1prime is built in but off the pseudogroup roster; a copy of the
+    # bundled affine chart is a new chart
+    monkeypatch.chdir(tmp_path)
+    text = resources.files("jetgauge.fixtures").joinpath("affine.json")
+    (tmp_path / "affcopy.json").write_text(text.read_text())
+    monkeypatch.setenv("JETGAUGE_FIXTURES", str(tmp_path))
+    assert _samples(tmp_path, "pseudogroup") == [250, 250, 100, 16]
+    assert _samples(tmp_path, "pseudogroup", "--fixture", "r1prime") == [
+        300, 300, 120, 16]
+    assert _samples(tmp_path, "group") == [32, 500, 64, 2, 64]
+    assert _samples(tmp_path, "group", "--fixture", "affcopy") == [
+        48, 750, 64, 3, 64]
+
+
 def test_swell_fixture_is_read_once_per_run(tmp_path, monkeypatch):
     fixture = tmp_path / "k.json"
     fixture.write_text('{"k": 0.1}')

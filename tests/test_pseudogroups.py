@@ -264,6 +264,24 @@ def test_bracket_tables_truncate_to_the_output_order(name):
     assert _same_bits(np.float64(got), np.float64(want))
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_bracket_pads_add_nothing_to_a_nonfinite_row(name):
+    # a pad slot multiplies real slots by a coefficient of 0; with an inf
+    # in a value slot, 0 * inf must not turn the loop's +-inf into NaN
+    sys_ = builtin_system(name)
+    n, q, ctx1 = sys_.nvars, sys_.order, context(sys_.nvars, 1)
+    secs = sample_linear_sections(sys_, 2, seed=5)
+    pts = halton_points(sys_.box, 3, 17)
+    ta, tb = secs[0].raw_series(pts, 1), secs[1].raw_series(pts, 1)
+    tb[..., -1, 0, :] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = _bracket_tables(n, q, ctx1, ta, tb)
+        want = _full_order_bracket(n, q, ctx1, ta, tb)[..., :1]
+    assert not np.all(np.isfinite(want))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert _same_bits(got[~np.isnan(got)], want[~np.isnan(want)])
+
+
 def test_closure_forms_every_product_at_order_zero(monkeypatch):
     # closure reads the order-0 slot of each bracket alone; a product at a
     # higher order is work no record reads.  volume2's linearization is a
@@ -439,7 +457,9 @@ def _loop_poly_shift(nvars, degree, x, xorder):
     return shift
 
 
-def _loop_solution_basis(sys_, seed, degree, npoints):
+def _loop_pinned_matrix(sys_, seed, degree, npoints):
+    """The pinned system over the polynomial ansatz, one point's block of
+    rows at a time: the matrix the basis is a nullspace of."""
     ctx_b = context(sys_.nvars, degree)
     blocks = []
     for x in halton_points(sys_.box, npoints, seed):
@@ -452,9 +472,26 @@ def _loop_solution_basis(sys_, seed, degree, npoints):
                           for bb in range(ctx_b.count)])
         blocks.append(np.einsum("rc,b->rcb", rows, basis).reshape(
             rows.shape[0], -1))
-    # the full SVD, as the reference for the thin one on tall matrices
-    _, sig, vt = np.linalg.svd(np.vstack(blocks))
-    return vt[int(np.sum(sig > 1e-10 * sig[0])):]
+    return np.vstack(blocks)
+
+
+def _loop_solution_basis(sys_, seed, degree, npoints):
+    mat = _loop_pinned_matrix(sys_, seed, degree, npoints)
+    # a column no row touches is a null vector alone: first the unit
+    # vectors of those, then the null rows of the live columns' full SVD,
+    # the reference for the thin one on tall matrices
+    live = [c for c in range(mat.shape[1]) if np.any(mat[:, c] != 0.0)]
+    dead = [c for c in range(mat.shape[1]) if c not in live]
+    null = np.zeros((0, len(live)))
+    if live:
+        _, sig, vt = np.linalg.svd(mat[:, live])
+        null = vt[int(np.sum(sig > 1e-10 * sig[0])):]
+    out = np.zeros((len(dead) + len(null), mat.shape[1]))
+    for k, c in enumerate(dead):
+        out[k, c] = 1.0
+    for k, vec in enumerate(null):
+        out[len(dead) + k, live] = vec
+    return out
 
 
 def _full_order_bracket(n, q_out, ctx_x, tab_a, tab_b):
@@ -505,7 +542,8 @@ def _loop_draw_sections(sys_, basis_vecs, count, seed, degree):
 
 def _loop_closure_check(sys_, npairs, seed, neval, degree=2):
     """closure_check one point, one section and one pair at a time, with
-    the full SVD, full-order bracket products and no code it checks."""
+    the live columns' full SVD, full-order bracket products and no code
+    it checks."""
     n = sys_.nvars
     basis_vecs = _loop_solution_basis(sys_, seed, degree, 40)
     sections = _loop_draw_sections(sys_, basis_vecs, 2 * npairs, seed, degree)
@@ -637,6 +675,113 @@ def test_closure_check_matches_point_reference(name, seed):
     for got, want in zip(closure_check(sys_, npairs=50, seed=seed, neval=8),
                          _loop_closure_check(sys_, 50, seed, 8)):
         assert _same_bits(got, want)
+
+
+def _scaled_r1():
+    # r1 with every row scaled by 1e3: a relative rank threshold finds the
+    # same nullspace
+    return lie_system_from_dict({
+        "label": "shear-volume-scaled", "nvars": 2, "order": 1,
+        "box": [[0.25, 1.25], [0.25, 1.25]],
+        "equations": "y_1_2, y_2*y_1_1 - x2",
+        "linearization": "1000*xi_1_2, 1000*(x2*xi_1_1 + xi_2)",
+        "sampling_constraints": "1000*(xi_1_1 + xi_2_2)"})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS) + ["r1-scaled"])
+def test_live_column_basis_spans_the_full_nullspace(name, seed):
+    # the dead columns' unit vectors and the live columns' null rows span
+    # what the SVD of the whole matrix gives, and stay orthonormal
+    from jetgauge.pseudogroups import _solution_basis
+    sys_ = _scaled_r1() if name == "r1-scaled" else builtin_system(name)
+    for degree in (2, 3):
+        basis = _solution_basis(sys_, seed, degree, 40)
+        _, sig, vt = np.linalg.svd(_loop_pinned_matrix(sys_, seed, degree, 40))
+        full = vt[int(np.sum(sig > 1e-10 * sig[0])):]
+        assert basis.shape == full.shape
+        assert np.max(np.abs(basis.T @ basis - full.T @ full)) < 1e-12
+        assert np.max(np.abs(basis @ basis.T - np.eye(len(basis)))) < 1e-12
+
+
+def _affine_line_with(linearization):
+    return lie_system_from_dict({
+        "label": "line", "nvars": 1, "order": 2, "box": [[-1.0, 1.0]],
+        "equations": "y_1_11", "linearization": linearization})
+
+
+def test_a_system_no_row_touches_has_the_identity_basis(monkeypatch):
+    # every row vanishes at every point, so all 12 columns (4 slots by 3
+    # monomials) are dead: the basis is the identity with no SVD, and every
+    # bracket solves the system exactly
+    from jetgauge.pseudogroups import _solution_basis
+    sys_ = _affine_line_with("0*xi_1_11")
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD of no live column")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert _same_bits(_solution_basis(sys_, 3, 2, 40), np.eye(12))
+    resid, lift_gap = closure_check(sys_, npairs=4, seed=3, neval=6)
+    assert resid.shape == (4, 6, 1) and _max_abs(resid) == 0.0
+    assert np.isfinite(_max_abs(lift_gap))
+
+
+def test_a_system_with_no_polynomial_sections_is_refused():
+    # xi, xi' and xi'' vanish, and with them D xi'' = xi''': every column
+    # is live and the pinned matrix has full rank
+    with pytest.raises(ValueError, match="line: no polynomial sections at "
+                                         "degree 2"):
+        closure_check(_affine_line_with("xi_1, xi_1_1, xi_1_11"), npairs=2,
+                      seed=3, neval=4)
+
+
+# the pinned matrix's shape once the dead columns are dropped
+LIVE_SHAPES = {"affine": (80, 6), "projective": (80, 6), "r1": (360, 60),
+               "r1prime": (240, 72), "volume2": (120, 36),
+               "volume3": (160, 120)}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_closure_runs_one_svd_on_the_live_columns(name, monkeypatch):
+    # a count, not a time: it holds under any machine load
+    shapes = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    closure_check(builtin_system(name), npairs=2, seed=3, neval=4)
+    assert shapes == [LIVE_SHAPES[name]]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_bracket_makes_one_product_pair_per_plan_column(name, monkeypatch):
+    # one stacked pair per column of the plan and one per direction, not
+    # one per output row, nu and r
+    from jetgauge.pseudogroups import _bracket_plan
+    sys_ = builtin_system(name)
+    n, q = sys_.nvars, sys_.order
+    secs = sample_linear_sections(sys_, 4, seed=5)
+    pts = halton_points(sys_.box, 3, 17)
+    width = len(_bracket_plan(n, q)[0])
+    calls = []
+    real = series.mul
+
+    def spy(ctx, a, b):
+        calls.append(ctx.order)
+        return real(ctx, a, b)
+
+    monkeypatch.setattr(series, "mul", spy)
+    algebroid_bracket(secs[0::2], secs[1::2], pts)
+    assert 0 < len(calls) <= 2 * width + 2 * n
+    calls.clear()
+    bracket_jacobi_residual(secs[0], secs[1], secs[2], pts)
+    # the nested path: brackets of order q, then of order q - 1
+    widths = width + len(_bracket_plan(n, q - 1)[0])
+    assert 0 < len(calls) <= 2 * widths + 4 * n
 
 
 # ----------------------------------------------------------------------
