@@ -50,6 +50,20 @@ def _shortfall(observed: float, floor: float) -> float:
     return float(np.maximum(0.0, floor - observed))
 
 
+def _roster(cfg: SuiteConfig, cache: dict, key: str, build, load) -> list:
+    """cache[key], made on first use: the list build() returns, then the
+    fixture that load(cfg.fixture) reads, unless that is on it already (a
+    built-in name gives the shared object)."""
+    if key not in cache:
+        items = build()
+        if cfg.fixture:
+            extra = load(cfg.fixture)
+            if all(extra is not item for item in items):
+                items.append(extra)
+        cache[key] = items
+    return cache[key]
+
+
 def _max_abs(residuals) -> float:
     """max |r| over an array, or a tuple of arrays, of residuals, 0.0 when
     there are none; np.max, unlike a running max(), keeps a NaN."""

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from ._runner import SUITES, CheckSpec, SuiteConfig
+from ._runner import SUITES, CheckSpec, SuiteConfig, _roster
 from .elasticity import (
-    DisplacementSection, StressState, adjoint_spencer, killing,
+    RIGID_POINTS, DisplacementSection, StressState, adjoint_spencer, killing,
     load_stress_state, pairing_identity_check, riemann_residual,
     rigid_kernel_dimension, spencer_elastic, torsor_equilibrium_check,
 )
@@ -26,6 +26,8 @@ DISP_MONOS = (("x1",), ("x2",), ("x1", "x2"), ("x1", "x1"), ("x2", "x2"),
               ("x2", "x2", "x2"))
 ZERO_JET = PolyMap(PLANE, 0, np.zeros((1, 1)))
 ZERO_MU = PolyMap(PLANE, 0, np.zeros((2, 1)))
+PAIRING_ORDER = 9      # Gauss points per axis of the pairing quadrature
+TORSOR_ORDER = 8       # and of the torsor balance's
 
 
 def _elastic_points(cfg: SuiteConfig) -> np.ndarray:
@@ -61,14 +63,14 @@ def _check_strain_compatibility(cfg, cache):
 def _check_rigid_kernel_dimension(cfg, cache):
     # reduces its own inputs: the residual is the kernel dimension of all rows
     dim = rigid_kernel_dimension(degree=2, seed=cfg.seed + 29)
-    return float(dim - 3), 40
+    return float(dim - 3), RIGID_POINTS
 
 
 def _check_stress_pairing_identity(cfg, cache):
     # integration by parts with no boundary terms gives lhs = -rhs
     lhs, rhs = pairing_identity_check(POLY_STATE, BUMP_SECTION, PLANE_BOX,
-                                      order=9)
-    return lhs + rhs, 81
+                                      order=PAIRING_ORDER)
+    return lhs + rhs, PAIRING_ORDER ** 2
 
 
 def _check_equilibrium_equations(cfg, cache):
@@ -84,11 +86,11 @@ def _check_equilibrium_equations(cfg, cache):
 
 
 def _check_torsor_balance(cfg, cache):
-    states = [LINEAR_STATE, POLY_STATE]
-    if cfg.fixture:
-        states.append(load_stress_state(cfg.fixture))
-    gaps = [torsor_equilibrium_check(s, PLANE_BOX, order=8) for s in states]
-    return np.array(gaps), 64 * len(states)
+    states = _roster(cfg, cache, "states",
+                     lambda: [LINEAR_STATE, POLY_STATE], load_stress_state)
+    gaps = [torsor_equilibrium_check(s, PLANE_BOX, order=TORSOR_ORDER)
+            for s in states]
+    return np.array(gaps), TORSOR_ORDER ** 2 * len(states)
 
 
 def _check_couple_stress_symmetry(cfg, cache):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ._runner import SUITES, CheckSpec, SuiteConfig
+from ._runner import SUITES, CheckSpec, SuiteConfig, _roster
 from .expr import ExprMap, PolyMap, _random_poly
 from .groups import (
     GaugeField, Grid, builtin_group, jacobi_residual, lift_curvature,
@@ -27,15 +27,9 @@ ACTION_LAMS = {
 
 
 def _group_roster(cfg: SuiteConfig, cache: dict) -> list:
-    if "groups" not in cache:
-        specs = [builtin_group("affine"), builtin_group("e2")]
-        if cfg.fixture:
-            extra = load_group_spec(cfg.fixture)
-            # a bundled name gives the shared chart, perhaps already here
-            if all(extra is not s for s in specs):
-                specs.append(extra)
-        cache["groups"] = specs
-    return cache["groups"]
+    return _roster(cfg, cache, "groups",
+                   lambda: [builtin_group("affine"), builtin_group("e2")],
+                   load_group_spec)
 
 
 def _random_gauging(spec, seed: int) -> PolyMap:

@@ -2,7 +2,7 @@
 
 from functools import partial
 
-from ._runner import SUITES, CheckSpec, SuiteConfig
+from ._runner import SUITES, CheckSpec, SuiteConfig, _roster
 from .expr import ExprMap
 from .pseudogroups import (
     builtin_system, closure_check, linearization_rows_gap, load_lie_system,
@@ -14,15 +14,9 @@ LIE_SYSTEMS = ("affine", "projective", "volume2", "volume3", "r1")
 
 
 def _lie_roster(cfg: SuiteConfig, cache: dict) -> list:
-    if "systems" not in cache:
-        systems = [builtin_system(n) for n in LIE_SYSTEMS]
-        if cfg.fixture:
-            extra = load_lie_system(cfg.fixture)
-            # a built-in name gives the shared system, perhaps already here
-            if all(extra is not s for s in systems):
-                systems.append(extra)
-        cache["systems"] = systems
-    return cache["systems"]
+    return _roster(cfg, cache, "systems",
+                   lambda: [builtin_system(n) for n in LIE_SYSTEMS],
+                   load_lie_system)
 
 
 def _closure_reports(cfg: SuiteConfig, cache: dict) -> list:

@@ -24,16 +24,16 @@ __all__ = ["main", "build_parser", "export_swell_csv", "export_swell_svg",
 CSV_HEADER = "t,a,b,x,y,xbar,ybar"
 
 
-def _swell_table(params: dict, nlabels_a: int = 6, nlabels_b: int = 3,
-                 ntimes: int = 33) -> list[tuple[float, ...]]:
+def _swell_table(params: dict) -> list[tuple[float, ...]]:
+    """6 x 3 labels, each at 33 times over one period."""
     from .dynamics import swell_rows   # the kernel only a table needs
     k, omega = params["k"], params["omega"]
     period = 2.0 * math.pi / abs(omega) if omega else 1.0
     span = 0.6 * math.pi / k
     labels = [(a, b)
-              for b in np.linspace(0.0, 2.0, nlabels_b)
-              for a in np.linspace(0.0, span, nlabels_a)]
-    times = np.linspace(0.0, period, ntimes)
+              for b in np.linspace(0.0, 2.0, 3)
+              for a in np.linspace(0.0, span, 6)]
+    times = np.linspace(0.0, period, 33)
     return swell_rows(labels=labels, times=times, **params)
 
 
@@ -67,9 +67,8 @@ def export_swell_svg(params: dict, path: str,
     span = 0.6 * math.pi / k
     line = []
     for a in np.linspace(0.0, span, 240):
-        r = R0 * math.exp(0.0)
         ang = -(k * float(a) + c)
-        line.append((float(a) + r * math.cos(ang), r * math.sin(ang)))
+        line.append((float(a) + R0 * math.cos(ang), R0 * math.sin(ang)))
 
     xs = [p[0] for pts in blocks.values() for p in pts] + [p[0] for p in line]
     ys = [p[1] for pts in blocks.values() for p in pts] + [p[1] for p in line]

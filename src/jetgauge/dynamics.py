@@ -47,6 +47,8 @@ __all__ = [
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 DIV_TOL = 1e-8
+VARIATION_EPS = 1e-3       # theorem3_check's quotient step
+PRESSURE_NODES = 32        # pressure_recovery's Gauss nodes per segment
 
 
 class DivergenceNotZero(ValueError):
@@ -226,22 +228,20 @@ class MotionFamily:
                    variation=parse_map(variation, fvars + ["eps"], what,
                                        "variation", m), **kw)
 
-    def invert(self, z: np.ndarray, x: np.ndarray,
-               seed: np.ndarray | None = None) -> np.ndarray:
+    def invert(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Preimages y = g(z, x) of a point z (m,), or of a block (..., m)
         with parameters x (..., n).
 
         An explicit inverse is evaluated as one block.  Otherwise one block
-        Newton solve starts every point at the centre of ybox, or at seed
-        broadcast to the block, so no call depends on the calls before it.
+        Newton solve starts every point at the centre of ybox, so no call
+        depends on the calls before it.
         """
         z = np.asarray(z, float)
         x = np.asarray(x, float)
         if self.inverse is not None:
             return _lift(self.inverse, (z, x), 0, self.label).value()
-        if seed is None:
-            seed = np.array([0.5 * (lo + hi) for lo, hi in self.ybox])
-        return _newton(self.forward, self.m, z, x, seed, self.label)[0]
+        start = np.array([0.5 * (lo + hi) for lo, hi in self.ybox])
+        return _newton(self.forward, self.m, z, x, start, self.label)[0]
 
     def state(self, z: np.ndarray, x: np.ndarray) -> _SpeedState:
         """The speed state at targets z (..., m) under parameters x (..., n),
@@ -264,9 +264,10 @@ class MotionFamily:
     def sample_yx(self, count: int, seed: int) -> np.ndarray:
         return halton_points(self.ybox + self.xbox, count, seed)
 
-    def validate(self, count: int = 8, seed: int = 417) -> float:
-        """Round-trip gap max |f(g(z, x), x) - z| over low-discrepancy points."""
-        zx = self.sample_zx(count, seed)
+    def validate(self) -> float:
+        """Round-trip gap max |f(g(z, x), x) - z| over 8 low-discrepancy
+        points."""
+        zx = self.sample_zx(8, 417)
         z, x = zx[:, :self.m], zx[:, self.m:]
         y = self.invert(z, x)
         gaps = np.abs(self.state_at_source(y, x).value - z)
@@ -351,8 +352,8 @@ def _variation_speeds(fam: MotionFamily, z: np.ndarray, x: np.ndarray,
     return jac[..., m:m + n], np.linalg.det(jac[..., :m])
 
 
-def theorem3_check(fam: MotionFamily, samples: np.ndarray,
-                   eps: float = 1e-3) -> tuple[np.ndarray, ...]:
+def theorem3_check(fam: MotionFamily,
+                   samples: np.ndarray) -> tuple[np.ndarray, ...]:
     """Two exact routes to delta v, plus an eps-family quotient oracle.
 
     Route one (target variables): delta v = d eta/dx + [v, eta] with
@@ -362,8 +363,8 @@ def theorem3_check(fam: MotionFamily, samples: np.ndarray,
     approach them at first order in eps.
 
     Returns the tuple (exact, fd, fd_half, base) of per-sample gaps: route
-    one minus route two, the eps and eps/2 quotients minus route one, and
-    the variation at eps = 0 minus the forward map.
+    one minus route two, the quotients at eps = VARIATION_EPS and eps/2
+    minus route one, and the variation at eps = 0 minus the forward map.
     """
     if fam.variation is None:
         raise ValueError("theorem3_check needs a variation family")
@@ -384,37 +385,20 @@ def theorem3_check(fam: MotionFamily, samples: np.ndarray,
                       df_x - np.einsum("...kri,...r->...ki", st.fyx, xi))
     route2 = np.einsum("...ka,...ai->...ki", st.fy, dxi_x)
     fd = [(_variation_speeds(fam, z, x, e, y)[0] - st.v) / e - route1
-          for e in (eps, eps / 2.0)]
+          for e in (VARIATION_EPS, VARIATION_EPS / 2.0)]
     return route1 - route2, *fd, base
 
 
-def mass_conservation_residual(fam: MotionFamily, samples: np.ndarray,
-                               eps: float = 1e-3) -> tuple[np.ndarray, ...]:
-    """d rho/dx^i + d(rho v^k_i)/dz^k = 0, plus the eps-variation of rho.
-
-    The variation oracle checks delta rho = -d(rho eta^k)/dz^k by one-sided
-    quotients whenever the family carries a variation map.  Returns the
-    tuple (continuity, fd, fd_half): the continuity residual (..., n) and
-    the quotient gaps (M,) at eps and eps/2, so the caller can confirm
-    first-order decay; both gaps are empty without a variation map.
-    """
-    m = fam.m
+def mass_conservation_residual(fam: MotionFamily,
+                               samples: np.ndarray) -> np.ndarray:
+    """The continuity residual d rho/dx^i + d(rho v^k_i)/dz^k, (..., n)
+    over the samples' leading axes."""
     samples = np.asarray(samples, float)
-    z, x = samples[..., :m], samples[..., m:]
-    y = fam.invert(z, x)
-    st = fam.state_at_source(y, x)
+    st = fam.state(samples[..., :fam.m], samples[..., fam.m:])
     rho = st.rho[..., None]
     div_rv = (np.einsum("...l,...li->...i", st.drho_z, st.v)
               + rho * np.einsum("...kik->...i", st.dv_z))
-    continuity = st.drho_x + div_rv
-    if fam.variation is None:
-        return continuity, np.zeros(0), np.zeros(0)
-    df, df_y, _ = _variation_blocks(fam, y, x)
-    flux = np.einsum("...l,...l->...", st.drho_z, df)
-    exact = -(flux + st.rho * np.einsum("...kr,...rk->...", df_y, st.gz))
-    fd = [(1.0 / _variation_speeds(fam, z, x, e, y)[1] - st.rho) / e - exact
-          for e in (eps, eps / 2.0)]
-    return continuity, *fd
+    return st.drho_x + div_rv
 
 
 def _momentum_hessian(w: ExprMap, v: np.ndarray, m: int,
@@ -523,15 +507,16 @@ def vortex_residual(field: ExprMap | PolyMap, samples: np.ndarray,
 
 
 def pressure_recovery(field: ExprMap | PolyMap, t: float, points: np.ndarray,
-                      base: Sequence[float], nquad: int = 32,
+                      base: Sequence[float],
                       curl_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct lambda with grad lambda = -gamma by staircase integrals.
 
     gamma = dv/dt + (v . grad) v must be curl-free at the requested time;
     lambda is integrated from the base point along axis-ordered segments,
-    once in order (1, 2, 3) and once in (3, 2, 1), and the two results must
-    agree up to quadrature error.  Returns lambda at the points along the
-    first path, and the first path's values minus the second's.
+    once in order (1, 2, 3) and once in (3, 2, 1), with PRESSURE_NODES
+    Gauss nodes a segment, and the two results must agree up to quadrature
+    error.  Returns lambda at the points along the first path, and the
+    first path's values minus the second's.
     """
     base = np.asarray(base, float)
     points = np.asarray(points, float).reshape(-1, 3)
@@ -553,7 +538,7 @@ def pressure_recovery(field: ExprMap | PolyMap, t: float, points: np.ndarray,
     moving = orders[..., None] == np.arange(3)              # (order, s, axis)
     reached = (np.cumsum(moving, axis=1) - moving).astype(bool)
     nodes, weights = gauss_rule(base[orders][..., None],
-                                points[:, orders, None], nquad)
+                                points[:, orders, None], PRESSURE_NODES)
     probes = np.where(moving[:, :, None], nodes[..., None],
                       np.where(reached[:, :, None], points[:, None, None, None],
                                base))
@@ -572,10 +557,11 @@ def pressure_recovery(field: ExprMap | PolyMap, t: float, points: np.ndarray,
     return first, first - second
 
 
-def random_solenoidal_field(seed: int, degree: int = 2,
-                            time_scale: float = 0.3) -> PolyMap:
-    """curl of a random polynomial potential in (z, t): divergence-free by
-    construction, time-dependent through a polynomial t factor."""
+def random_solenoidal_field(seed: int) -> PolyMap:
+    """curl of a random polynomial potential in (z, t), of degree 2 in each
+    z_k and 1 in t: divergence-free by construction, time-dependent through
+    a t term scaled by 0.3."""
+    degree = 2
     rng = np.random.default_rng(seed)
     size = (degree + 1,) * 3 + (2,)
     potential = [rng.uniform(-1.0, 1.0, size=size) for _ in range(3)]
@@ -589,7 +575,7 @@ def random_solenoidal_field(seed: int, degree: int = 2,
     comps = np.stack([diff(potential[2], 1) - diff(potential[1], 2),
                       diff(potential[0], 2) - diff(potential[2], 0),
                       diff(potential[1], 0) - diff(potential[0], 1)])
-    comps[..., 1] *= time_scale
+    comps[..., 1] *= 0.3
     # comps[k, a, b, c, e] multiplies z1^a z2^b z3^c t^e: gather it into
     # the graded slot of that exponent row; every other slot stays zero
     rows = exponent_rows(4, 3 * degree + 1)
@@ -600,9 +586,7 @@ def random_solenoidal_field(seed: int, degree: int = 2,
 
 
 def swell_family(R0: float, k: float, omega: float, c: float,
-                 decay: float | None = None,
-                 ybox: Box | None = None, tmax: float = 6.0,
-                 nlabels: int = 24, ntimes: int = 9,
+                 decay: float | None = None, nlabels: int = 24,
                  seed: int = 311) -> tuple[MotionFamily, tuple[np.ndarray, ...]]:
     """Rolling-wave family x = a + R(b) cos(omega t - phi(a)), phi = k a + c.
 
@@ -613,10 +597,12 @@ def swell_family(R0: float, k: float, omega: float, c: float,
     oscillates in time and the drift shows it.
 
     Returns the family and the tuple (drift, formula, circle, frame) over
-    (label, time): det d(x,y)/d(a,b) minus its value at t = 0; the same
-    det minus 1 - k^2 R^2, empty unless balanced; |f - label| - R(b); and
+    (label, time), nlabels Halton labels (a, b) in [-1, 1] x [0, 2] and
+    ntimes = 9 times in [0, 6]: det d(x,y)/d(a,b) minus its value at t = 0; the same det minus
+    1 - k^2 R^2, empty unless balanced; |f - label| - R(b); and
     (nlabels, ntimes, 2) the wave-frame point minus f at the shifted label.
     """
+    tmax, ntimes = 6.0, 9
     rate = k if decay is None else float(decay)
     for key, value in (("R0", R0), ("k", k), ("omega", omega), ("c", c),
                        ("decay", rate)):    # each is written into the text
@@ -629,7 +615,7 @@ def swell_family(R0: float, k: float, omega: float, c: float,
     fam = MotionFamily.parse(
         2, 1,
         f"y1 + ({radius}) * cos({theta}), y2 + ({radius}) * sin({theta})",
-        ybox=ybox or ((-1.0, 1.0), (0.0, 2.0)), xbox=((0.0, tmax),),
+        ybox=((-1.0, 1.0), (0.0, 2.0)), xbox=((0.0, tmax),),
         label="swell")
 
     labels = halton_points(fam.ybox, nlabels, seed)

@@ -48,6 +48,7 @@ __all__ = [
 Box = Sequence[Sequence[float]]
 
 PLANE = ["x1", "x2"]
+RIGID_POINTS = 40     # rigid_kernel_dimension's sample points
 
 
 class QuadratureTooCoarse(ValueError):
@@ -209,19 +210,19 @@ def spencer_elastic(section: DisplacementSection,
                            jlift.jacobian()[..., 0, :]], axis=-1)
 
 
-def rigid_kernel_dimension(degree: int = 2, box: Box = ((-1.0, 1.0),) * 2,
-                           npoints: int = 40, seed: int = 29,
-                           metric: np.ndarray | None = None,
-                           tol: float = 1e-8) -> int:
+def rigid_kernel_dimension(degree: int = 2, seed: int = 29,
+                           metric: np.ndarray | None = None) -> int:
     """Kernel dimension of the six-component operator on a polynomial ansatz.
 
     Unknowns are the monomial coefficients of xi^1, xi^2 and the jet up to
-    the given total degree; each sample contributes six linear rows.  The
-    answer must be 3 (two translations and one rotation) for any degree at
-    least 1: the pointwise part is forced linear and the jet constant.
+    the given total degree; each of RIGID_POINTS samples in [-1, 1]^2
+    contributes six linear rows, and a singular value at most 1e-8 times
+    the largest counts as zero.  The answer must be 3 (two translations
+    and one rotation) for any degree at least 1: the pointwise part is
+    forced linear and the jet constant.
     """
     omega = np.eye(2) if metric is None else np.asarray(metric, float)
-    pts = halton_points(tuple(tuple(r) for r in box), npoints, seed)
+    pts = halton_points(((-1.0, 1.0),) * 2, RIGID_POINTS, seed)
     # [n, b, 0] is monomial b at point n, [n, b, 1 + i] its d_i
     shift = poly_shift(2, degree, pts, 1)
     val, grad = shift[..., 0], np.moveaxis(shift[..., 1:], -1, 1)
@@ -235,7 +236,7 @@ def rigid_kernel_dimension(degree: int = 2, box: Box = ((-1.0, 1.0),) * 2,
     rows[:, 4:, 2] = grad
     matrix = rows.reshape(-1, 3 * nm)
     svals = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(svals <= tol * svals[0]))
+    return int(np.sum(svals <= 1e-8 * svals[0]))
 
 
 def adjoint_spencer(state: StressState,

@@ -27,7 +27,6 @@ its jet is a binomial shift of the coefficients, with no tape.
 from __future__ import annotations
 
 import functools
-import math
 import re
 import struct
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from .series import DomainError
 
 __all__ = [
     "DomainError", "ParseError", "Expr", "Num", "Var", "Bin", "Pow", "Call",
-    "Neg", "ExprMap", "TaylorMap", "PolyMap", "parse_expr", "constant",
+    "Neg", "ExprMap", "TaylorMap", "PolyMap",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "neg")
@@ -72,51 +71,6 @@ class Expr:
 
     def children(self) -> tuple["Expr", ...]:
         return ()
-
-    # Programmatic construction sugar used by the higher modules.
-    def __add__(self, other):
-        return Bin("+", self, as_expr(other))
-
-    def __radd__(self, other):
-        return Bin("+", as_expr(other), self)
-
-    def __sub__(self, other):
-        return Bin("-", self, as_expr(other))
-
-    def __rsub__(self, other):
-        return Bin("-", as_expr(other), self)
-
-    def __mul__(self, other):
-        return Bin("*", self, as_expr(other))
-
-    def __rmul__(self, other):
-        return Bin("*", as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Bin("/", self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Bin("/", as_expr(other), self)
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __pow__(self, exponent):
-        return Pow(self, float(exponent))
-
-
-def as_expr(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    return constant(float(value))
-
-
-def constant(value: float) -> Expr:
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite constant {value}")
-    if value < 0:
-        return Neg(Num(-value))
-    return Num(float(value))
 
 
 @dataclass(frozen=True)
@@ -208,11 +162,11 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, declared: Sequence[str] | None):
+    def __init__(self, text: str, declared: Sequence[str]):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.declared = None if declared is None else set(declared)
+        self.declared = set(declared)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -274,20 +228,11 @@ class _Parser:
                 arg = self.parse_expr()
                 self.expect(")")
                 return Neg(arg) if tok.text == "neg" else Call(tok.text, arg)
-            if self.declared is not None and tok.text not in self.declared:
+            if tok.text not in self.declared:
                 raise self.error(f"undeclared variable {tok.text!r}", tok)
             return Var(tok.text)
         shown = tok.text or "end of input"
         raise self.error(f"unexpected {shown!r}", tok)
-
-
-def parse_expr(text: str, variables: Sequence[str] | None = None) -> Expr:
-    parser = _Parser(text, variables)
-    node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise parser.error(f"trailing input {tok.text!r}", tok)
-    return node
 
 
 @dataclass(frozen=True)

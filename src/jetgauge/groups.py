@@ -40,6 +40,7 @@ __all__ = [
 
 JACOBI_TOL = 1e-8
 RANK_TOL = 1e-8
+AXIOM_TOL = 1e-9
 
 
 class InconsistentGroupLaw(ValueError):
@@ -78,7 +79,7 @@ class LieGroupSpec:
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         return halton_points(self.box, count, seed)
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """The group axioms on 8 samples, checked as one block; the error
         names the first failing sample.  The products take two compose
         evaluations, and each point keeps its one-point bits."""
@@ -93,7 +94,7 @@ class LieGroupSpec:
                            a_bc - ab_c])
         # np.max, unlike max(), keeps a NaN, and a NaN is no group law
         worst = np.max(np.abs(checks), axis=(0, 2))
-        bad = np.flatnonzero(~(worst <= tol))
+        bad = np.flatnonzero(~(worst <= AXIOM_TOL))
         if bad.size:
             k = int(bad[0])
             raise InconsistentGroupLaw(

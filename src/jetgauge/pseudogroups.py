@@ -39,6 +39,8 @@ __all__ = [
     "HolonomicSection",      # a map's jets: the closed-form bracket's reference
 ]
 
+SECTION_DEGREE = 2      # polynomial degree of every sampled section's slots
+
 
 def _suffix(mu: Iterable[int]) -> str:
     return "".join(str(i + 1) * int(e) for i, e in enumerate(mu))
@@ -212,12 +214,12 @@ class PolySection:
         shift = poly_shift(self.nvars, self.degree, x, xorder)
         return np.einsum("...krb,pbw->...pkrw", self.coeffs, shift)
 
-    def perturb_top(self, rng: np.random.Generator, scale: float = 1.0) -> "PolySection":
+    def perturb_top(self, rng: np.random.Generator) -> "PolySection":
         """Fresh random polynomials on the top-order slots, from one draw
         over the stack: the stream of one draw per section, in order."""
         top = context(self.nvars, self.order).degree == self.order
         out = self.coeffs.copy()
-        out[..., top, :] += scale * rng.standard_normal(out[..., top, :].shape)
+        out[..., top, :] += rng.standard_normal(out[..., top, :].shape)
         return PolySection(out, self.nvars, self.order, self.degree)
 
 
@@ -366,11 +368,12 @@ def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
     return out
 
 
-def sample_linear_sections(system: LieEquationSystem, count: int, seed: int,
-                           degree: int = 2) -> PolySection:
-    """A stack of count seeded random polynomial sections of the prolonged
-    linear system, each scaled to a largest coefficient of 1."""
-    basis_vecs = _solution_basis(system, seed, degree, 40)
+def sample_linear_sections(system: LieEquationSystem, count: int,
+                           seed: int) -> PolySection:
+    """A stack of count seeded random sections of the prolonged linear
+    system, polynomials of degree SECTION_DEGREE, each scaled to a largest
+    coefficient of 1."""
+    basis_vecs = _solution_basis(system, seed, SECTION_DEGREE, 40)
     n, q = system.nvars, system.order
     # one block of draws is the stream of one draw per section; a stack of
     # vector-matrix products runs one per row, where one GEMM can give
@@ -379,13 +382,12 @@ def sample_linear_sections(system: LieEquationSystem, count: int, seed: int,
     combos = np.matmul(draws[:, None, :], basis_vecs)[:, 0]
     combos /= np.maximum(np.abs(combos).max(axis=1), 1e-30)[:, None]
     return PolySection(combos.reshape(count, n, context(n, q + 1).count,
-                                      context(n, degree).count),
-                       n, q + 1, degree)
+                                      context(n, SECTION_DEGREE).count),
+                       n, q + 1, SECTION_DEGREE)
 
 
 def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
-                  neval: int = 12,
-                  degree: int = 2) -> tuple[np.ndarray, np.ndarray]:
+                  neval: int = 12) -> tuple[np.ndarray, np.ndarray]:
     """Brackets of random solution sections land back in the system.
 
     Also measures how much the bracket values move when the top-order
@@ -395,12 +397,12 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
     each bracket, (npairs, neval, neq), and the bumped pairs' bracket
     values minus the first pairs', (min(npairs, 5), neval, n, rows).
     """
-    secs = sample_linear_sections(system, 2 * npairs, seed, degree)
+    secs = sample_linear_sections(system, 2 * npairs, seed)
     nlift = min(npairs, 5)
     # the bumped copies of pairs 0..nlift-1, drawn a then b, pair by pair
     bumped = secs[:2 * nlift].perturb_top(np.random.default_rng(seed + 2))
     both = PolySection(np.concatenate([secs.coeffs, bumped.coeffs]),
-                       secs.nvars, secs.order, degree)
+                       secs.nvars, secs.order, secs.degree)
     eval_pts = halton_points(system.box, neval, seed + 1)
     # (pairs + bumped pairs, points, n, rows): every bracket in one call
     vals = algebroid_bracket(both[0::2], both[1::2], eval_pts)

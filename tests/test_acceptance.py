@@ -161,7 +161,7 @@ def test_criterion_05_speed_compatibility_and_variation():
         worst_v = max(worst_v, _max_abs(v_form))
         worst_u = max(worst_u, _max_abs(u_form))
     exact, fd, fd_half, base = theorem3_check(
-        EXP_MOVED, EXP_MOVED.sample_zx(12, 9), eps=1e-3)
+        EXP_MOVED, EXP_MOVED.sample_zx(12, 9))
     _criterion(5, "speed fields close and variations converge at rate one", [
         ("dv + [v,v]", worst_v, 1e-8),
         ("du - [u,u]", worst_u, 1e-8),

@@ -177,6 +177,17 @@ def test_a_new_fixture_still_joins_the_roster(tmp_path, monkeypatch):
     assert _samples(tmp_path, "group") == [32, 500, 64, 2, 64]
     assert _samples(tmp_path, "group", "--fixture", "affcopy") == [
         48, 750, 64, 3, 64]
+    # a dynamics or stress fixture is never on the roster: the family adds
+    # 16 speed-duality points, the state 64 torsor nodes
+    name, data = NAMED_FIXTURES["dynamics"]
+    (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    (tmp_path / "linear.json").write_text('{"sigma": "x1, 0, 0, x2"}')
+    assert _samples(tmp_path, "dynamics") == [
+        16, 48, 10, 160, 160, 12, 12, 12, 120]
+    assert _samples(tmp_path, "dynamics", "--fixture", name) == [
+        16, 48, 10, 160, 176, 12, 12, 12, 120]
+    assert _samples(tmp_path, "elasticity")[-1] == 128
+    assert _samples(tmp_path, "elasticity", "--fixture", "linear")[-1] == 192
 
 
 def test_swell_fixture_is_read_once_per_run(tmp_path, monkeypatch):

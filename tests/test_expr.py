@@ -8,7 +8,7 @@ import pytest
 from jetgauge import series
 from jetgauge._multiindex import context
 from jetgauge.expr import (
-    Bin, Call, ExprMap, Neg, Num, ParseError, Pow, Var, parse_expr,
+    Bin, Call, ExprMap, Neg, Num, ParseError, Pow, Var,
 )
 from jetgauge.series import DomainError
 
@@ -59,18 +59,18 @@ def test_functions():
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
-        parse_expr(bad, ["x", "y"])
+        ExprMap.parse(bad, ["x", "y"])
 
 
 def test_undeclared_variable():
     with pytest.raises(ParseError) as err:
-        parse_expr("x + z", ["x", "y"])
+        ExprMap.parse("x + z", ["x", "y"])
     assert "z" in str(err.value)
 
 
 def test_error_carries_position():
     with pytest.raises(ParseError) as err:
-        parse_expr("x1 +\n  * 3", ["x1"])
+        ExprMap.parse("x1 +\n  * 3", ["x1"])
     assert (err.value.line, err.value.column) == (2, 3)   # unexpected token
 
 
@@ -84,7 +84,7 @@ def test_error_carries_position():
 ])
 def test_parse_error_line_and_column(text, line, column):
     with pytest.raises(ParseError) as err:
-        parse_expr(text, ["x", "y"])
+        ExprMap.parse(text, ["x", "y"])
     assert (err.value.line, err.value.column) == (line, column)
 
 
@@ -107,8 +107,8 @@ def test_eval_domain_errors(text, vals):
 def test_negative_power_only_programmatic():
     # the grammar keeps '^' exponents as unsigned literals
     with pytest.raises(ParseError):
-        parse_expr("x^-1", ["x"])
-    m = ExprMap(["x"], [Var("x") ** -1.0])
+        ExprMap.parse("x^-1", ["x"])
+    m = ExprMap(["x"], [Pow(Var("x"), -1.0)])
     assert m.eval([4.0])[0] == 0.25
     with pytest.raises(DomainError):
         m.eval([0.0])
@@ -221,10 +221,10 @@ def _reference_lift(node, ctx, env):
 _XY = ["x", "y"]
 # every node kind, on a box where each one is defined: [0.2, 0.9]^2
 ALL_KINDS = ExprMap(_XY, [
-    parse_expr("sin(x) * cos(y) - exp(x * y) / (1 + x^2)", _XY),
-    parse_expr("log(x + y) + sqrt(y)^3 - (1 + x)^2.5 * neg(y) - -x", _XY),
-    (Var("x") + Var("y")) ** -2.0,
-    Num(-0.0) + Var("x") * Num(0.0),
+    *ExprMap.parse("sin(x) * cos(y) - exp(x * y) / (1 + x^2), "
+                   "log(x + y) + sqrt(y)^3 - (1 + x)^2.5 * neg(y) - -x", _XY),
+    Pow(Bin("+", Var("x"), Var("y")), -2.0),
+    Bin("+", Num(-0.0), Bin("*", Var("x"), Num(0.0))),
     Num(2.0),
 ])
 
@@ -253,9 +253,9 @@ def test_empty_block_lifts_to_empty_map(order, shape):
     # every node kind, one map per kind, on a block of no points
     ctx = context(2, order)
     for expr in ALL_KINDS.exprs[:3] + (Num(2.0), Var("y"),
-                                       -Var("x"),
-                                       Var("x") ** 2.5,
-                                       Var("x") ** 3.0):
+                                       Neg(Var("x")),
+                                       Pow(Var("x"), 2.5),
+                                       Pow(Var("x"), 3.0)):
         lift = ExprMap(_XY, [expr, expr]).taylor_lift(np.zeros(shape), order)
         assert lift.coeffs.shape == shape[:-1] + (2, ctx.count)
         assert lift.coeffs.dtype == np.float64
@@ -293,7 +293,8 @@ def test_tape_shares_repeated_subtrees_but_not_signed_zeros():
     assert all(readers[slot][-1] == e
                for e, done in enumerate(dead) for slot in done)
     # Num(0.0) == Num(-0.0) as dataclasses, but the slots stay apart
-    zeros = ExprMap(["x"], [Num(0.0) + Var("x"), Num(-0.0) + Var("x")])
+    zeros = ExprMap(["x"], [Bin("+", Num(0.0), Var("x")),
+                            Bin("+", Num(-0.0), Var("x"))])
     tape, outputs, _ = zeros._tape
     assert [kind for kind, _, _ in tape].count("num") == 2
     lift = zeros.taylor_lift(np.array([-0.0]), 0)
@@ -437,7 +438,7 @@ _NODES = {"Bin", "Num", "Neg", "Var", "Pow", "Call"}
 
 def test_only_expr_builds_tree_nodes():
     # polynomial data stays coefficients (PolyMap), never a tree; other
-    # modules build trees only through the Expr operators
+    # modules build trees only through ExprMap.parse
     src = Path(__file__).resolve().parent.parent / "src" / "jetgauge"
     paths = [p for p in sorted(src.glob("*.py")) if p.name != "expr.py"]
     assert paths

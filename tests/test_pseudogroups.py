@@ -139,8 +139,8 @@ def test_bracket_independent_of_lift():
     secs = sample_linear_sections(r1p, 2, seed=21)
     pts = halton_points(r1p.box, 5, 9)
     base = algebroid_bracket(secs[0], secs[1], pts)
-    bumped = algebroid_bracket(secs[0].perturb_top(rng, 2.0),
-                               secs[1].perturb_top(rng, 2.0), pts)
+    bumped = algebroid_bracket(secs[0].perturb_top(rng),
+                               secs[1].perturb_top(rng), pts)
     assert np.max(np.abs(bumped - base)) < 1e-12
 
 
@@ -148,12 +148,12 @@ def test_perturb_top_on_a_stack_is_the_per_section_stream():
     # closure's lift gaps rest on this: one draw over a stack is the
     # stream of one draw per section, section after section
     secs = sample_linear_sections(builtin_system("r1"), 4, seed=6)
-    got = secs.perturb_top(np.random.default_rng(12), 2.0).coeffs
+    got = secs.perturb_top(np.random.default_rng(12)).coeffs
     rng = np.random.default_rng(12)
     top = context(secs.nvars, secs.order).degree == secs.order
     for s in range(4):
         want = secs.coeffs[s].copy()
-        want[:, top, :] += 2.0 * rng.standard_normal(want[:, top, :].shape)
+        want[:, top, :] += rng.standard_normal(want[:, top, :].shape)
         assert _same_bits(got[s], want)
 
 

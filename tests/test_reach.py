@@ -10,6 +10,8 @@ the five suite modules (_suite_<name>), the jetgauge names the benchmark in perf
 imports of the acceptance tests and the documented API: the union of every
 public module's __all__.  Prose keeps nothing alive; a name the README puts
 in backticks must be in its module's __all__ instead.
+By the same walk, a defaulted parameter of a function in src/jetgauge is
+given a value by some call in src/, or it is a named exception.
 """
 
 import ast
@@ -146,3 +148,75 @@ def test_every_exported_name_resolves(module):
     exec(f"from {module} import *", {})
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+# Defaulted parameters that no call in src/ passes, each with its reason.
+UNSET_DEFAULTS = {
+    "main.argv": "the entry point: python -m jetgauge reads sys.argv",
+    "pressure_recovery.curl_tol": "a test tightens the curl bound to 1e-13",
+    "rigid_kernel_dimension.metric": "tests vary the metric",
+}
+
+
+def _defaulted(fn: ast.FunctionDef, skip: int) -> dict[str, int | None]:
+    """Each defaulted parameter -> its index among a call's positional
+    arguments, the first skip parameters (self, cls) taking none, or None
+    when it is keyword-only."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    out = {a.arg: k - skip for k, a in enumerate(pos)
+           if k >= len(pos) - len(args.defaults)}
+    out.update((a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None)
+    return out
+
+
+def _call_name(call: ast.Call, cls: str | None) -> str | None:
+    """The name a call reaches: the attribute or name called, and the
+    enclosing class for cls(...)."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return cls if func.id == "cls" and cls else func.id
+    return None
+
+
+def _passed(call: ast.Call, params: dict[str, int | None]) -> set[str]:
+    """The parameters a call gives a value; a *args covers every
+    positional parameter, and a **mapping every parameter."""
+    if any(kw.arg is None for kw in call.keywords):
+        return set(params)
+    star = any(isinstance(a, ast.Starred) for a in call.args)
+    return {kw.arg for kw in call.keywords} | {
+        name for name, k in params.items()
+        if k is not None and (star or k < len(call.args))}
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    # by name, as the reach walk: a call passes a parameter of every
+    # definition that carries the name it calls, in any module; a class
+    # call, by name or as cls(...) inside it, calls its __init__
+    params: dict[str, list[dict[str, int | None]]] = {}
+    calls: list[tuple[str, ast.Call]] = []
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.FunctionDef):
+                method = isinstance(node, ast.ClassDef)
+                name = cls if method and sub.name == "__init__" else sub.name
+                params.setdefault(name, []).append(
+                    _defaulted(sub, int(method)))
+            elif isinstance(sub, ast.Call):
+                calls.append((_call_name(sub, cls), sub))
+            visit(sub, sub.name if isinstance(sub, ast.ClassDef) else cls)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), None)
+    unset = set()
+    for name, defs in params.items():
+        for table in defs:
+            given = set().union(*(_passed(call, table)
+                                  for callee, call in calls if callee == name))
+            unset.update(f"{name}.{p}" for p in set(table) - given)
+    assert sorted(unset) == sorted(UNSET_DEFAULTS)
