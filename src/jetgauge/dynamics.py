@@ -344,12 +344,12 @@ def _variation_blocks(fam: MotionFamily, y: np.ndarray, x: np.ndarray):
 def _variation_speeds(fam: MotionFamily, z: np.ndarray, x: np.ndarray,
                       eps: float, seed: np.ndarray):
     """Invert the eps-family at rows (z, x), starting each row at its seed,
-    and return (v_eps, delta_eps) over the rows."""
+    and return its speed v_eps over the rows."""
     m, n = fam.m, fam.n
     tail = np.concatenate([x, np.full(np.shape(x)[:-1] + (1,), eps)], axis=-1)
     _, jac = _newton(fam.variation, m, z, tail, seed,
                      f"the eps family of {fam.label}")
-    return jac[..., m:m + n], np.linalg.det(jac[..., :m])
+    return jac[..., m:m + n]
 
 
 def theorem3_check(fam: MotionFamily,
@@ -384,7 +384,7 @@ def theorem3_check(fam: MotionFamily,
     dxi_x = np.einsum("...ka,...ai->...ki", st.fy_inv,
                       df_x - np.einsum("...kri,...r->...ki", st.fyx, xi))
     route2 = np.einsum("...ka,...ai->...ki", st.fy, dxi_x)
-    fd = [(_variation_speeds(fam, z, x, e, y)[0] - st.v) / e - route1
+    fd = [(_variation_speeds(fam, z, x, e, y) - st.v) / e - route1
           for e in (VARIATION_EPS, VARIATION_EPS / 2.0)]
     return route1 - route2, *fd, base
 

@@ -325,30 +325,12 @@ def bracket_jacobi_residual(a: _Section, b: _Section, c: _Section,
     return float(np.max(np.abs(vals[0] + vals[1] + vals[2])))
 
 
-def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
-                    npoints: int) -> np.ndarray:
-    """Orthonormal nullspace basis of the pointwise-pinned prolonged
-    linear system, (dim, n * count_{q+1} * count_degree).
-
-    Rows are the system, its formal derivatives, and any sampling
-    constraints evaluated at npoints chart points, expanded over a
-    shared polynomial ansatz for every slot; the joint nullspace pins the
-    polynomial identity once the point count exceeds the ansatz
-    dimension.  A column that no row touches at any point is a null
-    vector alone: the basis is the unit vectors of these dead columns,
-    then the null rows of an SVD of the live columns alone, placed on
-    them.  Zero columns add no singular value, so the relative rank
-    threshold is the full matrix's; with no live column the basis is
-    the identity.
-    """
-    ctx_b = context(system.nvars, degree)
-    pts = halton_points(system.box, npoints, seed)
-    rows = np.concatenate([system.prolonged_rows(pts),
-                           system.constraint_rows(pts)], axis=1)
-    basis = poly_shift(system.nvars, degree, pts, 0)[..., 0]    # x^beta
-    # (point, row) by (column, monomial): each point's rows times its basis
-    mat = np.einsum("prc,pb->prcb", rows, basis).reshape(
-        rows.shape[0] * rows.shape[1], rows.shape[2] * ctx_b.count)
+def _nullspace(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal nullspace rows of mat, (dim, columns): the unit vectors
+    of the dead columns, which no row touches, then the null rows of an
+    SVD of the live columns alone, placed on them.  Zero columns add no
+    singular value, so the relative rank threshold is the full matrix's;
+    with no live column the result is the identity."""
     live = mat.any(axis=0)
     dead = np.flatnonzero(~live)
     null = np.zeros((0, 0))
@@ -359,13 +341,47 @@ def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
         _, sig, vt = np.linalg.svd(sub,
                                    full_matrices=sub.shape[0] < sub.shape[1])
         null = vt[int(np.sum(sig > 1e-10 * sig[0])):]
-    if len(dead) + len(null) == 0:
-        raise ValueError(
-            f"{system.label}: no polynomial sections at degree {degree}")
     out = np.zeros((len(dead) + len(null), mat.shape[1]))
     out[np.arange(len(dead)), dead] = 1.0
     out[len(dead):, live] = null
     return out
+
+
+def _has_constant_rows(system: LieEquationSystem) -> bool:
+    """No x occurs in the linearization or the sampling constraints."""
+    xvars = {f"x{k + 1}" for k in range(system.nvars)}
+    return not any(xvars & e.variables() for e in itertools.chain(
+        system.linearization, system.sampling_constraints or ()))
+
+
+def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
+                    npoints: int) -> tuple[np.ndarray, int]:
+    """Orthonormal nullspace (null, nb) of the prolonged system and any
+    sampling constraints over a polynomial ansatz of the given degree: the
+    rows of kron(null, eye(nb)) span the sections' (column, monomial)
+    coefficients.  Rows with no x in them are constant, and a polynomial
+    solves them exactly when each monomial's coefficients lie in their
+    nullspace at one point, the box's centre; nb is the monomial count.
+    Other rows are pinned at npoints chart points over the ansatz, which
+    fixes the polynomial identity once the points outnumber the
+    monomials, and nb is 1."""
+    nb = context(system.nvars, degree).count
+    constant = _has_constant_rows(system)
+    pts = (np.mean(system.box, axis=1)[None] if constant
+           else halton_points(system.box, npoints, seed))
+    rows = np.concatenate([system.prolonged_rows(pts),
+                           system.constraint_rows(pts)], axis=1)
+    if constant:
+        null = _nullspace(rows[0])
+    else:
+        # (point, row) by (column, monomial): each point's rows times x^beta
+        mat = np.einsum("prc,pb->prcb", rows,
+                        poly_shift(system.nvars, degree, pts, 0)[..., 0])
+        null, nb = _nullspace(mat.reshape(-1, rows.shape[2] * nb)), 1
+    if len(null) == 0:
+        raise ValueError(
+            f"{system.label}: no polynomial sections at degree {degree}")
+    return null, nb
 
 
 def sample_linear_sections(system: LieEquationSystem, count: int,
@@ -373,16 +389,19 @@ def sample_linear_sections(system: LieEquationSystem, count: int,
     """A stack of count seeded random sections of the prolonged linear
     system, polynomials of degree SECTION_DEGREE, each scaled to a largest
     coefficient of 1."""
-    basis_vecs = _solution_basis(system, seed, SECTION_DEGREE, 40)
+    null, nb = _solution_basis(system, seed, SECTION_DEGREE, 40)
     n, q = system.nvars, system.order
-    # one block of draws is the stream of one draw per section; a stack of
-    # vector-matrix products runs one per row, where one GEMM can give
-    # other bits
-    draws = np.random.default_rng(seed).standard_normal((count, len(basis_vecs)))
-    combos = np.matmul(draws[:, None, :], basis_vecs)[:, 0]
-    combos /= np.maximum(np.abs(combos).max(axis=1), 1e-30)[:, None]
-    return PolySection(combos.reshape(count, n, context(n, q + 1).count,
-                                      context(n, SECTION_DEGREE).count),
+    # one block of draws is the stream of one draw per section.  Each sum
+    # starts at 0.0 and gains its null vectors' terms in order, with no
+    # BLAS; a zero entry's term, +-0.0 on a finite draw, changes no bits.
+    draws = np.random.default_rng(seed).standard_normal(
+        (count, len(null) * nb)).reshape(count, len(null), nb)
+    combos = np.zeros((count, null.shape[1], nb))
+    for j, vec in enumerate(null):
+        cols = np.flatnonzero(vec)
+        combos[:, cols] += vec[cols, None] * draws[:, j, None, :]
+    combos /= np.maximum(np.abs(combos).max(axis=(1, 2)), 1e-30)[:, None, None]
+    return PolySection(combos.reshape(count, n, context(n, q + 1).count, -1),
                        n, q + 1, SECTION_DEGREE)
 
 

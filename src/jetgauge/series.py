@@ -59,8 +59,11 @@ def mul(ctx: MultiIndexContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     zeros, so every coefficient starts at 0.0 and gains its products in
     table order.  On a batch the flat index runs through the series in C
     order and through the table within each one, so each series gets the
-    sums it gets alone.
+    sums it gets alone.  At order 0 the one product onto +0.0 is that
+    sum, with the same broadcasting.
     """
+    if ctx.count == 1:
+        return a * b + 0.0
     if a.ndim == 1 and b.ndim == 1:
         # One series, as in a one-point lift: skip the batch bookkeeping.
         return np.bincount(ctx.mul_k, a[ctx.mul_i] * b[ctx.mul_j],

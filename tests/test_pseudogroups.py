@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -159,7 +160,8 @@ def test_perturb_top_on_a_stack_is_the_per_section_stream():
 
 def test_pseudogroup_suite_runs_the_section_api_on_blocks(monkeypatch):
     # bracket closure samples its sections and brackets them through the
-    # public API, once per roster system, and no lift takes a single point
+    # public API, once per roster system, and every lift takes a block:
+    # of one point only for the rows of a constant-coefficient system
     calls, bases = [], []
 
     def spy(name):
@@ -184,7 +186,9 @@ def test_pseudogroup_suite_runs_the_section_api_on_blocks(monkeypatch):
     roster = len(_suite_pseudogroup.LIE_SYSTEMS)
     assert calls.count("sample_linear_sections") == roster
     assert calls.count("algebroid_bracket") == roster
-    assert bases and all(len(shape) == 2 and shape[0] > 1 for shape in bases)
+    assert bases and all(len(shape) == 2 for shape in bases)
+    assert sum(shape[0] == 1 for shape in bases) == sum(
+        CONSTANT_ROUTE[name] for name in _suite_pseudogroup.LIE_SYSTEMS)
 
 
 def _loop_mul(ctx, a, b):
@@ -196,7 +200,8 @@ def _loop_mul(ctx, a, b):
     return out
 
 
-@pytest.mark.parametrize("nvars, order", [(1, 1), (2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("nvars, order",
+                         [(1, 0), (3, 0), (1, 1), (2, 1), (3, 1), (2, 2)])
 def test_stacked_product_matches_series_bitwise(nvars, order):
     ctx = context(nvars, order)
     rng = np.random.default_rng(nvars + 10 * order)
@@ -213,6 +218,25 @@ def test_stacked_product_matches_series_bitwise(nvars, order):
             assert _same_bits(prod[idx], series.mul(ctx, a[idx], b[idx]))
             assert _same_bits(prod[idx], _loop_mul(ctx, a[idx], b[idx]))
             assert _same_bits(wide[idx], _loop_mul(ctx, a[idx[0], 0], b[idx]))
+
+
+@pytest.mark.parametrize("nvars", [1, 3])
+def test_order_zero_product_keeps_the_bits_of_the_constant_term(nvars):
+    # the one product onto +0.0 is the constant term of an order-1 product,
+    # for signed zeros, infinities and NaN, broadcast or not
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -2.5, 1e-300])
+    a, b = np.meshgrid(special, special, indexing="ij")
+    a = np.repeat(a[..., None], context(nvars, 1).count, axis=-1)
+    b = np.repeat(b[..., None], context(nvars, 1).count, axis=-1)
+    with np.errstate(invalid="ignore", under="ignore"):
+        want = series.mul(context(nvars, 1), a, b)[..., :1]
+        got = series.mul(context(nvars, 0), a[..., :1], b[..., :1])
+        wide = series.mul(context(nvars, 0), a[:, :1, :1], b[..., :1])
+        one = series.mul(context(nvars, 0), a[0, 0, :1], b[0, 0, :1])
+        wide_want = series.mul(context(nvars, 1), a[:, :1], b)[..., :1]
+    assert _same_bits(got, want)
+    assert _same_bits(wide, wide_want)
+    assert _same_bits(one, want[0, 0])
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
@@ -463,11 +487,7 @@ def _loop_pinned_matrix(sys_, seed, degree, npoints):
     ctx_b = context(sys_.nvars, degree)
     blocks = []
     for x in halton_points(sys_.box, npoints, seed):
-        rows = [_loop_prolonged_rows(sys_, sys_.linearization, x)]
-        if sys_.sampling_constraints is not None:
-            rows.append(_loop_prolonged_rows(sys_, sys_.sampling_constraints,
-                                             x))
-        rows = np.vstack(rows)
+        rows = _loop_point_rows(sys_, x)
         basis = np.array([np.prod(x ** ctx_b.midx[bb])
                           for bb in range(ctx_b.count)])
         blocks.append(np.einsum("rc,b->rcb", rows, basis).reshape(
@@ -475,8 +495,30 @@ def _loop_pinned_matrix(sys_, seed, degree, npoints):
     return np.vstack(blocks)
 
 
-def _loop_solution_basis(sys_, seed, degree, npoints):
-    mat = _loop_pinned_matrix(sys_, seed, degree, npoints)
+# which route each builtin's basis takes: True for rows with no x in them
+CONSTANT_ROUTE = {"affine": True, "projective": True, "volume2": True,
+                  "volume3": True, "r1": False, "r1prime": False}
+
+
+def _loop_point_rows(sys_, x):
+    rows = [_loop_prolonged_rows(sys_, sys_.linearization, x)]
+    if sys_.sampling_constraints is not None:
+        rows.append(_loop_prolonged_rows(sys_, sys_.sampling_constraints, x))
+    return np.vstack(rows)
+
+
+def _loop_solution_basis(sys_, seed, degree, npoints, constant):
+    """(null, nb) as _solution_basis gives it: the nullspace of the rows at
+    the box's centre with nb monomials, or of the pinned matrix with 1."""
+    if constant:
+        centre = np.array([(lo + hi) / 2.0 for lo, hi in sys_.box])
+        return (_loop_nullspace(_loop_point_rows(sys_, centre)),
+                context(sys_.nvars, degree).count)
+    return _loop_nullspace(_loop_pinned_matrix(sys_, seed, degree,
+                                               npoints)), 1
+
+
+def _loop_nullspace(mat):
     # a column no row touches is a null vector alone: first the unit
     # vectors of those, then the null rows of the live columns' full SVD,
     # the reference for the thin one on tall matrices
@@ -526,27 +568,31 @@ def _full_order_bracket(n, q_out, ctx_x, tab_a, tab_b):
     return out
 
 
-def _loop_draw_sections(sys_, basis_vecs, count, seed, degree):
-    # one normal draw, one product and one normalisation per section
+def _loop_draw_sections(sys_, null, nb, count, seed, degree):
+    # one normal draw, one contraction over every null vector, zeros and
+    # all, and one normalisation per section
     n, q = sys_.nvars, sys_.order
     ctx_sec, ctx_b = context(n, q + 1), context(n, degree)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        combo = rng.standard_normal(basis_vecs.shape[0]) @ basis_vecs
+        draw = rng.standard_normal(len(null) * nb).reshape(len(null), nb)
+        combo = np.zeros((null.shape[1], nb))
+        for j in range(len(null)):
+            combo += np.outer(null[j], draw[j])
         coeffs = combo.reshape(n, ctx_sec.count, ctx_b.count)
         coeffs /= max(np.max(np.abs(coeffs)), 1e-30)
         out.append(PolySection(coeffs, n, q + 1, degree))
     return out
 
 
-def _loop_closure_check(sys_, npairs, seed, neval, degree=2):
+def _loop_closure_check(sys_, npairs, seed, neval, constant, degree=2):
     """closure_check one point, one section and one pair at a time, with
     the live columns' full SVD, full-order bracket products and no code
     it checks."""
     n = sys_.nvars
-    basis_vecs = _loop_solution_basis(sys_, seed, degree, 40)
-    sections = _loop_draw_sections(sys_, basis_vecs, 2 * npairs, seed, degree)
+    null, nb = _loop_solution_basis(sys_, seed, degree, 40, constant)
+    sections = _loop_draw_sections(sys_, null, nb, 2 * npairs, seed, degree)
     eval_pts = halton_points(sys_.box, neval, seed + 1)
     rng = np.random.default_rng(seed + 2)
     nlift = min(npairs, 5)
@@ -593,11 +639,11 @@ def test_block_rows_match_point_loop(name, seed):
         assert _same_bits(sys_.constraint_rows(x), ref)
 
 
-def test_block_rows_match_point_loop_off_linear_slots():
+def _curved_system():
     # curved hand rows and constraints give their coefficients nonzero
     # x-derivatives; value slots that enter the equations nonlinearly give
     # the derived rows, which only the gap reads, nonzero entries
-    sys_ = lie_system_from_dict({
+    return lie_system_from_dict({
         "label": "curved", "nvars": 2, "order": 1,
         "box": [[0.2, 0.9], [-0.7, 0.4]],
         "equations": ("y_1_1*exp(0.7*y_1 + 0.3*x1) + x2*y_1^2*y_1_2 "
@@ -606,12 +652,19 @@ def test_block_rows_match_point_loop_off_linear_slots():
         "linearization": "xi_1_1 + x1*xi_2, xi_1_2*x2 + sin(x1)*xi_2_1",
         "sampling_constraints": "x1^2*xi_1_1 + xi_2_2",
     })
+
+
+def _signed_zero_system():
     # at x1 = 0 the coefficient -x1 is -0.0, whose sign only a set keeps
-    signed = lie_system_from_dict({
+    return lie_system_from_dict({
         "label": "signed-zero", "nvars": 1, "order": 2, "box": [[-1.0, 1.0]],
         "equations": "y_1_11, x1 - x1*y_1_1",
         "linearization": "xi_1_11, neg(x1*xi_1_1)",
     })
+
+
+def test_block_rows_match_point_loop_off_linear_slots():
+    sys_, signed = _curved_system(), _signed_zero_system()
     inputs = [(sys_, halton_points(sys_.box, 6, seed)) for seed in SEEDS]
     inputs.append((signed, np.array([[0.0], [0.5]])))
     for sys_, pts in inputs:
@@ -669,11 +722,14 @@ def test_closure_check_matches_point_reference(name, seed):
     from jetgauge.pseudogroups import _solution_basis
     sys_ = builtin_system(name)
     for degree in (2, 3):
-        assert _same_bits(_solution_basis(sys_, seed, degree, 40),
-                          _loop_solution_basis(sys_, seed, degree, 40))
+        (null, nb), (want, want_nb) = (
+            _solution_basis(sys_, seed, degree, 40),
+            _loop_solution_basis(sys_, seed, degree, 40, CONSTANT_ROUTE[name]))
+        assert _same_bits(null, want) and nb == want_nb
     # the suite's parameters: 50 pairs at 8 evaluation points
     for got, want in zip(closure_check(sys_, npairs=50, seed=seed, neval=8),
-                         _loop_closure_check(sys_, 50, seed, 8)):
+                         _loop_closure_check(sys_, 50, seed, 8,
+                                             CONSTANT_ROUTE[name])):
         assert _same_bits(got, want)
 
 
@@ -688,20 +744,38 @@ def _scaled_r1():
         "sampling_constraints": "1000*(xi_1_1 + xi_2_2)"})
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS) + ["r1-scaled"])
-def test_live_column_basis_spans_the_full_nullspace(name, seed):
-    # the dead columns' unit vectors and the live columns' null rows span
-    # what the SVD of the whole matrix gives, and stay orthonormal
+def _scaled_volume3():
+    # volume3 with its row scaled by 1e3: the pointwise nullspace keeps the
+    # relative rank threshold
+    vol = builtin_system("volume3")
+    return dataclasses.replace(vol, label="volume-3d-scaled",
+                               linearization=ExprMap.parse(
+                                   "1000*(xi_1_1 + xi_2_2 + xi_3_3)",
+                                   vol.linearization.variables))
+
+
+def _assert_spans_the_pinned_nullspace(sys_, seed):
+    # the factored basis, expanded, spans what the SVD of the whole pinned
+    # matrix gives, and stays orthonormal
     from jetgauge.pseudogroups import _solution_basis
-    sys_ = _scaled_r1() if name == "r1-scaled" else builtin_system(name)
     for degree in (2, 3):
-        basis = _solution_basis(sys_, seed, degree, 40)
+        null, nb = _solution_basis(sys_, seed, degree, 40)
+        basis = np.kron(null, np.eye(nb))
         _, sig, vt = np.linalg.svd(_loop_pinned_matrix(sys_, seed, degree, 40))
         full = vt[int(np.sum(sig > 1e-10 * sig[0])):]
         assert basis.shape == full.shape
         assert np.max(np.abs(basis.T @ basis - full.T @ full)) < 1e-12
         assert np.max(np.abs(basis @ basis.T - np.eye(len(basis)))) < 1e-12
+
+
+SCALED = {"r1-scaled": _scaled_r1, "volume3-scaled": _scaled_volume3}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS) + sorted(SCALED))
+def test_live_column_basis_spans_the_full_nullspace(name, seed):
+    sys_ = SCALED[name]() if name in SCALED else builtin_system(name)
+    _assert_spans_the_pinned_nullspace(sys_, seed)
 
 
 def _affine_line_with(linearization):
@@ -721,10 +795,59 @@ def test_a_system_no_row_touches_has_the_identity_basis(monkeypatch):
         raise AssertionError("an SVD of no live column")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    assert _same_bits(_solution_basis(sys_, 3, 2, 40), np.eye(12))
+    null, nb = _solution_basis(sys_, 3, 2, 40)
+    assert _same_bits(null, np.eye(4)) and nb == 3
+    assert _same_bits(np.kron(null, np.eye(nb)), np.eye(12))
     resid, lift_gap = closure_check(sys_, npairs=4, seed=3, neval=6)
     assert resid.shape == (4, 6, 1) and _max_abs(resid) == 0.0
     assert np.isfinite(_max_abs(lift_gap))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_builtin_route_is_read_from_the_expressions(name):
+    from jetgauge.pseudogroups import _has_constant_rows
+    assert _has_constant_rows(builtin_system(name)) == CONSTANT_ROUTE[name]
+
+
+def _svd_shapes(monkeypatch, fn):
+    shapes = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    fn()
+    monkeypatch.undo()
+    return shapes
+
+
+def test_a_constant_row_with_a_value_slot_takes_the_pointwise_route(
+        monkeypatch):
+    # xi_1 + xi_1_11 and its derivative xi_1_1 + xi_1_111: one SVD of the
+    # two rows at one point, on the four live columns, and still the
+    # pinned nullspace
+    from jetgauge.pseudogroups import _has_constant_rows, _solution_basis
+    sys_ = _affine_line_with("xi_1 + xi_1_11")
+    assert _has_constant_rows(sys_)
+    assert _svd_shapes(monkeypatch,
+                       lambda: _solution_basis(sys_, 3, 2, 40)) == [(2, 4)]
+    for seed in SEEDS:
+        _assert_spans_the_pinned_nullspace(sys_, seed)
+
+
+@pytest.mark.parametrize("make", [_curved_system, _signed_zero_system],
+                         ids=["curved", "signed-zero"])
+def test_rows_with_x_in_them_take_the_pinned_route(make, monkeypatch):
+    # an x in a row or a constraint: the rows are pinned at the 40 points
+    from jetgauge.pseudogroups import _has_constant_rows, _solution_basis
+    sys_ = make()
+    assert not _has_constant_rows(sys_)
+    rows = len(_loop_point_rows(sys_, np.zeros(sys_.nvars)))
+    shapes = _svd_shapes(monkeypatch, lambda: _solution_basis(sys_, 3, 2, 40))
+    assert [m for m, _ in shapes] == [40 * rows]
+    assert _solution_basis(sys_, 3, 2, 40)[1] == 1
 
 
 def test_a_system_with_no_polynomial_sections_is_refused():
@@ -736,25 +859,26 @@ def test_a_system_with_no_polynomial_sections_is_refused():
                       seed=3, neval=4)
 
 
-# the pinned matrix's shape once the dead columns are dropped
-LIVE_SHAPES = {"affine": (80, 6), "projective": (80, 6), "r1": (360, 60),
-               "r1prime": (240, 72), "volume2": (120, 36),
-               "volume3": (160, 120)}
+# the shape of the SVD's matrix once the dead columns are dropped: the
+# rows at one point for a constant system, the pinned matrix otherwise
+LIVE_SHAPES = {"affine": (2, 2), "projective": (2, 2), "volume2": (3, 6),
+               "volume3": (4, 12), "r1": (360, 60), "r1prime": (240, 72)}
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
 def test_closure_runs_one_svd_on_the_live_columns(name, monkeypatch):
     # a count, not a time: it holds under any machine load
-    shapes = []
-    real = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    closure_check(builtin_system(name), npairs=2, seed=3, neval=4)
+    shapes = _svd_shapes(monkeypatch, lambda: closure_check(
+        builtin_system(name), npairs=2, seed=3, neval=4))
     assert shapes == [LIVE_SHAPES[name]]
+
+
+def test_pseudogroup_suite_svd_work_count(monkeypatch):
+    # the summed m * n of every SVD input over one suite run at seed 42: a
+    # count, so it catches a basis that grows back under any machine load
+    shapes = _svd_shapes(monkeypatch, lambda: run_suite(
+        "pseudogroup", SuiteConfig(seed=42)))
+    assert sum(m * n for m, n in shapes) == 21_674
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
