@@ -11,6 +11,9 @@ from .pseudogroups import (
 from .sampling import halton_points
 
 LIE_SYSTEMS = ("affine", "projective", "volume2", "volume3", "r1")
+# exp and a moebius reparametrization of it, which share a schwarzian
+EXP_MAP = ExprMap.parse("exp(x)", ["x"])
+MOEBIUS_EXP = ExprMap.parse("(2*exp(x) + 1)/(exp(x) + 3)", ["x"])
 
 
 def _lie_roster(cfg: SuiteConfig, cache: dict) -> list:
@@ -43,11 +46,9 @@ def _check_linearization_rows(cfg: SuiteConfig, cache: dict):
 
 
 def _check_schwarzian_invariance(cfg: SuiteConfig, cache: dict):
-    # moebius reparametrization of exp leaves the schwarzian unchanged
-    f = ExprMap.parse("exp(x)", ["x"])
-    g = ExprMap.parse("(2*exp(x) + 1)/(exp(x) + 3)", ["x"])
     xs = halton_points(((-0.8, 0.8),), min(cfg.samples, 16), cfg.seed + 8)
-    return schwarzian_of_map(g, xs) - schwarzian_of_map(f, xs), len(xs)
+    return (schwarzian_of_map(MOEBIUS_EXP, xs)
+            - schwarzian_of_map(EXP_MAP, xs)), len(xs)
 
 
 SUITES["pseudogroup"] = (

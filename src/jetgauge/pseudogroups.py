@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 SECTION_DEGREE = 2      # polynomial degree of every sampled section's slots
+PIN_POINTS = 40         # chart points that pin a basis whose rows vary in x
+PIN_SEED = 0            # their Halton stream, the same for every run
 
 
 def _suffix(mu: Iterable[int]) -> str:
@@ -354,21 +356,23 @@ def _has_constant_rows(system: LieEquationSystem) -> bool:
         system.linearization, system.sampling_constraints or ()))
 
 
-def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
-                    npoints: int) -> tuple[np.ndarray, int]:
+@functools.lru_cache(maxsize=32)
+def _solution_basis(system: LieEquationSystem,
+                    degree: int) -> tuple[np.ndarray, int]:
     """Orthonormal nullspace (null, nb) of the prolonged system and any
     sampling constraints over a polynomial ansatz of the given degree: the
     rows of kron(null, eye(nb)) span the sections' (column, monomial)
     coefficients.  Rows with no x in them are constant, and a polynomial
     solves them exactly when each monomial's coefficients lie in their
     nullspace at one point, the box's centre; nb is the monomial count.
-    Other rows are pinned at npoints chart points over the ansatz, which
-    fixes the polynomial identity once the points outnumber the
-    monomials, and nb is 1."""
+    Other rows are pinned at the PIN_POINTS Halton points of stream
+    PIN_SEED over the ansatz, which fixes the polynomial identity once the
+    points outnumber the monomials, and nb is 1.  No seed enters, so the
+    basis is built once per (system, degree) and shared read-only."""
     nb = context(system.nvars, degree).count
     constant = _has_constant_rows(system)
     pts = (np.mean(system.box, axis=1)[None] if constant
-           else halton_points(system.box, npoints, seed))
+           else halton_points(system.box, PIN_POINTS, PIN_SEED))
     rows = np.concatenate([system.prolonged_rows(pts),
                            system.constraint_rows(pts)], axis=1)
     if constant:
@@ -381,6 +385,7 @@ def _solution_basis(system: LieEquationSystem, seed: int, degree: int,
     if len(null) == 0:
         raise ValueError(
             f"{system.label}: no polynomial sections at degree {degree}")
+    null.flags.writeable = False
     return null, nb
 
 
@@ -388,18 +393,22 @@ def sample_linear_sections(system: LieEquationSystem, count: int,
                            seed: int) -> PolySection:
     """A stack of count seeded random sections of the prolonged linear
     system, polynomials of degree SECTION_DEGREE, each scaled to a largest
-    coefficient of 1."""
-    null, nb = _solution_basis(system, seed, SECTION_DEGREE, 40)
+    coefficient of 1.  The seed drives the draws alone: the basis they
+    combine is the system's, the same for every seed."""
+    null, nb = _solution_basis(system, SECTION_DEGREE)
     n, q = system.nvars, system.order
     # one block of draws is the stream of one draw per section.  Each sum
     # starts at 0.0 and gains its null vectors' terms in order, with no
-    # BLAS; a zero entry's term, +-0.0 on a finite draw, changes no bits.
+    # BLAS: step k adds every column's k-th nonzero term at once, and a
+    # column past its last adds a zero entry's term, +-0.0 on a finite
+    # draw, which changes no bits.
     draws = np.random.default_rng(seed).standard_normal(
         (count, len(null) * nb)).reshape(count, len(null), nb)
     combos = np.zeros((count, null.shape[1], nb))
-    for j, vec in enumerate(null):
-        cols = np.flatnonzero(vec)
-        combos[:, cols] += vec[cols, None] * draws[:, j, None, :]
+    ranked = np.argsort(null == 0.0, axis=0, kind="stable")
+    cols = np.arange(null.shape[1])
+    for rows in ranked[:np.count_nonzero(null, axis=0).max()]:
+        combos += null[rows, cols, None] * draws[:, rows]
     combos /= np.maximum(np.abs(combos).max(axis=(1, 2)), 1e-30)[:, None, None]
     return PolySection(combos.reshape(count, n, context(n, q + 1).count, -1),
                        n, q + 1, SECTION_DEGREE)
@@ -420,11 +429,14 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
     nlift = min(npairs, 5)
     # the bumped copies of pairs 0..nlift-1, drawn a then b, pair by pair
     bumped = secs[:2 * nlift].perturb_top(np.random.default_rng(seed + 2))
-    both = PolySection(np.concatenate([secs.coeffs, bumped.coeffs]),
-                       secs.nvars, secs.order, secs.degree)
+    # the a and b halves of pairs then bumped pairs, each one contiguous
+    # block: the series einsum runs faster on it than on a strided view
+    a, b = (PolySection(np.concatenate([secs.coeffs[h::2],
+                                        bumped.coeffs[h::2]]),
+                        secs.nvars, secs.order, secs.degree) for h in (0, 1))
     eval_pts = halton_points(system.box, neval, seed + 1)
     # (pairs + bumped pairs, points, n, rows): every bracket in one call
-    vals = algebroid_bracket(both[0::2], both[1::2], eval_pts)
+    vals = algebroid_bracket(a, b, eval_pts)
     rows = system.linear_rows(eval_pts)
     # one stacked product on the contiguous values (a strided view moved
     # bits); it matched one product per pair and point for every builtin at

@@ -8,8 +8,8 @@ from jetgauge import pseudogroups, series
 from jetgauge._multiindex import context, shift_table
 from jetgauge.expr import ExprMap
 from jetgauge.pseudogroups import (
-    BUILTIN_SYSTEMS, HolonomicSection, LieEquationSystem, PolySection,
-    _bracket_tables, algebroid_bracket,
+    BUILTIN_SYSTEMS, PIN_POINTS, PIN_SEED, HolonomicSection,
+    LieEquationSystem, PolySection, _bracket_tables, algebroid_bracket,
     bracket_jacobi_residual, builtin_system, closure_check, jet_variable_names,
     lie_system_from_dict, linearization_rows_gap,
     sample_linear_sections, schwarzian, schwarzian_of_map,
@@ -161,7 +161,10 @@ def test_perturb_top_on_a_stack_is_the_per_section_stream():
 def test_pseudogroup_suite_runs_the_section_api_on_blocks(monkeypatch):
     # bracket closure samples its sections and brackets them through the
     # public API, once per roster system, and every lift takes a block:
-    # of one point only for the rows of a constant-coefficient system
+    # of one point only for the rows of a constant-coefficient system,
+    # whose basis a cold cache builds
+    from jetgauge.pseudogroups import _solution_basis
+    _solution_basis.cache_clear()
     calls, bases = [], []
 
     def spy(name):
@@ -481,12 +484,13 @@ def _loop_poly_shift(nvars, degree, x, xorder):
     return shift
 
 
-def _loop_pinned_matrix(sys_, seed, degree, npoints):
-    """The pinned system over the polynomial ansatz, one point's block of
-    rows at a time: the matrix the basis is a nullspace of."""
+def _loop_pinned_matrix(sys_, degree, seed=PIN_SEED):
+    """The system over the polynomial ansatz pinned at the PIN_POINTS
+    Halton points of stream seed, one point's block of rows at a time; at
+    PIN_SEED, the matrix the basis is a nullspace of."""
     ctx_b = context(sys_.nvars, degree)
     blocks = []
-    for x in halton_points(sys_.box, npoints, seed):
+    for x in halton_points(sys_.box, PIN_POINTS, seed):
         rows = _loop_point_rows(sys_, x)
         basis = np.array([np.prod(x ** ctx_b.midx[bb])
                           for bb in range(ctx_b.count)])
@@ -507,15 +511,14 @@ def _loop_point_rows(sys_, x):
     return np.vstack(rows)
 
 
-def _loop_solution_basis(sys_, seed, degree, npoints, constant):
+def _loop_solution_basis(sys_, degree, constant):
     """(null, nb) as _solution_basis gives it: the nullspace of the rows at
     the box's centre with nb monomials, or of the pinned matrix with 1."""
     if constant:
         centre = np.array([(lo + hi) / 2.0 for lo, hi in sys_.box])
         return (_loop_nullspace(_loop_point_rows(sys_, centre)),
                 context(sys_.nvars, degree).count)
-    return _loop_nullspace(_loop_pinned_matrix(sys_, seed, degree,
-                                               npoints)), 1
+    return _loop_nullspace(_loop_pinned_matrix(sys_, degree)), 1
 
 
 def _loop_nullspace(mat):
@@ -591,7 +594,7 @@ def _loop_closure_check(sys_, npairs, seed, neval, constant, degree=2):
     the live columns' full SVD, full-order bracket products and no code
     it checks."""
     n = sys_.nvars
-    null, nb = _loop_solution_basis(sys_, seed, degree, 40, constant)
+    null, nb = _loop_solution_basis(sys_, degree, constant)
     sections = _loop_draw_sections(sys_, null, nb, 2 * npairs, seed, degree)
     eval_pts = halton_points(sys_.box, neval, seed + 1)
     rng = np.random.default_rng(seed + 2)
@@ -723,8 +726,8 @@ def test_closure_check_matches_point_reference(name, seed):
     sys_ = builtin_system(name)
     for degree in (2, 3):
         (null, nb), (want, want_nb) = (
-            _solution_basis(sys_, seed, degree, 40),
-            _loop_solution_basis(sys_, seed, degree, 40, CONSTANT_ROUTE[name]))
+            _solution_basis(sys_, degree),
+            _loop_solution_basis(sys_, degree, CONSTANT_ROUTE[name]))
         assert _same_bits(null, want) and nb == want_nb
     # the suite's parameters: 50 pairs at 8 evaluation points
     for got, want in zip(closure_check(sys_, npairs=50, seed=seed, neval=8),
@@ -755,13 +758,14 @@ def _scaled_volume3():
 
 
 def _assert_spans_the_pinned_nullspace(sys_, seed):
-    # the factored basis, expanded, spans what the SVD of the whole pinned
-    # matrix gives, and stays orthonormal
+    # the factored basis, pinned at its fixed points or taken at the box's
+    # centre, expanded, spans what the SVD of the whole matrix pinned at
+    # another stream's points gives, and stays orthonormal
     from jetgauge.pseudogroups import _solution_basis
     for degree in (2, 3):
-        null, nb = _solution_basis(sys_, seed, degree, 40)
+        null, nb = _solution_basis(sys_, degree)
         basis = np.kron(null, np.eye(nb))
-        _, sig, vt = np.linalg.svd(_loop_pinned_matrix(sys_, seed, degree, 40))
+        _, sig, vt = np.linalg.svd(_loop_pinned_matrix(sys_, degree, seed))
         full = vt[int(np.sum(sig > 1e-10 * sig[0])):]
         assert basis.shape == full.shape
         assert np.max(np.abs(basis.T @ basis - full.T @ full)) < 1e-12
@@ -774,6 +778,10 @@ SCALED = {"r1-scaled": _scaled_r1, "volume3-scaled": _scaled_volume3}
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS) + sorted(SCALED))
 def test_live_column_basis_spans_the_full_nullspace(name, seed):
+    # r1, r1prime and r1-scaled take the seed-free pinned basis: polynomial
+    # rows give every generic 40-point set the same solution space.  The
+    # curved fixture stays out, as its sin(x1) row is no polynomial and its
+    # pinned space depends on the points
     sys_ = SCALED[name]() if name in SCALED else builtin_system(name)
     _assert_spans_the_pinned_nullspace(sys_, seed)
 
@@ -794,8 +802,9 @@ def test_a_system_no_row_touches_has_the_identity_basis(monkeypatch):
     def no_svd(*args, **kwargs):
         raise AssertionError("an SVD of no live column")
 
+    _solution_basis.cache_clear()
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    null, nb = _solution_basis(sys_, 3, 2, 40)
+    null, nb = _solution_basis(sys_, 2)
     assert _same_bits(null, np.eye(4)) and nb == 3
     assert _same_bits(np.kron(null, np.eye(nb)), np.eye(12))
     resid, lift_gap = closure_check(sys_, npairs=4, seed=3, neval=6)
@@ -831,8 +840,9 @@ def test_a_constant_row_with_a_value_slot_takes_the_pointwise_route(
     from jetgauge.pseudogroups import _has_constant_rows, _solution_basis
     sys_ = _affine_line_with("xi_1 + xi_1_11")
     assert _has_constant_rows(sys_)
+    _solution_basis.cache_clear()
     assert _svd_shapes(monkeypatch,
-                       lambda: _solution_basis(sys_, 3, 2, 40)) == [(2, 4)]
+                       lambda: _solution_basis(sys_, 2)) == [(2, 4)]
     for seed in SEEDS:
         _assert_spans_the_pinned_nullspace(sys_, seed)
 
@@ -845,9 +855,10 @@ def test_rows_with_x_in_them_take_the_pinned_route(make, monkeypatch):
     sys_ = make()
     assert not _has_constant_rows(sys_)
     rows = len(_loop_point_rows(sys_, np.zeros(sys_.nvars)))
-    shapes = _svd_shapes(monkeypatch, lambda: _solution_basis(sys_, 3, 2, 40))
-    assert [m for m, _ in shapes] == [40 * rows]
-    assert _solution_basis(sys_, 3, 2, 40)[1] == 1
+    _solution_basis.cache_clear()
+    shapes = _svd_shapes(monkeypatch, lambda: _solution_basis(sys_, 2))
+    assert [m for m, _ in shapes] == [PIN_POINTS * rows]
+    assert _solution_basis(sys_, 2)[1] == 1
 
 
 def test_a_system_with_no_polynomial_sections_is_refused():
@@ -868,17 +879,34 @@ LIVE_SHAPES = {"affine": (2, 2), "projective": (2, 2), "volume2": (3, 6),
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
 def test_closure_runs_one_svd_on_the_live_columns(name, monkeypatch):
     # a count, not a time: it holds under any machine load
+    from jetgauge.pseudogroups import _solution_basis
+    _solution_basis.cache_clear()
     shapes = _svd_shapes(monkeypatch, lambda: closure_check(
         builtin_system(name), npairs=2, seed=3, neval=4))
     assert shapes == [LIVE_SHAPES[name]]
 
 
 def test_pseudogroup_suite_svd_work_count(monkeypatch):
-    # the summed m * n of every SVD input over one suite run at seed 42: a
-    # count, so it catches a basis that grows back under any machine load
+    # the summed m * n of every SVD input over one suite run at seed 42 from
+    # a cold cache: a count, so it catches a basis that grows back under
+    # any machine load
+    from jetgauge.pseudogroups import _solution_basis
+    _solution_basis.cache_clear()
     shapes = _svd_shapes(monkeypatch, lambda: run_suite(
         "pseudogroup", SuiteConfig(seed=42)))
     assert sum(m * n for m, n in shapes) == 21_674
+
+
+def test_pseudogroup_suite_builds_each_basis_once_per_process(monkeypatch):
+    # five seeds in one process take one SVD per roster system, from a
+    # cache of one entry per system: a cache keyed by seed would hold more
+    from jetgauge.pseudogroups import _solution_basis
+    _solution_basis.cache_clear()
+    shapes = _svd_shapes(monkeypatch, lambda: [
+        run_suite("pseudogroup", SuiteConfig(seed=seed)) for seed in range(5)])
+    assert sorted(shapes) == sorted(LIVE_SHAPES[name]
+                                    for name in _suite_pseudogroup.LIE_SYSTEMS)
+    assert _solution_basis.cache_info().currsize == 5
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
@@ -917,11 +945,20 @@ def _records_without_clock(report):
 
 
 def test_pseudogroup_suite_repeats_in_one_process():
-    # the gather and shift tables are cached per process: a second run
-    # reads them and must give the first run's records
-    first = run_suite("pseudogroup", SuiteConfig(seed=11))
-    second = run_suite("pseudogroup", SuiteConfig(seed=11))
-    assert _records_without_clock(first) == _records_without_clock(second)
+    # the gather and shift tables and the closure bases are cached per
+    # process: seed 42 from a cold basis cache and again after seeds 0-4
+    # have filled it gives the same records, and no caller can write into
+    # a cached basis
+    from jetgauge.pseudogroups import _solution_basis
+    _solution_basis.cache_clear()
+    cold = run_suite("pseudogroup", SuiteConfig(seed=42))
+    for seed in range(5):
+        run_suite("pseudogroup", SuiteConfig(seed=seed))
+    warm = run_suite("pseudogroup", SuiteConfig(seed=42))
+    assert _records_without_clock(cold) == _records_without_clock(warm)
+    null, _ = _solution_basis(builtin_system("r1"), 2)
+    with pytest.raises(ValueError, match="read-only"):
+        null[0, 0] = 1.0
 
 
 def _blowup_system():
