@@ -60,7 +60,6 @@ LIE_SYSTEM = {
     "box": Key("box", "nvars"),
     "equations": Key("expr"),
     "linearization": Key("expr"),
-    "sampling_constraints": Key("expr", default=None),
 }
 FAMILY_BOX = {"y": Key("box", "m", None), "x": Key("box", "n", None),
               "z": Key("box", "m", None)}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -67,7 +68,6 @@ class LieEquationSystem:
     box: tuple[tuple[float, float], ...]
     equations: ExprMap                       # over x-vars + y-jet names
     linearization: ExprMap                   # over x-vars + xi-jet names
-    sampling_constraints: ExprMap | None = None
 
     def jet_ctx(self, order: int | None = None) -> MultiIndexContext:
         return context(self.nvars, self.order if order is None else order)
@@ -119,30 +119,17 @@ class LieEquationSystem:
         lower-order columns.  Row block i+1 is D_i applied to the system:
         the x-derivative of each coefficient plus the coefficient moved to
         the shifted slot.
+
+        All come from one order-2 lift of the whole block: the coefficients
+        are the lift's first slots in the jet variables, and their
+        x_i-derivatives its mixed second slots, whose mu! is 1.  Block 0 is
+        set to the coefficients, so a -0.0 keeps its sign; each D_i block
+        is zeros plus the coefficients shifted by e_i, then plus their
+        x_i-derivatives.
         """
-        return self._prolong(self.linearization, x)
-
-    def constraint_rows(self, x: np.ndarray) -> np.ndarray:
-        """Sampling constraints and their formal derivatives at x, or no
-        rows, (..., rows, n*count_{q+1}) for x of shape (..., n)."""
-        if self.sampling_constraints is None:
-            ncols = self.nvars * self.jet_ctx(self.order + 1).count
-            return np.zeros(np.shape(x)[:-1] + (0, ncols))
-        return self._prolong(self.sampling_constraints, x)
-
-    def _prolong(self, emap: ExprMap, x: np.ndarray) -> np.ndarray:
-        """Prolonged rows of emap's linear coefficients from one order-2
-        lift of the whole block.
-
-        The coefficients are the lift's first slots in the jet variables,
-        and their x_i-derivatives its mixed second slots, whose mu! is 1.
-        Block 0 is set to the coefficients, so a -0.0 keeps its sign; each
-        D_i block is zeros plus the coefficients shifted by e_i, then plus
-        their x_i-derivatives.
-        """
-        n, neq = self.nvars, len(emap)
+        n, neq = self.nvars, len(self.linearization)
         cnt, cnt_hi = self.jet_ctx().count, self.jet_ctx(self.order + 1).count
-        lift = emap.taylor_lift(self._lift_base(x), 2)
+        lift = self.linearization.taylor_lift(self._lift_base(x), 2)
         batch = lift.coeffs.shape[:-2]
         coef = lift.jacobian()[..., n:].reshape(batch + (neq, n, cnt))
         # [..., e, i, var]: d/dx_i of the coefficient of jet variable var
@@ -350,31 +337,29 @@ def _nullspace(mat: np.ndarray) -> np.ndarray:
 
 
 def _has_constant_rows(system: LieEquationSystem) -> bool:
-    """No x occurs in the linearization or the sampling constraints."""
+    """No x occurs in the linearization."""
     xvars = {f"x{k + 1}" for k in range(system.nvars)}
-    return not any(xvars & e.variables() for e in itertools.chain(
-        system.linearization, system.sampling_constraints or ()))
+    return not any(xvars & e.variables() for e in system.linearization)
 
 
 @functools.lru_cache(maxsize=32)
 def _solution_basis(system: LieEquationSystem,
                     degree: int) -> tuple[np.ndarray, int]:
-    """Orthonormal nullspace (null, nb) of the prolonged system and any
-    sampling constraints over a polynomial ansatz of the given degree: the
-    rows of kron(null, eye(nb)) span the sections' (column, monomial)
-    coefficients.  Rows with no x in them are constant, and a polynomial
-    solves them exactly when each monomial's coefficients lie in their
-    nullspace at one point, the box's centre; nb is the monomial count.
-    Other rows are pinned at the PIN_POINTS Halton points of stream
-    PIN_SEED over the ansatz, which fixes the polynomial identity once the
-    points outnumber the monomials, and nb is 1.  No seed enters, so the
-    basis is built once per (system, degree) and shared read-only."""
+    """Orthonormal nullspace (null, nb) of the prolonged system over a
+    polynomial ansatz of the given degree: the rows of kron(null, eye(nb))
+    span the sections' (column, monomial) coefficients.  Rows with no x in
+    them are constant, and a polynomial solves them exactly when each
+    monomial's coefficients lie in their nullspace at one point, the box's
+    centre; nb is the monomial count.  Other rows are pinned at the
+    PIN_POINTS Halton points of stream PIN_SEED over the ansatz, which
+    fixes the polynomial identity once the points outnumber the monomials,
+    and nb is 1.  No seed enters, so the basis is built once per (system,
+    degree) and shared read-only."""
     nb = context(system.nvars, degree).count
     constant = _has_constant_rows(system)
     pts = (np.mean(system.box, axis=1)[None] if constant
            else halton_points(system.box, PIN_POINTS, PIN_SEED))
-    rows = np.concatenate([system.prolonged_rows(pts),
-                           system.constraint_rows(pts)], axis=1)
+    rows = system.prolonged_rows(pts)
     if constant:
         null = _nullspace(rows[0])
     else:
@@ -470,7 +455,7 @@ def schwarzian_of_map(f: ExprMap, xs: np.ndarray) -> np.ndarray:
 
 
 def _make_system(label: str, nvars: int, order: int, box, equations: str,
-                 linearization: str, sampling_constraints: str | None = None,
+                 linearization: str,
                  what: str = "built-in system") -> LieEquationSystem:
     xvars = [f"x{k + 1}" for k in range(nvars)]
     eq_vars = xvars + jet_variable_names(nvars, nvars, order, "y")
@@ -482,8 +467,6 @@ def _make_system(label: str, nvars: int, order: int, box, equations: str,
         box=tuple(map(tuple, box)),
         equations=parse_map(equations, eq_vars, what, "equations"),
         linearization=parse_map(linearization, li_vars, what, "linearization"),
-        sampling_constraints=parse_map(sampling_constraints, li_vars, what,
-                                       "sampling_constraints"),
     )
 
 
@@ -514,11 +497,13 @@ def volume_preserving(nvars: int = 2) -> LieEquationSystem:
 
 
 def example_r1() -> LieEquationSystem:
+    # y1 = f(x1), y2 = x2/f'(x1) has det(dy/dx) = 1: the third equation
+    # follows from the first two, and states the hidden first-order
+    # condition xi_1_1 + xi_2_2 = 0 as a row of the linearization
     return _make_system(
         "shear-volume", 2, 1, [[0.25, 1.25], [0.25, 1.25]],
-        "y_1_2, y_2*y_1_1 - x2",
-        "xi_1_2, x2*xi_1_1 + xi_2",
-        sampling_constraints="xi_1_1 + xi_2_2")
+        "y_1_2, y_2*y_1_1 - x2, y_1_1*y_2_2 - y_1_2*y_2_1 - 1",
+        "xi_1_2, x2*xi_1_1 + xi_2, xi_1_1 + xi_2_2")
 
 
 def example_r1_prime() -> LieEquationSystem:
@@ -553,12 +538,19 @@ def lie_system_from_dict(data: dict) -> LieEquationSystem:
     return _make_system(**validate(data, LIE_SYSTEM, what), what=what)
 
 
+@functools.lru_cache(maxsize=32)
+def _fixture_system(text: str) -> LieEquationSystem:
+    return lie_system_from_dict(json.loads(text))
+
+
 def load_lie_system(name: str) -> LieEquationSystem:
-    """A fixture that read_fixture finds, else a built-in name."""
+    """A fixture that read_fixture finds, else a built-in name.  A
+    fixture is built once per process for each content, keyed by its
+    canonical JSON, so its closure basis is too."""
     try:
         data = read_fixture(name)
     except FileNotFoundError:
         if name in BUILTIN_SYSTEMS:
             return builtin_system(name)
         raise
-    return lie_system_from_dict(data)
+    return _fixture_system(json.dumps(data, sort_keys=True))

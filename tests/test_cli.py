@@ -393,10 +393,13 @@ def test_pseudogroup_and_stress_fixtures_refuse_unknown_keys(tmp_path, capsys,
                                                              suite, data):
     code, err = _run_fixture(tmp_path, capsys, suite, json.dumps(data))
     assert code == 0
-    code, err = _run_fixture(tmp_path, capsys, suite,
-                             json.dumps({**data, "bogus": 1}))
-    assert code == 2
-    assert err.startswith("jetgauge: unknown ") and "'bogus'" in err
+    # a Lie system is its equations and its linearization: a fixture that
+    # still sets sampling_constraints is refused like any unknown key
+    for key in ("bogus", "sampling_constraints"):
+        code, err = _run_fixture(tmp_path, capsys, suite,
+                                 json.dumps({**data, key: "xi_1"}))
+        assert code == 2
+        assert err.startswith("jetgauge: unknown ") and f"'{key}'" in err
 
 
 @pytest.mark.parametrize("suite,data,key", [
@@ -419,8 +422,7 @@ def test_fixture_counts_must_be_integers(tmp_path, capsys, suite, data, key):
 
 @pytest.mark.parametrize("suite,data,key", [
     ("pseudogroup", {**_STILL_WATER, "linearization": 3}, "'linearization'"),
-    ("pseudogroup", {**_STILL_WATER, "sampling_constraints": 0},
-     "'sampling_constraints'"),
+    ("pseudogroup", {**_STILL_WATER, "equations": 0}, "'equations'"),
     ("dynamics", {"m": 1, "n": 1, "f": 5}, "'f'"),
     ("dynamics", {"m": 1, "n": 1, "f": "y1 + x1", "g": None}, "'g'"),
     ("elasticity", {"sigma": 5}, "'sigma'"),

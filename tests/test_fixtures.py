@@ -33,7 +33,7 @@ def _bundled(name):
 
 SYSTEM = {"label": "still-water", "nvars": 1, "order": 1,
           "box": [[-1.0, 1.0]], "equations": "y_1_1 - 1",
-          "linearization": "xi_1_1", "sampling_constraints": "xi_1"}
+          "linearization": "xi_1_1"}
 FAMILY = {"m": 1, "n": 1, "f": "exp(x1) * y1", "g": "z1 * exp(0 - x1)",
           "variation": "exp(x1) * (y1 + eps * y1^2)",
           "box": {"y": [[0.3, 1.0]], "x": [[-0.5, 0.5]], "z": [[0.2, 1.5]]},
@@ -186,6 +186,7 @@ def _cases():
     affine = _bundled("affine")
     cases = [
         ("dynamics", FAMILY, ("g",), ""),
+        # a key outside the Lie-system schema, refused as unknown
         ("pseudogroup", SYSTEM, ("sampling_constraints",), ""),
         *(("group", affine, ("action",), v) for v in (0, "", [], {}, None)),
         *(("group", affine, ("action", "generators"), v)
@@ -220,4 +221,6 @@ def test_malformed_fixture_exits_two_naming_the_key(suite, data, dotted,
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("jetgauge: ") and _names(err, dotted), err
+    if dotted not in dict(_flat(KINDS[suite][1])):
+        assert err.startswith(f"jetgauge: unknown {suite} fixture key "), err
     assert not (tmp_path / "r.json").exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -53,13 +54,41 @@ def test_identity_solves_every_builtin(name):
 
 
 def test_shear_volume_solutions():
-    # any y1 = g(x1), y2 = x2/g'(x1) solves the shear-volume system
+    # any y1 = g(x1), y2 = x2/g'(x1) solves the shear-volume system, its
+    # stated volume condition det(dy/dx) = 1 included
     r1 = builtin_system("r1")
     pts = halton_points(r1.box, 8, 5)
     good = ExprMap.parse("x1 + 0.1*x1^2, x2/(1 + 0.2*x1)", ["x1", "x2"])
     assert np.max(np.abs(r1.finite_residual(good, pts))) < 1e-13
+    pts = halton_points(r1.box, 20, 7)
+    member = ExprMap.parse("x1 + 0.3*x1^2, x2/(1 + 0.6*x1)", ["x1", "x2"])
+    resid = r1.finite_residual(member, pts)
+    assert resid.shape == (20, 3) and np.max(np.abs(resid)) <= 1e-12
     bad = ExprMap.parse("x1 + 0.1*x2, x2", ["x1", "x2"])
     assert np.max(np.abs(r1.finite_residual(bad, pts))) > 1e-2
+
+
+def test_linearization_rows_checks_the_stated_volume_condition(tmp_path):
+    # the hand row xi_1_1 + xi_2_2 is held against the row derived from
+    # det - 1: off by 1e-6 in one coefficient, the row fails at its
+    # unchanged tolerance, while the stated system passes
+    stated = "xi_1_2, x2*xi_1_1 + xi_2, xi_1_1 + xi_2_2"
+    fixture = tmp_path / "r1.json"
+    for lin, passed in ((stated, True),
+                        (stated.replace("xi_1_1 + xi_2_2",
+                                        "1.000001*xi_1_1 + xi_2_2"), False)):
+        fixture.write_text(json.dumps({
+            "label": "shear-volume", "nvars": 2, "order": 1,
+            "box": [[0.25, 1.25], [0.25, 1.25]],
+            "equations": ("y_1_2, y_2*y_1_1 - x2, "
+                          "y_1_1*y_2_2 - y_1_2*y_2_1 - 1"),
+            "linearization": lin}))
+        rep = run_suite("pseudogroup", SuiteConfig(seed=42,
+                                                   fixture=str(fixture)))
+        record = {r.id: r for r in rep.records}["linearization_rows"]
+        assert record.tolerance == 1e-10
+        assert record.passed is passed
+    assert 0.9e-6 < record.max_residual < 1.1e-6
 
 
 def test_hamiltonian_rotation_solutions():
@@ -412,17 +441,17 @@ def test_system_without_linearization_is_refused():
 SEEDS = (3, 45, 1003)
 
 
-def _loop_prolonged_rows(sys_, emap, x):
+def _loop_prolonged_rows(sys_, x):
     """One point's prolonged rows, filled cell by cell from one lift: the
     triple loop the block gather must match bit for bit."""
     from jetgauge.pseudogroups import _jet_column
     n = sys_.nvars
     ctx_lo, ctx_hi = sys_.jet_ctx(), sys_.jet_ctx(sys_.order + 1)
     ncols_lo, ncols_hi = n * ctx_lo.count, n * ctx_hi.count
-    neq = len(emap)
+    neq = len(sys_.linearization)
     point = np.zeros(n + ncols_lo)
     point[:n] = x
-    lift = emap.taylor_lift(point, 2)
+    lift = sys_.linearization.taylor_lift(point, 2)
     out = np.zeros((neq * (1 + n), ncols_hi))
     nline = n + ncols_lo
     for e in range(neq):
@@ -491,7 +520,7 @@ def _loop_pinned_matrix(sys_, degree, seed=PIN_SEED):
     ctx_b = context(sys_.nvars, degree)
     blocks = []
     for x in halton_points(sys_.box, PIN_POINTS, seed):
-        rows = _loop_point_rows(sys_, x)
+        rows = _loop_prolonged_rows(sys_, x)
         basis = np.array([np.prod(x ** ctx_b.midx[bb])
                           for bb in range(ctx_b.count)])
         blocks.append(np.einsum("rc,b->rcb", rows, basis).reshape(
@@ -504,19 +533,12 @@ CONSTANT_ROUTE = {"affine": True, "projective": True, "volume2": True,
                   "volume3": True, "r1": False, "r1prime": False}
 
 
-def _loop_point_rows(sys_, x):
-    rows = [_loop_prolonged_rows(sys_, sys_.linearization, x)]
-    if sys_.sampling_constraints is not None:
-        rows.append(_loop_prolonged_rows(sys_, sys_.sampling_constraints, x))
-    return np.vstack(rows)
-
-
 def _loop_solution_basis(sys_, degree, constant):
     """(null, nb) as _solution_basis gives it: the nullspace of the rows at
     the box's centre with nb monomials, or of the pinned matrix with 1."""
     if constant:
         centre = np.array([(lo + hi) / 2.0 for lo, hi in sys_.box])
-        return (_loop_nullspace(_loop_point_rows(sys_, centre)),
+        return (_loop_nullspace(_loop_prolonged_rows(sys_, centre)),
                 context(sys_.nvars, degree).count)
     return _loop_nullspace(_loop_pinned_matrix(sys_, degree)), 1
 
@@ -622,7 +644,7 @@ def test_block_rows_match_point_loop(name, seed):
     lin = sys_.linear_rows(pts)
     gap = linearization_rows_gap(sys_, pts)
     for s, x in enumerate(pts):
-        ref = _loop_prolonged_rows(sys_, sys_.linearization, x)
+        ref = _loop_prolonged_rows(sys_, x)
         assert _same_bits(block[s], ref)
         assert _same_bits(sys_.prolonged_rows(x), ref)
         hand = _loop_linear_rows(sys_, x)
@@ -631,29 +653,21 @@ def test_block_rows_match_point_loop(name, seed):
         assert _same_bits(gap[s], hand - _loop_derived_rows(sys_, x))
     assert _same_bits(sys_.identity_jet(pts),
                       np.array([_loop_identity_jet(sys_, x) for x in pts]))
-    cons = sys_.constraint_rows(pts)
-    if sys_.sampling_constraints is None:
-        assert cons.shape == (len(pts), 0, block.shape[-1])
-        return
-    for s, x in enumerate(pts):
-        ref = _loop_prolonged_rows(sys_, sys_.sampling_constraints, x)
-        assert np.any(ref)
-        assert _same_bits(cons[s], ref)
-        assert _same_bits(sys_.constraint_rows(x), ref)
 
 
 def _curved_system():
-    # curved hand rows and constraints give their coefficients nonzero
-    # x-derivatives; value slots that enter the equations nonlinearly give
-    # the derived rows, which only the gap reads, nonzero entries
+    # curved hand rows give their coefficients nonzero x-derivatives;
+    # value slots that enter the equations nonlinearly give the derived
+    # rows, which only the gap reads, nonzero entries
     return lie_system_from_dict({
         "label": "curved", "nvars": 2, "order": 1,
         "box": [[0.2, 0.9], [-0.7, 0.4]],
         "equations": ("y_1_1*exp(0.7*y_1 + 0.3*x1) + x2*y_1^2*y_1_2 "
                       "- x1*y_2^2*y_2_2 + x2^2, "
-                      "x1*y_2*y_1_2 + sin(y_1)*y_2_1 + x2*cos(y_2)*y_2_2"),
-        "linearization": "xi_1_1 + x1*xi_2, xi_1_2*x2 + sin(x1)*xi_2_1",
-        "sampling_constraints": "x1^2*xi_1_1 + xi_2_2",
+                      "x1*y_2*y_1_2 + sin(y_1)*y_2_1 + x2*cos(y_2)*y_2_2, "
+                      "x1^2*y_1_1*exp(y_2) + y_1*y_2_2 - x2"),
+        "linearization": ("xi_1_1 + x1*xi_2, xi_1_2*x2 + sin(x1)*xi_2_1, "
+                          "x1^2*xi_1_1 + xi_2_2"),
     })
 
 
@@ -672,14 +686,9 @@ def test_block_rows_match_point_loop_off_linear_slots():
     inputs.append((signed, np.array([[0.0], [0.5]])))
     for sys_, pts in inputs:
         block = sys_.prolonged_rows(pts)
-        cons = sys_.constraint_rows(pts)
         gap = linearization_rows_gap(sys_, pts)
         for s, x in enumerate(pts):
-            assert _same_bits(block[s], _loop_prolonged_rows(
-                sys_, sys_.linearization, x))
-            if sys_.sampling_constraints is not None:
-                assert _same_bits(cons[s], _loop_prolonged_rows(
-                    sys_, sys_.sampling_constraints, x))
+            assert _same_bits(block[s], _loop_prolonged_rows(sys_, x))
             assert _same_bits(gap[s], _loop_linear_rows(sys_, x)
                               - _loop_derived_rows(sys_, x))
     assert np.signbit(block[0, 1, 1])
@@ -692,7 +701,6 @@ def test_rows_of_no_points_are_empty(name):
     one = sys_.box[0][0] * np.ones(sys_.nvars)
     for rows in (sys_.prolonged_rows, sys_.linear_rows):
         assert rows(none).shape == (0,) + rows(one).shape
-    assert sys_.constraint_rows(none).shape[0] == 0
     assert _max_abs(linearization_rows_gap(sys_, none)) == 0.0
 
 
@@ -742,9 +750,9 @@ def _scaled_r1():
     return lie_system_from_dict({
         "label": "shear-volume-scaled", "nvars": 2, "order": 1,
         "box": [[0.25, 1.25], [0.25, 1.25]],
-        "equations": "y_1_2, y_2*y_1_1 - x2",
-        "linearization": "1000*xi_1_2, 1000*(x2*xi_1_1 + xi_2)",
-        "sampling_constraints": "1000*(xi_1_1 + xi_2_2)"})
+        "equations": "y_1_2, y_2*y_1_1 - x2, y_1_1*y_2_2 - y_1_2*y_2_1 - 1",
+        "linearization": ("1000*xi_1_2, 1000*(x2*xi_1_1 + xi_2), "
+                          "1000*(xi_1_1 + xi_2_2)")})
 
 
 def _scaled_volume3():
@@ -850,11 +858,11 @@ def test_a_constant_row_with_a_value_slot_takes_the_pointwise_route(
 @pytest.mark.parametrize("make", [_curved_system, _signed_zero_system],
                          ids=["curved", "signed-zero"])
 def test_rows_with_x_in_them_take_the_pinned_route(make, monkeypatch):
-    # an x in a row or a constraint: the rows are pinned at the 40 points
+    # an x in a row: the rows are pinned at the 40 points
     from jetgauge.pseudogroups import _has_constant_rows, _solution_basis
     sys_ = make()
     assert not _has_constant_rows(sys_)
-    rows = len(_loop_point_rows(sys_, np.zeros(sys_.nvars)))
+    rows = len(_loop_prolonged_rows(sys_, np.zeros(sys_.nvars)))
     _solution_basis.cache_clear()
     shapes = _svd_shapes(monkeypatch, lambda: _solution_basis(sys_, 2))
     assert [m for m, _ in shapes] == [PIN_POINTS * rows]
@@ -895,6 +903,24 @@ def test_pseudogroup_suite_svd_work_count(monkeypatch):
     shapes = _svd_shapes(monkeypatch, lambda: run_suite(
         "pseudogroup", SuiteConfig(seed=42)))
     assert sum(m * n for m, n in shapes) == 21_674
+
+
+def test_a_fixture_is_built_once_per_process(tmp_path):
+    # a fixture file read on every run is built into one system per
+    # content, so four seeds leave one basis entry for it beside the
+    # roster's
+    from jetgauge.pseudogroups import _solution_basis, load_lie_system
+    fixture = tmp_path / "line.json"
+    fixture.write_text(json.dumps({
+        "label": "line", "nvars": 1, "order": 2, "box": [[-1.0, 1.0]],
+        "equations": "x1*y_1_11", "linearization": "x1*xi_1_11"}))
+    _solution_basis.cache_clear()
+    for seed in range(4):
+        assert run_suite("pseudogroup", SuiteConfig(
+            seed=seed, fixture=str(fixture))).passed
+    assert (_solution_basis.cache_info().currsize
+            == len(_suite_pseudogroup.LIE_SYSTEMS) + 1)
+    assert load_lie_system(str(fixture)) is load_lie_system(str(fixture))
 
 
 def test_pseudogroup_suite_builds_each_basis_once_per_process(monkeypatch):
