@@ -95,70 +95,60 @@ def compose_univariate(ctx: MultiIndexContext, ladder: np.ndarray,
     return out
 
 
-def _real_binom(alpha: float, r: int) -> float:
-    num = 1.0
-    for s in range(r):
-        num *= alpha - s
-    return num / math.factorial(r)
+def _ladder(key, c: np.ndarray, order: int) -> np.ndarray:
+    """The ladders g^(k)(c)/k!, k = 0..order, at each constant term of the
+    block c, as (..., order + 1); key names g or is a real exponent alpha,
+    g(x) = x ** alpha.  Each value gets the bits of a block of one:
 
+    * exp alone keeps numpy's loop, one np.exp over the block, as it always
+      has: its SIMD lanes work each value alone, and math.exp would move
+      report bits (it differs from the AVX-512 np.exp on some values).
+    * sin, cos and log's constant term are libm's math.sin(c + k pi/2) and
+      math.log(c), one value at a time: np.log follows CPU dispatch, and
+      on AVX-512 differs from math.log on some values; numpy's trig loops
+      promise no more.
+    * recip and log's higher terms are block powers c ** k, one scalar
+      integer exponent per call; an exponent array moves bits.
+    * sqrt is alpha = 0.5.  The binomials are one running product, and each
+      c ** (alpha - k) is libm's pow on one value as a numpy scalar, so an
+      overflow gives inf; np.power over the block moves bits.
 
-def _ladder(name: str, c0: float, order: int) -> list[float]:
-    # sin and cos loop over Python ints, several times quicker than numpy
-    # integers and the same bits.  The powers below keep numpy integers, so
-    # that an overflow gives inf, not Python's OverflowError.
-    ks = range(order + 1)
-    r = np.arange(order + 1)
-    if name == "sin":
-        return [math.sin(c0 + k * math.pi / 2) / math.factorial(k) for k in ks]
-    if name == "cos":
-        return [math.cos(c0 + k * math.pi / 2) / math.factorial(k) for k in ks]
-    if name == "log":
-        if c0 <= 0.0:
-            raise DomainError(f"log of nonpositive value {c0}")
-        out = [math.log(c0)]
-        out += [(-1.0) ** (k + 1) / (k * c0**k) for k in r[1:]]
-        return out
-    if name == "sqrt":
-        if c0 < 0.0:
-            raise DomainError(f"sqrt of negative value {c0}")
-        if c0 == 0.0:
-            raise DomainError("sqrt is not smooth at 0; cannot expand")
-        return [_real_binom(0.5, k) * c0 ** (0.5 - k) for k in r]
-    if name == "recip":
-        if c0 == 0.0:
-            raise DomainError("division by a series with zero constant term")
-        return [(-1.0) ** k / c0 ** (k + 1) for k in r]
-    raise ValueError(f"unknown analytic function {name!r}")
-
-
-def _power_ladder(alpha: float, c0: float, order: int) -> list[float]:
-    if c0 <= 0.0:
-        raise DomainError(f"{c0} raised to non-integer power {alpha}")
-    return [_real_binom(alpha, r) * c0 ** (alpha - r) for r in range(order + 1)]
-
-
-def _ladders(build, key, a: np.ndarray, order: int) -> np.ndarray:
-    """The ladders at the constant term c of each series in a, as one
-    block (..., order + 1).
-
-    exp is one np.exp over the block, divided by the factorials: numpy's
-    dispatched loop, SIMD where the CPU has it and not libm's math.exp,
-    whose lanes work each value alone, so each gets the bits of a block of
-    one.  Every other key is build(key, c, order), a list, for each value
-    in batch order, so a DomainError names the first failing point: libm's
-    math.sin and math.cos, or Python arithmetic on c.
+    A DomainError names the first failing value in batch order.
     """
-    c0 = a[..., 0]
+    ks = range(order + 1)
+    fact = np.array([math.factorial(k) for k in ks], float)
     if key == "exp":
-        return np.exp(c0)[..., None] / np.array(
-            [math.factorial(k) for k in range(order + 1)])
-    rows = [build(key, c, order) for c in c0.ravel().tolist()]
-    return np.array(rows).reshape(c0.shape + (order + 1,))
+        return np.exp(c)[..., None] / fact
+    flat = c.ravel().tolist()
+    if key in ("sin", "cos"):
+        fn, shifts = getattr(math, key), [k * math.pi / 2 for k in ks]
+        terms = [fn(v + s) for v in flat for s in shifts]
+        return np.reshape(terms, c.shape + (order + 1,)) / fact
+    if isinstance(key, str) and key not in ("log", "sqrt", "recip"):
+        raise ValueError(f"unknown analytic function {key!r}")
+    bad = c == 0.0 if key == "recip" else c <= 0.0
+    if bad.any():
+        v = flat[int(bad.argmax())]
+        raise DomainError({
+            "recip": "division by a series with zero constant term",
+            "log": f"log of nonpositive value {v}",
+            "sqrt": f"sqrt of negative value {v}" if v < 0.0
+            else "sqrt is not smooth at 0; cannot expand",
+        }.get(key, f"{v} raised to non-integer power {key}"))
+    if key == "log":
+        return np.stack([np.reshape([math.log(v) for v in flat], c.shape)]
+                        + [(-1.0) ** (k + 1) / (k * c**k) for k in ks[1:]], -1)
+    if key == "recip":
+        return np.stack([(-1.0) ** k / c ** (k + 1) for k in ks], -1)
+    alpha = 0.5 if key == "sqrt" else key
+    binom = np.cumprod([1.0] + [alpha - s for s in ks[:-1]]) / fact
+    powers = [np.float64(alpha - k) for k in ks]
+    terms = [v ** p for v in flat for p in powers]
+    return binom * np.reshape(terms, c.shape + (order + 1,))
 
 
 def analytic(ctx: MultiIndexContext, name: str, a: np.ndarray) -> np.ndarray:
-    ladder = _ladders(_ladder, name, a, ctx.order)
-    return compose_univariate(ctx, ladder, a)
+    return compose_univariate(ctx, _ladder(name, a[..., 0], ctx.order), a)
 
 
 def div(ctx: MultiIndexContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,8 +167,7 @@ def powc(ctx: MultiIndexContext, a: np.ndarray, alpha: float) -> np.ndarray:
         if (a.T[0] == 0.0).any():
             raise DomainError("zero raised to a negative power")
         return powc(ctx, analytic(ctx, "recip", a), -k)
-    ladder = _ladders(_power_ladder, alpha, a, ctx.order)
-    return compose_univariate(ctx, ladder, a)
+    return compose_univariate(ctx, _ladder(alpha, a[..., 0], ctx.order), a)
 
 
 def dvar(ctx: MultiIndexContext, a: np.ndarray, var: int) -> np.ndarray:

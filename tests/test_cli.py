@@ -241,6 +241,22 @@ def test_swell_nan_residuals_fail(tmp_path):
     assert status["swell_unbalanced_control"] == "fail"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dynamics_tiny_root_fails_in_its_report(tmp_path):
+    # x1^0.5 near x1 = 1e-250 overflows its ladder to inf: the run writes
+    # a report with a failing row, not a traceback
+    fixture = tmp_path / "root.json"
+    fixture.write_text(json.dumps({
+        "m": 1, "n": 1, "f": "y1 + 0.1*x1^0.5", "g": "z1 - 0.1*x1^0.5",
+        "box": {"y": [[-1, 1]], "x": [[0, 1e-250]], "z": [[-0.5, 0.5]]}}))
+    out = tmp_path / "r.json"
+    assert main(["--suite", "dynamics", "--fixture", str(fixture),
+                 "--out", str(out)]) == 1
+    status = {c["id"]: c["status"]
+              for c in json.loads(out.read_text())["checks"]}
+    assert status["speed_duality"] == "fail"
+
+
 def test_swell_csv_radius_and_frame(tmp_path):
     path = tmp_path / "swell.csv"
     rows = export_swell_csv(PARAMS, str(path))

@@ -9,9 +9,9 @@ from jetgauge.elasticity import (
     rigid_kernel_dimension, spencer_elastic,
     stress_state_from_dict, torsor_equilibrium_check,
 )
-from jetgauge import _suite_elasticity as suite, elasticity, suites
+from jetgauge import _suite_elasticity as suite, elasticity, series, suites
 from jetgauge._runner import _max_abs
-from jetgauge._multiindex import exponent_rows
+from jetgauge._multiindex import context, exponent_rows
 from jetgauge.expr import ExprMap, PolyMap, Pow, Var, _random_poly
 from jetgauge.sampling import halton_points
 from polytext import poly_text
@@ -79,6 +79,38 @@ def test_spencer_hand_rows():
     assert np.max(np.abs(jvals[:, 2] - x1)) < 1e-14
     assert np.max(np.abs(jvals[:, 4] - 1.0)) < 1e-14
     assert np.max(np.abs(jvals[:, [0, 3, 5]])) < 1e-14
+
+
+SPENCER_SECTIONS = [
+    ("sin(x1)*x2^2 + exp(0.3*x2), x1^3*x2 - cos(x1*x2)",
+     "0.4*x1 - x2^2 + sin(x2)"),
+    ("0.4 + 0.9*x2, 0 - 0.3 - 0.9*x1", "0 - 0.9"),
+    ("x2, 0", "0"),
+    ("0, 0", "x1"),
+    ("x1^2 - x2^3, exp(x1)*x2", "cos(x1 + x2)"),
+    ("x1*x2 - 0.5*x2^2, 0.7 - x1^3", "x1*x2"),
+    ("sin(x1 - x2), x1 + x2^2", "exp(x1) - x2^3"),
+]
+
+
+@pytest.mark.parametrize("metric", [None, [[2.0, 0.3], [0.3, 1.5]]],
+                         ids=["identity", "metric"])
+def test_spencer_elastic_is_the_euclidean_spencer_operator(metric):
+    # (xi, jet) is the Euclidean system's section of order 1: slots
+    # omega_{kr} xi^r, jet at row e1 of component 2, -jet at row e2 of
+    # component 1, and zero second jets.  series.spencer gives D_ik at row
+    # 0 and J_r at component 2, row e1, bit for bit.
+    pts = halton_points(BOX, 20, 7)
+    for xi, jet in SPENCER_SECTIONS:
+        sec = DisplacementSection.parse(xi, jet, metric)
+        tab = np.zeros((20, 2, 6, 3))
+        tab[:, :, 0] = np.einsum("...rw,rk->...kw",
+                                 sec.xi.taylor_lift(pts, 1).coeffs, sec.metric)
+        j = sec.jet.taylor_lift(pts, 1).coeffs[:, 0]
+        tab[:, 1, 1], tab[:, 0, 2] = j, -j
+        d = series.spencer(context(2, 1), tab, 1)[..., 0]      # [p, i, k, row]
+        got = np.concatenate([d[..., 0].reshape(20, 4), d[:, :, 1, 1]], -1)
+        assert np.array_equal(_bits(got), _bits(spencer_elastic(sec, pts)))
 
 
 def _rigid_rows_reference(x, monos, omega):

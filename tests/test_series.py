@@ -168,47 +168,93 @@ def test_spencer_matches_row_formula(n, q, xorder):
             assert np.array_equal(_bits(got[..., i, :, row, :]), _bits(want))
 
 
-def _point_ladder(key, c, order):
-    # the one-value formulas: exp, sin and cos as a single point took them
-    ks = range(order + 1)
+def _real_binom(alpha, r):
+    num = 1.0
+    for s in range(r):
+        num *= alpha - s
+    return num / math.factorial(r)
+
+
+def _point_ladder(key, c0, order):
+    # the one-value formulas the block ladder reproduces: exp as one np.exp,
+    # libm's sin, cos and log, and powers of a numpy scalar, so that an
+    # overflow gives inf
+    ks, r = range(order + 1), np.arange(order + 1)
     if key == "exp":
-        return np.exp(c) / np.array([math.factorial(k) for k in ks])
+        return np.exp(c0) / np.array([math.factorial(k) for k in ks])
     if key in ("sin", "cos"):
         fn = getattr(math, key)
-        return np.array([fn(c + k * math.pi / 2) / math.factorial(k)
-                         for k in ks])
-    if isinstance(key, str):
-        return series._ladder(key, c, order)
-    return series._power_ladder(key, c, order)
+        return [fn(c0 + k * math.pi / 2) / math.factorial(k) for k in ks]
+    if key == "log":
+        if c0 <= 0.0:
+            raise series.DomainError(f"log of nonpositive value {c0}")
+        return [math.log(c0)] + [(-1.0) ** (k + 1) / (k * c0**k)
+                                 for k in r[1:]]
+    if key == "recip":
+        if c0 == 0.0:
+            raise series.DomainError(
+                "division by a series with zero constant term")
+        return [(-1.0) ** k / c0 ** (k + 1) for k in r]
+    if key == "sqrt":
+        if c0 < 0.0:
+            raise series.DomainError(f"sqrt of negative value {c0}")
+        if c0 == 0.0:
+            raise series.DomainError("sqrt is not smooth at 0; cannot expand")
+        key = 0.5
+    elif c0 <= 0.0:
+        raise series.DomainError(f"{c0} raised to non-integer power {key}")
+    return [_real_binom(key, k) * c0 ** np.float64(key - k) for k in ks]
 
 
+TRIG_EDGES = [0.0, -0.0, 1e300, -1e300]
+POSITIVE_EDGES = [1e-300, 5e-324, 1e300]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("key", ["exp", "sin", "cos", "log", "sqrt", "recip",
-                                 0.5, -1.5])
+                                 0.5, -1.5, 2.5, -0.5])
 def test_block_ladders_match_point_ladders(key):
     rng = np.random.default_rng(23)
     lo = -40.0 if key in ("exp", "sin", "cos") else 0.01
-    ctx = context(2, 5)
-    block = rng.uniform(-1.0, 1.0, size=(7, 300, ctx.count))
-    block[..., 0] = rng.uniform(lo, 40.0, size=(7, 300))
-    build = series._ladder if isinstance(key, str) else series._power_ladder
-    got = series._ladders(build, key, block, ctx.order)
-    assert got.shape == (7, 300, ctx.order + 1)
+    block = rng.uniform(lo, 40.0, size=(7, 300))
+    edges = TRIG_EDGES if key in ("sin", "cos") else POSITIVE_EDGES
+    if key != "exp":
+        block[0, :len(edges)] = edges
+    got = series._ladder(key, block, 5)
+    assert got.shape == (7, 300, 6)
     for idx in np.ndindex(7, 300):
-        want = _point_ladder(key, float(block[idx + (0,)]), ctx.order)
+        want = _point_ladder(key, float(block[idx]), 5)
         assert np.array_equal(_bits(got[idx]), _bits(want)), (key, idx)
-        if idx[1] < 3:                               # one series alone
-            one = series._ladders(build, key, block[idx], ctx.order)
+        if idx[1] < 5:          # one series alone: a[..., 0] is a 0-d array
+            one = series._ladder(key, block[idx + (...,)], 5)
             assert np.array_equal(_bits(one), _bits(want))
 
 
-@pytest.mark.parametrize("build,key,message", [
-    (series._ladder, "log", "log of nonpositive value -3.0"),
-    (series._ladder, "sqrt", "sqrt of negative value -3.0"),
-    (series._power_ladder, 0.5, "-3.0 raised to non-integer power"),
-], ids=["log", "sqrt", "power"])
-def test_block_ladder_names_the_first_failing_point(build, key, message):
-    ctx = context(1, 3)
-    block = np.ones((2, 3, ctx.count))
-    block[0, 2, 0], block[1, 2, 0] = -3.0, -6.0     # batch positions 2 and 5
+@pytest.mark.parametrize("key,first,later,message", [
+    ("log", -3.0, -6.0, "log of nonpositive value -3.0"),
+    ("sqrt", -3.0, 0.0, "sqrt of negative value -3.0"),
+    (0.5, -3.0, -6.0, "-3.0 raised to non-integer power"),
+    ("sqrt", 0.0, -6.0, "sqrt is not smooth at 0"),
+    ("recip", 0.0, 0.0, "division by a series with zero constant term"),
+], ids=["log", "sqrt", "power", "sqrt-zero", "recip"])
+def test_block_ladder_names_the_first_failing_point(key, first, later,
+                                                    message):
+    block = np.ones((2, 3))
+    block[0, 2], block[1, 2] = first, later         # batch positions 2 and 5
     with pytest.raises(series.DomainError, match=message):
-        series._ladders(build, key, block, ctx.order)
+        _point_ladder(key, first, 3)
+    with pytest.raises(series.DomainError, match=message):
+        series._ladder(key, block, 3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lift", [
+    lambda ctx, x: series.powc(ctx, x, 0.5),
+    lambda ctx, x: series.analytic(ctx, "sqrt", x),
+], ids=["power", "sqrt"])
+def test_a_tiny_root_overflows_to_inf(lift):
+    # the order-3 ladder term of x^0.5 at 1e-200, 1e500 / 16, is past the
+    # largest float: the ladder overflows to inf and raises nothing
+    ctx = context(1, 3)
+    out = lift(ctx, series.coordinate(ctx, 0, 1e-200))
+    assert not np.isfinite(out).all()
