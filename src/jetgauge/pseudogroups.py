@@ -24,8 +24,8 @@ import numpy as np
 
 from . import series
 from ._fixtures import LIE_SYSTEM, parse_map, read_fixture, validate
-from ._multiindex import (MultiIndexContext, context, derivative_rows,
-                          poly_shift, raised_rows, shift_table)
+from ._multiindex import (MultiIndexContext, context, poly_shift,
+                          raised_rows, shift_table)
 from .expr import ExprMap
 from .sampling import halton_points
 
@@ -41,8 +41,6 @@ __all__ = [
 ]
 
 SECTION_DEGREE = 2      # polynomial degree of every sampled section's slots
-PIN_POINTS = 40         # chart points that pin a basis whose rows vary in x
-PIN_SEED = 0            # their Halton stream, the same for every run
 
 
 def _suffix(mu: Iterable[int]) -> str:
@@ -112,38 +110,38 @@ class LieEquationSystem:
         return lift.jacobian()[..., self.nvars:]
 
     def prolonged_rows(self, x: np.ndarray) -> np.ndarray:
-        """Rows of the system and its first formal derivatives at x.
+        """Rows of the system and its first formal derivatives at x,
+        (..., neq*(1+n), n*count_{q+1}) for x (..., n): the system on the
+        lower-order columns, then D_i applied to it in row block i+1."""
+        return self._row_series(x, 0)[..., 0]
 
-        Output shape (..., neq*(1+n), n*count_{q+1}) for x of shape
-        (..., n); the first neq rows are the original system on the
-        lower-order columns.  Row block i+1 is D_i applied to the system:
-        the x-derivative of each coefficient plus the coefficient moved to
-        the shifted slot.
-
-        All come from one order-2 lift of the whole block: the coefficients
-        are the lift's first slots in the jet variables, and their
-        x_i-derivatives its mixed second slots, whose mu! is 1.  Block 0 is
-        set to the coefficients, so a -0.0 keeps its sign; each D_i block
-        is zeros plus the coefficients shifted by e_i, then plus their
-        x_i-derivatives.
-        """
+    def _row_series(self, x: np.ndarray, xorder: int) -> np.ndarray:
+        """x-Taylor coefficients through xorder of the prolonged rows around
+        each point of x (..., n), (..., rows, columns, count_xorder), from
+        one lift to order xorder + 2, whose x^kappa xi_v slot is the x^kappa
+        coefficient of xi_v's.  Block 0 is set, so a -0.0 keeps its sign."""
         n, neq = self.nvars, len(self.linearization)
         cnt, cnt_hi = self.jet_ctx().count, self.jet_ctx(self.order + 1).count
-        lift = self.linearization.taylor_lift(self._lift_base(x), 2)
+        ctx_x = context(n, xorder + 1)
+        lift = self.linearization.taylor_lift(self._lift_base(x), xorder + 2)
         batch = lift.coeffs.shape[:-2]
-        coef = lift.jacobian()[..., n:].reshape(batch + (neq, n, cnt))
-        # [..., e, i, var]: d/dx_i of the coefficient of jet variable var
-        dx = np.take(lift.coeffs, derivative_rows(n + n * cnt, 2)[0][:n, n:],
-                     -1).reshape(batch + (neq, n, n, cnt))
-        out = np.zeros(batch + (1 + n, neq, n, cnt_hi))
-        out[..., 0, :, :, :cnt] = coef
+        slots = [[lift.ctx.pos((*kappa, *unit)) for kappa in ctx_x.midx]
+                 for unit in np.eye(n * cnt, dtype=np.int64)]
+        # [..., e, k, r, kappa]: the series of the coefficient of xi_k_r
+        coef = np.take(lift.coeffs, slots, -1).reshape(
+            batch + (neq, n, cnt, ctx_x.count))
+        keep = ctx_x.count_up_to(xorder)
+        out = np.zeros(batch + (1 + n, neq, n, cnt_hi, keep))
+        out[..., 0, :, :, :cnt, :] = coef[..., :keep]
         for i, up in enumerate(raised_rows(n, self.order + 1)):
-            # a view first: beside an index array, the int would move the
-            # indexed axes to the front
-            block = out[..., 1 + i, :, :, :]
-            block[..., up] += coef
-        out[..., 1:, :, :, :cnt] += np.swapaxes(dx, -4, -3)
-        return out.reshape(batch + ((1 + n) * neq, n * cnt_hi))
+            # a view first: beside an index array, an int moves axes first
+            block = out[..., 1 + i, :, :, :, :]
+            block[..., up, :] += coef[..., :keep]
+        # [..., e, k, r, i, kappa]: every x_i-derivative from one gather
+        dx = (np.take(coef, raised_rows(n, xorder + 1), -1)
+              * (ctx_x.midx[:keep].T + 1.0))
+        out[..., 1:, :, :, :cnt, :] += np.moveaxis(dx, -2, -5)
+        return out.reshape(batch + ((1 + n) * neq, n * cnt_hi, keep))
 
 
 def linearization_rows_gap(system: LieEquationSystem,
@@ -314,79 +312,84 @@ def bracket_jacobi_residual(a: _Section, b: _Section, c: _Section,
     return float(np.max(np.abs(vals[0] + vals[1] + vals[2])))
 
 
-def _nullspace(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal nullspace rows of mat, (dim, columns): the unit vectors
-    of the dead columns, which no row touches, then the null rows of an
-    SVD of the live columns alone, placed on them.  Zero columns add no
-    singular value, so the relative rank threshold is the full matrix's;
-    with no live column the result is the identity."""
-    live = mat.any(axis=0)
-    dead = np.flatnonzero(~live)
-    null = np.zeros((0, 0))
-    if live.any():
-        sub = mat[:, live]
-        # U is never read: a tall matrix asks for its thin U and still a
-        # full vt
-        _, sig, vt = np.linalg.svd(sub,
-                                   full_matrices=sub.shape[0] < sub.shape[1])
-        null = vt[int(np.sum(sig > 1e-10 * sig[0])):]
-    out = np.zeros((len(dead) + len(null), mat.shape[1]))
-    out[np.arange(len(dead)), dead] = 1.0
-    out[len(dead):, live] = null
-    return out
-
-
-def _has_constant_rows(system: LieEquationSystem) -> bool:
-    """No x occurs in the linearization."""
-    xvars = {f"x{k + 1}" for k in range(system.nvars)}
-    return not any(xvars & e.variables() for e in system.linearization)
+def _eliminate(mat: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank of mat and the reduced row-echelon basis of its nullspace, (dim,
+    columns), by Gauss-Jordan with partial pivoting on ufuncs: row j is 1
+    on the j-th free column and minus the reduced matrix on the pivot ones,
+    which no pivot order can rotate.  Integer rows, each over its gcd, go
+    fraction-free (Bareiss, Math. Comp. 22, 1968): entries stay integer
+    minors, so below 2**53 every division and zero test is exact.  Other
+    matrices call entries within 1e-10 of their largest zero."""
+    a = np.array(mat, dtype=float)
+    exact = bool(np.all((a == np.trunc(a)) & (np.abs(a) < 2.0**53)))
+    if exact:
+        a /= np.maximum(np.gcd.reduce(a.astype(np.int64), axis=1), 1)[:, None]
+    tol = 0.0 if exact else 1e-10 * np.max(np.abs(a), initial=0.0)
+    pivots, last = [], 1.0
+    for col in range(a.shape[1]):
+        r = len(pivots)
+        if r == len(a):
+            break
+        p = r + int(np.argmax(np.abs(a[r:, col])))
+        if abs(a[p, col]) <= tol:
+            continue
+        a[[r, p]] = a[[p, r]]
+        piv, rest = a[r, col], np.arange(len(a)) != r
+        a[rest] = ((piv * a[rest] - a[rest, col, None] * a[r])
+                   / (last if exact else piv))
+        last = piv
+        pivots.append(col)
+    rank, free = len(pivots), np.setdiff1d(np.arange(a.shape[1]), pivots)
+    null = np.eye(a.shape[1])[free]
+    null[:, pivots] = -(a[:rank, free] / a[np.arange(rank), pivots, None]).T
+    return rank, null
 
 
 @functools.lru_cache(maxsize=32)
 def _solution_basis(system: LieEquationSystem,
                     degree: int) -> tuple[np.ndarray, int]:
-    """Orthonormal nullspace (null, nb) of the prolonged system over a
-    polynomial ansatz of the given degree: the rows of kron(null, eye(nb))
-    span the sections' (column, monomial) coefficients.  Rows with no x in
-    them are constant, and a polynomial solves them exactly when each
-    monomial's coefficients lie in their nullspace at one point, the box's
-    centre; nb is the monomial count.  Other rows are pinned at the
-    PIN_POINTS Halton points of stream PIN_SEED over the ansatz, which
-    fixes the polynomial identity once the points outnumber the monomials,
-    and nb is 1.  No seed enters, so the basis is built once per (system,
-    degree) and shared read-only."""
-    nb = context(system.nvars, degree).count
-    constant = _has_constant_rows(system)
-    pts = (np.mean(system.box, axis=1)[None] if constant
-           else halton_points(system.box, PIN_POINTS, PIN_SEED))
-    rows = system.prolonged_rows(pts)
-    if constant:
-        null = _nullspace(rows[0])
-    else:
-        # (point, row) by (column, monomial): each point's rows times x^beta
-        mat = np.einsum("prc,pb->prcb", rows,
-                        poly_shift(system.nvars, degree, pts, 0)[..., 0])
-        null, nb = _nullspace(mat.reshape(-1, rows.shape[2] * nb)), 1
+    """Nullspace (null, nb) of the prolonged system over a polynomial
+    ansatz of the given degree: kron(null, eye(nb)) spans the sections'
+    (column, monomial) coefficients.  The rows have x-degree e at most, one
+    less than the linearization, and their Taylor coefficients at 0 are
+    their x-coefficients; a section solves them when every x^gamma
+    coefficient of rows . section vanishes, over (row, gamma) by (column,
+    beta), nb 1.  For e = 0 that is R (x) I: R alone, nb the monomials.
+    No point or seed enters: built once per (system, degree), read-only."""
+    n, deg = system.nvars, system.linearization.degree
+    if deg is None:
+        raise ValueError(f"{system.label}: linearization is not polynomial "
+                         "in x; the closure basis needs its x-coefficients")
+    e = max(deg - 1, 0)
+    ansatz = degree if e else 0
+    rows = system._row_series(np.zeros((1, n)), e)[0]  # (row, col, kappa)
+    ctx = context(n, ansatz + e)
+    pick = (ctx.degree[ctx.mul_i] <= e) & (ctx.degree[ctx.mul_j] <= ansatz)
+    mat = np.zeros((len(rows), ctx.count, rows.shape[1],
+                    context(n, ansatz).count))
+    mat[:, ctx.mul_k[pick], :, ctx.mul_j[pick]] = np.moveaxis(
+        rows[..., ctx.mul_i[pick]], -1, 0)
+    _, null = _eliminate(mat.reshape(len(rows) * ctx.count, -1))
     if len(null) == 0:
         raise ValueError(
             f"{system.label}: no polynomial sections at degree {degree}")
     null.flags.writeable = False
-    return null, nb
+    return null, context(n, degree - ansatz).count
 
 
 def sample_linear_sections(system: LieEquationSystem, count: int,
                            seed: int) -> PolySection:
     """A stack of count seeded random sections of the prolonged linear
     system, polynomials of degree SECTION_DEGREE, each scaled to a largest
-    coefficient of 1.  The seed drives the draws alone: the basis they
-    combine is the system's, the same for every seed."""
+    coefficient of 1: normal draws over the system's reduced basis, which
+    is sparse and not orthonormal, so the sections are not isotropic in the
+    solution space.  The seed drives the draws alone."""
     null, nb = _solution_basis(system, SECTION_DEGREE)
     n, q = system.nvars, system.order
     # one block of draws is the stream of one draw per section.  Each sum
-    # starts at 0.0 and gains its null vectors' terms in order, with no
-    # BLAS: step k adds every column's k-th nonzero term at once, and a
-    # column past its last adds a zero entry's term, +-0.0 on a finite
-    # draw, which changes no bits.
+    # starts at 0.0 and gains its basis rows' terms in order, with no BLAS:
+    # step k adds every column's k-th nonzero term, and a column past its
+    # last adds a zero entry's term, +-0.0 on a finite draw: no bits move.
     draws = np.random.default_rng(seed).standard_normal(
         (count, len(null) * nb)).reshape(count, len(null), nb)
     combos = np.zeros((count, null.shape[1], nb))
@@ -422,12 +425,9 @@ def closure_check(system: LieEquationSystem, npairs: int = 50, seed: int = 0,
     eval_pts = halton_points(system.box, neval, seed + 1)
     # (pairs + bumped pairs, points, n, rows): every bracket in one call
     vals = algebroid_bracket(a, b, eval_pts)
-    rows = system.linear_rows(eval_pts)
-    # one stacked product on the contiguous values (a strided view moved
-    # bits); it matched one product per pair and point for every builtin at
-    # seeds 0-29 on OpenBLAS default, Haswell and Prescott, 1 and 2 threads
-    resid = np.matmul(rows, vals[:npairs].reshape(
-        npairs, len(rows), -1)[..., None])[..., 0]
+    # an einsum, not matmul: no BLAS, so no core or thread count moves it
+    resid = np.einsum("pec,spc->spe", system.linear_rows(eval_pts),
+                      vals[:npairs].reshape(npairs, len(eval_pts), -1))
     return resid, vals[npairs:] - vals[:nlift]
 
 

@@ -106,7 +106,7 @@ def _ladder(key, c: np.ndarray, order: int) -> np.ndarray:
     * sin, cos and log's constant term are libm's math.sin(c + k pi/2) and
       math.log(c), one value at a time: np.log follows CPU dispatch, and
       on AVX-512 differs from math.log on some values; numpy's trig loops
-      promise no more.
+      promise no more.  A non-finite c gives them NaN, not math's error.
     * recip and log's higher terms are block powers c ** k, one scalar
       integer exponent per call; an exponent array moves bits.
     * sqrt is alpha = 0.5.  The binomials are one running product, and each
@@ -122,7 +122,8 @@ def _ladder(key, c: np.ndarray, order: int) -> np.ndarray:
     flat = c.ravel().tolist()
     if key in ("sin", "cos"):
         fn, shifts = getattr(math, key), [k * math.pi / 2 for k in ks]
-        terms = [fn(v + s) for v in flat for s in shifts]
+        terms = [fn(v + s) if math.isfinite(v) else math.nan
+                 for v in flat for s in shifts]
         return np.reshape(terms, c.shape + (order + 1,)) / fact
     if isinstance(key, str) and key not in ("log", "sqrt", "recip"):
         raise ValueError(f"unknown analytic function {key!r}")
@@ -156,13 +157,18 @@ def div(ctx: MultiIndexContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def powc(ctx: MultiIndexContext, a: np.ndarray, alpha: float) -> np.ndarray:
-    """a ** alpha with constant real exponent."""
+    """a ** alpha with constant real exponent.  A whole k >= 0 takes the
+    chain ((1*a)*a)*a up to k = 3; above, the power of k's top two bits is
+    squared once per further bit, times a on a 1: O(log k) products."""
     if float(alpha).is_integer():
         k = int(alpha)
         if k >= 0:
             out = const(ctx, 1.0)
-            for _ in range(k):
+            for _ in range(int(bin(k)[2:4], 2)):
                 out = mul(ctx, out, a)
+            for bit in bin(k)[4:]:
+                out = mul(ctx, out, out)
+                out = mul(ctx, out, a) if bit == "1" else out
             return out
         if (a.T[0] == 0.0).any():
             raise DomainError("zero raised to a negative power")

@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CHILD = """
 import sys
 from jetgauge.suites import SuiteConfig, run_suite
-for suite in ("dynamics", "swell", "elasticity"):
+for suite in ("dynamics", "swell", "elasticity", "pseudogroup"):
     for seed in (42, 7, 3):
         report = run_suite(suite, SuiteConfig(seed=seed))
         sys.stdout.write(report.strip_clock().to_json())
@@ -71,5 +71,5 @@ def test_reports_do_not_follow_the_blas_core():
         assert cores["Prescott", threads] not in (cores[None, threads],
                                                   "Haswell")
     want = runs[None, "1"][0]
-    assert want.count('"schema"') == 9
+    assert want.count('"schema"') == 12
     assert [key for key, (out, _) in runs.items() if out != want] == []

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from importlib import resources
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from jetgauge import _suite_swell
 from jetgauge.cli import export_swell_csv, export_swell_svg, main
 from jetgauge.dynamics import swell_rows
+from jetgauge.expr import ExprMap
 from jetgauge.report import CheckRecord, Report
 from jetgauge.suites import SuiteConfig, run_suite
 
@@ -257,6 +259,33 @@ def test_dynamics_tiny_root_fails_in_its_report(tmp_path):
     assert status["speed_duality"] == "fail"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("term", ["sin(1e200*x1*1e200)", "x1^1e9"],
+                         ids=["sin-of-inf", "huge-power"])
+def test_a_nonfinite_term_fails_in_its_report(tmp_path, term):
+    # sin of an infinite constant term lifts to NaN, and x1^1e9 to inf past
+    # x1 = 1: the run writes a report with a failing row, not exit 2
+    fixture = tmp_path / "term.json"
+    fixture.write_text(json.dumps({
+        "m": 1, "n": 1, "f": f"y1 + 0.1*{term}", "g": f"z1 - 0.1*{term}",
+        "box": {"x": [[0.5, 1.5]]}}))
+    out = tmp_path / "r.json"
+    assert main(["--suite", "dynamics", "--fixture", str(fixture),
+                 "--out", str(out)]) == 1
+    status = {c["id"]: c["status"]
+              for c in json.loads(out.read_text())["checks"]}
+    assert status["speed_duality"] == "fail"
+
+
+def test_a_huge_integer_power_lifts_within_a_second():
+    # O(log k) products: about 60 for 1e9, where a chain took 1e9
+    f = ExprMap.parse("x1^1e9", ["x1"])
+    t0 = time.perf_counter()
+    lift = f.taylor_lift([0.5], 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert np.array_equal(lift.coeffs, np.zeros((1, 3)))
+
+
 def test_swell_csv_radius_and_frame(tmp_path):
     path = tmp_path / "swell.csv"
     rows = export_swell_csv(PARAMS, str(path))
@@ -399,6 +428,18 @@ def test_pseudogroup_fixture_without_linearization_exits_two(tmp_path,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("jetgauge: ") and "'linearization'" in err
+
+
+def test_a_linearization_with_no_polynomial_in_x_exits_two(tmp_path,
+                                                          capsys):
+    # the closure basis matches x-coefficients, which sin(x1) has not
+    data = {**_STILL_WATER, "label": "wavy",
+            "linearization": "sin(x1)*xi_1_1"}
+    code, err = _run_fixture(tmp_path, capsys, "pseudogroup",
+                             json.dumps(data))
+    assert code == 2
+    assert err.startswith("jetgauge: wavy: linearization is not polynomial "
+                          "in x")
 
 
 @pytest.mark.parametrize("suite,data", [

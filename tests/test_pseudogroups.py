@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from jetgauge import pseudogroups, series
 from jetgauge._multiindex import context, shift_table
 from jetgauge.expr import ExprMap
 from jetgauge.pseudogroups import (
-    BUILTIN_SYSTEMS, PIN_POINTS, PIN_SEED, HolonomicSection,
+    BUILTIN_SYSTEMS, HolonomicSection,
     LieEquationSystem, PolySection, _bracket_tables, algebroid_bracket,
     bracket_jacobi_residual, builtin_system, closure_check, jet_variable_names,
     lie_system_from_dict, linearization_rows_gap,
@@ -190,8 +191,8 @@ def test_perturb_top_on_a_stack_is_the_per_section_stream():
 def test_pseudogroup_suite_runs_the_section_api_on_blocks(monkeypatch):
     # bracket closure samples its sections and brackets them through the
     # public API, once per roster system, and every lift takes a block:
-    # of one point only for the rows of a constant-coefficient system,
-    # whose basis a cold cache builds
+    # of one point only for the rows at x = 0 that each basis, built from
+    # a cold cache, reads
     from jetgauge.pseudogroups import _solution_basis
     _solution_basis.cache_clear()
     calls, bases = [], []
@@ -219,8 +220,7 @@ def test_pseudogroup_suite_runs_the_section_api_on_blocks(monkeypatch):
     assert calls.count("sample_linear_sections") == roster
     assert calls.count("algebroid_bracket") == roster
     assert bases and all(len(shape) == 2 for shape in bases)
-    assert sum(shape[0] == 1 for shape in bases) == sum(
-        CONSTANT_ROUTE[name] for name in _suite_pseudogroup.LIE_SYSTEMS)
+    assert sum(shape[0] == 1 for shape in bases) == roster
 
 
 def _loop_mul(ctx, a, b):
@@ -513,13 +513,13 @@ def _loop_poly_shift(nvars, degree, x, xorder):
     return shift
 
 
-def _loop_pinned_matrix(sys_, degree, seed=PIN_SEED):
-    """The system over the polynomial ansatz pinned at the PIN_POINTS
-    Halton points of stream seed, one point's block of rows at a time; at
-    PIN_SEED, the matrix the basis is a nullspace of."""
+def _loop_pinned_matrix(sys_, degree, seed):
+    """The system over the polynomial ansatz pinned at 40 Halton points of
+    stream seed, one point's block of rows at a time: for rows polynomial
+    in x, generic points fix the same nullspace as the formal equations."""
     ctx_b = context(sys_.nvars, degree)
     blocks = []
-    for x in halton_points(sys_.box, PIN_POINTS, seed):
+    for x in halton_points(sys_.box, 40, seed):
         rows = _loop_prolonged_rows(sys_, x)
         basis = np.array([np.prod(x ** ctx_b.midx[bb])
                           for bb in range(ctx_b.count)])
@@ -528,37 +528,73 @@ def _loop_pinned_matrix(sys_, degree, seed=PIN_SEED):
     return np.vstack(blocks)
 
 
-# which route each builtin's basis takes: True for rows with no x in them
+# which route each builtin's basis takes: True for rows with no x in them,
+# whose x-degree is 0
 CONSTANT_ROUTE = {"affine": True, "projective": True, "volume2": True,
                   "volume3": True, "r1": False, "r1prime": False}
 
 
-def _loop_solution_basis(sys_, degree, constant):
-    """(null, nb) as _solution_basis gives it: the nullspace of the rows at
-    the box's centre with nb monomials, or of the pinned matrix with 1."""
-    if constant:
-        centre = np.array([(lo + hi) / 2.0 for lo, hi in sys_.box])
-        return (_loop_nullspace(_loop_prolonged_rows(sys_, centre)),
-                context(sys_.nvars, degree).count)
-    return _loop_nullspace(_loop_pinned_matrix(sys_, degree)), 1
-
-
-def _loop_nullspace(mat):
-    # a column no row touches is a null vector alone: first the unit
-    # vectors of those, then the null rows of the live columns' full SVD,
-    # the reference for the thin one on tall matrices
-    live = [c for c in range(mat.shape[1]) if np.any(mat[:, c] != 0.0)]
-    dead = [c for c in range(mat.shape[1]) if c not in live]
-    null = np.zeros((0, len(live)))
-    if live:
-        _, sig, vt = np.linalg.svd(mat[:, live])
-        null = vt[int(np.sum(sig > 1e-10 * sig[0])):]
-    out = np.zeros((len(dead) + len(null), mat.shape[1]))
-    for k, c in enumerate(dead):
-        out[k, c] = 1.0
-    for k, vec in enumerate(null):
-        out[len(dead) + k, live] = vec
+def _fraction_nullspace(mat):
+    """The reduced row-echelon nullspace basis of mat in exact rationals:
+    Gauss-Jordan on Fractions, then 1 on each free column and minus the
+    reduced matrix on the pivot columns."""
+    a = [[Fraction(v) for v in row] for row in mat]
+    pivots = []
+    for col in range(len(a[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [v / a[r][col] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        pivots.append(col)
+    out = []
+    for free in (c for c in range(len(a[0])) if c not in pivots):
+        vec = [Fraction(0)] * len(a[0])
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -a[r][free]
+        out.append(vec)
     return out
+
+
+def _exact_basis(sys_, degree):
+    """(null, nb) as _solution_basis should give it, in Fractions.  Every
+    system here has rows affine in x, so they are P0 + sum x_i P_i with
+    P_i the exact difference of the rows at e_i and at 0.  Rows with no x
+    give null(P0) and the monomial count; others the nullspace of the
+    matrix over (row, x^gamma) by (column, x^beta) that collects the
+    coefficients of rows . section, with nb 1."""
+    n = sys_.nvars
+    p0 = _loop_prolonged_rows(sys_, np.zeros(n))
+    parts = [[[Fraction(v) for v in row] for row in p0]]
+    for unit in np.eye(n):
+        parts.append([[Fraction(v) - w for v, w in zip(row, low)]
+                      for row, low in zip(_loop_prolonged_rows(sys_, unit),
+                                          parts[0])])
+    ctx_b, ctx_g = context(n, degree), context(n, degree + 1)
+    if not any(v for part in parts[1:] for row in part for v in row):
+        return _fraction_nullspace(parts[0]), ctx_b.count
+    nrows, ncols = p0.shape
+    mat = [[Fraction(0)] * (ncols * ctx_b.count)
+           for _ in range(nrows * ctx_g.count)]
+    for b, beta in enumerate(ctx_b.midx):
+        for k, part in enumerate(parts):
+            gamma = beta + (np.eye(n, dtype=int)[k - 1] if k else 0)
+            g = ctx_g.pos(tuple(gamma))
+            for r in range(nrows):
+                for c in range(ncols):
+                    mat[r * ctx_g.count + g][c * ctx_b.count + b] += part[r][c]
+    return _fraction_nullspace(mat), 1
+
+
+def _loop_solution_basis(sys_, degree):
+    null, nb = _exact_basis(sys_, degree)
+    return np.array([[float(v) for v in row] for row in null]), nb
 
 
 def _full_order_bracket(n, q_out, ctx_x, tab_a, tab_b):
@@ -611,12 +647,11 @@ def _loop_draw_sections(sys_, null, nb, count, seed, degree):
     return out
 
 
-def _loop_closure_check(sys_, npairs, seed, neval, constant, degree=2):
+def _loop_closure_check(sys_, npairs, seed, neval, degree=2):
     """closure_check one point, one section and one pair at a time, with
-    the live columns' full SVD, full-order bracket products and no code
-    it checks."""
+    the exact basis, full-order bracket products and no code it checks."""
     n = sys_.nvars
-    null, nb = _loop_solution_basis(sys_, degree, constant)
+    null, nb = _loop_solution_basis(sys_, degree)
     sections = _loop_draw_sections(sys_, null, nb, 2 * npairs, seed, degree)
     eval_pts = halton_points(sys_.box, neval, seed + 1)
     rng = np.random.default_rng(seed + 2)
@@ -630,8 +665,9 @@ def _loop_closure_check(sys_, npairs, seed, neval, constant, degree=2):
                       for s in range(neval)]
                      for a, b in zip(tabs[0::2], tabs[1::2])])
     rows = [_loop_linear_rows(sys_, x) for x in eval_pts]
-    resid = np.array([[rows[s] @ v[s].ravel() for s in range(len(rows))]
-                      for v in vals[:npairs]])
+    # each residual sums its row's products in column order
+    resid = np.array([[np.einsum("ec,c->e", rows[s], v[s].ravel())
+                       for s in range(len(rows))] for v in vals[:npairs]])
     return resid, vals[npairs:] - vals[:nlift]
 
 
@@ -730,68 +766,31 @@ def test_tabled_poly_shift_matches_point_formula(nvars, degree, xorder):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
 def test_closure_check_matches_point_reference(name, seed):
-    from jetgauge.pseudogroups import _solution_basis
-    sys_ = builtin_system(name)
-    for degree in (2, 3):
-        (null, nb), (want, want_nb) = (
-            _solution_basis(sys_, degree),
-            _loop_solution_basis(sys_, degree, CONSTANT_ROUTE[name]))
-        assert _same_bits(null, want) and nb == want_nb
     # the suite's parameters: 50 pairs at 8 evaluation points
+    sys_ = builtin_system(name)
     for got, want in zip(closure_check(sys_, npairs=50, seed=seed, neval=8),
-                         _loop_closure_check(sys_, 50, seed, 8,
-                                             CONSTANT_ROUTE[name])):
+                         _loop_closure_check(sys_, 50, seed, 8)):
         assert _same_bits(got, want)
 
 
-def _scaled_r1():
-    # r1 with every row scaled by 1e3: a relative rank threshold finds the
-    # same nullspace
+def _scaled_r1(factor="1000"):
+    # r1 with every row scaled by 1e3: the same reduced basis.  Scaled by
+    # 0.1 the matrix is no integer one, and takes the relative threshold
     return lie_system_from_dict({
-        "label": "shear-volume-scaled", "nvars": 2, "order": 1,
+        "label": f"shear-volume-{factor}", "nvars": 2, "order": 1,
         "box": [[0.25, 1.25], [0.25, 1.25]],
         "equations": "y_1_2, y_2*y_1_1 - x2, y_1_1*y_2_2 - y_1_2*y_2_1 - 1",
-        "linearization": ("1000*xi_1_2, 1000*(x2*xi_1_1 + xi_2), "
-                          "1000*(xi_1_1 + xi_2_2)")})
+        "linearization": (f"{factor}*xi_1_2, {factor}*(x2*xi_1_1 + xi_2), "
+                          f"{factor}*(xi_1_1 + xi_2_2)")})
 
 
 def _scaled_volume3():
-    # volume3 with its row scaled by 1e3: the pointwise nullspace keeps the
-    # relative rank threshold
+    # volume3 with its row scaled by 1e3: the same reduced basis
     vol = builtin_system("volume3")
     return dataclasses.replace(vol, label="volume-3d-scaled",
                                linearization=ExprMap.parse(
                                    "1000*(xi_1_1 + xi_2_2 + xi_3_3)",
                                    vol.linearization.variables))
-
-
-def _assert_spans_the_pinned_nullspace(sys_, seed):
-    # the factored basis, pinned at its fixed points or taken at the box's
-    # centre, expanded, spans what the SVD of the whole matrix pinned at
-    # another stream's points gives, and stays orthonormal
-    from jetgauge.pseudogroups import _solution_basis
-    for degree in (2, 3):
-        null, nb = _solution_basis(sys_, degree)
-        basis = np.kron(null, np.eye(nb))
-        _, sig, vt = np.linalg.svd(_loop_pinned_matrix(sys_, degree, seed))
-        full = vt[int(np.sum(sig > 1e-10 * sig[0])):]
-        assert basis.shape == full.shape
-        assert np.max(np.abs(basis.T @ basis - full.T @ full)) < 1e-12
-        assert np.max(np.abs(basis @ basis.T - np.eye(len(basis)))) < 1e-12
-
-
-SCALED = {"r1-scaled": _scaled_r1, "volume3-scaled": _scaled_volume3}
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS) + sorted(SCALED))
-def test_live_column_basis_spans_the_full_nullspace(name, seed):
-    # r1, r1prime and r1-scaled take the seed-free pinned basis: polynomial
-    # rows give every generic 40-point set the same solution space.  The
-    # curved fixture stays out, as its sin(x1) row is no polynomial and its
-    # pinned space depends on the points
-    sys_ = SCALED[name]() if name in SCALED else builtin_system(name)
-    _assert_spans_the_pinned_nullspace(sys_, seed)
 
 
 def _affine_line_with(linearization):
@@ -800,18 +799,86 @@ def _affine_line_with(linearization):
         "equations": "y_1_11", "linearization": linearization})
 
 
+def _assert_spans_the_pinned_nullspace(sys_, seed):
+    # the factored basis, expanded, spans what the SVD of the whole matrix
+    # pinned at 40 points of stream seed gives
+    from jetgauge.pseudogroups import _solution_basis
+    for degree in (2, 3):
+        null, nb = _solution_basis(sys_, degree)
+        basis = np.linalg.qr(np.kron(null, np.eye(nb)).T)[0]
+        _, sig, vt = np.linalg.svd(_loop_pinned_matrix(sys_, degree, seed))
+        full = vt[int(np.sum(sig > 1e-10 * sig[0])):]
+        assert basis.shape[::-1] == full.shape
+        assert np.max(np.abs(basis @ basis.T - full.T @ full)) < 1e-12
+
+
+SCALED = {"r1-scaled": _scaled_r1, "volume3-scaled": _scaled_volume3}
+# rows quadratic in x, whose D-row reads an x-derivative's factor 2
+SAMPLED = {**SCALED,
+           "line-x1-squared": lambda: _affine_line_with("x1^2*xi_1_11 + xi_1")}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS) + sorted(SAMPLED))
+def test_live_column_basis_spans_the_full_nullspace(name, seed):
+    # the formal basis against a sampled one: polynomial rows give every
+    # generic 40-point set the solution space the x-coefficients give
+    sys_ = SAMPLED[name]() if name in SAMPLED else builtin_system(name)
+    _assert_spans_the_pinned_nullspace(sys_, seed)
+
+
+EXACT = {**SCALED, "r1-tenth": lambda: _scaled_r1("0.1"),
+         "line-x1": lambda: _affine_line_with("x1*xi_1_11")}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS) + sorted(EXACT))
+def test_closure_basis_is_the_exact_elimination(name):
+    # entry for entry, the exact reduced basis rounded once, at degrees 2
+    # and 3; a row scaled by 1e3 leaves it as it is
+    from jetgauge.pseudogroups import _solution_basis
+    sys_ = EXACT[name]() if name in EXACT else builtin_system(name)
+    for degree in (2, 3):
+        null, nb = _solution_basis(sys_, degree)
+        want, want_nb = _loop_solution_basis(sys_, degree)
+        assert nb == want_nb and null.shape == want.shape
+        assert np.array_equal(null, want)
+
+
+def test_integer_elimination_rounds_each_entry_once():
+    # small integer matrices whose nullspaces have entries like 7/29: the
+    # fraction-free route gives the exact value rounded once, where
+    # dividing by each pivot moved bits in most of these
+    rng = np.random.default_rng(0)
+    for shape in [(3, 5)] * 100 + [(4, 7)] * 50:
+        mat = rng.integers(-5, 6, size=shape).astype(float)
+        want = [[float(v) for v in row] for row in _fraction_nullspace(mat)]
+        rank, null = pseudogroups._eliminate(mat)
+        assert rank + len(null) == shape[1]
+        assert np.array_equal(null, np.reshape(want, null.shape))
+
+
+def test_a_float_system_drops_its_rounding_dependent_rows():
+    # 0.3 and 2.1 are three times 0.1 and 0.7 only up to rounding: the
+    # relative threshold finds rank 2, as for the integer twin, where
+    # exact zero tests would find 4 and no section
+    from jetgauge.pseudogroups import _solution_basis
+    for degree in (2, 3):
+        null, nb = _solution_basis(_affine_line_with(
+            "0.1*xi_1_11 + 0.7*xi_1, 0.3*xi_1_11 + 2.1*xi_1"), degree)
+        want, want_nb = _solution_basis(
+            _affine_line_with("xi_1_11 + 7*xi_1"), degree)
+        assert nb == want_nb and null.shape == want.shape
+        assert np.max(np.abs(null - want)) < 1e-12
+
+
 def test_a_system_no_row_touches_has_the_identity_basis(monkeypatch):
-    # every row vanishes at every point, so all 12 columns (4 slots by 3
-    # monomials) are dead: the basis is the identity with no SVD, and every
-    # bracket solves the system exactly
+    # every row vanishes at every point, so no column has a pivot: the
+    # basis is the identity on all 12 columns (4 slots by 3 monomials),
+    # and every bracket solves the system exactly
     from jetgauge.pseudogroups import _solution_basis
     sys_ = _affine_line_with("0*xi_1_11")
-
-    def no_svd(*args, **kwargs):
-        raise AssertionError("an SVD of no live column")
-
     _solution_basis.cache_clear()
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert _linalg_calls(monkeypatch, lambda: _solution_basis(sys_, 2)) == []
     null, nb = _solution_basis(sys_, 2)
     assert _same_bits(null, np.eye(4)) and nb == 3
     assert _same_bits(np.kron(null, np.eye(nb)), np.eye(12))
@@ -822,19 +889,37 @@ def test_a_system_no_row_touches_has_the_identity_basis(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
 def test_builtin_route_is_read_from_the_expressions(name):
-    from jetgauge.pseudogroups import _has_constant_rows
-    assert _has_constant_rows(builtin_system(name)) == CONSTANT_ROUTE[name]
+    # the rows' x-degree is one less than the linearization's: 0 keeps the
+    # basis factored over every monomial
+    from jetgauge.pseudogroups import _solution_basis
+    sys_ = builtin_system(name)
+    assert (sys_.linearization.degree == 1) == CONSTANT_ROUTE[name]
+    assert (_solution_basis(sys_, 2)[1] > 1) == CONSTANT_ROUTE[name]
 
 
-def _svd_shapes(monkeypatch, fn):
+def _linalg_calls(monkeypatch, fn):
+    """The np.linalg functions fn calls, by name, in call order."""
+    calls = []
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if callable(real) and not isinstance(real, type):
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *args, _name=name, _real=real, **kw:
+                                calls.append(_name) or _real(*args, **kw))
+    fn()
+    monkeypatch.undo()
+    return calls
+
+
+def _elimination_shapes(monkeypatch, fn):
     shapes = []
-    real = np.linalg.svd
+    real = pseudogroups._eliminate
 
-    def spy(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return real(a, *args, **kwargs)
+    def spy(mat):
+        shapes.append(mat.shape)
+        return real(mat)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(pseudogroups, "_eliminate", spy)
     fn()
     monkeypatch.undo()
     return shapes
@@ -842,15 +927,14 @@ def _svd_shapes(monkeypatch, fn):
 
 def test_a_constant_row_with_a_value_slot_takes_the_pointwise_route(
         monkeypatch):
-    # xi_1 + xi_1_11 and its derivative xi_1_1 + xi_1_111: one SVD of the
-    # two rows at one point, on the four live columns, and still the
-    # pinned nullspace
-    from jetgauge.pseudogroups import _has_constant_rows, _solution_basis
+    # xi_1 + xi_1_11 and its derivative xi_1_1 + xi_1_111: one elimination
+    # of the two rows on their four columns, and still the pinned nullspace
+    from jetgauge.pseudogroups import _solution_basis
     sys_ = _affine_line_with("xi_1 + xi_1_11")
-    assert _has_constant_rows(sys_)
+    assert sys_.linearization.degree == 1
     _solution_basis.cache_clear()
-    assert _svd_shapes(monkeypatch,
-                       lambda: _solution_basis(sys_, 2)) == [(2, 4)]
+    assert _elimination_shapes(monkeypatch,
+                               lambda: _solution_basis(sys_, 2)) == [(2, 4)]
     for seed in SEEDS:
         _assert_spans_the_pinned_nullspace(sys_, seed)
 
@@ -858,51 +942,59 @@ def test_a_constant_row_with_a_value_slot_takes_the_pointwise_route(
 @pytest.mark.parametrize("make", [_curved_system, _signed_zero_system],
                          ids=["curved", "signed-zero"])
 def test_rows_with_x_in_them_take_the_pinned_route(make, monkeypatch):
-    # an x in a row: the rows are pinned at the 40 points
-    from jetgauge.pseudogroups import _has_constant_rows, _solution_basis
+    # an x in a row: one elimination of the matrix that matches every
+    # x-monomial, over (row, x^gamma) by (column, x^beta) with nb 1.  A row
+    # that is no polynomial in x, curved's sin(x1), is refused by name
+    from jetgauge.pseudogroups import _solution_basis
     sys_ = make()
-    assert not _has_constant_rows(sys_)
-    rows = len(_loop_prolonged_rows(sys_, np.zeros(sys_.nvars)))
     _solution_basis.cache_clear()
-    shapes = _svd_shapes(monkeypatch, lambda: _solution_basis(sys_, 2))
-    assert [m for m, _ in shapes] == [PIN_POINTS * rows]
-    assert _solution_basis(sys_, 2)[1] == 1
+    if sys_.linearization.degree is None:
+        with pytest.raises(ValueError, match="^curved: linearization is not "
+                                             "polynomial in x"):
+            _solution_basis(sys_, 2)
+        return
+    rows, cols = _loop_prolonged_rows(sys_, np.zeros(1)).shape
+    shapes = _elimination_shapes(monkeypatch, lambda: _solution_basis(sys_, 2))
+    assert shapes == [(rows * context(1, 3).count, cols * context(1, 2).count)]
+    null, nb = _solution_basis(sys_, 2)
+    assert nb == 1 and np.array_equal(null, _loop_solution_basis(sys_, 2)[0])
 
 
 def test_a_system_with_no_polynomial_sections_is_refused():
     # xi, xi' and xi'' vanish, and with them D xi'' = xi''': every column
-    # is live and the pinned matrix has full rank
+    # has a pivot
     with pytest.raises(ValueError, match="line: no polynomial sections at "
                                          "degree 2"):
         closure_check(_affine_line_with("xi_1, xi_1_1, xi_1_11"), npairs=2,
                       seed=3, neval=4)
 
 
-# the shape of the SVD's matrix once the dead columns are dropped: the
-# rows at one point for a constant system, the pinned matrix otherwise
-LIVE_SHAPES = {"affine": (2, 2), "projective": (2, 2), "volume2": (3, 6),
-               "volume3": (4, 12), "r1": (360, 60), "r1prime": (240, 72)}
+# the shape of the one matrix eliminated: the prolonged rows alone for a
+# constant system, the matrix over (row, x^gamma) by (column, x^beta)
+# otherwise
+ELIMINATED = {"affine": (2, 4), "projective": (2, 5), "volume2": (3, 12),
+              "volume3": (4, 30), "r1": (90, 72), "r1prime": (60, 72)}
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
-def test_closure_runs_one_svd_on_the_live_columns(name, monkeypatch):
+def test_closure_runs_one_elimination(name, monkeypatch):
     # a count, not a time: it holds under any machine load
     from jetgauge.pseudogroups import _solution_basis
     _solution_basis.cache_clear()
-    shapes = _svd_shapes(monkeypatch, lambda: closure_check(
+    shapes = _elimination_shapes(monkeypatch, lambda: closure_check(
         builtin_system(name), npairs=2, seed=3, neval=4))
-    assert shapes == [LIVE_SHAPES[name]]
+    assert shapes == [ELIMINATED[name]]
 
 
-def test_pseudogroup_suite_svd_work_count(monkeypatch):
-    # the summed m * n of every SVD input over one suite run at seed 42 from
-    # a cold cache: a count, so it catches a basis that grows back under
-    # any machine load
+def test_pseudogroup_suite_makes_no_linalg_call(monkeypatch):
+    # a suite run at seed 42 from a cold basis cache: no np.linalg call, so
+    # no LAPACK; the spy does see one
     from jetgauge.pseudogroups import _solution_basis
+    assert _linalg_calls(monkeypatch, lambda: np.linalg.svd(np.eye(2))) == [
+        "svd"]
     _solution_basis.cache_clear()
-    shapes = _svd_shapes(monkeypatch, lambda: run_suite(
-        "pseudogroup", SuiteConfig(seed=42)))
-    assert sum(m * n for m, n in shapes) == 21_674
+    assert _linalg_calls(monkeypatch, lambda: run_suite(
+        "pseudogroup", SuiteConfig(seed=42))) == []
 
 
 def test_a_fixture_is_built_once_per_process(tmp_path):
@@ -924,13 +1016,14 @@ def test_a_fixture_is_built_once_per_process(tmp_path):
 
 
 def test_pseudogroup_suite_builds_each_basis_once_per_process(monkeypatch):
-    # five seeds in one process take one SVD per roster system, from a
-    # cache of one entry per system: a cache keyed by seed would hold more
+    # five seeds in one process take one elimination per roster system,
+    # from a cache of one entry per system: a cache keyed by seed would
+    # hold more
     from jetgauge.pseudogroups import _solution_basis
     _solution_basis.cache_clear()
-    shapes = _svd_shapes(monkeypatch, lambda: [
+    shapes = _elimination_shapes(monkeypatch, lambda: [
         run_suite("pseudogroup", SuiteConfig(seed=seed)) for seed in range(5)])
-    assert sorted(shapes) == sorted(LIVE_SHAPES[name]
+    assert sorted(shapes) == sorted(ELIMINATED[name]
                                     for name in _suite_pseudogroup.LIE_SYSTEMS)
     assert _solution_basis.cache_info().currsize == 5
 

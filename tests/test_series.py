@@ -258,3 +258,49 @@ def test_a_tiny_root_overflows_to_inf(lift):
     ctx = context(1, 3)
     out = lift(ctx, series.coordinate(ctx, 0, 1e-200))
     assert not np.isfinite(out).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("key", ["exp", "sin", "cos", "log", "sqrt", "recip",
+                                 0.5, -1.5, 2.5, -0.5])
+def test_every_ladder_fails_closed_on_a_nonfinite_constant(key):
+    # +inf, -inf and NaN give a DomainError, on -inf alone, or a ladder of
+    # limits: all NaN from a NaN, and inf, 0 or NaN from an infinity;
+    # never another exception.  The finite point beside them keeps its own
+    for value in (math.inf, -math.inf, math.nan):
+        try:
+            got = series._ladder(key, np.array([0.5, value]), 3)
+        except series.DomainError:
+            assert value == -math.inf, (key, value)
+            continue
+        assert got.shape == (2, 4) and np.isfinite(got[0]).all()
+        tail = got[1]
+        if math.isnan(value):
+            assert np.isnan(tail).all(), key
+        else:
+            assert np.all(~np.isfinite(tail) | (tail == 0.0)), (key, value)
+            assert not np.isfinite(tail).all() or key in (
+                "recip", "exp", -1.5, -0.5), (key, value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integer_powers_chain_to_three_then_square(monkeypatch):
+    # a^k for k <= 3 is ((1*a)*a)*a, bit for bit; above, squares of a half
+    # power, with O(log k) products, so a huge exponent lifts at once
+    ctx = context(2, 3)
+    a = series.coordinate(ctx, 0, 0.7) + 0.3 * series.coordinate(ctx, 1, 1.3)
+    chain = series.const(ctx, 1.0)
+    for k in range(4):
+        assert np.array_equal(series.powc(ctx, a, k), chain)
+        chain = series.mul(ctx, chain, a)
+    a6 = series.powc(ctx, a, 6)
+    half = series.powc(ctx, a, 3)
+    assert np.array_equal(a6, series.mul(ctx, half, half))
+    assert np.array_equal(series.powc(ctx, a, 13), series.mul(
+        ctx, series.mul(ctx, a6, a6), a))
+    calls = []
+    real = series.mul
+    monkeypatch.setattr(series, "mul",
+                        lambda *args: calls.append(1) or real(*args))
+    series.powc(ctx, a, 10**9)
+    assert 0 < len(calls) <= 2 * (10**9).bit_length()

@@ -4,6 +4,8 @@ moves shows in its check's row alone."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from jetgauge import _suite_pseudogroup
 
 _spec = importlib.util.spec_from_file_location(
@@ -32,3 +34,18 @@ def test_sweep_is_byte_stable_and_shows_a_moved_residual(monkeypatch):
     assert [k for k in base["checks"]
             if base["checks"][k] != moved["checks"][k]] == [
                 "linearization_rows"]
+
+
+def test_a_failed_sweep_leaves_no_file(tmp_path, monkeypatch):
+    # the file is opened only once the sweep has its result: a run that
+    # cannot import the package, or fails on the way, writes nothing
+    def broken(seeds=sweep.SEEDS):
+        raise ModuleNotFoundError("No module named 'jetgauge'")
+
+    monkeypatch.setattr(sweep, "sweep", broken)
+    monkeypatch.chdir(tmp_path)
+    for var in sweep.THREAD_VARS:       # main sets them; restored after
+        monkeypatch.setenv(var, "1")
+    with pytest.raises(ModuleNotFoundError):
+        sweep.main(["t"])
+    assert list(tmp_path.iterdir()) == []

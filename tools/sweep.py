@@ -77,8 +77,10 @@ def main(argv: list[str]) -> int:
         return 2
     # BLAS reads its thread count once, when numpy loads it
     os.environ.update({var: "1" for var in THREAD_VARS})
+    # compute first: a failed import or run leaves no empty file behind
+    text = render(sweep())
     with open(f"SWEEP_{argv[0]}.json", "w", encoding="utf-8") as fh:
-        fh.write(render(sweep()))
+        fh.write(text)
     return 0
 
 
