@@ -149,13 +149,14 @@ def shift_table(nvars: int, degree: int,
 def _shift_plan(nvars: int, degree: int, xorder: int,
                 rows: tuple[int, ...] | None) -> tuple[np.ndarray, ...]:
     """For the kept rows: their binomials, the power-table entries
-    (need, nvars) of the monomials they read, and where each entry reads
+    (nvars, need) of the monomials they read, and where each entry reads
     its monomial.  Shared and read-only."""
     binom, rest = shift_table(nvars, degree, xorder)
     if rows is not None:
         binom, rest = binom[list(rows)], rest[list(rows)]
     need, where = np.unique(rest, return_inverse=True)
-    gather = exponent_rows(nvars, degree)[need] * nvars + np.arange(nvars)
+    gather = np.ascontiguousarray(
+        (exponent_rows(nvars, degree)[need] * nvars + np.arange(nvars)).T)
     tables = binom, gather, where.reshape(rest.shape)
     for table in tables:
         table.flags.writeable = False
@@ -171,14 +172,22 @@ def poly_shift(nvars: int, degree: int, x: np.ndarray, xorder: int,
     of (. - x)^kappa in the monomial x^beta.  It depends on the point and
     the basis only, so every polynomial lifted at x shares it.  Given
     rows, only those monomial rows b are formed, in that order.  The
-    powers x_v^e are tabled once per point, and a monomial's product of
-    its factors over v has the bits of np.prod(x ** gamma).
+    powers are tabled once per point by repeated products,
+    x_v^e = x_v^(e-1) * x_v from x_v^0 = 1.0, and a monomial multiplies
+    its factors over v in order.  Products only, never the dispatched
+    pow, so the bits do not follow the CPU's SIMD level.
     """
     binom, gather, where = _shift_plan(nvars, degree, xorder, rows)
     x = np.asarray(x, dtype=float)
-    power = x[..., None, :] ** np.arange(degree + 1)[:, None]
+    power = np.empty(x.shape[:-1] + (degree + 1, nvars))
+    power[..., 0, :] = 1.0
+    for e in range(1, degree + 1):
+        np.multiply(power[..., e - 1, :], x, out=power[..., e, :])
     flat = power.reshape(x.shape[:-1] + (-1,))     # x_v^e at e * nvars + v
-    monomials = np.prod(np.take(flat, gather, axis=-1), -1)
+    factors = np.take(flat, gather, axis=-1)       # (..., nvars, need)
+    monomials = factors[..., 0, :]
+    for v in range(1, nvars):
+        monomials = monomials * factors[..., v, :]
     # fancy indexing, not take: the callers' einsums run several times
     # quicker on the layout it gives
     shift = monomials[..., where]

@@ -81,8 +81,10 @@ def _newton(emap: ExprMap | PolyMap, m: int, z: np.ndarray, tail: np.ndarray,
     block, which carries the stack axes of a stacked PolyMap.  Each step
     lifts the whole block at order 1 and solves the jacobians of the rows
     still live in one stacked call; a row stops once max |resid| <
-    NEWTON_TOL, which a NaN never meets, and is lifted again at its frozen
-    root with the same bits.  A row takes the steps it takes alone, so it
+    NEWTON_TOL, or once its residual is not finite, and is lifted again at
+    its frozen root with the same bits.  A row of the second kind comes
+    back unconverged, with no error: its non-finite values fail the
+    caller's checks.  A row takes the steps it takes alone, so it
     gets the bits of a one-row solve.  Returns the roots (..., m) and the
     order-1 jacobian of emap there, (..., m, m + k).
     """
@@ -95,6 +97,7 @@ def _newton(emap: ExprMap | PolyMap, m: int, z: np.ndarray, tail: np.ndarray,
         lift = _lift(emap, (y, tail), 1, label)
         resid = lift.value() - z
         live = ~(np.max(np.abs(resid), axis=-1) < NEWTON_TOL)
+        live &= np.isfinite(resid).all(axis=-1)
         if not live.any():
             return y, lift.jacobian()
         try:

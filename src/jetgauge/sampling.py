@@ -33,18 +33,36 @@ def _primes(count: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=128)
-def _digit_table(base: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Digits (count, ndigits) of 0..count-1 and their weights, one place
-    while base**-k > 2**-54: the same at every seed.  Shared, read-only."""
-    ndigits = math.ceil(54 / math.log2(base)) - 1
-    weights = np.empty(ndigits)
-    b2r = 1.0 / base
-    for k in range(ndigits):  # repeated division, not base**-(k+1)
-        weights[k] = b2r
-        b2r /= base
-    digits = np.arange(count)[:, None] // base ** np.arange(ndigits) % base
-    digits.flags.writeable = weights.flags.writeable = False
-    return digits, weights
+def _digit_tables(dim: int, count: int) -> tuple[tuple[np.ndarray, ...],
+                                                  np.ndarray, np.ndarray]:
+    """What every call for dim and count shares, at any seed; read-only.
+
+    Per base, the identity rows (ndigits, base) that rng.permuted scrambles,
+    one row per digit place while base**-k > 2**-54.  Then, with the dims'
+    scrambled rows laid end to end, the (width, count, dim) index of digit
+    place k of point i in dim d, and its weight (width, 1, dim); width is
+    base 2's number of places, the most.  Past a dim's last place the
+    weight is 0.0 and the index reads slot 0.
+    """
+    bases = _primes(dim)
+    places = [math.ceil(54 / math.log2(base)) - 1 for base in bases]
+    idents = tuple(np.repeat(np.arange(base)[None], ndigits, axis=0)
+                   for base, ndigits in zip(bases, places))
+    index = np.zeros((places[0], count, dim), np.intp)
+    weight = np.zeros((places[0], 1, dim))
+    offset = 0
+    for d, (base, ndigits) in enumerate(zip(bases, places)):
+        place = np.arange(ndigits)[:, None]
+        digits = np.arange(count) // base ** place % base
+        index[:ndigits, :, d] = offset + place * base + digits
+        b2r = 1.0 / base
+        for k in range(ndigits):  # repeated division, not base**-(k+1)
+            weight[k, 0, d] = b2r
+            b2r /= base
+        offset += ndigits * base
+    for table in (*idents, index, weight):
+        table.flags.writeable = False
+    return idents, index, weight
 
 
 def halton_points(box: Box, count: int, seed: int) -> np.ndarray:
@@ -52,18 +70,17 @@ def halton_points(box: Box, count: int, seed: int) -> np.ndarray:
     box = list(box)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
-    if not np.all(lo < hi):  # a caller's box may come unchecked
-        raise ValueError(f"box bounds must satisfy lo < hi: {box}")
+    if not box or not np.all(lo < hi):  # a caller's box may come unchecked
+        raise ValueError(f"a box needs one or more bounds, each with "
+                         f"lo < hi: {box}")
+    idents, index, weight = _digit_tables(len(box), count)
     rng = np.random.default_rng(seed)
-    unit = np.empty((count, len(box)))
-    for dim, base in enumerate(_primes(len(box))):
-        digits, weights = _digit_table(base, count)
-        ndigits = len(weights)
-        # one permutation of the digits per place; drawn in one call, they
-        # equal `ndigits` successive rng.shuffle calls
-        perms = rng.permuted(np.repeat(np.arange(base)[None], ndigits, axis=0),
-                             axis=1)
-        terms = perms[np.arange(ndigits), digits] * weights
-        # cumsum adds left to right like the digit loop; np.sum is pairwise
-        unit[:, dim] = np.cumsum(terms, axis=1)[:, -1]
+    # one permutation of the digits per place; drawn in one call per dim,
+    # they equal `ndigits` successive rng.shuffle calls
+    perms = np.concatenate([rng.permuted(ident, axis=1) for ident in idents],
+                           axis=None, dtype=float)
+    # a reduce over the leading axis adds the places left to right like
+    # the digit loop (np.sum over a last axis is pairwise); a padded place
+    # adds +0.0 to a nonnegative sum, which moves no bit
+    unit = np.add.reduce(perms[index] * weight, axis=0)
     return unit * (hi - lo) + lo

@@ -1,7 +1,9 @@
-"""Reports do not follow the BLAS core or its thread count.
+"""Reports do not follow the BLAS core or its thread count, and the
+polynomial shift kernel does not follow numpy's CPU dispatch.
 
 OpenBLAS reads OPENBLAS_CORETYPE and OPENBLAS_NUM_THREADS once, when it
-loads, so each configuration runs in a child process of its own.
+loads, and numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so each
+configuration runs in a child process of its own.
 """
 
 import os
@@ -73,3 +75,33 @@ def test_reports_do_not_follow_the_blas_core():
     want = runs[None, "1"][0]
     assert want.count('"schema"') == 12
     assert [key for key, (out, _) in runs.items() if out != want] == []
+
+
+SHIFT_CHILD = """
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from jetgauge._multiindex import poly_shift
+x = np.random.default_rng(5).uniform(-1.3, 1.3, size=(64, 3))
+print(__cpu_features__["X86_V4"])
+for degree in (2, 3, 7):
+    print(poly_shift(3, degree, x, 1).tobytes().hex())
+"""
+
+
+def test_poly_shift_does_not_follow_cpu_dispatch():
+    # the dispatched pow takes a SIMD path on X86_V4 and another without
+    # it; the shift's repeated products give one set of bits on both
+    from numpy._core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get("X86_V4"):
+        pytest.skip("numpy finds no X86_V4 on this CPU")
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    no_v4 = dict(env, NPY_DISABLE_CPU_FEATURES="X86_V4")
+    outs = [subprocess.run([sys.executable, "-c", SHIFT_CHILD], env=child_env,
+                           capture_output=True, text=True, check=True).stdout
+            for child_env in (env, no_v4)]
+    # the switch took effect: the second child runs without X86_V4
+    assert [out.split()[0] for out in outs] == ["True", "False"]
+    assert outs[1].split()[1:] == outs[0].split()[1:]

@@ -277,6 +277,29 @@ def test_a_nonfinite_term_fails_in_its_report(tmp_path, term):
     assert status["speed_duality"] == "fail"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("term", ["sin(1e200*x1*1e200)", "x1^1e9"],
+                         ids=["sin-of-inf", "huge-power"])
+def test_a_nonfinite_term_without_inverse_fails_in_its_report(tmp_path,
+                                                               term):
+    # with no explicit g, Newton inverts the map; a row whose residual is
+    # not finite stops there, so the run writes the report the explicit
+    # inverse gives, not exit 2
+    statuses = []
+    for inverse in ({"g": f"z1 - 0.1*{term}"}, {}):
+        fixture = tmp_path / "term.json"
+        fixture.write_text(json.dumps({
+            "m": 1, "n": 1, "f": f"y1 + 0.1*{term}",
+            "box": {"x": [[0.5, 1.5]]}, **inverse}))
+        out = tmp_path / "r.json"
+        assert main(["--suite", "dynamics", "--fixture", str(fixture),
+                     "--out", str(out)]) == 1
+        statuses.append({c["id"]: c["status"]
+                         for c in json.loads(out.read_text())["checks"]})
+    assert statuses[1] == statuses[0]
+    assert statuses[1]["speed_duality"] == "fail"
+
+
 def test_a_huge_integer_power_lifts_within_a_second():
     # O(log k) products: about 60 for 1e9, where a chain took 1e9
     f = ExprMap.parse("x1^1e9", ["x1"])

@@ -509,8 +509,20 @@ def _loop_poly_shift(nvars, degree, x, xorder):
                 continue
             binom = float(math.prod(math.comb(int(m), int(k))
                                     for m, k in zip(beta, kappa)))
-            shift[b, kp] = binom * np.prod(x ** (beta - kappa))
+            shift[b, kp] = binom * _loop_monomial(x, beta - kappa)
     return shift
+
+
+def _loop_monomial(x, gamma):
+    """x^gamma by repeated products: each x_v^e as ((1.0 * x_v) * x_v)...,
+    then the factors multiplied over v in order."""
+    out = None
+    for xv, e in zip(x, gamma):
+        power = 1.0
+        for _ in range(int(e)):
+            power = power * xv
+        out = power if out is None else out * power
+    return out
 
 
 def _loop_pinned_matrix(sys_, degree, seed):

@@ -27,7 +27,7 @@ def test_halton_matches_scipy_bitwise(dim):
 
 
 @pytest.mark.parametrize("box", [((1.0, 0.0),), ((0.0, 1.0), (0.5, 0.5)),
-                                 ((0.0, float("nan")),)])
+                                 ((0.0, float("nan")),), ()])
 def test_halton_rejects_empty_or_reversed_box(box):
     with pytest.raises(ValueError, match="lo < hi"):
         halton_points(box, 4, 0)
@@ -42,12 +42,17 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_halton_digit_tables_are_shared_read_only():
-    from jetgauge.sampling import _digit_table
+    from jetgauge.sampling import _digit_tables
     first = halton_points(((0.0, 1.0),) * 3, 12, 3)
-    for base in (2, 3, 5):
-        for table in _digit_table(base, 12):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 1
+    idents, index, weight = tables = _digit_tables(3, 12)
+    assert [ident.shape for ident in idents] == [(53, 2), (34, 3), (23, 5)]
+    assert index.shape == (53, 12, 3) and weight.shape == (53, 1, 3)
+    # past a dim's last place: weight 0.0, reading slot 0
+    assert not weight[34:, 0, 1].any() and not index[34:, :, 1].any()
+    for table in (*idents, index, weight):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
     # the seed's permutations alone change between calls
     assert halton_points(((0.0, 1.0),) * 3, 12, 3).tobytes() == first.tobytes()
     assert halton_points(((0.0, 1.0),) * 3, 12, 4).tobytes() != first.tobytes()
+    assert _digit_tables(3, 12) is tables

@@ -2,14 +2,18 @@
 moves shows in its check's row alone."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from jetgauge import _suite_pseudogroup
 
-_spec = importlib.util.spec_from_file_location(
-    "sweep", Path(__file__).resolve().parent.parent / "tools" / "sweep.py")
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "sweep.py"
+_spec = importlib.util.spec_from_file_location("sweep", TOOL)
 sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sweep)
 
@@ -49,3 +53,13 @@ def test_a_failed_sweep_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(ModuleNotFoundError):
         sweep.main(["t"])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_tool_finds_its_own_src(tmp_path):
+    # run as documented, from another directory and with no PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    subprocess.run([sys.executable, str(TOOL), "t"], cwd=tmp_path, env=env,
+                   check=True, capture_output=True)
+    data = json.loads((tmp_path / "SWEEP_t.json").read_text())
+    assert data["seeds"] == list(sweep.SEEDS)
+    assert data["checks"]["linearization_rows"]["passes"] == len(sweep.SEEDS)

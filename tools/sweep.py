@@ -1,22 +1,26 @@
 """Accuracy sweep: the worst residual of every check over seeds 0-29.
 
-    PYTHONPATH=src python tools/sweep.py TAG
+    python tools/sweep.py TAG
 
 runs run_suite("all") at seeds 0-29 in this one process, with BLAS and
 OpenMP held to one thread, and writes SWEEP_TAG.json in the current
-directory.  Per check id it records the worst residual and the first seed
-that reads it, the tolerance, the headroom in decades, log10(tolerance /
-worst), the number of seeds that pass, and whether every seed read exactly
-0.0, where the headroom is null.  The file also names the numpy version and
-the thread setting.  Two runs on one machine give identical bytes, so the
-diff of two sweeps lists the checks whose worst case moved.
+directory.  It imports jetgauge from this checkout's src, so it needs no
+PYTHONPATH.  Per check id it records the worst residual and the first
+seed that reads it, the tolerance, the headroom in decades,
+log10(tolerance / worst), the number of seeds that pass, and whether every
+seed read exactly 0.0, where the headroom is null.  The file also names
+the numpy version and the thread setting.  Two runs on one machine give
+identical bytes, so the diff of two sweeps lists the checks whose worst
+case moved.
 """
 
 import json
 import math
 import os
 import sys
+from pathlib import Path
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = range(30)
 
@@ -77,6 +81,7 @@ def main(argv: list[str]) -> int:
         return 2
     # BLAS reads its thread count once, when numpy loads it
     os.environ.update({var: "1" for var in THREAD_VARS})
+    sys.path.insert(0, str(SRC))        # this checkout's package comes first
     # compute first: a failed import or run leaves no empty file behind
     text = render(sweep())
     with open(f"SWEEP_{argv[0]}.json", "w", encoding="utf-8") as fh:
