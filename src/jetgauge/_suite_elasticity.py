@@ -37,27 +37,25 @@ def _elastic_points(cfg: SuiteConfig) -> np.ndarray:
 
 def _check_strain_kills_rigid_motions(cfg, cache):
     pts = _elastic_points(cfg)
-    rng = np.random.default_rng(cfg.seed + 12)
-    res = []
-    for _ in range(10):
-        # xi = (c1 + w x2, c2 - w x1) over the basis 1, x1, x2; jet -w
-        c1, c2, w = rng.uniform(-1.0, 1.0, size=3)
-        sec = DisplacementSection(
-            PolyMap(PLANE, 1, np.array([[c1, 0.0, w], [c2, -w, 0.0]])),
-            PolyMap(PLANE, 0, np.array([[-w]])), np.eye(2))
-        res += [killing(sec, pts), spencer_elastic(sec, pts)]
-    return tuple(res), 10 * len(pts)
+    draws = np.random.default_rng(cfg.seed + 12).uniform(-1.0, 1.0,
+                                                         size=(10, 3))
+    # xi = (c1 + w x2, c2 - w x1) over the basis 1, x1, x2; jet -w
+    sec = DisplacementSection(
+        PolyMap.stack([PolyMap(PLANE, 1, np.array([[c1, 0.0, w],
+                                                   [c2, -w, 0.0]]))
+                       for c1, c2, w in draws]),
+        PolyMap.stack([PolyMap(PLANE, 0, np.array([[-w]]))
+                       for _, _, w in draws]), np.eye(2))
+    return (killing(sec, pts), spencer_elastic(sec, pts)), 10 * len(pts)
 
 
 def _check_strain_compatibility(cfg, cache):
     pts = _elastic_points(cfg)
     rng = np.random.default_rng(cfg.seed + 14)
-    res = []
-    for _ in range(5):
-        xi = _random_poly(rng, PLANE, DISP_MONOS, 1.0, np.zeros((2, 3)))
-        sec = DisplacementSection(xi, ZERO_JET, np.eye(2))
-        res.append(riemann_residual(sec, pts))
-    return tuple(res), 5 * len(pts)
+    xi = PolyMap.stack([_random_poly(rng, PLANE, DISP_MONOS, 1.0,
+                                     np.zeros((2, 3))) for _ in range(5)])
+    sec = DisplacementSection(xi, ZERO_JET, np.eye(2))
+    return riemann_residual(sec, pts), 5 * len(pts)
 
 
 def _check_rigid_kernel_dimension(cfg, cache):
@@ -98,13 +96,11 @@ def _check_couple_stress_symmetry(cfg, cache):
     # so a symmetric stress balances moments to the exact float zero
     pts = _elastic_points(cfg)
     rng = np.random.default_rng(cfg.seed + 16)
-    res = []
-    for _ in range(5):
-        # rows drawn s11, s22, then the one shared by s12 and s21
-        rows = _random_poly(rng, PLANE, DISP_MONOS, 1.0, np.zeros((3, 3)))
-        sigma = PolyMap(PLANE, rows.degree, rows.coeffs[[0, 2, 2, 1]])
-        res.append(adjoint_spencer(StressState(sigma, ZERO_MU), pts)[1])
-    return tuple(res), 5 * len(pts)
+    # rows drawn s11, s22, then the one shared by s12 and s21
+    rows = PolyMap.stack([_random_poly(rng, PLANE, DISP_MONOS, 1.0,
+                                       np.zeros((3, 3))) for _ in range(5)])
+    sigma = PolyMap(PLANE, rows.degree, rows.coeffs[..., [0, 2, 2, 1], :])
+    return adjoint_spencer(StressState(sigma, ZERO_MU), pts)[1], 5 * len(pts)
 
 
 SUITES["elasticity"] = (

@@ -32,8 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import series
 from ._fixtures import STRESS_STATE, parse_map, read_fixture, validate
-from ._multiindex import poly_shift
+from ._multiindex import context, exponent_rows
 from .expr import ExprMap, PolyMap
 from .quadrature import gauss_rule, tensor_rule
 from .sampling import halton_points
@@ -47,7 +48,7 @@ __all__ = [
 
 Box = Sequence[Sequence[float]]
 
-PLANE = ["x1", "x2"]
+PLANE = ("x1", "x2")
 RIGID_POINTS = 40     # rigid_kernel_dimension's sample points
 
 
@@ -96,9 +97,12 @@ class DisplacementSection:
         if len(self.jet.variables) != 2 or len(self.jet) != 1:
             raise ValueError("jet must be a single component over x1, x2")
         omega = np.asarray(self.metric, float)
-        if omega.shape != (2, 2) or np.max(np.abs(omega - omega.T)) > 1e-12:
+        if omega.shape != (2, 2) or not np.isfinite(omega).all():
+            raise ValueError("metric must be a finite 2 x 2 matrix")
+        # fail closed: a comparison with NaN is false
+        if not np.max(np.abs(omega - omega.T)) <= 1e-12:
             raise ValueError("metric must be a symmetric 2 x 2 matrix")
-        if np.min(np.linalg.eigvalsh(omega)) <= 0.0:
+        if not np.min(np.linalg.eigvalsh(omega)) > 0.0:
             raise ValueError("metric must be positive-definite")
         object.__setattr__(self, "metric", omega)
 
@@ -199,15 +203,22 @@ def spencer_elastic(section: DisplacementSection,
     and J_r = d_r xi_{1,2}.  The diagonal jets vanish by skewness, so the
     diagonal slots are plain derivatives; rigid sections (constant jet,
     matching linear displacement) are sent to zero.
+
+    This is series.spencer on the Euclidean system's section of order 1:
+    slots omega_{kr} xi^r at row 0, the jet at component 2, row e1, minus
+    the jet at component 1, row e2, and zero second jets.  D_ik is read at
+    row 0 and J_r at component 2, row e1.
     """
     samples = np.asarray(samples, float)
-    jlift = section.jet.taylor_lift(samples, 1)
-    j = jlift.value()[..., 0]
-    d = section.lowered_gradient(samples)
-    d[..., 0, 1] -= j
-    d[..., 1, 0] += j
-    return np.concatenate([d.reshape(d.shape[:-2] + (4,)),
-                           jlift.jacobian()[..., 0, :]], axis=-1)
+    xi = section.xi.taylor_lift(samples, 1).coeffs
+    j = section.jet.taylor_lift(samples, 1).coeffs[..., 0, :]
+    tab = np.zeros(np.broadcast_shapes(xi.shape[:-2], j.shape[:-1])
+                   + (2, 6, 3))
+    tab[..., 0, :] = np.einsum("...rw,rk->...kw", xi, section.metric)
+    tab[..., 1, 1, :], tab[..., 0, 2, :] = j, -j
+    d = series.spencer(context(2, 1), tab, 1)[..., 0]     # [..., i, k, row]
+    return np.concatenate([d[..., 0].reshape(d.shape[:-3] + (4,)),
+                           d[..., 1, 1]], axis=-1)
 
 
 def rigid_kernel_dimension(degree: int = 2, seed: int = 29,
@@ -219,22 +230,20 @@ def rigid_kernel_dimension(degree: int = 2, seed: int = 29,
     contributes six linear rows, and a singular value at most 1e-8 times
     the largest counts as zero.  The answer must be 3 (two translations
     and one rotation) for any degree at least 1: the pointwise part is
-    forced linear and the jet constant.
+    forced linear and the jet constant.  The columns are spencer_elastic
+    on the unit sections, one stacked section in all.
     """
-    omega = np.eye(2) if metric is None else np.asarray(metric, float)
     pts = halton_points(((-1.0, 1.0),) * 2, RIGID_POINTS, seed)
-    # [n, b, 0] is monomial b at point n, [n, b, 1 + i] its d_i
-    shift = poly_shift(2, degree, pts, 1)
-    val, grad = shift[..., 0], np.moveaxis(shift[..., 1:], -1, 1)
-    n, nm = val.shape
-    # per point six rows over the unknowns (xi^1, xi^2, jet) x monomials:
-    # row 2i + k is D_ik = omega_{kr} d_i xi^r - xi_{i,k}, row 4 + r is J_r
-    rows = np.zeros((n, 6, 3, nm))
-    rows[:, :4, :2] = np.einsum("nim,rk->nikrm", grad, omega).reshape(n, 4, 2, nm)
-    rows[:, 1, 2] = -val
-    rows[:, 2, 2] = val
-    rows[:, 4:, 2] = grad
-    matrix = rows.reshape(-1, 3 * nm)
+    nm = len(exponent_rows(2, degree))
+    # unit section u * nm + b puts x^b in xi^1, xi^2 or the jet for u = 0, 1, 2
+    units = np.eye(3 * nm).reshape(3 * nm, 1, 3, nm)
+    section = DisplacementSection(
+        PolyMap(PLANE, degree, units[..., :2, :]),
+        PolyMap(PLANE, degree, units[..., 2:, :]),
+        np.eye(2) if metric is None else metric)
+    # rows p * 6 + component, columns (unknown, monomial)
+    matrix = np.moveaxis(spencer_elastic(section, pts), 0, -1).reshape(
+        -1, 3 * nm)
     svals = np.linalg.svd(matrix, compute_uv=False)
     return int(np.sum(svals <= 1e-8 * svals[0]))
 
@@ -297,40 +306,30 @@ def torsor_equilibrium_check(state: StressState, box: Box,
     Returns the surface minus volume integrals (force 1, force 2, moment).
     """
     (a1, b1), (a2, b2) = (tuple(map(float, r)) for r in box)
-
-    def boundary(component):
-        """Integrate component(points) . n over the four edges, one einsum
-        per edge; component takes the (nodes, 2) block of an edge."""
-        total = 0.0
-        for fixed_axis, value, sign in ((0, b1, 1.0), (0, a1, -1.0),
-                                        (1, b2, 1.0), (1, a2, -1.0)):
-            lo, hi = (a2, b2) if fixed_axis == 0 else (a1, b1)
-            nodes, weights = gauss_rule(lo, hi, order)
-            normal = np.zeros(2)
-            normal[fixed_axis] = sign
-            points = np.empty((len(nodes), 2))
-            points[:, fixed_axis] = value
-            points[:, 1 - fixed_axis] = nodes
-            total += np.einsum("q,qr,r->", weights, component(points),
-                               normal)
-        return total
+    # the edges x1 = b1, x1 = a1, x2 = b2, x2 = a2 as one (4, order, 2)
+    # block of Gauss nodes, with their weights and outward normals
+    points, weights = np.empty((4, order, 2)), np.empty((4, order))
+    normals = np.zeros((4, 2))
+    for e, (axis, value, sign) in enumerate(((0, b1, 1.0), (0, a1, -1.0),
+                                             (1, b2, 1.0), (1, a2, -1.0))):
+        lo, hi = (a2, b2) if axis == 0 else (a1, b1)
+        points[e, :, 1 - axis], weights[e] = gauss_rule(lo, hi, order)
+        points[e, :, axis] = value
+        normals[e, axis] = sign
+    sig = state.sigma_matrix(points)
+    # the boundary integrands of force 1, force 2 and the moment
+    fluxes = (sig[..., :, 0], sig[..., :, 1],
+              state.mu.eval(points) + points[..., 0, None] * sig[..., :, 1]
+              - points[..., 1, None] * sig[..., :, 0])
+    surf = np.zeros(3)
+    for c, flux in enumerate(fluxes):
+        for e in range(4):
+            surf[c] += np.einsum("q,qr,r->", weights[e], flux[e], normals[e])
 
     inodes, iweights = tensor_rule(((a1, b1), (a2, b2)), order)
     fvals, mvals = adjoint_spencer(state, inodes)
-
-    gaps = np.empty(3)
-    for j in range(2):
-        surf = boundary(lambda p, j=j: state.sigma_matrix(p)[..., :, j])
-        gaps[j] = surf - np.einsum("q,q->", iweights, fvals[:, j])
-
-    def moment_flux(points):
-        sig = state.sigma_matrix(points)
-        mu = state.mu.eval(points)
-        return (mu + points[:, 0, None] * sig[..., :, 1]
-                - points[:, 1, None] * sig[..., :, 0])
-
-    surf = boundary(moment_flux)
-    gaps[2] = surf - np.einsum("q,q->", iweights,
-                               mvals + inodes[:, 0] * fvals[:, 1]
-                               - inodes[:, 1] * fvals[:, 0])
-    return gaps
+    return surf - np.array([
+        np.einsum("q,q->", iweights, fvals[:, 0]),
+        np.einsum("q,q->", iweights, fvals[:, 1]),
+        np.einsum("q,q->", iweights, mvals + inodes[:, 0] * fvals[:, 1]
+                  - inodes[:, 1] * fvals[:, 0])])

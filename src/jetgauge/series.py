@@ -64,10 +64,6 @@ def mul(ctx: MultiIndexContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if ctx.count == 1:
         return a * b + 0.0
-    if a.ndim == 1 and b.ndim == 1:
-        # One series, as in a one-point lift: skip the batch bookkeeping.
-        return np.bincount(ctx.mul_k, a[ctx.mul_i] * b[ctx.mul_j],
-                           minlength=ctx.count)
     prods = _gather(a, ctx.mul_i) * _gather(b, ctx.mul_j)
     nbatch = prods.size // ctx.mul_k.size
     if nbatch == 0:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from jetgauge.elasticity import (
     rigid_kernel_dimension, spencer_elastic,
     stress_state_from_dict, torsor_equilibrium_check,
 )
-from jetgauge import _suite_elasticity as suite, elasticity, series, suites
+from jetgauge import _suite_elasticity as suite, elasticity, expr, suites
 from jetgauge._runner import _max_abs
-from jetgauge._multiindex import context, exponent_rows
+from jetgauge._multiindex import exponent_rows
 from jetgauge.expr import ExprMap, PolyMap, Pow, Var, _random_poly
 from jetgauge.sampling import halton_points
 from polytext import poly_text
@@ -93,24 +94,31 @@ SPENCER_SECTIONS = [
 ]
 
 
+def _hand_spencer(sec, samples):
+    """The Cosserat rows written out by hand: the lowered gradient with the
+    jet subtracted from D12 and added to D21, then the jet's gradient."""
+    jlift = sec.jet.taylor_lift(samples, 1)
+    j = jlift.value()[..., 0]
+    d = sec.lowered_gradient(samples)
+    d[..., 0, 1] -= j
+    d[..., 1, 0] += j
+    return np.concatenate([d.reshape(d.shape[:-2] + (4,)),
+                           jlift.jacobian()[..., 0, :]], axis=-1)
+
+
 @pytest.mark.parametrize("metric", [None, [[2.0, 0.3], [0.3, 1.5]]],
                          ids=["identity", "metric"])
 def test_spencer_elastic_is_the_euclidean_spencer_operator(metric):
-    # (xi, jet) is the Euclidean system's section of order 1: slots
-    # omega_{kr} xi^r, jet at row e1 of component 2, -jet at row e2 of
-    # component 1, and zero second jets.  series.spencer gives D_ik at row
-    # 0 and J_r at component 2, row e1, bit for bit.
+    # spencer_elastic is series.spencer on the Euclidean section of order
+    # 1; it must give the hand rows bit for bit, at a block and at a point
     pts = halton_points(BOX, 20, 7)
     for xi, jet in SPENCER_SECTIONS:
         sec = DisplacementSection.parse(xi, jet, metric)
-        tab = np.zeros((20, 2, 6, 3))
-        tab[:, :, 0] = np.einsum("...rw,rk->...kw",
-                                 sec.xi.taylor_lift(pts, 1).coeffs, sec.metric)
-        j = sec.jet.taylor_lift(pts, 1).coeffs[:, 0]
-        tab[:, 1, 1], tab[:, 0, 2] = j, -j
-        d = series.spencer(context(2, 1), tab, 1)[..., 0]      # [p, i, k, row]
-        got = np.concatenate([d[..., 0].reshape(20, 4), d[:, :, 1, 1]], -1)
-        assert np.array_equal(_bits(got), _bits(spencer_elastic(sec, pts)))
+        got = spencer_elastic(sec, pts)
+        assert got.shape == (20, 6)
+        assert np.array_equal(_bits(got), _bits(_hand_spencer(sec, pts)))
+        assert np.array_equal(_bits(spencer_elastic(sec, pts[3])),
+                              _bits(_hand_spencer(sec, pts[3])))
 
 
 def _rigid_rows_reference(x, monos, omega):
@@ -145,6 +153,12 @@ def test_rigid_kernel_dimension_is_three(monkeypatch):
                 _rigid_rows_reference(x, exponent_rows(2, degree), metric)
                 for x in pts])
             assert np.max(np.abs(seen[0] - want)) < 1e-14
+    # the metric is a DisplacementSection's, and is validated as one
+    for metric in ([[1.0, 0.0], [0.0, -1.0]], np.zeros((2, 2)),
+                   [[math.inf, 0.0], [0.0, 1.0]],
+                   [[1.0, math.nan], [math.nan, 1.0]]):
+        with pytest.raises(ValueError, match="metric"):
+            rigid_kernel_dimension(metric=metric)
 
 
 def test_adjoint_equilibrium_and_hand_loads():
@@ -270,6 +284,13 @@ def test_section_validation():
         DisplacementSection.parse("x1, x2", metric=[[1.0, 0.5], [0.4, 1.0]])
     with pytest.raises(ValueError):
         DisplacementSection.parse("x1, x2", metric=[[1.0, 2.0], [2.0, 1.0]])
+    # a NaN fails every comparison, so each check must refuse it explicitly
+    for metric in ([[math.inf, 0.0], [0.0, 1.0]],
+                   [[1.0, math.nan], [math.nan, 1.0]],
+                   [[math.nan, 0.0], [0.0, 1.0]],
+                   [[1.0, 0.0], [0.0, -1.0]], np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="metric"):
+            DisplacementSection.parse("x1, x2", "0", metric)
     with pytest.raises(ValueError):
         StressState.parse("x1, x2")                  # needs four components
 
@@ -432,3 +453,26 @@ def test_rigid_rows_are_affine_poly_maps():
         assert np.array_equal(killing(s, PTS), np.zeros((9, 2, 2)))
         assert np.array_equal(spencer_elastic(s, PTS), np.zeros((9, 6)))
     assert np.array_equal(sec.xi.eval(PTS), ref.xi.eval(PTS))
+
+
+def test_elasticity_suite_work_count(monkeypatch):
+    # a warm run lifts each stacked roster once per kernel, evaluates each
+    # torsor state once on its edges, and makes the one rigid-kernel SVD
+    suites.run_suite("elasticity", suites.SuiteConfig(seed=43))
+    calls = {"expr": 0, "poly": 0, "shift": 0, "svd": 0}
+
+    def spy(key, real):
+        def fn(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return fn
+
+    monkeypatch.setattr(ExprMap, "taylor_lift",
+                        spy("expr", ExprMap.taylor_lift))
+    monkeypatch.setattr(PolyMap, "taylor_lift",
+                        spy("poly", PolyMap.taylor_lift))
+    monkeypatch.setattr(expr, "poly_shift", spy("shift", expr.poly_shift))
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+    rep = suites.run_suite("elasticity", suites.SuiteConfig(seed=43))
+    assert rep.passed
+    assert calls == {"expr": 18, "poly": 8, "shift": 8, "svd": 1}
