@@ -98,6 +98,27 @@ def context(nvars: int, order: int) -> MultiIndexContext:
                              position=position, mul_i=ti, mul_j=tj, mul_k=tk)
 
 
+@functools.lru_cache(maxsize=256)
+def cut_context(nvars: int, order: int, left: int,
+                right: int) -> tuple[MultiIndexContext, int]:
+    """context(nvars, order) with its product table cut to the terms
+    (i, j, k) with row i in left and j in right, in table order, and the
+    rows k they reach.  A support is an int whose little-endian bytes are
+    the (count,) bool mask of the rows that can be nonzero, so a union is
+    |; every support holds row 0.  Shared by every map."""
+    full = context(nvars, order)
+    n = full.count
+    both = np.frombuffer((left | right << 8 * n).to_bytes(2 * n, "little"),
+                         bool)
+    keep = both[full.mul_i] & both[n + full.mul_j]
+    reach = np.zeros(n, bool)
+    reach[full.mul_k[keep]] = True
+    cut = full if keep.all() else MultiIndexContext(
+        nvars, order, full.midx, full.degree, full.factorial, full.position,
+        full.mul_i[keep], full.mul_j[keep], full.mul_k[keep])
+    return cut, int.from_bytes(reach.tobytes(), "little")
+
+
 @functools.lru_cache(maxsize=None)
 def derivative_rows(nvars: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows and mu! of every k-th derivative slot, each of shape (nvars,) * k.

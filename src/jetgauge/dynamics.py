@@ -345,13 +345,21 @@ def _variation_blocks(fam: MotionFamily, y: np.ndarray, x: np.ndarray):
 
 
 def _variation_speeds(fam: MotionFamily, z: np.ndarray, x: np.ndarray,
-                      eps: float, seed: np.ndarray):
-    """Invert the eps-family at rows (z, x), starting each row at its seed,
-    and return its speed v_eps over the rows."""
+                      eps: tuple[float, ...], seed: np.ndarray) -> np.ndarray:
+    """Invert the eps-family at rows (z, x) for every eps in one block,
+    starting each row at its seed, and return its speeds v_eps over the
+    rows, (len(eps), ..., m, n).  On an error each eps runs alone, in
+    order, so the first failing one raises what a loop would."""
     m, n = fam.m, fam.n
-    tail = np.concatenate([x, np.full(np.shape(x)[:-1] + (1,), eps)], axis=-1)
-    _, jac = _newton(fam.variation, m, z, tail, seed,
-                     f"the eps family of {fam.label}")
+    label = f"the eps family of {fam.label}"
+    tail = np.stack([np.concatenate([x, np.full(np.shape(x)[:-1] + (1,), e)],
+                                    axis=-1) for e in eps])
+    try:
+        _, jac = _newton(fam.variation, m, z, tail, seed, label)
+    except (InverseSolveError, DomainError):
+        for row in tail:
+            _newton(fam.variation, m, z, row, seed, label)
+        raise
     return jac[..., m:m + n]
 
 
@@ -387,8 +395,9 @@ def theorem3_check(fam: MotionFamily,
     dxi_x = np.einsum("...ka,...ai->...ki", st.fy_inv,
                       df_x - np.einsum("...kri,...r->...ki", st.fyx, xi))
     route2 = np.einsum("...ka,...ai->...ki", st.fy, dxi_x)
-    fd = [(_variation_speeds(fam, z, x, e, y) - st.v) / e - route1
-          for e in (VARIATION_EPS, VARIATION_EPS / 2.0)]
+    eps = (VARIATION_EPS, VARIATION_EPS / 2.0)
+    fd = [(v - st.v) / e - route1
+          for v, e in zip(_variation_speeds(fam, z, x, eps, y), eps)]
     return route1 - route2, *fd, base
 
 
@@ -560,32 +569,37 @@ def pressure_recovery(field: ExprMap | PolyMap, t: float, points: np.ndarray,
     return first, first - second
 
 
+@functools.lru_cache(maxsize=None)
+def _curl_plan(degree: int) -> tuple[np.ndarray, ...]:
+    """The curl of three potentials of the given degree in each z_k and 1
+    in t, drawn in turn in C order, as one gather over the rows mu of
+    exponent_rows(4, 3 * degree + 1): each term d_a P_b, (2, 3, count),
+    reads P_b's draw at mu + e_a, or the trailing 0.0 once that leaves the
+    box, times mu_a + 1; then each row's scale, 0.3 on t.  Read-only."""
+    box = (3,) + (degree + 1,) * 3 + (2,)
+    rows = exponent_rows(4, 3 * degree + 1)
+    # curl_k = d_{k+1} P_{k+2} - d_{k+2} P_{k+1}, indices mod 3
+    k, term = np.arange(3), np.arange(2)[:, None]
+    a, b = (k + 1 + term) % 3, (k + 2 - term) % 3
+    up = rows + np.eye(4, dtype=np.int64)[a][..., None, :]
+    flat = np.ravel_multi_index((b[..., None], *np.moveaxis(up, -1, 0)), box,
+                                mode="clip")
+    tables = (np.where(np.all(up < box[1:], axis=-1), flat, math.prod(box)),
+              rows.T[a] + 1.0, np.where(rows[:, 3] == 1, 0.3, 1.0))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def random_solenoidal_field(seed: int) -> PolyMap:
     """curl of a random polynomial potential in (z, t), of degree 2 in each
     z_k and 1 in t: divergence-free by construction, time-dependent through
     a t term scaled by 0.3."""
-    degree = 2
-    rng = np.random.default_rng(seed)
-    size = (degree + 1,) * 3 + (2,)
-    potential = [rng.uniform(-1.0, 1.0, size=size) for _ in range(3)]
-
-    def diff(coeffs: np.ndarray, axis: int) -> np.ndarray:
-        c = np.moveaxis(coeffs, axis, 0)
-        out = np.zeros_like(c)
-        out[:-1] = np.arange(1, len(c))[:, None, None, None] * c[1:]
-        return np.moveaxis(out, 0, axis)
-
-    comps = np.stack([diff(potential[2], 1) - diff(potential[1], 2),
-                      diff(potential[0], 2) - diff(potential[2], 0),
-                      diff(potential[1], 0) - diff(potential[0], 1)])
-    comps[..., 1] *= 0.3
-    # comps[k, a, b, c, e] multiplies z1^a z2^b z3^c t^e: gather it into
-    # the graded slot of that exponent row; every other slot stays zero
-    rows = exponent_rows(4, 3 * degree + 1)
-    inside = np.all(rows < size, axis=1)
-    coeffs = np.zeros((3, len(rows)))
-    coeffs[:, inside] = comps[(slice(None),) + tuple(rows[inside].T)]
-    return PolyMap(("z1", "z2", "z3", "t"), 3 * degree + 1, coeffs)
+    index, factor, scale = _curl_plan(2)
+    # the draws, then the 0.0 that a term outside the box reads
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=index.max())
+    terms = factor * np.append(draws, 0.0)[index]
+    return PolyMap(("z1", "z2", "z3", "t"), 7, (terms[0] - terms[1]) * scale)
 
 
 def swell_family(R0: float, k: float, omega: float, c: float,

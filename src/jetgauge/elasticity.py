@@ -231,8 +231,11 @@ def rigid_kernel_dimension(degree: int = 2, seed: int = 29,
     the largest counts as zero.  The answer must be 3 (two translations
     and one rotation) for any degree at least 1: the pointwise part is
     forced linear and the jet constant.  The columns are spencer_elastic
-    on the unit sections, one stacked section in all.
+    on the unit sections, one stacked section in all.  A degree below 1
+    raises ValueError: no ansatz holds the rigid motions.
     """
+    if degree < 1:
+        raise ValueError(f"rigid kernel needs degree >= 1, got {degree}")
     pts = halton_points(((-1.0, 1.0),) * 2, RIGID_POINTS, seed)
     nm = len(exponent_rows(2, degree))
     # unit section u * nm + b puts x^b in xi^1, xi^2 or the jet for u = 0, 1, 2

@@ -27,6 +27,7 @@ its jet is a binomial shift of the coefficients, with no tape.
 from __future__ import annotations
 
 import functools
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -35,8 +36,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import series
-from ._multiindex import (MultiIndexContext, context, derivative_rows,
-                          poly_shift)
+from ._multiindex import (MultiIndexContext, context, cut_context,
+                          derivative_rows, poly_shift)
 from .series import DomainError
 
 __all__ = [
@@ -331,24 +332,32 @@ class PolyMap:
         return tuple(np.flatnonzero(rows).tolist())
 
 
+@functools.lru_cache(maxsize=None)
+def _poly_slots(names: tuple[str, ...],
+                monomials: tuple[tuple[str, ...], ...]):
+    """The context of the monomials' basis and the slot of each."""
+    ctx = context(len(names), max(map(len, monomials)))
+    return ctx, tuple(ctx.pos([mono.count(v) for v in names])
+                      for mono in monomials)
+
+
 def _random_poly(rng: np.random.Generator, names: tuple[str, ...],
                  monomials: tuple[tuple[str, ...], ...], scale: float,
                  affine: np.ndarray) -> PolyMap:
     """affine plus random monomial terms, one component per row of affine.
 
     A monomial lists its factors, so ("x1", "x1") is x1^2.  Each component
-    draws rng.uniform(-1, 1) * scale for its monomials in turn; affine
-    (nout, 1 + len(names)) holds the constant and linear coefficients,
-    which are the first slots of the graded basis.
+    draws rng.uniform(-1, 1) * scale for its monomials in turn, as one
+    (nout, len(monomials)) draw; affine (nout, 1 + len(names)) holds the
+    constant and linear coefficients, which are the first slots of the
+    graded basis.
     """
-    degree = max(map(len, monomials))
-    ctx = context(len(names), degree)
-    slots = [ctx.pos([mono.count(v) for v in names]) for mono in monomials]
+    ctx, slots = _poly_slots(names, monomials)
     coeffs = np.zeros((len(affine), ctx.count))
     coeffs[:, :len(names) + 1] = affine
-    for row in coeffs:
-        row[slots] += rng.uniform(-1.0, 1.0, size=len(monomials)) * scale
-    return PolyMap(names, degree, coeffs)
+    coeffs[:, slots] += rng.uniform(-1.0, 1.0,
+                                    size=(len(affine), len(monomials))) * scale
+    return PolyMap(names, ctx.order, coeffs)
 
 
 def _compile(variables: Sequence[str], exprs: Sequence[Expr]):
@@ -427,6 +436,7 @@ class ExprMap:
             raise ValueError("variable names must be unique")
         self.variables = tuple(variables)
         self.exprs = tuple(exprs)
+        self._plans: dict[int, tuple[MultiIndexContext, ...]] = {}
         declared = set(self.variables)
         for e in self.exprs:
             loose = e.variables() - declared
@@ -490,6 +500,42 @@ class ExprMap:
         out = [degs[slot] for slot in outputs]
         return None if None in out else max(out, default=0)
 
+    def _plan(self, order: int) -> tuple[MultiIndexContext, ...]:
+        """The context each tape entry runs on: the product table cut to
+        the rows its operands can hold nonzero (sparse forward propagation,
+        Griewank & Walther ch. 7).  A variable has {0, e_v}, a number {0},
+        + and - the union, * the rows its cut table reaches, and a call, a
+        power and the reciprocal of a / the closure under products."""
+        if order in self._plans:
+            return self._plans[order]
+        nvars, full = len(self.variables), context(len(self.variables), order)
+
+        def closure(rows):                # Horner's and powc's powers
+            while (cut := cut_context(nvars, order, rows, rows))[1] != rows:
+                rows = cut[1]
+            return cut
+
+        plan, supports = [], []                   # empty at order 0: no table
+        for kind, payload, kids in self._tape[0] if order else ():
+            ctx, rows, other = full, 1, 1         # a number has {0}
+            if kids:                              # neg keeps its argument's
+                rows, other = supports[kids[0]], supports[kids[-1]]
+            if kind == "var":
+                rows = 1 | 1 << 8 * (1 + payload)
+            elif kind in ("+", "-"):
+                rows |= other
+            elif kind == "*":
+                ctx, rows = cut_context(nvars, order, rows, other)
+            elif kind == "/":
+                other = closure(other)[1]
+                ctx, rows = cut_context(nvars, order, rows | other, other)
+            elif kind in ("^", "call"):
+                ctx, rows = closure(rows)
+            supports.append(rows)
+            plan.append(ctx)
+        self._plans[order] = tuple(plan)
+        return self._plans[order]
+
     def taylor_lift(self, base, order: int) -> TaylorMap:
         """Lift around one base point, or a block of shape (..., nvars).
 
@@ -501,39 +547,51 @@ class ExprMap:
         if base.ndim == 0 or base.shape[-1] != len(self.variables):
             raise ValueError(f"expected {len(self.variables)} base values")
         ctx = context(len(self.variables), order)
+        plan = self._plan(order)
         try:
-            coeffs = self._run(ctx, base)
+            coeffs = self._run(ctx, base, plan)
         except DomainError:
             # The block stops at the first failing slot, which need not be
             # where the first point fails; replay point by point to raise
             # the error that the first failing point meets.
             for point in base.reshape(-1, base.shape[-1])[:-1]:
-                self._run(ctx, point)
+                self._run(ctx, point, plan)
             raise
         return TaylorMap(self.variables, base, order, coeffs)
 
-    def _run(self, ctx: MultiIndexContext, base: np.ndarray) -> np.ndarray:
+    def _run(self, ctx: MultiIndexContext, base: np.ndarray,
+             plan=()) -> np.ndarray:
+        """The coefficients, on the plan's cut tables when given.  A dropped
+        term is +-0.0 onto a sum that starts at +0.0, so a finite lift gets
+        the full tables' bits; but inf or NaN times a structural zero is NaN
+        there.  So if the result, or a constant term a ladder expands
+        around, sums to a non-finite value, the lift reruns on ctx's full
+        tables (a finite sum that overflows only costs that rerun)."""
         tape, outputs, dead = self._tape
         vals: list[np.ndarray | None] = []
-        for (kind, payload, kids), done in zip(tape, dead):
+        finite = True
+        for (kind, payload, kids), cut, done in zip(
+                tape, plan or (ctx,) * len(tape), dead):
+            if plan and finite and kind in ("^", "call", "/"):
+                finite = math.isfinite(vals[kids[-1]][..., 0].sum())
             if kind == "*":
-                out = series.mul(ctx, vals[kids[0]], vals[kids[1]])
+                out = series.mul(cut, vals[kids[0]], vals[kids[1]])
             elif kind == "+":
                 out = vals[kids[0]] + vals[kids[1]]
             elif kind == "var":
-                out = series.coordinate(ctx, payload, base[..., payload])
+                out = series.coordinate(cut, payload, base[..., payload])
             elif kind == "num":
-                out = series.const(ctx, payload)
+                out = series.const(cut, payload)
             elif kind == "-":
                 out = vals[kids[0]] - vals[kids[1]]
             elif kind == "^":
-                out = series.powc(ctx, vals[kids[0]], payload)
+                out = series.powc(cut, vals[kids[0]], payload)
             elif kind == "call":
-                out = series.analytic(ctx, payload, vals[kids[0]])
+                out = series.analytic(cut, payload, vals[kids[0]])
             elif kind == "neg":
                 out = -vals[kids[0]]
             else:
-                out = series.div(ctx, vals[kids[0]], vals[kids[1]])
+                out = series.div(cut, vals[kids[0]], vals[kids[1]])
             vals.append(out)
             for slot in done:
                 vals[slot] = None
@@ -541,4 +599,6 @@ class ExprMap:
         coeffs = np.empty(base.shape[:-1] + (len(outputs), ctx.count))
         for k, slot in enumerate(outputs):
             coeffs[..., k, :] = vals[slot]
+        if plan and not (finite and math.isfinite(coeffs.sum())):
+            return self._run(ctx, base)
         return coeffs

@@ -6,6 +6,9 @@ in NumPy; nothing is compiled.  Products accumulate over the context's
 (i, j, k) product table in table order, so results are deterministic.
 Every operation also takes leading batch axes, one series per point, and
 gives each point the bits it would get alone.
+An ExprMap lift derives each tape slot's support once per context and
+runs each product on the table cut to its operands' supports; a lift that
+meets inf or NaN runs again on the full tables (ExprMap.taylor_lift).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from jetgauge import _suite_dynamics, dynamics, suites
+from jetgauge import _suite_dynamics, dynamics, series, suites
 from jetgauge._runner import _max_abs
 from jetgauge._multiindex import exponent_rows, poly_shift
 from jetgauge.expr import ExprMap, PolyMap
@@ -403,8 +403,10 @@ def test_eps_family_inversion_keeps_point_bits():
         zx = fam.sample_zx(10, 4)
         z, x = zx[:, :fam.m], zx[:, fam.m:]
         y = fam.invert(z, x)
-        for eps in (1e-3, 5e-4):
-            v_eps = _variation_speeds(fam, z, x, eps, y)
+        # both eps invert as one block; each row keeps its one-point bits
+        eps_block = (1e-3, 5e-4)
+        for eps, v_eps in zip(eps_block,
+                              _variation_speeds(fam, z, x, eps_block, y)):
             for row, (zr, xr, yr) in enumerate(zip(z, x, y)):
                 v_ref = _old_variation_state(fam, zr, xr, eps, yr)
                 assert np.array_equal(_bits(v_eps[row]), _bits(v_ref))
@@ -808,6 +810,26 @@ def test_one_newton_per_check_and_family_stack(monkeypatch):
         assert len(calls) == 1 + alone
         assert calls[0].coeffs.shape[:2] == (stack, 1)
         assert all(c is NEWTON_FAMILY.forward for c in calls[1:])
+    # EXP_MOVED inverts explicitly; its eps and eps / 2 share one block
+    calls.clear()
+    next(c.fn for c in suites.SUITES["dynamics"]
+         if c.id == "variation_transport")(cfg, {})
+    assert calls == [_suite_dynamics.EXP_MOVED.variation]
+
+
+def test_eps_block_error_is_the_loops_first():
+    # at eps = 1e-3 the eps family is singular in y, and at eps / 2 the log
+    # leaves its domain.  The block meets the log on its first lift; a loop
+    # over eps meets the singular solve first, and so must the block
+    fam = MotionFamily.parse(
+        1, 1, "exp(x1) * y1", inverse="z1 * exp(0 - x1)",
+        variation=("exp(x1) * y1 * (1 - 1000 * eps)"
+                   " + log((eps - 0.0003) * (eps - 0.0007))"),
+        ybox=((0.3, 1.0),), xbox=((-0.5, 0.5),), zbox=((0.2, 1.5),),
+        label="split")
+    with pytest.raises(InverseSolveError, match="singular jacobian while "
+                       "inverting the eps family of split"):
+        theorem3_check(fam, fam.sample_zx(4, 9))
 
 
 def test_vortex_stack_matches_the_field_loop(monkeypatch):
@@ -886,3 +908,28 @@ def test_one_lift_for_the_whole_staircase(monkeypatch):
     _suite_dynamics._check_pressure_path_independence(SuiteConfig(seed=42), {})
     # the curl gate at the points, then every staircase node at once
     assert lifts == [((10, 4), 2), ((10, 2, 3, 32, 4), 1)]
+
+
+def test_transport_op_work_count(monkeypatch):
+    # a warm transport op, dynamics then group at seed 43: every tape
+    # product runs on its operands' cut table, which holds 68,588 product
+    # terms over the op where the full tables held 393,076.  Cutting keeps
+    # the calls of the full tables; theorem3_check's one eps block lifts
+    # both eps together, 15 calls fewer than its two solves at 214
+    def op():
+        for name in ("dynamics", "group"):
+            assert run_suite(name, SuiteConfig(seed=43)).passed
+
+    op()
+    work = {"calls": 0, "terms": 0}
+    real = series.mul
+
+    def counted(ctx, a, b):
+        out = real(ctx, a, b)
+        work["calls"] += 1
+        work["terms"] += len(ctx.mul_k) * (out.size // ctx.count)
+        return out
+
+    monkeypatch.setattr(series, "mul", counted)
+    op()
+    assert work == {"calls": 199, "terms": 68_588}

@@ -161,6 +161,13 @@ def test_rigid_kernel_dimension_is_three(monkeypatch):
             rigid_kernel_dimension(metric=metric)
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+def test_rigid_kernel_refuses_degree_below_one(degree):
+    # degree 0 would count 2, and -1 fails inside numpy's reshape
+    with pytest.raises(ValueError, match=f"got {degree}$"):
+        rigid_kernel_dimension(degree=degree)
+
+
 def test_adjoint_equilibrium_and_hand_loads():
     const_sym = StressState.parse("1.0, 0.3, 0.3, 0 - 2.0")
     f, m = adjoint_spencer(const_sym, PTS)

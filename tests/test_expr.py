@@ -452,3 +452,95 @@ def test_only_expr_builds_tree_nodes():
                 if name in _NODES:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _shipped_maps() -> dict[str, ExprMap]:
+    """Every ExprMap the package ships: suite constants, the builtin
+    systems, the bundled group laws and the motion families."""
+    from jetgauge import (_suite_dynamics, _suite_elasticity, _suite_group,
+                          _suite_pseudogroup, _suite_swell)
+    from jetgauge._fixtures import SWELL, validate
+    from jetgauge.dynamics import MotionFamily, swell_family
+    from jetgauge.elasticity import DisplacementSection, StressState
+    from jetgauge.groups import builtin_group
+    from jetgauge.pseudogroups import BUILTIN_SYSTEMS, builtin_system
+
+    parts = {MotionFamily: ("forward", "inverse", "variation"),
+             StressState: ("sigma", "mu"), DisplacementSection: ("xi", "jet")}
+    maps = {}
+    for mod in (_suite_dynamics, _suite_elasticity, _suite_group,
+                _suite_pseudogroup, _suite_swell):
+        suite = mod.__name__.rsplit("_", 1)[1]
+        for name, obj in vars(mod).items():
+            found = {name: obj}
+            if isinstance(obj, dict):
+                found = {f"{name}.{k}": v for k, v in obj.items()}
+            elif type(obj) in parts:
+                found = {f"{name}.{p}": getattr(obj, p)
+                         for p in parts[type(obj)]}
+            maps.update({f"{suite}.{k}": v for k, v in found.items()
+                         if isinstance(v, ExprMap)})
+    for name in BUILTIN_SYSTEMS:
+        system = builtin_system(name)
+        maps[f"system.{name}.equations"] = system.equations
+        maps[f"system.{name}.linearization"] = system.linearization
+    for name in ("affine", "e2"):
+        spec = builtin_group(name)
+        maps[f"law.{name}.compose"] = spec.compose
+        maps[f"law.{name}.inverse"] = spec.inverse
+        for k, gen in enumerate(spec.action.generators):
+            maps[f"law.{name}.generator{k}"] = gen
+    swell = swell_family(**validate({}, SWELL, "swell"), nlabels=1)[0]
+    maps["swell.family.forward"] = swell.forward
+    return maps
+
+
+SHIPPED = _shipped_maps()
+# an inf times a structural zero, and an inf that a ladder of zeros hides:
+# exp(-inf) expands to zeros, which times the NaNs of the full tables give
+# NaN, and times the cut tables' zeros would give 0.0
+SHIPPED.update({f"extra.{text}": ExprMap.parse(text, ["x", "y"]) for text in (
+    "0*exp(1000*x), y", "1e400*x + y", "exp((x - 1e400)*2) * y",
+    "1/((x - 1e400)*y)", "sqrt(exp(1000*x)) + log(y)")})
+
+
+def _lift_bits(m, points, order, full):
+    """The lift's coefficients as int64 bits, or its DomainError's text."""
+    try:
+        if full:
+            return m._run(context(len(m.variables), order), points).view(
+                np.int64)
+        return m.taylor_lift(points, order).coeffs.view(np.int64)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_cut_tables_give_the_full_tables_bits(name):
+    # finite, wide, NaN, inf and overflowing blocks, each lifted on the
+    # cut tables and on the full ones; a block that leaves the domain is
+    # compared point by point
+    m = SHIPPED[name]
+    n = len(m.variables)
+    rng = np.random.default_rng(7)
+    blocks = [rng.uniform(-1.5, 1.5, (6, n)), rng.uniform(-60.0, 60.0, (4, n)),
+              np.full((3, n), 1e200)]
+    for bad in (np.nan, np.inf, -np.inf):
+        block = rng.uniform(0.2, 1.2, (n, n))
+        np.fill_diagonal(block, bad)
+        blocks.append(block)
+    for order in range(3 if n > 8 else 4):
+        for block in blocks:
+            if isinstance(_lift_bits(m, block, order, True), str):
+                assert all(_same(_lift_bits(m, p, order, False),
+                                 _lift_bits(m, p, order, True)) for p in block)
+            else:
+                assert _same(_lift_bits(m, block, order, False),
+                             _lift_bits(m, block, order, True))
