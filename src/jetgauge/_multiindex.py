@@ -17,28 +17,35 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _Frozen
 
-@dataclass(frozen=True)
-class MultiIndexContext:
-    nvars: int
-    order: int
-    midx: np.ndarray          # (count, nvars) int64 exponent rows
-    degree: np.ndarray        # (count,) total degree per row
-    factorial: np.ndarray     # (count,) float64, mu!
-    position: dict = field(repr=False)   # exponent tuple -> row
-    mul_i: np.ndarray = field(repr=False)
-    mul_j: np.ndarray = field(repr=False)
-    mul_k: np.ndarray = field(repr=False)
-    count: int = field(init=False)    # rows, midx.shape[0]
-    _flat_k: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)  # nbatch -> flat_mul_k(nbatch)
 
-    def __post_init__(self):
-        object.__setattr__(self, "count", self.midx.shape[0])
+class MultiIndexContext(_Frozen):
+    """The index table of nvars variables to order, and the product table
+    (mul_i, mul_j, mul_k): row i times row j adds to row k."""
+
+    __slots__ = ("nvars", "order", "midx", "degree", "factorial", "position",
+                 "mul_i", "mul_j", "mul_k", "count", "_flat_k")
+
+    def __init__(self, nvars: int, order: int,
+                 midx: np.ndarray,          # (count, nvars) int64 exponents
+                 degree: np.ndarray,        # (count,) total degree per row
+                 factorial: np.ndarray,     # (count,) float64, mu!
+                 position: dict,            # exponent tuple -> row
+                 mul_i: np.ndarray, mul_j: np.ndarray, mul_k: np.ndarray):
+        self._init(nvars=nvars, order=order, midx=midx, degree=degree,
+                   factorial=factorial, position=position, mul_i=mul_i,
+                   mul_j=mul_j, mul_k=mul_k, count=midx.shape[0],
+                   _flat_k={})              # nbatch -> flat_mul_k(nbatch)
+
+    def __repr__(self) -> str:
+        return (f"MultiIndexContext(nvars={self.nvars!r}, "
+                f"order={self.order!r}, midx={self.midx!r}, "
+                f"degree={self.degree!r}, factorial={self.factorial!r}, "
+                f"count={self.count!r})")
 
     def pos(self, mu) -> int:
         return self.position[tuple(mu)]

@@ -15,7 +15,7 @@ imports the module of each suite it runs, and no other, before any check.
 
 import importlib
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,16 +24,14 @@ from .report import CheckRecord, Report
 SUITE_NAMES = ("group", "pseudogroup", "dynamics", "swell", "elasticity")
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     seed: int = 0
     samples: int = 64            # low-discrepancy points per box
     tol_scale: float = 1.0
     fixture: str | None = None   # joins the suite's default roster
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     id: str
     identity: str
     tolerance: float

@@ -72,15 +72,15 @@ def _per_family(fams, residual, npts: int, seed: int, source: bool = False):
     # seed + k: source (y, x) points with source, else target (z, x) points;
     # a family whose residual is empty checked none of them.  A run of
     # PolyMap families, the random ones, which share boxes, variables and
-    # degree, is one stacked family on stacked points; on an error each
-    # runs alone, so the first failing one raises what a loop over the
-    # families would
+    # degree, is one stacked family on stacked points, drawn in one call;
+    # on an error each runs alone, so the first failing one raises what a
+    # loop over the families would
     res, count, k = [], 0, 0
     for poly, run in groupby(fams, lambda f: isinstance(f.forward, PolyMap)):
         for block in [list(run)] if poly else ([f] for f in run):
-            pts = np.stack([fam.sample_yx(npts, seed + k + j) if source
-                            else fam.sample_zx(npts, seed + k + j)
-                            for j, fam in enumerate(block)])
+            seeds = range(seed + k, seed + k + len(block))
+            pts = (block[0].sample_yx(npts, seeds) if source
+                   else block[0].sample_zx(npts, seeds))
             k += len(block)
             try:
                 r = (residual(_stacked(block), pts) if len(block) > 1

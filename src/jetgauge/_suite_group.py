@@ -5,9 +5,8 @@ import numpy as np
 from ._runner import SUITES, CheckSpec, SuiteConfig, _roster
 from .expr import ExprMap, PolyMap, _random_poly
 from .groups import (
-    GaugeField, Grid, builtin_group, jacobi_residual, lift_curvature,
-    linear_gauge_dd, load_group_spec, spencer_from_action, variation_body,
-    variation_body_fd, variation_space, variation_space_fd,
+    Grid, builtin_group, jacobi_residual, lift_curvature, linear_gauge_dd,
+    load_group_spec, spencer_from_action, variation_fd_gaps,
 )
 from .sampling import halton_points
 
@@ -58,16 +57,13 @@ def _check_structure_jacobi(cfg: SuiteConfig, cache: dict):
 
 
 def _check_variation_matches_fd(cfg: SuiteConfig, cache: dict):
-    # reduces its own inputs: the residual is a ratio of two maxima.  Each
-    # side's quotients at eps and eps / 2 come as one block
+    # reduces its own inputs: the residual is a ratio of two maxima.  Both
+    # sides' quotients at eps and eps / 2 come as one block
     spec = _group_roster(cfg, cache)[0]
     pts = halton_points(((-0.4, 0.6), (-0.5, 0.5)), cfg.samples, cfg.seed + 5)
     res = []
-    for side, exact, fd in (("body", variation_body, variation_body_fd),
-                            ("space", variation_space, variation_space_fd)):
-        field = GaugeField(spec, GAUGE_GRID, side, GAUGING_AFFINE)
-        gaps = (fd(spec, GAUGING_AFFINE, GAUGE_LAM, pts, FD_EPS)
-                - exact(spec, field, GAUGE_LAM, pts))
+    for gaps in variation_fd_gaps(spec, GAUGING_AFFINE, GAUGE_LAM, pts,
+                                  FD_EPS):
         e1, e2 = np.max(np.abs(gaps), axis=(1, 2, 3))
         res.append(e1 / e2 - 2.0)
     return np.array(res), len(pts)

@@ -10,6 +10,7 @@ run itself could not be carried out.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 
@@ -18,7 +19,7 @@ import numpy as np
 from ._runner import SUITE_NAMES, SuiteConfig, run_suite
 from .series import DomainError, InverseSolveError
 
-__all__ = ["main", "build_parser", "export_swell_csv", "export_swell_svg",
+__all__ = ["main", "entry", "build_parser", "export_swell_csv", "export_swell_svg",
            "CSV_HEADER"]
 
 CSV_HEADER = "t,a,b,x,y,xbar,ybar"
@@ -157,5 +158,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if report.passed else 1
 
 
+def entry() -> None:
+    """The process entry of `python -m jetgauge` and the `jetgauge`
+    script: run main, then exit with its code.  gc.freeze() first moves
+    every object still alive into the collector's permanent generation,
+    so the collections that interpreter shutdown runs skip them, numpy's
+    included.  atexit, stream flushing and module teardown run as before.
+    main itself has no such global effect."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -261,10 +261,12 @@ class MotionFamily:
         return _SpeedState(self.m, lift.value(), lift.jacobian(),
                            lift.derivative(2), self.label)
 
-    def sample_zx(self, count: int, seed: int) -> np.ndarray:
+    def sample_zx(self, count: int, seed: int | Sequence[int]) -> np.ndarray:
+        """(count, m + n) target points, or one block per seed of a
+        sequence, as halton_points."""
         return halton_points(self.zbox + self.xbox, count, seed)
 
-    def sample_yx(self, count: int, seed: int) -> np.ndarray:
+    def sample_yx(self, count: int, seed: int | Sequence[int]) -> np.ndarray:
         return halton_points(self.ybox + self.xbox, count, seed)
 
     def validate(self) -> float:
@@ -424,19 +426,19 @@ def _momentum_hessian(w: ExprMap, v: np.ndarray, m: int,
     return lift.derivative(2)[..., 0, :, :].reshape(batch + (m, n, m, n))
 
 
-def _el_z(st: _SpeedState, w: ExprMap, m: int, n: int) -> np.ndarray:
+def _el_z(st: _SpeedState, h: np.ndarray) -> np.ndarray:
     """rho (dV^i_k/dx^i + v^l_i dV^i_k/dz^l) with V = dw/dv at v(z, x),
-    over the leading axes of a block state."""
-    h = _momentum_hessian(w, st.v, m, n)
+    over the leading axes of a block state, from h, the lagrangian's
+    _momentum_hessian at st.v."""
     dv_dx = np.einsum("...kilp,...lpi->...k", h, st.dv_x)
     conv = np.einsum("...kilp,...lpr,...ri->...k", h, st.dv_z, st.v)
     return st.rho[..., None] * (dv_dx + conv)
 
 
-def _el_y(st: _SpeedState, w: ExprMap, m: int, n: int) -> np.ndarray:
+def _el_y(st: _SpeedState, h: np.ndarray) -> np.ndarray:
     """dU^i_k/dx^i with U^i_k(y, x) = V^i_k(df/dx(y, x)): the source form,
-    from a block state at the source points (y, x)."""
-    h = _momentum_hessian(w, st.fx, m, n)
+    from a block state at the source points (y, x) and h, the lagrangian's
+    _momentum_hessian at st.fx."""
     return np.einsum("...kilp,...lpi->...k", h, st.fxx)
 
 
@@ -451,10 +453,12 @@ def el_residual(fam: MotionFamily, w: ExprMap,
     """
     m = fam.m
     samples = np.asarray(samples, float)
-    # the state at the preimages y is the state the source form needs
+    # the state at the preimages y is the state the source form needs,
+    # and its v is a copy of its fx, so one Hessian serves both forms
     st = fam.state(samples[:, :m], samples[:, m:])
-    ez = _el_z(st, w, m, fam.n)
-    ey = _el_y(st, w, m, fam.n)
+    h = _momentum_hessian(w, st.fx, m, fam.n)
+    ez = _el_z(st, h)
+    ey = _el_y(st, h)
     return ez, ey, ez - st.rho[..., None] * ey
 
 

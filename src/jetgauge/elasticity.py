@@ -26,13 +26,12 @@ m12 = m' + s, the line's equations d sigma = f, d mu + sigma = m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import series
+from . import _Frozen, series
 from ._fixtures import STRESS_STATE, parse_map, read_fixture, validate
 from ._multiindex import context, exponent_rows
 from .expr import ExprMap, PolyMap
@@ -76,8 +75,7 @@ def _check_order(order: int, state_maps: Sequence[ExprMap | PolyMap],
             f"integrand degree is {need}")
 
 
-@dataclass(frozen=True)
-class DisplacementSection:
+class DisplacementSection(_Frozen):
     """Displacement field plus its independent lowered skew jet component.
 
     xi holds the two pointwise components, jet the single scalar xi_{1,2};
@@ -87,16 +85,15 @@ class DisplacementSection:
     raised and lowered components coincide numerically.
     """
 
-    xi: ExprMap | PolyMap
-    jet: ExprMap | PolyMap
-    metric: np.ndarray
+    __slots__ = ("xi", "jet", "metric")
 
-    def __post_init__(self):
-        if len(self.xi.variables) != 2 or len(self.xi) != 2:
+    def __init__(self, xi: ExprMap | PolyMap, jet: ExprMap | PolyMap,
+                 metric: np.ndarray):
+        if len(xi.variables) != 2 or len(xi) != 2:
             raise ValueError("xi must map x1, x2 to two components")
-        if len(self.jet.variables) != 2 or len(self.jet) != 1:
+        if len(jet.variables) != 2 or len(jet) != 1:
             raise ValueError("jet must be a single component over x1, x2")
-        omega = np.asarray(self.metric, float)
+        omega = np.asarray(metric, float)
         if omega.shape != (2, 2) or not np.isfinite(omega).all():
             raise ValueError("metric must be a finite 2 x 2 matrix")
         # fail closed: a comparison with NaN is false
@@ -104,7 +101,7 @@ class DisplacementSection:
             raise ValueError("metric must be a symmetric 2 x 2 matrix")
         if not np.min(np.linalg.eigvalsh(omega)) > 0.0:
             raise ValueError("metric must be positive-definite")
-        object.__setattr__(self, "metric", omega)
+        self._init(xi=xi, jet=jet, metric=omega)
 
     @classmethod
     def parse(cls, xi: str, jet: str = "0",
@@ -119,23 +116,22 @@ class DisplacementSection:
         return np.einsum("...ri,rk->...ik", jac, self.metric)
 
 
-@dataclass(frozen=True)
-class StressState:
+class StressState(_Frozen):
     """Stress (no a-priori symmetry) and the independent couple components.
 
     sigma is stored (s11, s12, s21, s22); mu stores (mu^{1,12}, mu^{2,12}),
     the only independent couple slots once the trailing index pair is skew.
     """
 
-    sigma: ExprMap | PolyMap
-    mu: ExprMap | PolyMap
-    label: str = "state"
+    __slots__ = ("sigma", "mu", "label")
 
-    def __post_init__(self):
-        if len(self.sigma.variables) != 2 or len(self.sigma) != 4:
+    def __init__(self, sigma: ExprMap | PolyMap, mu: ExprMap | PolyMap,
+                 label: str = "state"):
+        if len(sigma.variables) != 2 or len(sigma) != 4:
             raise ValueError("sigma must map x1, x2 to four components")
-        if len(self.mu.variables) != 2 or len(self.mu) != 2:
+        if len(mu.variables) != 2 or len(mu) != 2:
             raise ValueError("mu must map x1, x2 to two components")
+        self._init(sigma=sigma, mu=mu, label=label)
 
     @classmethod
     def parse(cls, sigma: str, mu: str = "0, 0", label: str = "state",

@@ -30,12 +30,11 @@ import functools
 import math
 import re
 import struct
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import series
+from . import _Frozen, series
 from ._multiindex import (MultiIndexContext, context, cut_context,
                           derivative_rows, poly_shift)
 from .series import DomainError
@@ -55,8 +54,11 @@ class ParseError(ValueError):
         self.column = column
 
 
-class Expr:
-    """Base node; subclasses are frozen dataclasses."""
+class Expr(_Frozen):
+    """Base node.  A node is immutable and compares and hashes by its type
+    and its fields, so Num(0.0) == Num(-0.0) and no Num equals a Var."""
+
+    __slots__ = ()
 
     def variables(self) -> set[str]:
         # an explicit stack: a long sum is a tree too deep to recurse on
@@ -74,47 +76,55 @@ class Expr:
         return ()
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self._init(value=value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self._init(name=name)
 
 
-@dataclass(frozen=True)
 class Bin(Expr):
-    op: str
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr):
+        self._init(op=op, lhs=lhs, rhs=rhs)
 
     def children(self):
         return (self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: float
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: float):
+        self._init(base=base, exponent=exponent)
 
     def children(self):
         return (self.base,)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expr):
+        self._init(func=func, arg=arg)
 
     def children(self):
         return (self.arg,)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self._init(arg=arg)
 
     def children(self):
         return (self.arg,)
@@ -127,8 +137,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     offset: int
@@ -236,8 +245,7 @@ class _Parser:
         raise self.error(f"unexpected {shown!r}", tok)
 
 
-@dataclass(frozen=True)
-class TaylorMap:
+class TaylorMap(NamedTuple):
     """Taylor coefficients of a vector map around a base point.
 
     coeffs[k, r] multiplies (x - base)^mu(r); raw derivatives are the same
@@ -284,17 +292,18 @@ class TaylorMap:
         return self.coeffs[..., 1 : 1 + self.nin].copy()
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(_Frozen):
     """Vector polynomial map: coeffs[..., k, b] multiplies x^beta for row b
     of exponent_rows(nvars, degree).  Leading axes of coeffs stack maps,
     and they broadcast against the leading axes of the points lifted.  Its
     jet is a binomial shift of the coefficients, exact linear algebra with
     no tape."""
 
-    variables: tuple[str, ...]
-    degree: int
-    coeffs: np.ndarray
+    __slots__ = ("variables", "degree", "coeffs", "_rows")
+
+    def __init__(self, variables: tuple[str, ...], degree: int,
+                 coeffs: np.ndarray):
+        self._init(variables=variables, degree=degree, coeffs=coeffs)
 
     @classmethod
     def stack(cls, maps: Sequence["PolyMap"]) -> "PolyMap":
@@ -325,11 +334,16 @@ class PolyMap:
         return TaylorMap(self.variables, base, order, np.einsum(
             "...kb,...bw->...kw", self.coeffs[..., self._support], shift))
 
-    @functools.cached_property
+    @property
     def _support(self) -> tuple[int, ...]:
-        """The monomial rows with a nonzero coefficient."""
-        rows = self.coeffs.reshape(-1, self.coeffs.shape[-1]).any(axis=0)
-        return tuple(np.flatnonzero(rows).tolist())
+        """The monomial rows with a nonzero coefficient, found at the first
+        lift."""
+        try:
+            return self._rows
+        except AttributeError:
+            rows = self.coeffs.reshape(-1, self.coeffs.shape[-1]).any(axis=0)
+            self._init(_rows=tuple(np.flatnonzero(rows).tolist()))
+            return self._rows
 
 
 @functools.lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ __all__ = [
     "Grid", "GaugeField", "load_group_spec", "builtin_group",
     "maurer_cartan_pullback", "right_pullback", "curvature", "lift_curvature",
     "variation_body", "variation_space", "variation_body_fd",
-    "variation_space_fd",
+    "variation_space_fd", "variation_fd_gaps",
     "linear_gauge_dd", "spencer_from_action",
 ]
 
@@ -360,48 +360,60 @@ def variation_space(spec: LieGroupSpec, field: GaugeField, mu: ExprMap,
 
 def _variation(spec: LieGroupSpec, field: GaugeField, lam: ExprMap,
                samples: np.ndarray, sign: float) -> np.ndarray:
-    c = spec.structure_constants()
     samples = np.asarray(samples, float)
-    lift = lam.taylor_lift(samples, 1)
-    return lift.jacobian() + sign * np.einsum(
-        "trs,...ri,...s->...ti", c, field.value_at(samples), lift.value())
+    return _exact_variation(spec, field.value_at(samples),
+                            lam.taylor_lift(samples, 1), sign)
 
 
-def _family_pullback(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
-                     x: np.ndarray, eps,
-                     side: str) -> tuple[np.ndarray, np.ndarray]:
-    """Gauge fields at points x (..., n) of the perturbed gauging, with one
-    leading axis per axis of eps, (eps..., ..., p, n), and of the gauging
-    itself, (..., p, n), with the bits of _pullback.
+def _exact_variation(spec: LieGroupSpec, field_value: np.ndarray,
+                     lam_lift: TaylorMap, sign: float) -> np.ndarray:
+    """dlam + sign [A, lam] from the field's values A (..., p, n) and an
+    order-1 lift of lam at the same points."""
+    c = spec.structure_constants()
+    return lam_lift.jacobian() + sign * np.einsum(
+        "trs,...ri,...s->...ti", c, field_value, lam_lift.value())
+
+
+def _family_pullback(spec: LieGroupSpec, a_lift: TaylorMap,
+                     lam_lift: TaylorMap, eps,
+                     sides: tuple[str, ...]) -> list[tuple[np.ndarray,
+                                                           np.ndarray]]:
+    """Per side, gauge fields at the points x (..., n) of order-1 lifts of
+    a gauging and of lam: of the perturbed gauging, with one leading axis
+    per axis of eps, (eps..., ..., p, n), and of the gauging itself,
+    (..., p, n), with the bits of _pullback.
 
     side "body": a_eps = m(a(x), exp(eps*lam(x))), left form.
     side "space": a_eps = m(exp(eps*lam(x)), a(x)), right form.
-    The gauging and lam are lifted once, and the RK4 stages, products and
-    solves each run once on the whole block; eps enters elementwise.
+    The RK4 stages of exp(eps*lam(x)) run once for every side, and the
+    products and solves of a side each run once on the whole block; eps
+    enters elementwise.
     """
-    a_lift = gauging.taylor_lift(x, 1)
     a0, da = a_lift.value(), a_lift.jacobian()
-    still = np.linalg.solve(_translation_matrix(spec, a0, side == "body"), da)
-    lam_series = lam.taylor_lift(x, 1).coeffs
+    lam_series = lam_lift.coeffs
     exp_series = _group_exp_series(
-        spec, context(len(gauging.variables), 1), lam_series,
+        spec, a_lift.ctx, lam_series,
         np.reshape(eps, np.shape(eps) + (1,) * lam_series.ndim))
-    a0, e0 = np.broadcast_arrays(a0, exp_series[..., 0])
-    da, de = np.broadcast_arrays(da, exp_series[..., 1:])    # (..., p, n)
-
-    if side == "body":
-        base = np.concatenate([a0, e0], axis=-1)
-        first, second = da, de
-    else:
-        base = np.concatenate([e0, a0], axis=-1)
-        first, second = de, da
-    mlift = spec.compose.taylor_lift(base, 1)
-    jac = mlift.jacobian()
-    val = mlift.value()
-    dval = np.einsum("...ts,...si->...ti", jac,
-                     np.concatenate([first, second], axis=-2))
-    mat = _translation_matrix(spec, val, side == "body")
-    return np.linalg.solve(mat, dval), still
+    a0_eps, e0 = np.broadcast_arrays(a0, exp_series[..., 0])
+    da_eps, de = np.broadcast_arrays(da, exp_series[..., 1:])  # (..., p, n)
+    out = []
+    for side in sides:
+        body = side == "body"
+        still = np.linalg.solve(_translation_matrix(spec, a0, body), da)
+        if body:
+            base = np.concatenate([a0_eps, e0], axis=-1)
+            first, second = da_eps, de
+        else:
+            base = np.concatenate([e0, a0_eps], axis=-1)
+            first, second = de, da_eps
+        mlift = spec.compose.taylor_lift(base, 1)
+        jac = mlift.jacobian()
+        val = mlift.value()
+        dval = np.einsum("...ts,...si->...ti", jac,
+                         np.concatenate([first, second], axis=-2))
+        mat = _translation_matrix(spec, val, body)
+        out.append((np.linalg.solve(mat, dval), still))
+    return out
 
 
 def variation_body_fd(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
@@ -418,11 +430,33 @@ def variation_space_fd(spec: LieGroupSpec, gauging: ExprMap, mu: ExprMap,
     return _variation_fd(spec, gauging, mu, samples, eps, "space")
 
 
+def _quotient(a_eps: np.ndarray, a_0: np.ndarray, eps) -> np.ndarray:
+    return (a_eps - a_0) / np.reshape(eps, np.shape(eps) + (1,) * a_0.ndim)
+
+
 def _variation_fd(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
                   samples: np.ndarray, eps, side: str) -> np.ndarray:
-    a_eps, a_0 = _family_pullback(spec, gauging, lam,
-                                  np.asarray(samples, float), eps, side)
-    return (a_eps - a_0) / np.reshape(eps, np.shape(eps) + (1,) * a_0.ndim)
+    x = np.asarray(samples, float)
+    [(a_eps, a_0)] = _family_pullback(spec, gauging.taylor_lift(x, 1),
+                                      lam.taylor_lift(x, 1), eps, (side,))
+    return _quotient(a_eps, a_0, eps)
+
+
+def variation_fd_gaps(spec: LieGroupSpec, gauging: ExprMap, lam: ExprMap,
+                      samples: np.ndarray, eps) -> list[np.ndarray]:
+    """variation_body_fd minus variation_body, then the same on the space
+    side, each with the bits of those calls.  The gauging and lam are
+    lifted once, the group exponential runs once for both sides, and each
+    exact variation reads its field from that side's unperturbed solve."""
+    x = np.asarray(samples, float)
+    lam_lift = lam.taylor_lift(x, 1)
+    sides = _family_pullback(spec, gauging.taylor_lift(x, 1), lam_lift, eps,
+                             ("body", "space"))
+    gaps = []
+    for (a_eps, a_0), sign in zip(sides, (-1.0, 1.0)):
+        exact = _exact_variation(spec, a_0, lam_lift, sign)
+        gaps.append(_quotient(a_eps, a_0, eps) - exact)
+    return gaps
 
 
 def el_body_residual(spec: LieGroupSpec, field: GaugeField, momentum: ExprMap,

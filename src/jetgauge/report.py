@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
-from . import __version__
+from . import _Frozen, __version__
 
 __all__ = ["SCHEMA", "CheckRecord", "Report"]
 
 SCHEMA = 1
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     id: str
     identity: str                 # one-line statement of what must hold
     max_residual: float
@@ -46,20 +45,24 @@ class CheckRecord:
         }
 
 
-@dataclass(frozen=True)
-class Report:
-    suite: str
-    records: tuple[CheckRecord, ...]
-    seed: int
-    timestamp: float = field(default_factory=time.time)
+class Report(_Frozen):
+    """A suite run's records; timestamp defaults to the time of
+    construction."""
+
+    __slots__ = ("suite", "records", "seed", "timestamp")
+
+    def __init__(self, suite: str, records: tuple[CheckRecord, ...],
+                 seed: int, timestamp: float | None = None):
+        self._init(suite=suite, records=records, seed=seed,
+                   timestamp=time.time() if timestamp is None else timestamp)
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
     def strip_clock(self) -> "Report":
-        stripped = tuple(replace(r, runtime_ms=0.0) for r in self.records)
-        return replace(self, records=stripped, timestamp=0.0)
+        stripped = tuple(r._replace(runtime_ms=0.0) for r in self.records)
+        return Report(self.suite, stripped, self.seed, 0.0)
 
     def to_dict(self) -> dict:
         return {

@@ -65,8 +65,11 @@ def _digit_tables(dim: int, count: int) -> tuple[tuple[np.ndarray, ...],
     return idents, index, weight
 
 
-def halton_points(box: Box, count: int, seed: int) -> np.ndarray:
-    """Scrambled Halton points inside the box, (count, dim)."""
+def halton_points(box: Box, count: int,
+                  seed: int | Sequence[int]) -> np.ndarray:
+    """Scrambled Halton points inside the box, (count, dim); for a sequence
+    of seeds, (len(seed), count, dim), each seed's points with the bits its
+    own call gives, from one gather, product and reduce for all of them."""
     box = list(box)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
@@ -74,13 +77,17 @@ def halton_points(box: Box, count: int, seed: int) -> np.ndarray:
         raise ValueError(f"a box needs one or more bounds, each with "
                          f"lo < hi: {box}")
     idents, index, weight = _digit_tables(len(box), count)
-    rng = np.random.default_rng(seed)
+    single = isinstance(seed, (int, np.integer))
+    seeds = (seed,) if single else seed
     # one permutation of the digits per place; drawn in one call per dim,
     # they equal `ndigits` successive rng.shuffle calls
-    perms = np.concatenate([rng.permuted(ident, axis=1) for ident in idents],
-                           axis=None, dtype=float)
-    # a reduce over the leading axis adds the places left to right like
-    # the digit loop (np.sum over a last axis is pairwise); a padded place
+    perms = np.stack([
+        np.concatenate([rng.permuted(ident, axis=1) for ident in idents],
+                       axis=None, dtype=float)
+        for rng in map(np.random.default_rng, seeds)])
+    # a reduce over the places adds them left to right like the digit loop
+    # (np.sum over a last axis is pairwise), seed by seed; a padded place
     # adds +0.0 to a nonnegative sum, which moves no bit
-    unit = np.add.reduce(perms[index] * weight, axis=0)
-    return unit * (hi - lo) + lo
+    unit = np.add.reduce(perms[:, index] * weight, axis=1)
+    points = unit * (hi - lo) + lo
+    return points[0] if single else points

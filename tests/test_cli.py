@@ -11,7 +11,7 @@ from jetgauge.cli import export_swell_csv, export_swell_svg, main
 from jetgauge.dynamics import swell_rows
 from jetgauge.expr import ExprMap
 from jetgauge.report import CheckRecord, Report
-from jetgauge.suites import SuiteConfig, run_suite
+from jetgauge.suites import CheckSpec, SuiteConfig, run_suite
 
 PARAMS = {"R0": 1.0, "k": 0.1, "omega": 1.0, "c": 0.0}
 
@@ -21,6 +21,31 @@ def test_record_pass_boundary():
                       samples=4, runtime_ms=1.0)
     assert rec.passed                            # inclusive bound
     assert not CheckRecord("x", "identity", 1.1e-9, 1e-9, 4, 1.0).passed
+
+
+def test_records_keep_their_defaults_reprs_and_immutability():
+    before = time.time()
+    rec = CheckRecord("a", "i", 0.0, 1.0, 1, 3.0)
+    rep = Report("swell", (rec,), seed=5)
+    assert before <= rep.timestamp <= time.time()    # the construction time
+    assert repr(rec) == ("CheckRecord(id='a', identity='i', max_residual=0.0,"
+                         " tolerance=1.0, samples=1, runtime_ms=3.0, "
+                         "seed=None)")
+    assert repr(rep) == (f"Report(suite='swell', records=({rec!r},), seed=5, "
+                         f"timestamp={rep.timestamp!r})")
+    assert repr(SuiteConfig()) == ("SuiteConfig(seed=0, samples=64, "
+                                   "tol_scale=1.0, fixture=None)")
+    assert rep.strip_clock() == Report(
+        "swell", (CheckRecord("a", "i", 0.0, 1.0, 1, 0.0),), 5, 0.0)
+    assert rep != rep.strip_clock() and hash(rep) == hash(Report(
+        "swell", (rec,), 5, rep.timestamp))
+    for obj, name in ((rec, "seed"), (rep, "timestamp"), (rep, "extra"),
+                      (SuiteConfig(), "seed"),
+                      (CheckSpec("a", "i", 1.0, None), "tolerance")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1.0)
+    with pytest.raises(AttributeError):
+        del rep.suite
 
 
 def test_report_json_is_sorted_and_versioned():

@@ -652,9 +652,10 @@ def test_el_contractions_match_point_einsum():
                       ["v1", "v2", "v3", "v4"])
     zx = fam.sample_zx(64, 3)
     st = fam.state(zx[:, :2], zx[:, 2:])
-    ez, ey = _el_z(st, w, 2, 2), _el_y(st, w, 2, 2)
     hv = _momentum_hessian(w, st.v, 2, 2)
     hf = _momentum_hessian(w, st.fx, 2, 2)
+    assert hv.tobytes() == hf.tobytes()   # el_residual lifts one of them
+    ez, ey = _el_z(st, hv), _el_y(st, hf)
     for q in range(len(zx)):
         want_z = st.rho[q] * (
             np.einsum("kilp,lpi->k", hv[q], st.dv_x[q])
@@ -912,10 +913,13 @@ def test_one_lift_for_the_whole_staircase(monkeypatch):
 
 def test_transport_op_work_count(monkeypatch):
     # a warm transport op, dynamics then group at seed 43: every tape
-    # product runs on its operands' cut table, which holds 68,588 product
+    # product runs on its operands' cut table, which holds 48,476 product
     # terms over the op where the full tables held 393,076.  Cutting keeps
     # the calls of the full tables; theorem3_check's one eps block lifts
-    # both eps together, 15 calls fewer than its two solves at 214
+    # both eps together, el_residual lifts one Hessian for both forms, and
+    # variation_matches_fd lifts its gauging and lam once and runs one
+    # group exponential for both sides: 135 calls, where its separate
+    # sides made 199
     def op():
         for name in ("dynamics", "group"):
             assert run_suite(name, SuiteConfig(seed=43)).passed
@@ -932,4 +936,4 @@ def test_transport_op_work_count(monkeypatch):
 
     monkeypatch.setattr(series, "mul", counted)
     op()
-    assert work == {"calls": 199, "terms": 68_588}
+    assert work == {"calls": 135, "terms": 48_476}

@@ -483,3 +483,15 @@ def test_elasticity_suite_work_count(monkeypatch):
     rep = suites.run_suite("elasticity", suites.SuiteConfig(seed=43))
     assert rep.passed
     assert calls == {"expr": 18, "poly": 8, "shift": 8, "svd": 1}
+
+
+def test_section_and_state_keep_their_reprs_and_stay_frozen():
+    sec = DisplacementSection.parse("x1, x2")
+    state = StressState.parse("x1, 0, 0, x2")
+    assert repr(state) == (f"StressState(sigma={state.sigma!r}, "
+                           f"mu={state.mu!r}, label='state')")
+    assert repr(sec).startswith(f"DisplacementSection(xi={sec.xi!r}, "
+                                f"jet={sec.jet!r}, metric=array(")
+    for obj, name in ((sec, "metric"), (state, "label")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)

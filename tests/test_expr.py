@@ -8,7 +8,7 @@ import pytest
 from jetgauge import series
 from jetgauge._multiindex import context
 from jetgauge.expr import (
-    Bin, Call, ExprMap, Neg, Num, ParseError, Pow, Var,
+    Bin, Call, ExprMap, Neg, Num, ParseError, PolyMap, Pow, Var,
 )
 from jetgauge.series import DomainError
 
@@ -292,7 +292,7 @@ def test_tape_shares_repeated_subtrees_but_not_signed_zeros():
                for slot in range(len(tape))]
     assert all(readers[slot][-1] == e
                for e, done in enumerate(dead) for slot in done)
-    # Num(0.0) == Num(-0.0) as dataclasses, but the slots stay apart
+    # Num(0.0) == Num(-0.0) as nodes, but the slots stay apart
     zeros = ExprMap(["x"], [Bin("+", Num(0.0), Var("x")),
                             Bin("+", Num(-0.0), Var("x"))])
     tape, outputs, _ = zeros._tape
@@ -544,3 +544,27 @@ def test_cut_tables_give_the_full_tables_bits(name):
             else:
                 assert _same(_lift_bits(m, block, order, False),
                              _lift_bits(m, block, order, True))
+
+
+def test_nodes_and_maps_compare_by_type_and_value_and_stay_frozen():
+    assert Num(0.0) == Num(-0.0) and hash(Num(0.0)) == hash(Num(-0.0))
+    assert Num(1.0) != Var(1.0) and Var("x") != Call("x", Var("x"))
+    tree = ExprMap.parse("sin(x*y) - x^2, -y", ["x", "y"]).exprs
+    assert tree == ExprMap.parse("sin(x*y) - x^2, -y", ["x", "y"]).exprs
+    assert len({*tree, *ExprMap.parse("-y", ["x", "y"]).exprs}) == 2
+    assert repr(tree[1]) == "Neg(arg=Var(name='y'))"
+    assert repr(Bin("+", Num(1.0), Pow(Var("x"), 2.0))) == (
+        "Bin(op='+', lhs=Num(value=1.0), rhs=Pow(base=Var(name='x'), "
+        "exponent=2.0))")
+    poly = PolyMap(("x",), 1, np.array([[0.0, 2.0]]))
+    lift = poly.taylor_lift(np.array([0.5]), 1)
+    assert repr(poly) == ("PolyMap(variables=('x',), degree=1, "
+                          "coeffs=array([[0., 2.]]))")
+    assert repr(context(1, 1)).startswith("MultiIndexContext(nvars=1, "
+                                          "order=1, midx=array(")
+    assert repr(context(1, 1)).endswith(", count=2)")
+    for obj, name in ((tree[0], "op"), (tree[1], "arg"), (Num(1.0), "value"),
+                      (poly, "coeffs"), (poly, "_rows"), (lift, "order"),
+                      (context(1, 1), "count")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)

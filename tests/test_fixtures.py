@@ -97,6 +97,9 @@ def _fingerprint(obj):
         return [_fingerprint(v) for v in obj]
     if hasattr(obj, "__dict__"):
         return type(obj).__name__, _fingerprint(vars(obj))
+    if hasattr(obj, "__slots__"):       # a record such as StressState
+        return type(obj).__name__, _fingerprint(
+            {name: getattr(obj, name) for name in obj.__slots__})
     return obj
 
 

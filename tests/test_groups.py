@@ -17,7 +17,7 @@ from jetgauge.groups import (
     el_space_residual, group_spec_from_dict, jacobi_residual, lift_curvature,
     linear_gauge_d, linear_gauge_dd, load_group_spec, maurer_cartan_pullback,
     right_pullback, spencer_from_action, variation_body, variation_body_fd,
-    variation_space, variation_space_fd,
+    variation_fd_gaps, variation_space, variation_space_fd,
 )
 from jetgauge.pseudogroups import HolonomicSection, algebroid_bracket
 from jetgauge.sampling import halton_points
@@ -412,11 +412,23 @@ def test_variation_fd_runs_both_eps_as_one_block(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(groups, name, counted)
     _suite_group._check_variation_matches_fd(SuiteConfig(seed=42), {})
-    # one perturbed pullback per side, on an eps axis, which gives the
-    # quotients their unperturbed field too; the exact variations read
-    # theirs from the field
-    assert [np.shape(a[4]) for a in calls["_family_pullback"]] == [(2,)] * 2
-    assert len(calls["_pullback"]) == 2
+    # one perturbed pullback for both sides, on an eps axis, which gives
+    # the quotients and the exact variations their unperturbed field too
+    assert [(np.shape(a[3]), a[4]) for a in calls["_family_pullback"]] == [
+        ((2,), ("body", "space"))]
+    assert calls["_pullback"] == []
+
+
+def test_variation_fd_gaps_keep_the_separate_calls_bits():
+    eps = np.array([1e-3, 5e-4])
+    gaps = variation_fd_gaps(AFFINE, GAUGING, LAM, SAMPLES, eps)
+    for got, form, fd, exact in (
+            (gaps[0], "body", variation_body_fd, variation_body),
+            (gaps[1], "space", variation_space_fd, variation_space)):
+        want = (fd(AFFINE, GAUGING, LAM, SAMPLES, eps)
+                - exact(AFFINE, GaugeField(AFFINE, GRID, form, GAUGING), LAM,
+                        SAMPLES))
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def _text_of_draws(rng, offsets, monomials, scale):

@@ -152,7 +152,7 @@ def test_every_exported_name_resolves(module):
 
 # Defaulted parameters that no call in src/ passes, each with its reason.
 UNSET_DEFAULTS = {
-    "main.argv": "the entry point: python -m jetgauge reads sys.argv",
+    "main.argv": "cli.entry, the process entry, calls main() on sys.argv",
     "pressure_recovery.curl_tol": "a test tightens the curl bound to 1e-13",
     "rigid_kernel_dimension.metric": "tests vary the metric",
 }

@@ -26,6 +26,18 @@ def test_halton_matches_scipy_bitwise(dim):
             assert got.tobytes() == ref.tobytes(), (dim, seed, count)
 
 
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_halton_seed_sequence_keeps_each_seeds_bits(dim):
+    box = [(-0.3 - 0.1 * k, 0.5 + 0.2 * k) for k in range(dim)]
+    for seeds in ((5,), (0, 1, 7, 42), range(100, 110), [3, 3, 2**31 + 3]):
+        for count in COUNTS:
+            got = halton_points(box, count, seeds)
+            assert got.shape == (len(seeds), count, dim)
+            for seed, points in zip(seeds, got):
+                alone = halton_points(box, count, seed)
+                assert points.tobytes() == alone.tobytes(), (seed, count)
+
+
 @pytest.mark.parametrize("box", [((1.0, 0.0),), ((0.0, 1.0), (0.5, 0.5)),
                                  ((0.0, float("nan")),), ()])
 def test_halton_rejects_empty_or_reversed_box(box):
